@@ -11,6 +11,7 @@ mathematical check failed, 2 the spec file is unusable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -92,17 +93,40 @@ def _encode_kelem(inst: Instance, coords) -> list:
     return [inst.field.encode(c) for c in coords]
 
 
-def _build_complex(inst: Instance, D: int):
-    alg = inst.algebra(check=True)
-    C = build_small_complex(alg, Bimodule.regular(alg), D + 1)
-    return alg, C
+class Session:
+    """What the verbs of one run share: the instance, the parsed arguments,
+    the degree bound D and, each built on first use, the checked algebra, its
+    regular bimodule, the small complex through degree D + 1 and the collapse
+    witness.  A session belongs to one run; nothing outlives it."""
+
+    def __init__(self, inst: Instance, args):
+        self.inst = inst
+        self.args = args
+        self.D = args.max_degree if args.max_degree is not None else inst.default_degree()
+
+    @functools.cached_property
+    def algebra(self):
+        return self.inst.algebra(check=True)
+
+    @functools.cached_property
+    def bimodule(self) -> Bimodule:
+        return Bimodule.regular(self.algebra)
+
+    @functools.cached_property
+    def complex(self):
+        return build_small_complex(self.algebra, self.bimodule, self.D + 1)
+
+    @functools.cached_property
+    def witness(self):
+        candidates = _witness_candidates(self.inst, getattr(self.args, "witness", None))
+        return find_witness(self.algebra, candidates)
 
 
 # -- verb: validate -----------------------------------------------------------
 
 
-def run_validate(inst: Instance, args) -> tuple[dict, bool]:
-    D = args.max_degree if args.max_degree is not None else inst.default_degree()
+def run_validate(session: Session) -> tuple[dict, bool]:
+    inst, D = session.inst, session.D
     checks = []
 
     def record(name, rep):
@@ -130,13 +154,11 @@ def run_validate(inst: Instance, args) -> tuple[dict, bool]:
 # -- verb: cohomology ---------------------------------------------------------
 
 
-def run_cohomology(inst: Instance, args) -> tuple[dict, bool]:
-    D = args.max_degree if args.max_degree is not None else inst.default_degree()
-    _, C = _build_complex(inst, D)
-    rows = complex_report(C)
+def run_cohomology(session: Session) -> tuple[dict, bool]:
+    rows = complex_report(session.complex)
     payload = {
-        "instance": inst.raw,
-        "max_degree": D,
+        "instance": session.inst.raw,
+        "max_degree": session.D,
         "dims": [row["dim_H"] for row in rows],
         "table": rows,
     }
@@ -204,14 +226,13 @@ def _bracket_agreement(C, witness, cap: int) -> list[dict]:
     return out
 
 
-def run_products(inst: Instance, args) -> tuple[dict, bool]:
-    D = args.max_degree if args.max_degree is not None else inst.default_degree()
+def run_products(session: Session) -> tuple[dict, bool]:
+    inst, D, C, args = session.inst, session.D, session.complex, session.args
     bound = args.oracle_bound if args.oracle_bound is not None else inst.options.get("oracle_bound", 5)
-    alg, C = _build_complex(inst, D)
     cup_rows = cup_class_table(C, D)
     bracket_rows = bracket_class_table(C, D, bound)
     cup_checked = _cup_agreement(C, min(D, 3))
-    witness = find_witness(alg, _witness_candidates(inst, getattr(args, "witness", None)))
+    witness = session.witness
     if witness:
         bracket_checked = _bracket_agreement(C, witness, min(bound, 3))
         witness_enc = _encode_kelem(inst, witness.value.coords)
@@ -287,12 +308,10 @@ THEOREM_CHECKS = {
 }
 
 
-def run_theorems(inst: Instance, args) -> tuple[dict, bool]:
-    D = args.max_degree if args.max_degree is not None else inst.default_degree()
-    alg, C = _build_complex(inst, D)
-    witness = find_witness(alg, _witness_candidates(inst, getattr(args, "witness", None)))
+def run_theorems(session: Session) -> tuple[dict, bool]:
+    inst, D, C, witness = session.inst, session.D, session.complex, session.witness
     chi = inst.chi
-    which = getattr(args, "which", None)
+    which = getattr(session.args, "which", None)
     if which:
         tokens = [t.strip() for t in which.split(",") if t.strip()]
         unknown = [t for t in tokens if t not in THEOREM_CHECKS]
@@ -327,14 +346,14 @@ def run_theorems(inst: Instance, args) -> tuple[dict, bool]:
 # -- verb: report -------------------------------------------------------------
 
 
-def run_report(inst: Instance, args) -> tuple[dict, bool]:
-    v_payload, v_ok = run_validate(inst, args)
-    payload = {"instance": inst.raw, "validate": v_payload, "ok": v_ok}
+def run_report(session: Session) -> tuple[dict, bool]:
+    v_payload, v_ok = run_validate(session)
+    payload = {"instance": session.inst.raw, "validate": v_payload, "ok": v_ok}
     ok = v_ok
     if v_ok:
-        c_payload, _ = run_cohomology(inst, args)
-        p_payload, p_ok = run_products(inst, args)
-        t_payload, t_ok = run_theorems(inst, args)
+        c_payload, _ = run_cohomology(session)
+        p_payload, p_ok = run_products(session)
+        t_payload, t_ok = run_theorems(session)
         for part in (c_payload, p_payload, t_payload):
             part.pop("instance", None)
         payload["cohomology"] = c_payload
@@ -507,8 +526,7 @@ def main(argv=None) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        inst = load_instance(args.spec)
-        payload, ok = RUNNERS[args.verb](inst, args)
+        payload, ok = RUNNERS[args.verb](Session(load_instance(args.spec), args))
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -66,6 +66,7 @@ from .kalgebra import (
 from .monogenic import AElem, MonogenicAlgebra, validate_f
 from .cohomology import (
     Bimodule,
+    CohomologyError,
     SmallComplex,
     build_small_complex,
     cohomology_dims,
@@ -279,7 +280,7 @@ def _classes_of_closed_reps(
         v = reps.column(j)
         try:
             coords.append(H.class_coords(v))
-        except Exception:
+        except CohomologyError:
             mismatches.append(f"{tag}: representative {j} is not a cocycle in degree {r}")
             return
     got = _span_dim(Mat.from_columns(C.field, coords, H.dim)) if coords else 0
@@ -354,7 +355,7 @@ def check_collapsed_differentials(
                     amb[alg.idx(b, 0)] = -c
             try:
                 cols.append(C.to_sub(r, tuple(amb)))
-            except Exception:
+            except CohomologyError:
                 mismatches.append(f"closed differential leaves the cochain space in degree {r}")
                 cols = None
                 break
@@ -951,6 +952,8 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
         up_to = C.max_degree - 1
     _need_degrees(C, up_to)
     v = character_order(K.group, char_power(chi, alg.n))
+    if 2 * v > up_to:
+        raise ClosedFormError("table too short to reach the period degree")
     dims = cohomology_dims(C, up_to)
     n_scalar = K.field.from_int(alg.n)
     nlam = vscale(n_scalar, alg.f_coeffs[-1])
@@ -966,27 +969,24 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
             gens.append({"degree": r, "count": dims[r], "kind": "even module generators"})
     gens.append({"degree": 2 * v, "count": 1, "kind": "unit class"})
     mismatches: list[str] = []
-    if 2 * v > up_to:
-        mismatches.append("table too short to reach the period degree")
-    else:
-        unit_cls = cohomology_group(C, 2 * v).class_coords(C.alg.one.coords)
-        if all(c.is_zero() for c in unit_cls):
-            mismatches.append("unit class vanishes at the period degree")
-        c_cochain = SmallCochain(alg, 2 * v, alg.one)
-        for r in range(1, up_to - 2 * v + 1):
-            H_src = cohomology_group(C, r)
-            H_tgt = cohomology_group(C, r + 2 * v)
-            if H_src.dim != H_tgt.dim:
-                mismatches.append(f"period map degree {r}: dimensions differ")
-                continue
-            cols = []
-            for rep in H_src.reps_ambient:
-                a = SmallCochain(alg, r, AElem(alg, rep))
-                cols.append(H_tgt.class_coords(cup_small(a, c_cochain).value.coords))
-            M = Mat.from_columns(C.field, cols, H_tgt.dim)
-            if rank(M) != H_src.dim:
-                mismatches.append(f"period map degree {r}: cup by the unit class "
-                                  f"is not bijective")
+    unit_cls = cohomology_group(C, 2 * v).class_coords(C.alg.one.coords)
+    if all(c.is_zero() for c in unit_cls):
+        mismatches.append("unit class vanishes at the period degree")
+    c_cochain = SmallCochain(alg, 2 * v, alg.one)
+    for r in range(1, up_to - 2 * v + 1):
+        H_src = cohomology_group(C, r)
+        H_tgt = cohomology_group(C, r + 2 * v)
+        if H_src.dim != H_tgt.dim:
+            mismatches.append(f"period map degree {r}: dimensions differ")
+            continue
+        cols = []
+        for rep in H_src.reps_ambient:
+            a = SmallCochain(alg, r, AElem(alg, rep))
+            cols.append(H_tgt.class_coords(cup_small(a, c_cochain).value.coords))
+        M = Mat.from_columns(C.field, cols, H_tgt.dim)
+        if rank(M) != H_src.dim:
+            mismatches.append(f"period map degree {r}: cup by the unit class "
+                              f"is not bijective")
     exterior_pattern = None
     if nlam_zero:
         inner_even_zero = all(

@@ -9,7 +9,7 @@ mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
 
 from __future__ import annotations
 
-from .kalgebra import ValidationReport
+from .kalgebra import ValidationReport, twisted_kernel
 from .linalg import (
     EchelonTracker,
     LinSolver,
@@ -38,6 +38,7 @@ class Bimodule:
         self.Rx = Rx
         self._Lx_pow: dict[int, Mat] = {0: Mat.identity(self.field, self.dim)}
         self._Rx_pow: dict[int, Mat] = {0: Mat.identity(self.field, self.dim)}
+        self._invariants: dict[tuple, Mat] = {}  # alpha^r entries -> twisted_invariants
 
     @classmethod
     def regular(cls, alg: MonogenicAlgebra) -> "Bimodule":
@@ -142,25 +143,24 @@ class Bimodule:
         return ValidationReport(not failures, tuple(failures))
 
 
-def bimodule_regular(alg: MonogenicAlgebra) -> Bimodule:
-    return Bimodule.regular(alg)
-
-
 def twisted_invariants(M: Bimodule, r: int) -> Mat:
-    """Basis (columns) of M^{alpha^r} = {m : m lambda = alpha^r(lambda) m},
-    computed by iteratively restricting to the kernel of each basis constraint."""
-    alg = M.alg
-    field = M.field
-    basis = Mat.identity(field, M.dim)
-    for b in range(alg.K.dim):
-        if basis.cols == 0:
-            break
-        lam = alg.K.basis_elem(b).coords
-        con = M.R_k[b].add(M.L_elem(alg.alpha.apply_power(r, lam)).scale(-field.one))
-        restricted = con.matmul(basis)
-        ker = kernel_basis(restricted)
-        basis = basis.matmul(ker)
-    return basis
+    """Basis (columns) of M^{alpha^r} = {m : m lambda = alpha^r(lambda) m}.
+
+    The columns are the reduced free-variable basis of the solution space:
+    column f has a one at free coordinate f and zeros at the other free
+    coordinates, which fixes its pivot entries.  That basis is unique, so it
+    does not depend on how the constraints are solved: restricting to one
+    basis constraint at a time keeps the identity on the surviving free
+    coordinates and ends at the same columns as one reduction of all the
+    stacked rows (``twisted_kernel``).
+
+    Cached on M, keyed by the exact entries of alpha^r
+    (``alpha.power_matrix(r).data``): degrees whose twists are equal matrices
+    share one solve."""
+    twist = M.alg.alpha.power_matrix(r)
+    if twist.data not in M._invariants:
+        M._invariants[twist.data] = twisted_kernel(M.field, M.dim, M.R_k, M.L_k, twist)
+    return M._invariants[twist.data]
 
 
 class SmallComplex:

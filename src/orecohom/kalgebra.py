@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import Mat, kernel_basis, rank, vadd, vscale
+from .linalg import EchelonTracker, Mat, kernel_basis, rank, vadd, vscale
 
 
 class AlgebraError(ValueError):
@@ -360,6 +360,7 @@ class Endo:
         self.alg = alg
         self.matrix = matrix
         self._powers: dict[int, Mat] = {0: Mat.identity(alg.field, alg.dim), 1: matrix}
+        self._invariants: dict[tuple, Mat] = {}  # alpha^r entries -> twisted_invariants_k
 
     def apply(self, u: tuple) -> tuple:
         return self.matrix.matvec(u)
@@ -529,13 +530,66 @@ def quaternion_algebra(
     return alg, alpha
 
 
+def _sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:
+    return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A.data]
+
+
+def twisted_kernel(field: Field, dim: int, R_k: list[Mat], L_k: list[Mat], twist: Mat) -> Mat:
+    """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
+
+    With R_b and L_c the right and left actions of K's basis elements on a
+    dim-dimensional module and ``twist`` the matrix of alpha^r, these are the
+    m with m e_b = alpha^r(e_b) m.  The rows of each constraint
+    R_b - L(alpha^r(e_b)) are assembled from the nonzero entries of the action
+    matrices and of column b of ``twist`` only, and reduced one at a time into
+    a single echelon, stopping at full rank.  The kernel is read off the free
+    columns as ``kernel_basis`` reads it off a reduced echelon form."""
+    right = [_sparse_rows(A) for A in R_k]
+    left = [_sparse_rows(A) for A in L_k]
+    zero = field.zero
+    tracker = EchelonTracker(field, dim)
+    for b, R in enumerate(right):
+        terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
+        for i in range(dim):
+            row = dict(R[i])
+            for t, L in terms:
+                for j, a in L[i]:
+                    row[j] = row[j] - t * a if j in row else -(t * a)
+            if all(a.is_zero() for a in row.values()):
+                continue
+            dense = [zero] * dim
+            for j, a in row.items():
+                dense[j] = a
+            tracker.add(tuple(dense))
+            if tracker.dim == dim:
+                return Mat.from_columns(field, [], dim)
+    pivots = set(tracker.lead)
+    cols = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        v = [zero] * dim
+        v[fc] = field.one
+        for row, pc in zip(tracker.rows, tracker.lead):
+            v[pc] = -row[fc]
+        cols.append(tuple(v))
+    return Mat.from_columns(field, cols, dim)
+
+
 def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
-    """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns."""
-    rows = []
-    for i in range(K.dim):
-        e = K.basis_elem(i).coords
-        R = K.right_mult_matrix(e)
-        L = K.left_mult_matrix(alpha.apply_power(r, e))
-        for r1, r2 in zip(R.data, L.data):
-            rows.append([a - b for a, b in zip(r1, r2)])
-    return kernel_basis(Mat(K.field, rows, K.dim))
+    """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns: the
+    twisted invariants of K as a bimodule over itself.  Cached on alpha, keyed
+    by the exact entries of alpha^r, so equal twist powers share one solve."""
+    if K is not alpha.alg:
+        raise AlgebraError("the twist is an endomorphism of another algebra")
+    twist = alpha.power_matrix(r)
+    if twist.data not in alpha._invariants:
+        basis = [K.basis_elem(i).coords for i in range(K.dim)]
+        alpha._invariants[twist.data] = twisted_kernel(
+            K.field,
+            K.dim,
+            [K.right_mult_matrix(e) for e in basis],
+            [K.left_mult_matrix(e) for e in basis],
+            twist,
+        )
+    return alpha._invariants[twist.data]

@@ -22,10 +22,6 @@ def vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vsub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vscale(s: Scalar, a: tuple) -> tuple:
     return tuple(s * x for x in a)
 
@@ -266,19 +262,26 @@ def in_span(basis: Mat, v: tuple) -> bool:
 
 
 class EchelonTracker:
-    """Incrementally maintained reduced echelon span for membership tests."""
+    """Incrementally maintained reduced echelon span for membership tests.
+
+    Each row keeps the indices of its nonzero entries, so eliminating with it
+    touches only those."""
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
         self.rows: list[tuple] = []
         self.lead: list[int] = []
+        self._support: list[list[int]] = []
 
     def reduce(self, v: tuple) -> tuple:
-        for row, c in zip(self.rows, self.lead):
-            if not v[c].is_zero():
-                v = vsub(v, vscale(v[c], row))
-        return v
+        v = list(v)
+        for row, c, support in zip(self.rows, self.lead, self._support):
+            f = v[c]
+            if not f.is_zero():
+                for j in support:
+                    v[j] = v[j] - f * row[j]
+        return tuple(v)
 
     def contains(self, v: tuple) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -288,16 +291,27 @@ class EchelonTracker:
         if len(v) != self.n:
             raise LinalgError("vector length mismatch")
         v = self.reduce(v)
-        c = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if c is None:
+        support = [j for j, x in enumerate(v) if not x.is_zero()]
+        if not support:
             return False
-        v = vscale(v[c].inv(), v)
+        c = support[0]
+        inv = v[c].inv()
+        v = list(v)
+        for j in support:
+            v[j] = inv * v[j]
+        v = tuple(v)
         for i, row in enumerate(self.rows):
-            if not row[c].is_zero():
-                self.rows[i] = vsub(row, vscale(row[c], v))
+            f = row[c]
+            if not f.is_zero():
+                new = list(row)
+                for j in support:
+                    new[j] = new[j] - f * v[j]
+                self.rows[i] = tuple(new)
+                self._support[i] = [j for j, x in enumerate(new) if not x.is_zero()]
         pos = next((i for i, l in enumerate(self.lead) if l > c), len(self.lead))
         self.rows.insert(pos, v)
         self.lead.insert(pos, c)
+        self._support.insert(pos, support)
         return True
 
     @property

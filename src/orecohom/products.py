@@ -602,16 +602,6 @@ class ComparisonMaps:
 # -- chain-map and class-level validation ------------------------------------
 
 
-def _invariant_columns(C: SmallComplex, exponent: int):
-    cache = getattr(C, "_bar_invariant_cache", None)
-    if cache is None:
-        cache = {}
-        C._bar_invariant_cache = cache
-    if exponent not in cache:
-        cache[exponent] = twisted_invariants(C.M, exponent).columns_list()
-    return cache[exponent]
-
-
 def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport:
     """Exact commutation of both comparison maps with the differentials.
 
@@ -632,7 +622,7 @@ def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport
                 return ValidationReport(False, tuple(failures))
     for r in range(degree_bound + 1):
         for idx in all_bar_indices(alg, r):
-            for w in _invariant_columns(C, sum(idx)):
+            for w in twisted_invariants(C.M, sum(idx)).columns_list():
                 g = BarCochain(alg, r, {idx: AElem(alg, w)})
                 lhs = AElem(alg, C.d_ambient(r + 1, phi_eval(g).value.coords))
                 rhs = phi_eval(bar_differential(g)).value

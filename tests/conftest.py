@@ -2,6 +2,8 @@
 
 import pytest
 
+from orecohom.cohomology import Bimodule, build_small_complex
+from orecohom.instances import gh4_instance
 from orecohom.linalg import Mat, kernel_basis
 
 
@@ -30,3 +32,56 @@ def admissible_coefficients(K, alpha, i: int) -> Mat:
 @pytest.fixture
 def admissible_space():
     return admissible_coefficients
+
+
+@pytest.fixture(scope="session")
+def gh4_u3():
+    """The order-12 two-generator instance, its character and its complex
+    through degree 7: built once and shared by every module that uses it."""
+    alg, chi = gh4_instance(3)
+    return alg, chi, build_small_complex(alg, Bimodule.regular(alg), 7)
+
+
+def iterative_invariants(M, r: int) -> Mat:
+    """Basis (columns) of M^{alpha^r} = {m : m lambda = alpha^r(lambda) m},
+    computed by iteratively restricting to the kernel of each basis constraint.
+
+    The dense computation `twisted_invariants` used before its stacked sparse
+    kernel, kept verbatim as an oracle for it."""
+    alg = M.alg
+    field = M.field
+    basis = Mat.identity(field, M.dim)
+    for b in range(alg.K.dim):
+        if basis.cols == 0:
+            break
+        lam = alg.K.basis_elem(b).coords
+        con = M.R_k[b].add(M.L_elem(alg.alpha.apply_power(r, lam)).scale(-field.one))
+        restricted = con.matmul(basis)
+        ker = kernel_basis(restricted)
+        basis = basis.matmul(ker)
+    return basis
+
+
+def stacked_invariants_k(K, alpha, r: int) -> Mat:
+    """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns.
+
+    The dense `twisted_invariants_k` from before the shared sparse kernel,
+    kept verbatim as an oracle for it."""
+    rows = []
+    for i in range(K.dim):
+        e = K.basis_elem(i).coords
+        R = K.right_mult_matrix(e)
+        L = K.left_mult_matrix(alpha.apply_power(r, e))
+        for r1, r2 in zip(R.data, L.data):
+            rows.append([a - b for a, b in zip(r1, r2)])
+    return kernel_basis(Mat(K.field, rows, K.dim))
+
+
+@pytest.fixture
+def iterative_oracle():
+    return iterative_invariants
+
+
+@pytest.fixture
+def stacked_oracle_k():
+    return stacked_invariants_k

@@ -42,7 +42,6 @@ from orecohom.instances import (
     c4_sign,
     gaussian_rationals,
     gf3_cubic,
-    gh4_instance,
     qq_pair_swap,
     qq_triple_shift,
     quaternion_half_turn_data,
@@ -75,10 +74,10 @@ def c4_quotient_model():
 
 
 @pytest.fixture(scope="module")
-def flagships():
+def flagships(gh4_u3):
     a1, _ = sweedler()
     a2, _ = taft(3, 7, 2)
-    a3, chi3 = gh4_instance(3)
+    a3, chi3, _ = gh4_u3
     a4 = quaternion_pi(1)
     return {
         "sweedler": a1,
@@ -90,12 +89,13 @@ def flagships():
 
 
 @pytest.fixture(scope="module")
-def complexes(flagships):
-    return {
+def complexes(flagships, gh4_u3):
+    built = {
         name: build_small_complex(alg, Bimodule.regular(alg), 7)
         for name, alg in flagships.items()
-        if name != "gh4_chi"
+        if name not in ("gh4_u3", "gh4_chi")
     }
+    return {**built, "gh4_u3": gh4_u3[2]}
 
 
 def class_of(C, r, cochain):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orecohom import Bimodule, build_small_complex, cohomology_dims
+from orecohom import Bimodule, build_small_complex, cohomology, cohomology_dims, kalgebra
 from orecohom.cli import main
 from orecohom.specio import SpecError, build_instance, load_instance
 
@@ -263,6 +263,74 @@ def test_report_has_all_sections(capsys):
     assert payload["cohomology"]["dims"] == [1, 1, 1, 1, 1]
     assert payload["products"]["cup"]
     assert any(e["status"] == "ok" for e in payload["theorems"]["checks"])
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_report_equals_its_parts(capsys, name):
+    parts = {}
+    for verb in ("validate", "cohomology", "products", "theorems"):
+        rc, out = run(capsys, verb, spec(name))
+        parts[verb] = rc, json.loads(out) if out else None
+    rc, report = run_json(capsys, "report", spec(name))
+    assert rc == max(code for code, _ in parts.values())
+    _, validate = parts.pop("validate")
+    validate.pop("instance")
+    assert report["validate"] == validate
+    for verb, (_, payload) in parts.items():
+        if validate["ok"]:
+            payload.pop("instance")
+            assert report[verb] == payload, verb
+        else:
+            assert verb not in report
+
+
+def count_calls(monkeypatch, owner, attr, modules=()):
+    """Replace owner.attr (and its binding in each module) by a counting
+    wrapper; returns the list the wrapper appends to."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for target in (owner, *modules):
+        monkeypatch.setattr(target, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, builds", [("sweedler.json", 1), ("taft37.json", 1), ("c4_sign.json", 3)])
+def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
+    """One build of the instance's complex; c4_sign's closed-form checks
+    also build two model complexes of their own, as theorems alone does."""
+    calls = count_calls(monkeypatch, cohomology.SmallComplex, "__init__")
+    assert run(capsys, "report", spec(name))[0] == 0
+    assert len(calls) == builds
+    calls.clear()
+    assert run(capsys, "theorems", spec(name))[0] == 0
+    assert len(calls) == builds
+
+
+def test_fresh_runs_repeat_every_solve(capsys, monkeypatch):
+    """Twisted invariants are solved once per distinct twist within a run and
+    again in the next run: sweedler's twist has order 2, so the bimodule needs
+    alpha^0 and alpha^1 and its coefficient blocks alpha^0 only.  The rational
+    field is one object shared by every run, so a cache that outlived a run
+    would be found."""
+    calls = count_calls(monkeypatch, kalgebra, "twisted_kernel", (cohomology,))
+    for _ in range(2):
+        calls.clear()
+        assert run(capsys, "report", spec("sweedler.json"))[0] == 0
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", ["sweedler.json", "taft37.json", "c4_sign.json"])
+def test_presentation_below_the_period_is_skipped(capsys, name):
+    rc, payload = run_json(capsys, "theorems", spec(name), "--max-degree", "1")
+    assert rc == 0
+    entry = next(e for e in payload["checks"] if e["which"] == "presentation")
+    assert entry["status"] == "skipped"
+    assert entry["reason"] == "table too short to reach the period degree"
 
 
 def test_json_output_is_deterministic(capsys):

@@ -8,6 +8,9 @@ from orecohom.linalg import Mat, span_equal
 from orecohom.monogenic import MonogenicAlgebra, MonogenicError, validate_f
 from orecohom.cohomology import (
     Bimodule,
+    CohomologyError,
+    CohomologyGroup,
+    SmallComplex,
     build_small_complex,
     cohomology_dims,
     cohomology_group,
@@ -61,12 +64,6 @@ def taft3():
 @pytest.fixture(scope="module")
 def c4s():
     alg, chi, g1 = instances.c4_sign()
-    return alg, chi, complex_of(alg, 6)
-
-
-@pytest.fixture(scope="module")
-def gh4u3():
-    alg, chi = instances.gh4_instance(3)
     return alg, chi, complex_of(alg, 6)
 
 
@@ -159,9 +156,9 @@ def test_collapsed_spaces_sweedler(sweedler):
     assert rep["closed_table"]["dims"] == [2] * 7
 
 
-def test_collapsed_spaces_gh4(gh4u3):
-    alg, _, C = gh4u3
-    rep = check_collapsed_cochain_spaces(C)
+def test_collapsed_spaces_gh4(gh4_u3):
+    alg, _, C = gh4_u3
+    rep = check_collapsed_cochain_spaces(C, up_to=6)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [6, 6, 2, 2, 6, 6, 2]
 
@@ -193,10 +190,10 @@ def test_collapsed_cohomology_shift3(shift3):
     assert rep["closed_table"]["dims"] == [1, 0, 0, 0, 0, 0]
 
 
-def test_block_elements_commute_with_constant(c4s, gh4u3, sweedler_inv):
+def test_block_elements_commute_with_constant(c4s, gh4_u3, sweedler_inv):
     from orecohom.kalgebra import twisted_invariants_k
 
-    for alg in (c4s[0], gh4u3[0], sweedler_inv[0]):
+    for alg in (c4s[0], gh4_u3[0], sweedler_inv[0]):
         K, n = alg.K, alg.n
         lam_n = alg.f_coeffs[-1]
         for m in range(3):
@@ -273,8 +270,8 @@ def test_diagonalizable_table_c4_sign(c4s):
     assert rep["closed_table"]["dims"] == [2, 1, 1, 1, 1, 1]
 
 
-def test_diagonalizable_table_gh4(gh4u3):
-    _, _, C = gh4u3
+def test_diagonalizable_table_gh4(gh4_u3):
+    _, _, C = gh4_u3
     rep = diagonalizable_cohomology_table(C, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 2, 1, 1, 2, 2]
@@ -351,8 +348,8 @@ def test_untwisted_annihilator_squares():
 # -- character-class bases ------------------------------------------------------
 
 
-def test_character_class_basis_gh4(gh4u3):
-    alg, chi, _ = gh4u3
+def test_character_class_basis_gh4(gh4_u3):
+    alg, chi, _ = gh4_u3
     K = alg.K
     at0 = character_class_basis(K, chi, 0)
     assert all(at0["eligible"]) and at0["basis"].cols == 6
@@ -373,8 +370,8 @@ def test_character_class_basis_taft(taft3):
     assert rep["basis"].cols == 0 and rep["matches_generic"]
 
 
-def test_character_class_subspaces_match_all_r(gh4u3):
-    alg, chi, _ = gh4u3
+def test_character_class_subspaces_match_all_r(gh4_u3):
+    alg, chi, _ = gh4_u3
     for r in range(2 * alg.n * 3 + 1):
         assert character_class_basis(alg.K, chi, r)["matches_generic"]
 
@@ -382,8 +379,8 @@ def test_character_class_subspaces_match_all_r(gh4u3):
 # -- group-algebra tables --------------------------------------------------------
 
 
-def test_group_table_gh4(gh4u3):
-    _, chi, C = gh4u3
+def test_group_table_gh4(gh4_u3):
+    _, chi, C = gh4_u3
     rep = group_algebra_cohomology_table(C, chi, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 2, 1, 1, 2, 2]
@@ -396,8 +393,8 @@ def test_group_table_taft3(taft3):
     assert rep["closed_table"]["dims"] == [1, 1, 1, 1, 1, 1]
 
 
-def test_gh4_symmetry_spaces(gh4u3):
-    alg, _, C = gh4u3
+def test_gh4_symmetry_spaces(gh4_u3):
+    alg, _, C = gh4_u3
     K = alg.K
     F = K.field
     sym = [K.elem("1").coords, (K.elem("g") + K.elem("g^2")).coords]
@@ -427,8 +424,8 @@ def test_gh4_symmetry_spaces(gh4u3):
     assert any(not c.is_zero() for c in x_cls)
 
 
-def test_gh4_even_strictly_smaller(gh4u3):
-    _, _, C = gh4u3
+def test_gh4_even_strictly_smaller(gh4_u3):
+    _, _, C = gh4_u3
     dims = cohomology_dims(C, 2)
     assert dims[2] < dims[0]
 
@@ -436,8 +433,8 @@ def test_gh4_even_strictly_smaller(gh4u3):
 # -- periods and presentation ----------------------------------------------------
 
 
-def test_class_membership_period_gh4(gh4u3):
-    alg, chi, _ = gh4u3
+def test_class_membership_period_gh4(gh4_u3):
+    alg, chi, _ = gh4_u3
     rep = class_membership_period(alg.K, chi, alg.n)
     assert rep["match"]
     by_class = {row["class"]: row["m0"] for row in rep["rows"]}
@@ -446,8 +443,8 @@ def test_class_membership_period_gh4(gh4u3):
     assert by_class["h"] == 2
 
 
-def test_periodicity_gh4(gh4u3):
-    _, chi, C = gh4u3
+def test_periodicity_gh4(gh4_u3):
+    _, chi, C = gh4_u3
     rep = cohomology_periodicity(C, chi, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["period"] == 4
@@ -461,8 +458,8 @@ def test_periodicity_taft3(taft3):
     assert rep["period"] == 2
 
 
-def test_presentation_gh4(gh4u3):
-    _, chi, C = gh4u3
+def test_presentation_gh4(gh4_u3):
+    _, chi, C = gh4_u3
     rep = presentation_report(C, chi, up_to=5)
     assert rep["match"], rep["mismatches"]
     kinds = {(g["degree"], g["kind"]): g["count"] for g in rep["generators"]}
@@ -471,6 +468,41 @@ def test_presentation_gh4(gh4u3):
     assert kinds[(2, "even module generators")] == 1
     assert kinds[(4, "unit class")] == 1
     assert rep["exterior_pattern"] is None
+
+
+def test_presentation_below_the_period_degree_is_a_skip(taft3):
+    _, chi, C = taft3
+    with pytest.raises(ClosedFormError, match="period degree"):
+        presentation_report(C, chi, up_to=1)
+
+
+def raising(exc):
+    def method(self, *args):
+        raise exc
+
+    return method
+
+
+def test_only_cohomology_errors_become_mismatches(sweedler, monkeypatch):
+    """A representative outside the cocycles is a mismatch; any other error in
+    the engine is a bug and propagates."""
+    _, _, C = sweedler
+    monkeypatch.setattr(CohomologyGroup, "class_coords", raising(CohomologyError("not a cocycle")))
+    rep = diagonalizable_cohomology_table(C, up_to=3)
+    assert not rep["match"] and "is not a cocycle" in rep["mismatches"][0]
+    monkeypatch.setattr(CohomologyGroup, "class_coords", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError):
+        diagonalizable_cohomology_table(C, up_to=3)
+
+
+def test_only_cohomology_errors_leave_the_cochain_space(sweedler, monkeypatch):
+    _, _, C = sweedler
+    monkeypatch.setattr(SmallComplex, "to_sub", raising(CohomologyError("outside")))
+    rep = check_collapsed_differentials(C)
+    assert not rep["match"] and "leaves the cochain space" in rep["mismatches"][0]
+    monkeypatch.setattr(SmallComplex, "to_sub", raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError):
+        check_collapsed_differentials(C)
 
 
 def test_presentation_taft3_exterior(taft3):

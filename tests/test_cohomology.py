@@ -10,13 +10,12 @@ from orecohom.cohomology import (
     complex_report,
     twisted_invariants,
 )
-from orecohom.fields import QQ, cyclotomic_minpoly, extension_field, prime_field
+from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
     character_from_values,
     cyclic_group,
     endo_from_character,
     group_algebra,
-    group_from_presentation_gh4,
     identity_endo,
     scalar_algebra,
 )
@@ -45,15 +44,8 @@ def line_algebra(f_tail):
 
 
 @pytest.fixture(scope="module")
-def gh4_complex():
-    F = extension_field(QQ, cyclotomic_minpoly(4), "i")
-    i = F.gen
-    G = group_from_presentation_gh4(3)
-    K = group_algebra(G, F)
-    chi = character_from_values(G, F, {"g": 1, "h": i})
-    alpha = endo_from_character(K, chi)
-    A = MonogenicAlgebra(K, alpha, [{}, {}])
-    return SmallComplex(A, Bimodule.regular(A), 7)
+def gh4_complex(gh4_u3):
+    return gh4_u3[2]
 
 
 def test_regular_bimodule_validates(sweedler):

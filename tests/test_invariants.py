@@ -1,0 +1,130 @@
+"""The sparse twisted-invariant kernel against the computations it replaced:
+the iterative restriction for bimodules and the dense stacked kernel for the
+coefficient algebra.  Both oracles live in conftest.py."""
+
+from pathlib import Path
+
+import pytest
+
+from orecohom import instances
+from orecohom.cohomology import Bimodule, twisted_invariants
+from orecohom.kalgebra import (
+    AlgebraError,
+    endo_from_character,
+    group_algebra,
+    quaternion_algebra,
+    twisted_invariants_k,
+)
+from orecohom.linalg import Mat
+from orecohom.monogenic import MonogenicAlgebra
+from orecohom.specio import load_instance
+
+SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
+
+
+def quaternion_half_turn():
+    F, cos, sin, ch, sh, fc = instances.quaternion_half_turn_data()
+    K, alpha = quaternion_algebra(F, cos, sin, ch, sh)
+    return MonogenicAlgebra(K, alpha, fc)
+
+
+def rank_one(data):
+    """The group-algebra twist of a rank-one data set, with f = x^n."""
+    F, G, chi, _, n = data[:5]
+    K = group_algebra(G, F)
+    return MonogenicAlgebra(K, endo_from_character(K, chi), [{}] * n)
+
+
+CANNED = {
+    "sweedler": lambda: instances.sweedler()[0],
+    "sweedler_invertible": lambda: instances.sweedler_invertible()[0],
+    "taft37": lambda: instances.taft(3, 7, 2)[0],
+    "c4_sign": lambda: instances.c4_sign()[0],
+    "gh4_u2": lambda: instances.gh4_instance(2)[0],
+    "triple_shift": instances.qq_triple_shift,
+    "pair_swap": instances.qq_pair_swap,
+    "line_cubic": instances.line_cubic,
+    "untwisted_square": instances.untwisted_square,
+    "gf3_cubic": instances.gf3_cubic,
+    "rank_one_case1": lambda: rank_one(instances.rank_one_case1_data()),
+    "rank_one_case2": lambda: rank_one(instances.rank_one_case2_data()),
+    "rank_one_broken": lambda: rank_one(instances.rank_one_broken_data()),
+    "quaternion_half_turn": quaternion_half_turn,
+}
+
+
+def exponents(alpha) -> range:
+    assert alpha.order is not None
+    return range(2 * alpha.order + 2)
+
+
+def assert_bimodule_matches(M: Bimodule, oracle) -> None:
+    alpha = M.alg.alpha
+    # the oracle reads the twist only through the matrix alpha^t
+    expected: dict = {}
+    for t in exponents(alpha):
+        key = alpha.power_matrix(t).data
+        if key not in expected:
+            expected[key] = oracle(M, t)
+        assert twisted_invariants(M, t) == expected[key], f"t = {t}"
+
+
+def assert_coefficients_match(alg: MonogenicAlgebra, oracle) -> None:
+    for t in exponents(alg.alpha):
+        assert twisted_invariants_k(alg.K, alg.alpha, t) == oracle(alg.K, alg.alpha, t), f"t = {t}"
+
+
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_canned_instances_match_oracles(name, iterative_oracle, stacked_oracle_k):
+    alg = CANNED[name]()
+    assert_bimodule_matches(Bimodule.regular(alg), iterative_oracle)
+    assert_coefficients_match(alg, stacked_oracle_k)
+
+
+@pytest.mark.parametrize("path", SPECS, ids=[p.stem for p in SPECS])
+def test_demo_specs_match_oracles(path, iterative_oracle, stacked_oracle_k):
+    alg = load_instance(str(path)).algebra(check=False)
+    assert_bimodule_matches(Bimodule.regular(alg), iterative_oracle)
+    assert_coefficients_match(alg, stacked_oracle_k)
+
+
+def block_sum(X: Mat, Y: Mat) -> Mat:
+    z = X.field.zero
+    rows = [list(r) + [z] * Y.cols for r in X.data]
+    rows += [[z] * X.cols + list(r) for r in Y.data]
+    return Mat(X.field, rows, X.cols + Y.cols)
+
+
+def test_scrambled_direct_sum_matches_oracle(iterative_oracle):
+    """A ⊕ A in the basis of the all-ones upper triangular matrix P, whose
+    inverse is I - (superdiagonal).  The change of basis fills the constraint
+    rows, so the elimination cannot lean on the sparsity of A's actions."""
+    alg = instances.taft(3, 7, 2)[0]
+    A = Bimodule.regular(alg)
+    F, n = alg.field, 2 * A.dim
+    P = Mat(F, [[F.one if j >= i else F.zero for j in range(n)] for i in range(n)])
+    P_inv = Mat(F, [[F.one if j == i else -F.one if j == i + 1 else F.zero for j in range(n)] for i in range(n)])
+    assert P.matmul(P_inv) == Mat.identity(F, n)
+
+    def scrambled(X: Mat) -> Mat:
+        return P.matmul(block_sum(X, X)).matmul(P_inv)
+
+    M = Bimodule.from_actions(
+        alg, [scrambled(L) for L in A.L_k], scrambled(A.Lx), [scrambled(R) for R in A.R_k], scrambled(A.Rx)
+    )
+    assert_bimodule_matches(M, iterative_oracle)
+    assert twisted_invariants(M, 1).cols == 2 * twisted_invariants(A, 1).cols
+
+
+def test_equal_twists_share_one_solve():
+    alg = instances.c4_sign()[0]
+    M = Bimodule.regular(alg)
+    assert twisted_invariants(M, 0) is twisted_invariants(M, 2 * alg.alpha.order)
+    assert twisted_invariants_k(alg.K, alg.alpha, 1) is twisted_invariants_k(alg.K, alg.alpha, 1 + alg.alpha.order)
+
+
+def test_coefficient_invariants_need_the_twist_of_that_algebra():
+    alg = instances.sweedler()[0]
+    other = instances.sweedler()[0]
+    with pytest.raises(AlgebraError, match="another algebra"):
+        twisted_invariants_k(other.K, alg.alpha, 0)

@@ -27,7 +27,7 @@ from .cohomology import (
 )
 from .closedforms import (
     ClosedFormError,
-    _character_of,
+    character_of,
     check_collapsed_cochain_spaces,
     check_collapsed_differentials,
     class_membership_period,
@@ -45,7 +45,7 @@ from .closedforms import (
 )
 from .fields import FieldError
 from .kalgebra import AlgebraError, algebra_validate
-from .monogenic import MonogenicError, Resolution, normality_check, validate_f
+from .monogenic import AElem, MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
     ProductsError,
     SmallCochain,
@@ -56,7 +56,6 @@ from .products import (
     cup_small,
     cup_small_oracle,
 )
-from .monogenic import AElem
 from .specio import Instance, SpecError, load_instance
 
 __all__ = ["main"]
@@ -95,9 +94,10 @@ def _encode_kelem(inst: Instance, coords) -> list:
 
 class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
-    the degree bound D and, each built on first use, the checked algebra, its
-    regular bimodule, the small complex through degree D + 1 and the collapse
-    witness.  A session belongs to one run; nothing outlives it."""
+    the degree bound D and, each built on first use, the check of f, the one
+    compile of A, its regular bimodule, the small complex through degree
+    D + 1 and the collapse witness.  A session belongs to one run; nothing
+    outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -105,8 +105,24 @@ class Session:
         self.D = args.max_degree if args.max_degree is not None else inst.default_degree()
 
     @functools.cached_property
-    def algebra(self):
-        return self.inst.algebra(check=True)
+    def f_report(self):
+        """``validate_f`` on the instance's f, shared by validate and the checked algebra."""
+        inst = self.inst
+        return validate_f(inst.K, inst.alpha, inst.f_coeffs)
+
+    @functools.cached_property
+    def compiled(self) -> MonogenicAlgebra:
+        """A compiled without checks; read it only once f has passed."""
+        return self.inst.algebra(check=False)
+
+    @functools.cached_property
+    def algebra(self) -> MonogenicAlgebra:
+        """The checked algebra: f is validated before the compile, and the
+        compiled table is checked after it, as ``MonogenicAlgebra`` does."""
+        if not self.f_report.ok:
+            raise MonogenicError("; ".join(self.f_report.failures))
+        self.compiled.check_compiled()
+        return self.compiled
 
     @functools.cached_property
     def bimodule(self) -> Bimodule:
@@ -141,10 +157,9 @@ def run_validate(session: Session) -> tuple[dict, bool]:
         failures.append("twist matrix is not invertible")
     checks.append({"name": "twist", "ok": twist_ok, "failures": failures})
     ok = ok and twist_ok
-    f_ok = record("defining-polynomial", validate_f(inst.K, inst.alpha, inst.f_coeffs))
-    ok = ok and f_ok
+    ok = record("defining-polynomial", session.f_report) and ok
     if ok:
-        alg = inst.algebra(check=False)
+        alg = session.compiled
         ok = record("normality", normality_check(alg)) and ok
         ok = record("contraction", Resolution(alg, D).contraction_check()) and ok
     payload = {"instance": inst.raw, "max_degree": D, "checks": checks, "ok": ok}
@@ -261,7 +276,7 @@ def run_products(session: Session) -> tuple[dict, bool]:
 
 
 def _with_char(C, chi):
-    return chi if chi is not None else _character_of(C.alg.K, C.alg.alpha)
+    return chi if chi is not None else character_of(C.alg.K, C.alg.alpha)
 
 
 def _run_membership(C, inst, D, witness, chi):

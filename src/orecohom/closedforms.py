@@ -724,7 +724,7 @@ def untwisted_annihilator_table(C: SmallComplex, up_to: int | None = None) -> di
 # -- group algebras with character twists --------------------------------------
 
 
-def _character_of(K: AlgebraK, alpha: Endo) -> list[Scalar]:
+def character_of(K: AlgebraK, alpha: Endo) -> list[Scalar]:
     """Recover the character from a diagonal twist of a group algebra."""
     if K.group is None:
         raise ClosedFormError("character data needs group metadata")
@@ -817,7 +817,7 @@ def group_algebra_cohomology_table(
     alg = C.alg
     K = alg.K
     if chi is None:
-        chi = _character_of(K, alg.alpha)
+        chi = character_of(K, alg.alpha)
     w = _need_witness(alg, None)
     if up_to is None:
         up_to = C.max_degree - 1
@@ -906,7 +906,7 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     alg = C.alg
     K = alg.K
     if chi is None:
-        chi = _character_of(K, alg.alpha)
+        chi = character_of(K, alg.alpha)
     if up_to is None:
         up_to = C.max_degree - 1
     _need_degrees(C, up_to)
@@ -947,7 +947,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     alg = C.alg
     K = alg.K
     if chi is None:
-        chi = _character_of(K, alg.alpha)
+        chi = character_of(K, alg.alpha)
     if up_to is None:
         up_to = C.max_degree - 1
     _need_degrees(C, up_to)

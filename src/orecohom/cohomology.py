@@ -9,15 +9,10 @@ mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
 
 from __future__ import annotations
 
+import functools
+
 from .kalgebra import ValidationReport, twisted_kernel
-from .linalg import (
-    EchelonTracker,
-    LinSolver,
-    Mat,
-    kernel_basis,
-    quotient_basis,
-    vadd,
-)
+from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis
 from .monogenic import AElem, MonogenicAlgebra, twist_exponent
 
 
@@ -99,6 +94,29 @@ class Bimodule:
             self._Rx_pow[e] = self.Rx.matmul(self.Rx_pow(e - 1))
         return self._Rx_pow[e]
 
+    @functools.cached_property
+    def d_odd(self) -> Mat:
+        """The odd-degree differential on ambient vectors: Lx - Rx."""
+        return self.Lx.add(self.Rx.scale(-self.field.one))
+
+    @functools.cached_property
+    def d_even(self) -> Mat:
+        """The even-degree differential on ambient vectors:
+        sum over 1 <= i <= n of L(lambda_{n-i}) sum over l < i of Lx^l Rx^{i-l-1},
+        with lambda_0 = 1."""
+        alg = self.alg
+        lam = [alg.K.unit] + alg.f_coeffs
+        out = Mat.zero(self.field, self.dim, self.dim)
+        for i in range(1, alg.n + 1):
+            li = lam[alg.n - i]
+            if all(c.is_zero() for c in li):
+                continue
+            walk = Mat.zero(self.field, self.dim, self.dim)
+            for l in range(i):
+                walk = walk.add(self.Lx_pow(l).matmul(self.Rx_pow(i - l - 1)))
+            out = out.add(self.L_elem(li).matmul(walk))
+        return out
+
     def validate(self) -> ValidationReport:
         failures = []
         alg = self.alg
@@ -174,11 +192,13 @@ class SmallComplex:
         self._groups: dict[int, "CohomologyGroup"] = {}
         self.bases: list[Mat] = []
         self.solvers: list[LinSolver] = []
+        by_basis: dict[int, LinSolver] = {}  # id of a cached basis -> its solver
         for r in range(max_degree + 1):
-            t = twist_exponent(r, alg.n)
-            B = twisted_invariants(M, t)
+            B = twisted_invariants(M, twist_exponent(r, alg.n))
+            if id(B) not in by_basis:
+                by_basis[id(B)] = LinSolver(B)
             self.bases.append(B)
-            self.solvers.append(LinSolver(B))
+            self.solvers.append(by_basis[id(B)])
         self.dmats: list[Mat | None] = [None]
         for r in range(1, max_degree + 1):
             self.dmats.append(self._compile_d(r))
@@ -195,25 +215,7 @@ class SmallComplex:
 
     def d_ambient(self, r: int, v: tuple) -> tuple:
         """The differential into degree r evaluated on an ambient M-vector."""
-        M = self.M
-        if r % 2 == 1:
-            return tuple(
-                a - b for a, b in zip(M.Lx.matvec(v), M.Rx.matvec(v))
-            )
-        alg = self.alg
-        out = (self.field.zero,) * M.dim
-        lam = {i: v2 for i, v2 in enumerate(alg.f_coeffs, start=1)}
-        lam[0] = alg.K.unit
-        for i in range(1, alg.n + 1):
-            li = lam[alg.n - i]
-            if all(c.is_zero() for c in li):
-                continue
-            Lc = M.L_elem(li)
-            for l in range(i):
-                w = M.Rx_pow(i - l - 1).matvec(v)
-                w = M.Lx_pow(l).matvec(w)
-                out = vadd(out, Lc.matvec(w))
-        return out
+        return (self.M.d_odd if r % 2 else self.M.d_even).matvec(v)
 
     def _compile_d(self, r: int) -> Mat:
         cols = []

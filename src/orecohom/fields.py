@@ -224,7 +224,7 @@ class RationalField(Field):
         return 1 / a
 
     def _is_zero(self, a):
-        return a == 0
+        return not a
 
     def _from_int(self, n):
         return Fraction(n)
@@ -287,7 +287,7 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def _is_zero(self, a):
-        return a == 0
+        return not a
 
     def _from_int(self, n):
         return n % self.p
@@ -443,7 +443,8 @@ def polynomial_roots(a: list, field: Field) -> tuple[list[Scalar], bool]:
         nonlocal rem
         while len(rem) > 1 and poly_eval(rem, x, field).is_zero():
             q, r = poly_divmod(rem, [-x, field.one], field)
-            assert not r
+            if r:
+                raise FieldError(f"a root {x} left the nonzero remainder {r}")
             roots.append(x)
             rem = q
 
@@ -643,14 +644,14 @@ class ExtensionField(Field):
         d = self.deg
         raw = [bb._from_int(0)] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if bb._is_zero(ai):
+            if not ai:
                 continue
             for j, bj in enumerate(b):
                 raw[i + j] = bb._add(raw[i + j], bb._mul(ai, bj))
         out = list(raw[:d])
         for k in range(d, 2 * d - 1):
             c = raw[k]
-            if bb._is_zero(c):
+            if not c:
                 continue
             red = self._tpow[k - d]
             for i in range(d):
@@ -671,7 +672,7 @@ class ExtensionField(Field):
         return tuple(coords[: self.deg])
 
     def _is_zero(self, a):
-        return all(self.base._is_zero(c) for c in a)
+        return not any(a)
 
     def _from_int(self, n):
         bb = self.base
@@ -692,7 +693,7 @@ class ExtensionField(Field):
     def _repr(self, a):
         terms = []
         for i, c in enumerate(a):
-            if self.base._is_zero(c):
+            if not c:
                 continue
             cs = self.base._repr(c)
             if i == 0:
@@ -772,9 +773,11 @@ def cyclotomic_minpoly(n: int) -> list[int]:
             phi_d = [QQ.from_int(c) for c in cyclotomic_minpoly(d)]
             den = poly_mul(den, phi_d, QQ)
     q, r = poly_divmod(num, den, QQ)
-    assert not r
+    if r:
+        raise FieldError(f"cyclotomic division for n = {n} left the remainder {r}")
     out = [int(c.v) for c in q]
-    assert all(Fraction(c) == q[i].v for i, c in enumerate(out))
+    if any(Fraction(c) != q[i].v for i, c in enumerate(out)):
+        raise FieldError(f"cyclotomic polynomial for n = {n} has non-integer coefficients")
     return out
 
 

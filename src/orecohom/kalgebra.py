@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, kernel_basis, rank, vadd, vscale
+from .linalg import EchelonTracker, Mat, kernel_basis, rank, support, vadd, vscale
 
 
 class AlgebraError(ValueError):
@@ -159,7 +159,8 @@ def group_from_presentation_gh4(u: int) -> GroupData:
     G = GroupData(labels, table)
     # the defining relations, rechecked on the finished table
     g, h = G.labels.index("g") if u > 1 else G.identity, G.labels.index("h")
-    assert G.conj(h, g) == G.inverses[g]
+    if G.conj(h, g) != G.inverses[g]:
+        raise AlgebraError("the finished table breaks h g h^-1 = g^-1")
     return G
 
 
@@ -245,20 +246,17 @@ class AlgebraK:
             table.setdefault((i, j), []).append((k, field.scalar(s)))
         return cls(field, dim, list(basis_names), tuple(unit), table, group)
 
-    def mul_basis(self, i: int, j: int) -> list[tuple[int, Scalar]]:
-        return self.mul_table.get((i, j), [])
-
     def kmul(self, u: tuple, v: tuple) -> tuple:
         out = [self.field.zero] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k, s in self.mul_basis(i, j):
-                    out[k] = out[k] + ab * s
+        right = support(v)
+        table = self.mul_table
+        for i, a in support(u):
+            for j, b in right:
+                terms = table.get((i, j))
+                if terms:
+                    ab = a * b
+                    for k, s in terms:
+                        out[k] = out[k] + ab * s
         return tuple(out)
 
     def elem(self, x) -> KElem:
@@ -526,7 +524,8 @@ def quaternion_algebra(
     )
     alpha = Endo(alg, M)
     rep = alpha.validate()
-    assert rep.ok, rep.failures
+    if not rep.ok:
+        raise AlgebraError("; ".join(rep.failures))
     return alg, alpha
 
 

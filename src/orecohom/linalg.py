@@ -19,15 +19,38 @@ def vzero(field: Field, n: int) -> tuple:
 
 
 def vadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple(
+        y if x.is_zero() else x if y.is_zero() else x + y
+        for x, y in zip(a, b, strict=True)
+    )
 
 
 def vscale(s: Scalar, a: tuple) -> tuple:
-    return tuple(s * x for x in a)
+    if s.is_zero():
+        return (s,) * len(a)
+    return tuple(x if x.is_zero() else s * x for x in a)
+
+
+def support(v: tuple) -> list[tuple[int, Scalar]]:
+    """The nonzero entries of v as (index, entry) pairs, in index order."""
+    return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
 
 
 def is_zero_vec(a: tuple) -> bool:
     return all(x.is_zero() for x in a)
+
+
+def _dot_rows(field: Field, rows, nonzero: list[tuple[int, Scalar]]) -> tuple:
+    """Each row dotted with the vector whose nonzero entries are ``nonzero``."""
+    out = []
+    for row in rows:
+        s = field.zero
+        for j, x in nonzero:
+            a = row[j]
+            if not a.is_zero():
+                s = s + a * x
+        out.append(s)
+    return tuple(out)
 
 
 class Mat:
@@ -80,19 +103,13 @@ class Mat:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, list(zip(*self.data)) if self.rows else [], self.rows)
+        data = list(zip(*self.data)) if self.rows else [()] * self.cols
+        return Mat(self.field, data, self.rows)
 
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
             raise LinalgError("shape mismatch in matvec")
-        out = []
-        for row in self.data:
-            s = self.field.zero
-            for a, x in zip(row, v):
-                if not a.is_zero() and not x.is_zero():
-                    s = s + a * x
-            out.append(s)
-        return tuple(out)
+        return _dot_rows(self.field, self.data, support(v))
 
     def matmul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -100,16 +117,7 @@ class Mat:
         cols = other.transpose().data
         return Mat(
             self.field,
-            [
-                [
-                    sum(
-                        (a * b for a, b in zip(row, col) if not a.is_zero()),
-                        self.field.zero,
-                    )
-                    for col in cols
-                ]
-                for row in self.data
-            ],
+            [_dot_rows(self.field, cols, support(row)) for row in self.data],
             other.cols,
         )
 
@@ -236,13 +244,7 @@ class LinSolver:
         if len(b) != self.M.rows:
             raise LinalgError("shape mismatch in solve")
         field = self.M.field
-        y = []
-        for row in self.E:
-            s = field.zero
-            for e, x in zip(row, b):
-                if not e.is_zero() and not x.is_zero():
-                    s = s + e * x
-            y.append(s)
+        y = _dot_rows(field, self.E, support(b))
         for i in range(self.rank, self.M.rows):
             if not y[i].is_zero():
                 return None
@@ -250,11 +252,6 @@ class LinSolver:
         for i, c in enumerate(self.pivots):
             x[c] = y[i]
         return tuple(x)
-
-
-def column_space_basis(M: Mat) -> Mat:
-    _, pivots = rref(M)
-    return Mat.from_columns(M.field, [M.column(c) for c in pivots], M.rows)
 
 
 def in_span(basis: Mat, v: tuple) -> bool:
@@ -392,5 +389,6 @@ def minimal_polynomial(M: Mat) -> list[Scalar]:
     k = len(powers) - 1  # M^k depends on lower powers
     cols = [flat(P) for P in powers[:k]]
     sol = solve(Mat.from_columns(field, cols, n * n), flat(powers[k]))
-    assert sol is not None
+    if sol is None:
+        raise LinalgError(f"M^{k} is not a combination of its lower powers")
     return [-c for c in sol] + [field.one]

@@ -21,7 +21,7 @@ import itertools
 
 from .fields import Field, Scalar
 from .kalgebra import AlgebraK, Endo, KElem, ValidationReport
-from .linalg import vadd, vscale
+from .linalg import support, vadd, vscale
 
 
 class MonogenicError(ValueError):
@@ -229,7 +229,7 @@ class MonogenicAlgebra:
         self.adim = K.dim * self.n
         self._compile()
         if check:
-            self._check_compiled()
+            self.check_compiled()
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -317,7 +317,9 @@ class MonogenicAlgebra:
                     table[(self.idx(b, a), self.idx(b2, a2))] = terms
         self.mul_table = table
 
-    def _check_compiled(self) -> None:
+    def check_compiled(self) -> None:
+        """Raise MonogenicError unless the compiled table obeys the commutation
+        rule and f is normal; run by a checked build, after ``validate_f``."""
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
         for b in range(self.K.dim):
             lam = self.k_embed(self.K.basis_elem(b))
@@ -342,15 +344,15 @@ class MonogenicAlgebra:
 
     def a_mul(self, a: AElem, b: AElem) -> AElem:
         out = [self.field.zero] * self.adim
-        for i, ca in enumerate(a.coords):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.coords):
-                if cb.is_zero():
-                    continue
-                cab = ca * cb
-                for k, s in self.mul_table.get((i, j), ()):
-                    out[k] = out[k] + cab * s
+        right = support(b.coords)
+        table = self.mul_table
+        for i, ca in support(a.coords):
+            for j, cb in right:
+                terms = table.get((i, j))
+                if terms:
+                    cab = ca * cb
+                    for k, s in terms:
+                        out[k] = out[k] + cab * s
         return AElem(self, out)
 
     def from_ore(self, P: OrePoly) -> AElem:

@@ -1,10 +1,51 @@
-"""Helpers shared by more than one test module."""
+"""Helpers shared by more than one test module, and the computations that
+faster code replaced, kept verbatim as oracles for it."""
+
+from pathlib import Path
 
 import pytest
 
+from orecohom import instances
 from orecohom.cohomology import Bimodule, build_small_complex
+from orecohom.fields import ExtensionField, PrimeField, RationalField
 from orecohom.instances import gh4_instance
-from orecohom.linalg import Mat, kernel_basis
+from orecohom.kalgebra import endo_from_character, group_algebra, quaternion_algebra
+from orecohom.linalg import LinalgError, Mat, kernel_basis
+from orecohom.monogenic import AElem, MonogenicAlgebra
+
+SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
+
+
+def quaternion_half_turn():
+    F, cos, sin, ch, sh, fc = instances.quaternion_half_turn_data()
+    K, alpha = quaternion_algebra(F, cos, sin, ch, sh)
+    return MonogenicAlgebra(K, alpha, fc)
+
+
+def rank_one(data):
+    """The group-algebra twist of a rank-one data set, with f = x^n."""
+    F, G, chi, _, n = data[:5]
+    K = group_algebra(G, F)
+    return MonogenicAlgebra(K, endo_from_character(K, chi), [{}] * n)
+
+
+# The canned instances of `instances.py`; the rank-one data sets with f = x^n.
+CANNED = {
+    "sweedler": lambda: instances.sweedler()[0],
+    "sweedler_invertible": lambda: instances.sweedler_invertible()[0],
+    "taft37": lambda: instances.taft(3, 7, 2)[0],
+    "c4_sign": lambda: instances.c4_sign()[0],
+    "gh4_u2": lambda: instances.gh4_instance(2)[0],
+    "triple_shift": instances.qq_triple_shift,
+    "pair_swap": instances.qq_pair_swap,
+    "line_cubic": instances.line_cubic,
+    "untwisted_square": instances.untwisted_square,
+    "gf3_cubic": instances.gf3_cubic,
+    "rank_one_case1": lambda: rank_one(instances.rank_one_case1_data()),
+    "rank_one_case2": lambda: rank_one(instances.rank_one_case2_data()),
+    "rank_one_broken": lambda: rank_one(instances.rank_one_broken_data()),
+    "quaternion_half_turn": quaternion_half_turn,
+}
 
 
 def admissible_coefficients(K, alpha, i: int) -> Mat:
@@ -85,3 +126,135 @@ def iterative_oracle():
 @pytest.fixture
 def stacked_oracle_k():
     return stacked_invariants_k
+
+
+# -- the dense inner loops the sparse ones replaced ----------------------------
+
+
+def dense_is_zero(field, a) -> bool:
+    """Each field's payload zero test before it read the payload directly."""
+    if isinstance(field, (RationalField, PrimeField)):
+        return a == 0
+    if isinstance(field, ExtensionField):
+        return all(dense_is_zero(field.base, c) for c in a)
+    raise TypeError(field)
+
+
+def dense_vadd(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def dense_vscale(s, a: tuple) -> tuple:
+    return tuple(s * x for x in a)
+
+
+def dense_matvec(self, v: tuple) -> tuple:
+    """`Mat.matvec` before it read the support of v once."""
+    if len(v) != self.cols:
+        raise LinalgError("shape mismatch in matvec")
+    out = []
+    for row in self.data:
+        s = self.field.zero
+        for a, x in zip(row, v):
+            if not a.is_zero() and not x.is_zero():
+                s = s + a * x
+        out.append(s)
+    return tuple(out)
+
+
+def dense_matmul(self, other):
+    """`Mat.matmul` before it read the support of each row once."""
+    if self.cols != other.rows:
+        raise LinalgError("shape mismatch in matmul")
+    cols = other.transpose().data
+    return Mat(
+        self.field,
+        [
+            [
+                sum(
+                    (a * b for a, b in zip(row, col) if not a.is_zero()),
+                    self.field.zero,
+                )
+                for col in cols
+            ]
+            for row in self.data
+        ],
+        other.cols,
+    )
+
+
+def dense_solve(self, b: tuple) -> tuple | None:
+    """`LinSolver.solve` before it read the support of b once."""
+    if len(b) != self.M.rows:
+        raise LinalgError("shape mismatch in solve")
+    field = self.M.field
+    y = []
+    for row in self.E:
+        s = field.zero
+        for e, x in zip(row, b):
+            if not e.is_zero() and not x.is_zero():
+                s = s + e * x
+        y.append(s)
+    for i in range(self.rank, self.M.rows):
+        if not y[i].is_zero():
+            return None
+    x = [field.zero] * self.M.cols
+    for i, c in enumerate(self.pivots):
+        x[c] = y[i]
+    return tuple(x)
+
+
+def dense_kmul(self, u: tuple, v: tuple) -> tuple:
+    """`AlgebraK.kmul` before it read the support of v once (it read the
+    structure constants through the `mul_basis` accessor, now gone)."""
+    out = [self.field.zero] * self.dim
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if b.is_zero():
+                continue
+            ab = a * b
+            for k, s in self.mul_table.get((i, j), []):
+                out[k] = out[k] + ab * s
+    return tuple(out)
+
+
+def dense_a_mul(self, a: AElem, b: AElem) -> AElem:
+    """`MonogenicAlgebra.a_mul` before it read the support of b once."""
+    out = [self.field.zero] * self.adim
+    for i, ca in enumerate(a.coords):
+        if ca.is_zero():
+            continue
+        for j, cb in enumerate(b.coords):
+            if cb.is_zero():
+                continue
+            cab = ca * cb
+            for k, s in self.mul_table.get((i, j), ()):
+                out[k] = out[k] + cab * s
+    return AElem(self, out)
+
+
+def dense_d_ambient(self, r: int, v: tuple) -> tuple:
+    """`SmallComplex.d_ambient` before the bimodule compiled its operators:
+    it walks the x-powers on each vector.  Its matrix-vector products and
+    sums are the dense ones above."""
+    M = self.M
+    if r % 2 == 1:
+        return tuple(
+            a - b for a, b in zip(dense_matvec(M.Lx, v), dense_matvec(M.Rx, v))
+        )
+    alg = self.alg
+    out = (self.field.zero,) * M.dim
+    lam = {i: v2 for i, v2 in enumerate(alg.f_coeffs, start=1)}
+    lam[0] = alg.K.unit
+    for i in range(1, alg.n + 1):
+        li = lam[alg.n - i]
+        if all(c.is_zero() for c in li):
+            continue
+        Lc = M.L_elem(li)
+        for l in range(i):
+            w = dense_matvec(M.Rx_pow(i - l - 1), v)
+            w = dense_matvec(M.Lx_pow(l), w)
+            out = dense_vadd(out, dense_matvec(Lc, w))
+    return out

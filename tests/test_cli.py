@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orecohom import Bimodule, build_small_complex, cohomology, cohomology_dims, kalgebra
+from orecohom import Bimodule, build_small_complex, cohomology, cohomology_dims, kalgebra, monogenic
 from orecohom.cli import main
 from orecohom.specio import SpecError, build_instance, load_instance
 
@@ -309,6 +309,31 @@ def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
     calls.clear()
     assert run(capsys, "theorems", spec(name))[0] == 0
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("name", ["sweedler.json", "taft37.json"])
+def test_report_compiles_the_algebra_once(capsys, monkeypatch, name):
+    """validate's normality and contraction checks read the session's one
+    compile of A, and the checked algebra is that same object."""
+    calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "__init__")
+    assert run(capsys, "report", spec(name))[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb", ["validate", "cohomology", "products", "theorems", "report"])
+def test_inadmissible_f_fails_before_any_compile(capsys, monkeypatch, verb):
+    calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "__init__")
+    rc = main([verb, spec("sweedler_bad.json")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert calls == []
+    if verb in ("validate", "report"):
+        payload = json.loads(captured.out)
+        checks = payload["checks"] if verb == "validate" else payload["validate"]["checks"]
+        failed = [c["name"] for c in checks if not c["ok"]]
+        assert failed == ["defining-polynomial"]
+    else:
+        assert "coefficient 1 is not alpha-fixed" in captured.err
 
 
 def test_fresh_runs_repeat_every_solve(capsys, monkeypatch):

@@ -2,55 +2,15 @@
 the iterative restriction for bimodules and the dense stacked kernel for the
 coefficient algebra.  Both oracles live in conftest.py."""
 
-from pathlib import Path
-
 import pytest
+from conftest import CANNED, SPECS
 
 from orecohom import instances
 from orecohom.cohomology import Bimodule, twisted_invariants
-from orecohom.kalgebra import (
-    AlgebraError,
-    endo_from_character,
-    group_algebra,
-    quaternion_algebra,
-    twisted_invariants_k,
-)
+from orecohom.kalgebra import AlgebraError, twisted_invariants_k
 from orecohom.linalg import Mat
 from orecohom.monogenic import MonogenicAlgebra
 from orecohom.specio import load_instance
-
-SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
-
-
-def quaternion_half_turn():
-    F, cos, sin, ch, sh, fc = instances.quaternion_half_turn_data()
-    K, alpha = quaternion_algebra(F, cos, sin, ch, sh)
-    return MonogenicAlgebra(K, alpha, fc)
-
-
-def rank_one(data):
-    """The group-algebra twist of a rank-one data set, with f = x^n."""
-    F, G, chi, _, n = data[:5]
-    K = group_algebra(G, F)
-    return MonogenicAlgebra(K, endo_from_character(K, chi), [{}] * n)
-
-
-CANNED = {
-    "sweedler": lambda: instances.sweedler()[0],
-    "sweedler_invertible": lambda: instances.sweedler_invertible()[0],
-    "taft37": lambda: instances.taft(3, 7, 2)[0],
-    "c4_sign": lambda: instances.c4_sign()[0],
-    "gh4_u2": lambda: instances.gh4_instance(2)[0],
-    "triple_shift": instances.qq_triple_shift,
-    "pair_swap": instances.qq_pair_swap,
-    "line_cubic": instances.line_cubic,
-    "untwisted_square": instances.untwisted_square,
-    "gf3_cubic": instances.gf3_cubic,
-    "rank_one_case1": lambda: rank_one(instances.rank_one_case1_data()),
-    "rank_one_case2": lambda: rank_one(instances.rank_one_case2_data()),
-    "rank_one_broken": lambda: rank_one(instances.rank_one_broken_data()),
-    "quaternion_half_turn": quaternion_half_turn,
-}
 
 
 def exponents(alpha) -> range:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,6 @@ from orecohom.linalg import (
     LinalgError,
     LinSolver,
     Mat,
-    column_space_basis,
     in_span,
     intersect_spans,
     kernel_basis,
@@ -112,10 +115,29 @@ def test_rref_deterministic_first_pivot():
     assert R == Mat.identity(QQ, 2)
 
 
-def test_column_space():
-    M = qmat([[1, 2, 3], [2, 4, 6]])
-    B = column_space_basis(M)
-    assert B.cols == 1 and B.column(0) == (QQ.one, QQ.from_int(2))
+GUARD_UNDER_O = """
+import sys
+import orecohom.linalg as L
+from orecohom.fields import QQ
+assert False, "assert statements must be stripped"
+L.solve = lambda M, b: None
+try:
+    L.minimal_polynomial(L.Mat.identity(QQ, 2))
+except L.LinalgError as exc:
+    print(sys.flags.optimize, type(exc).__name__)
+"""
+
+
+def test_minimal_polynomial_guard_survives_optimize():
+    """Under python -O, a solve that finds no combination of the lower powers
+    still raises LinalgError instead of returning a garbage polynomial."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", GUARD_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "LinalgError"]
 
 
 def test_minimal_polynomial():

@@ -22,7 +22,6 @@ from .cohomology import (
     build_small_complex,
     classes_equal,
     cohomology_dims,
-    cohomology_group,
     complex_report,
 )
 from .closedforms import (
@@ -45,13 +44,13 @@ from .closedforms import (
 )
 from .fields import FieldError
 from .kalgebra import AlgebraError, algebra_validate
-from .monogenic import AElem, MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
+from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
     ProductsError,
-    SmallCochain,
     bracket_class_table,
     bracket_small_closed,
     bracket_small_generic,
+    class_pairs,
     cup_class_table,
     cup_small,
     cup_small_oracle,
@@ -183,34 +182,24 @@ def run_cohomology(session: Session) -> tuple[dict, bool]:
 # -- verb: products -----------------------------------------------------------
 
 
-def _reps(C, r):
-    return cohomology_group(C, r).reps_ambient
-
-
 def _cup_agreement(C, cap: int) -> list[dict]:
-    alg = C.alg
     out = []
     for p in range(cap + 1):
         for q in range(cap + 1 - p):
             if p + q + 1 > C.max_degree:
                 continue
-            pairs = 0
-            agree = True
-            for av in _reps(C, p):
-                a = SmallCochain(alg, p, AElem(alg, av), check=False)
-                for bv in _reps(C, q):
-                    b = SmallCochain(alg, q, AElem(alg, bv), check=False)
-                    pairs += 1
-                    got = cup_small(a, b).value.coords
-                    want = cup_small_oracle(a, b).value.coords
-                    agree = agree and classes_equal(C, p + q, got, want)
+            pairs = list(class_pairs(C, p, q))
             if pairs:
-                out.append({"deg_a": p, "deg_b": q, "pairs": pairs, "agree": agree})
+                agree = all(
+                    classes_equal(C, p + q, cup_small(a, b).value.coords,
+                                  cup_small_oracle(a, b).value.coords)
+                    for _, a, _, b in pairs
+                )
+                out.append({"deg_a": p, "deg_b": q, "pairs": len(pairs), "agree": agree})
     return out
 
 
 def _bracket_agreement(C, witness, cap: int) -> list[dict]:
-    alg = C.alg
     out = []
     top = C.max_degree - 1
     for p in range(min(cap + 2, top + 1)):
@@ -221,18 +210,15 @@ def _bracket_agreement(C, witness, cap: int) -> list[dict]:
             pairs = 0
             agree = True
             note = None
-            for av in _reps(C, p):
-                a = SmallCochain(alg, p, AElem(alg, av), check=False)
-                for bv in _reps(C, q):
-                    b = SmallCochain(alg, q, AElem(alg, bv), check=False)
-                    try:
-                        want = bracket_small_closed(a, b, witness).value.coords
-                    except ProductsError as exc:
-                        note = str(exc)
-                        continue
-                    pairs += 1
-                    got = bracket_small_generic(a, b, max(cap, 1)).value.coords
-                    agree = agree and classes_equal(C, deg, got, want)
+            for _, a, _, b in class_pairs(C, p, q):
+                try:
+                    want = bracket_small_closed(a, b, witness).value.coords
+                except ProductsError as exc:
+                    note = str(exc)
+                    continue
+                pairs += 1
+                got = bracket_small_generic(a, b, max(cap, 1)).value.coords
+                agree = agree and classes_equal(C, deg, got, want)
             if pairs or note:
                 row = {"deg_a": p, "deg_b": q, "pairs": pairs, "agree": agree if pairs else None}
                 if note:
@@ -538,6 +524,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.max_degree is not None and args.max_degree < 1:
         print("error: --max-degree must be at least 1", file=sys.stderr)
+        return 2
+    if getattr(args, "oracle_bound", None) is not None and args.oracle_bound < 0:
+        print("error: --oracle-bound must be at least 0", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     try:

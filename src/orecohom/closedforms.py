@@ -210,13 +210,9 @@ def _need_witness(alg: MonogenicAlgebra, witness) -> WitnessData:
 
 def _embed_k_columns(alg: MonogenicAlgebra, cols: Mat, xdeg: int) -> Mat:
     """Columns of K-coordinates, embedded at one x-degree of the regular module."""
-    out = []
-    for j in range(cols.cols):
-        v = [alg.field.zero] * alg.adim
-        for b, c in enumerate(cols.column(j)):
-            v[alg.idx(b, xdeg)] = c
-        out.append(tuple(v))
-    return Mat.from_columns(alg.field, out, alg.adim)
+    return Mat.from_columns(
+        alg.field, [alg.monomial(c, xdeg).coords for c in cols.columns_list()], alg.adim
+    )
 
 
 def _k_part(alg: MonogenicAlgebra, v_ambient: tuple, xdeg: int) -> tuple:
@@ -230,14 +226,14 @@ def _alpha_minus_id(alg: MonogenicAlgebra) -> Mat:
     return alg.alpha.matrix.add(ident.scale(-K.field.one))
 
 
-def _fixed_center(alg: MonogenicAlgebra) -> Mat:
-    """ker(alpha - id) intersected with the center of K, in K-coordinates."""
-    return intersect_spans(kernel_basis(_alpha_minus_id(alg)), alg.K.center_basis())
-
-
 def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
     """The even-twist coefficient space for block m, in K-coordinates."""
     return twisted_invariants_k(alg.K, alg.alpha, m * alg.n)
+
+
+def _n_lambda(alg: MonogenicAlgebra) -> tuple:
+    """n times the constant coefficient of f, in K-coordinates."""
+    return vscale(alg.field.from_int(alg.n), alg.f_coeffs[-1])
 
 
 def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
@@ -259,15 +255,8 @@ def _restrict_columns(space: Mat, condition: Mat) -> Mat:
     return space.matmul(ker)
 
 
-def _span_dim(M: Mat) -> int:
-    t = EchelonTracker(M.field, M.rows)
-    for c in M.columns_list():
-        t.add(c)
-    return t.dim
-
-
 def _quotient_dim(sub: Mat, amb: Mat) -> int:
-    return _span_dim(amb) - _span_dim(sub)
+    return EchelonTracker.of_columns(amb).dim - EchelonTracker.of_columns(sub).dim
 
 
 def _classes_of_closed_reps(
@@ -283,7 +272,7 @@ def _classes_of_closed_reps(
         except CohomologyError:
             mismatches.append(f"{tag}: representative {j} is not a cocycle in degree {r}")
             return
-    got = _span_dim(Mat.from_columns(C.field, coords, H.dim)) if coords else 0
+    got = EchelonTracker.of_columns(Mat.from_columns(C.field, coords, H.dim)).dim if coords else 0
     if got != reps.cols or reps.cols != H.dim:
         mismatches.append(
             f"{tag}: degree {r} closed representatives give rank {got}, "
@@ -339,22 +328,12 @@ def check_collapsed_differentials(
     for r in range(1, up_to + 1):
         src = C.bases[r - 1]
         cols = []
+        xdeg = r % 2
         for j in range(src.cols):
-            v = src.column(j)
-            if r % 2 == 1:
-                u = _k_part(alg, v, 0)
-                w_k = A1.matvec(u)
-                amb = [alg.field.zero] * alg.adim
-                for b, c in enumerate(w_k):
-                    amb[alg.idx(b, 1)] = c
-            else:
-                u = _k_part(alg, v, 1)
-                w_k = T.matvec(u)
-                amb = [alg.field.zero] * alg.adim
-                for b, c in enumerate(w_k):
-                    amb[alg.idx(b, 0)] = -c
+            w_k = (A1 if xdeg else T).matvec(_k_part(alg, src.column(j), 1 - xdeg))
+            amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
             try:
-                cols.append(C.to_sub(r, tuple(amb)))
+                cols.append(C.to_sub(r, amb))
             except CohomologyError:
                 mismatches.append(f"closed differential leaves the cochain space in degree {r}")
                 cols = None
@@ -402,30 +381,20 @@ def collapsed_cohomology_table(
             if not span_equal(emb, gen_ker0):
                 mismatches.append("degree 0 space mismatch")
             continue
-        if r % 2 == 1:
+        xdeg = r % 2
+        if xdeg:
             cocycles = _restrict_columns(W, T)
             boundaries = A1.matmul(W)
-            closed_dims.append(_quotient_dim(boundaries, cocycles))
-            ker_amb = _embed_k_columns(alg, cocycles, 1)
-            gen_ker = C.bases[r].matmul(kernel_basis(C.dmats[r + 1]))
-            if not span_equal(ker_amb, gen_ker):
-                mismatches.append(f"cocycle space mismatch in degree {r}")
-            im_amb = _embed_k_columns(alg, boundaries, 1)
-            gen_im = C.bases[r].matmul(C.dmats[r])
-            if not span_equal(im_amb, gen_im):
-                mismatches.append(f"coboundary space mismatch in degree {r}")
         else:
             cocycles = intersect_spans(fixed, W)
             boundaries = T.matmul(_w_space(alg, m - 1))
-            closed_dims.append(_quotient_dim(boundaries, cocycles))
-            ker_amb = _embed_k_columns(alg, cocycles, 0)
-            gen_ker = C.bases[r].matmul(kernel_basis(C.dmats[r + 1]))
-            if not span_equal(ker_amb, gen_ker):
-                mismatches.append(f"cocycle space mismatch in degree {r}")
-            im_amb = _embed_k_columns(alg, boundaries, 0)
-            gen_im = C.bases[r].matmul(C.dmats[r])
-            if not span_equal(im_amb, gen_im):
-                mismatches.append(f"coboundary space mismatch in degree {r}")
+        closed_dims.append(_quotient_dim(boundaries, cocycles))
+        gen_ker = C.bases[r].matmul(kernel_basis(C.dmats[r + 1]))
+        if not span_equal(_embed_k_columns(alg, cocycles, xdeg), gen_ker):
+            mismatches.append(f"cocycle space mismatch in degree {r}")
+        gen_im = C.bases[r].matmul(C.dmats[r])
+        if not span_equal(_embed_k_columns(alg, boundaries, xdeg), gen_im):
+            mismatches.append(f"coboundary space mismatch in degree {r}")
     generic_dims = cohomology_dims(C, up_to)
     if closed_dims != generic_dims:
         mismatches.append("dimension tables differ")
@@ -534,9 +503,30 @@ def certify_diagonalizable(alpha: Endo) -> bool:
                           "over this field is not exhaustive")
 
 
-def _ann_right(alg: MonogenicAlgebra, u: tuple) -> Mat:
-    """Kernel of right multiplication by u, in K-coordinates."""
-    return kernel_basis(alg.K.right_mult_matrix(u))
+def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list) -> list[int]:
+    """Closed dimensions from a fixed space of the twist: its central part in
+    degree 0; in odd degree 2m+1, its elements in block m annihilating n times
+    the constant coefficient; in even degree 2m, its block-m elements modulo
+    that multiple of its block-(m-1) elements.  The closed representatives of
+    each positive degree are checked against H^r."""
+    alg = C.alg
+    K = alg.K
+    Rn = K.right_mult_matrix(_n_lambda(alg))
+    ann = kernel_basis(Rn)
+    closed_dims = [intersect_spans(fixed, K.center_basis()).cols]
+    for r in range(1, up_to + 1):
+        m = r // 2
+        if r % 2 == 1:
+            reps_k = intersect_spans(intersect_spans(fixed, _w_space(alg, m)), ann)
+        else:
+            num = intersect_spans(fixed, _w_space(alg, m))
+            reps_k = quotient_basis(Rn.matmul(intersect_spans(fixed, _w_space(alg, m - 1))), num)
+        closed_dims.append(reps_k.cols)
+        _classes_of_closed_reps(
+            C, r, _embed_k_columns(alg, reps_k, r % 2), mismatches,
+            "odd table" if r % 2 else "even table",
+        )
+    return closed_dims
 
 
 def diagonalizable_cohomology_table(
@@ -561,33 +551,8 @@ def diagonalizable_cohomology_table(
     ]
     if not (diag and epi):
         raise ClosedFormError("closed table needs a certified diagonalizable bijective twist")
-    n_scalar = K.field.from_int(alg.n)
-    nlam = vscale(n_scalar, alg.f_coeffs[-1])
-    ann = kernel_basis(K.right_mult_matrix(nlam))
-    Rn = K.right_mult_matrix(nlam)
-    fixed = kernel_basis(_alpha_minus_id(alg))
     mismatches: list[str] = []
-    closed_dims: list[int] = []
-    for r in range(up_to + 1):
-        m = r // 2
-        if r == 0:
-            space = intersect_spans(fixed, K.center_basis())
-            closed_dims.append(space.cols)
-            continue
-        if r % 2 == 1:
-            space = intersect_spans(intersect_spans(fixed, _w_space(alg, m)), ann)
-            closed_dims.append(space.cols)
-            _classes_of_closed_reps(
-                C, r, _embed_k_columns(alg, space, 1), mismatches, "odd table"
-            )
-        else:
-            num = intersect_spans(fixed, _w_space(alg, m))
-            den = Rn.matmul(intersect_spans(fixed, _w_space(alg, m - 1)))
-            closed_dims.append(_quotient_dim(den, num))
-            reps_k = quotient_basis(den, num)
-            _classes_of_closed_reps(
-                C, r, _embed_k_columns(alg, reps_k, 0), mismatches, "even table"
-            )
+    closed_dims = _fixed_block_dims(C, kernel_basis(_alpha_minus_id(alg)), up_to, mismatches)
     generic_dims = cohomology_dims(C, up_to)
     if closed_dims != generic_dims:
         mismatches.append("dimension tables differ")
@@ -630,6 +595,21 @@ def _left_mult_matrix_a(M: Bimodule, a: AElem) -> Mat:
     return out
 
 
+def _check_derivative_differentials(C: SmallComplex, up_to: int, mismatches: list) -> None:
+    """Odd differentials vanish and even ones are left multiplication by the
+    derivative of the defining polynomial, through degree up_to."""
+    L = _left_mult_matrix_a(C.M, _formal_derivative_elem(C.alg))
+    for r in range(1, up_to + 1):
+        if r % 2 == 1:
+            if not C.dmats[r].is_zero():
+                mismatches.append(f"odd differential is nonzero in degree {r}")
+            continue
+        cols = [C.to_sub(r, L.matvec(v)) for v in C.bases[r - 1].columns_list()]
+        if Mat.from_columns(C.field, cols, C.bases[r].cols) != C.dmats[r]:
+            mismatches.append(f"even differential is not derivative multiplication "
+                              f"in degree {r}")
+
+
 def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
     """With the identity twist every cochain space is the center polynomial
     model (center of K times the x powers), odd differentials vanish, and even
@@ -654,20 +634,7 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
         if not span_equal(model, C.bases[r]):
             mismatches.append(f"cochain space is not the center model in degree {r}")
     fprime = _formal_derivative_elem(alg)
-    L = _left_mult_matrix_a(C.M, fprime)
-    for r in range(1, up_to + 1):
-        if r % 2 == 1:
-            if not C.dmats[r].is_zero():
-                mismatches.append(f"odd differential is nonzero in degree {r}")
-            continue
-        cols = []
-        for j in range(C.bases[r - 1].cols):
-            img = L.matvec(C.bases[r - 1].column(j))
-            cols.append(C.to_sub(r, img))
-        closed = Mat.from_columns(C.field, cols, C.bases[r].cols)
-        if closed != C.dmats[r]:
-            mismatches.append(f"even differential is not derivative multiplication "
-                              f"in degree {r}")
+    _check_derivative_differentials(C, up_to, mismatches)
     return _result(
         "untwisted-model",
         hyps,
@@ -827,31 +794,7 @@ def group_algebra_cohomology_table(
     fixed = kernel_basis(_alpha_minus_id(alg))
     if not span_equal(kN, fixed):
         mismatches.append("character kernel span differs from the fixed space")
-    n_scalar = K.field.from_int(alg.n)
-    nlam = vscale(n_scalar, alg.f_coeffs[-1])
-    ann = kernel_basis(K.right_mult_matrix(nlam))
-    Rn = K.right_mult_matrix(nlam)
-    closed_dims: list[int] = []
-    for r in range(up_to + 1):
-        m = r // 2
-        if r == 0:
-            space = intersect_spans(kN, K.center_basis())
-            closed_dims.append(space.cols)
-            continue
-        if r % 2 == 1:
-            space = intersect_spans(intersect_spans(kN, _w_space(alg, m)), ann)
-            closed_dims.append(space.cols)
-            _classes_of_closed_reps(
-                C, r, _embed_k_columns(alg, space, 1), mismatches, "odd table"
-            )
-        else:
-            num = intersect_spans(kN, _w_space(alg, m))
-            den = Rn.matmul(intersect_spans(kN, _w_space(alg, m - 1)))
-            closed_dims.append(_quotient_dim(den, num))
-            reps_k = quotient_basis(den, num)
-            _classes_of_closed_reps(
-                C, r, _embed_k_columns(alg, reps_k, 0), mismatches, "even table"
-            )
+    closed_dims = _fixed_block_dims(C, kN, up_to, mismatches)
     generic_dims = cohomology_dims(C, up_to)
     if closed_dims != generic_dims:
         mismatches.append("dimension tables differ")
@@ -916,9 +859,7 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     for r in range(1, up_to - 2 * v + 1):
         if dims[r] != dims[r + 2 * v]:
             mismatches.append(f"dimension differs between degrees {r} and {r + 2 * v}")
-    n_scalar = K.field.from_int(alg.n)
-    nlam = vscale(n_scalar, alg.f_coeffs[-1])
-    nlam_zero = all(c.is_zero() for c in nlam)
+    nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
     if nlam_zero:
         for m in range(0, (up_to - 1) // 2 + 1):
             if dims[2 * m + 1] != dims[2 * m]:
@@ -955,9 +896,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     if 2 * v > up_to:
         raise ClosedFormError("table too short to reach the period degree")
     dims = cohomology_dims(C, up_to)
-    n_scalar = K.field.from_int(alg.n)
-    nlam = vscale(n_scalar, alg.f_coeffs[-1])
-    nlam_zero = all(c.is_zero() for c in nlam)
+    nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
     gens = [{"degree": 0, "count": dims[0], "kind": "degree-zero ring"}]
     for m in range(v):
         r = 2 * m + 1
@@ -1258,20 +1197,7 @@ def quaternion_rotation_report(
         theta.append(Mat.from_columns(field, cols, alg.adim))
         if not span_equal(theta[r], C.bases[r]):
             mismatches.append(f"twisted-invariant space mismatch in degree {r}")
-    fprime = _formal_derivative_elem(alg)
-    L = _left_mult_matrix_a(C.M, fprime)
-    for r in range(1, up_to + 1):
-        if r % 2 == 1:
-            if not C.dmats[r].is_zero():
-                mismatches.append(f"odd differential is nonzero in degree {r}")
-            continue
-        cols = []
-        for j in range(C.bases[r - 1].cols):
-            img = L.matvec(C.bases[r - 1].column(j))
-            cols.append(C.to_sub(r, img))
-        if Mat.from_columns(field, cols, C.bases[r].cols) != C.dmats[r]:
-            mismatches.append(f"even differential is not derivative multiplication "
-                              f"in degree {r}")
+    _check_derivative_differentials(C, up_to, mismatches)
     comp_K = scalar_algebra(field)
     comp = MonogenicAlgebra(comp_K, identity_endo(comp_K), sigma)
     Cc = build_small_complex(comp, Bimodule.regular(comp), up_to + 1)

@@ -69,19 +69,17 @@ class Bimodule:
         return M
 
     def L_elem(self, u) -> Mat:
-        u = self.alg.K.elem(u)
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for b, c in enumerate(u.coords):
-            if not c.is_zero():
-                out = out.add(self.L_k[b].scale(c))
-        return out
+        return self._action(self.L_k, u)
 
     def R_elem(self, u) -> Mat:
-        u = self.alg.K.elem(u)
+        return self._action(self.R_k, u)
+
+    def _action(self, basis_actions: list[Mat], u) -> Mat:
+        """The action of u in K: the combination of the basis actions."""
         out = Mat.zero(self.field, self.dim, self.dim)
-        for b, c in enumerate(u.coords):
+        for b, c in enumerate(self.alg.K.elem(u).coords):
             if not c.is_zero():
-                out = out.add(self.R_k[b].scale(c))
+                out = out.add(basis_actions[b].scale(c))
         return out
 
     def Lx_pow(self, e: int) -> Mat:
@@ -260,10 +258,7 @@ class CohomologyGroup:
         if r == 0:
             image = Mat.from_columns(field, [], complex_.dim_cochain(0))
         else:
-            dmat = complex_.dmats[r]
-            tracker = EchelonTracker(field, dmat.rows)
-            cols = [c for c in dmat.columns_list() if tracker.add(c)]
-            image = Mat.from_columns(field, cols, dmat.rows)
+            image = EchelonTracker(field, complex_.dim_cochain(r)).extend(complex_.dmats[r])
         reps_sub = quotient_basis(image, kernel)
         self.kernel = kernel
         self.image = image

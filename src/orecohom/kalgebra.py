@@ -541,8 +541,8 @@ def twisted_kernel(field: Field, dim: int, R_k: list[Mat], L_k: list[Mat], twist
     m with m e_b = alpha^r(e_b) m.  The rows of each constraint
     R_b - L(alpha^r(e_b)) are assembled from the nonzero entries of the action
     matrices and of column b of ``twist`` only, and reduced one at a time into
-    a single echelon, stopping at full rank.  The kernel is read off the free
-    columns as ``kernel_basis`` reads it off a reduced echelon form."""
+    a single echelon, stopping at full rank, whose free-variable kernel is
+    the basis."""
     right = [_sparse_rows(A) for A in R_k]
     left = [_sparse_rows(A) for A in L_k]
     zero = field.zero
@@ -561,18 +561,8 @@ def twisted_kernel(field: Field, dim: int, R_k: list[Mat], L_k: list[Mat], twist
                 dense[j] = a
             tracker.add(tuple(dense))
             if tracker.dim == dim:
-                return Mat.from_columns(field, [], dim)
-    pivots = set(tracker.lead)
-    cols = []
-    for fc in range(dim):
-        if fc in pivots:
-            continue
-        v = [zero] * dim
-        v[fc] = field.one
-        for row, pc in zip(tracker.rows, tracker.lead):
-            v[pc] = -row[fc]
-        cols.append(tuple(v))
-    return Mat.from_columns(field, cols, dim)
+                return tracker.kernel()
+    return tracker.kernel()
 
 
 def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:

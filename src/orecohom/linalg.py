@@ -7,15 +7,13 @@ this module emits is reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from .fields import Field, FieldError, Scalar
+import bisect
+
+from .fields import Field, Scalar
 
 
 class LinalgError(ValueError):
     pass
-
-
-def vzero(field: Field, n: int) -> tuple:
-    return (field.zero,) * n
 
 
 def vadd(a: tuple, b: tuple) -> tuple:
@@ -158,29 +156,11 @@ class Mat:
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot cols)."""
-    rows = [list(r) for r in M.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(M.cols):
-        sel = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return Mat(M.field, rows, M.cols), pivots
+    t = EchelonTracker(M.field, M.cols)
+    for row in M.data:
+        t.add(row)
+    zero = (M.field.zero,) * M.cols
+    return Mat(M.field, t.rows + [zero] * (M.rows - t.dim), M.cols), list(t.lead)
 
 
 def rank(M: Mat) -> int:
@@ -190,16 +170,24 @@ def rank(M: Mat) -> int:
 def kernel_basis(M: Mat) -> Mat:
     """Columns form a basis of the null space of M (the standard free-variable basis)."""
     R, pivots = rref(M)
-    field = M.field
-    free = [c for c in range(M.cols) if c not in pivots]
+    return _free_basis(M.field, M.cols, R.data, pivots)
+
+
+def _free_basis(field: Field, n: int, rows, lead: list[int]) -> Mat:
+    """The free-variable null space basis of reduced echelon rows with leading
+    columns ``lead``: for each free column fc, a one at fc and minus row i's
+    entry at fc in column lead[i]."""
+    pivots = set(lead)
     cols = []
-    for fc in free:
-        v = [field.zero] * M.cols
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [field.zero] * n
         v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -R.data[i][fc]
+        for row, pc in zip(rows, lead):
+            v[pc] = -row[fc]
         cols.append(tuple(v))
-    return Mat.from_columns(field, cols, M.cols)
+    return Mat.from_columns(field, cols, n)
 
 
 def solve(M: Mat, b: tuple) -> tuple | None:
@@ -208,37 +196,26 @@ def solve(M: Mat, b: tuple) -> tuple | None:
 
 
 class LinSolver:
-    """Precomputed elimination for solving M x = b repeatedly against one M."""
+    """Precomputed elimination for solving M x = b repeatedly against one M.
+
+    The rows of [M | I] go through one echelon with its pivots in M's
+    columns.  A reduced row [R_i | E_i] keeps E_i M = R_i; a row whose M part
+    reduces to zero leaves its E_i, unnormalised, in the left null space of M."""
 
     def __init__(self, M: Mat):
         self.M = M
-        field = M.field
-        aug = [list(r) + [field.one if i == j else field.zero for j in range(M.rows)]
-               for i, r in enumerate(M.data)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(M.cols):
-            sel = None
-            for i in range(r, len(aug)):
-                if not aug[i][c].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            inv = aug[r][c].inv()
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(len(aug)):
-                if i != r and not aug[i][c].is_zero():
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(aug):
-                break
-        self.pivots = pivots
-        self.rank = len(pivots)
-        self.E = [row[M.cols:] for row in aug]  # E @ M is the rref
+        field, n, m = M.field, M.cols, M.rows
+        t = EchelonTracker(field, n + m, pivot_cols=n)
+        null = []
+        for i, row in enumerate(M.data):
+            unit = [field.zero] * m
+            unit[i] = field.one
+            v = t.reduce(row + tuple(unit))
+            if not t._insert(v):
+                null.append(v[n:])
+        self.pivots = list(t.lead)
+        self.rank = t.dim
+        self.E = [row[n:] for row in t.rows] + null  # E @ M is the rref
 
     def solve(self, b: tuple) -> tuple | None:
         if len(b) != self.M.rows:
@@ -259,17 +236,30 @@ def in_span(basis: Mat, v: tuple) -> bool:
 
 
 class EchelonTracker:
-    """Incrementally maintained reduced echelon span for membership tests.
+    """Incrementally maintained reduced row echelon form: the package's one
+    Gauss-Jordan elimination.
 
+    The rows lead at their first nonzero entry, which is a one, and are zero
+    in every other row's leading column, so they depend only on the span
+    added.  Leading columns lie among the first ``pivot_cols`` (default: all).
     Each row keeps the indices of its nonzero entries, so eliminating with it
     touches only those."""
 
-    def __init__(self, field: Field, n: int):
+    def __init__(self, field: Field, n: int, pivot_cols: int | None = None):
         self.field = field
         self.n = n
+        self.pivot_cols = n if pivot_cols is None else pivot_cols
         self.rows: list[tuple] = []
         self.lead: list[int] = []
         self._support: list[list[int]] = []
+
+    @classmethod
+    def of_columns(cls, M: Mat) -> "EchelonTracker":
+        """The echelon of the span of M's columns."""
+        t = cls(M.field, M.rows)
+        for c in M.columns_list():
+            t.add(c)
+        return t
 
     def reduce(self, v: tuple) -> tuple:
         v = list(v)
@@ -284,12 +274,17 @@ class EchelonTracker:
         return is_zero_vec(self.reduce(v))
 
     def add(self, v: tuple) -> bool:
-        """Insert v; True when the span grew."""
+        """Insert v; True when it joined the echelon (for full pivot columns:
+        when the span grew)."""
         if len(v) != self.n:
             raise LinalgError("vector length mismatch")
-        v = self.reduce(v)
+        return self._insert(self.reduce(v))
+
+    def _insert(self, v: tuple) -> bool:
+        """Join a vector already reduced by every row, normalised at its
+        leading entry, and clear its leading column from the other rows."""
         support = [j for j, x in enumerate(v) if not x.is_zero()]
-        if not support:
+        if not support or support[0] >= self.pivot_cols:
             return False
         c = support[0]
         inv = v[c].inv()
@@ -297,6 +292,7 @@ class EchelonTracker:
         for j in support:
             v[j] = inv * v[j]
         v = tuple(v)
+        touched = set(support)
         for i, row in enumerate(self.rows):
             f = row[c]
             if not f.is_zero():
@@ -304,12 +300,23 @@ class EchelonTracker:
                 for j in support:
                     new[j] = new[j] - f * v[j]
                 self.rows[i] = tuple(new)
-                self._support[i] = [j for j, x in enumerate(new) if not x.is_zero()]
-        pos = next((i for i, l in enumerate(self.lead) if l > c), len(self.lead))
+                # entries off v's support are unchanged
+                self._support[i] = [j for j in self._support[i] if j not in touched] + [
+                    j for j in support if not new[j].is_zero()
+                ]
+        pos = bisect.bisect(self.lead, c)
         self.rows.insert(pos, v)
         self.lead.insert(pos, c)
         self._support.insert(pos, support)
         return True
+
+    def extend(self, M: Mat) -> Mat:
+        """Add M's columns in order; returns those that joined, as columns."""
+        return Mat.from_columns(M.field, [c for c in M.columns_list() if self.add(c)], M.rows)
+
+    def kernel(self) -> Mat:
+        """The free-variable basis of the null space of the rows, as columns."""
+        return _free_basis(self.field, self.n, self.rows, self.lead)
 
     @property
     def dim(self) -> int:
@@ -319,16 +326,10 @@ class EchelonTracker:
 def span_equal(A: Mat, B: Mat) -> bool:
     if A.rows != B.rows:
         return False
-    t = EchelonTracker(A.field, A.rows)
-    for c in A.columns_list():
-        t.add(c)
-    da = t.dim
+    t = EchelonTracker.of_columns(A)
     if any(not t.contains(c) for c in B.columns_list()):
         return False
-    t2 = EchelonTracker(B.field, B.rows)
-    for c in B.columns_list():
-        t2.add(c)
-    return t2.dim == da
+    return EchelonTracker.of_columns(B).dim == t.dim
 
 
 def quotient_basis(sub: Mat, amb: Mat) -> Mat:
@@ -337,17 +338,11 @@ def quotient_basis(sub: Mat, amb: Mat) -> Mat:
     Raises LinalgError when span(sub) is not contained in span(amb)."""
     if sub.rows != amb.rows:
         raise LinalgError("ambient dimension mismatch")
-    full = EchelonTracker(amb.field, amb.rows)
-    for c in amb.columns_list():
-        full.add(c)
+    full = EchelonTracker.of_columns(amb)
     for c in sub.columns_list():
         if not full.contains(c):
             raise LinalgError("inconsistent subspace: sub not inside amb")
-    t = EchelonTracker(amb.field, amb.rows)
-    for c in sub.columns_list():
-        t.add(c)
-    reps = [c for c in amb.columns_list() if t.add(c)]
-    return Mat.from_columns(amb.field, reps, amb.rows)
+    return EchelonTracker.of_columns(sub).extend(amb)
 
 
 def intersect_spans(A: Mat, B: Mat) -> Mat:

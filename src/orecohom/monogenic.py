@@ -252,11 +252,7 @@ class MonogenicAlgebra:
         return AElem(self, (self.field.zero,) * self.adim)
 
     def k_embed(self, u) -> AElem:
-        u = self.K.elem(u)
-        coords = [self.field.zero] * self.adim
-        for b, c in enumerate(u.coords):
-            coords[self.idx(b, 0)] = c
-        return AElem(self, coords)
+        return self.monomial(u, 0)
 
     def monomial(self, u, a: int) -> AElem:
         """The element u x^a for u in K and 0 <= a < n."""

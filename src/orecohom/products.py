@@ -40,6 +40,16 @@ def delta_sum(alpha: Endo, mu: KElem, l: int) -> KElem:
     return KElem(K, acc)
 
 
+def _is_twisted(value: AElem, t: int) -> bool:
+    """Whether value lambda = alpha^t(lambda) value for each basis element lambda of K."""
+    alg = value.alg
+    for b in range(alg.K.dim):
+        e = alg.K.basis_elem(b).coords
+        if value * alg.k_embed(e) != alg.k_embed(alg.alpha.apply_power(t, e)) * value:
+            return False
+    return True
+
+
 class SmallCochain:
     """A degree-tagged element of the small complex with coefficients in A."""
 
@@ -51,21 +61,10 @@ class SmallCochain:
         self.alg = alg
         self.degree = degree
         self.value = value
-        if check and not self._twisted_ok():
+        if check and not _is_twisted(value, twist_exponent(degree, alg.n)):
             raise ProductsError(
                 f"value is not invariant for the degree-{degree} twist"
             )
-
-    def _twisted_ok(self) -> bool:
-        alg = self.alg
-        t = twist_exponent(self.degree, alg.n)
-        for b in range(alg.K.dim):
-            e = alg.K.basis_elem(b).coords
-            lhs = self.value * alg.k_embed(e)
-            rhs = alg.k_embed(alg.alpha.apply_power(t, e)) * self.value
-            if lhs != rhs:
-                return False
-        return True
 
     @classmethod
     def from_k(cls, alg: MonogenicAlgebra, degree: int, lam) -> "SmallCochain":
@@ -148,19 +147,9 @@ class BarCochain:
         self.degree = degree
         self.table = clean
         if check:
-            bad = self._twist_defect()
-            if bad is not None:
-                raise ProductsError(f"value at {bad} is not twisted-invariant")
-
-    def _twist_defect(self):
-        alg = self.alg
-        for idx, val in self.table.items():
-            t = sum(idx)
-            for b in range(alg.K.dim):
-                e = alg.K.basis_elem(b).coords
-                if val * alg.k_embed(e) != alg.k_embed(alg.alpha.apply_power(t, e)) * val:
-                    return idx
-        return None
+            for idx, val in clean.items():
+                if not _is_twisted(val, sum(idx)):
+                    raise ProductsError(f"value at {idx} is not twisted-invariant")
 
     @classmethod
     def zero(cls, alg: MonogenicAlgebra, degree: int) -> "BarCochain":
@@ -224,37 +213,33 @@ def _pair_bar(alg: MonogenicAlgebra, idx: tuple) -> AElem:
     return out
 
 
-def psi_eval(m: SmallCochain) -> BarCochain:
-    """The small-to-bar comparison map in m's degree."""
-    alg = m.alg
-    r = m.degree
-    table = {}
-    for idx in all_bar_indices(alg, r):
-        bar = _pair_bar(alg, idx if r % 2 == 0 else idx[:-1])
-        if bar.is_zero():
-            continue
-        if r % 2 == 0:
-            table[idx] = bar * m.value
-        else:
-            c = idx[-1]
-            acc = alg.zero_elem()
-            for l in range(c):
-                acc = acc + bar * alg.xpow(l) * m.value * alg.xpow(c - l - 1)
-            table[idx] = acc
-    return BarCochain(alg, r, table)
+def psi_terms(alg: MonogenicAlgebra, idx: tuple):
+    """The closed small-to-bar comparison map at the bar index ``idx``, as
+    terms (u, c): the generator of the small resolution in degree len(idx)
+    maps to the sum of u (x) x^c.  Shared by ``psi_eval`` and
+    ``ComparisonMaps.psi_closed``; ``psi_recursive`` is the independent route."""
+    r = len(idx)
+    bar = _pair_bar(alg, idx if r % 2 == 0 else idx[:-1])
+    if bar.is_zero():
+        return
+    if r % 2 == 0:
+        yield bar, 0
+        return
+    c = idx[-1]
+    for l in range(c):
+        yield bar * alg.xpow(l), c - l - 1
 
 
-def phi_eval(g: BarCochain) -> SmallCochain:
-    """The bar-to-small comparison map in g's degree."""
-    alg = g.alg
-    r = g.degree
-    if r == 0:
-        return SmallCochain(alg, 0, g.at(()), check=False)
-    if r == 1:
-        return SmallCochain(alg, 1, g.at((1,)), check=False)
+def phi_terms(alg: MonogenicAlgebra, r: int):
+    """The closed bar-to-small comparison map in degree r, as terms
+    (index, lead, e): the degree-r generator maps to the sum over the terms
+    of lead x^e at that bar index.  Shared by ``phi_eval`` and
+    ``ComparisonMaps.phi_closed``; ``phi_recursive`` is the independent route."""
+    if r <= 1:
+        yield (1,) * r, alg.one, 0
+        return
     m = r // 2
     K = alg.K
-    acc = alg.zero_elem()
     for i in itertools.product(range(1, alg.n + 1), repeat=m):
         lam = K.unit
         for ij in i:
@@ -263,19 +248,38 @@ def phi_eval(g: BarCochain) -> SmallCochain:
                 break
         if all(c.is_zero() for c in lam):
             continue
-        lam_a = alg.k_embed(lam)
+        lead = alg.k_embed(lam)
         for ell in itertools.product(*[range(1, ij) for ij in i]):
             key = []
             for j in range(m, 0, -1):
                 key.extend((1, ell[j - 1]))
             if r % 2:
                 key.append(1)
-            gval = g.at(tuple(key))
-            if gval.is_zero():
-                continue
-            e = sum(i) - sum(ell) - m
-            acc = acc + lam_a * alg.xpow(e) * gval
-    return SmallCochain(alg, r, acc, check=False)
+            yield tuple(key), lead, sum(i) - sum(ell) - m
+
+
+def psi_eval(m: SmallCochain) -> BarCochain:
+    """The small-to-bar comparison map in m's degree."""
+    alg = m.alg
+    table = {}
+    for idx in all_bar_indices(alg, m.degree):
+        for u, c in psi_terms(alg, idx):
+            term = u * m.value
+            if c:
+                term = term * alg.xpow(c)
+            table[idx] = table[idx] + term if idx in table else term
+    return BarCochain(alg, m.degree, table)
+
+
+def phi_eval(g: BarCochain) -> SmallCochain:
+    """The bar-to-small comparison map in g's degree."""
+    alg = g.alg
+    acc = alg.zero_elem()
+    for key, lead, e in phi_terms(alg, g.degree):
+        gval = g.at(key)
+        if not gval.is_zero():
+            acc = acc + lead * alg.xpow(e) * gval
+    return SmallCochain(alg, g.degree, acc, check=False)
 
 
 def bar_differential(g: BarCochain) -> BarCochain:
@@ -473,18 +477,10 @@ class ComparisonMaps:
     # psi: bar side to twisted squares, evaluated on monomial middle slots
 
     def psi_closed(self, idx: tuple) -> TensorElem:
-        alg = self.alg
-        r = len(idx)
-        tw = twist_exponent(r, alg.n)
-        bar = _pair_bar(alg, idx if r % 2 == 0 else idx[:-1])
-        if r % 2 == 0:
-            return TensorElem.from_aelem(bar, 0, tw)
-        out = TensorElem.zero(alg, tw)
-        if bar.is_zero():
-            return out
-        c = idx[-1]
-        for l in range(c):
-            out = out + TensorElem.from_aelem(bar * alg.xpow(l), c - l - 1, tw)
+        tw = twist_exponent(len(idx), self.alg.n)
+        out = TensorElem.zero(self.alg, tw)
+        for u, c in psi_terms(self.alg, idx):
+            out = out + TensorElem.from_aelem(u, c, tw)
         return out
 
     def psi_recursive(self, idx: tuple) -> TensorElem:
@@ -520,34 +516,11 @@ class ComparisonMaps:
     # outer factor is always the unit)
 
     def phi_closed(self, r: int) -> dict:
-        alg = self.alg
-        if r == 0:
-            return {(): alg.one}
-        if r == 1:
-            return {(1,): alg.one}
-        m = r // 2
-        K = alg.K
         out: dict[tuple, AElem] = {}
-        for i in itertools.product(range(1, alg.n + 1), repeat=m):
-            lam = K.unit
-            for ij in i:
-                lam = K.kmul(lam, f_lambda(alg, alg.n - ij))
-                if all(c.is_zero() for c in lam):
-                    break
-            if all(c.is_zero() for c in lam):
-                continue
-            lead = alg.k_embed(lam)
-            for ell in itertools.product(*[range(1, ij) for ij in i]):
-                key = []
-                for j in range(m, 0, -1):
-                    key.extend((1, ell[j - 1]))
-                if r % 2:
-                    key.append(1)
-                key = tuple(key)
-                e = sum(i) - sum(ell) - m
-                term = lead * alg.xpow(e)
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
+        for key, lead, e in phi_terms(self.alg, r):
+            term = lead * self.alg.xpow(e)
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def phi_recursive(self, r: int) -> dict:
@@ -646,57 +619,55 @@ def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:
     return True
 
 
+def class_pairs(C: SmallComplex, p: int, q: int):
+    """Every pair of cohomology class representatives in degrees p and q, as
+    (index in H^p, cochain, index in H^q, cochain), first index outermost."""
+    alg = C.alg
+    reps_b = [SmallCochain(alg, q, AElem(alg, v), check=False)
+              for v in cohomology_group(C, q).reps_ambient]
+    for ia, v in enumerate(cohomology_group(C, p).reps_ambient):
+        a = SmallCochain(alg, p, AElem(alg, v), check=False)
+        for ib, b in enumerate(reps_b):
+            yield ia, a, ib, b
+
+
+def _class_table(C: SmallComplex, degrees, product) -> list[dict]:
+    """``product`` of each pair of class representatives, in class coordinates
+    of the target degree, for each (p, q, target degree) of ``degrees``."""
+    out = []
+    for p, q, deg in degrees:
+        H = cohomology_group(C, deg)
+        for ia, a, ib, b in class_pairs(C, p, q):
+            cls = H.class_coords(product(a, b).value.coords)
+            out.append(
+                {
+                    "deg_a": p,
+                    "deg_b": q,
+                    "basis_index_a": ia,
+                    "basis_index_b": ib,
+                    "result_class_coords": [C.field.encode(c) for c in cls],
+                }
+            )
+    return out
+
+
 def cup_class_table(C: SmallComplex, max_total: int) -> list[dict]:
     """Cup products of cohomology class representatives, as class coordinates."""
-    alg = C.alg
-    out = []
-    for p in range(max_total + 1):
-        for q in range(max_total + 1 - p):
-            if p + q + 1 > C.max_degree:
-                continue
-            Hp, Hq = cohomology_group(C, p), cohomology_group(C, q)
-            Hpq = cohomology_group(C, p + q)
-            for ia, av in enumerate(Hp.reps_ambient):
-                a = SmallCochain(alg, p, AElem(alg, av), check=False)
-                for ib, bv in enumerate(Hq.reps_ambient):
-                    b = SmallCochain(alg, q, AElem(alg, bv), check=False)
-                    cls = Hpq.class_coords(cup_small(a, b).value.coords)
-                    out.append(
-                        {
-                            "deg_a": p,
-                            "deg_b": q,
-                            "basis_index_a": ia,
-                            "basis_index_b": ib,
-                            "result_class_coords": [C.field.encode(c) for c in cls],
-                        }
-                    )
-    return out
+    degrees = [
+        (p, q, p + q)
+        for p in range(max_total + 1)
+        for q in range(max_total + 1 - p)
+        if p + q + 1 <= C.max_degree
+    ]
+    return _class_table(C, degrees, cup_small)
 
 
 def bracket_class_table(C: SmallComplex, max_total: int, bound: int = 5) -> list[dict]:
     """Generic-oracle brackets of class representatives, as class coordinates."""
-    alg = C.alg
-    out = []
-    for p in range(max_total + 1):
-        for q in range(max_total + 1 - p):
-            deg = p + q - 1
-            if deg < 0 or deg > bound or deg + 1 > C.max_degree:
-                continue
-            Hp, Hq = cohomology_group(C, p), cohomology_group(C, q)
-            Hd = cohomology_group(C, deg)
-            for ia, av in enumerate(Hp.reps_ambient):
-                a = SmallCochain(alg, p, AElem(alg, av), check=False)
-                for ib, bv in enumerate(Hq.reps_ambient):
-                    b = SmallCochain(alg, q, AElem(alg, bv), check=False)
-                    val = bracket_small_generic(a, b, bound)
-                    cls = Hd.class_coords(val.value.coords)
-                    out.append(
-                        {
-                            "deg_a": p,
-                            "deg_b": q,
-                            "basis_index_a": ia,
-                            "basis_index_b": ib,
-                            "result_class_coords": [C.field.encode(c) for c in cls],
-                        }
-                    )
-    return out
+    degrees = [
+        (p, q, p + q - 1)
+        for p in range(max_total + 1)
+        for q in range(max_total + 1 - p)
+        if 0 <= p + q - 1 <= bound and p + q <= C.max_degree
+    ]
+    return _class_table(C, degrees, lambda a, b: bracket_small_generic(a, b, bound))

@@ -245,6 +245,10 @@ def build_instance(spec: dict) -> Instance:
     options = spec.get("options", {})
     if not isinstance(options, dict):
         raise SpecError("options must be a JSON object")
+    if "oracle_bound" in options and (
+        type(options["oracle_bound"]) is not int or options["oracle_bound"] < 0
+    ):
+        raise SpecError("options.oracle_bound must be a non-negative integer")
     return Instance(
         raw=spec,
         field=field,

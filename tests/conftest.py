@@ -10,7 +10,7 @@ from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import ExtensionField, PrimeField, RationalField
 from orecohom.instances import gh4_instance
 from orecohom.kalgebra import endo_from_character, group_algebra, quaternion_algebra
-from orecohom.linalg import LinalgError, Mat, kernel_basis
+from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis
 from orecohom.monogenic import AElem, MonogenicAlgebra
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
@@ -258,3 +258,85 @@ def dense_d_ambient(self, r: int, v: tuple) -> tuple:
             w = dense_matvec(M.Lx_pow(l), w)
             out = dense_vadd(out, dense_matvec(Lc, w))
     return out
+
+
+# -- the dense eliminations `EchelonTracker` replaced ---------------------------
+
+
+def dense_rref(M: Mat) -> tuple[Mat, list[int]]:
+    """`linalg.rref` before it ran on `EchelonTracker`: Gauss-Jordan over the
+    columns, first-nonzero pivoting, whole rows at a time."""
+    rows = [list(r) for r in M.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(M.cols):
+        sel = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return Mat(M.field, rows, M.cols), pivots
+
+
+def dense_kernel_basis(M: Mat) -> Mat:
+    """`linalg.kernel_basis` before it: the free columns of `dense_rref`."""
+    R, pivots = dense_rref(M)
+    field = M.field
+    free = [c for c in range(M.cols) if c not in pivots]
+    cols = []
+    for fc in free:
+        v = [field.zero] * M.cols
+        v[fc] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -R.data[i][fc]
+        cols.append(tuple(v))
+    return Mat.from_columns(field, cols, M.cols)
+
+
+class DenseLinSolver(LinSolver):
+    """`LinSolver` with the `__init__` it had before it ran on
+    `EchelonTracker`: Gauss-Jordan on [M | I] over M's columns.  `solve` is
+    the shared one."""
+
+    def __init__(self, M: Mat):
+        self.M = M
+        field = M.field
+        aug = [list(r) + [field.one if i == j else field.zero for j in range(M.rows)]
+               for i, r in enumerate(M.data)]
+        pivots: list[int] = []
+        r = 0
+        for c in range(M.cols):
+            sel = None
+            for i in range(r, len(aug)):
+                if not aug[i][c].is_zero():
+                    sel = i
+                    break
+            if sel is None:
+                continue
+            aug[r], aug[sel] = aug[sel], aug[r]
+            inv = aug[r][c].inv()
+            aug[r] = [x * inv for x in aug[r]]
+            for i in range(len(aug)):
+                if i != r and not aug[i][c].is_zero():
+                    f = aug[i][c]
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(aug):
+                break
+        self.pivots = pivots
+        self.rank = len(pivots)
+        self.E = [row[M.cols:] for row in aug]  # E @ M is the rref

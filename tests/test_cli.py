@@ -126,6 +126,22 @@ def test_missing_spec_file_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_ill_typed_oracle_bound_option_exits_2(tmp_path, capsys):
+    raw = json.loads(Path(spec("sweedler.json")).read_text())
+    raw.setdefault("options", {})["oracle_bound"] = "3"
+    p = tmp_path / "string_bound.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["products", str(p)])
+    assert rc == 2
+    assert "oracle_bound must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_oracle_bound_flag_exits_2(capsys):
+    rc = main(["products", spec("sweedler.json"), "--oracle-bound", "-1"])
+    assert rc == 2
+    assert "--oracle-bound must be at least 0" in capsys.readouterr().err
+
+
 # -- cohomology ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from orecohom import products
 from orecohom.cohomology import Bimodule, SmallComplex, classes_equal, cohomology_group
 from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
@@ -199,6 +200,23 @@ def test_comparison_closed_matches_recursion(sweedler, gf3_cubic, c4_sign):
 def test_comparison_closed_matches_recursion_line_cubic(line_cubic):
     rep = ComparisonMaps(line_cubic, 5).comparison_report(4)
     assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name, degree", [("psi_terms", 3), ("phi_terms", 4)])
+def test_comparison_report_sees_a_dropped_closed_term(line_cubic, monkeypatch, name, degree):
+    """The closed maps and their `_eval` forms share one term generator; the
+    recursion is a second computation, so losing one closed term in one
+    degree makes the report fail there."""
+    terms = getattr(products, name)
+
+    def dropped(alg, at):
+        out = list(terms(alg, at))
+        return out[:-1] if (len(at) if isinstance(at, tuple) else at) == degree else out
+
+    monkeypatch.setattr(products, name, dropped)
+    rep = ComparisonMaps(line_cubic, 5).comparison_report(4)
+    assert not rep.ok
+    assert rep.failures[0].startswith(f"{name[:3]} mismatch at degree {degree}")
 
 
 def test_phi_closed_low_degrees(line_cubic):

@@ -1,6 +1,7 @@
 """The sparse inner loops against the dense ones they replaced (kept in
 conftest.py): the payload zero tests, vector sums and scalings, matrix
-products, `LinSolver.solve`, `AlgebraK.kmul`, `MonogenicAlgebra.a_mul` and
+products, `LinSolver.solve`, the eliminations behind `rref`, `kernel_basis`,
+`rank` and `LinSolver`, `AlgebraK.kmul`, `MonogenicAlgebra.a_mul` and
 `SmallComplex.d_ambient`.  They run on random vectors whose zero patterns
 are random (all-zero and all-nonzero included) over QQ, GF(7), QQ(i) and
 GF(9), on every canned instance and on every demo spec."""
@@ -11,12 +12,15 @@ import pytest
 from conftest import (
     CANNED,
     SPECS,
+    DenseLinSolver,
     dense_a_mul,
     dense_d_ambient,
     dense_is_zero,
+    dense_kernel_basis,
     dense_kmul,
     dense_matmul,
     dense_matvec,
+    dense_rref,
     dense_solve,
     dense_vadd,
     dense_vscale,
@@ -26,7 +30,7 @@ from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
 from orecohom.kalgebra import character_from_values, cyclic_group, endo_from_character, group_algebra
-from orecohom.linalg import LinSolver, Mat, vadd, vscale
+from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, vadd, vscale
 from orecohom.monogenic import AElem, MonogenicAlgebra
 from orecohom.specio import load_instance
 
@@ -131,6 +135,50 @@ def test_solves_match(name):
                 for b in (vector(F, rows, rng, dv), M.matvec(x)):
                     assert S.solve(b) == dense_solve(S, b)
                 assert S.solve(M.matvec(x)) is not None
+
+
+def with_zero_lines(M, rng):
+    """M with one random row and one random column set to zero."""
+    if not M.rows or not M.cols:
+        return M
+    i, j = rng.randrange(M.rows), rng.randrange(M.cols)
+    z = M.field.zero
+    return Mat(
+        M.field,
+        [[z if a == i or b == j else x for b, x in enumerate(row)] for a, row in enumerate(M.data)],
+        M.cols,
+    )
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_eliminations_match_dense(name):
+    """`rref`, `kernel_basis`, `rank` and `LinSolver` on the echelon tracker
+    give what the dense Gauss-Jordan loops gave, on empty, square, tall and
+    wide matrices that are random, of rank at most 2, or with a zero row and
+    column, against consistent and inconsistent right-hand sides."""
+    F = FIELDS[name]
+    rng = random.Random(5)
+    deficient = inconsistent = 0
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (1, 1), (4, 4), (6, 3), (3, 6), (2, 7), (7, 2)):
+        for dm in DENSITIES:
+            for M in (
+                matrix(F, rows, cols, rng, dm),
+                matrix(F, rows, 2, rng, dm).matmul(matrix(F, 2, cols, rng, dm)),
+                with_zero_lines(matrix(F, rows, cols, rng, dm), rng),
+            ):
+                R, pivots = rref(M)
+                assert (R, pivots) == dense_rref(M)
+                assert kernel_basis(M) == dense_kernel_basis(M)
+                assert rank(M) == len(pivots)
+                deficient += len(pivots) < min(rows, cols)
+                S, D = LinSolver(M), DenseLinSolver(M)
+                assert (S.pivots, S.rank) == (D.pivots, D.rank)
+                for dv in DENSITIES:
+                    x = vector(F, cols, rng, dv)
+                    for b in (vector(F, rows, rng, dv), M.matvec(x)):
+                        assert S.solve(b) == D.solve(b)
+                        inconsistent += D.solve(b) is None
+    assert deficient and inconsistent
 
 
 # -- the algebras, bimodules and complexes of real instances -------------------

@@ -1,0 +1,43 @@
+"""The benchmark's per-layer tracer (`bench/spans.py`) wraps package names from
+outside: every function, method and dispatch entry it names must exist, and
+uninstalling it must restore each one."""
+
+import importlib.util
+import time
+from pathlib import Path
+
+from orecohom import cli, linalg
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class WallClock:
+    now = staticmethod(time.perf_counter)
+
+
+def test_tracer_wraps_a_cohomology_run(capsys):
+    spans = load_spans()
+    originals = (linalg.rref, linalg.LinSolver.__init__, cli.RUNNERS["cohomology"])
+    tracer = spans.Tracer(WallClock())
+    tracer.install()
+    try:
+        assert linalg.rref is not originals[0]
+        rc = cli.main(["cohomology", str(ROOT / "demos" / "specs" / "truncated_square.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert (linalg.rref, linalg.LinSolver.__init__, cli.RUNNERS["cohomology"]) == originals
+    counts = tracer.counts
+    for key in ("cli.run_cohomology", "cohomology.build_small_complex", "linalg.rref",
+                "linalg.kernel_basis", "linalg.solver_build", "fields.scalar_is_zero"):
+        assert counts[key] > 0, key
+    metrics = tracer.layer_metrics(1.0)
+    assert set(metrics) == set(spans.METRICS) - {"trace.round_s", "trace.overhead_s"}

@@ -5,8 +5,12 @@ normalized payload:
 
 * rationals -- a ``fractions.Fraction`` in lowest terms,
 * ``GF(p)`` -- an ``int`` in ``[0, p)``,
-* a simple extension ``base[t]/<minpoly>`` -- a tuple of base payloads of
-  length ``deg(minpoly)``, listed constant-first.
+* a simple extension ``GF(p)[t]/<minpoly>`` -- a tuple of ``deg(minpoly)``
+  base payloads, listed constant-first,
+* a simple extension ``Q[t]/<minpoly>`` (a :class:`NumberField`) -- a pair
+  ``(nums, den)``: a constant-first tuple of ``deg(minpoly)`` ints and one
+  int ``den > 0`` with ``gcd(*nums, den) == 1``, standing for
+  ``sum(nums[i] t^i) / den``.
 
 Field contexts are cached, so two requests for the same field return the
 identical object and scalars can be compared by payload.  Towers are rejected:
@@ -19,6 +23,8 @@ from __future__ import annotations
 import functools
 import logging
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg
 
 logger = logging.getLogger(__name__)
 
@@ -456,8 +462,6 @@ def polynomial_roots(a: list, field: Field) -> tuple[list[Scalar], bool]:
     elif isinstance(field, RationalField):
         try_root(field.zero)
         if len(rem) > 1:
-            from math import lcm
-
             den = lcm(*[c.v.denominator for c in rem])
             ints = [int(c.v * den) for c in rem]
             for p in _int_divisors(ints[0]):
@@ -573,7 +577,18 @@ def _rational_sqrt(s: Scalar):
 
 
 class ExtensionField(Field):
-    """Simple extension base[t]/<minpoly>; payloads are coefficient tuples."""
+    """Simple extension base[t]/<minpoly> of QQ or GF(p).
+
+    Over GF(p) a payload is the tuple of the base payloads of the coordinates
+    in the power basis 1, t, .., t^(deg-1).  Over QQ the constructor returns a
+    :class:`NumberField`, whose payload is integer coordinates over one
+    denominator.  Both kinds read and build coordinates through
+    ``_coords`` / ``_from_coords``, so their text and JSON forms agree."""
+
+    def __new__(cls, base: Field, minpoly: tuple, symbol: str):
+        if cls is ExtensionField and isinstance(base, RationalField):
+            cls = NumberField
+        return super().__new__(cls)
 
     def __init__(self, base: Field, minpoly: tuple, symbol: str):
         if isinstance(base, ExtensionField):
@@ -620,16 +635,24 @@ class ExtensionField(Field):
             )
         return table
 
+    def _coords(self, a) -> tuple:
+        """The base payloads of a's coordinates, constant-first."""
+        return a
+
+    def _from_coords(self, coords) -> tuple:
+        """The payload with these base-payload coordinates (length deg)."""
+        return tuple(coords)
+
     @functools.cached_property
     def gen(self) -> Scalar:
         """The designated root t of the minimal polynomial."""
         b = self.base
         coords = [b._from_int(0)] * self.deg
         if self.deg == 1:
-            coords[0] = self._tpow[0][0]
+            coords[0] = b._neg(self.minpoly[0])
         else:
             coords[1] = b._from_int(1)
-        return Scalar(self, tuple(coords))
+        return Scalar(self, self._from_coords(coords))
 
     def _add(self, a, b):
         bb = self.base
@@ -681,18 +704,18 @@ class ExtensionField(Field):
     def _coerce_payload(self, x):
         bb = self.base
         if isinstance(x, Fraction) and self.char == 0:
-            return tuple([x] + [bb._from_int(0)] * (self.deg - 1))
+            x = [x]
         if isinstance(x, (list, tuple)):
             if len(x) > self.deg:
                 raise FieldError(f"coordinate vector longer than degree {self.deg}")
             coords = [bb.scalar(c).v for c in x]
             coords += [bb._from_int(0)] * (self.deg - len(coords))
-            return tuple(coords)
+            return self._from_coords(coords)
         raise FieldError(f"cannot interpret {x!r} as an element of {self}")
 
     def _repr(self, a):
         terms = []
-        for i, c in enumerate(a):
+        for i, c in enumerate(self._coords(a)):
             if not c:
                 continue
             cs = self.base._repr(c)
@@ -718,7 +741,7 @@ class ExtensionField(Field):
 
     def encode(self, s):
         v = self.scalar(s).v
-        return [self.base.encode(Scalar(self.base, c)) for c in v]
+        return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
 
     def decode(self, obj):
         if isinstance(obj, int):
@@ -745,6 +768,113 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
+
+
+class NumberField(ExtensionField):
+    """A simple extension QQ[t]/<minpoly>, with the standard number-field
+    payload (H. Cohen, *A Course in Computational Algebraic Number Theory*,
+    GTM 138, §4.2): ``(nums, den)``, a constant-first tuple of ``deg`` ints
+    and one int ``den > 0`` with ``gcd(*nums, den) == 1``, standing for
+    ``sum(nums[i] t^i) / den``.  Zero is ``((0, .., 0), 1)``, so equal
+    elements have equal payloads.
+
+    The reduction table holds t^deg .. t^(2 deg - 2) as integer vectors over
+    one common denominator ``_tden`` (1 when the minpoly is integral), so
+    every operation runs on ints."""
+
+    def __init__(self, base: Field, minpoly: tuple, symbol: str):
+        super().__init__(base, minpoly, symbol)
+        den = lcm(*(c.denominator for row in self._tpow for c in row))
+        self._tden = den
+        self._tpow = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in self._tpow
+        )
+        self._pad = (0,) * (self.deg - 1)
+        self._zero_v = self._from_int(0)
+
+    def _coords(self, a):
+        nums, den = a
+        return tuple(Fraction(x, den) for x in nums)
+
+    def _from_coords(self, coords):
+        # over the lcm of reduced denominators the gcd is already 1
+        den = lcm(*(c.denominator for c in coords))
+        return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+    @staticmethod
+    def _normal(nums, den):
+        """The payload of sum(nums[i] t^i) / den, for den > 0."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                return tuple(x // g for x in nums), den // g
+        return tuple(nums), den
+
+    def _fold(self, raw: list) -> list:
+        """``_tden`` times the reduction of sum(raw[k] t^k), len(raw) < 2 deg."""
+        d, D = self.deg, self._tden
+        out = raw[:d] if D == 1 else [D * x for x in raw[:d]]
+        for c, red in zip(raw[d:], self._tpow):
+            if c:
+                for i, r in enumerate(red):
+                    out[i] += c * r
+        return out
+
+    def _add(self, a, b):
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            return self._normal(tuple(map(add, an, bn)), ad)
+        return self._normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+
+    def _neg(self, a):
+        return tuple(map(neg, a[0])), a[1]
+
+    def _mul(self, a, b):
+        an, ad = a
+        bn, bd = b
+        raw = [0] * (2 * self.deg - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in enumerate(bn):
+                    raw[i + j] += x * y
+        return self._normal(self._fold(raw), ad * bd * self._tden)
+
+    def _inv(self, a):
+        """Solve m u = e_0 for the matrix m of multiplication by sum(nums[i]
+        t^i), scaled to ints, by fraction-free elimination (E. Bareiss, Math.
+        Comp. 22, 1968); then a^-1 = den * u."""
+        nums, den = a
+        d, D = self.deg, self._tden
+        cols = [self._fold([0] * j + list(nums) + [0] * (d - 1 - j)) for j in range(d)]
+        rows = [list(r) + [int(i == 0)] for i, r in enumerate(zip(*cols))]  # [D m | e_0]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if rows[i][k]), None)
+            if p is None:
+                raise FieldError(
+                    f"non-invertible element; minpoly {self._poly_str()} is reducible"
+                )
+            rows[k], rows[p] = rows[p], rows[k]
+            piv = rows[k]
+            for i in range(k + 1, d):
+                r = rows[i]
+                r[k + 1:] = [(piv[k] * r[j] - r[k] * piv[j]) // prev for j in range(k + 1, d + 1)]
+            prev = piv[k]
+        # back substitution for x = prev * u, which is integral by Cramer's rule
+        x = [0] * d
+        for i in reversed(range(d)):
+            r = rows[i]
+            s = prev * r[d] - sum(r[j] * x[j] for j in range(i + 1, d))
+            x[i] = s // r[i]
+        scale = den * D if prev > 0 else -den * D
+        return self._normal([scale * c for c in x], abs(prev))
+
+    def _is_zero(self, a):
+        return a == self._zero_v
+
+    def _from_int(self, n):
+        return (n,) + self._pad, 1
 
 
 @functools.cache

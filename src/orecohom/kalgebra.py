@@ -294,14 +294,27 @@ class AlgebraK:
         return Mat.from_columns(self.field, cols, self.dim)
 
     def center_basis(self) -> Mat:
-        rows = []
-        for i in range(self.dim):
-            e = self.basis_elem(i).coords
-            L = self.left_mult_matrix(e)
-            R = self.right_mult_matrix(e)
-            for r1, r2 in zip(L.data, R.data):
-                rows.append([a - b for a, b in zip(r1, r2)])
-        return kernel_basis(Mat(self.field, rows, self.dim))
+        """Basis (columns) of the center {z : e_i z = z e_i for every i}."""
+        return self._center
+
+    @functools.cached_property
+    def _center(self) -> Mat:
+        # row (i, k), column j: the e_k coefficient of e_i e_j - e_j e_i, read
+        # off the nonzero structure constants; all-zero rows are left out
+        rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (i, j), terms in self.mul_table.items():
+            for k, s in terms:
+                row = rows.setdefault((i, k), {})
+                row[j] = row[j] + s if j in row else s
+                row = rows.setdefault((j, k), {})
+                row[i] = row[i] - s if i in row else -s
+        zero = self.field.zero
+        dense = []
+        for key in sorted(rows):
+            entries = {j: a for j, a in rows[key].items() if not a.is_zero()}
+            if entries:
+                dense.append([entries.get(j, zero) for j in range(self.dim)])
+        return kernel_basis(Mat(self.field, dense, self.dim))
 
 
 def algebra_validate(K: AlgebraK) -> ValidationReport:

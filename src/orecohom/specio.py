@@ -240,7 +240,7 @@ def build_instance(spec: dict) -> Instance:
     alpha, chi = _build_alpha(field, K, chi, rot, spec.get("alpha"))
     f_coeffs, n = _build_f(field, K, _need(spec, "f", "the spec"))
     max_degree = spec.get("max_degree")
-    if max_degree is not None and (not isinstance(max_degree, int) or max_degree < 1):
+    if max_degree is not None and (type(max_degree) is not int or max_degree < 1):
         raise SpecError("max_degree must be a positive integer")
     options = spec.get("options", {})
     if not isinstance(options, dict):

@@ -1,13 +1,27 @@
 """Helpers shared by more than one test module, and the computations that
 faster code replaced, kept verbatim as oracles for it."""
 
+import functools
+import logging
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orecohom import instances
 from orecohom.cohomology import Bimodule, build_small_complex
-from orecohom.fields import ExtensionField, PrimeField, RationalField
+from orecohom.fields import (
+    ExtensionField,
+    Field,
+    FieldError,
+    NumberField,
+    PrimeField,
+    RationalField,
+    Scalar,
+    _certify_irreducible,
+    poly_scale,
+    poly_xgcd,
+)
 from orecohom.instances import gh4_instance
 from orecohom.kalgebra import endo_from_character, group_algebra, quaternion_algebra
 from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis
@@ -140,6 +154,15 @@ def dense_is_zero(field, a) -> bool:
     raise TypeError(field)
 
 
+def legacy_payload(field, x):
+    """The payload x had before extensions of QQ moved to integers over one
+    denominator: a tuple of Fraction coordinates.  Other fields kept theirs."""
+    if isinstance(field, NumberField):
+        nums, den = x.v
+        return tuple(Fraction(n, den) for n in nums)
+    return x.v
+
+
 def dense_vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
@@ -260,6 +283,19 @@ def dense_d_ambient(self, r: int, v: tuple) -> tuple:
     return out
 
 
+def dense_center_basis(self) -> Mat:
+    """`AlgebraK.center_basis` before it was built once per algebra from the
+    nonzero structure constants: a dense dim^2 x dim kernel on every call."""
+    rows = []
+    for i in range(self.dim):
+        e = self.basis_elem(i).coords
+        L = self.left_mult_matrix(e)
+        R = self.right_mult_matrix(e)
+        for r1, r2 in zip(L.data, R.data):
+            rows.append([a - b for a, b in zip(r1, r2)])
+    return kernel_basis(Mat(self.field, rows, self.dim))
+
+
 # -- the dense eliminations `EchelonTracker` replaced ---------------------------
 
 
@@ -340,3 +376,186 @@ class DenseLinSolver(LinSolver):
         self.pivots = pivots
         self.rank = len(pivots)
         self.E = [row[M.cols:] for row in aug]  # E @ M is the rref
+
+
+# -- the field payload the integer one replaced ---------------------------------
+
+logger = logging.getLogger("orecohom.fields")
+
+
+class LegacyExtensionField(Field):
+    """`ExtensionField` before extensions of QQ stored integer coordinates
+    over one denominator: every payload a tuple of base payloads (Fractions
+    over QQ).  Kept verbatim, apart from its name, as an oracle for
+    `NumberField`; build it directly, not through `extension_field`."""
+
+    def __init__(self, base: Field, minpoly: tuple, symbol: str):
+        if isinstance(base, ExtensionField):
+            raise FieldError("towers are not supported; give one minpoly over QQ or GF(p)")
+        if not isinstance(base, (RationalField, PrimeField)):
+            raise FieldError(f"unsupported extension base {base}")
+        coeffs = [base.scalar(c) if not isinstance(c, Scalar) else c for c in minpoly]
+        if len(coeffs) < 2:
+            raise FieldError("minpoly must have degree >= 1")
+        if coeffs[-1] != base.one:
+            raise FieldError("minpoly must be monic")
+        self.base = base
+        self.minpoly = tuple(c.v for c in coeffs)
+        self.symbol = symbol
+        self.deg = len(coeffs) - 1
+        self.char = base.char
+        cert = _certify_irreducible(coeffs, base)
+        if cert is False:
+            raise FieldError(f"minpoly {self._poly_str()} is reducible over {base}")
+        if cert is None:
+            logger.warning(
+                "irreducibility of %s over %s not certified (degree > 4); trusting caller",
+                self._poly_str(), base,
+            )
+        # precompute reductions of t^deg .. t^{2 deg - 2}
+        self._tpow = self._reduction_table()
+
+    def _poly_str(self) -> str:
+        return " + ".join(
+            f"{self.base._repr(c)}*t^{i}" for i, c in enumerate(self.minpoly)
+        )
+
+    def _reduction_table(self):
+        b = self.base
+        d = self.deg
+        top = tuple(b._neg(c) for c in self.minpoly[:-1])  # t^d = -(lower part)
+        table = [top]
+        for _ in range(d - 2):
+            prev = table[-1]
+            shifted = (b._from_int(0),) + prev[:-1]
+            carry = prev[-1]
+            table.append(
+                tuple(b._add(shifted[i], b._mul(carry, top[i])) for i in range(d))
+            )
+        return table
+
+    @functools.cached_property
+    def gen(self) -> Scalar:
+        """The designated root t of the minimal polynomial."""
+        b = self.base
+        coords = [b._from_int(0)] * self.deg
+        if self.deg == 1:
+            coords[0] = self._tpow[0][0]
+        else:
+            coords[1] = b._from_int(1)
+        return Scalar(self, tuple(coords))
+
+    def _add(self, a, b):
+        bb = self.base
+        return tuple(bb._add(a[i], b[i]) for i in range(self.deg))
+
+    def _neg(self, a):
+        bb = self.base
+        return tuple(bb._neg(c) for c in a)
+
+    def _mul(self, a, b):
+        bb = self.base
+        d = self.deg
+        raw = [bb._from_int(0)] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                raw[i + j] = bb._add(raw[i + j], bb._mul(ai, bj))
+        out = list(raw[:d])
+        for k in range(d, 2 * d - 1):
+            c = raw[k]
+            if not c:
+                continue
+            red = self._tpow[k - d]
+            for i in range(d):
+                out[i] = bb._add(out[i], bb._mul(c, red[i]))
+        return tuple(out)
+
+    def _inv(self, a):
+        bb = self.base
+        apoly = [Scalar(bb, c) for c in a]
+        mpoly = [Scalar(bb, c) for c in self.minpoly]
+        g, u, _ = poly_xgcd(apoly, mpoly, bb)
+        if len(g) != 1:
+            raise FieldError(
+                f"non-invertible element; minpoly {self._poly_str()} is reducible"
+            )
+        u = poly_scale(u, g[0].inv())
+        coords = [c.v for c in u] + [bb._from_int(0)] * (self.deg - len(u))
+        return tuple(coords[: self.deg])
+
+    def _is_zero(self, a):
+        return not any(a)
+
+    def _from_int(self, n):
+        bb = self.base
+        return tuple([bb._from_int(n)] + [bb._from_int(0)] * (self.deg - 1))
+
+    def _coerce_payload(self, x):
+        bb = self.base
+        if isinstance(x, Fraction) and self.char == 0:
+            return tuple([x] + [bb._from_int(0)] * (self.deg - 1))
+        if isinstance(x, (list, tuple)):
+            if len(x) > self.deg:
+                raise FieldError(f"coordinate vector longer than degree {self.deg}")
+            coords = [bb.scalar(c).v for c in x]
+            coords += [bb._from_int(0)] * (self.deg - len(coords))
+            return tuple(coords)
+        raise FieldError(f"cannot interpret {x!r} as an element of {self}")
+
+    def _repr(self, a):
+        terms = []
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            cs = self.base._repr(c)
+            if i == 0:
+                terms.append(cs)
+            elif i == 1:
+                terms.append(f"{cs}*{self.symbol}" if cs != "1" else self.symbol)
+            else:
+                terms.append(
+                    f"{cs}*{self.symbol}^{i}" if cs != "1" else f"{self.symbol}^{i}"
+                )
+        return " + ".join(terms) if terms else "0"
+
+    def describe(self):
+        d = {
+            "kind": "ext",
+            "minpoly": [self.base.encode(Scalar(self.base, c)) for c in self.minpoly],
+            "symbol": self.symbol,
+        }
+        if isinstance(self.base, PrimeField):
+            d["p"] = self.base.p
+        return d
+
+    def encode(self, s):
+        v = self.scalar(s).v
+        return [self.base.encode(Scalar(self.base, c)) for c in v]
+
+    def decode(self, obj):
+        if isinstance(obj, int):
+            return self.from_int(obj)
+        if isinstance(obj, str) and self.char == 0:
+            return self.scalar(Fraction(obj))
+        if isinstance(obj, list):
+            return self.scalar([self.base.decode(c) for c in obj])
+        raise FieldError(f"bad {self} encoding: {obj!r}")
+
+    def random_element(self, rng, bound: int = 9):
+        return self.scalar(
+            [self.base.random_element(rng, bound) for _ in range(self.deg)]
+        )
+
+    def elements(self):
+        if self.char == 0:
+            raise FieldError("infinite field")
+        import itertools
+
+        base_payloads = [e.v for e in self.base.elements()]
+        for combo in itertools.product(base_payloads, repeat=self.deg):
+            yield Scalar(self, tuple(combo))
+
+    def __repr__(self):
+        return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"

@@ -136,6 +136,17 @@ def test_ill_typed_oracle_bound_option_exits_2(tmp_path, capsys):
     assert "oracle_bound must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_max_degree_exits_2(tmp_path, capsys, flag):
+    raw = json.loads(Path(spec("sweedler.json")).read_text())
+    raw["max_degree"] = flag
+    p = tmp_path / "bool_degree.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["cohomology", str(p)])
+    assert rc == 2
+    assert "max_degree must be a positive integer" in capsys.readouterr().err
+
+
 def test_negative_oracle_bound_flag_exits_2(capsys):
     rc = main(["products", spec("sweedler.json"), "--oracle-bound", "-1"])
     assert rc == 2

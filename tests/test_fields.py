@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from conftest import LegacyExtensionField, legacy_payload
 
 from orecohom.fields import (
     QQ,
@@ -200,3 +202,89 @@ def test_scalar_hash_and_repr():
     assert repr(s) == "1 + i"
     d = {s: 1}
     assert d[Qi.one + Qi.gen] == 1
+
+
+# -- extensions of QQ against the Fraction-tuple payload they replaced ---------
+
+# The cubic's minpoly has non-integer coefficients, so its reduction table
+# has a common denominator other than 1.
+NUMBER_FIELDS = {
+    "QQ(i)": ([1, 0, 1], "i"),
+    "QQ(sqrt2)": ([-2, 0, 1], "s"),
+    "cubic": ([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), 1], "w"),
+}
+
+
+@pytest.fixture(params=sorted(NUMBER_FIELDS))
+def number_field(request):
+    """The field and the old `ExtensionField` (kept in conftest.py) on the
+    same minpoly, with matching elements of both built from the same
+    coordinates: 0, 1, -1, the generator and 40 random ones, some of them
+    with zero coordinates."""
+    minpoly, symbol = NUMBER_FIELDS[request.param]
+    F, L = extension_field(QQ, minpoly, symbol), LegacyExtensionField(QQ, minpoly, symbol)
+    pairs = [(F.zero, L.zero), (F.one, L.one), (-F.one, -L.one), (F.gen, L.gen)]
+    rng = random.Random(11)
+    for _ in range(40):
+        coords = [QQ.random_element(rng, 4) if rng.random() < 0.7 else QQ.zero for _ in range(F.deg)]
+        pairs.append((F.scalar(coords), L.scalar(coords)))
+    return F, L, pairs
+
+
+def assert_normalised(F, x):
+    nums, den = x.v
+    assert type(den) is int and den > 0, x.v
+    assert len(nums) == F.deg and all(type(n) is int for n in nums), x.v
+    assert gcd(den, *nums) == 1, x.v
+    assert any(nums) or x.v == ((0,) * F.deg, 1), x.v
+
+
+def test_number_field_payloads_match_legacy(number_field):
+    F, L, pairs = number_field
+    if F.deg == 3:
+        assert F._tden > 1
+    for x, y in pairs:
+        assert_normalised(F, x)
+        assert legacy_payload(F, x) == y.v
+        assert x.is_zero() == y.is_zero() == (x == F.zero)
+        assert repr(x) == repr(y)
+        assert F.encode(x) == L.encode(y)
+        assert F.decode(F.encode(x)) == x and F.decode(F.encode(x)).v == x.v
+        assert legacy_payload(F, -x) == (-y).v
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inv()
+            with pytest.raises(ZeroDivisionError):
+                y.inv()
+        else:
+            assert_normalised(F, x.inv())
+            assert legacy_payload(F, x.inv()) == y.inv().v
+            assert x * x.inv() == F.one
+
+
+def test_number_field_arithmetic_matches_legacy(number_field):
+    F, L, pairs = number_field
+    for x1, y1 in pairs:
+        for x2, y2 in pairs:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                out = op(x1, x2)
+                assert_normalised(F, out)
+                assert legacy_payload(F, out) == op(y1, y2).v
+            assert (x1 == x2) == (y1 == y2)
+            # equal values built two ways have equal payloads, so equal hashes
+            for a, b in (((x1 + x2) - x2, x1), (x1 * x2, x2 * x1)):
+                assert a == b and a.v == b.v and hash(a) == hash(b)
+        assert (x1 - x1).v == F.zero.v == ((0,) * F.deg, 1)
+
+
+def test_number_field_non_invertible_element():
+    # (t^2 + 1)(t^3 + 2): degree 5, so irreducibility is not certified
+    minpoly = [2, 0, 2, 1, 0, 1]
+    F, L = extension_field(QQ, minpoly, "t"), LegacyExtensionField(QQ, minpoly, "t")
+    divisor = [1, 0, 1]
+    with pytest.raises(FieldError):
+        F.scalar(divisor).inv()
+    with pytest.raises(FieldError):
+        L.scalar(divisor).inv()
+    unit = F.scalar([1, 1])
+    assert legacy_payload(F, unit.inv()) == L.scalar([1, 1]).inv().v

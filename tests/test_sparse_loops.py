@@ -1,10 +1,11 @@
 """The sparse inner loops against the dense ones they replaced (kept in
 conftest.py): the payload zero tests, vector sums and scalings, matrix
 products, `LinSolver.solve`, the eliminations behind `rref`, `kernel_basis`,
-`rank` and `LinSolver`, `AlgebraK.kmul`, `MonogenicAlgebra.a_mul` and
-`SmallComplex.d_ambient`.  They run on random vectors whose zero patterns
-are random (all-zero and all-nonzero included) over QQ, GF(7), QQ(i) and
-GF(9), on every canned instance and on every demo spec."""
+`rank` and `LinSolver`, `AlgebraK.kmul`, `AlgebraK.center_basis`,
+`MonogenicAlgebra.a_mul` and `SmallComplex.d_ambient`.  They run on random
+vectors whose zero patterns are random (all-zero and all-nonzero included)
+over QQ, GF(7), QQ(i) and GF(9), on every canned instance and on every demo
+spec."""
 
 import random
 
@@ -14,6 +15,7 @@ from conftest import (
     SPECS,
     DenseLinSolver,
     dense_a_mul,
+    dense_center_basis,
     dense_d_ambient,
     dense_is_zero,
     dense_kernel_basis,
@@ -24,6 +26,7 @@ from conftest import (
     dense_solve,
     dense_vadd,
     dense_vscale,
+    legacy_payload,
 )
 
 from orecohom.cohomology import Bimodule, build_small_complex
@@ -90,7 +93,8 @@ def test_payload_zero_tests_match(name):
         elements += [F.scalar([b.zero, b.one]), F.scalar([b.one, b.zero]), F.gen]
     assert any(x == F.zero for x in elements[3:])
     for x in elements:
-        assert F._is_zero(x.v) == dense_is_zero(F, x.v) == x.is_zero() == (x == F.zero), x
+        old = legacy_payload(F, x)
+        assert F._is_zero(x.v) == dense_is_zero(F, old) == x.is_zero() == (x == F.zero), x
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -202,6 +206,12 @@ def test_kmul_matches(case):
     pairs += [(vector(K.field, K.dim, rng, du), vector(K.field, K.dim, rng, dv)) for du in DENSITIES for dv in DENSITIES]
     for u, v in pairs:
         assert K.kmul(u, v) == dense_kmul(K, u, v)
+
+
+def test_center_basis_matches(case):
+    K = case[0].K
+    assert K.center_basis() == dense_center_basis(K)
+    assert K.center_basis() is K.center_basis()
 
 
 def test_a_mul_matches(case):

@@ -162,7 +162,8 @@ class Field:
         return Scalar(self, self._from_int(n))
 
     def scalar(self, x) -> Scalar:
-        """Coerce an int, Fraction, Scalar, or raw payload into this field."""
+        """Coerce an int, Fraction, Scalar, string such as "3/4" (QQ) or coordinate
+        list (extensions, constant-first) into this field."""
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise FieldError(f"cannot coerce scalar of {x.field} into {self}")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 
-from .kalgebra import ValidationReport, twisted_kernel
+from .kalgebra import ValidationReport, mult_matrix, sparse_rows, twisted_kernel
 from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis
-from .monogenic import AElem, MonogenicAlgebra, twist_exponent
+from .monogenic import MonogenicAlgebra, twist_exponent
 
 
 class CohomologyError(ValueError):
@@ -38,26 +38,12 @@ class Bimodule:
     @classmethod
     def regular(cls, alg: MonogenicAlgebra) -> "Bimodule":
         """M = A with multiplication actions."""
-        dim = alg.adim
-
-        def mat_of(op) -> Mat:
-            cols = []
-            for j in range(dim):
-                coords = [alg.field.zero] * dim
-                coords[j] = alg.field.one
-                cols.append(op(AElem(alg, coords)).coords)
-            return Mat.from_columns(alg.field, cols, dim)
-
-        L_k = [
-            mat_of(lambda v, b=b: alg.a_mul(alg.k_embed(alg.K.basis_elem(b)), v))
-            for b in range(alg.K.dim)
-        ]
-        R_k = [
-            mat_of(lambda v, b=b: alg.a_mul(v, alg.k_embed(alg.K.basis_elem(b))))
-            for b in range(alg.K.dim)
-        ]
-        Lx = mat_of(lambda v: alg.a_mul(alg.x, v))
-        Rx = mat_of(lambda v: alg.a_mul(v, alg.x))
+        F, dim, table = alg.field, alg.adim, alg.mul_table
+        basis = [alg.k_embed(alg.K.basis_elem(b)).coords for b in range(alg.K.dim)]
+        L_k = [mult_matrix(F, dim, table, u) for u in basis]
+        R_k = [mult_matrix(F, dim, table, u, left=False) for u in basis]
+        Lx = mult_matrix(F, dim, table, alg.x.coords)
+        Rx = mult_matrix(F, dim, table, alg.x.coords, left=False)
         return cls(alg, L_k, Lx, R_k, Rx)
 
     @classmethod
@@ -91,6 +77,11 @@ class Bimodule:
         if e not in self._Rx_pow:
             self._Rx_pow[e] = self.Rx.matmul(self.Rx_pow(e - 1))
         return self._Rx_pow[e]
+
+    @functools.cached_property
+    def sparse_actions(self) -> tuple[list, list]:
+        """The ``sparse_rows`` of R_k and of L_k, read once per bimodule."""
+        return [sparse_rows(A) for A in self.R_k], [sparse_rows(A) for A in self.L_k]
 
     @functools.cached_property
     def d_odd(self) -> Mat:
@@ -175,7 +166,7 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     share one solve."""
     twist = M.alg.alpha.power_matrix(r)
     if twist.data not in M._invariants:
-        M._invariants[twist.data] = twisted_kernel(M.field, M.dim, M.R_k, M.L_k, twist)
+        M._invariants[twist.data] = twisted_kernel(M.field, M.dim, *M.sparse_actions, twist)
     return M._invariants[twist.data]
 
 

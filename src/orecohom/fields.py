@@ -182,7 +182,7 @@ class Field:
         raise NotImplementedError
 
     def decode(self, obj) -> Scalar:
-        """Inverse of :meth:`encode`; also accepts plain ints."""
+        """Inverse of :meth:`encode`; also accepts plain ints, not booleans."""
         raise NotImplementedError
 
     def random_element(self, rng, bound: int = 9) -> Scalar:
@@ -254,6 +254,8 @@ class RationalField(Field):
         return f"{f.numerator}/{f.denominator}"
 
     def decode(self, obj):
+        if isinstance(obj, bool):
+            raise FieldError("booleans are not field elements")
         if isinstance(obj, int):
             return self.from_int(obj)
         if isinstance(obj, str):
@@ -312,6 +314,8 @@ class PrimeField(Field):
         return self.scalar(s).v
 
     def decode(self, obj):
+        if isinstance(obj, bool):
+            raise FieldError("booleans are not field elements")
         if isinstance(obj, int):
             return self.from_int(obj)
         raise FieldError(f"bad GF({self.p}) encoding: {obj!r}")
@@ -745,6 +749,8 @@ class ExtensionField(Field):
         return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
 
     def decode(self, obj):
+        if isinstance(obj, bool):
+            raise FieldError("booleans are not field elements")
         if isinstance(obj, int):
             return self.from_int(obj)
         if isinstance(obj, str) and self.char == 0:

@@ -2,8 +2,10 @@
 
 An :class:`AlgebraK` stores sparse structure constants c_{ij}^k over one exact
 field together with optional group metadata.  Twisting endomorphisms live in
-:class:`Endo`; the group-algebra case builds them from characters.  Everything
-is validated exhaustively at desk scale (all basis triples).
+:class:`Endo`; the group-algebra case builds them from characters.  The checks
+are exact and read the nonzero structure constants: the unit law on every basis
+element, associativity as L(e_i e_j) = L(e_i) L(e_j) for the left
+multiplications L, and a twist's multiplicativity on every basis pair.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, kernel_basis, rank, support, vadd, vscale
+from .linalg import EchelonTracker, Mat, combine, kernel_basis, rank, support, vadd, vscale
 
 
 class AlgebraError(ValueError):
@@ -285,13 +287,39 @@ class AlgebraK:
     def one(self) -> KElem:
         return KElem(self, self.unit)
 
+    @functools.cached_property
+    def basis_products(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """e_i e_j as a sparse vector {k: coefficient} for each pair (i, j)
+        whose product is nonzero.  Repeated (i, j, k) entries of the table are
+        summed, as `kmul` sums them."""
+        out = {}
+        for ij, terms in self.mul_table.items():
+            prod: dict[int, Scalar] = {}
+            for k, s in terms:
+                prod[k] = prod[k] + s if k in prod else s
+            prod = {k: s for k, s in prod.items() if not s.is_zero()}
+            if prod:
+                out[ij] = prod
+        return out
+
+    @functools.cached_property
+    def sparse_actions(self) -> tuple[list, list]:
+        """The ``sparse_rows`` of R(e_b) and of L(e_b) for each basis element
+        e_b, read off the nonzero structure constants: e_i e_j = sum c e_k
+        puts (i, c) in row k of R(e_j) and (j, c) in row k of L(e_i)."""
+        right = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        left = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j), prod in sorted(self.basis_products.items()):
+            for k, c in prod.items():
+                right[j][k].append((i, c))
+                left[i][k].append((j, c))
+        return right, left
+
     def left_mult_matrix(self, u: tuple) -> Mat:
-        cols = [self.kmul(u, self.basis_elem(j).coords) for j in range(self.dim)]
-        return Mat.from_columns(self.field, cols, self.dim)
+        return mult_matrix(self.field, self.dim, self.mul_table, u)
 
     def right_mult_matrix(self, u: tuple) -> Mat:
-        cols = [self.kmul(self.basis_elem(j).coords, u) for j in range(self.dim)]
-        return Mat.from_columns(self.field, cols, self.dim)
+        return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
     def center_basis(self) -> Mat:
         """Basis (columns) of the center {z : e_i z = z e_i for every i}."""
@@ -317,19 +345,42 @@ class AlgebraK:
         return kernel_basis(Mat(self.field, dense, self.dim))
 
 
+def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:
+    """The matrix of v -> u v (or v -> v u when ``left`` is false) on an algebra
+    with basis products ``table``: {(i, j): [(k, s), ...]} for
+    e_i e_j = sum of s e_k.  Column j, u e_j (or e_j u), is read off the
+    nonzero entries of u and the table."""
+    data = [[field.zero] * dim for _ in range(dim)]
+    for i, a in support(u):
+        for j in range(dim):
+            terms = table.get((i, j) if left else (j, i))
+            if terms:
+                for k, s in terms:
+                    data[k][j] = data[k][j] + a * s
+    return Mat(field, data, dim)
+
+
 def algebra_validate(K: AlgebraK) -> ValidationReport:
+    """Check the unit law on every basis element, then associativity as the
+    exact test L(e_i e_j) = L(e_i) L(e_j), with L(u) the matrix of v -> u v.
+    Column k of the two sides is (e_i e_j) e_k and e_i (e_j e_k); both are
+    summed from the nonzero structure constants and compared for each triple
+    (i, j, k) in lexicographic order.  Reports every unit failure and the
+    first failing triple."""
     failures = []
     for i in range(K.dim):
         e = K.basis_elem(i).coords
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
-    for i, j, k in itertools.product(range(K.dim), repeat=3):
-        ei, ej, ek = (K.basis_elem(t).coords for t in (i, j, k))
-        lhs = K.kmul(K.kmul(ei, ej), ek)
-        rhs = K.kmul(ei, K.kmul(ej, ek))
-        if lhs != rhs:
-            failures.append(f"associativity fails at triple ({i},{j},{k})")
-            return ValidationReport(False, tuple(failures))
+    prod, none = K.basis_products, {}
+    for i, j in itertools.product(range(K.dim), repeat=2):
+        eij = prod.get((i, j), none).items()
+        for k in range(K.dim):
+            lhs = combine((c, prod.get((m, k), none)) for m, c in eij)
+            rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
+            if lhs != rhs:
+                failures.append(f"associativity fails at triple ({i},{j},{k})")
+                return ValidationReport(False, tuple(failures))
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -400,14 +451,24 @@ class Endo:
         return None
 
     def validate(self) -> ValidationReport:
+        """Check that alpha fixes the unit and that alpha(e_i e_j) =
+        alpha(e_i) alpha(e_j) for each basis pair (i, j) in lexicographic
+        order, with alpha(e_i) the sparse column i of the matrix and the
+        products read from the nonzero structure constants.  Reports the
+        first failing pair."""
         failures = []
         alg = self.alg
         if self.apply(alg.unit) != alg.unit:
             failures.append("endomorphism does not fix the unit")
+        prod, none = alg.basis_products, {}
+        image = [dict(support(self.matrix.column(i))) for i in range(alg.dim)]
         for i, j in itertools.product(range(alg.dim), repeat=2):
-            ei, ej = alg.basis_elem(i).coords, alg.basis_elem(j).coords
-            lhs = self.apply(alg.kmul(ei, ej))
-            rhs = alg.kmul(self.apply(ei), self.apply(ej))
+            lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
+            rhs = combine(
+                (a * b, prod.get((p, q), none))
+                for p, a in image[i].items()
+                for q, b in image[j].items()
+            )
             if lhs != rhs:
                 failures.append(f"multiplicativity fails at pair ({i},{j})")
                 return ValidationReport(False, tuple(failures))
@@ -542,22 +603,21 @@ def quaternion_algebra(
     return alg, alpha
 
 
-def _sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:
+def sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero (column, entry) pairs of each row of A."""
     return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A.data]
 
 
-def twisted_kernel(field: Field, dim: int, R_k: list[Mat], L_k: list[Mat], twist: Mat) -> Mat:
+def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) -> Mat:
     """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
 
     With R_b and L_c the right and left actions of K's basis elements on a
-    dim-dimensional module and ``twist`` the matrix of alpha^r, these are the
-    m with m e_b = alpha^r(e_b) m.  The rows of each constraint
-    R_b - L(alpha^r(e_b)) are assembled from the nonzero entries of the action
-    matrices and of column b of ``twist`` only, and reduced one at a time into
-    a single echelon, stopping at full rank, whose free-variable kernel is
-    the basis."""
-    right = [_sparse_rows(A) for A in R_k]
-    left = [_sparse_rows(A) for A in L_k]
+    dim-dimensional module, given as their ``sparse_rows`` in ``right`` and
+    ``left``, and ``twist`` the matrix of alpha^r, these are the m with
+    m e_b = alpha^r(e_b) m.  The rows of each constraint R_b - L(alpha^r(e_b))
+    are assembled from the nonzero entries of the action matrices and of
+    column b of ``twist`` only, and reduced one at a time into a single
+    echelon, stopping at full rank, whose free-variable kernel is the basis."""
     zero = field.zero
     tracker = EchelonTracker(field, dim)
     for b, R in enumerate(right):
@@ -586,12 +646,5 @@ def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
         raise AlgebraError("the twist is an endomorphism of another algebra")
     twist = alpha.power_matrix(r)
     if twist.data not in alpha._invariants:
-        basis = [K.basis_elem(i).coords for i in range(K.dim)]
-        alpha._invariants[twist.data] = twisted_kernel(
-            K.field,
-            K.dim,
-            [K.right_mult_matrix(e) for e in basis],
-            [K.left_mult_matrix(e) for e in basis],
-            twist,
-        )
+        alpha._invariants[twist.data] = twisted_kernel(K.field, K.dim, *K.sparse_actions, twist)
     return alpha._invariants[twist.data]

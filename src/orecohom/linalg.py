@@ -34,6 +34,17 @@ def support(v: tuple) -> list[tuple[int, Scalar]]:
     return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
 
 
+def combine(terms) -> dict[int, Scalar]:
+    """The sum of c * v over the (c, v) in ``terms``, each v a sparse vector
+    {index: entry}, as a sparse vector with its zero entries dropped."""
+    out: dict[int, Scalar] = {}
+    for c, v in terms:
+        for k, s in v.items():
+            t = c * s
+            out[k] = out[k] + t if k in out else t
+    return {k: s for k, s in out.items() if not s.is_zero()}
+
+
 def is_zero_vec(a: tuple) -> bool:
     return all(x.is_zero() for x in a)
 

@@ -21,7 +21,7 @@ import itertools
 
 from .fields import Field, Scalar
 from .kalgebra import AlgebraK, Endo, KElem, ValidationReport
-from .linalg import support, vadd, vscale
+from .linalg import combine, support, vadd, vscale
 
 
 class MonogenicError(ValueError):
@@ -295,22 +295,32 @@ class MonogenicAlgebra:
                     row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
             nf.append(row)
         self.xpow_nf = nf
-        # sparse multiplication table on the flat basis
+        # sparse multiplication table on the flat basis:
+        # (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2), where
+        # alpha^a(e_b2) is column b2 of alpha^a and x^(a + a2) is in normal form
+        prod, none = K.basis_products, {}
+        images = [
+            [support(self.alpha.power_matrix(a).column(b2)) for b2 in range(K.dim)]
+            for a in range(n)
+        ]
+        nf_sparse = [[dict(support(cj)) for cj in row] for row in nf]
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         for b, a in itertools.product(range(K.dim), range(n)):
-            eb = K.basis_elem(b).coords
-            for b2, a2 in itertools.product(range(K.dim), range(n)):
-                u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2).coords))
-                if all(c.is_zero() for c in u):
+            for b2, image in enumerate(images[a]):
+                u = combine((t, prod.get((b, m), none)) for m, t in image)
+                if not u:
                     continue
-                terms: list[tuple[int, Scalar]] = []
-                for j, cj in enumerate(self.xpow_nf[a + a2]):
-                    w = K.kmul(u, cj)
-                    for b3, s in enumerate(w):
-                        if not s.is_zero():
-                            terms.append((self.idx(b3, j), s))
-                if terms:
-                    table[(self.idx(b, a), self.idx(b2, a2))] = terms
+                for a2 in range(n):
+                    terms: list[tuple[int, Scalar]] = []
+                    for j, cj in enumerate(nf_sparse[a + a2]):
+                        w = combine(
+                            (c * d, prod.get((m, p), none))
+                            for m, c in u.items()
+                            for p, d in cj.items()
+                        )
+                        terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
+                    if terms:
+                        table[(self.idx(b, a), self.idx(b2, a2))] = terms
         self.mul_table = table
 
     def check_compiled(self) -> None:

@@ -2,6 +2,7 @@
 faster code replaced, kept verbatim as oracles for it."""
 
 import functools
+import itertools
 import logging
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +24,8 @@ from orecohom.fields import (
     poly_xgcd,
 )
 from orecohom.instances import gh4_instance
-from orecohom.kalgebra import endo_from_character, group_algebra, quaternion_algebra
-from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis
+from orecohom.kalgebra import ValidationReport, endo_from_character, group_algebra, quaternion_algebra
+from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, vadd
 from orecohom.monogenic import AElem, MonogenicAlgebra
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
@@ -294,6 +295,123 @@ def dense_center_basis(self) -> Mat:
         for r1, r2 in zip(L.data, R.data):
             rows.append([a - b for a, b in zip(r1, r2)])
     return kernel_basis(Mat(self.field, rows, self.dim))
+
+
+# -- the coefficient-layer loops over dense basis vectors -----------------------
+
+
+def triple_loop_validate(K) -> ValidationReport:
+    """`kalgebra.algebra_validate` before it read the nonzero structure
+    constants: four dense `kmul`s per basis triple."""
+    failures = []
+    for i in range(K.dim):
+        e = K.basis_elem(i).coords
+        if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
+            failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
+    for i, j, k in itertools.product(range(K.dim), repeat=3):
+        ei, ej, ek = (K.basis_elem(t).coords for t in (i, j, k))
+        lhs = K.kmul(K.kmul(ei, ej), ek)
+        rhs = K.kmul(ei, K.kmul(ej, ek))
+        if lhs != rhs:
+            failures.append(f"associativity fails at triple ({i},{j},{k})")
+            return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
+def pair_loop_validate(self) -> ValidationReport:
+    """`Endo.validate` before it read the sparse columns of alpha: dense
+    `apply` and `kmul` calls per basis pair."""
+    failures = []
+    alg = self.alg
+    if self.apply(alg.unit) != alg.unit:
+        failures.append("endomorphism does not fix the unit")
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        ei, ej = alg.basis_elem(i).coords, alg.basis_elem(j).coords
+        lhs = self.apply(alg.kmul(ei, ej))
+        rhs = alg.kmul(self.apply(ei), self.apply(ej))
+        if lhs != rhs:
+            failures.append(f"multiplicativity fails at pair ({i},{j})")
+            return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
+def dense_left_mult_matrix(self, u: tuple) -> Mat:
+    """`AlgebraK.left_mult_matrix` before the shared sparse builder."""
+    cols = [self.kmul(u, self.basis_elem(j).coords) for j in range(self.dim)]
+    return Mat.from_columns(self.field, cols, self.dim)
+
+
+def dense_right_mult_matrix(self, u: tuple) -> Mat:
+    """`AlgebraK.right_mult_matrix` before the shared sparse builder."""
+    cols = [self.kmul(self.basis_elem(j).coords, u) for j in range(self.dim)]
+    return Mat.from_columns(self.field, cols, self.dim)
+
+
+def dense_regular(cls, alg: MonogenicAlgebra) -> Bimodule:
+    """`Bimodule.regular` before the shared sparse builder: each action
+    matrix from dim `a_mul` calls on dense basis vectors (`mat_of`)."""
+    dim = alg.adim
+
+    def mat_of(op) -> Mat:
+        cols = []
+        for j in range(dim):
+            coords = [alg.field.zero] * dim
+            coords[j] = alg.field.one
+            cols.append(op(AElem(alg, coords)).coords)
+        return Mat.from_columns(alg.field, cols, dim)
+
+    L_k = [
+        mat_of(lambda v, b=b: alg.a_mul(alg.k_embed(alg.K.basis_elem(b)), v))
+        for b in range(alg.K.dim)
+    ]
+    R_k = [
+        mat_of(lambda v, b=b: alg.a_mul(v, alg.k_embed(alg.K.basis_elem(b))))
+        for b in range(alg.K.dim)
+    ]
+    Lx = mat_of(lambda v: alg.a_mul(alg.x, v))
+    Rx = mat_of(lambda v: alg.a_mul(v, alg.x))
+    return cls(alg, L_k, Lx, R_k, Rx)
+
+
+def dense_compile(self) -> None:
+    """`MonogenicAlgebra._compile` before it read the K products from the
+    structure constants: dense `kmul`s on basis vectors.  It sets
+    ``xpow_nf`` and ``mul_table`` on self, so run it on a copy."""
+    K, n = self.K, self.n
+    # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
+    zero = tuple(self.field.zero for _ in range(K.dim))
+    nf: list[list[tuple]] = []
+    for m in range(n):
+        row = [zero] * n
+        row[m] = K.unit
+        nf.append(row)
+    for m in range(n, 2 * n + 1):
+        row = [zero] * n
+        for i, li in enumerate(self.f_coeffs, start=1):
+            if all(c.is_zero() for c in li):
+                continue
+            c = self.alpha.apply_power(m - n, li)
+            for j, prev in enumerate(nf[m - i]):
+                row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+        nf.append(row)
+    self.xpow_nf = nf
+    # sparse multiplication table on the flat basis
+    table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for b, a in itertools.product(range(K.dim), range(n)):
+        eb = K.basis_elem(b).coords
+        for b2, a2 in itertools.product(range(K.dim), range(n)):
+            u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2).coords))
+            if all(c.is_zero() for c in u):
+                continue
+            terms: list[tuple[int, Scalar]] = []
+            for j, cj in enumerate(self.xpow_nf[a + a2]):
+                w = K.kmul(u, cj)
+                for b3, s in enumerate(w):
+                    if not s.is_zero():
+                        terms.append((self.idx(b3, j), s))
+            if terms:
+                table[(self.idx(b, a), self.idx(b2, a2))] = terms
+    self.mul_table = table
 
 
 # -- the dense eliminations `EchelonTracker` replaced ---------------------------

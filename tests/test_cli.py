@@ -147,6 +147,24 @@ def test_boolean_max_degree_exits_2(tmp_path, capsys, flag):
     assert "max_degree must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["K mul", "K unit", "alpha", "f"])
+def test_boolean_coefficient_exits_2(tmp_path, capsys, where):
+    raw = json.loads(Path(spec("swap3.json")).read_text())
+    if where == "K mul":
+        raw["K"]["mul"][1][3] = True
+    elif where == "K unit":
+        raw["K"]["unit"][0] = True
+    elif where == "alpha":
+        raw["alpha"]["matrix"][0][1] = True
+    else:
+        raw["f"]["coeffs"][2][0] = True
+    p = tmp_path / "bool_coefficient.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["validate", str(p)])
+    assert rc == 2
+    assert "booleans are not field elements" in capsys.readouterr().err
+
+
 def test_negative_oracle_bound_flag_exits_2(capsys):
     rc = main(["products", spec("sweedler.json"), "--oracle-bound", "-1"])
     assert rc == 2

@@ -31,6 +31,26 @@ def test_rationals_basic():
         QQ.zero.inv()
 
 
+DECODE_FIELDS = {
+    "QQ": lambda: QQ,
+    "GF7": lambda: prime_field(7),
+    "QQ(i)": lambda: extension_field(QQ, [1, 0, 1], "i"),
+    "GF9": lambda: extension_field(prime_field(3), [1, 0, 1], "t"),
+}
+
+
+@pytest.mark.parametrize("name", DECODE_FIELDS)
+def test_decode_rejects_booleans(name):
+    F = DECODE_FIELDS[name]()
+    assert F.decode(1) == F.one
+    for obj in (True, False):
+        with pytest.raises(FieldError, match="booleans are not field elements"):
+            F.decode(obj)
+    if F.deg > 1:
+        with pytest.raises(FieldError, match="booleans are not field elements"):
+            F.decode([True, 0])
+
+
 def test_prime_field_basic():
     F7 = prime_field(7)
     assert F7.from_int(3) * F7.from_int(5) == F7.one

@@ -52,6 +52,16 @@ def test_corrupted_constants_fail():
     assert any("associativity fails at triple" in f for f in rep.failures)
 
 
+def test_corrupted_constants_name_the_first_triple():
+    # the C3 table above with g*g redirected to 1: the unit law holds, and in
+    # lexicographic order the first triple that breaks is (g, g, g^2), where
+    # (g g) g^2 = g^2 but g (g g^2) = g
+    quads = [(a, b, (a + b) % 3, QQ.one) for a in range(3) for b in range(3)]
+    quads[quads.index((1, 1, 2, QQ.one))] = (1, 1, 0, QQ.one)
+    K = AlgebraK.from_structure_constants(QQ, 3, ["1", "g", "g^2"], (QQ.one, QQ.zero, QQ.zero), quads)
+    assert algebra_validate(K).failures == ("associativity fails at triple (1,1,2)",)
+
+
 def test_gh4_group():
     G = group_from_presentation_gh4(3)
     assert G.order == 12

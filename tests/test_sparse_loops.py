@@ -2,11 +2,14 @@
 conftest.py): the payload zero tests, vector sums and scalings, matrix
 products, `LinSolver.solve`, the eliminations behind `rref`, `kernel_basis`,
 `rank` and `LinSolver`, `AlgebraK.kmul`, `AlgebraK.center_basis`,
-`MonogenicAlgebra.a_mul` and `SmallComplex.d_ambient`.  They run on random
-vectors whose zero patterns are random (all-zero and all-nonzero included)
-over QQ, GF(7), QQ(i) and GF(9), on every canned instance and on every demo
-spec."""
+`MonogenicAlgebra.a_mul` and `SmallComplex.d_ambient`; and the coefficient
+layer built from the structure constants against its dense loops:
+`algebra_validate`, `Endo.validate`, the multiplication matrices of K,
+`Bimodule.regular` and the compiled table of A.  They run on random vectors
+whose zero patterns are random (all-zero and all-nonzero included) over QQ,
+GF(7), QQ(i) and GF(9), on every canned instance and on every demo spec."""
 
+import copy
 import random
 
 import pytest
@@ -16,23 +19,36 @@ from conftest import (
     DenseLinSolver,
     dense_a_mul,
     dense_center_basis,
+    dense_compile,
     dense_d_ambient,
     dense_is_zero,
     dense_kernel_basis,
     dense_kmul,
+    dense_left_mult_matrix,
     dense_matmul,
     dense_matvec,
+    dense_regular,
+    dense_right_mult_matrix,
     dense_rref,
     dense_solve,
     dense_vadd,
     dense_vscale,
     legacy_payload,
+    pair_loop_validate,
+    triple_loop_validate,
 )
 
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
-from orecohom.kalgebra import character_from_values, cyclic_group, endo_from_character, group_algebra
+from orecohom.kalgebra import (
+    algebra_validate,
+    character_from_values,
+    cyclic_group,
+    endo_from_character,
+    group_algebra,
+    sparse_rows,
+)
 from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, vadd, vscale
 from orecohom.monogenic import AElem, MonogenicAlgebra
 from orecohom.specio import load_instance
@@ -212,6 +228,41 @@ def test_center_basis_matches(case):
     K = case[0].K
     assert K.center_basis() == dense_center_basis(K)
     assert K.center_basis() is K.center_basis()
+
+
+def test_coefficient_checks_match(case):
+    alg = case[0]
+    assert algebra_validate(alg.K) == triple_loop_validate(alg.K)
+    assert alg.alpha.validate() == pair_loop_validate(alg.alpha)
+
+
+def test_mult_matrices_match(case):
+    K = case[0].K
+    rng = random.Random(8)
+    elems = [K.basis_elem(i).coords for i in range(K.dim)]
+    elems += [vector(K.field, K.dim, rng, d) for d in DENSITIES]
+    for u in elems:
+        assert K.left_mult_matrix(u) == dense_left_mult_matrix(K, u)
+        assert K.right_mult_matrix(u) == dense_right_mult_matrix(K, u)
+    basis = elems[: K.dim]
+    assert K.sparse_actions == (
+        [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis],
+        [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis],
+    )
+
+
+def test_regular_bimodule_matches(case):
+    alg = case[0]
+    M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
+    assert (M.L_k, M.R_k, M.Lx, M.Rx) == (D.L_k, D.R_k, D.Lx, D.Rx)
+
+
+def test_compiled_table_matches(case):
+    alg = case[0]
+    old = copy.copy(alg)
+    dense_compile(old)
+    assert old.mul_table is not alg.mul_table
+    assert (alg.mul_table, alg.xpow_nf) == (old.mul_table, old.xpow_nf)
 
 
 def test_a_mul_matches(case):

@@ -975,7 +975,6 @@ def rank_one_hopf_report(
     n: int,
     xi,
     up_to: int = 5,
-    check_brackets: bool = True,
 ) -> dict:
     """Cohomology of the extension of a group algebra by one skew generator
     whose n-th power is xi times (g1^n - 1).
@@ -1076,58 +1075,57 @@ def rank_one_hopf_report(
         mismatches.append("quotient model dimensions differ in positive degrees")
     report["dims"] = dims_a
     report["quotient_dims"] = dims_q
-    if check_brackets:
-        w_ext = find_witness(alg)
-        bracket_rows = []
-        for ma in (0, 1):
-            for mb in (0, 1):
-                ra, rb = 2 * ma + 1, 2 * mb + 1
-                deg = ra + rb - 1
-                if deg + 1 > C.max_degree:
+    w_ext = find_witness(alg)
+    bracket_rows = []
+    for ma in (0, 1):
+        for mb in (0, 1):
+            ra, rb = 2 * ma + 1, 2 * mb + 1
+            deg = ra + rb - 1
+            if deg + 1 > C.max_degree:
+                continue
+            reps_a = cohomology_group(C, ra).reps_ambient
+            reps_b = cohomology_group(C, rb).reps_ambient
+            for va in reps_a:
+                a = SmallCochain(alg, ra, AElem(alg, va))
+                lam = a.canonical_kx()
+                if lam is None:
                     continue
-                reps_a = cohomology_group(C, ra).reps_ambient
-                reps_b = cohomology_group(C, rb).reps_ambient
-                for va in reps_a:
-                    a = SmallCochain(alg, ra, AElem(alg, va))
-                    lam = a.canonical_kx()
-                    if lam is None:
+                for vb in reps_b:
+                    b = SmallCochain(alg, rb, AElem(alg, vb))
+                    mu = b.canonical_kx()
+                    if mu is None:
                         continue
-                    for vb in reps_b:
-                        b = SmallCochain(alg, rb, AElem(alg, vb))
-                        mu = b.canonical_kx()
-                        if mu is None:
-                            continue
-                        got = bracket_small_generic(a, b)
-                        closed = bracket_small_closed(a, b, w_ext)
-                        agree = classes_equal(
-                            C, deg, got.value.coords, closed.value.coords
+                    got = bracket_small_generic(a, b)
+                    closed = bracket_small_closed(a, b, w_ext)
+                    agree = classes_equal(
+                        C, deg, got.value.coords, closed.value.coords
+                    )
+                    row = {"degrees": [ra, rb], "closed_matches_oracle": agree}
+                    if not agree:
+                        mismatches.append(
+                            f"odd-odd bracket at degrees ({ra},{rb}) disagrees "
+                            f"with the recursion oracle"
                         )
-                        row = {"degrees": [ra, rb], "closed_matches_oracle": agree}
-                        if not agree:
+                    if ma == 0 and mb == 0:
+                        comm = tuple(
+                            p - q
+                            for p, q in zip(
+                                K.kmul(mu.coords, lam.coords),
+                                K.kmul(lam.coords, mu.coords),
+                            )
+                        )
+                        want = alg.monomial(comm, 1)
+                        same = classes_equal(
+                            C, deg, got.value.coords, want.coords
+                        )
+                        row["matches_commutator_class"] = same
+                        if not same:
                             mismatches.append(
-                                f"odd-odd bracket at degrees ({ra},{rb}) disagrees "
-                                f"with the recursion oracle"
+                                "degree-one bracket class is not the "
+                                "commutator class"
                             )
-                        if ma == 0 and mb == 0:
-                            comm = tuple(
-                                p - q
-                                for p, q in zip(
-                                    K.kmul(mu.coords, lam.coords),
-                                    K.kmul(lam.coords, mu.coords),
-                                )
-                            )
-                            want = alg.monomial(comm, 1)
-                            same = classes_equal(
-                                C, deg, got.value.coords, want.coords
-                            )
-                            row["matches_commutator_class"] = same
-                            if not same:
-                                mismatches.append(
-                                    "degree-one bracket class is not the "
-                                    "commutator class"
-                                )
-                        bracket_rows.append(row)
-        report["bracket_rows"] = bracket_rows
+                    bracket_rows.append(row)
+    report["bracket_rows"] = bracket_rows
     report["match"] = not mismatches
     return report
 

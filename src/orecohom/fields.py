@@ -931,10 +931,13 @@ def make_field(desc) -> Field:
     kind = desc["kind"]
     if kind == "Q":
         return QQ
+    p = desc.get("p")
+    if (kind == "Fp" or "p" in desc) and type(p) is not int:
+        raise FieldError(f"p must be an integer, got {p!r}")
     if kind == "Fp":
-        return prime_field(int(desc["p"]))
+        return prime_field(p)
     if kind == "ext":
-        base = prime_field(int(desc["p"])) if "p" in desc else QQ
+        base = prime_field(p) if "p" in desc else QQ
         minpoly = [base.decode(c) for c in desc["minpoly"]]
         return extension_field(base, minpoly, desc.get("symbol", "t"))
     raise FieldError(f"unknown field kind {kind!r}")

@@ -249,17 +249,7 @@ class AlgebraK:
         return cls(field, dim, list(basis_names), tuple(unit), table, group)
 
     def kmul(self, u: tuple, v: tuple) -> tuple:
-        out = [self.field.zero] * self.dim
-        right = support(v)
-        table = self.mul_table
-        for i, a in support(u):
-            for j, b in right:
-                terms = table.get((i, j))
-                if terms:
-                    ab = a * b
-                    for k, s in terms:
-                        out[k] = out[k] + ab * s
-        return tuple(out)
+        return table_mul(self.field, self.dim, self.mul_table, u, v)
 
     def elem(self, x) -> KElem:
         if isinstance(x, KElem):
@@ -343,6 +333,21 @@ class AlgebraK:
             if entries:
                 dense.append([entries.get(j, zero) for j in range(self.dim)])
         return kernel_basis(Mat(self.field, dense, self.dim))
+
+
+def table_mul(field: Field, dim: int, table, u: tuple, v: tuple) -> tuple:
+    """The product u v on an algebra with basis products ``table``:
+    {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k."""
+    out = [field.zero] * dim
+    right = support(v)
+    for i, a in support(u):
+        for j, b in right:
+            terms = table.get((i, j))
+            if terms:
+                ab = a * b
+                for k, s in terms:
+                    out[k] = out[k] + ab * s
+    return tuple(out)
 
 
 def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:

@@ -11,7 +11,8 @@ Conventions, fixed once here and relied on everywhere downstream:
 * A has k-basis {lambda_b x^a : b < dim K, 0 <= a < n}, flat index a*dimK + b.
 * The twisted tensor square carries k-basis {lambda_b x^a (x) x^c} with all
   middle K-coefficients pushed into the left factor through the twist:
-  u (x) mu x^c = u . alpha^{r+c}(mu) (x) x^c.  Flat index (c*n + a)*dimK + b.
+  u (x) mu x^c = u . alpha^{r+c}(mu) (x) x^c.  Flat index (c*n + a)*dimK + b,
+  that is c*dimA + i with i the flat index of lambda_b x^a in A.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import itertools
 
 from .fields import Field, Scalar
-from .kalgebra import AlgebraK, Endo, KElem, ValidationReport
+from .kalgebra import AlgebraK, Endo, KElem, ValidationReport, table_mul
 from .linalg import combine, support, vadd, vscale
 
 
@@ -227,6 +228,7 @@ class MonogenicAlgebra:
             if not rep.ok:
                 raise MonogenicError("; ".join(rep.failures))
         self.adim = K.dim * self.n
+        self._xpow_bar: dict[int, AElem] = {}
         self._compile()
         if check:
             self.check_compiled()
@@ -236,13 +238,11 @@ class MonogenicAlgebra:
     def idx(self, b: int, a: int) -> int:
         return a * self.K.dim + b
 
-    def basis_labels(self) -> list[str]:
-        out = []
-        for a in range(self.n):
-            for b in range(self.K.dim):
-                kb = self.K.basis_names[b]
-                out.append(f"{kb}*x^{a}" if a else kb)
-        return out
+    def basis_vector(self, i: int) -> AElem:
+        """The flat basis element lambda_b x^a, i = a*dimK + b."""
+        coords = [self.field.zero] * self.adim
+        coords[i] = self.field.one
+        return AElem(self, coords)
 
     @functools.cached_property
     def one(self) -> AElem:
@@ -349,17 +349,7 @@ class MonogenicAlgebra:
     # -- arithmetic ----------------------------------------------------------
 
     def a_mul(self, a: AElem, b: AElem) -> AElem:
-        out = [self.field.zero] * self.adim
-        right = support(b.coords)
-        table = self.mul_table
-        for i, ca in support(a.coords):
-            for j, cb in right:
-                terms = table.get((i, j))
-                if terms:
-                    cab = ca * cb
-                    for k, s in terms:
-                        out[k] = out[k] + cab * s
-        return AElem(self, out)
+        return AElem(self, table_mul(self.field, self.adim, self.mul_table, a.coords, b.coords))
 
     def from_ore(self, P: OrePoly) -> AElem:
         """Image of an Ore polynomial in A (reduces by f first)."""
@@ -390,26 +380,13 @@ class MonogenicAlgebra:
         return self.a_mul(half, rest)
 
     def xpow_bar(self, e: int) -> AElem:
-        """Image in A of the division quotient of x^e by f (zero for e < n)."""
-        P = OrePoly.monomial(self.K, self.alpha, self.K.unit, e)
-        q, _ = ore_divmod(P, self.f_ore())
-        if q.degree >= self.n:
-            return self.from_ore(q)
-        out = [self.field.zero] * self.adim
-        for d, vec in enumerate(q.coeffs):
-            for b, c in enumerate(vec):
-                out[self.idx(b, d)] = c
-        return AElem(self, out)
-
-    def alpha_elem(self, a: AElem, r: int = 1) -> AElem:
-        """Apply alpha^r coefficientwise: lambda x^d -> alpha^r(lambda) x^d."""
-        out = [self.field.zero] * self.adim
-        for d in range(self.n):
-            k = a.k_coeff(d)
-            img = self.alpha.apply_power(r, k.coords)
-            for b, c in enumerate(img):
-                out[self.idx(b, d)] = c
-        return AElem(self, out)
+        """Image in A of the division quotient of x^e by f (zero for e < n);
+        each exponent is divided once."""
+        bar = self._xpow_bar.get(e)
+        if bar is None:
+            q, _ = ore_divmod(OrePoly.monomial(self.K, self.alpha, self.K.unit, e), self.f_ore())
+            bar = self._xpow_bar[e] = self.from_ore(q)
+        return bar
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +396,9 @@ class MonogenicAlgebra:
 
 class TensorElem:
     """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
-    held sparsely as flat index -> nonzero Scalar."""
+    held sparsely as flat index -> nonzero Scalar.  Read by power of x, it is
+    sum_c u_c (x) x^c with left factors u_c in A, and every action is one
+    product in A on each nonzero u_c."""
 
     __slots__ = ("alg", "twist", "coords")
 
@@ -433,18 +412,19 @@ class TensorElem:
         return cls(alg, twist, {})
 
     @classmethod
-    def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
-        alg = left.alg
-        base = c * alg.adim
-        return cls(
-            alg, twist, {base + i: s for i, s in enumerate(left.coords) if not s.is_zero()}
-        )
+    def from_blocks(cls, alg: MonogenicAlgebra, twist: int, blocks: dict) -> "TensorElem":
+        """sum_c u_c (x) x^c for the entries c: u_c of ``blocks``."""
+        adim = alg.adim
+        coords = {c * adim + i: s for c, u in blocks.items() for i, s in enumerate(u.coords)}
+        return cls(alg, twist, coords)
 
-    def dense(self) -> tuple:
-        out = [self.alg.field.zero] * (self.alg.adim * self.alg.n)
-        for i, s in self.coords.items():
-            out[i] = s
-        return tuple(out)
+    @classmethod
+    def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
+        return cls.from_blocks(left.alg, twist, {c: left})
+
+    def powers(self) -> list[int]:
+        """The c with a nonzero left factor u_c, ascending."""
+        return sorted({flat // self.alg.adim for flat in self.coords})
 
     def left_factor(self, c: int) -> AElem:
         base = c * self.alg.adim
@@ -454,41 +434,26 @@ class TensorElem:
                 out[i - base] = s
         return AElem(self.alg, out)
 
-    def __add__(self, other: "TensorElem") -> "TensorElem":
+    def add_scaled(self, other: "TensorElem", s: Scalar | None = None) -> "TensorElem":
+        """self + s * other (s = None stands for 1)."""
         if self.twist != other.twist:
             raise MonogenicError("twist mismatch in tensor sum")
         out = dict(self.coords)
-        for i, s in other.coords.items():
+        for i, v in other.coords.items():
+            if s is not None:
+                v = s * v
             cur = out.get(i)
-            out[i] = s if cur is None else cur + s
+            out[i] = v if cur is None else cur + v
         return TensorElem(self.alg, self.twist, out)
 
+    def __add__(self, other: "TensorElem") -> "TensorElem":
+        return self.add_scaled(other)
+
     def __sub__(self, other: "TensorElem") -> "TensorElem":
-        if self.twist != other.twist:
-            raise MonogenicError("twist mismatch in tensor sum")
-        out = dict(self.coords)
-        for i, s in other.coords.items():
-            cur = out.get(i)
-            out[i] = -s if cur is None else cur - s
-        return TensorElem(self.alg, self.twist, out)
+        return self.add_scaled(other, -self.alg.field.one)
 
     def __neg__(self) -> "TensorElem":
         return TensorElem(self.alg, self.twist, {i: -s for i, s in self.coords.items()})
-
-    def scale(self, s: Scalar) -> "TensorElem":
-        if s.is_zero():
-            return TensorElem.zero(self.alg, self.twist)
-        return TensorElem(self.alg, self.twist, {i: s * v for i, v in self.coords.items()})
-
-    def add_scaled(self, other: "TensorElem", s: Scalar) -> "TensorElem":
-        if s.is_zero():
-            return self
-        out = dict(self.coords)
-        for i, v in other.coords.items():
-            cur = out.get(i)
-            sv = s * v
-            out[i] = sv if cur is None else cur + sv
-        return TensorElem(self.alg, self.twist, out)
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -504,67 +469,36 @@ class TensorElem:
     def __hash__(self):
         return hash((id(self.alg), self.twist, frozenset(self.coords)))
 
-    def _split(self, flat: int) -> tuple[int, int, int]:
-        dimk = self.alg.K.dim
-        return flat % dimk, (flat // dimk) % self.alg.n, flat // (dimk * self.alg.n)
-
     def leftmul(self, a: AElem) -> "TensorElem":
-        alg = self.alg
-        out: dict[int, Scalar] = {}
-        prods: dict[int, AElem] = {}
-        for flat, s in self.coords.items():
-            base = (flat // alg.adim) * alg.adim
-            pos = flat - base
-            prod = prods.get(pos)
-            if prod is None:
-                unit = [alg.field.zero] * alg.adim
-                unit[pos] = alg.field.one
-                prod = alg.a_mul(a, AElem(alg, unit))
-                prods[pos] = prod
-            for i, v in enumerate(prod.coords):
-                if v.is_zero():
-                    continue
-                key = base + i
-                sv = s * v
-                cur = out.get(key)
-                out[key] = sv if cur is None else cur + sv
-        return TensorElem(alg, self.twist, out)
+        """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
+        blocks = {c: a * self.left_factor(c) for c in self.powers()}
+        return TensorElem.from_blocks(self.alg, self.twist, blocks)
 
     def rightmul_k(self, mu) -> "TensorElem":
-        """Right action of mu in K: migrates through the twist alpha^{r+c}."""
+        """Right action of mu in K: migrates through the twist,
+        (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
         alg = self.alg
-        mu = alg.K.elem(mu)
-        out = TensorElem.zero(alg, self.twist)
-        for flat, s in self.coords.items():
-            b, a, c = self._split(flat)
-            mig = alg.k_embed(
-                KElem(alg.K, alg.alpha.apply_power(self.twist + c, mu.coords))
-            )
-            prod = alg.a_mul(alg.monomial(alg.K.basis_elem(b), a), mig)
-            out = out.add_scaled(TensorElem.from_aelem(prod, c, self.twist), s)
-        return out
+        mu = alg.K.elem(mu).coords
+        blocks = {
+            c: self.left_factor(c) * alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
+            for c in self.powers()
+        }
+        return TensorElem.from_blocks(alg, self.twist, blocks)
 
     def rightmul_x(self) -> "TensorElem":
-        alg = self.alg
-        n = alg.n
-        out = TensorElem.zero(alg, self.twist)
-        shifted: dict[int, Scalar] = {}
-        for flat, s in self.coords.items():
-            b, a, c = self._split(flat)
-            if c + 1 < n:
-                shifted[flat + alg.adim] = s
-            else:
-                left = alg.monomial(alg.K.basis_elem(b), a)
-                for j, cj in enumerate(alg.xpow_nf[n]):
-                    if all(v.is_zero() for v in cj):
-                        continue
-                    mig = alg.k_embed(
-                        KElem(alg.K, alg.alpha.apply_power(self.twist, cj))
-                    )
-                    out = out.add_scaled(
-                        TensorElem.from_aelem(alg.a_mul(left, mig), j, self.twist), s
-                    )
-        return out + TensorElem(alg, self.twist, shifted)
+        """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
+        x^n = sum_j kappa_j x^j and becomes sum_j u_{n-1} alpha^t(kappa_j) (x) x^j."""
+        alg, n = self.alg, self.alg.n
+        powers = self.powers()
+        blocks = {c + 1: self.left_factor(c) for c in powers if c + 1 < n}
+        if powers and powers[-1] == n - 1:
+            top = self.left_factor(n - 1)
+            for j, kappa in enumerate(alg.xpow_nf[n]):
+                if all(v.is_zero() for v in kappa):
+                    continue
+                term = top * alg.k_embed(alg.alpha.apply_power(self.twist, kappa))
+                blocks[j] = blocks[j] + term if j in blocks else term
+        return TensorElem.from_blocks(alg, self.twist, blocks)
 
     def rightmul_xpow(self, d: int) -> "TensorElem":
         out = self
@@ -572,22 +506,8 @@ class TensorElem:
             out = out.rightmul_x()
         return out
 
-    def rightmul_a(self, a: AElem) -> "TensorElem":
-        alg = self.alg
-        out = TensorElem.zero(alg, self.twist)
-        for d in range(alg.n):
-            mu = a.k_coeff(d)
-            if mu.is_zero():
-                continue
-            out = out + self.rightmul_k(mu).rightmul_xpow(d)
-        return out
-
     def __repr__(self):
-        terms = []
-        for c in range(self.alg.n):
-            lf = self.left_factor(c)
-            if not lf.is_zero():
-                terms.append(f"({lf}) (x) x^{c}")
+        terms = [f"({self.left_factor(c)}) (x) x^{c}" for c in self.powers()]
         return " + ".join(terms) if terms else "0"
 
 
@@ -640,14 +560,16 @@ def twist_exponent(r: int, n: int) -> int:
 
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
-    fixed top degree, with maps stored columnwise on the flat tensor basis."""
+    fixed top degree, with maps stored columnwise on the flat tensor basis.
+    The generator images and columns are cached on the instance."""
 
     def __init__(self, alg: MonogenicAlgebra, max_degree: int):
         self.alg = alg
         self.max_degree = max_degree
         self.tdim = alg.adim * alg.n
-        self._d_cols: dict[int, list[TensorElem]] = {}
-        self._s_cols: dict[int, list[TensorElem]] = {}
+        self._generators: dict[int, TensorElem] = {}
+        self._d_cols: dict[tuple[int, int], TensorElem] = {}
+        self._s_cols: dict[tuple[int, int], TensorElem] = {}
 
     def twist(self, r: int) -> int:
         return twist_exponent(r, self.alg.n)
@@ -655,45 +577,38 @@ class Resolution:
     def basis_tensor(self, r: int, flat: int) -> TensorElem:
         return TensorElem(self.alg, self.twist(r), {flat: self.alg.field.one})
 
-    @functools.cache
     def d_generator(self, r: int) -> TensorElem:
         """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module."""
+        if r in self._generators:
+            return self._generators[r]
         alg = self.alg
         tw = self.twist(r - 1)
         if r % 2 == 1:
-            x1 = TensorElem.from_aelem(alg.x, 0, tw)
             onex = TensorElem.from_aelem(alg.one, 0, tw).rightmul_x()
-            return x1 - onex
-        out = TensorElem.zero(alg, tw)
-        lam = {i: KElem(alg.K, v) for i, v in enumerate(alg.f_coeffs, start=1)}
-        lam[0] = KElem(alg.K, alg.K.unit)
-        for i in range(1, alg.n + 1):
-            coeff = lam[alg.n - i]
-            if coeff.is_zero():
-                continue
-            left = alg.k_embed(coeff)
-            for l in range(i):
-                term = TensorElem.from_aelem(
-                    alg.a_mul(left, alg.xpow(l)), i - l - 1, tw
-                )
-                out = out + term
+            out = TensorElem.from_aelem(alg.x, 0, tw) - onex
+        else:
+            # sum over i of lambda_{n-i} x^l (x) x^{i-l-1}, l < i, with lambda_0 = 1
+            lam = [alg.K.unit, *alg.f_coeffs]
+            out = TensorElem.zero(alg, tw)
+            for i in range(1, alg.n + 1):
+                coeff = lam[alg.n - i]
+                if all(c.is_zero() for c in coeff):
+                    continue
+                left = alg.k_embed(coeff)
+                for l in range(i):
+                    out = out + TensorElem.from_aelem(left * alg.xpow(l), i - l - 1, tw)
+        self._generators[r] = out
         return out
 
     def d_column(self, r: int, flat: int) -> TensorElem:
-        """d'_r applied to the flat basis vector of the degree-r module."""
-        if r not in self._d_cols:
-            self._d_cols[r] = [None] * self.tdim  # type: ignore[list-item]
-        cache = self._d_cols[r]
-        if cache[flat] is None:
-            dimk = self.alg.K.dim
-            b = flat % dimk
-            a = (flat // dimk) % self.alg.n
-            c = flat // (dimk * self.alg.n)
-            img = self.d_generator(r).leftmul(
-                self.alg.monomial(self.alg.K.basis_elem(b), a)
-            )
-            cache[flat] = img.rightmul_xpow(c)
-        return cache[flat]
+        """d'_r applied to the flat basis vector e_i (x) x^c, flat = c*adim + i,
+        of the degree-r module: e_i . d'_r(1 (x) 1) . x^c."""
+        col = self._d_cols.get((r, flat))
+        if col is None:
+            c, i = divmod(flat, self.alg.adim)
+            col = self.d_generator(r).leftmul(self.alg.basis_vector(i)).rightmul_xpow(c)
+            self._d_cols[(r, flat)] = col
+        return col
 
     def apply_d(self, r: int, t: TensorElem) -> TensorElem:
         out = TensorElem.zero(self.alg, self.twist(r - 1))
@@ -702,31 +617,22 @@ class Resolution:
         return out
 
     def s_column(self, r: int, flat: int) -> TensorElem:
-        """sigma_r applied to the flat basis vector of the degree r-1 module."""
-        if r not in self._s_cols:
-            self._s_cols[r] = [None] * self.tdim  # type: ignore[list-item]
-        cache = self._s_cols[r]
-        if cache[flat] is None:
+        """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
+        r-1 module."""
+        col = self._s_cols.get((r, flat))
+        if col is None:
             alg = self.alg
-            dimk = alg.K.dim
-            b = flat % dimk
-            a = (flat // dimk) % alg.n
-            c = flat // (dimk * alg.n)
-            left = alg.monomial(alg.K.basis_elem(b), a)
+            c, i = divmod(flat, alg.adim)
+            left = alg.basis_vector(i)
             tw = self.twist(r)
+            col = TensorElem.zero(alg, tw)
             if r % 2 == 1:
-                out = TensorElem.zero(alg, tw)
                 for l in range(c):
-                    out = out + TensorElem.from_aelem(
-                        alg.a_mul(left, alg.xpow(l)), c - l - 1, tw
-                    )
-                cache[flat] = -out
-            else:
-                if c == alg.n - 1:
-                    cache[flat] = TensorElem.from_aelem(left, 0, tw)
-                else:
-                    cache[flat] = TensorElem.zero(alg, tw)
-        return cache[flat]
+                    col = col - TensorElem.from_aelem(left * alg.xpow(l), c - l - 1, tw)
+            elif c == alg.n - 1:
+                col = TensorElem.from_aelem(left, 0, tw)
+            self._s_cols[(r, flat)] = col
+        return col
 
     def apply_s(self, r: int, t: TensorElem) -> TensorElem:
         out = TensorElem.zero(self.alg, self.twist(r))
@@ -738,10 +644,8 @@ class Resolution:
         """The multiplication map from degree 0 to A."""
         alg = self.alg
         out = alg.zero_elem()
-        for c in range(alg.n):
-            lf = t.left_factor(c)
-            if not lf.is_zero():
-                out = out + alg.a_mul(lf, alg.xpow(c))
+        for c in t.powers():
+            out = out + t.left_factor(c) * alg.xpow(c)
         return out
 
     def sigma0(self, a: AElem) -> TensorElem:
@@ -754,9 +658,7 @@ class Resolution:
         alg = self.alg
         failures = []
         for flat in range(alg.adim):
-            coords = [alg.field.zero] * alg.adim
-            coords[flat] = alg.field.one
-            a = AElem(alg, coords)
+            a = alg.basis_vector(flat)
             if self.augmentation(self.sigma0(a)) != a:
                 failures.append(f"augmentation section fails at basis {flat}")
                 return ValidationReport(False, tuple(failures))

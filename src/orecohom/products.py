@@ -533,12 +533,8 @@ class ComparisonMaps:
         dgen = self.res.d_generator(r)
         sgn = _sign(alg, r)
         out: dict[tuple, AElem] = {}
-        dimk = alg.K.dim
-        for flat, s in dgen.coords.items():
-            b = flat % dimk
-            a = (flat // dimk) % alg.n
-            c = flat // (dimk * alg.n)
-            lead = alg.monomial(alg.K.basis_elem(b), a) * s
+        for c in dgen.powers():
+            lead = dgen.left_factor(c)
             right = alg.xpow(c)
             for key, left in prev.items():
                 base = lead * left

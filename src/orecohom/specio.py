@@ -95,12 +95,12 @@ def _build_group(gspec: dict) -> GroupData:
     kind = _need(gspec, "kind", "the group description")
     if kind == "cyclic":
         order = _need(gspec, "order", "the cyclic group description")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise SpecError("cyclic group order must be a positive integer")
         return cyclic_group(order)
     if kind == "gh4":
         u = _need(gspec, "u", "the two-generator group description")
-        if not isinstance(u, int) or u < 1:
+        if type(u) is not int or u < 1:
             raise SpecError("the first generator order u must be a positive integer")
         return group_from_presentation_gh4(u)
     if kind == "table":
@@ -134,7 +134,7 @@ def _build_K(field: Field, kspec: dict):
         basis = _need(kspec, "basis", "the structure-constant description")
         unit = _need(kspec, "unit", "the structure-constant description")
         mul = _need(kspec, "mul", "the structure-constant description")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise SpecError("dim must be a positive integer")
         if not isinstance(basis, list) or len(basis) != dim:
             raise SpecError("basis must list one label per dimension")
@@ -146,7 +146,7 @@ def _build_K(field: Field, kspec: dict):
             if not isinstance(q, list) or len(q) != 4:
                 raise SpecError("each mul entry must be [i, j, k, scalar]")
             i, j, k, s = q
-            if not all(isinstance(t, int) and 0 <= t < dim for t in (i, j, k)):
+            if not all(type(t) is int and 0 <= t < dim for t in (i, j, k)):
                 raise SpecError(f"mul entry {q!r} has an index out of range")
             quads.append((i, j, k, _decode_scalar(field, s, f"mul entry {q!r}")))
         try:
@@ -214,7 +214,7 @@ def _build_f(field: Field, K: AlgebraK, fspec: dict) -> tuple[list, int]:
     if not isinstance(coeffs_raw, list) or not coeffs_raw:
         raise SpecError("the defining polynomial needs a non-empty coefficient list")
     n = fspec.get("n", len(coeffs_raw))
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise SpecError("the defining polynomial degree must be an integer >= 2")
     if n != len(coeffs_raw):
         raise SpecError(

@@ -12,6 +12,7 @@ import pytest
 from orecohom import instances
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import (
+    QQ,
     ExtensionField,
     Field,
     FieldError,
@@ -20,13 +21,24 @@ from orecohom.fields import (
     RationalField,
     Scalar,
     _certify_irreducible,
+    extension_field,
     poly_scale,
     poly_xgcd,
+    prime_field,
 )
 from orecohom.instances import gh4_instance
-from orecohom.kalgebra import ValidationReport, endo_from_character, group_algebra, quaternion_algebra
+from orecohom.kalgebra import (
+    KElem,
+    ValidationReport,
+    character_from_values,
+    cyclic_group,
+    endo_from_character,
+    group_algebra,
+    quaternion_algebra,
+)
 from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, vadd
-from orecohom.monogenic import AElem, MonogenicAlgebra
+from orecohom.monogenic import AElem, MonogenicAlgebra, OrePoly, Resolution, TensorElem, ore_divmod
+from orecohom.specio import load_instance
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
 
@@ -60,6 +72,32 @@ CANNED = {
     "rank_one_case2": lambda: rank_one(instances.rank_one_case2_data()),
     "rank_one_broken": lambda: rank_one(instances.rank_one_broken_data()),
     "quaternion_half_turn": quaternion_half_turn,
+}
+
+
+
+def twisted_cyclic(F, order, root):
+    """The cyclic group algebra over F twisted by g -> root, with f = x^order - 1
+    (admissible since root^order = 1), so the even differential reads a
+    nonzero constant term."""
+    G = cyclic_group(order)
+    K = group_algebra(G, F)
+    alpha = endo_from_character(K, character_from_values(G, F, {"g": root}))
+    return MonogenicAlgebra(K, alpha, [{}] * (order - 1) + [{"1": -1}])
+
+
+_QI = instances.gaussian_rationals()
+_GF9 = extension_field(prime_field(3), [1, 0, 1], "t")
+
+# The canned instances, every demo spec (unchecked: sweedler_bad is not
+# admissible) and twisted cyclic group algebras over QQ, GF(7), QQ(i), GF(9).
+CASES = {
+    **CANNED,
+    **{f"spec:{p.stem}": (lambda p=p: load_instance(str(p)).algebra(check=False)) for p in SPECS},
+    "cyclic:QQ": lambda: twisted_cyclic(QQ, 2, -1),
+    "cyclic:GF7": lambda: twisted_cyclic(prime_field(7), 3, 2),
+    "cyclic:QQ(i)": lambda: twisted_cyclic(_QI, 4, _QI.gen),
+    "cyclic:GF9": lambda: twisted_cyclic(_GF9, 4, _GF9.gen),
 }
 
 
@@ -412,6 +450,189 @@ def dense_compile(self) -> None:
             if terms:
                 table[(self.idx(b, a), self.idx(b2, a2))] = terms
     self.mul_table = table
+
+
+# -- the tensor square one flat entry at a time ---------------------------------
+# `TensorElem`, `Resolution` and `ComparisonMaps.phi_recursive` before every
+# action became one product in A per left factor u_c of u (x) x^c.
+
+
+def split_flat(t: TensorElem, flat: int) -> tuple[int, int, int]:
+    """`TensorElem._split`: the (b, a, c) of the basis tensor lambda_b x^a (x) x^c."""
+    dimk = t.alg.K.dim
+    return flat % dimk, (flat // dimk) % t.alg.n, flat // (dimk * t.alg.n)
+
+
+def entrywise_leftmul(self: TensorElem, a: AElem) -> TensorElem:
+    alg = self.alg
+    out: dict[int, Scalar] = {}
+    prods: dict[int, AElem] = {}
+    for flat, s in self.coords.items():
+        base = (flat // alg.adim) * alg.adim
+        pos = flat - base
+        prod = prods.get(pos)
+        if prod is None:
+            unit = [alg.field.zero] * alg.adim
+            unit[pos] = alg.field.one
+            prod = alg.a_mul(a, AElem(alg, unit))
+            prods[pos] = prod
+        for i, v in enumerate(prod.coords):
+            if v.is_zero():
+                continue
+            key = base + i
+            sv = s * v
+            cur = out.get(key)
+            out[key] = sv if cur is None else cur + sv
+    return TensorElem(alg, self.twist, out)
+
+
+def entrywise_rightmul_k(self: TensorElem, mu) -> TensorElem:
+    alg = self.alg
+    mu = alg.K.elem(mu)
+    out = TensorElem.zero(alg, self.twist)
+    for flat, s in self.coords.items():
+        b, a, c = split_flat(self, flat)
+        mig = alg.k_embed(
+            KElem(alg.K, alg.alpha.apply_power(self.twist + c, mu.coords))
+        )
+        prod = alg.a_mul(alg.monomial(alg.K.basis_elem(b), a), mig)
+        out = out.add_scaled(TensorElem.from_aelem(prod, c, self.twist), s)
+    return out
+
+
+def entrywise_rightmul_x(self: TensorElem) -> TensorElem:
+    alg = self.alg
+    n = alg.n
+    out = TensorElem.zero(alg, self.twist)
+    shifted: dict[int, Scalar] = {}
+    for flat, s in self.coords.items():
+        b, a, c = split_flat(self, flat)
+        if c + 1 < n:
+            shifted[flat + alg.adim] = s
+        else:
+            left = alg.monomial(alg.K.basis_elem(b), a)
+            for j, cj in enumerate(alg.xpow_nf[n]):
+                if all(v.is_zero() for v in cj):
+                    continue
+                mig = alg.k_embed(
+                    KElem(alg.K, alg.alpha.apply_power(self.twist, cj))
+                )
+                out = out.add_scaled(
+                    TensorElem.from_aelem(alg.a_mul(left, mig), j, self.twist), s
+                )
+    return out + TensorElem(alg, self.twist, shifted)
+
+
+def entrywise_rightmul_xpow(t: TensorElem, d: int) -> TensorElem:
+    for _ in range(d):
+        t = entrywise_rightmul_x(t)
+    return t
+
+
+def entrywise_d_generator(self: Resolution, r: int) -> TensorElem:
+    """`Resolution.d_generator` before its cache moved onto the instance."""
+    alg = self.alg
+    tw = self.twist(r - 1)
+    if r % 2 == 1:
+        x1 = TensorElem.from_aelem(alg.x, 0, tw)
+        onex = entrywise_rightmul_x(TensorElem.from_aelem(alg.one, 0, tw))
+        return x1 - onex
+    out = TensorElem.zero(alg, tw)
+    lam = {i: KElem(alg.K, v) for i, v in enumerate(alg.f_coeffs, start=1)}
+    lam[0] = KElem(alg.K, alg.K.unit)
+    for i in range(1, alg.n + 1):
+        coeff = lam[alg.n - i]
+        if coeff.is_zero():
+            continue
+        left = alg.k_embed(coeff)
+        for l in range(i):
+            term = TensorElem.from_aelem(
+                alg.a_mul(left, alg.xpow(l)), i - l - 1, tw
+            )
+            out = out + term
+    return out
+
+
+def entrywise_d_column(self: Resolution, r: int, flat: int) -> TensorElem:
+    dimk = self.alg.K.dim
+    b = flat % dimk
+    a = (flat // dimk) % self.alg.n
+    c = flat // (dimk * self.alg.n)
+    img = entrywise_leftmul(
+        entrywise_d_generator(self, r), self.alg.monomial(self.alg.K.basis_elem(b), a)
+    )
+    return entrywise_rightmul_xpow(img, c)
+
+
+def entrywise_s_column(self: Resolution, r: int, flat: int) -> TensorElem:
+    alg = self.alg
+    dimk = alg.K.dim
+    b = flat % dimk
+    a = (flat // dimk) % alg.n
+    c = flat // (dimk * alg.n)
+    left = alg.monomial(alg.K.basis_elem(b), a)
+    tw = self.twist(r)
+    if r % 2 == 1:
+        out = TensorElem.zero(alg, tw)
+        for l in range(c):
+            out = out + TensorElem.from_aelem(
+                alg.a_mul(left, alg.xpow(l)), c - l - 1, tw
+            )
+        return -out
+    if c == alg.n - 1:
+        return TensorElem.from_aelem(left, 0, tw)
+    return TensorElem.zero(alg, tw)
+
+
+def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
+    """`ComparisonMaps.phi_recursive`, one product per flat entry of the
+    generator image; ``memo`` holds the lower degrees."""
+    alg = res.alg
+    if r == 0:
+        return {(): alg.one}
+    if r in memo:
+        return memo[r]
+    prev = entrywise_phi_recursive(res, r - 1, memo)
+    dgen = entrywise_d_generator(res, r)
+    sgn = alg.field.one if r % 2 == 0 else -alg.field.one
+    out: dict[tuple, AElem] = {}
+    dimk = alg.K.dim
+    for flat, s in dgen.coords.items():
+        b = flat % dimk
+        a = (flat // dimk) % alg.n
+        c = flat // (dimk * alg.n)
+        lead = alg.monomial(alg.K.basis_elem(b), a) * s
+        right = alg.xpow(c)
+        for key, left in prev.items():
+            base = lead * left
+            if base.is_zero():
+                continue
+            here = sum(key)
+            for e in range(1, alg.n):
+                kappa = right.k_coeff(e)
+                if kappa.is_zero():
+                    continue
+                moved = alg.alpha.apply_power(here, kappa.coords)
+                term = (base * alg.k_embed(moved)) * sgn
+                newkey = key + (e,)
+                cur = out.get(newkey)
+                out[newkey] = term if cur is None else cur + term
+    out = {k: v for k, v in out.items() if not v.is_zero()}
+    memo[r] = out
+    return out
+
+
+def uncached_xpow_bar(self: MonogenicAlgebra, e: int) -> AElem:
+    """`MonogenicAlgebra.xpow_bar` before it kept one quotient per exponent."""
+    P = OrePoly.monomial(self.K, self.alpha, self.K.unit, e)
+    q, _ = ore_divmod(P, self.f_ore())
+    if q.degree >= self.n:
+        return self.from_ore(q)
+    out = [self.field.zero] * self.adim
+    for d, vec in enumerate(q.coeffs):
+        for b, c in enumerate(vec):
+            out[self.idx(b, d)] = c
+    return AElem(self, out)
 
 
 # -- the dense eliminations `EchelonTracker` replaced ---------------------------

@@ -165,6 +165,32 @@ def test_boolean_coefficient_exits_2(tmp_path, capsys, where):
     assert "booleans are not field elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, path, value, reason",
+    [
+        # read as 1, this index would be in range
+        ("swap3.json", ("K", "mul", 1, 0), True, "has an index out of range"),
+        ("swap3.json", ("K", "dim"), True, "dim must be a positive integer"),
+        ("c4_sign.json", ("K", "group", "order"), True, "cyclic group order must be a positive integer"),
+        ("gh4_u3.json", ("K", "group", "u"), True, "the first generator order u must be a positive integer"),
+        ("taft37.json", ("field", "p"), 7.9, "p must be an integer"),
+        ("taft37.json", ("field", "p"), "7", "p must be an integer"),
+        ("taft37.json", ("field", "p"), None, "p must be an integer"),
+    ],
+)
+def test_non_integer_spec_field_exits_2(tmp_path, capsys, name, path, value, reason):
+    raw = json.loads(Path(spec(name)).read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    p = tmp_path / "non_integer.json"
+    p.write_text(json.dumps(raw))
+    rc = main(["validate", str(p)])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_negative_oracle_bound_flag_exits_2(capsys):
     rc = main(["products", spec("sweedler.json"), "--oracle-bound", "-1"])
     assert rc == 2

@@ -14,8 +14,7 @@ import random
 
 import pytest
 from conftest import (
-    CANNED,
-    SPECS,
+    CASES,
     DenseLinSolver,
     dense_a_mul,
     dense_center_basis,
@@ -41,17 +40,9 @@ from conftest import (
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
-from orecohom.kalgebra import (
-    algebra_validate,
-    character_from_values,
-    cyclic_group,
-    endo_from_character,
-    group_algebra,
-    sparse_rows,
-)
+from orecohom.kalgebra import algebra_validate, sparse_rows
 from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, vadd, vscale
-from orecohom.monogenic import AElem, MonogenicAlgebra
-from orecohom.specio import load_instance
+from orecohom.monogenic import AElem
 
 GF7 = prime_field(7)
 QI = gaussian_rationals()
@@ -74,26 +65,6 @@ def vector(F, n, rng, density):
 
 def matrix(F, rows, cols, rng, density):
     return Mat(F, [vector(F, cols, rng, density) for _ in range(rows)], cols)
-
-
-def twisted_cyclic(F, order, root):
-    """The cyclic group algebra over F twisted by g -> root, with f = x^order - 1
-    (admissible since root^order = 1), so the even differential reads a
-    nonzero constant term."""
-    G = cyclic_group(order)
-    K = group_algebra(G, F)
-    alpha = endo_from_character(K, character_from_values(G, F, {"g": root}))
-    return MonogenicAlgebra(K, alpha, [{}] * (order - 1) + [{"1": -1}])
-
-
-CASES = {
-    **CANNED,
-    **{f"spec:{p.stem}": (lambda p=p: load_instance(str(p)).algebra(check=False)) for p in SPECS},
-    "cyclic:QQ": lambda: twisted_cyclic(QQ, 2, -1),
-    "cyclic:GF7": lambda: twisted_cyclic(GF7, 3, 2),
-    "cyclic:QQ(i)": lambda: twisted_cyclic(QI, 4, QI.gen),
-    "cyclic:GF9": lambda: twisted_cyclic(GF9, 4, GF9.gen),
-}
 
 
 # -- fields and linear algebra on random data ----------------------------------

@@ -55,7 +55,7 @@ from .products import (
     cup_small,
     cup_small_oracle,
 )
-from .specio import Instance, SpecError, load_instance
+from .specio import Instance, SpecError, decode_witness, load_instance
 
 __all__ = ["main"]
 
@@ -63,28 +63,15 @@ __all__ = ["main"]
 # -- shared helpers -----------------------------------------------------------
 
 
-def _decode_candidate(inst: Instance, raw):
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, list):
-        try:
-            return tuple(inst.field.decode(c) for c in raw)
-        except (FieldError, ValueError, TypeError) as exc:
-            raise SpecError(f"bad witness coordinates {raw!r}: {exc}") from exc
-    raise SpecError(f"a witness candidate is a basis label or a coordinate list, got {raw!r}")
-
-
 def _witness_candidates(inst: Instance, flag_value: str | None) -> list:
-    out = []
-    if flag_value is not None:
-        try:
-            parsed = json.loads(flag_value)
-        except json.JSONDecodeError:
-            parsed = flag_value
-        out.append(_decode_candidate(inst, parsed))
-    for raw in inst.options.get("witness_candidates", []):
-        out.append(_decode_candidate(inst, raw))
-    return out
+    """The ``--witness`` candidate, if any, then the spec's candidates."""
+    if flag_value is None:
+        return inst.witness_candidates
+    try:
+        parsed = json.loads(flag_value)
+    except json.JSONDecodeError:
+        parsed = flag_value
+    return [decode_witness(inst.K, parsed), *inst.witness_candidates]
 
 
 def _encode_kelem(inst: Instance, coords) -> list:
@@ -93,15 +80,16 @@ def _encode_kelem(inst: Instance, coords) -> list:
 
 class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
-    the degree bound D and, each built on first use, the check of f, the one
-    compile of A, its regular bimodule, the small complex through degree
-    D + 1 and the collapse witness.  A session belongs to one run; nothing
-    outlives it."""
+    the degree bound D, the decoded witness candidates and, each built on
+    first use, the check of f, the one compile of A, its regular bimodule,
+    the small complex through degree D + 1 and the collapse witness.  A
+    session belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
         self.args = args
         self.D = args.max_degree if args.max_degree is not None else inst.default_degree()
+        self.candidates = _witness_candidates(inst, getattr(args, "witness", None))
 
     @functools.cached_property
     def f_report(self):
@@ -133,8 +121,7 @@ class Session:
 
     @functools.cached_property
     def witness(self):
-        candidates = _witness_candidates(self.inst, getattr(self.args, "witness", None))
-        return find_witness(self.algebra, candidates)
+        return find_witness(self.algebra, self.candidates)
 
 
 # -- verb: validate -----------------------------------------------------------
@@ -270,26 +257,18 @@ def _run_membership(C, inst, D, witness, chi):
 
 
 def _run_rank_one(C, inst, D, witness, chi):
-    opts = inst.options
     if inst.K.group is None or chi is None:
         raise ClosedFormError("rank-one analysis needs a character-twist group instance")
-    if "g1" not in opts or "xi" not in opts:
+    if inst.rank_one is None:
         raise ClosedFormError("rank-one analysis needs options.g1 and options.xi")
-    try:
-        xi = inst.field.decode(opts["xi"])
-    except (FieldError, ValueError, TypeError) as exc:
-        raise ClosedFormError(f"bad options.xi: {exc}") from exc
-    return rank_one_hopf_report(
-        inst.field, inst.K.group, chi, opts["g1"], inst.n, xi, up_to=min(D, 5)
-    )
+    g1, xi = inst.rank_one
+    return rank_one_hopf_report(inst.field, inst.K.group, chi, g1, inst.n, xi, up_to=min(D, 5))
 
 
 def _run_quaternion(C, inst, D, witness, chi):
-    kspec = inst.raw.get("K", {})
-    if kspec.get("kind") != "quaternion":
+    if inst.rotation is None:
         raise ClosedFormError("rotation analysis needs quaternion coefficients")
-    vals = [inst.field.decode(kspec[k]) for k in ("cos", "sin", "cos_half", "sin_half")]
-    return quaternion_rotation_report(inst.field, *vals, inst.f_coeffs, up_to=min(D, 4))
+    return quaternion_rotation_report(inst.field, *inst.rotation, inst.f_coeffs, up_to=min(D, 4))
 
 
 THEOREM_CHECKS = {
@@ -300,7 +279,7 @@ THEOREM_CHECKS = {
     "diagonalizable": lambda C, inst, D, w, chi: diagonalizable_cohomology_table(C, w, D),
     "untwisted-model": lambda C, inst, D, w, chi: untwisted_model_check(C, D),
     "untwisted-annihilator": lambda C, inst, D, w, chi: untwisted_annihilator_table(C, D),
-    "group-cohomology": lambda C, inst, D, w, chi: group_algebra_cohomology_table(C, chi, D),
+    "group-cohomology": lambda C, inst, D, w, chi: group_algebra_cohomology_table(C, chi, D, w),
     "membership-period": _run_membership,
     "periodicity": lambda C, inst, D, w, chi: cohomology_periodicity(C, chi, D),
     "presentation": lambda C, inst, D, w, chi: presentation_report(C, chi, D),

@@ -774,7 +774,7 @@ def _kernel_span(K: AlgebraK, chi: list[Scalar]) -> Mat:
 
 
 def group_algebra_cohomology_table(
-    C: SmallComplex, chi: list[Scalar] | None = None, up_to: int | None = None
+    C: SmallComplex, chi: list[Scalar] | None = None, up_to: int | None = None, witness=None
 ) -> dict:
     """Character-twist group-algebra cohomology from class data: invariant
     kernel sums in degree 0, kernel elements in the right twist block
@@ -785,7 +785,7 @@ def group_algebra_cohomology_table(
     K = alg.K
     if chi is None:
         chi = character_of(K, alg.alpha)
-    w = _need_witness(alg, None)
+    w = _need_witness(alg, witness)
     if up_to is None:
         up_to = C.max_degree - 1
     _need_degrees(C, up_to)

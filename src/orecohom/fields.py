@@ -163,7 +163,13 @@ class Field:
 
     def scalar(self, x) -> Scalar:
         """Coerce an int, Fraction, Scalar, string such as "3/4" (QQ) or coordinate
-        list (extensions, constant-first) into this field."""
+        list (extensions, constant-first) into this field.
+
+        This is where raw values enter: containers (``KElem``, ``AElem``,
+        ``OrePoly``, ``Mat``, ``AlgebraK``) hold Scalars of their field as
+        given, and the entry points (``decode``, ``AlgebraK.elem``,
+        ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
+        through here.  Booleans are rejected."""
         if isinstance(x, Scalar):
             if x.field is not self:
                 raise FieldError(f"cannot coerce scalar of {x.field} into {self}")
@@ -259,7 +265,10 @@ class RationalField(Field):
         if isinstance(obj, int):
             return self.from_int(obj)
         if isinstance(obj, str):
-            return Scalar(self, Fraction(obj))
+            try:
+                return Scalar(self, Fraction(obj))
+            except (ValueError, ZeroDivisionError):
+                pass
         raise FieldError(f"bad rational encoding: {obj!r}")
 
     def random_element(self, rng, bound: int = 9):
@@ -600,7 +609,7 @@ class ExtensionField(Field):
             raise FieldError("towers are not supported; give one minpoly over QQ or GF(p)")
         if not isinstance(base, (RationalField, PrimeField)):
             raise FieldError(f"unsupported extension base {base}")
-        coeffs = [base.scalar(c) if not isinstance(c, Scalar) else c for c in minpoly]
+        coeffs = [base.scalar(c) for c in minpoly]
         if len(coeffs) < 2:
             raise FieldError("minpoly must have degree >= 1")
         if coeffs[-1] != base.one:
@@ -754,7 +763,7 @@ class ExtensionField(Field):
         if isinstance(obj, int):
             return self.from_int(obj)
         if isinstance(obj, str) and self.char == 0:
-            return self.scalar(Fraction(obj))
+            return self.scalar([self.base.decode(obj)])
         if isinstance(obj, list):
             return self.scalar([self.base.decode(c) for c in obj])
         raise FieldError(f"bad {self} encoding: {obj!r}")
@@ -890,10 +899,7 @@ def _extension_field_cached(base: Field, minpoly: tuple, symbol: str) -> Extensi
 
 
 def extension_field(base: Field, minpoly, symbol: str = "t") -> ExtensionField:
-    coeffs = tuple(
-        base.scalar(c).v if not isinstance(c, Scalar) else base.scalar(c).v
-        for c in minpoly
-    )
+    coeffs = tuple(base.scalar(c).v for c in minpoly)
     return _extension_field_cached(base, coeffs, symbol)
 
 
@@ -938,6 +944,8 @@ def make_field(desc) -> Field:
         return prime_field(p)
     if kind == "ext":
         base = prime_field(p) if "p" in desc else QQ
+        if not isinstance(desc.get("minpoly"), list):
+            raise FieldError("an extension field needs a minpoly coefficient list")
         minpoly = [base.decode(c) for c in desc["minpoly"]]
         return extension_field(base, minpoly, desc.get("symbol", "t"))
     raise FieldError(f"unknown field kind {kind!r}")

@@ -171,12 +171,15 @@ def group_from_table(labels: list[str], table: list[list[int]]) -> GroupData:
 
 
 class KElem:
-    """Element of an AlgebraK, held as a coordinate vector over its basis."""
+    """Element of an AlgebraK, held as a coordinate vector over its basis.
+
+    The coordinates are taken as given and must be Scalars of the algebra's
+    field; raw values enter through :meth:`AlgebraK.elem`, which coerces."""
 
     __slots__ = ("alg", "coords")
 
     def __init__(self, alg: "AlgebraK", coords):
-        coords = tuple(alg.field.scalar(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != alg.dim:
             raise AlgebraError("coordinate length mismatch")
         self.alg = alg
@@ -218,7 +221,10 @@ class KElem:
 
 
 class AlgebraK:
-    """Finite-dimensional associative unital algebra via sparse structure constants."""
+    """Finite-dimensional associative unital algebra via sparse structure constants.
+
+    The unit and the table hold Scalars of ``field``;
+    :meth:`from_structure_constants` coerces raw entries."""
 
     def __init__(
         self,
@@ -232,9 +238,9 @@ class AlgebraK:
         self.field = field
         self.dim = dim
         self.basis_names = list(basis_names)
-        self.unit = tuple(field.scalar(c) for c in unit)
+        self.unit = tuple(unit)
         self.mul_table = {
-            ij: [(k, field.scalar(s)) for k, s in terms if not field.scalar(s).is_zero()]
+            ij: [(k, s) for k, s in terms if not s.is_zero()]
             for ij, terms in mul_table.items()
         }
         self.group = group
@@ -246,7 +252,8 @@ class AlgebraK:
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         for i, j, k, s in quads:
             table.setdefault((i, j), []).append((k, field.scalar(s)))
-        return cls(field, dim, list(basis_names), tuple(unit), table, group)
+        unit = tuple(field.scalar(c) for c in unit)
+        return cls(field, dim, list(basis_names), unit, table, group)
 
     def kmul(self, u: tuple, v: tuple) -> tuple:
         return table_mul(self.field, self.dim, self.mul_table, u, v)
@@ -266,7 +273,7 @@ class AlgebraK:
             for name, c in x.items():
                 coords[self.basis_names.index(name)] = self.field.scalar(c)
             return KElem(self, coords)
-        return KElem(self, x)
+        return KElem(self, tuple(self.field.scalar(c) for c in x))
 
     def basis_elem(self, i: int) -> KElem:
         coords = [self.field.zero] * self.dim
@@ -404,18 +411,6 @@ def scalar_algebra(field: Field) -> AlgebraK:
     return AlgebraK.from_structure_constants(
         field, 1, ["1"], [field.one], [(0, 0, 0, field.one)]
     )
-
-
-def class_sums(K: AlgebraK) -> list[KElem]:
-    if K.group is None:
-        raise AlgebraError("class sums need group metadata")
-    out = []
-    for cls in K.group.conj_classes():
-        coords = [K.field.zero] * K.dim
-        for g in cls:
-            coords[g] = K.field.one
-        out.append(KElem(K, coords))
-    return out
 
 
 class Endo:

@@ -63,12 +63,15 @@ def _dot_rows(field: Field, rows, nonzero: list[tuple[int, Scalar]]) -> tuple:
 
 
 class Mat:
-    """Immutable rectangular matrix with entries in a single field."""
+    """Immutable rectangular matrix with entries in a single field.
+
+    The entries are taken as given and must be Scalars of ``field``; coerce
+    raw values with :meth:`Field.scalar` before building a matrix."""
 
     __slots__ = ("field", "data", "rows", "cols")
 
     def __init__(self, field: Field, data, cols: int | None = None):
-        rows = tuple(tuple(field.scalar(x) for x in row) for row in data)
+        rows = tuple(tuple(row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -240,10 +243,6 @@ class LinSolver:
         for i, c in enumerate(self.pivots):
             x[c] = y[i]
         return tuple(x)
-
-
-def in_span(basis: Mat, v: tuple) -> bool:
-    return solve(basis, v) is not None
 
 
 class EchelonTracker:

@@ -30,12 +30,13 @@ class MonogenicError(ValueError):
 
 
 class OrePoly:
-    """Skew polynomial with left K-coefficient vectors, constant term first."""
+    """Skew polynomial with left K-coefficient vectors of Scalars of K's
+    field, constant term first."""
 
     __slots__ = ("K", "alpha", "coeffs")
 
     def __init__(self, K: AlgebraK, alpha: Endo, coeffs):
-        coeffs = [tuple(K.field.scalar(c) for c in vec) for vec in coeffs]
+        coeffs = [tuple(vec) for vec in coeffs]
         while coeffs and all(c.is_zero() for c in coeffs[-1]):
             coeffs.pop()
         self.K = K
@@ -158,12 +159,14 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
 
 
 class AElem:
-    """Element of A in normal form: coordinates over {lambda_b x^a}."""
+    """Element of A in normal form: coordinates over {lambda_b x^a}.
+
+    The coordinates are taken as given and must be Scalars of A's field."""
 
     __slots__ = ("alg", "coords")
 
     def __init__(self, alg: "MonogenicAlgebra", coords):
-        coords = tuple(alg.field.scalar(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != alg.adim:
             raise MonogenicError("coordinate length mismatch")
         self.alg = alg

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cohomology import SmallComplex, classes_equal, cohomology_group, twisted_invariants
+from .cohomology import SmallComplex, cohomology_group, twisted_invariants
 from .kalgebra import Endo, KElem, ValidationReport
 from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
@@ -196,11 +196,6 @@ class BarCochain:
 
     def __repr__(self):
         return f"BarCochain(deg={self.degree}, {len(self.table)} entries)"
-
-
-def identity_one_cochain(alg: MonogenicAlgebra) -> BarCochain:
-    """The 1-cochain sending each basis monomial to itself."""
-    return BarCochain(alg, 1, {(i,): alg.xpow(i) for i in range(1, alg.n)})
 
 
 def _pair_bar(alg: MonogenicAlgebra, idx: tuple) -> AElem:
@@ -408,11 +403,6 @@ def cup_small_oracle(a: SmallCochain, b: SmallCochain) -> SmallCochain:
     return phi_eval(cup_bar(psi_eval(a), psi_eval(b)))
 
 
-def compose_place_small(a: SmallCochain, b: SmallCochain, j: int) -> SmallCochain:
-    """Slot composition transported to the small complex."""
-    return phi_eval(circle_j(psi_eval(a), psi_eval(b), j))
-
-
 def bracket_small_generic(a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
     """Gerstenhaber bracket through the bar-complex oracle."""
     r, rp = a.degree, b.degree
@@ -601,18 +591,6 @@ def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport
                     )
                     return ValidationReport(False, tuple(failures))
     return ValidationReport(True, ())
-
-
-def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:
-    """phi after psi fixes every degree-r cohomology class."""
-    alg = C.alg
-    H = cohomology_group(C, r)
-    for rep in H.reps_ambient:
-        m = SmallCochain(alg, r, AElem(alg, rep), check=False)
-        back = phi_eval(psi_eval(m))
-        if not classes_equal(C, r, back.value.coords, rep):
-            return False
-    return True
 
 
 def class_pairs(C: SmallComplex, p: int, q: int):

@@ -18,6 +18,7 @@ from .kalgebra import (
     AlgebraK,
     Endo,
     GroupData,
+    KElem,
     char_power,
     character_from_values,
     character_order,
@@ -32,7 +33,7 @@ from .kalgebra import (
 from .linalg import Mat
 from .monogenic import MonogenicAlgebra
 
-__all__ = ["SpecError", "Instance", "build_instance", "load_instance"]
+__all__ = ["SpecError", "Instance", "build_instance", "decode_witness", "load_instance"]
 
 
 class SpecError(ValueError):
@@ -60,9 +61,24 @@ def _decode_coords(field: Field, obj, dim: int, where: str) -> tuple:
     return tuple(_decode_scalar(field, c, where) for c in obj)
 
 
+def decode_witness(K: AlgebraK, raw) -> KElem:
+    """A witness candidate: a basis label of K or a list of K.dim scalars."""
+    if isinstance(raw, str):
+        if raw not in K.basis_names:
+            raise SpecError(f"witness candidate {raw!r} names no basis element")
+        return K.elem(raw)
+    if isinstance(raw, list):
+        return KElem(K, _decode_coords(K.field, raw, K.dim, f"witness coordinates {raw!r}"))
+    raise SpecError(f"a witness candidate is a basis label or a coordinate list, got {raw!r}")
+
+
 @dataclass
 class Instance:
-    """A fully parsed spec: live objects plus the raw JSON for echoing."""
+    """A fully parsed spec: live objects plus the raw JSON for echoing.
+
+    ``rank_one`` is (options.g1, options.xi) when the spec gives both, and
+    ``rotation`` the decoded cos, sin, cos_half, sin_half of quaternion
+    coefficients."""
 
     raw: dict
     field: Field
@@ -73,6 +89,9 @@ class Instance:
     n: int
     max_degree: int | None = None
     options: dict = _field(default_factory=dict)
+    witness_candidates: list = _field(default_factory=list)
+    rank_one: tuple | None = None
+    rotation: tuple | None = None
 
     def algebra(self, check: bool = True) -> MonogenicAlgebra:
         return MonogenicAlgebra(self.K, self.alpha, self.f_coeffs, check=check)
@@ -127,7 +146,7 @@ def _build_character(G: GroupData, field: Field, cspec: dict) -> list:
 
 
 def _build_K(field: Field, kspec: dict):
-    """Returns (K, chi_or_None, rotation_endo_or_None)."""
+    """Returns (K, chi_or_None, rotation_endo_or_None, rotation_values_or_None)."""
     kind = _need(kspec, "kind", "the coefficient algebra description")
     if kind == "table":
         dim = _need(kspec, "dim", "the structure-constant description")
@@ -153,14 +172,14 @@ def _build_K(field: Field, kspec: dict):
             K = AlgebraK.from_structure_constants(field, dim, basis, unit_coords, quads)
         except AlgebraError as exc:
             raise SpecError(f"bad structure constants: {exc}") from exc
-        return K, None, None
+        return K, None, None, None
     if kind == "group":
         G = _build_group(_need(kspec, "group", "the group-algebra description"))
         K = group_algebra(G, field)
         chi = None
         if "character" in kspec:
             chi = _build_character(G, field, kspec["character"])
-        return K, chi, None
+        return K, chi, None, None
     if kind == "quaternion":
         vals = [
             _decode_scalar(field, _need(kspec, key, "the quaternion description"), key)
@@ -170,7 +189,7 @@ def _build_K(field: Field, kspec: dict):
             K, rot = quaternion_algebra(field, *vals)
         except AlgebraError as exc:
             raise SpecError(f"bad rotation data: {exc}") from exc
-        return K, None, rot
+        return K, None, rot, tuple(vals)
     raise SpecError(f"unknown coefficient algebra kind {kind!r}")
 
 
@@ -236,7 +255,7 @@ def build_instance(spec: dict) -> Instance:
         field = make_field(_need(spec, "field", "the spec"))
     except FieldError as exc:
         raise SpecError(f"bad field description: {exc}") from exc
-    K, chi, rot = _build_K(field, _need(spec, "K", "the spec"))
+    K, chi, rot, rotation = _build_K(field, _need(spec, "K", "the spec"))
     alpha, chi = _build_alpha(field, K, chi, rot, spec.get("alpha"))
     f_coeffs, n = _build_f(field, K, _need(spec, "f", "the spec"))
     max_degree = spec.get("max_degree")
@@ -249,6 +268,12 @@ def build_instance(spec: dict) -> Instance:
         type(options["oracle_bound"]) is not int or options["oracle_bound"] < 0
     ):
         raise SpecError("options.oracle_bound must be a non-negative integer")
+    candidates = options.get("witness_candidates", [])
+    if not isinstance(candidates, list):
+        raise SpecError("options.witness_candidates must be a list")
+    if "g1" in options and (K.group is None or options["g1"] not in K.group.labels):
+        raise SpecError(f"options.g1 {options['g1']!r} names no group element")
+    xi = _decode_scalar(field, options["xi"], "options.xi") if "xi" in options else None
     return Instance(
         raw=spec,
         field=field,
@@ -259,6 +284,9 @@ def build_instance(spec: dict) -> Instance:
         n=n,
         max_degree=max_degree,
         options=options,
+        witness_candidates=[decode_witness(K, raw) for raw in candidates],
+        rank_one=(options["g1"], xi) if "g1" in options and xi is not None else None,
+        rotation=rotation,
     )
 
 

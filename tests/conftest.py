@@ -1,5 +1,5 @@
-"""Helpers shared by more than one test module, and the computations that
-faster code replaced, kept verbatim as oracles for it."""
+"""Helpers shared by more than one test module or called only by tests, and
+the computations that faster code replaced, kept verbatim as oracles for it."""
 
 import functools
 import itertools
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from orecohom import instances
-from orecohom.cohomology import Bimodule, build_small_complex
+from orecohom.cohomology import Bimodule, SmallComplex, build_small_complex, classes_equal, cohomology_group
 from orecohom.fields import (
     QQ,
     ExtensionField,
@@ -28,6 +28,8 @@ from orecohom.fields import (
 )
 from orecohom.instances import gh4_instance
 from orecohom.kalgebra import (
+    AlgebraError,
+    AlgebraK,
     KElem,
     ValidationReport,
     character_from_values,
@@ -36,8 +38,9 @@ from orecohom.kalgebra import (
     group_algebra,
     quaternion_algebra,
 )
-from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, vadd
+from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, solve, vadd
 from orecohom.monogenic import AElem, MonogenicAlgebra, OrePoly, Resolution, TensorElem, ore_divmod
+from orecohom.products import BarCochain, SmallCochain, circle_j, phi_eval, psi_eval
 from orecohom.specio import load_instance
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
@@ -898,3 +901,44 @@ class LegacyExtensionField(Field):
 
     def __repr__(self):
         return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
+
+
+# -- helpers only the tests call -----------------------------------------------
+
+
+def in_span(basis: Mat, v: tuple) -> bool:
+    return solve(basis, v) is not None
+
+
+def class_sums(K: AlgebraK) -> list[KElem]:
+    if K.group is None:
+        raise AlgebraError("class sums need group metadata")
+    out = []
+    for cls in K.group.conj_classes():
+        coords = [K.field.zero] * K.dim
+        for g in cls:
+            coords[g] = K.field.one
+        out.append(KElem(K, coords))
+    return out
+
+
+def identity_one_cochain(alg: MonogenicAlgebra) -> BarCochain:
+    """The 1-cochain sending each basis monomial to itself."""
+    return BarCochain(alg, 1, {(i,): alg.xpow(i) for i in range(1, alg.n)})
+
+
+def compose_place_small(a: SmallCochain, b: SmallCochain, j: int) -> SmallCochain:
+    """Slot composition transported to the small complex."""
+    return phi_eval(circle_j(psi_eval(a), psi_eval(b), j))
+
+
+def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:
+    """phi after psi fixes every degree-r cohomology class."""
+    alg = C.alg
+    H = cohomology_group(C, r)
+    for rep in H.reps_ambient:
+        m = SmallCochain(alg, r, AElem(alg, rep), check=False)
+        back = phi_eval(psi_eval(m))
+        if not classes_equal(C, r, back.value.coords, rep):
+            return False
+    return True

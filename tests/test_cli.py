@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from orecohom import Bimodule, build_small_complex, cohomology, cohomology_dims, kalgebra, monogenic
+from orecohom import (
+    Bimodule,
+    build_small_complex,
+    cli,
+    closedforms,
+    cohomology,
+    cohomology_dims,
+    kalgebra,
+    monogenic,
+)
 from orecohom.cli import main
 from orecohom.specio import SpecError, build_instance, load_instance
 
@@ -187,6 +196,59 @@ def test_non_integer_spec_field_exits_2(tmp_path, capsys, name, path, value, rea
     p = tmp_path / "non_integer.json"
     p.write_text(json.dumps(raw))
     rc = main(["validate", str(p)])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+
+
+VERBS = ["validate", "cohomology", "products", "theorems", "report"]
+
+
+def set_option(key, value):
+    return lambda raw: raw.setdefault("options", {}).update({key: value})
+
+
+# case -> (spec, edit, reason printed)
+MALFORMED = {
+    "no-minpoly": (
+        "gh4_u3.json", lambda raw: raw["field"].pop("minpoly"), "needs a minpoly coefficient list"
+    ),
+    "bad-minpoly": (
+        "gh4_u3.json", lambda raw: raw["field"].update(minpoly=["abc", 0, 1]), "encoding: 'abc'"
+    ),
+    "candidate-label": (
+        "sweedler.json", set_option("witness_candidates", ["nope"]), "'nope' names no basis element"
+    ),
+    "candidate-length": (
+        "sweedler.json", set_option("witness_candidates", [[0, 1, 0]]), "a list of 2 scalars"
+    ),
+    "xi": ("c4_sign.json", set_option("xi", "x"), "options.xi: bad rational encoding: 'x'"),
+    "xi-zero-division": ("c4_sign.json", set_option("xi", "1/0"), "options.xi: bad rational"),
+    "g1-label": ("c4_sign.json", set_option("g1", "q"), "options.g1 'q' names no group element"),
+    "g1-without-group": ("swap3.json", set_option("g1", "g"), "options.g1 'g' names no group"),
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_spec_exits_2_from_every_verb(tmp_path, capsys, verb, case):
+    name, edit, reason = MALFORMED[case]
+    raw = json.loads(Path(spec(name)).read_text())
+    edit(raw)
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(raw))
+    rc = main([verb, str(p)])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["products", "theorems", "report"])
+@pytest.mark.parametrize(
+    "flag, reason",
+    [("nope", "'nope' names no basis element"), ("[0, 1, 0]", "must be a list of 2 scalars")],
+    ids=["label", "length"],
+)
+def test_malformed_witness_flag_exits_2(capsys, verb, flag, reason):
+    rc = main([verb, spec("sweedler.json"), "--witness", flag])
     assert rc == 2
     assert reason in capsys.readouterr().err
 
@@ -380,6 +442,14 @@ def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
     calls.clear()
     assert run(capsys, "theorems", spec(name))[0] == 0
     assert len(calls) == builds
+
+
+def test_report_searches_for_the_witness_once(capsys, monkeypatch):
+    """group-cohomology reads the run's witness, as the other collapse
+    checks do, instead of searching again."""
+    calls = count_calls(monkeypatch, closedforms, "find_witness", (cli,))
+    assert run(capsys, "report", spec("sweedler.json"))[0] == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["sweedler.json", "taft37.json"])

@@ -1,4 +1,5 @@
 import pytest
+from conftest import in_span
 
 from orecohom.cohomology import (
     Bimodule,
@@ -19,7 +20,7 @@ from orecohom.kalgebra import (
     identity_endo,
     scalar_algebra,
 )
-from orecohom.linalg import Mat, in_span
+from orecohom.linalg import Mat
 from orecohom.monogenic import MonogenicAlgebra
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import class_sums, in_span
 
 from orecohom.fields import QQ, cyclotomic_minpoly, extension_field, prime_field
 from orecohom.kalgebra import (
@@ -12,7 +13,6 @@ from orecohom.kalgebra import (
     character_from_values,
     character_kernel,
     character_order,
-    class_sums,
     cyclic_group,
     endo_from_character,
     group_algebra,
@@ -22,7 +22,7 @@ from orecohom.kalgebra import (
     twisted_invariants_k,
     validate_character,
 )
-from orecohom.linalg import Mat, in_span
+from orecohom.linalg import Mat
 
 
 def test_dim_one_algebra():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import in_span
 
 from orecohom.fields import QQ, extension_field, prime_field
 from orecohom.linalg import (
@@ -12,7 +13,6 @@ from orecohom.linalg import (
     LinalgError,
     LinSolver,
     Mat,
-    in_span,
     intersect_spans,
     kernel_basis,
     minimal_polynomial,

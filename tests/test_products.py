@@ -1,4 +1,5 @@
 import pytest
+from conftest import compose_place_small, identity_one_cochain, phi_psi_class_identity
 
 from orecohom import products
 from orecohom.cohomology import Bimodule, SmallComplex, classes_equal, cohomology_group
@@ -25,15 +26,12 @@ from orecohom.products import (
     bracket_small_generic,
     chain_map_report,
     circle_j,
-    compose_place_small,
     cup_bar,
     cup_class_table,
     cup_small,
     cup_small_oracle,
     delta_sum,
-    identity_one_cochain,
     phi_eval,
-    phi_psi_class_identity,
     psi_eval,
 )
 

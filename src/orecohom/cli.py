@@ -25,6 +25,7 @@ from .cohomology import (
     complex_report,
 )
 from .closedforms import (
+    NO_WITNESS,
     ClosedFormError,
     character_of,
     check_collapsed_cochain_spaces,
@@ -64,13 +65,16 @@ __all__ = ["main"]
 
 
 def _witness_candidates(inst: Instance, flag_value: str | None) -> list:
-    """The ``--witness`` candidate, if any, then the spec's candidates."""
+    """The ``--witness`` candidate, if any, then the spec's candidates.  The
+    flag is a basis label of K if it names one (such as ``1``), else JSON."""
     if flag_value is None:
         return inst.witness_candidates
-    try:
-        parsed = json.loads(flag_value)
-    except json.JSONDecodeError:
-        parsed = flag_value
+    parsed = flag_value
+    if flag_value not in inst.K.basis_names:
+        try:
+            parsed = json.loads(flag_value)
+        except json.JSONDecodeError:
+            pass
     return [decode_witness(inst.K, parsed), *inst.witness_candidates]
 
 
@@ -82,8 +86,8 @@ class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
     the degree bound D, the decoded witness candidates and, each built on
     first use, the check of f, the one compile of A, its regular bimodule,
-    the small complex through degree D + 1 and the collapse witness.  A
-    session belongs to one run; nothing outlives it."""
+    the small complex through degree D + 1 and the result of the run's one
+    witness search.  A session belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -122,6 +126,21 @@ class Session:
     @functools.cached_property
     def witness(self):
         return find_witness(self.algebra, self.candidates)
+
+    @property
+    def found_witness(self):
+        """The run's witness; a check that needs one skips when the run's
+        search found none, without searching again."""
+        if self.witness is None:
+            raise ClosedFormError(NO_WITNESS)
+        return self.witness
+
+    @property
+    def chi(self):
+        """The spec's character, else the one read off A's diagonal twist."""
+        if self.inst.chi is not None:
+            return self.inst.chi
+        return character_of(self.algebra.K, self.algebra.alpha)
 
 
 # -- verb: validate -----------------------------------------------------------
@@ -248,41 +267,41 @@ def run_products(session: Session) -> tuple[dict, bool]:
 # -- verb: theorems -----------------------------------------------------------
 
 
-def _with_char(C, chi):
-    return chi if chi is not None else character_of(C.alg.K, C.alg.alpha)
-
-
-def _run_membership(C, inst, D, witness, chi):
-    return class_membership_period(C.alg.K, _with_char(C, chi), C.alg.n)
-
-
-def _run_rank_one(C, inst, D, witness, chi):
-    if inst.K.group is None or chi is None:
+def _run_rank_one(s: Session):
+    inst = s.inst
+    if inst.K.group is None or inst.chi is None:
         raise ClosedFormError("rank-one analysis needs a character-twist group instance")
     if inst.rank_one is None:
         raise ClosedFormError("rank-one analysis needs options.g1 and options.xi")
     g1, xi = inst.rank_one
-    return rank_one_hopf_report(inst.field, inst.K.group, chi, g1, inst.n, xi, up_to=min(D, 5))
+    return rank_one_hopf_report(inst.field, inst.K.group, inst.chi, g1, inst.n, xi,
+                                up_to=min(s.D, 5))
 
 
-def _run_quaternion(C, inst, D, witness, chi):
+def _run_quaternion(s: Session):
+    inst = s.inst
     if inst.rotation is None:
         raise ClosedFormError("rotation analysis needs quaternion coefficients")
-    return quaternion_rotation_report(inst.field, *inst.rotation, inst.f_coeffs, up_to=min(D, 4))
+    return quaternion_rotation_report(inst.field, *inst.rotation, inst.f_coeffs, up_to=min(s.D, 4))
 
 
+# Each check takes the run's Session.  Its complex is regular and reaches
+# degree D + 1, so a check skips on the first of the character or the witness
+# it reads, in the order the check itself would test them.
 THEOREM_CHECKS = {
-    "collapsed-spaces": lambda C, inst, D, w, chi: check_collapsed_cochain_spaces(C, w, D),
-    "collapsed-differentials": lambda C, inst, D, w, chi: check_collapsed_differentials(C, w, D),
-    "collapsed-cohomology": lambda C, inst, D, w, chi: collapsed_cohomology_table(C, w, D),
-    "cyclic-comparison": lambda C, inst, D, w, chi: cyclic_group_cohomology(C, w, D),
-    "diagonalizable": lambda C, inst, D, w, chi: diagonalizable_cohomology_table(C, w, D),
-    "untwisted-model": lambda C, inst, D, w, chi: untwisted_model_check(C, D),
-    "untwisted-annihilator": lambda C, inst, D, w, chi: untwisted_annihilator_table(C, D),
-    "group-cohomology": lambda C, inst, D, w, chi: group_algebra_cohomology_table(C, chi, D, w),
-    "membership-period": _run_membership,
-    "periodicity": lambda C, inst, D, w, chi: cohomology_periodicity(C, chi, D),
-    "presentation": lambda C, inst, D, w, chi: presentation_report(C, chi, D),
+    "collapsed-spaces": lambda s: check_collapsed_cochain_spaces(s.complex, s.found_witness, s.D),
+    "collapsed-differentials":
+        lambda s: check_collapsed_differentials(s.complex, s.found_witness, s.D),
+    "collapsed-cohomology": lambda s: collapsed_cohomology_table(s.complex, s.found_witness, s.D),
+    "cyclic-comparison": lambda s: cyclic_group_cohomology(s.complex, s.found_witness, s.D),
+    "diagonalizable": lambda s: diagonalizable_cohomology_table(s.complex, s.found_witness, s.D),
+    "untwisted-model": lambda s: untwisted_model_check(s.complex, s.D),
+    "untwisted-annihilator": lambda s: untwisted_annihilator_table(s.complex, s.D),
+    "group-cohomology":
+        lambda s: group_algebra_cohomology_table(s.complex, s.chi, s.D, s.found_witness),
+    "membership-period": lambda s: class_membership_period(s.algebra.K, s.chi, s.algebra.n),
+    "periodicity": lambda s: cohomology_periodicity(s.complex, s.chi, s.D),
+    "presentation": lambda s: presentation_report(s.complex, s.chi, s.D),
     "rank-one-hopf": _run_rank_one,
     "quaternion-rotation": _run_quaternion,
 }
@@ -290,7 +309,6 @@ THEOREM_CHECKS = {
 
 def run_theorems(session: Session) -> tuple[dict, bool]:
     inst, D, C, witness = session.inst, session.D, session.complex, session.witness
-    chi = inst.chi
     which = getattr(session.args, "which", None)
     if which:
         tokens = [t.strip() for t in which.split(",") if t.strip()]
@@ -305,7 +323,7 @@ def run_theorems(session: Session) -> tuple[dict, bool]:
     ok = True
     for token in tokens:
         try:
-            result = THEOREM_CHECKS[token](C, inst, D, witness, chi)
+            result = THEOREM_CHECKS[token](session)
         except ClosedFormError as exc:
             entries.append({"which": token, "status": "skipped", "reason": str(exc)})
             continue

@@ -15,6 +15,12 @@ Hard precondition failures raise ClosedFormError; computational disagreements
 are recorded in ``mismatches`` and flip ``match`` instead of raising, so a
 report can show exactly where a closed description stops being valid.
 
+Preconditions are tested in one order, so a skip names the first that
+fails: regular bimodule, character (given, else read off the twist), collapse
+witness, identity twist, top degree (by default the highest the complex
+reaches), then the check's own hypotheses.  A WitnessData passed in is never
+searched for again; only None starts a search.
+
 The witness element lambda-check that drives the collapsed descriptions is a
 central, n-th-power-fixed element whose differences from its own twists are
 two-sided regular.  When one exists, the twisted-invariant cochain spaces
@@ -103,16 +109,40 @@ def _result(theorem: str, hypotheses: list, closed, generic, mismatches: list) -
     }
 
 
-def _need_degrees(C: SmallComplex, up_to: int) -> None:
+def _regular_alg(C: SmallComplex) -> MonogenicAlgebra:
+    """The algebra of C, once C is checked to be its regular bimodule's complex."""
+    if C.M.dim != C.alg.adim:
+        raise ClosedFormError("closed tables describe the regular bimodule")
+    return C.alg
+
+
+def _top_degree(C: SmallComplex, up_to: int | None) -> int:
+    """The top degree of a cohomology table, by default the highest that C
+    reaches: H^r needs the cochains of degree r + 1."""
+    if up_to is None:
+        up_to = C.max_degree - 1
     if up_to + 1 > C.max_degree:
         raise ClosedFormError(
             f"table through degree {up_to} needs the complex built through degree {up_to + 1}"
         )
+    return up_to
 
 
-def _require_regular(C: SmallComplex) -> None:
-    if C.M.dim != C.alg.adim:
-        raise ClosedFormError("closed tables describe the regular bimodule")
+def _character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Scalar]:
+    """The given character, else the one read off the diagonal twist."""
+    return chi if chi is not None else character_of(alg.K, alg.alpha)
+
+
+def _dims_result(
+    theorem: str, hypotheses: list, C: SmallComplex, up_to: int,
+    closed_dims: list[int], mismatches: list, **closed,
+) -> dict:
+    """The check dict of a dimension table, compared with the generic one."""
+    generic_dims = cohomology_dims(C, up_to)
+    if closed_dims != generic_dims:
+        mismatches.append("dimension tables differ")
+    return _result(theorem, hypotheses, {"dims": closed_dims, **closed}, {"dims": generic_dims},
+                   mismatches)
 
 
 # -- witness elements ----------------------------------------------------------
@@ -195,13 +225,16 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
     return None
 
 
+NO_WITNESS = "no collapse witness available for this instance"
+
+
 def _need_witness(alg: MonogenicAlgebra, witness) -> WitnessData:
     if witness is None:
         witness = find_witness(alg)
     elif not isinstance(witness, WitnessData):
         witness = witness_check(alg, witness)
     if not witness:
-        raise ClosedFormError("no collapse witness available for this instance")
+        raise ClosedFormError(NO_WITNESS)
     return witness
 
 
@@ -213,11 +246,6 @@ def _embed_k_columns(alg: MonogenicAlgebra, cols: Mat, xdeg: int) -> Mat:
     return Mat.from_columns(
         alg.field, [alg.monomial(c, xdeg).coords for c in cols.columns_list()], alg.adim
     )
-
-
-def _k_part(alg: MonogenicAlgebra, v_ambient: tuple, xdeg: int) -> tuple:
-    d = alg.K.dim
-    return tuple(v_ambient[alg.idx(b, xdeg)] for b in range(d))
 
 
 def _alpha_minus_id(alg: MonogenicAlgebra) -> Mat:
@@ -236,23 +264,18 @@ def _n_lambda(alg: MonogenicAlgebra) -> tuple:
     return vscale(alg.field.from_int(alg.n), alg.f_coeffs[-1])
 
 
-def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
-    """Matrix of lam -> sum_l alpha^l(lam) * lambda_n on K-coordinates."""
+def _twist_norm(alg: MonogenicAlgebra) -> Mat:
+    """Matrix of lam -> sum_{l < n} alpha^l(lam) on K-coordinates."""
     K = alg.K
-    lam_n = alg.f_coeffs[-1]
-    R = K.right_mult_matrix(lam_n)
     out = Mat.zero(K.field, K.dim, K.dim)
     for l in range(alg.n):
-        out = out.add(R.matmul(alg.alpha.power_matrix(l)))
+        out = out.add(alg.alpha.power_matrix(l))
     return out
 
 
-def _restrict_columns(space: Mat, condition: Mat) -> Mat:
-    """Columns of ``space`` spanning its intersection with ker(condition)."""
-    if space.cols == 0:
-        return space
-    ker = kernel_basis(condition.matmul(space))
-    return space.matmul(ker)
+def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
+    """Matrix of lam -> sum_l alpha^l(lam) * lambda_n on K-coordinates."""
+    return alg.K.right_mult_matrix(alg.f_coeffs[-1]).matmul(_twist_norm(alg))
 
 
 def _quotient_dim(sub: Mat, amb: Mat) -> int:
@@ -288,8 +311,7 @@ def check_collapsed_cochain_spaces(
 ) -> dict:
     """Under a witness, the degree-2m cochain space is the m-block coefficient
     space and the degree-(2m+1) space is its x-multiple."""
-    _require_regular(C)
-    alg = C.alg
+    alg = _regular_alg(C)
     w = _need_witness(alg, witness)
     if up_to is None:
         up_to = C.max_degree
@@ -315,9 +337,7 @@ def check_collapsed_differentials(
 ) -> dict:
     """Under a witness, the odd differential is lam -> (alpha(lam) - lam) x and
     the even differential is lam x -> -sum_l alpha^l(lam) lambda_n."""
-    _require_regular(C)
-    alg = C.alg
-    K = alg.K
+    alg = _regular_alg(C)
     w = _need_witness(alg, witness)
     if up_to is None:
         up_to = C.max_degree
@@ -330,7 +350,7 @@ def check_collapsed_differentials(
         cols = []
         xdeg = r % 2
         for j in range(src.cols):
-            w_k = (A1 if xdeg else T).matvec(_k_part(alg, src.column(j), 1 - xdeg))
+            w_k = (A1 if xdeg else T).matvec(AElem(alg, src.column(j)).k_coeff(1 - xdeg).coords)
             amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
             try:
                 cols.append(C.to_sub(r, amb))
@@ -341,7 +361,7 @@ def check_collapsed_differentials(
         if cols is None:
             continue
         closed = Mat.from_columns(C.field, cols, C.bases[r].cols)
-        closed_cols[str(r)] = [[K.field.encode(x) for x in col] for col in cols]
+        closed_cols[str(r)] = [[alg.field.encode(x) for x in col] for col in cols]
         if closed != C.dmats[r]:
             mismatches.append(f"differential mismatch in degree {r}")
     return _result(
@@ -359,12 +379,9 @@ def collapsed_cohomology_table(
     """Cohomology of a witnessed instance from coefficient-space data alone:
     fixed-central part in degree 0, trace-kernel over twist-image in odd
     degrees, fixed part of the next block over the trace image in even ones."""
-    _require_regular(C)
-    alg = C.alg
+    alg = _regular_alg(C)
     w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
+    up_to = _top_degree(C, up_to)
     A1 = _alpha_minus_id(alg)
     T = _trace_matrix(alg)
     fixed = kernel_basis(A1)
@@ -383,7 +400,7 @@ def collapsed_cohomology_table(
             continue
         xdeg = r % 2
         if xdeg:
-            cocycles = _restrict_columns(W, T)
+            cocycles = intersect_spans(W, kernel_basis(T))
             boundaries = A1.matmul(W)
         else:
             cocycles = intersect_spans(fixed, W)
@@ -395,15 +412,8 @@ def collapsed_cohomology_table(
         gen_im = C.bases[r].matmul(C.dmats[r])
         if not span_equal(_embed_k_columns(alg, boundaries, xdeg), gen_im):
             mismatches.append(f"coboundary space mismatch in degree {r}")
-    generic_dims = cohomology_dims(C, up_to)
-    if closed_dims != generic_dims:
-        mismatches.append("dimension tables differ")
-    return _result(
-        "collapsed-cohomology",
-        w.hypothesis_list(),
-        {"dims": closed_dims},
-        {"dims": generic_dims},
-        mismatches,
+    return _dims_result(
+        "collapsed-cohomology", w.hypothesis_list(), C, up_to, closed_dims, mismatches
     )
 
 
@@ -428,13 +438,10 @@ def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = N
     dividing n, the cohomology agrees with group cohomology of a cyclic group
     acting on the center through the twist: fixed points in degree 0, then
     norm kernel over twist image and twist kernel over norm image alternating."""
-    _require_regular(C)
-    alg = C.alg
+    alg = _regular_alg(C)
     K = alg.K
     w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
+    up_to = _top_degree(C, up_to)
     lam_n = alg.f_coeffs[-1]
     invertible = rank(K.left_mult_matrix(lam_n)) == K.dim
     ident = Mat.identity(K.field, K.dim)
@@ -448,24 +455,13 @@ def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = N
                               "coefficient and a twist of order dividing n")
     Z = K.center_basis()
     a1 = _restrict_to_span(Z, _alpha_minus_id(alg))
-    norm = Mat.zero(K.field, K.dim, K.dim)
-    for l in range(alg.n):
-        norm = norm.add(alg.alpha.power_matrix(l))
-    nz = _restrict_to_span(Z, norm)
+    nz = _restrict_to_span(Z, _twist_norm(alg))
     z = Z.cols
     h0 = z - rank(a1)
     h_odd = (z - rank(nz)) - rank(a1)
     h_even = (z - rank(a1)) - rank(nz)
     closed = [h0] + [h_odd if r % 2 == 1 else h_even for r in range(1, up_to + 1)]
-    generic = cohomology_dims(C, up_to)
-    mismatches = [] if closed == generic else ["dimension tables differ"]
-    return _result(
-        "cyclic-group-comparison",
-        hyps,
-        {"dims": closed},
-        {"dims": generic},
-        mismatches,
-    )
+    return _dims_result("cyclic-group-comparison", hyps, C, up_to, closed, [])
 
 
 # -- diagonalizable twists -----------------------------------------------------
@@ -516,11 +512,12 @@ def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list)
     closed_dims = [intersect_spans(fixed, K.center_basis()).cols]
     for r in range(1, up_to + 1):
         m = r // 2
+        fixed_m = intersect_spans(fixed, _w_space(alg, m))
         if r % 2 == 1:
-            reps_k = intersect_spans(intersect_spans(fixed, _w_space(alg, m)), ann)
+            reps_k = intersect_spans(fixed_m, ann)
         else:
-            num = intersect_spans(fixed, _w_space(alg, m))
-            reps_k = quotient_basis(Rn.matmul(intersect_spans(fixed, _w_space(alg, m - 1))), num)
+            fixed_below = intersect_spans(fixed, _w_space(alg, m - 1))
+            reps_k = quotient_basis(Rn.matmul(fixed_below), fixed_m)
         closed_dims.append(reps_k.cols)
         _classes_of_closed_reps(
             C, r, _embed_k_columns(alg, reps_k, r % 2), mismatches,
@@ -536,13 +533,9 @@ def diagonalizable_cohomology_table(
     odd classes are fixed block elements annihilating n times the constant
     coefficient; even classes are fixed next-block elements modulo that
     multiple of the fixed block."""
-    _require_regular(C)
-    alg = C.alg
-    K = alg.K
+    alg = _regular_alg(C)
     w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
+    up_to = _top_degree(C, up_to)
     diag = certify_diagonalizable(alg.alpha)
     epi = alg.alpha.is_automorphism
     hyps = w.hypothesis_list() + [
@@ -553,20 +546,14 @@ def diagonalizable_cohomology_table(
         raise ClosedFormError("closed table needs a certified diagonalizable bijective twist")
     mismatches: list[str] = []
     closed_dims = _fixed_block_dims(C, kernel_basis(_alpha_minus_id(alg)), up_to, mismatches)
-    generic_dims = cohomology_dims(C, up_to)
-    if closed_dims != generic_dims:
-        mismatches.append("dimension tables differ")
-    ch = getattr(K.field, "char", 0)
+    ch = getattr(alg.field, "char", 0)
     if ch != 2 or alg.n % 2 == 1 or alg.n % 4 == 0:
         odd_cup_rule = "zero"
     else:
         odd_cup_rule = "product-with-constant-coefficient"
-    return _result(
-        "diagonalizable-cohomology",
-        hyps,
-        {"dims": closed_dims, "odd_cup_rule": odd_cup_rule},
-        {"dims": generic_dims},
-        mismatches,
+    return _dims_result(
+        "diagonalizable-cohomology", hyps, C, up_to, closed_dims, mismatches,
+        odd_cup_rule=odd_cup_rule,
     )
 
 
@@ -614,8 +601,7 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
     """With the identity twist every cochain space is the center polynomial
     model (center of K times the x powers), odd differentials vanish, and even
     differentials multiply by the derivative of the defining polynomial."""
-    _require_regular(C)
-    alg = C.alg
+    alg = _regular_alg(C)
     ident = Mat.identity(alg.K.field, alg.K.dim)
     is_id = alg.alpha.matrix == ident
     hyps = [_hyp("twist is the identity", is_id)]
@@ -648,43 +634,29 @@ def untwisted_annihilator_table(C: SmallComplex, up_to: int | None = None) -> di
     """Identity-twist cohomology: the full center model in degree 0, the
     annihilator of the derivative in odd degrees, the model modulo the
     derivative's multiples in even degrees."""
-    _require_regular(C)
-    alg = C.alg
+    alg = _regular_alg(C)
     ident = Mat.identity(alg.K.field, alg.K.dim)
     if alg.alpha.matrix != ident:
         raise ClosedFormError("annihilator table needs the identity twist")
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
+    up_to = _top_degree(C, up_to)
     model = C.bases[0]
     fprime = _formal_derivative_elem(alg)
     L = _left_mult_matrix_a(C.M, fprime)
     Lsub = _restrict_to_span(model, L)
-    ann_dim = model.cols - rank(Lsub)
-    quot_dim = model.cols - rank(Lsub)
-    closed_dims = []
+    # the annihilator (kernel) and the quotient (cokernel) of one square map
+    # have the same dimension, and the same representatives serve every degree
+    closed_dims = [model.cols] + [model.cols - rank(Lsub)] * up_to
+    ann_reps = model.matmul(kernel_basis(Lsub))
+    quot_reps = model.matmul(quotient_basis(Lsub, Mat.identity(C.field, model.cols)))
     mismatches: list[str] = []
-    for r in range(up_to + 1):
-        if r == 0:
-            closed_dims.append(model.cols)
-        elif r % 2 == 1:
-            closed_dims.append(ann_dim)
-            reps = model.matmul(kernel_basis(Lsub))
-            _classes_of_closed_reps(C, r, reps, mismatches, "annihilator table")
+    for r in range(1, up_to + 1):
+        if r % 2 == 1:
+            _classes_of_closed_reps(C, r, ann_reps, mismatches, "annihilator table")
         else:
-            closed_dims.append(quot_dim)
-            reps_sub = quotient_basis(Lsub, Mat.identity(C.field, model.cols))
-            reps = model.matmul(reps_sub)
-            _classes_of_closed_reps(C, r, reps, mismatches, "quotient table")
-    generic_dims = cohomology_dims(C, up_to)
-    if closed_dims != generic_dims:
-        mismatches.append("dimension tables differ")
-    return _result(
-        "untwisted-annihilator-table",
-        [_hyp("twist is the identity", True)],
-        {"dims": closed_dims},
-        {"dims": generic_dims},
-        mismatches,
+            _classes_of_closed_reps(C, r, quot_reps, mismatches, "quotient table")
+    return _dims_result(
+        "untwisted-annihilator-table", [_hyp("twist is the identity", True)],
+        C, up_to, closed_dims, mismatches,
     )
 
 
@@ -764,12 +736,7 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
 
 def _kernel_span(K: AlgebraK, chi: list[Scalar]) -> Mat:
     """Span of the group elements in the character kernel, as K-columns."""
-    idxs = character_kernel(K.group, chi)
-    cols = []
-    for g in idxs:
-        v = [K.field.zero] * K.dim
-        v[g] = K.field.one
-        cols.append(tuple(v))
+    cols = [K.basis_elem(g).coords for g in character_kernel(K.group, chi)]
     return Mat.from_columns(K.field, cols, K.dim)
 
 
@@ -780,30 +747,20 @@ def group_algebra_cohomology_table(
     kernel sums in degree 0, kernel elements in the right twist block
     annihilating n times the constant coefficient in odd degrees, and the
     corresponding quotient in even degrees."""
-    _require_regular(C)
-    alg = C.alg
-    K = alg.K
-    if chi is None:
-        chi = character_of(K, alg.alpha)
+    alg = _regular_alg(C)
+    chi = _character(alg, chi)
     w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
-    kN = _kernel_span(K, chi)
+    up_to = _top_degree(C, up_to)
+    kN = _kernel_span(alg.K, chi)
     mismatches: list[str] = []
     fixed = kernel_basis(_alpha_minus_id(alg))
     if not span_equal(kN, fixed):
         mismatches.append("character kernel span differs from the fixed space")
     closed_dims = _fixed_block_dims(C, kN, up_to, mismatches)
-    generic_dims = cohomology_dims(C, up_to)
-    if closed_dims != generic_dims:
-        mismatches.append("dimension tables differ")
-    return _result(
+    return _dims_result(
         "group-algebra-cohomology",
         w.hypothesis_list() + [_hyp("twist is a character twist", True)],
-        {"dims": closed_dims},
-        {"dims": generic_dims},
-        mismatches,
+        C, up_to, closed_dims, mismatches,
     )
 
 
@@ -845,15 +802,10 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     power (degree 0 excluded); with n times the constant coefficient zero the
     odd dimension equals the preceding even one and the period-degree
     dimension returns to degree 0's."""
-    _require_regular(C)
-    alg = C.alg
-    K = alg.K
-    if chi is None:
-        chi = character_of(K, alg.alpha)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
-    v = character_order(K.group, char_power(chi, alg.n))
+    alg = _regular_alg(C)
+    chi = _character(alg, chi)
+    up_to = _top_degree(C, up_to)
+    v = character_order(alg.K.group, char_power(chi, alg.n))
     dims = cohomology_dims(C, up_to)
     mismatches = []
     for r in range(1, up_to - 2 * v + 1):
@@ -884,28 +836,19 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     the degree-0 ring, module generators in low odd and even degrees, and the
     unit class at the period degree, whose cup action is checked to be a
     degreewise bijection."""
-    _require_regular(C)
-    alg = C.alg
-    K = alg.K
-    if chi is None:
-        chi = character_of(K, alg.alpha)
-    if up_to is None:
-        up_to = C.max_degree - 1
-    _need_degrees(C, up_to)
-    v = character_order(K.group, char_power(chi, alg.n))
+    alg = _regular_alg(C)
+    chi = _character(alg, chi)
+    up_to = _top_degree(C, up_to)
+    v = character_order(alg.K.group, char_power(chi, alg.n))
     if 2 * v > up_to:
         raise ClosedFormError("table too short to reach the period degree")
     dims = cohomology_dims(C, up_to)
     nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
     gens = [{"degree": 0, "count": dims[0], "kind": "degree-zero ring"}]
-    for m in range(v):
-        r = 2 * m + 1
-        if r <= up_to and dims[r]:
-            gens.append({"degree": r, "count": dims[r], "kind": "odd module generators"})
-    for m in range(1, v):
-        r = 2 * m
-        if r <= up_to and dims[r]:
-            gens.append({"degree": r, "count": dims[r], "kind": "even module generators"})
+    for first, kind in ((1, "odd module generators"), (2, "even module generators")):
+        for r in range(first, 2 * v, 2):
+            if r <= up_to and dims[r]:
+                gens.append({"degree": r, "count": dims[r], "kind": kind})
     gens.append({"degree": 2 * v, "count": 1, "kind": "unit class"})
     mismatches: list[str] = []
     unit_cls = cohomology_group(C, 2 * v).class_coords(C.alg.one.coords)
@@ -957,14 +900,10 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
 # -- rank-one extensions of group algebras --------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _primitive_root_check(field: Field, c: Scalar, n: int) -> bool:
     if c ** n != field.one:
         return False
-    return all(c ** d != field.one for d in _divisors(n)[:-1])
+    return all(c ** d != field.one for d in range(1, n) if n % d == 0)
 
 
 def rank_one_hopf_report(
@@ -1065,7 +1004,8 @@ def rank_one_hopf_report(
         return report
     alg = MonogenicAlgebra(K, alpha, f_coeffs)
     C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
-    table = group_algebra_cohomology_table(C, chi, up_to)
+    w_ext = _need_witness(alg, None)
+    table = group_algebra_cohomology_table(C, chi, up_to, w_ext)
     report["extension_table"] = table
     mismatches = report["mismatches"]
     mismatches.extend(f"extension table: {m}" for m in table["mismatches"])
@@ -1075,7 +1015,6 @@ def rank_one_hopf_report(
         mismatches.append("quotient model dimensions differ in positive degrees")
     report["dims"] = dims_a
     report["quotient_dims"] = dims_q
-    w_ext = find_witness(alg)
     bracket_rows = []
     for ma in (0, 1):
         for mb in (0, 1):
@@ -1185,13 +1124,8 @@ def quaternion_rotation_report(
     theta: list[Mat] = []
     for r in range(up_to + 1):
         t = C.twist(r)
-        cols = []
-        for u in range(n):
-            coords = [field.zero] * alg.adim
-            h = _quaternion_half_power(K, cos_half, sin_half, u - t)
-            for b, c in enumerate(h):
-                coords[alg.idx(b, u)] = c
-            cols.append(tuple(coords))
+        cols = [alg.monomial(_quaternion_half_power(K, cos_half, sin_half, u - t), u).coords
+                for u in range(n)]
         theta.append(Mat.from_columns(field, cols, alg.adim))
         if not span_equal(theta[r], C.bases[r]):
             mismatches.append(f"twisted-invariant space mismatch in degree {r}")
@@ -1201,9 +1135,7 @@ def quaternion_rotation_report(
     Cc = build_small_complex(comp, Bimodule.regular(comp), up_to + 1)
     for r in range(1, up_to + 1):
         for u in range(n):
-            src = [field.zero] * comp.adim
-            src[u] = field.one
-            via_comp = Cc.d_ambient(r, tuple(src))
+            via_comp = Cc.d_ambient(r, comp.basis_vector(u).coords)
             lhs = theta[r].matvec(via_comp)
             rhs = C.d_ambient(r, theta[r - 1].column(u))
             if lhs != rhs:

@@ -62,6 +62,8 @@ class Scalar:
                     f"cannot mix scalars of {self.field} and {other.field}"
                 )
             return other
+        if isinstance(other, bool):
+            raise FieldError("booleans are not field elements")
         if isinstance(other, int):
             return self.field.from_int(other)
         if isinstance(other, Fraction):

@@ -258,8 +258,12 @@ class MonogenicAlgebra:
         return self.monomial(u, 0)
 
     def monomial(self, u, a: int) -> AElem:
-        """The element u x^a for u in K and 0 <= a < n."""
-        u = self.K.elem(u)
+        """The element u x^a for u in K and 0 <= a < n.  A KElem or a tuple of
+        K's Scalars is taken as given; raw values go through ``K.elem``."""
+        if isinstance(u, tuple) and all(isinstance(c, Scalar) and c.field is self.field for c in u):
+            u = KElem(self.K, u)
+        else:
+            u = self.K.elem(u)
         coords = [self.field.zero] * self.adim
         for b, c in enumerate(u.coords):
             coords[self.idx(b, a)] = c

@@ -385,6 +385,13 @@ def test_witness_flag_accepts_label_and_coords(capsys):
     assert payload["witness"] == ["0/1", "1/1"]
 
 
+def test_witness_flag_one_is_a_label(capsys):
+    """``1`` names the unit of c4_sign's group algebra, not the JSON number 1."""
+    rc, with_flag = run(capsys, "products", spec("c4_sign.json"), "--witness", "1")
+    assert rc == 0
+    assert with_flag == run(capsys, "products", spec("c4_sign.json"))[1]
+
+
 # -- report and output handling -----------------------------------------------
 
 
@@ -444,12 +451,16 @@ def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
     assert len(calls) == builds
 
 
-def test_report_searches_for_the_witness_once(capsys, monkeypatch):
-    """group-cohomology reads the run's witness, as the other collapse
-    checks do, instead of searching again."""
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_report_searches_for_the_witness_once(capsys, monkeypatch, name):
+    """Every check reads the run's one witness search, and skips without a
+    second search when it found nothing.  c4_sign's rank-one check searches
+    once more on each of its quotient and extension algebras; sweedler_bad
+    fails validation before any search."""
     calls = count_calls(monkeypatch, closedforms, "find_witness", (cli,))
-    assert run(capsys, "report", spec("sweedler.json"))[0] == 0
-    assert len(calls) == 1
+    rc = run(capsys, "report", spec(name))[0]
+    assert rc == (1 if name == "sweedler_bad.json" else 0)
+    assert len(calls) == {"c4_sign.json": 3, "sweedler_bad.json": 0}.get(name, 1)
 
 
 @pytest.mark.parametrize("name", ["sweedler.json", "taft37.json"])

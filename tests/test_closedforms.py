@@ -36,7 +36,7 @@ from orecohom.closedforms import (
     untwisted_model_check,
     witness_check,
 )
-from orecohom import instances
+from orecohom import closedforms, instances
 
 
 def complex_of(alg, d):
@@ -593,3 +593,41 @@ def test_quaternion_ineligible_coefficient():
     F, cos, sin, ch, sh, _ = instances.quaternion_half_turn_data(1)
     with pytest.raises(ClosedFormError):
         quaternion_rotation_report(F, cos, sin, ch, sh, [{"i": 1}, {}], up_to=2)
+
+
+# -- every dimension table compares with the generic dims -----------------------
+
+
+@pytest.fixture(scope="module")
+def gf3():
+    alg = instances.gf3_cubic()
+    return alg, complex_of(alg, 5)
+
+
+@pytest.mark.parametrize(
+    "table, fixture",
+    [
+        (collapsed_cohomology_table, "sweedler"),
+        (cyclic_group_cohomology, "sweedler_inv"),
+        (diagonalizable_cohomology_table, "c4s"),
+        (untwisted_annihilator_table, "gf3"),
+        (group_algebra_cohomology_table, "taft3"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_dimension_tables_report_a_generic_mismatch(monkeypatch, request, table, fixture):
+    """A generic dimension table off by one in degree 1 turns each closed
+    dimension table into a mismatch, recorded after every other one."""
+    C = request.getfixturevalue(fixture)[-1]
+    assert table(C, up_to=4)["match"]
+    original = closedforms.cohomology_dims
+
+    def off_by_one(C, up_to):
+        dims = list(original(C, up_to))
+        dims[1] += 1
+        return dims
+
+    monkeypatch.setattr(closedforms, "cohomology_dims", off_by_one)
+    rep = table(C, up_to=4)
+    assert not rep["match"]
+    assert rep["mismatches"][-1] == "dimension tables differ"

@@ -41,3 +41,24 @@ def test_tracer_wraps_a_cohomology_run(capsys):
         assert counts[key] > 0, key
     metrics = tracer.layer_metrics(1.0)
     assert set(metrics) == set(spans.METRICS) - {"trace.round_s", "trace.overhead_s"}
+
+
+def test_tracer_times_each_theorem_check(capsys):
+    """Each check of `cli.THEOREM_CHECKS` takes the run's session and is timed
+    as one span per call; uninstalling restores every entry."""
+    spans = load_spans()
+    originals = dict(cli.THEOREM_CHECKS)
+    tracer = spans.Tracer(WallClock())
+    tracer.install()
+    try:
+        assert all(cli.THEOREM_CHECKS[k] is not f for k, f in originals.items())
+        rc = cli.main(["theorems", str(ROOT / "demos" / "specs" / "c4_sign.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert all(cli.THEOREM_CHECKS[k] is f for k, f in originals.items())
+    assert set(spans.THEOREM_CHECKS) == set(originals)
+    names = [record[0] for record in tracer.spans]
+    for check in originals:
+        assert names.count(f"closedforms.check.{check}") == 1, check

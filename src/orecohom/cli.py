@@ -457,6 +457,8 @@ def render_csv(verb: str, payload: dict) -> str:
         rows = ["check,status"]
         rows += [f"{e['which']},{e['status']}" for e in payload["checks"]]
         return "\n".join(rows) + "\n"
+    if verb == "report" and "cohomology" not in payload:  # validation failed
+        return render_csv("validate", payload["validate"])
     source = payload["cohomology"] if verb == "report" else payload
     rows = ["degree,dim"]
     rows += [f"{i},{dim}" for i, dim in enumerate(source["dims"])]

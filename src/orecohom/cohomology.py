@@ -5,6 +5,13 @@ Degree bookkeeping: d^r is the differential INTO C^r, so H^r is
 ker d^{r+1} / im d^r and computing H^r requires the complex to be built
 through degree r + 1.  The twist exponent of C^r is mn for r = 2m and
 mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
+
+Each piece of the complex is built once per distinct input and shared by
+every degree with that input: the cochain basis per exact twist matrix
+alpha^{t(r)}, the differential per (pair of bases, parity), the d.d check per
+pair of differentials, and the core of H^r per (d^r, d^{r+1}, C^r).  When
+alpha^{kn} = id the degrees past the first period are therefore aliases of
+earlier ones; the sharing reads only these inputs, never the order of alpha.
 """
 
 from __future__ import annotations
@@ -163,7 +170,9 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
 
     Cached on M, keyed by the exact entries of alpha^r
     (``alpha.power_matrix(r).data``): degrees whose twists are equal matrices
-    share one solve."""
+    share one solve and one basis object.  ``SmallComplex`` keys its
+    differentials and group cores on the identity of these objects, so this
+    cache is where the folding of the complex by period starts."""
     twist = M.alg.alpha.power_matrix(r)
     if twist.data not in M._invariants:
         M._invariants[twist.data] = twisted_kernel(M.field, M.dim, *M.sparse_actions, twist)
@@ -171,7 +180,21 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
 
 
 class SmallComplex:
-    """The small complex C^r = M^{alpha^{t(r)}} with compiled differentials."""
+    """The small complex C^r = M^{alpha^{t(r)}} with compiled differentials.
+
+    C^r and d^r depend on r only through the twist alpha^{t(r)} and the
+    parity of r, so equal inputs share one object:
+    - ``bases[r]`` is the ``twisted_invariants`` basis, cached on M by the
+      exact entries of alpha^{t(r)}, and ``solvers[r]`` is one solver per
+      distinct basis;
+    - ``dmats[r]`` is compiled once per (basis of degree r - 1, basis of
+      degree r, r mod 2), by identity of the cached bases;
+    - d^{r+1} d^r = 0 is checked once per distinct pair of differentials;
+    - the groups of ``cohomology_group`` share their cores (see
+      ``CohomologyGroup``).
+    Once alpha^{kn} = id the complex repeats with period 2k and the later
+    degrees are aliases.  Nothing reads the order of alpha: a twist whose
+    powers are never equal matrices compiles every degree."""
 
     def __init__(self, alg: MonogenicAlgebra, M: Bimodule, max_degree: int):
         self.alg = alg
@@ -179,6 +202,7 @@ class SmallComplex:
         self.max_degree = max_degree
         self.field = M.field
         self._groups: dict[int, "CohomologyGroup"] = {}
+        self._cores: dict[tuple, "_GroupCore"] = {}  # ids of (d^r, d^{r+1}, C^r) -> core
         self.bases: list[Mat] = []
         self.solvers: list[LinSolver] = []
         by_basis: dict[int, LinSolver] = {}  # id of a cached basis -> its solver
@@ -189,9 +213,18 @@ class SmallComplex:
             self.bases.append(B)
             self.solvers.append(by_basis[id(B)])
         self.dmats: list[Mat | None] = [None]
+        compiled: dict[tuple, Mat] = {}  # ids of (C^{r-1}, C^r), r mod 2 -> d^r
         for r in range(1, max_degree + 1):
-            self.dmats.append(self._compile_d(r))
+            key = (id(self.bases[r - 1]), id(self.bases[r]), r % 2)
+            if key not in compiled:
+                compiled[key] = self._compile_d(r)
+            self.dmats.append(compiled[key])
+        checked: set[tuple] = set()  # ids of (d^{r+1}, d^r)
         for r in range(1, max_degree):
+            pair = (id(self.dmats[r + 1]), id(self.dmats[r]))
+            if pair in checked:
+                continue
+            checked.add(pair)
             prod = self.dmats[r + 1].matmul(self.dmats[r])
             if not prod.is_zero():
                 raise CohomologyError(f"d.d is nonzero into degree {r + 1}")
@@ -233,9 +266,36 @@ def build_small_complex(alg: MonogenicAlgebra, M: Bimodule, max_degree: int) -> 
     return SmallComplex(alg, M, max_degree)
 
 
+class _GroupCore:
+    """What H^r reads from its inputs d^r, d^{r+1} and C^r alone: the kernel
+    of d^{r+1}, the image of d^r (empty for r = 0), the representatives (a
+    complement of the image in the kernel, over C^r and in M) and the solver
+    for class coordinates."""
+
+    def __init__(self, complex_: SmallComplex, r: int):
+        field = complex_.field
+        dim = complex_.dim_cochain(r)
+        self.kernel = kernel_basis(complex_.dmats[r + 1])
+        if r == 0:
+            self.image = Mat.from_columns(field, [], dim)
+        else:
+            self.image = EchelonTracker(field, dim).extend(complex_.dmats[r])
+        self.reps_sub = quotient_basis(self.image, self.kernel)
+        self.reps_ambient = [complex_.to_ambient(r, c) for c in self.reps_sub.columns_list()]
+        mixed = Mat.from_columns(
+            field, self.reps_sub.columns_list() + self.image.columns_list(), dim
+        )
+        self.class_solver = LinSolver(mixed)
+
+
 class CohomologyGroup:
     """H^r of a small complex with explicit ambient representatives and
-    deterministic class coordinates."""
+    deterministic class coordinates.
+
+    The degree-independent part is a ``_GroupCore`` kept on the complex and
+    keyed by the identities of (d^r, d^{r+1}, C^r), so the degrees r >= 1 of
+    one period share it.  ``dmats[0]`` is None, so H^0 has a key of its own.
+    The group keeps its degree: its errors name the degree asked for."""
 
     def __init__(self, complex_: SmallComplex, r: int):
         if r + 1 > complex_.max_degree:
@@ -244,37 +304,25 @@ class CohomologyGroup:
             )
         self.complex = complex_
         self.degree = r
-        field = complex_.field
-        kernel = kernel_basis(complex_.dmats[r + 1])
-        if r == 0:
-            image = Mat.from_columns(field, [], complex_.dim_cochain(0))
-        else:
-            image = EchelonTracker(field, complex_.dim_cochain(r)).extend(complex_.dmats[r])
-        reps_sub = quotient_basis(image, kernel)
-        self.kernel = kernel
-        self.image = image
-        self.reps_sub = reps_sub
-        self.dim = reps_sub.cols
-        self.reps_ambient = [
-            complex_.to_ambient(r, c) for c in reps_sub.columns_list()
-        ]
-        mixed = Mat.from_columns(
-            field,
-            reps_sub.columns_list() + image.columns_list(),
-            complex_.dim_cochain(r),
-        )
-        self._class_solver = LinSolver(mixed)
-        self._cocycle_test = complex_.dmats[r + 1]
+        key = (id(complex_.dmats[r]), id(complex_.dmats[r + 1]), id(complex_.bases[r]))
+        if key not in complex_._cores:
+            complex_._cores[key] = _GroupCore(complex_, r)
+        self.core = core = complex_._cores[key]
+        self.kernel = core.kernel
+        self.image = core.image
+        self.reps_sub = core.reps_sub
+        self.reps_ambient = core.reps_ambient
+        self.dim = core.reps_sub.cols
 
     def is_cocycle_sub(self, v_sub: tuple) -> bool:
-        return all(c.is_zero() for c in self._cocycle_test.matvec(v_sub))
+        return all(c.is_zero() for c in self.complex.dmats[self.degree + 1].matvec(v_sub))
 
     def class_coords(self, v_ambient: tuple) -> tuple:
         """Coordinates of a cocycle's class over the representative basis."""
         v_sub = self.complex.to_sub(self.degree, v_ambient)
         if not self.is_cocycle_sub(v_sub):
             raise CohomologyError("vector is not a cocycle")
-        sol = self._class_solver.solve(v_sub)
+        sol = self.core.class_solver.solve(v_sub)
         if sol is None:
             raise CohomologyError("cocycle outside kernel span (inconsistent state)")
         return sol[: self.dim]
@@ -303,8 +351,11 @@ def cohomology_dims(C: SmallComplex, up_to: int) -> list[int]:
 def complex_report(C: SmallComplex) -> list[dict]:
     """Per-degree data for reports; covers 0 .. max_degree - 1."""
     out = []
+    encoded: dict[int, list] = {}  # id of a group core -> its encoded representatives
     for r in range(C.max_degree):
         H = cohomology_group(C, r)
+        if id(H.core) not in encoded:
+            encoded[id(H.core)] = [[C.field.encode(c) for c in rep] for rep in H.reps_ambient]
         rank_in = 0 if r == 0 else H.image.cols
         rank_out = C.dim_cochain(r) - H.kernel.cols
         entry = {
@@ -314,9 +365,7 @@ def complex_report(C: SmallComplex) -> list[dict]:
             "rank_in": rank_in,
             "rank_out": rank_out,
             "dim_H": H.dim,
-            "representatives": [
-                [C.field.encode(c) for c in rep] for rep in H.reps_ambient
-            ],
+            "representatives": encoded[id(H.core)],
         }
         out.append(entry)
     return out

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from orecohom import instances
-from orecohom.cohomology import Bimodule, SmallComplex, build_small_complex, classes_equal, cohomology_group
+from orecohom.cohomology import (
+    Bimodule,
+    SmallComplex,
+    build_small_complex,
+    classes_equal,
+    cohomology_group,
+    twisted_invariants,
+)
 from orecohom.fields import (
     QQ,
     ExtensionField,
@@ -39,7 +46,7 @@ from orecohom.kalgebra import (
     quaternion_algebra,
 )
 from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, solve, vadd
-from orecohom.monogenic import AElem, MonogenicAlgebra, OrePoly, Resolution, TensorElem, ore_divmod
+from orecohom.monogenic import AElem, MonogenicAlgebra, OrePoly, Resolution, TensorElem, ore_divmod, twist_exponent
 from orecohom.products import BarCochain, SmallCochain, circle_j, phi_eval, psi_eval
 from orecohom.specio import load_instance
 
@@ -901,6 +908,48 @@ class LegacyExtensionField(Field):
 
     def __repr__(self):
         return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
+
+
+# -- the unfolded small complex the fold replaced ------------------------------
+
+
+def unfolded_complex(alg: MonogenicAlgebra, max_degree: int) -> tuple[list, list]:
+    """The bases C^0 .. C^D and the differentials d^1 .. d^D (index 0 is None)
+    of the small complex of A's regular bimodule, every degree on a fresh
+    ``Bimodule.regular(alg)`` with a fresh solver: no cache is hit and
+    nothing is shared between degrees, as before ``SmallComplex`` compiled
+    one differential per distinct twist.  The periods it shows are computed,
+    not assumed."""
+    bases = [twisted_invariants(Bimodule.regular(alg), twist_exponent(r, alg.n))
+             for r in range(max_degree + 1)]
+    dmats = [None]
+    for r in range(1, max_degree + 1):
+        M = Bimodule.regular(alg)
+        src = twisted_invariants(M, twist_exponent(r - 1, alg.n))
+        dst = twisted_invariants(M, twist_exponent(r, alg.n))
+        D = M.d_odd if r % 2 else M.d_even
+        solver = LinSolver(dst)
+        cols = [solver.solve(D.matvec(v)) for v in src.columns_list()]
+        assert None not in cols, f"d^{r} leaves the cochain space"
+        dmats.append(Mat.from_columns(alg.field, cols, dst.cols))
+    return bases, dmats
+
+
+def unfolded_dims(bases: list, dmats: list, up_to: int) -> list[int]:
+    """dim H^r = dim C^r - rank d^{r+1} - rank d^r for r <= up_to, with the
+    ranks from `dense_rref`."""
+    ranks = [0] + [len(dense_rref(d)[1]) for d in dmats[1:]]
+    return [bases[r].cols - ranks[r + 1] - ranks[r] for r in range(up_to + 1)]
+
+
+def twist_period(alg: MonogenicAlgebra, limit: int = 64) -> int:
+    """2k for the least k >= 1 with alpha^{kn} = id as a matrix: the period in
+    r of the twists alpha^{t(r)}."""
+    ident = Mat.identity(alg.field, alg.K.dim)
+    for k in range(1, limit + 1):
+        if alg.alpha.power_matrix(k * alg.n) == ident:
+            return 2 * k
+    raise AssertionError(f"alpha^(kn) is not the identity for k <= {limit}")
 
 
 # -- helpers only the tests call -----------------------------------------------

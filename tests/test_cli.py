@@ -510,6 +510,29 @@ def test_presentation_below_the_period_is_skipped(capsys, name):
     assert entry["reason"] == "table too short to reach the period degree"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_every_verb_renders_every_spec(capsys, name, fmt):
+    """Every verb in text and csv on every demo spec exits 0, or 1 on the
+    inadmissible sweedler_bad, without a traceback.  `tests/test_golden.py`
+    pins the JSON."""
+    for verb in ("validate", "cohomology", "products", "theorems", "report"):
+        rc = main([verb, spec(name), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == (1 if name == "sweedler_bad.json" else 0), verb
+        assert "Traceback" not in captured.err, verb
+        assert captured.out or rc == 1, verb
+
+
+def test_failed_report_csv_is_the_validate_table(capsys):
+    rc, out = run(capsys, "report", spec("sweedler_bad.json"), "--format", "csv")
+    assert rc == 1
+    assert out == (
+        "check,ok\ncoefficient-algebra,true\ntwist,true\ndefining-polynomial,false\n"
+    )
+    assert run(capsys, "validate", spec("sweedler_bad.json"), "--format", "csv") == (rc, out)
+
+
 def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "cohomology", spec("sweedler.json"), "--max-degree", "5")
     _, second = run(capsys, "cohomology", spec("sweedler.json"), "--max-degree", "5")

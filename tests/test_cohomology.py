@@ -1,5 +1,5 @@
 import pytest
-from conftest import in_span
+from conftest import CANNED, in_span, twist_period, unfolded_complex, unfolded_dims
 
 from orecohom.cohomology import (
     Bimodule,
@@ -12,7 +12,10 @@ from orecohom.cohomology import (
     twisted_invariants,
 )
 from orecohom.fields import QQ, prime_field
+from orecohom.instances import gh4_instance
 from orecohom.kalgebra import (
+    AlgebraK,
+    Endo,
     character_from_values,
     cyclic_group,
     endo_from_character,
@@ -163,11 +166,117 @@ def test_gh4_degree_two_class(gh4_complex):
 
 
 def test_gh4_periodicity_on_the_nose(gh4_complex):
+    """The unfolded complex repeats with period 4, and the folded one equals
+    it entry for entry.  The folded ``C.dmats[r + 4]`` is ``C.dmats[r]``
+    itself, so only the unfolded build can show the period."""
     C = gh4_complex
+    bases, dmats = unfolded_complex(C.alg, C.max_degree)
     for r in range(4):
-        assert C.bases[r] == C.bases[r + 4]
+        assert bases[r] == bases[r + 4] == C.bases[r + 4]
     for r in range(1, 4):
-        assert C.dmats[r] == C.dmats[r + 4]
+        assert dmats[r] == dmats[r + 4] == C.dmats[r + 4]
+
+
+@pytest.mark.parametrize("name", ["gh4_u2", "sweedler", "taft37", "c4_sign", "pair_swap"])
+def test_folded_complex_equals_unfolded(name):
+    """Through three periods of the twist, every folded basis and
+    differential equals the one built on a fresh bimodule in its own
+    degree, and so do the cohomology dimensions."""
+    alg = CANNED[name]()
+    top = 3 * twist_period(alg)
+    C = SmallComplex(alg, Bimodule.regular(alg), top)
+    bases, dmats = unfolded_complex(alg, top)
+    assert C.bases == bases
+    for r in range(1, top + 1):
+        assert C.dmats[r].data == dmats[r].data, r
+    assert cohomology_dims(C, top - 1) == unfolded_dims(bases, dmats, top - 1)
+
+
+def dual_numbers_doubling():
+    """K = Q[t]/(t^2) twisted by t -> 2t, with f = x^2: alpha has infinite
+    order, so no two twists alpha^r are equal matrices."""
+    K = AlgebraK.from_structure_constants(
+        QQ, 2, ["1", "t"], (1, 0), [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]
+    )
+    alpha = Endo(K, Mat(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.scalar(2)]]))
+    return MonogenicAlgebra(K, alpha, [{}, {}])
+
+
+def test_infinite_order_twist_compiles_every_degree():
+    alg = dual_numbers_doubling()
+    assert alg.alpha.order is None
+    top = 8
+    C = SmallComplex(alg, Bimodule.regular(alg), top)
+    assert len({id(B) for B in C.bases}) == top + 1
+    assert len({id(S) for S in C.solvers}) == top + 1
+    assert len({id(d) for d in C.dmats[1:]}) == top
+    bases, dmats = unfolded_complex(alg, top)
+    assert C.bases == bases
+    assert [d.data for d in C.dmats[1:]] == [d.data for d in dmats[1:]]
+    assert cohomology_dims(C, top - 1) == unfolded_dims(bases, dmats, top - 1)
+    assert len({id(cohomology_group(C, r).core) for r in range(top)}) == top
+
+
+@pytest.fixture(scope="module")
+def gh4_u2_deep():
+    alg = gh4_instance(2)[0]
+    return SmallComplex(alg, Bimodule.regular(alg), 32)
+
+
+def test_fold_shares_differentials_and_group_cores(gh4_u2_deep):
+    """gh4(2)'s twist has order 4 and n = 2, so degree 32 needs four
+    differentials, one per residue of r mod 4, and five group cores: H^0 and
+    one per residue for r >= 1."""
+    C = gh4_u2_deep
+    rows = complex_report(C)
+    assert len({id(d) for d in C.dmats[1:]}) == 4
+    assert len({id(cohomology_group(C, r).core) for r in range(32)}) == 5
+    for r in range(5, 32):
+        assert C.dmats[r] is C.dmats[r - 4]
+        assert rows[r]["representatives"] == rows[r - 4]["representatives"]
+    bases, dmats = unfolded_complex(C.alg, 32)
+    assert [row["dim_H"] for row in rows] == unfolded_dims(bases, dmats, 31)
+
+
+def aliased_test_vectors(C, r):
+    """Cocycles of degree r: class representatives, coboundaries and their
+    sums."""
+    reps = cohomology_group(C, r).reps_ambient
+    bounds = [C.d_ambient(r, v) for v in C.bases[r - 1].columns_list()]
+    sums = [tuple(a + b for a, b in zip(rep, bd)) for rep in reps for bd in bounds]
+    return reps + bounds + sums
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_aliased_degrees_give_the_same_classes(gh4_u2_deep, r):
+    C = gh4_u2_deep
+    H, H4 = cohomology_group(C, r), cohomology_group(C, r + 4)
+    assert H is not H4 and H.core is H4.core
+    assert (H.degree, H4.degree) == (r, r + 4)
+    for v in aliased_test_vectors(C, r):
+        assert H.class_coords(v) == H4.class_coords(v)
+        assert H.is_coboundary(v) == H4.is_coboundary(v)
+        assert classes_equal(C, r, v, v) and classes_equal(C, r + 4, v, v)
+
+
+def outside_vector(C, r):
+    """An ambient unit vector outside the degree-r cochain space."""
+    for i in range(C.M.dim):
+        v = tuple(C.field.one if j == i else C.field.zero for j in range(C.M.dim))
+        if not in_span(C.bases[r], v):
+            return v
+    raise AssertionError(f"C^{r} is all of M")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_aliased_errors_name_the_degree_asked_for(gh4_u2_deep, r):
+    C = gh4_u2_deep
+    v = outside_vector(C, r)
+    for s in (r, r + 4, r + 8):
+        with pytest.raises(CohomologyError, match=f"degree-{s} cochain space"):
+            C.to_sub(s, v)
+        with pytest.raises(CohomologyError, match=f"degree-{s} cochain space"):
+            cohomology_group(C, s).class_coords(v)
 
 
 def test_report_bookkeeping(sweedler_complex, gh4_complex):

@@ -47,10 +47,10 @@ from .fields import FieldError
 from .kalgebra import AlgebraError, algebra_validate
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
+    BarOracle,
     ProductsError,
     bracket_class_table,
     bracket_small_closed,
-    bracket_small_generic,
     class_pairs,
     cup_class_table,
     cup_small,
@@ -86,8 +86,12 @@ class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
     the degree bound D, the decoded witness candidates and, each built on
     first use, the check of f, the one compile of A, its regular bimodule,
-    the small complex through degree D + 1 and the result of the run's one
-    witness search.  A session belongs to one run; nothing outlives it."""
+    the small complex through degree D + 1, the result of the run's one
+    witness search and the run's bar oracle.  The oracle lifts each class
+    representative once, composes each ordered pair of lifts once and
+    brackets each pair once, keyed on (degree, value coordinates); the
+    products tables and both closed-vs-oracle agreements read it.  A session
+    belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -122,6 +126,10 @@ class Session:
     @functools.cached_property
     def complex(self):
         return build_small_complex(self.algebra, self.bimodule, self.D + 1)
+
+    @functools.cached_property
+    def oracle(self) -> BarOracle:
+        return BarOracle(self.algebra)
 
     @functools.cached_property
     def witness(self):
@@ -188,7 +196,7 @@ def run_cohomology(session: Session) -> tuple[dict, bool]:
 # -- verb: products -----------------------------------------------------------
 
 
-def _cup_agreement(C, cap: int) -> list[dict]:
+def _cup_agreement(C, cap: int, oracle: BarOracle) -> list[dict]:
     out = []
     for p in range(cap + 1):
         for q in range(cap + 1 - p):
@@ -198,14 +206,14 @@ def _cup_agreement(C, cap: int) -> list[dict]:
             if pairs:
                 agree = all(
                     classes_equal(C, p + q, cup_small(a, b).value.coords,
-                                  cup_small_oracle(a, b).value.coords)
+                                  cup_small_oracle(a, b, oracle).value.coords)
                     for _, a, _, b in pairs
                 )
                 out.append({"deg_a": p, "deg_b": q, "pairs": len(pairs), "agree": agree})
     return out
 
 
-def _bracket_agreement(C, witness, cap: int) -> list[dict]:
+def _bracket_agreement(C, witness, cap: int, oracle: BarOracle) -> list[dict]:
     out = []
     top = C.max_degree - 1
     for p in range(min(cap + 2, top + 1)):
@@ -223,7 +231,7 @@ def _bracket_agreement(C, witness, cap: int) -> list[dict]:
                     note = str(exc)
                     continue
                 pairs += 1
-                got = bracket_small_generic(a, b, max(cap, 1)).value.coords
+                got = oracle.bracket(a, b, max(cap, 1)).value.coords
                 agree = agree and classes_equal(C, deg, got, want)
             if pairs or note:
                 row = {"deg_a": p, "deg_b": q, "pairs": pairs, "agree": agree if pairs else None}
@@ -235,13 +243,14 @@ def _bracket_agreement(C, witness, cap: int) -> list[dict]:
 
 def run_products(session: Session) -> tuple[dict, bool]:
     inst, D, C, args = session.inst, session.D, session.complex, session.args
+    oracle = session.oracle
     bound = args.oracle_bound if args.oracle_bound is not None else inst.options.get("oracle_bound", 5)
     cup_rows = cup_class_table(C, D)
-    bracket_rows = bracket_class_table(C, D, bound)
-    cup_checked = _cup_agreement(C, min(D, 3))
+    bracket_rows = bracket_class_table(C, D, bound, oracle)
+    cup_checked = _cup_agreement(C, min(D, 3), oracle)
     witness = session.witness
     if witness:
-        bracket_checked = _bracket_agreement(C, witness, min(bound, 3))
+        bracket_checked = _bracket_agreement(C, witness, min(bound, 3), oracle)
         witness_enc = _encode_kelem(inst, witness.value.coords)
     else:
         bracket_checked = []

@@ -174,9 +174,12 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     differentials and group cores on the identity of these objects, so this
     cache is where the folding of the complex by period starts."""
     twist = M.alg.alpha.power_matrix(r)
-    if twist.data not in M._invariants:
-        M._invariants[twist.data] = twisted_kernel(M.field, M.dim, *M.sparse_actions, twist)
-    return M._invariants[twist.data]
+    basis = M._invariants.get(twist.data)
+    if basis is None:
+        basis = M._invariants[twist.data] = twisted_kernel(
+            M.field, M.dim, *M.sparse_actions, twist
+        )
+    return basis
 
 
 class SmallComplex:

@@ -7,6 +7,14 @@ with tables indexed by tuples in {1..n-1}^p whose values are twisted-invariant
 elements of A; a composed or merged slot value with a K-component migrates
 that component left through the preceding slots (twisting by alpha along the
 way), and slots reduced to the unit are killed by normalization.
+
+A ``BarOracle`` holds the oracle's work for one algebra and one run: psi of
+each small cochain, keyed on (degree, value coordinates); ``compose_bar`` of
+each ordered pair of those lifts, keyed on the two cochain keys; and the
+oracle bracket of each pair of cochains, keyed the same way.  The degree bound
+of a bracket is checked before any lookup and is not part of the key.  The
+closed forms (``cup_small``, ``bracket_small_closed``) never read it, so an
+agreement of the two routes still compares independent computations.
 """
 
 from __future__ import annotations
@@ -398,20 +406,80 @@ def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
     return SmallCochain(alg, a.degree + b.degree, value, check=False)
 
 
-def cup_small_oracle(a: SmallCochain, b: SmallCochain) -> SmallCochain:
-    """Cup product computed through the bar complex."""
-    return phi_eval(cup_bar(psi_eval(a), psi_eval(b)))
+class BarOracle:
+    """The bar-complex route for the cochains of one algebra, each piece
+    computed once (see the module docstring for the keys).  Each call hands
+    back the stored object, which callers must not mutate.  One run owns one
+    oracle (``cli.Session.oracle``); a library call without one builds a
+    fresh oracle."""
+
+    def __init__(self, alg: MonogenicAlgebra):
+        self.alg = alg
+        self._lifts: dict[tuple, BarCochain] = {}
+        self._compositions: dict[tuple, BarCochain] = {}
+        self._brackets: dict[tuple, SmallCochain] = {}
+
+    def _key(self, m: SmallCochain) -> tuple:
+        if m.alg is not self.alg:
+            raise ProductsError("cochain of another algebra than the oracle's")
+        return m.degree, m.value.coords
+
+    def lift(self, m: SmallCochain) -> BarCochain:
+        """``psi_eval(m)``."""
+        key = self._key(m)
+        g = self._lifts.get(key)
+        if g is None:
+            g = self._lifts[key] = psi_eval(m)
+        return g
+
+    def compose(self, a: SmallCochain, b: SmallCochain) -> BarCochain:
+        """``compose_bar`` of the lifts of a and b."""
+        key = self._key(a), self._key(b)
+        out = self._compositions.get(key)
+        if out is None:
+            out = self._compositions[key] = compose_bar(self.lift(a), self.lift(b))
+        return out
+
+    def bracket(self, a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
+        """``bracket_small_generic(a, b, bound)``; past the bound it raises
+        even when the pair is already known."""
+        _check_bracket_bound(a, b, bound)
+        key = self._key(a), self._key(b)
+        out = self._brackets.get(key)
+        if out is None:
+            out = self._brackets[key] = bracket_small_generic(a, b, bound, self)
+        return out
 
 
-def bracket_small_generic(a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
-    """Gerstenhaber bracket through the bar-complex oracle."""
+def cup_small_oracle(
+    a: SmallCochain, b: SmallCochain, oracle: BarOracle | None = None
+) -> SmallCochain:
+    """Cup product computed through the bar complex, on ``oracle``'s lifts."""
+    if oracle is None:
+        oracle = BarOracle(a.alg)
+    return phi_eval(cup_bar(oracle.lift(a), oracle.lift(b)))
+
+
+def _check_bracket_bound(a: SmallCochain, b: SmallCochain, bound: int) -> None:
+    deg = a.degree + b.degree - 1
+    if max(deg, 0) > bound:
+        raise ProductsError(f"bracket degree {deg} exceeds bound {bound}")
+
+
+def bracket_small_generic(
+    a: SmallCochain, b: SmallCochain, bound: int = 5, oracle: BarOracle | None = None
+) -> SmallCochain:
+    """Gerstenhaber bracket through the bar-complex oracle: ``bracket_bar`` of
+    the lifts, with ``oracle``'s lifts and compositions."""
+    _check_bracket_bound(a, b, bound)
     r, rp = a.degree, b.degree
-    if max(r + rp - 1, 0) > bound:
-        raise ProductsError(f"bracket degree {r + rp - 1} exceeds bound {bound}")
     alg = a.alg
     if r == 0 and rp == 0:
         return SmallCochain(alg, 0, alg.zero_elem(), check=False)
-    return phi_eval(bracket_bar(psi_eval(a), psi_eval(b)))
+    if oracle is None:
+        oracle = BarOracle(alg)
+    bar = oracle.compose(a, b) - oracle.compose(b, a).scale(_sign(alg, (r + 1) * (rp + 1)))
+    return phi_eval(bar)
 
 
 def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCochain:
@@ -636,12 +704,17 @@ def cup_class_table(C: SmallComplex, max_total: int) -> list[dict]:
     return _class_table(C, degrees, cup_small)
 
 
-def bracket_class_table(C: SmallComplex, max_total: int, bound: int = 5) -> list[dict]:
-    """Generic-oracle brackets of class representatives, as class coordinates."""
+def bracket_class_table(
+    C: SmallComplex, max_total: int, bound: int = 5, oracle: BarOracle | None = None
+) -> list[dict]:
+    """Generic-oracle brackets of class representatives, as class coordinates,
+    on ``oracle`` (a fresh one when none is given)."""
+    if oracle is None:
+        oracle = BarOracle(C.alg)
     degrees = [
         (p, q, p + q - 1)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
         if 0 <= p + q - 1 <= bound and p + q <= C.max_degree
     ]
-    return _class_table(C, degrees, lambda a, b: bracket_small_generic(a, b, bound))
+    return _class_table(C, degrees, lambda a, b: oracle.bracket(a, b, bound))

@@ -1,0 +1,59 @@
+"""Seeded mutations: each check of the CLI must turn red when the code it
+guards is broken.  A table maps each check to a mutation (applied with
+``monkeypatch``) and to the spec it runs on; the mutated run must exit 1 and
+report the check as failed, while the same run without the mutation passes.
+
+The closed-vs-oracle agreements run with the run's bar oracle in place, so
+these entries also show that sharing the oracle's work does not let one route
+stand in for the other."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from orecohom import cli, products
+
+SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+
+
+def negate_closed_bracket(monkeypatch):
+    """The closed bracket with its sign flipped."""
+    closed = cli.bracket_small_closed
+    monkeypatch.setattr(cli, "bracket_small_closed", lambda a, b, witness: -closed(a, b, witness))
+
+
+def drop_odd_psi_tail(monkeypatch):
+    """psi in odd degree without its last term, the one ending in x^0."""
+    terms = products.psi_terms
+
+    def mutated(alg, idx):
+        out = list(terms(alg, idx))
+        return out[:-1] if len(idx) % 2 else out
+
+    monkeypatch.setattr(products, "psi_terms", mutated)
+
+
+# check -> (verb, spec, payload key of its rows, mutation)
+MUTATIONS = {
+    "bracket_closed_vs_oracle":
+        ("products", "sweedler.json", "bracket_closed_vs_oracle", negate_closed_bracket),
+    "cup_closed_vs_oracle":
+        ("products", "sweedler.json", "cup_closed_vs_oracle", drop_odd_psi_tail),
+}
+
+
+def run_rows(capsys, verb, spec, key):
+    rc = cli.main([verb, str(SPECS / spec)])
+    return rc, json.loads(capsys.readouterr().out)[key]
+
+
+@pytest.mark.parametrize("check", sorted(MUTATIONS))
+def test_mutation_turns_its_check_red(check, monkeypatch, capsys):
+    verb, spec, key, mutate = MUTATIONS[check]
+    rc, rows = run_rows(capsys, verb, spec, key)
+    assert rc == 0 and rows and all(row["agree"] for row in rows)
+    mutate(monkeypatch)
+    rc, rows = run_rows(capsys, verb, spec, key)
+    assert rc == 1
+    assert any(row["agree"] is False for row in rows)

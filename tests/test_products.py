@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 from conftest import compose_place_small, identity_one_cochain, phi_psi_class_identity
 
-from orecohom import products
+from orecohom import cli, products
 from orecohom.cohomology import Bimodule, SmallComplex, classes_equal, cohomology_group
 from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
@@ -15,6 +17,7 @@ from orecohom.kalgebra import (
 from orecohom.monogenic import AElem, MonogenicAlgebra
 from orecohom.products import (
     BarCochain,
+    BarOracle,
     ComparisonMaps,
     ProductsError,
     SmallCochain,
@@ -25,6 +28,7 @@ from orecohom.products import (
     bracket_small_closed,
     bracket_small_generic,
     chain_map_report,
+    class_pairs,
     circle_j,
     cup_bar,
     cup_class_table,
@@ -34,6 +38,8 @@ from orecohom.products import (
     phi_eval,
     psi_eval,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -581,3 +587,129 @@ def test_bar_cochain_rejects_bad_index(sweedler):
 def test_bar_cochain_invariance_check(sweedler):
     with pytest.raises(ProductsError, match="invariant"):
         BarCochain(sweedler, 1, {(1,): sweedler.one}, check=True)
+
+
+# -- the run's bar oracle ------------------------------------------------------
+
+
+def cochain_key(m: SmallCochain) -> tuple:
+    return m.degree, m.value.coords
+
+
+@pytest.fixture
+def oracle_work(monkeypatch):
+    """Records the oracle's work while a test runs: the cochain each
+    ``psi_eval`` lifts, the ordered pair of cochains behind each
+    ``compose_bar``, each pair ``bracket_small_generic`` evaluates, each pair
+    a ``BarOracle`` is asked to bracket, and each oracle built."""
+    work = {"lift": [], "compose": [], "bracket": [], "asked": [], "oracles": []}
+    lifted = {}  # id of a lift -> (lift kept alive, its cochain's key)
+    psi, compose, generic = products.psi_eval, products.compose_bar, products.bracket_small_generic
+    ask, init = BarOracle.bracket, BarOracle.__init__
+
+    def psi_wrapper(m):
+        out = psi(m)
+        work["lift"].append(cochain_key(m))
+        lifted[id(out)] = (out, cochain_key(m))
+        return out
+
+    def compose_wrapper(g, h):
+        work["compose"].append((lifted[id(g)][1], lifted[id(h)][1]))
+        return compose(g, h)
+
+    def generic_wrapper(a, b, bound=5, oracle=None):
+        work["bracket"].append((cochain_key(a), cochain_key(b)))
+        return generic(a, b, bound, oracle)
+
+    def ask_wrapper(self, a, b, bound=5):
+        work["asked"].append((cochain_key(a), cochain_key(b)))
+        return ask(self, a, b, bound)
+
+    def init_wrapper(self, alg):
+        work["oracles"].append(self)
+        init(self, alg)
+
+    monkeypatch.setattr(products, "psi_eval", psi_wrapper)
+    monkeypatch.setattr(products, "compose_bar", compose_wrapper)
+    monkeypatch.setattr(products, "bracket_small_generic", generic_wrapper)
+    monkeypatch.setattr(BarOracle, "bracket", ask_wrapper)
+    monkeypatch.setattr(BarOracle, "__init__", init_wrapper)
+    return work
+
+
+@pytest.mark.parametrize("name", ["sweedler.json", "c4_sign.json"])
+def test_products_run_does_each_oracle_piece_once(name, oracle_work, capsys):
+    assert cli.main(["products", str(SPECS / name)]) == 0
+    capsys.readouterr()
+    lifts, compositions = oracle_work["lift"], oracle_work["compose"]
+    brackets, asked = oracle_work["bracket"], oracle_work["asked"]
+    assert len(oracle_work["oracles"]) == 1
+    # one psi per distinct class representative
+    assert lifts and len(lifts) == len(set(lifts))
+    # one oracle bracket per distinct pair, although the agreement asks again
+    assert len(brackets) == len(set(brackets))
+    assert set(brackets) == set(asked) and len(asked) > len(brackets)
+    # one composition per ordered pair of lifts: (a, b) and (b, a) share theirs
+    assert len(compositions) == len(set(compositions))
+    needed = {pair for a, b in brackets if a[0] + b[0] > 0 for pair in ((a, b), (b, a))}
+    assert set(compositions) == needed
+
+
+def test_each_run_builds_its_own_oracle(oracle_work, capsys):
+    for _ in range(2):
+        assert cli.main(["products", str(SPECS / "sweedler.json")]) == 0
+    capsys.readouterr()
+    first, second = oracle_work["oracles"]
+    assert first is not second
+    lifts = oracle_work["lift"]
+    half = len(lifts) // 2
+    assert lifts[:half] == lifts[half:]
+
+
+def test_oracle_rejects_a_cochain_of_another_algebra(sweedler, c4_sign):
+    oracle = BarOracle(sweedler)
+    own = SmallCochain.from_kx(sweedler, 1, "g")
+    foreign = SmallCochain.from_kx(c4_sign, 1, "g")
+    with pytest.raises(ProductsError, match="another algebra"):
+        oracle.lift(foreign)
+    with pytest.raises(ProductsError, match="another algebra"):
+        oracle.bracket(own, foreign)
+    with pytest.raises(ProductsError, match="another algebra"):
+        cup_small_oracle(foreign, foreign, oracle)
+
+
+def test_oracle_keys_lifts_on_degree(sweedler):
+    oracle = BarOracle(sweedler)
+    a = SmallCochain(sweedler, 0, sweedler.one)
+    b = SmallCochain.from_k(sweedler, 2, 1)
+    assert a.value.coords == b.value.coords
+    la, lb = oracle.lift(a), oracle.lift(b)
+    assert (la.degree, lb.degree) == (0, 2)
+    assert la == psi_eval(a) and lb == psi_eval(b)
+    assert oracle.lift(a) is la and oracle.lift(b) is lb
+
+
+def test_oracle_bound_gates_a_known_pair(sweedler):
+    oracle = BarOracle(sweedler)
+    a = SmallCochain.from_k(sweedler, 2, 1)
+    b = SmallCochain.from_kx(sweedler, 3, "g")
+    got = oracle.bracket(a, b, 5)
+    assert got == bracket_small_generic(a, b, 5)
+    assert oracle.bracket(a, b, 4) is got
+    with pytest.raises(ProductsError, match="exceeds bound 3"):
+        oracle.bracket(a, b, 3)
+
+
+def test_oracle_matches_the_unshared_bar_route(sweedler_complex, c4_complex):
+    """The oracle's brackets and cups on class representatives equal psi,
+    compose or cup, and phi computed afresh for each pair."""
+    for C in (sweedler_complex, c4_complex):
+        oracle = BarOracle(C.alg)
+        for p in range(3):
+            for q in range(3):
+                for _, a, _, b in class_pairs(C, p, q):
+                    fresh_cup = phi_eval(cup_bar(psi_eval(a), psi_eval(b)))
+                    assert cup_small_oracle(a, b, oracle) == fresh_cup
+                    if p + q:
+                        fresh = phi_eval(bracket_bar(psi_eval(a), psi_eval(b)))
+                        assert oracle.bracket(a, b) == fresh

@@ -6,7 +6,7 @@ import importlib.util
 import time
 from pathlib import Path
 
-from orecohom import cli, linalg
+from orecohom import cli, linalg, products
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +62,29 @@ def test_tracer_times_each_theorem_check(capsys):
     names = [record[0] for record in tracer.spans]
     for check in originals:
         assert names.count(f"closedforms.check.{check}") == 1, check
+
+
+def test_tracer_counts_each_oracle_bracket_once(monkeypatch, capsys):
+    """A traced `products` run still counts the oracle's cups and brackets,
+    and the run's oracle evaluates each distinct pair of cochains once."""
+    spans = load_spans()
+    asked = []
+    ask = products.BarOracle.bracket
+
+    def record(self, a, b, bound=5):
+        asked.append(((a.degree, a.value.coords), (b.degree, b.value.coords)))
+        return ask(self, a, b, bound)
+
+    monkeypatch.setattr(products.BarOracle, "bracket", record)
+    tracer = spans.Tracer(WallClock())
+    tracer.install()
+    try:
+        rc = cli.main(["products", str(ROOT / "demos" / "specs" / "sweedler.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    counts = tracer.counts
+    assert counts["products.cup_oracle"] > 0
+    assert counts["products.bracket_generic"] > 0
+    assert counts["products.bracket_generic"] == len(set(asked)) < len(asked)

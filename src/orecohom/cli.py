@@ -39,12 +39,13 @@ from .closedforms import (
     group_algebra_cohomology_table,
     presentation_report,
     quaternion_rotation_report,
+    rank_one_f,
     rank_one_hopf_report,
     untwisted_annihilator_table,
     untwisted_model_check,
 )
 from .fields import FieldError
-from .kalgebra import AlgebraError, algebra_validate
+from .kalgebra import AlgebraError, algebra_validate, endo_from_character, quaternion_algebra
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
     BarOracle,
@@ -283,14 +284,20 @@ def _run_rank_one(s: Session):
     if inst.rank_one is None:
         raise ClosedFormError("rank-one analysis needs options.g1 and options.xi")
     g1, xi = inst.rank_one
-    return rank_one_hopf_report(inst.field, inst.K.group, inst.chi, g1, inst.n, xi,
-                                up_to=min(s.D, 5))
+    if inst.alpha.matrix != endo_from_character(inst.K, inst.chi).matrix:
+        raise ClosedFormError("rank-one analysis needs the character twist; the run's twist differs")
+    G = inst.K.group
+    if inst.f_coeffs != rank_one_f(inst.field, G, G.labels.index(g1), inst.n, xi):
+        raise ClosedFormError("rank-one analysis needs f = x^n - xi (g1^n - 1); the run's f differs")
+    return rank_one_hopf_report(inst.field, G, inst.chi, g1, inst.n, xi, up_to=min(s.D, 5))
 
 
 def _run_quaternion(s: Session):
     inst = s.inst
     if inst.rotation is None:
         raise ClosedFormError("rotation analysis needs quaternion coefficients")
+    if inst.alpha.matrix != quaternion_algebra(inst.field, *inst.rotation)[1].matrix:
+        raise ClosedFormError("rotation analysis needs the rotation twist; the run's twist differs")
     return quaternion_rotation_report(inst.field, *inst.rotation, inst.f_coeffs, up_to=min(s.D, 4))
 
 

@@ -80,9 +80,10 @@ from .cohomology import (
     classes_equal,
 )
 from .products import (
+    BarOracle,
     SmallCochain,
     bracket_small_closed,
-    bracket_small_generic,
+    class_pairs,
     cup_small,
 )
 
@@ -261,7 +262,7 @@ def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
 
 def _n_lambda(alg: MonogenicAlgebra) -> tuple:
     """n times the constant coefficient of f, in K-coordinates."""
-    return vscale(alg.field.from_int(alg.n), alg.f_coeffs[-1])
+    return vscale(alg.field.from_int(alg.n), alg.f_terms[0])
 
 
 def _twist_norm(alg: MonogenicAlgebra) -> Mat:
@@ -275,7 +276,7 @@ def _twist_norm(alg: MonogenicAlgebra) -> Mat:
 
 def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
     """Matrix of lam -> sum_l alpha^l(lam) * lambda_n on K-coordinates."""
-    return alg.K.right_mult_matrix(alg.f_coeffs[-1]).matmul(_twist_norm(alg))
+    return alg.K.right_mult_matrix(alg.f_terms[0]).matmul(_twist_norm(alg))
 
 
 def _quotient_dim(sub: Mat, amb: Mat) -> int:
@@ -442,7 +443,7 @@ def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = N
     K = alg.K
     w = _need_witness(alg, witness)
     up_to = _top_degree(C, up_to)
-    lam_n = alg.f_coeffs[-1]
+    lam_n = alg.f_terms[0]
     invertible = rank(K.left_mult_matrix(lam_n)) == K.dim
     ident = Mat.identity(K.field, K.dim)
     power_trivial = alg.alpha.power_matrix(alg.n) == ident
@@ -561,13 +562,11 @@ def diagonalizable_cohomology_table(
 
 
 def _formal_derivative_elem(alg: MonogenicAlgebra) -> AElem:
-    """sum_i i * lambda_{n-i} x^{i-1}, the derivative of the defining polynomial."""
-    K = alg.K
+    """sum_i i * c_i x^{i-1}, the derivative of the defining polynomial."""
     total = alg.zero_elem()
     for i in range(1, alg.n + 1):
-        li = K.unit if i == alg.n else alg.f_coeffs[alg.n - i - 1]
-        s = K.field.from_int(i)
-        total = total + alg.monomial(vscale(s, li), i - 1)
+        s = alg.field.from_int(i)
+        total = total + alg.monomial(vscale(s, alg.f_terms[i]), i - 1)
     return total
 
 
@@ -906,6 +905,17 @@ def _primitive_root_check(field: Field, c: Scalar, n: int) -> bool:
     return all(c ** d != field.one for d in range(1, n) if n % d == 0)
 
 
+def rank_one_f(field: Field, G: GroupData, g1: int, n: int, xi: Scalar) -> list:
+    """lambda_1 .. lambda_n of f = x^n - xi (g1^n - 1) over the group algebra of G."""
+    g1n = g1
+    for _ in range(n - 1):
+        g1n = G.mul(g1n, g1)
+    lam_n = [field.zero] * G.order
+    lam_n[G.identity] = xi
+    lam_n[g1n] = lam_n[g1n] - xi
+    return [tuple([field.zero] * G.order)] * (n - 1) + [tuple(lam_n)]
+
+
 def rank_one_hopf_report(
     field: Field,
     G: GroupData,
@@ -985,10 +995,7 @@ def rank_one_hopf_report(
     }
     K = group_algebra(G, field)
     alpha = endo_from_character(K, chi)
-    lam_n = [field.zero] * G.order
-    lam_n[G.identity] = xi
-    lam_n[g1n] = lam_n[g1n] - xi
-    f_coeffs = [tuple([field.zero] * G.order)] * (n - 1) + [tuple(lam_n)]
+    f_coeffs = rank_one_f(field, G, g1, n, xi)
     if not case_trivial:
         direct = validate_f(K, alpha, f_coeffs)
         report["hypotheses"].append(
@@ -1016,54 +1023,32 @@ def rank_one_hopf_report(
     report["dims"] = dims_a
     report["quotient_dims"] = dims_q
     bracket_rows = []
-    for ma in (0, 1):
-        for mb in (0, 1):
-            ra, rb = 2 * ma + 1, 2 * mb + 1
-            deg = ra + rb - 1
-            if deg + 1 > C.max_degree:
+    oracle = BarOracle(alg)
+    for ra, rb in ((1, 1), (1, 3), (3, 1), (3, 3)):
+        deg = ra + rb - 1
+        if deg + 1 > C.max_degree:
+            continue
+        for _, a, _, b in class_pairs(C, ra, rb):
+            lam, mu = a.canonical_kx(), b.canonical_kx()
+            if lam is None or mu is None:
                 continue
-            reps_a = cohomology_group(C, ra).reps_ambient
-            reps_b = cohomology_group(C, rb).reps_ambient
-            for va in reps_a:
-                a = SmallCochain(alg, ra, AElem(alg, va))
-                lam = a.canonical_kx()
-                if lam is None:
-                    continue
-                for vb in reps_b:
-                    b = SmallCochain(alg, rb, AElem(alg, vb))
-                    mu = b.canonical_kx()
-                    if mu is None:
-                        continue
-                    got = bracket_small_generic(a, b)
-                    closed = bracket_small_closed(a, b, w_ext)
-                    agree = classes_equal(
-                        C, deg, got.value.coords, closed.value.coords
-                    )
-                    row = {"degrees": [ra, rb], "closed_matches_oracle": agree}
-                    if not agree:
-                        mismatches.append(
-                            f"odd-odd bracket at degrees ({ra},{rb}) disagrees "
-                            f"with the recursion oracle"
-                        )
-                    if ma == 0 and mb == 0:
-                        comm = tuple(
-                            p - q
-                            for p, q in zip(
-                                K.kmul(mu.coords, lam.coords),
-                                K.kmul(lam.coords, mu.coords),
-                            )
-                        )
-                        want = alg.monomial(comm, 1)
-                        same = classes_equal(
-                            C, deg, got.value.coords, want.coords
-                        )
-                        row["matches_commutator_class"] = same
-                        if not same:
-                            mismatches.append(
-                                "degree-one bracket class is not the "
-                                "commutator class"
-                            )
-                    bracket_rows.append(row)
+            got = oracle.bracket(a, b)
+            closed = bracket_small_closed(a, b, w_ext)
+            agree = classes_equal(C, deg, got.value.coords, closed.value.coords)
+            row = {"degrees": [ra, rb], "closed_matches_oracle": agree}
+            if not agree:
+                mismatches.append(
+                    f"odd-odd bracket at degrees ({ra},{rb}) disagrees with the recursion oracle"
+                )
+            if ra == rb == 1:
+                comm = tuple(
+                    p - q for p, q in zip(K.kmul(mu.coords, lam.coords), K.kmul(lam.coords, mu.coords))
+                )
+                same = classes_equal(C, deg, got.value.coords, alg.monomial(comm, 1).coords)
+                row["matches_commutator_class"] = same
+                if not same:
+                    mismatches.append("degree-one bracket class is not the commutator class")
+            bracket_rows.append(row)
     report["bracket_rows"] = bracket_rows
     report["match"] = not mismatches
     return report

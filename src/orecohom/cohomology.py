@@ -98,13 +98,12 @@ class Bimodule:
     @functools.cached_property
     def d_even(self) -> Mat:
         """The even-degree differential on ambient vectors:
-        sum over 1 <= i <= n of L(lambda_{n-i}) sum over l < i of Lx^l Rx^{i-l-1},
-        with lambda_0 = 1."""
+        sum over 1 <= i <= n of L(c_i) sum over l < i of Lx^l Rx^{i-l-1},
+        with c_i the coefficient of x^i in f."""
         alg = self.alg
-        lam = [alg.K.unit] + alg.f_coeffs
         out = Mat.zero(self.field, self.dim, self.dim)
         for i in range(1, alg.n + 1):
-            li = lam[alg.n - i]
+            li = alg.f_terms[i]
             if all(c.is_zero() for c in li):
                 continue
             walk = Mat.zero(self.field, self.dim, self.dim)
@@ -147,9 +146,9 @@ class Bimodule:
                     return ValidationReport(False, tuple(failures))
         Lf = self.Lx_pow(alg.n)
         Rf = self.Rx_pow(alg.n)
-        for i, li in enumerate(alg.f_coeffs, start=1):
-            Lf = Lf.add(self.L_elem(li).matmul(self.Lx_pow(alg.n - i)))
-            Rf = Rf.add(self.Rx_pow(alg.n - i).matmul(self.R_elem(li)))
+        for i, ci in enumerate(alg.f_terms[:-1]):
+            Lf = Lf.add(self.L_elem(ci).matmul(self.Lx_pow(i)))
+            Rf = Rf.add(self.Rx_pow(i).matmul(self.R_elem(ci)))
         if not Lf.is_zero():
             failures.append("f does not act as zero on the left")
         if not Rf.is_zero():

@@ -168,7 +168,7 @@ class Field:
         list (extensions, constant-first) into this field.
 
         This is where raw values enter: containers (``KElem``, ``AElem``,
-        ``OrePoly``, ``Mat``, ``AlgebraK``) hold Scalars of their field as
+        ``TensorElem``, ``Mat``, ``AlgebraK``) hold Scalars of their field as
         given, and the entry points (``decode``, ``AlgebraK.elem``,
         ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
         through here.  Booleans are rejected."""

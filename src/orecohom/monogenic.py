@@ -1,13 +1,16 @@
-"""Skew polynomials over K, the quotient algebra A = K[x, alpha]/<f>, and the
-two-periodic bimodule resolution of A with its contracting homotopy.
+"""The quotient algebra A = K[x, alpha]/<f> and the two-periodic bimodule
+resolution of A with its contracting homotopy.
 
 Conventions, fixed once here and relied on everywhere downstream:
 
-* Ore polynomials carry left coefficients: P = sum c_d x^d with c_d in K and
-  x lambda = alpha(lambda) x.
+* B = K[x, alpha] is the Ore extension with left coefficients:
+  P = sum c_d x^d with c_d in K, and x lambda = alpha(lambda) x.  B is notation
+  only: the engine computes in A, through its compiled table, and on
+  coefficient lists.
 * f = x^n + lambda_1 x^{n-1} + ... + lambda_n is monic of degree n >= 2 and its
   coefficients must be alpha-fixed and satisfy lambda_i mu = alpha^i(mu) lambda_i;
-  `validate_f` checks exactly that.
+  `validate_f` checks exactly that.  The algebra holds f in one form,
+  ``f_terms`` = [c_0, ..., c_n] with c_i the coefficient of x^i and c_n = 1.
 * A has k-basis {lambda_b x^a : b < dim K, 0 <= a < n}, flat index a*dimK + b.
 * The twisted tensor square carries k-basis {lambda_b x^a (x) x^c} with all
   middle K-coefficients pushed into the left factor through the twist:
@@ -27,110 +30,6 @@ from .linalg import combine, support, vadd, vscale
 
 class MonogenicError(ValueError):
     pass
-
-
-class OrePoly:
-    """Skew polynomial with left K-coefficient vectors of Scalars of K's
-    field, constant term first."""
-
-    __slots__ = ("K", "alpha", "coeffs")
-
-    def __init__(self, K: AlgebraK, alpha: Endo, coeffs):
-        coeffs = [tuple(vec) for vec in coeffs]
-        while coeffs and all(c.is_zero() for c in coeffs[-1]):
-            coeffs.pop()
-        self.K = K
-        self.alpha = alpha
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @classmethod
-    def monomial(cls, K: AlgebraK, alpha: Endo, coeff, d: int) -> "OrePoly":
-        zero = tuple(K.field.zero for _ in range(K.dim))
-        coeff = K.elem(coeff).coords if not isinstance(coeff, tuple) else coeff
-        return cls(K, alpha, [zero] * d + [coeff])
-
-    def __add__(self, other: "OrePoly") -> "OrePoly":
-        zero = tuple(self.K.field.zero for _ in range(self.K.dim))
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [
-            vadd(
-                self.coeffs[i] if i < len(self.coeffs) else zero,
-                other.coeffs[i] if i < len(other.coeffs) else zero,
-            )
-            for i in range(n)
-        ]
-        return OrePoly(self.K, self.alpha, out)
-
-    def __neg__(self) -> "OrePoly":
-        return OrePoly(self.K, self.alpha, [tuple(-c for c in v) for v in self.coeffs])
-
-    def __sub__(self, other: "OrePoly") -> "OrePoly":
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrePoly)
-            and self.K is other.K
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.K), self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        terms = []
-        for d, v in enumerate(self.coeffs):
-            if all(c.is_zero() for c in v):
-                continue
-            terms.append(f"({KElem(self.K, v)})*x^{d}")
-        return " + ".join(terms)
-
-
-def ore_mul(P: OrePoly, Q: OrePoly) -> OrePoly:
-    """Product in K[x, alpha]: (c x^d)(e x^h) = c alpha^d(e) x^{d+h}."""
-    K, alpha = P.K, P.alpha
-    if P.is_zero() or Q.is_zero():
-        return OrePoly(K, alpha, [])
-    zero = tuple(K.field.zero for _ in range(K.dim))
-    out = [zero] * (P.degree + Q.degree + 1)
-    for d, c in enumerate(P.coeffs):
-        if all(s.is_zero() for s in c):
-            continue
-        for h, e in enumerate(Q.coeffs):
-            if all(s.is_zero() for s in e):
-                continue
-            out[d + h] = vadd(out[d + h], K.kmul(c, alpha.apply_power(d, e)))
-    return OrePoly(K, alpha, out)
-
-
-def ore_divmod(P: OrePoly, f: OrePoly) -> tuple[OrePoly, OrePoly]:
-    """Unique (Pbar, Pddot) with P = Pbar * f + Pddot and deg Pddot < deg f.
-
-    Requires f monic; monicity makes the division run without inverting
-    coefficients, so K may be noncommutative."""
-    K, alpha = P.K, P.alpha
-    n = f.degree
-    if n < 0 or f.coeffs[-1] != K.unit:
-        raise MonogenicError("division requires a monic divisor")
-    quot = OrePoly(K, alpha, [])
-    rem = P
-    while not rem.is_zero() and rem.degree >= n:
-        d = rem.degree
-        lead = OrePoly.monomial(K, alpha, rem.coeffs[-1], d - n)
-        quot = quot + lead
-        rem = rem - ore_mul(lead, f)
-        if not rem.is_zero() and rem.degree >= d:
-            raise MonogenicError("division failed to reduce the degree")
-    return quot, rem
 
 
 def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
@@ -223,9 +122,9 @@ class MonogenicAlgebra:
         self.K = K
         self.alpha = alpha
         self.field: Field = K.field
-        lam = [K.elem(c).coords for c in f_coeffs]
+        lam = [K.elem(c).coords for c in f_coeffs]  # lambda_1 .. lambda_n
         self.n = len(lam)
-        self.f_coeffs = lam  # lambda_1 .. lambda_n
+        self.f_terms = [*reversed(lam), K.unit]  # c_0 .. c_n, c_i at x^i
         if check:
             rep = validate_f(K, alpha, f_coeffs)
             if not rep.ok:
@@ -273,14 +172,6 @@ class MonogenicAlgebra:
     def x(self) -> AElem:
         return self.monomial(self.K.unit, 1)
 
-    def f_ore(self) -> OrePoly:
-        zero = tuple(self.field.zero for _ in range(self.K.dim))
-        coeffs = [zero] * (self.n + 1)
-        coeffs[self.n] = self.K.unit
-        for i, li in enumerate(self.f_coeffs, start=1):
-            coeffs[self.n - i] = li
-        return OrePoly(self.K, self.alpha, coeffs)
-
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
@@ -294,11 +185,11 @@ class MonogenicAlgebra:
             nf.append(row)
         for m in range(n, 2 * n + 1):
             row = [zero] * n
-            for i, li in enumerate(self.f_coeffs, start=1):
-                if all(c.is_zero() for c in li):
+            for i, ci in enumerate(self.f_terms[:n]):
+                if all(c.is_zero() for c in ci):
                     continue
-                c = self.alpha.apply_power(m - n, li)
-                for j, prev in enumerate(nf[m - i]):
+                c = self.alpha.apply_power(m - n, ci)
+                for j, prev in enumerate(nf[m - n + i]):
                     row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
             nf.append(row)
         self.xpow_nf = nf
@@ -333,46 +224,30 @@ class MonogenicAlgebra:
     def check_compiled(self) -> None:
         """Raise MonogenicError unless the compiled table obeys the commutation
         rule and f is normal; run by a checked build, after ``validate_f``."""
+        K, alpha = self.K, self.alpha
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
-        for b in range(self.K.dim):
-            lam = self.k_embed(self.K.basis_elem(b))
+        for b in range(K.dim):
+            lam = self.k_embed(K.basis_elem(b))
             lhs = self.a_mul(self.x, lam)
-            rhs = self.a_mul(self.k_embed(KElem(self.K, self.alpha.apply(self.K.basis_elem(b).coords))), self.x)
+            rhs = self.a_mul(self.k_embed(KElem(K, alpha.apply(K.basis_elem(b).coords))), self.x)
             if lhs != rhs:
                 raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
-        # f is normal in B: f x = x f and f lambda = alpha^n(lambda) f
-        f = self.f_ore()
-        xp = OrePoly.monomial(self.K, self.alpha, self.K.unit, 1)
-        if ore_mul(f, xp) != ore_mul(xp, f):
+        # f is normal in B, read at each x^d: f x = x f is c_d alpha^d(1) = 1 alpha(c_d),
+        # and f mu = alpha^n(mu) f is c_d alpha^d(mu) = alpha^n(mu) c_d
+        if any(K.kmul(c, alpha.apply_power(d, K.unit)) != K.kmul(K.unit, alpha.apply(c))
+               for d, c in enumerate(self.f_terms)):
             raise MonogenicError("f does not commute with x")
-        for b in range(self.K.dim):
-            lam = OrePoly.monomial(self.K, self.alpha, self.K.basis_elem(b).coords, 0)
-            tw = OrePoly.monomial(
-                self.K, self.alpha, self.alpha.apply_power(self.n, self.K.basis_elem(b).coords), 0
-            )
-            if ore_mul(f, lam) != ore_mul(tw, f):
+        for b in range(K.dim):
+            mu = K.basis_elem(b).coords
+            tw = alpha.apply_power(self.n, mu)
+            if any(K.kmul(c, alpha.apply_power(d, mu)) != K.kmul(tw, c)
+                   for d, c in enumerate(self.f_terms)):
                 raise MonogenicError(f"f lambda = alpha^n(lambda) f fails at basis {b}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def a_mul(self, a: AElem, b: AElem) -> AElem:
         return AElem(self, table_mul(self.field, self.adim, self.mul_table, a.coords, b.coords))
-
-    def from_ore(self, P: OrePoly) -> AElem:
-        """Image of an Ore polynomial in A (reduces by f first)."""
-        _, rem = ore_divmod(P, self.f_ore())
-        out = [self.field.zero] * self.adim
-        for d, vec in enumerate(rem.coeffs):
-            for b, c in enumerate(vec):
-                out[self.idx(b, d)] = out[self.idx(b, d)] + c
-        return AElem(self, out)
-
-    def to_ore(self, a: AElem) -> OrePoly:
-        zero = tuple(self.field.zero for _ in range(self.K.dim))
-        coeffs = [list(zero) for _ in range(self.n)]
-        for b, d in itertools.product(range(self.K.dim), range(self.n)):
-            coeffs[d][b] = a.coords[self.idx(b, d)]
-        return OrePoly(self.K, self.alpha, [tuple(v) for v in coeffs])
 
     def xpow(self, m: int) -> AElem:
         """Normal form of x^m in A, any m >= 0."""
@@ -387,12 +262,19 @@ class MonogenicAlgebra:
         return self.a_mul(half, rest)
 
     def xpow_bar(self, e: int) -> AElem:
-        """Image in A of the division quotient of x^e by f (zero for e < n);
-        each exponent is divided once."""
+        """Image in A of the quotient q_e of x^e = q_e f + r_e, deg r_e < n.
+
+        q_e = 0 for e < n and q_n = 1; multiplying by x on the left gives
+        q_{e+1} = x q_e + alpha(c), with c the x^{n-1} coefficient of r_e, the
+        normal form of x^e.  Each exponent is computed once."""
         bar = self._xpow_bar.get(e)
         if bar is None:
-            q, _ = ore_divmod(OrePoly.monomial(self.K, self.alpha, self.K.unit, e), self.f_ore())
-            bar = self._xpow_bar[e] = self.from_ore(q)
+            if e <= self.n:
+                bar = self.one if e == self.n else self.zero_elem()
+            else:
+                c = self.xpow(e - 1).k_coeff(self.n - 1).coords
+                bar = self.x * self.xpow_bar(e - 1) + self.k_embed(self.alpha.apply(c))
+            self._xpow_bar[e] = bar
         return bar
 
 
@@ -529,10 +411,11 @@ def derivation_tensor(alg: MonogenicAlgebra, i: int) -> TensorElem:
     return out
 
 
-def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
-    """Image under the K-derivation sending x to 1 (x) 1 (coefficients pass left)."""
+def derivation(alg: MonogenicAlgebra, coeffs: list) -> TensorElem:
+    """Image of sum_d coeffs[d] x^d, with coeffs[d] K-coordinates, under the
+    K-derivation sending x to 1 (x) 1 (coefficients pass left)."""
     out = TensorElem.zero(alg, 1)
-    for d, vec in enumerate(P.coeffs):
+    for d, vec in enumerate(coeffs):
         if all(c.is_zero() for c in vec):
             continue
         out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(KElem(alg.K, vec)))
@@ -541,13 +424,15 @@ def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
 
 def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     """On the twist-1 tensor square: the derivation of f x^i equals both
-    x^i . (derivation of f) and (derivation of f) . x^i, for 0 <= i < n."""
+    x^i . (derivation of f) and (derivation of f) . x^i, for 0 <= i < n.
+    The coefficient of f x^i at x^{d+i} is c_d alpha^d(1)."""
     failures = []
-    f = alg.f_ore()
-    df = derivation_of_ore(alg, f)
+    K = alg.K
+    df = derivation(alg, alg.f_terms)
+    fx = [K.kmul(c, alg.alpha.apply_power(d, K.unit)) for d, c in enumerate(alg.f_terms)]
+    zero = (alg.field.zero,) * K.dim
     for i in range(alg.n):
-        xi = OrePoly.monomial(alg.K, alg.alpha, alg.K.unit, i)
-        lhs = derivation_of_ore(alg, ore_mul(f, xi))
+        lhs = derivation(alg, [zero] * i + fx)
         mid = df.leftmul(alg.xpow(i))
         rhs = df.rightmul_xpow(i)
         if lhs != mid:
@@ -594,11 +479,10 @@ class Resolution:
             onex = TensorElem.from_aelem(alg.one, 0, tw).rightmul_x()
             out = TensorElem.from_aelem(alg.x, 0, tw) - onex
         else:
-            # sum over i of lambda_{n-i} x^l (x) x^{i-l-1}, l < i, with lambda_0 = 1
-            lam = [alg.K.unit, *alg.f_coeffs]
+            # sum over i >= 1 of c_i x^l (x) x^{i-l-1}, l < i
             out = TensorElem.zero(alg, tw)
             for i in range(1, alg.n + 1):
-                coeff = lam[alg.n - i]
+                coeff = alg.f_terms[i]
                 if all(c.is_zero() for c in coeff):
                     continue
                 left = alg.k_embed(coeff)

@@ -30,13 +30,6 @@ class ProductsError(ValueError):
     pass
 
 
-def f_lambda(alg: MonogenicAlgebra, c: int) -> tuple:
-    """K-coordinates of the x^{n-c} coefficient of f; c = 0 gives the unit."""
-    if c == 0:
-        return alg.K.unit
-    return alg.f_coeffs[c - 1]
-
-
 def delta_sum(alpha: Endo, mu: KElem, l: int) -> KElem:
     """The partial orbit sum of mu under alpha, with l terms."""
     K = mu.alg
@@ -246,7 +239,7 @@ def phi_terms(alg: MonogenicAlgebra, r: int):
     for i in itertools.product(range(1, alg.n + 1), repeat=m):
         lam = K.unit
         for ij in i:
-            lam = K.kmul(lam, f_lambda(alg, alg.n - ij))
+            lam = K.kmul(lam, alg.f_terms[ij])
             if all(c.is_zero() for c in lam):
                 break
         if all(c.is_zero() for c in lam):
@@ -393,7 +386,7 @@ def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
     else:
         value = alg.zero_elem()
         for i in range(2, alg.n + 1):
-            lam = f_lambda(alg, alg.n - i)
+            lam = alg.f_terms[i]
             if all(c.is_zero() for c in lam):
                 continue
             lam_a = alg.k_embed(lam)

@@ -46,7 +46,15 @@ from orecohom.kalgebra import (
     quaternion_algebra,
 )
 from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, solve, vadd
-from orecohom.monogenic import AElem, MonogenicAlgebra, OrePoly, Resolution, TensorElem, ore_divmod, twist_exponent
+from orecohom.monogenic import (
+    AElem,
+    MonogenicAlgebra,
+    MonogenicError,
+    Resolution,
+    TensorElem,
+    derivation_tensor,
+    twist_exponent,
+)
 from orecohom.products import BarCochain, SmallCochain, circle_j, phi_eval, psi_eval
 from orecohom.specio import load_instance
 
@@ -318,10 +326,8 @@ def dense_d_ambient(self, r: int, v: tuple) -> tuple:
         )
     alg = self.alg
     out = (self.field.zero,) * M.dim
-    lam = {i: v2 for i, v2 in enumerate(alg.f_coeffs, start=1)}
-    lam[0] = alg.K.unit
     for i in range(1, alg.n + 1):
-        li = lam[alg.n - i]
+        li = alg.f_terms[i]
         if all(c.is_zero() for c in li):
             continue
         Lc = M.L_elem(li)
@@ -435,7 +441,7 @@ def dense_compile(self) -> None:
         nf.append(row)
     for m in range(n, 2 * n + 1):
         row = [zero] * n
-        for i, li in enumerate(self.f_coeffs, start=1):
+        for i, li in enumerate(reversed(self.f_terms[:-1]), start=1):
             if all(c.is_zero() for c in li):
                 continue
             c = self.alpha.apply_power(m - n, li)
@@ -548,10 +554,8 @@ def entrywise_d_generator(self: Resolution, r: int) -> TensorElem:
         onex = entrywise_rightmul_x(TensorElem.from_aelem(alg.one, 0, tw))
         return x1 - onex
     out = TensorElem.zero(alg, tw)
-    lam = {i: KElem(alg.K, v) for i, v in enumerate(alg.f_coeffs, start=1)}
-    lam[0] = KElem(alg.K, alg.K.unit)
     for i in range(1, alg.n + 1):
-        coeff = lam[alg.n - i]
+        coeff = KElem(alg.K, alg.f_terms[i])
         if coeff.is_zero():
             continue
         left = alg.k_embed(coeff)
@@ -632,12 +636,164 @@ def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
     return out
 
 
+# -- the Ore extension B = K[x, alpha] ------------------------------------------
+# Multiplication and division in B, which the engine used before it computed
+# only in A: the reference for A's product, `xpow_bar` and the normality of f.
+
+
+class OrePoly:
+    """Skew polynomial with left K-coefficient vectors of Scalars of K's
+    field, constant term first."""
+
+    def __init__(self, K: AlgebraK, alpha, coeffs):
+        coeffs = [tuple(vec) for vec in coeffs]
+        while coeffs and all(c.is_zero() for c in coeffs[-1]):
+            coeffs.pop()
+        self.K = K
+        self.alpha = alpha
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @classmethod
+    def monomial(cls, K: AlgebraK, alpha, coeff, d: int) -> "OrePoly":
+        zero = tuple(K.field.zero for _ in range(K.dim))
+        coeff = K.elem(coeff).coords if not isinstance(coeff, tuple) else coeff
+        return cls(K, alpha, [zero] * d + [coeff])
+
+    def __add__(self, other: "OrePoly") -> "OrePoly":
+        zero = tuple(self.K.field.zero for _ in range(self.K.dim))
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = [
+            vadd(
+                self.coeffs[i] if i < len(self.coeffs) else zero,
+                other.coeffs[i] if i < len(other.coeffs) else zero,
+            )
+            for i in range(n)
+        ]
+        return OrePoly(self.K, self.alpha, out)
+
+    def __neg__(self) -> "OrePoly":
+        return OrePoly(self.K, self.alpha, [tuple(-c for c in v) for v in self.coeffs])
+
+    def __sub__(self, other: "OrePoly") -> "OrePoly":
+        return self + (-other)
+
+    def __eq__(self, other):
+        return isinstance(other, OrePoly) and self.K is other.K and self.coeffs == other.coeffs
+
+
+def ore_mul(P: OrePoly, Q: OrePoly) -> OrePoly:
+    """Product in K[x, alpha]: (c x^d)(e x^h) = c alpha^d(e) x^{d+h}."""
+    K, alpha = P.K, P.alpha
+    if P.is_zero() or Q.is_zero():
+        return OrePoly(K, alpha, [])
+    zero = tuple(K.field.zero for _ in range(K.dim))
+    out = [zero] * (P.degree + Q.degree + 1)
+    for d, c in enumerate(P.coeffs):
+        if all(s.is_zero() for s in c):
+            continue
+        for h, e in enumerate(Q.coeffs):
+            if all(s.is_zero() for s in e):
+                continue
+            out[d + h] = vadd(out[d + h], K.kmul(c, alpha.apply_power(d, e)))
+    return OrePoly(K, alpha, out)
+
+
+def ore_divmod(P: OrePoly, f: OrePoly) -> tuple[OrePoly, OrePoly]:
+    """Unique (Pbar, Pddot) with P = Pbar * f + Pddot and deg Pddot < deg f,
+    for f monic."""
+    K, alpha = P.K, P.alpha
+    n = f.degree
+    if n < 0 or f.coeffs[-1] != K.unit:
+        raise MonogenicError("division requires a monic divisor")
+    quot = OrePoly(K, alpha, [])
+    rem = P
+    while not rem.is_zero() and rem.degree >= n:
+        d = rem.degree
+        lead = OrePoly.monomial(K, alpha, rem.coeffs[-1], d - n)
+        quot = quot + lead
+        rem = rem - ore_mul(lead, f)
+        if not rem.is_zero() and rem.degree >= d:
+            raise MonogenicError("division failed to reduce the degree")
+    return quot, rem
+
+
+def f_ore(alg: MonogenicAlgebra) -> OrePoly:
+    return OrePoly(alg.K, alg.alpha, alg.f_terms)
+
+
+def from_ore(alg: MonogenicAlgebra, P: OrePoly) -> AElem:
+    """Image of an Ore polynomial in A (reduces by f first)."""
+    _, rem = ore_divmod(P, f_ore(alg))
+    out = [alg.field.zero] * alg.adim
+    for d, vec in enumerate(rem.coeffs):
+        for b, c in enumerate(vec):
+            out[alg.idx(b, d)] = out[alg.idx(b, d)] + c
+    return AElem(alg, out)
+
+
+def to_ore(alg: MonogenicAlgebra, a: AElem) -> OrePoly:
+    return OrePoly(alg.K, alg.alpha, [a.k_coeff(d).coords for d in range(alg.n)])
+
+
+def ore_check_compiled(alg: MonogenicAlgebra) -> None:
+    """`MonogenicAlgebra.check_compiled` when it multiplied in B."""
+    K, alpha = alg.K, alg.alpha
+    for b in range(K.dim):
+        lam = alg.k_embed(K.basis_elem(b))
+        rhs = alg.a_mul(alg.k_embed(KElem(K, alpha.apply(K.basis_elem(b).coords))), alg.x)
+        if alg.a_mul(alg.x, lam) != rhs:
+            raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
+    f = f_ore(alg)
+    xp = OrePoly.monomial(K, alpha, K.unit, 1)
+    if ore_mul(f, xp) != ore_mul(xp, f):
+        raise MonogenicError("f does not commute with x")
+    for b in range(K.dim):
+        lam = OrePoly.monomial(K, alpha, K.basis_elem(b).coords, 0)
+        tw = OrePoly.monomial(K, alpha, alpha.apply_power(alg.n, K.basis_elem(b).coords), 0)
+        if ore_mul(f, lam) != ore_mul(tw, f):
+            raise MonogenicError(f"f lambda = alpha^n(lambda) f fails at basis {b}")
+
+
+def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
+    out = TensorElem.zero(alg, 1)
+    for d, vec in enumerate(P.coeffs):
+        if all(c.is_zero() for c in vec):
+            continue
+        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(KElem(alg.K, vec)))
+    return out
+
+
+def ore_normality_check(alg: MonogenicAlgebra) -> ValidationReport:
+    """`monogenic.normality_check` when it formed f x^i in B."""
+    failures = []
+    f = f_ore(alg)
+    df = derivation_of_ore(alg, f)
+    for i in range(alg.n):
+        xi = OrePoly.monomial(alg.K, alg.alpha, alg.K.unit, i)
+        lhs = derivation_of_ore(alg, ore_mul(f, xi))
+        if lhs != df.leftmul(alg.xpow(i)):
+            failures.append(f"derivation of f x^{i} differs from x^{i} action")
+        if lhs != df.rightmul_xpow(i):
+            failures.append(f"derivation of f x^{i} differs from right x^{i} action")
+        if failures:
+            break
+    return ValidationReport(not failures, tuple(failures))
+
+
 def uncached_xpow_bar(self: MonogenicAlgebra, e: int) -> AElem:
-    """`MonogenicAlgebra.xpow_bar` before it kept one quotient per exponent."""
+    """`MonogenicAlgebra.xpow_bar` when it divided x^e by f in B, one division
+    per call."""
     P = OrePoly.monomial(self.K, self.alpha, self.K.unit, e)
-    q, _ = ore_divmod(P, self.f_ore())
+    q, _ = ore_divmod(P, f_ore(self))
     if q.degree >= self.n:
-        return self.from_ore(q)
+        return from_ore(self, q)
     out = [self.field.zero] * self.adim
     for d, vec in enumerate(q.coeffs):
         for b, c in enumerate(vec):

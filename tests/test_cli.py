@@ -339,6 +339,29 @@ def test_quaternion_theorems(capsys):
     assert status["quaternion-rotation"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "name, changes, which, reason",
+    [
+        ("c4_sign.json", {"f": {"n": 2, "coeffs": [[0, 0, 0, 0]] * 2}}, "rank-one-hopf", "the run's f differs"),
+        ("c4_sign.json", {"alpha": {"kind": "identity"}}, "rank-one-hopf", "the run's twist differs"),
+        ("quaternion_pi.json", {"alpha": {"kind": "identity"}}, "quaternion-rotation", "the run's twist differs"),
+    ],
+    ids=["rank-one-f", "rank-one-twist", "rotation-twist"],
+)
+def test_closed_model_of_another_algebra_skips(capsys, tmp_path, name, changes, which, reason):
+    """The rank-one and rotation checks rebuild their algebra from parts of
+    the spec; on a run whose f or twist is not that algebra's they skip, where
+    they used to report ok about another algebra (c4_sign with f = x^2 has
+    dims [2, 2, 2, 2, 2], its rank-one model [2, 1, 1, 1, 1])."""
+    raw = {**json.loads((SPECS / name).read_text()), **changes}
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    rc, payload = run_json(capsys, "theorems", str(path), "--which", which)
+    assert rc == 0
+    [entry] = payload["checks"]
+    assert entry["status"] == "skipped" and reason in entry["reason"]
+
+
 def test_which_selects_checks(capsys):
     rc, payload = run_json(
         capsys,

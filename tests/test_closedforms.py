@@ -1,5 +1,7 @@
 """Closed-form tables checked end to end against the generic pipeline."""
 
+import json
+
 import pytest
 
 from orecohom.fields import QQ
@@ -195,7 +197,7 @@ def test_block_elements_commute_with_constant(c4s, gh4_u3, sweedler_inv):
 
     for alg in (c4s[0], gh4_u3[0], sweedler_inv[0]):
         K, n = alg.K, alg.n
-        lam_n = alg.f_coeffs[-1]
+        lam_n = alg.f_terms[0]
         for m in range(3):
             W = twisted_invariants_k(K, alg.alpha, m * n)
             for j in range(W.cols):
@@ -545,6 +547,29 @@ def test_rank_one_case2():
     assert rows and all(row["closed_matches_oracle"] for row in rows)
     low = [row for row in rows if row["degrees"] == [1, 1]]
     assert low and all(row["matches_commutator_class"] for row in low)
+
+
+def test_rank_one_lifts_each_representative_once(monkeypatch, capsys):
+    """The odd-odd bracket rows of c4_sign's rank-one check share one oracle,
+    so psi lifts each distinct class representative once."""
+    from pathlib import Path
+
+    from orecohom import products
+    from orecohom.cli import main
+
+    lifted, psi_eval = [], products.psi_eval
+
+    def counting(m):
+        lifted.append((m.degree, m.value.coords))
+        return psi_eval(m)
+
+    monkeypatch.setattr(products, "psi_eval", counting)
+    spec = Path(__file__).resolve().parent.parent / "demos" / "specs" / "c4_sign.json"
+    assert main(["theorems", str(spec), "--which", "rank-one-hopf", "--format", "json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "ok"
+    assert len(entry["result"]["bracket_rows"]) > len(set(lifted))
+    assert len(lifted) == len(set(lifted))
 
 
 def test_mixed_degree_bracket_keeps_trace_terms(c4s):

@@ -1,6 +1,6 @@
 """Where raw values become Scalars: `Field.scalar`, `decode`, `AlgebraK.elem`,
 `AlgebraK.from_structure_constants` and the scalar multiplications coerce;
-`KElem`, `AElem`, `OrePoly`, `Mat` and `AlgebraK` hold the Scalars they are
+`KElem`, `AElem`, `Mat` and `AlgebraK` hold the Scalars they are
 given, and a Scalar of another field fails at its first use."""
 
 import contextlib

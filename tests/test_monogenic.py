@@ -1,26 +1,39 @@
 import random
 
 import pytest
+from conftest import (
+    OrePoly,
+    admissible_coefficients,
+    f_ore,
+    from_ore,
+    ore_check_compiled,
+    ore_divmod,
+    ore_mul,
+    ore_normality_check,
+    to_ore,
+)
 
+from orecohom import instances
 from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
+    AlgebraK,
+    Endo,
     character_from_values,
     cyclic_group,
     endo_from_character,
     group_algebra,
     identity_endo,
+    quaternion_algebra,
 )
+from orecohom.linalg import Mat, kernel_basis, vadd, vscale
 from orecohom.monogenic import (
     AElem,
     MonogenicAlgebra,
     MonogenicError,
-    OrePoly,
     Resolution,
     TensorElem,
     derivation_tensor,
     normality_check,
-    ore_divmod,
-    ore_mul,
     twist_exponent,
     validate_f,
 )
@@ -79,7 +92,7 @@ def test_ore_divmod_examples(rational_line):
 def test_ore_divmod_random_reconstruction(sweedler_base):
     K, alpha = sweedler_base
     A = MonogenicAlgebra(K, alpha, [[0, 0], [0, 0]])
-    f = A.f_ore()
+    f = f_ore(A)
     rng = random.Random(5)
     for _ in range(200):
         deg = rng.randint(0, 4)
@@ -119,7 +132,7 @@ def test_a_mul_matches_ore_route(sweedler):
         a = AElem(A, [QQ.random_element(rng, 3) for _ in range(A.adim)])
         b = AElem(A, [QQ.random_element(rng, 3) for _ in range(A.adim)])
         via_table = A.a_mul(a, b)
-        via_ore = A.from_ore(ore_mul(A.to_ore(a), A.to_ore(b)))
+        via_ore = from_ore(A, ore_mul(to_ore(A, a), to_ore(A, b)))
         assert via_table == via_ore
 
 
@@ -199,3 +212,101 @@ def test_resolution_nontrivial_f():
     A = MonogenicAlgebra(K, identity_endo(K), [[0], [-1]])
     rep = Resolution(A, 6).contraction_check()
     assert rep.ok, rep.failures
+
+
+# -- normality on coefficient lists against the Ore route ----------------------
+
+
+def twisted_group(F, order, root):
+    G = cyclic_group(order)
+    K = group_algebra(G, F)
+    return K, endo_from_character(K, character_from_values(G, F, {"g": root}))
+
+
+def normality_bases():
+    """Coefficient algebras with twists over QQ, GF(7) and QQ(i): commutative
+    and quaternion, twisted and not."""
+    QI = instances.gaussian_rationals()
+    line = group_algebra(cyclic_group(1), QQ)
+    return {
+        "QQ:line": (line, identity_endo(line)),
+        "QQ:sign": twisted_group(QQ, 2, -1),
+        "QQ:quaternion": quaternion_algebra(*instances.quaternion_half_turn_data()[:5]),
+        "GF7:C3": twisted_group(prime_field(7), 3, 2),
+        "QQ(i):C4": twisted_group(QI, 4, QI.gen),
+    }
+
+
+def random_combination(F, basis: Mat, rng) -> tuple:
+    out = (F.zero,) * basis.rows
+    for j in range(basis.cols):
+        out = vadd(out, vscale(F.random_element(rng, 3), basis.column(j)))
+    return out
+
+
+def random_f(K, alpha, n, rng, admissible):
+    """lambda_1 .. lambda_n: from the admissible spaces, or else each one
+    alpha-fixed or arbitrary at random."""
+    F = K.field
+    if admissible:
+        return [random_combination(F, admissible_coefficients(K, alpha, i), rng) for i in range(1, n + 1)]
+    fixed = kernel_basis(alpha.matrix.add(Mat.identity(F, K.dim).scale(-F.one)))
+    return [
+        random_combination(F, fixed, rng) if rng.random() < 0.5
+        else tuple(F.random_element(rng, 3) for _ in range(K.dim))
+        for _ in range(n)
+    ]
+
+
+def compile_outcome(check, alg):
+    try:
+        check(alg)
+    except MonogenicError as exc:
+        return str(exc)
+    return None
+
+
+def assert_normality_matches_ore(alg):
+    assert compile_outcome(MonogenicAlgebra.check_compiled, alg) == compile_outcome(ore_check_compiled, alg)
+    assert normality_check(alg) == ore_normality_check(alg)
+    return compile_outcome(MonogenicAlgebra.check_compiled, alg)
+
+
+@pytest.mark.parametrize("base", sorted(normality_bases()))
+def test_normality_on_coefficients_matches_ore(base):
+    """``check_compiled`` raises the message the Ore-product check raises, or
+    none, and ``normality_check`` gives the Ore route's report, on random
+    admissible f and on random f compiled unchecked."""
+    K, alpha = normality_bases()[base]
+    rng = random.Random(base)
+    outcomes = set()
+    for n in (2, 3):
+        for admissible in (True, False):
+            for _ in range(4):
+                alg = MonogenicAlgebra(K, alpha, random_f(K, alpha, n, rng, admissible), check=False)
+                outcome = assert_normality_matches_ore(alg)
+                assert outcome is None or not admissible
+                outcomes.add(outcome)
+    assert None in outcomes
+
+
+def test_normality_failures_match_ore():
+    """Each failure message appears in the comparison: x f != f x on sweedler
+    with lambda_1 = g, f mu != alpha^n(mu) f with lambda_1 = 1, and a twist that
+    does not fix the unit."""
+    K, alpha = twisted_group(QQ, 2, -1)
+    got = [
+        assert_normality_matches_ore(MonogenicAlgebra(K, alpha, f, check=False))
+        for f in ([K.elem("g").coords, (QQ.zero,) * 2], [K.unit, (QQ.zero,) * 2])
+    ]
+    assert got == ["f does not commute with x", "f lambda = alpha^n(lambda) f fails at basis 1"]
+    # K = QQ x QQ with alpha(e1) = e1 and alpha(e2) = 0, so alpha(1) = e1
+    idem = AlgebraK.from_structure_constants(
+        QQ, 2, ["e1", "e2"], (QQ.one, QQ.one), [(0, 0, 0, QQ.one), (1, 1, 1, QQ.one)]
+    )
+    shrink = Endo(idem, Mat(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]))
+    got = [
+        assert_normality_matches_ore(MonogenicAlgebra(idem, shrink, f, check=False))
+        for f in ([(QQ.zero,) * 2] * 2, [idem.unit, idem.unit])
+    ]
+    assert got == [None, "f does not commute with x"]

@@ -1,7 +1,7 @@
 """The twisted tensor square on A's own product, against the entrywise loops it
 replaced (kept in conftest.py): `TensorElem.leftmul`, `rightmul_k` and
-`rightmul_x`, the columns of `Resolution`, `ComparisonMaps.phi_recursive`
-and `MonogenicAlgebra.xpow_bar`.  They run on random sparse tensors at every
+`rightmul_x`, the columns of `Resolution` and `ComparisonMaps.phi_recursive`;
+and `MonogenicAlgebra.xpow_bar` against division by f in B.  They run on random sparse tensors at every
 twist up to 2 ord(alpha) + 1, on every canned instance, demo spec and twisted
 cyclic case, over QQ, GF(7), QQ(i) and GF(9).  The resolution's caches live
 on the instance, so a finished `Resolution` is collected."""
@@ -106,14 +106,16 @@ def test_phi_recursive_matches_entrywise(alg):
 
 
 def test_xpow_bar_divides_each_exponent_once(alg, monkeypatch):
+    """Every quotient below 3n equals division by f in B, and asking again
+    hands back the stored quotient without a product in A."""
     exponents = range(3 * alg.n)
     first = [alg.xpow_bar(e) for e in exponents]
     assert first == [uncached_xpow_bar(alg, e) for e in exponents]
 
-    def no_division(*args):
-        raise AssertionError("xpow_bar divided an exponent twice")
+    def no_product(*args):
+        raise AssertionError("xpow_bar computed an exponent twice")
 
-    monkeypatch.setattr(monogenic, "ore_divmod", no_division)
+    monkeypatch.setattr(monogenic.MonogenicAlgebra, "a_mul", no_product)
     assert all(alg.xpow_bar(e) is bar for e, bar in zip(exponents, first))
 
 

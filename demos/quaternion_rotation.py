@@ -16,15 +16,25 @@ from orecohom import (
     build_small_complex,
     cohomology_dims,
     quaternion_algebra,
+    quaternion_companion,
     quaternion_rotation_report,
     QQ,
 )
 
 data = QQ.scalar(-1), QQ.zero, QQ.zero, QQ.one
+K, alpha = quaternion_algebra(QQ, *data)
+
+
+def half_turn_complex(f_coeffs):
+    """The complex through degree 5 of the half-turn algebra with this f."""
+    alg = MonogenicAlgebra(K, alpha, f_coeffs)
+    return build_small_complex(alg, Bimodule.regular(alg), 5)
+
 
 # x^2 = 1: the companion is y^2 + 1 over the rationals, whose derivative is
 # invertible, so only degree zero survives.
-rho1 = quaternion_rotation_report(QQ, *data, [{}, {"1": -1}], up_to=4)
+C = half_turn_complex([{}, {"1": -1}])
+rho1 = quaternion_rotation_report(C, *data, up_to=4)
 print("x^2 = 1")
 print("companion coefficients:", rho1["companion_coefficients"])
 print("closed dims: ", rho1["closed_table"]["dims"])
@@ -33,23 +43,21 @@ print("companion model agrees:", rho1["companion_table"]["match"])
 
 # x^2 = 0: the companion is y^2, and the annihilator of its derivative is a
 # full line in every degree.
-rho0 = quaternion_rotation_report(QQ, *data, [{}, {}], up_to=4)
+rho0 = quaternion_rotation_report(half_turn_complex([{}, {}]), *data, up_to=4)
 print("\nx^2 = 0")
 print("companion coefficients:", rho0["companion_coefficients"])
 print("closed dims: ", rho0["closed_table"]["dims"])
 
 # The same dimensions fall out of the generic pipeline on the quaternion
 # algebra itself, without any companion bookkeeping.
-K, alpha = quaternion_algebra(QQ, *data)
-alg = MonogenicAlgebra(K, alpha, [{}, {"1": -1}])
-C = build_small_complex(alg, Bimodule.regular(alg), 5)
 print("\ndirect quaternion dims:", cohomology_dims(C, 4))
 
 # Constant terms outside the rational line of the half-power are rejected:
-# i, j, and k all fail the eligibility classification.
+# i, j, and k all fail the eligibility classification, so those f have no
+# algebra to build.
 for label in ("i", "j", "k"):
     try:
-        quaternion_rotation_report(QQ, *data, [{}, {label: 1}], up_to=4)
+        quaternion_companion(K, data[2], data[3], [{}, {label: 1}])
         print(f"constant term {label}: accepted")
     except ClosedFormError as exc:
         print(f"constant term {label}: rejected ({exc})")

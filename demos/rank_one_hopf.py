@@ -20,27 +20,30 @@ from orecohom import (
     cyclic_group,
     find_witness,
     rank_one_hopf_report,
-    QQ,
+    rank_one_quotient_report,
 )
 from orecohom.instances import c4_sign, gaussian_rationals
 
 # Case 1: C_8 with chi(g) = i and g1 = g^2, so chi(g1) = -1 is a primitive
 # square root but chi^2 is still nontrivial.  The constant term x^2 - (g^4 - 1)
-# fails the coefficient rules over k[C_8]; the ideal absorbs g^4 - 1 and the
-# extension becomes x^2 = 0 over the quotient k[C_4].
+# fails the coefficient rules over k[C_8], so there is no algebra to build;
+# the ideal absorbs g^4 - 1 and the extension becomes x^2 = 0 over the
+# quotient k[C_4], which the quotient report builds and checks.
 F = gaussian_rationals()
 G = cyclic_group(8)
 chi = character_from_values(G, F, {"g": F.gen})
-case1 = rank_one_hopf_report(F, G, chi, "g^2", 2, 1, up_to=5)
+case1 = rank_one_quotient_report(F, G, chi, "g^2", 2, 1, up_to=5)
 print("case:", case1["case"])
 print("hypotheses:", [(h["name"], h["holds"]) for h in case1["hypotheses"]])
 print("quotient dims:", case1["quotient_table"]["generic_table"]["dims"])
 
 # Case 2: C_4 with the sign character, g1 = g, x^2 = g^2 - 1.  Now chi^2 is
 # trivial, the extension itself is monogenic, and its table sits one unit
-# above the quotient model in degree zero only.
+# above the quotient model in degree zero only.  The report reads the
+# extension's own complex.
 alg, chi2, g1 = c4_sign(1)
-case2 = rank_one_hopf_report(QQ, alg.K.group, chi2, g1, 2, 1, up_to=5)
+C = build_small_complex(alg, Bimodule.regular(alg), 7)
+case2 = rank_one_hopf_report(C, chi2, g1, 1, up_to=5)
 print("\ncase:", case2["case"])
 print("extension dims:", case2["dims"])
 print("quotient dims: ", case2["quotient_dims"])
@@ -50,7 +53,6 @@ print("bracket rows:", case2["bracket_rows"])
 # class.  One degree pair higher that rule breaks: the closed recursion
 # keeps trace correction terms, and the oracle confirms they survive in
 # cohomology.
-C = build_small_complex(alg, Bimodule.regular(alg), 7)
 w = find_witness(alg)
 h1 = cohomology_group(C, 1).reps_ambient[0]
 h3 = cohomology_group(C, 3).reps_ambient[0]

@@ -39,13 +39,12 @@ from .closedforms import (
     group_algebra_cohomology_table,
     presentation_report,
     quaternion_rotation_report,
-    rank_one_f,
     rank_one_hopf_report,
     untwisted_annihilator_table,
     untwisted_model_check,
 )
 from .fields import FieldError
-from .kalgebra import AlgebraError, algebra_validate, endo_from_character, quaternion_algebra
+from .kalgebra import AlgebraError, algebra_validate
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
     BarOracle,
@@ -91,8 +90,8 @@ class Session:
     witness search and the run's bar oracle.  The oracle lifts each class
     representative once, composes each ordered pair of lifts once and
     brackets each pair once, keyed on (degree, value coordinates); the
-    products tables and both closed-vs-oracle agreements read it.  A session
-    belongs to one run; nothing outlives it."""
+    products tables, both closed-vs-oracle agreements and the rank-one
+    bracket rows read it.  A session belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -283,22 +282,13 @@ def _run_rank_one(s: Session):
         raise ClosedFormError("rank-one analysis needs a character-twist group instance")
     if inst.rank_one is None:
         raise ClosedFormError("rank-one analysis needs options.g1 and options.xi")
-    g1, xi = inst.rank_one
-    if inst.alpha.matrix != endo_from_character(inst.K, inst.chi).matrix:
-        raise ClosedFormError("rank-one analysis needs the character twist; the run's twist differs")
-    G = inst.K.group
-    if inst.f_coeffs != rank_one_f(inst.field, G, G.labels.index(g1), inst.n, xi):
-        raise ClosedFormError("rank-one analysis needs f = x^n - xi (g1^n - 1); the run's f differs")
-    return rank_one_hopf_report(inst.field, G, inst.chi, g1, inst.n, xi, up_to=min(s.D, 5))
+    return rank_one_hopf_report(s.complex, inst.chi, *inst.rank_one, min(s.D, 5), s.witness, s.oracle)
 
 
 def _run_quaternion(s: Session):
-    inst = s.inst
-    if inst.rotation is None:
+    if s.inst.rotation is None:
         raise ClosedFormError("rotation analysis needs quaternion coefficients")
-    if inst.alpha.matrix != quaternion_algebra(inst.field, *inst.rotation)[1].matrix:
-        raise ClosedFormError("rotation analysis needs the rotation twist; the run's twist differs")
-    return quaternion_rotation_report(inst.field, *inst.rotation, inst.f_coeffs, up_to=min(s.D, 4))
+    return quaternion_rotation_report(s.complex, *s.inst.rotation, min(s.D, 4))
 
 
 # Each check takes the run's Session.  Its complex is regular and reaches

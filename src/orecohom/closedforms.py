@@ -16,10 +16,12 @@ are recorded in ``mismatches`` and flip ``match`` instead of raising, so a
 report can show exactly where a closed description stops being valid.
 
 Preconditions are tested in one order, so a skip names the first that
-fails: regular bimodule, character (given, else read off the twist), collapse
-witness, identity twist, top degree (by default the highest the complex
-reaches), then the check's own hypotheses.  A WitnessData passed in is never
-searched for again; only None starts a search.
+fails: regular bimodule, the run is the model (the rank-one and rotation
+checks, whose data define a twist and f that C's must equal), character
+(given, else read off the twist), collapse witness, identity twist, top degree
+(by default the highest the complex reaches), then the check's own hypotheses;
+the rank-one check reads its witness after them.  A WitnessData passed in is
+never searched for again; only None starts a search.
 
 The witness element lambda-check that drives the collapsed descriptions is a
 central, n-th-power-fixed element whose differences from its own twists are
@@ -32,6 +34,7 @@ forced to vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .fields import (
     Field,
@@ -64,7 +67,7 @@ from .kalgebra import (
     endo_from_character,
     group_algebra,
     identity_endo,
-    quaternion_algebra,
+    rotation_endo,
     scalar_algebra,
     twisted_invariants_k,
     validate_character,
@@ -899,24 +902,16 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
 # -- rank-one extensions of group algebras --------------------------------------
 
 
-def _primitive_root_check(field: Field, c: Scalar, n: int) -> bool:
-    if c ** n != field.one:
-        return False
-    return all(c ** d != field.one for d in range(1, n) if n % d == 0)
-
-
 def rank_one_f(field: Field, G: GroupData, g1: int, n: int, xi: Scalar) -> list:
     """lambda_1 .. lambda_n of f = x^n - xi (g1^n - 1) over the group algebra of G."""
-    g1n = g1
-    for _ in range(n - 1):
-        g1n = G.mul(g1n, g1)
+    g1n = reduce(G.mul, [g1] * n)
     lam_n = [field.zero] * G.order
     lam_n[G.identity] = xi
     lam_n[g1n] = lam_n[g1n] - xi
     return [tuple([field.zero] * G.order)] * (n - 1) + [tuple(lam_n)]
 
 
-def rank_one_hopf_report(
+def rank_one_quotient_report(
     field: Field,
     G: GroupData,
     chi: list[Scalar],
@@ -925,21 +920,11 @@ def rank_one_hopf_report(
     xi,
     up_to: int = 5,
 ) -> dict:
-    """Cohomology of the extension of a group algebra by one skew generator
-    whose n-th power is xi times (g1^n - 1).
-
-    The central element g1 must pair with the twisting character to a
-    primitive n-th root of unity.  When the n-th character power is trivial
-    the extension itself is monogenic over the group algebra and its closed
-    tables are verified directly; odd-odd bracket classes are then checked
-    against the recursion oracle, and in the lowest odd degree against the
-    commutator rule (higher odd degrees pick up trace correction terms, so
-    the commutator rule is asserted only where it is exact).  Otherwise the
-    defining ideal absorbs g1^n - 1, the extension is monogenic only over the
-    quotient group algebra, and the quotient model carries all the tables.
-    In both cases the quotient model's dimensions agree with the extension's
-    in every positive degree.
-    """
+    """Hypotheses and quotient model of k[G][x; alpha] / (x^n - xi (g1^n - 1)):
+    g1 is central with chi(g1) a primitive n-th root of unity, and the table
+    of x^n = 0 over k[G / <g1^n>] is verified through up_to.  When chi^n is
+    nontrivial that model carries every table and f must fail admissibility
+    over k[G]; otherwise ``rank_one_hopf_report`` compares A with it."""
     rep = validate_character(G, chi)
     if not rep.ok:
         raise ClosedFormError("; ".join(rep.failures))
@@ -951,7 +936,8 @@ def rank_one_hopf_report(
     xi = field.scalar(xi)
     if xi.is_zero():
         raise ClosedFormError("scale must be a unit")
-    if not _primitive_root_check(field, chi[g1], n):
+    powers = [chi[g1] ** d for d in range(1, n + 1)]
+    if powers[-1] != field.one or field.one in powers[:-1]:
         raise ClosedFormError(
             "character value at the distinguished element must be a primitive "
             f"root of unity of order {n}"
@@ -959,23 +945,12 @@ def rank_one_hopf_report(
     ch = getattr(field, "char", 0)
     if ch and G.order % ch == 0:
         raise ClosedFormError("group order must be invertible in the field")
-    chin = char_power(chi, n)
-    case_trivial = all(c == field.one for c in chin)
-    g1n = g1
-    for _ in range(n - 1):
-        g1n = G.mul(g1n, g1)
-    sub = G.subgroup_generated([g1n])
-    Q, proj = G.quotient_group(sub)
-    chit = [None] * Q.order
-    for g in range(G.order):
-        q = proj[g]
-        if chit[q] is None:
-            chit[q] = chi[g]
-        elif chit[q] != chi[g]:
-            raise ClosedFormError("character does not factor through the quotient")
+    case_trivial = all(c == field.one for c in char_power(chi, n))
+    Q, proj = G.quotient_group(G.subgroup_generated([reduce(G.mul, [g1] * n)]))
+    # chi(g1)^n = 1, so chi is constant on the cosets of <g1^n>
+    chit = [chi[proj.index(q)] for q in range(Q.order)]
     Kq = group_algebra(Q, field)
-    alpha_q = endo_from_character(Kq, chit)
-    alg_q = MonogenicAlgebra(Kq, alpha_q, [Kq.field.zero] * n)
+    alg_q = MonogenicAlgebra(Kq, endo_from_character(Kq, chit), [field.zero] * n)
     Cq = build_small_complex(alg_q, Bimodule.regular(alg_q), up_to + 1)
     quotient_table = group_algebra_cohomology_table(Cq, chit, up_to)
     report = {
@@ -993,11 +968,9 @@ def rank_one_hopf_report(
         "match": quotient_table["match"],
         "mismatches": list(quotient_table["mismatches"]),
     }
-    K = group_algebra(G, field)
-    alpha = endo_from_character(K, chi)
-    f_coeffs = rank_one_f(field, G, g1, n, xi)
     if not case_trivial:
-        direct = validate_f(K, alpha, f_coeffs)
+        K = group_algebra(G, field)
+        direct = validate_f(K, endo_from_character(K, chi), rank_one_f(field, G, g1, n, xi))
         report["hypotheses"].append(
             _hyp("defining polynomial is not admissible over the full group algebra",
                  not direct.ok)
@@ -1008,25 +981,51 @@ def rank_one_hopf_report(
                 "full group algebra"
             )
             report["match"] = False
-        return report
-    alg = MonogenicAlgebra(K, alpha, f_coeffs)
-    C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
-    w_ext = _need_witness(alg, None)
+    return report
+
+
+def rank_one_hopf_report(
+    C: SmallComplex,
+    chi: list[Scalar],
+    g1_label: str,
+    xi,
+    up_to: int | None = None,
+    witness=None,
+    oracle: BarOracle | None = None,
+) -> dict:
+    """The rank-one check on C, the complex of k[G][x; alpha] / (x^n - xi (g1^n - 1))
+    for these chi, g1 and xi.  With chi^n trivial, C's group table is verified
+    and matched with the quotient model's in positive degrees, and odd-odd
+    bracket classes through up_to with the oracle and, in degree one, with the
+    commutator class (higher odd degrees keep trace terms)."""
+    alg = _regular_alg(C)
+    K, field, G = alg.K, alg.field, alg.K.group
+    if alg.alpha.matrix != endo_from_character(K, chi).matrix:
+        raise ClosedFormError("rank-one analysis needs the character twist; the run's twist differs")
+    if g1_label not in G.labels:
+        raise ClosedFormError(f"no group element labeled {g1_label}")
+    xi = field.scalar(xi)
+    if alg.f_terms[-2::-1] != rank_one_f(field, G, G.labels.index(g1_label), alg.n, xi):
+        raise ClosedFormError("rank-one analysis needs f = x^n - xi (g1^n - 1); the run's f differs")
+    up_to = _top_degree(C, up_to)
+    report = rank_one_quotient_report(field, G, chi, g1_label, alg.n, xi, up_to)
+    if any(c != field.one for c in char_power(chi, alg.n)):
+        return report  # the quotient model carries every table
+    w_ext = _need_witness(alg, witness)
     table = group_algebra_cohomology_table(C, chi, up_to, w_ext)
     report["extension_table"] = table
     mismatches = report["mismatches"]
     mismatches.extend(f"extension table: {m}" for m in table["mismatches"])
-    dims_a = cohomology_dims(C, up_to)
-    dims_q = cohomology_dims(Cq, up_to)
-    if dims_a[1:] != dims_q[1:]:
+    report["dims"] = cohomology_dims(C, up_to)
+    report["quotient_dims"] = report["quotient_table"]["generic_table"]["dims"]
+    if report["dims"][1:] != report["quotient_dims"][1:]:
         mismatches.append("quotient model dimensions differ in positive degrees")
-    report["dims"] = dims_a
-    report["quotient_dims"] = dims_q
     bracket_rows = []
-    oracle = BarOracle(alg)
+    if oracle is None:
+        oracle = BarOracle(alg)
     for ra, rb in ((1, 1), (1, 3), (3, 1), (3, 3)):
         deg = ra + rb - 1
-        if deg + 1 > C.max_degree:
+        if deg > up_to:
             continue
         for _, a, _, b in class_pairs(C, ra, rb):
             lam, mu = a.canonical_kx(), b.canonical_kx()
@@ -1059,37 +1058,17 @@ def rank_one_hopf_report(
 
 def _quaternion_half_power(K: AlgebraK, cos_half: Scalar, sin_half: Scalar, e: int) -> tuple:
     """Coordinates of the rotation's half-angle unit raised to the power e."""
-    field = K.field
-    plus = (cos_half, field.zero, field.zero, sin_half)
-    minus = (cos_half, field.zero, field.zero, -sin_half)
+    base = tuple(K.field.scalar(c) for c in (cos_half, 0, 0, sin_half if e >= 0 else -sin_half))
     out = K.unit
-    base = plus if e >= 0 else minus
     for _ in range(abs(e)):
         out = K.kmul(out, base)
     return out
 
 
-def quaternion_rotation_report(
-    field: Field,
-    cos: Scalar,
-    sin: Scalar,
-    cos_half: Scalar,
-    sin_half: Scalar,
-    f_coeffs: list,
-    up_to: int = 4,
-) -> dict:
-    """Quaternion coefficients under a rotation twist about the last axis.
-
-    Admissible defining polynomials have u-th coefficient equal to a scalar
-    times the inverse u-th power of the half-angle unit; the scalars assemble
-    a companion polynomial over the ground field.  The twisted-invariant
-    spaces, the vanishing odd differentials, the even differentials as left
-    multiplication by the derivative, and a degreewise change of basis onto
-    the companion's untwisted complex are all verified exactly, and the
-    cohomology dimensions agree with the companion's annihilator tables.
-    """
-    K, alpha = quaternion_algebra(field, cos, sin, cos_half, sin_half)
-    cos_half, sin_half = field.scalar(cos_half), field.scalar(sin_half)
+def quaternion_companion(K: AlgebraK, cos_half, sin_half, f_coeffs: list) -> list[Scalar]:
+    """The scalars sigma_u with lambda_u = sigma_u h^-u, h the half-angle unit,
+    for f = x^n + lambda_1 x^(n-1) + ... + lambda_n over the quaternions K.
+    Only such f are admissible under the rotation; others raise ClosedFormError."""
     n = len(f_coeffs)
     if n < 2:
         raise ClosedFormError("defining polynomial needs degree at least 2")
@@ -1103,8 +1082,29 @@ def quaternion_rotation_report(
                 f"half-angle power"
             )
         sigma.append(w[0])
-    alg = MonogenicAlgebra(K, alpha, f_coeffs)
-    C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
+    return sigma
+
+
+def quaternion_rotation_report(
+    C: SmallComplex,
+    cos: Scalar,
+    sin: Scalar,
+    cos_half: Scalar,
+    sin_half: Scalar,
+    up_to: int | None = None,
+) -> dict:
+    """Quaternion coefficients under the rotation twist with these angle values,
+    which C's twist must be.  The twisted-invariant spaces, the vanishing odd
+    differentials, the even ones as left multiplication by the derivative of
+    f, and a degreewise change of basis onto the complex of f's companion
+    (``quaternion_companion``) are verified exactly through up_to, and the
+    dimensions agree with the companion's annihilator table."""
+    alg = _regular_alg(C)
+    K, field, n = alg.K, alg.field, alg.n
+    if alg.alpha.matrix != rotation_endo(K, cos, sin, cos_half, sin_half).matrix:
+        raise ClosedFormError("rotation analysis needs the rotation twist; the run's twist differs")
+    up_to = _top_degree(C, up_to)
+    sigma = quaternion_companion(K, cos_half, sin_half, alg.f_terms[-2::-1])
     mismatches: list[str] = []
     theta: list[Mat] = []
     for r in range(up_to + 1):

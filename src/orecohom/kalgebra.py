@@ -562,19 +562,7 @@ def character_kernel(G: GroupData, chi: list[Scalar]) -> list[int]:
 def quaternion_algebra(
     field: Field, cos: Scalar, sin: Scalar, cos_half: Scalar, sin_half: Scalar
 ) -> tuple[AlgebraK, Endo]:
-    """Quaternions with the rotation twist about the k-axis.
-
-    The four inputs must satisfy both Pythagorean identities and the
-    double-angle relations cos = cos_half^2 - sin_half^2, sin = 2 cos_half sin_half."""
-    cos, sin = field.scalar(cos), field.scalar(sin)
-    cos_half, sin_half = field.scalar(cos_half), field.scalar(sin_half)
-    one = field.one
-    if cos * cos + sin * sin != one:
-        raise AlgebraError("cos^2 + sin^2 = 1 fails")
-    if cos_half * cos_half + sin_half * sin_half != one:
-        raise AlgebraError("half-angle Pythagorean identity fails")
-    if cos != cos_half * cos_half - sin_half * sin_half or sin != 2 * cos_half * sin_half:
-        raise AlgebraError("double-angle identities fail")
+    """Quaternions with the rotation twist about the k-axis (``rotation_endo``)."""
     names = ["1", "i", "j", "k"]
     o, z = field.one, field.zero
     # i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j, anticommuting
@@ -587,6 +575,24 @@ def quaternion_algebra(
     }
     quads += [(i, j, k, s) for (i, j), (k, s) in signs.items()]
     alg = AlgebraK.from_structure_constants(field, 4, names, (o, z, z, z), quads)
+    return alg, rotation_endo(alg, cos, sin, cos_half, sin_half)
+
+
+def rotation_endo(K: AlgebraK, cos: Scalar, sin: Scalar, cos_half: Scalar, sin_half: Scalar) -> Endo:
+    """The rotation of the quaternions K in the i-j plane, about the k-axis.
+
+    The four inputs must satisfy both Pythagorean identities and the
+    double-angle relations cos = cos_half^2 - sin_half^2, sin = 2 cos_half sin_half."""
+    field = K.field
+    cos, sin = field.scalar(cos), field.scalar(sin)
+    cos_half, sin_half = field.scalar(cos_half), field.scalar(sin_half)
+    o, z = field.one, field.zero
+    if cos * cos + sin * sin != o:
+        raise AlgebraError("cos^2 + sin^2 = 1 fails")
+    if cos_half * cos_half + sin_half * sin_half != o:
+        raise AlgebraError("half-angle Pythagorean identity fails")
+    if cos != cos_half * cos_half - sin_half * sin_half or sin != 2 * cos_half * sin_half:
+        raise AlgebraError("double-angle identities fail")
     M = Mat(
         field,
         [
@@ -596,11 +602,11 @@ def quaternion_algebra(
             [z, z, z, o],
         ],
     )
-    alpha = Endo(alg, M)
+    alpha = Endo(K, M)
     rep = alpha.validate()
     if not rep.ok:
         raise AlgebraError("; ".join(rep.failures))
-    return alg, alpha
+    return alpha
 
 
 def sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:

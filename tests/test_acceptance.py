@@ -32,8 +32,10 @@ from orecohom import (
     group_algebra,
     group_algebra_cohomology_table,
     quaternion_algebra,
+    quaternion_companion,
     quaternion_rotation_report,
     rank_one_hopf_report,
+    rank_one_quotient_report,
     twisted_invariants_k,
     untwisted_annihilator_table,
     QQ,
@@ -237,7 +239,7 @@ def test_criterion_06_skew_group_extensions():
     F = gaussian_rationals()
     G8 = cyclic_group(8)
     chi8 = character_from_values(G8, F, {"g": F.gen})
-    case1 = rank_one_hopf_report(F, G8, chi8, "g^2", 2, 1, up_to=5)
+    case1 = rank_one_quotient_report(F, G8, chi8, "g^2", 2, 1, up_to=5)
     ok = case1["match"]
     hyp = {h["name"]: h["holds"] for h in case1["hypotheses"]}
     ok = ok and hyp["defining polynomial is not admissible over the full group algebra"]
@@ -247,13 +249,13 @@ def test_criterion_06_skew_group_extensions():
     ok = ok and quotient_dims == cohomology_dims(Cq, 5) == [1, 1, 0, 0, 1, 1]
 
     alg2, chi2, g1 = c4_sign(1)
-    case2 = rank_one_hopf_report(QQ, alg2.K.group, chi2, g1, 2, 1, up_to=5)
+    C2 = build_small_complex(alg2, Bimodule.regular(alg2), 7)
+    case2 = rank_one_hopf_report(C2, chi2, g1, 1, up_to=5)
     ok = ok and case2["match"]
     ok = ok and case2["dims"] == [2, 1, 1, 1, 1, 1]
     ok = ok and case2["quotient_dims"] == [1, 1, 1, 1, 1, 1]
     ok = ok and case2["dims"][1:6] == case2["quotient_dims"][1:6]
 
-    C2 = build_small_complex(alg2, Bimodule.regular(alg2), 7)
     ok = ok and group_algebra_cohomology_table(C2, chi2, 5)["match"]
     odd_reps = {
         r: [
@@ -314,17 +316,19 @@ def test_criterion_07_bracket_cross_validation():
 
 def test_criterion_08_quaternion_half_turn():
     data = QQ.scalar(-1), QQ.zero, QQ.zero, QQ.one
-    rho1 = quaternion_rotation_report(QQ, *data, [{}, {"1": -1}], up_to=4)
-    rho0 = quaternion_rotation_report(QQ, *data, [{}, {}], up_to=4)
+    C1, C0 = (build_small_complex(alg, Bimodule.regular(alg), 5) for alg in (quaternion_pi(1), quaternion_pi(0)))
+    rho1 = quaternion_rotation_report(C1, *data, up_to=4)
+    rho0 = quaternion_rotation_report(C0, *data, up_to=4)
     ok = rho1["match"] and rho0["match"]
     ok = ok and rho1["closed_table"]["dims"] == [2, 0, 0, 0, 0]
     ok = ok and rho0["closed_table"]["dims"] == [2, 1, 1, 1, 1]
     ok = ok and rho1["companion_table"]["match"] and rho0["companion_table"]["match"]
+    K, _ = quaternion_algebra(QQ, *data)
     for bad in ({"i": 1}, {"j": 1}, {"k": 1}):
         with pytest.raises(ClosedFormError):
-            quaternion_rotation_report(QQ, *data, [{}, bad], up_to=4)
+            quaternion_companion(K, data[2], data[3], [{}, bad])
     with pytest.raises(ClosedFormError):
-        quaternion_rotation_report(QQ, *data, [{"i": 1}, {}], up_to=4)
+        quaternion_companion(K, data[2], data[3], [{"i": 1}, {}])
     verdict(8, "half-turn rotation accepts exactly scalar constant terms and matches the companion tables", ok)
 
 

@@ -14,6 +14,7 @@ from orecohom import (
     cohomology_dims,
     kalgebra,
     monogenic,
+    products,
 )
 from orecohom.cli import main
 from orecohom.specio import SpecError, build_instance, load_instance
@@ -349,10 +350,11 @@ def test_quaternion_theorems(capsys):
     ids=["rank-one-f", "rank-one-twist", "rotation-twist"],
 )
 def test_closed_model_of_another_algebra_skips(capsys, tmp_path, name, changes, which, reason):
-    """The rank-one and rotation checks rebuild their algebra from parts of
-    the spec; on a run whose f or twist is not that algebra's they skip, where
-    they used to report ok about another algebra (c4_sign with f = x^2 has
-    dims [2, 2, 2, 2, 2], its rank-one model [2, 1, 1, 1, 1])."""
+    """The rank-one and rotation checks read the run's complex and compare its
+    twist and f with the ones their data define; on a run whose f or twist
+    differs they skip.  Reporting on the model instead would describe another
+    algebra (c4_sign with f = x^2 has dims [2, 2, 2, 2, 2], its rank-one model
+    [2, 1, 1, 1, 1])."""
     raw = {**json.loads((SPECS / name).read_text()), **changes}
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -462,10 +464,14 @@ def count_calls(monkeypatch, owner, attr, modules=()):
     return calls
 
 
-@pytest.mark.parametrize("name, builds", [("sweedler.json", 1), ("taft37.json", 1), ("c4_sign.json", 3)])
+@pytest.mark.parametrize(
+    "name, builds",
+    [("sweedler.json", 1), ("taft37.json", 1), ("c4_sign.json", 2), ("quaternion_pi.json", 2)],
+)
 def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
-    """One build of the instance's complex; c4_sign's closed-form checks
-    also build two model complexes of their own, as theorems alone does."""
+    """One build of the instance's complex, which every check reads; the
+    rank-one check adds its quotient model's complex on c4_sign and the
+    rotation check its companion's on quaternion_pi, as theorems alone does."""
     calls = count_calls(monkeypatch, cohomology.SmallComplex, "__init__")
     assert run(capsys, "report", spec(name))[0] == 0
     assert len(calls) == builds
@@ -478,21 +484,57 @@ def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
 def test_report_searches_for_the_witness_once(capsys, monkeypatch, name):
     """Every check reads the run's one witness search, and skips without a
     second search when it found nothing.  c4_sign's rank-one check searches
-    once more on each of its quotient and extension algebras; sweedler_bad
-    fails validation before any search."""
+    once more, on its quotient model only; sweedler_bad fails validation
+    before any search."""
     calls = count_calls(monkeypatch, closedforms, "find_witness", (cli,))
     rc = run(capsys, "report", spec(name))[0]
     assert rc == (1 if name == "sweedler_bad.json" else 0)
-    assert len(calls) == {"c4_sign.json": 3, "sweedler_bad.json": 0}.get(name, 1)
+    assert len(calls) == {"c4_sign.json": 2, "sweedler_bad.json": 0}.get(name, 1)
 
 
-@pytest.mark.parametrize("name", ["sweedler.json", "taft37.json"])
+@pytest.mark.parametrize("name", ["sweedler.json", "taft37.json", "c4_sign.json", "quaternion_pi.json"])
 def test_report_compiles_the_algebra_once(capsys, monkeypatch, name):
     """validate's normality and contraction checks read the session's one
-    compile of A, and the checked algebra is that same object."""
+    compile of A, and the checked algebra is that same object.  The rank-one
+    and rotation checks read it too and compile only their model: the
+    quotient model on c4_sign, the companion on quaternion_pi."""
     calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "__init__")
     assert run(capsys, "report", spec(name))[0] == 0
+    assert len(calls) == {"c4_sign.json": 2, "quaternion_pi.json": 2}.get(name, 1)
+
+
+def test_report_builds_one_bar_oracle(capsys, monkeypatch):
+    """c4_sign's rank-one bracket rows read the run's oracle, which the
+    products verb has already filled."""
+    calls = count_calls(monkeypatch, products.BarOracle, "__init__")
+    assert run(capsys, "report", spec("c4_sign.json"))[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("name", ["c4_sign.json", "quaternion_pi.json"])
+def test_model_checks_read_the_run_complex_at_every_degree(capsys, name, D):
+    """The rank-one and rotation checks read the run's complex, built through
+    D + 1, with their tables capped at degree 5 and 4.  Each result equals
+    the report on a complex built only through the cap plus one."""
+    rc, payload = run_json(
+        capsys, "theorems", spec(name), "--which", "rank-one-hopf,quaternion-rotation",
+        "--max-degree", str(D),
+    )
+    assert rc == 0
+    inst = load_instance(spec(name))
+    alg = inst.algebra()
+    if inst.rotation is None:
+        which, up_to = "rank-one-hopf", min(D, 5)
+        C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
+        want = closedforms.rank_one_hopf_report(C, inst.chi, *inst.rank_one, up_to)
+    else:
+        which, up_to = "quaternion-rotation", min(D, 4)
+        C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
+        want = closedforms.quaternion_rotation_report(C, *inst.rotation, up_to)
+    [entry] = [e for e in payload["checks"] if e["status"] != "skipped"]
+    assert entry["which"] == which and entry["status"] == "ok"
+    assert entry["result"] == json.loads(json.dumps(want))
 
 
 @pytest.mark.parametrize("verb", ["validate", "cohomology", "products", "theorems", "report"])

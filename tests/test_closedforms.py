@@ -5,7 +5,7 @@ import json
 import pytest
 
 from orecohom.fields import QQ
-from orecohom.kalgebra import Endo, quaternion_algebra
+from orecohom.kalgebra import Endo, endo_from_character, group_algebra, quaternion_algebra
 from orecohom.linalg import Mat, span_equal
 from orecohom.monogenic import MonogenicAlgebra, MonogenicError, validate_f
 from orecohom.cohomology import (
@@ -32,8 +32,11 @@ from orecohom.closedforms import (
     find_witness,
     group_algebra_cohomology_table,
     presentation_report,
+    quaternion_companion,
     quaternion_rotation_report,
+    rank_one_f,
     rank_one_hopf_report,
+    rank_one_quotient_report,
     untwisted_annihilator_table,
     untwisted_model_check,
     witness_check,
@@ -517,15 +520,22 @@ def test_presentation_taft3_exterior(taft3):
 # -- rank-one extensions -----------------------------------------------------------
 
 
+def rank_one_complex(F, G, chi, g1, n, xi, d):
+    """The complex through degree d of k[G][x; alpha] / (x^n - xi (g1^n - 1))."""
+    K = group_algebra(G, F)
+    f = rank_one_f(F, G, G.labels.index(g1), n, F.scalar(xi))
+    return complex_of(MonogenicAlgebra(K, endo_from_character(K, chi), f), d)
+
+
 def test_rank_one_broken_raises():
     F, G, chi, g1, n = instances.rank_one_broken_data()
     with pytest.raises(ClosedFormError):
-        rank_one_hopf_report(F, G, chi, g1, n, 1, up_to=3)
+        rank_one_quotient_report(F, G, chi, g1, n, 1, up_to=3)
 
 
 def test_rank_one_case1():
     F, G, chi, g1, n = instances.rank_one_case1_data()
-    rep = rank_one_hopf_report(F, G, chi, g1, n, 1, up_to=5)
+    rep = rank_one_quotient_report(F, G, chi, g1, n, 1, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["case"] == "monogenic over the quotient group algebra"
     assert rep["quotient_group_order"] == 4
@@ -538,7 +548,7 @@ def test_rank_one_case1():
 
 def test_rank_one_case2():
     F, G, chi, g1, n, xi = instances.rank_one_case2_data()
-    rep = rank_one_hopf_report(F, G, chi, g1, n, xi, up_to=5)
+    rep = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 6), chi, g1, xi, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["case"] == "monogenic over the group algebra"
     assert rep["dims"] == [2, 1, 1, 1, 1, 1]
@@ -550,8 +560,8 @@ def test_rank_one_case2():
 
 
 def test_rank_one_lifts_each_representative_once(monkeypatch, capsys):
-    """The odd-odd bracket rows of c4_sign's rank-one check share one oracle,
-    so psi lifts each distinct class representative once."""
+    """The odd-odd bracket rows of c4_sign's rank-one check share the run's
+    oracle, so psi lifts each distinct class representative once."""
     from pathlib import Path
 
     from orecohom import products
@@ -591,17 +601,48 @@ def test_rank_one_degenerate_distinguished_square():
 
     G = cyclic_group(2)
     chi = character_from_values(G, QQ, {"g": -1})
-    rep = rank_one_hopf_report(QQ, G, chi, "g", 2, 1, up_to=4)
+    rep = rank_one_hopf_report(rank_one_complex(QQ, G, chi, "g", 2, 1, 5), chi, "g", 1, up_to=4)
     assert rep["match"], rep["mismatches"]
     assert rep["case"] == "monogenic over the group algebra"
     assert rep["dims"] == rep["quotient_dims"]
 
 
+def test_rank_one_reads_its_top_degree_not_the_complex_depth():
+    """On a complex deeper than the table, the bracket rows stop at up_to."""
+    F, G, chi, g1, n, xi = instances.rank_one_case2_data()
+    deep = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 8), chi, g1, xi, up_to=2)
+    exact = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 3), chi, g1, xi, up_to=2)
+    assert deep == exact
+    assert deep["bracket_rows"] and all(row["degrees"] == [1, 1] for row in deep["bracket_rows"])
+
+
+@pytest.mark.parametrize(
+    "xi, chi_g, reason",
+    [(2, -1, "the run's f differs"), (1, 1, "the run's twist differs")],
+    ids=["f", "twist"],
+)
+def test_rank_one_on_another_algebra_raises(xi, chi_g, reason):
+    from orecohom.kalgebra import character_from_values
+
+    F, G, chi, g1, n, _ = instances.rank_one_case2_data()
+    C = rank_one_complex(F, G, chi, g1, n, 1, 3)
+    with pytest.raises(ClosedFormError, match=reason):
+        rank_one_hopf_report(C, character_from_values(G, F, {"g": chi_g}), g1, xi)
+
+
 # -- quaternions under rotation ------------------------------------------------------
 
 
+def quaternion_complex(rho, d):
+    """The half-turn complex of x^2 - rho through degree d, and its rotation data."""
+    F, cos, sin, ch, sh, fc = instances.quaternion_half_turn_data(rho)
+    K, alpha = quaternion_algebra(F, cos, sin, ch, sh)
+    return complex_of(MonogenicAlgebra(K, alpha, fc), d), (cos, sin, ch, sh)
+
+
 def test_quaternion_half_turn_unit():
-    rep = quaternion_rotation_report(*instances.quaternion_half_turn_data(1), up_to=4)
+    C, data = quaternion_complex(1, 5)
+    rep = quaternion_rotation_report(C, *data, up_to=4)
     assert rep["match"], rep["mismatches"]
     assert rep["generic_table"]["dims"] == [2, 0, 0, 0, 0]
     F = QQ
@@ -609,15 +650,32 @@ def test_quaternion_half_turn_unit():
 
 
 def test_quaternion_half_turn_nilpotent():
-    rep = quaternion_rotation_report(*instances.quaternion_half_turn_data(0), up_to=4)
+    C, data = quaternion_complex(0, 5)
+    rep = quaternion_rotation_report(C, *data, up_to=4)
     assert rep["match"], rep["mismatches"]
     assert rep["generic_table"]["dims"] == [2, 1, 1, 1, 1]
 
 
 def test_quaternion_ineligible_coefficient():
     F, cos, sin, ch, sh, _ = instances.quaternion_half_turn_data(1)
+    K, _ = quaternion_algebra(F, cos, sin, ch, sh)
     with pytest.raises(ClosedFormError):
-        quaternion_rotation_report(F, cos, sin, ch, sh, [{"i": 1}, {}], up_to=2)
+        quaternion_companion(K, ch, sh, [{"i": 1}, {}])
+
+
+def test_quaternion_reads_its_top_degree_not_the_complex_depth():
+    deep, data = quaternion_complex(0, 8)
+    exact, _ = quaternion_complex(0, 3)
+    assert quaternion_rotation_report(deep, *data, up_to=2) == quaternion_rotation_report(
+        exact, *data, up_to=2
+    )
+
+
+def test_quaternion_on_another_twist_raises():
+    C, _ = quaternion_complex(1, 3)
+    one, zero = QQ.one, QQ.zero
+    with pytest.raises(ClosedFormError, match="the run's twist differs"):
+        quaternion_rotation_report(C, one, zero, one, zero)
 
 
 # -- every dimension table compares with the generic dims -----------------------

@@ -72,7 +72,7 @@ from .kalgebra import (
     twisted_invariants_k,
     validate_character,
 )
-from .monogenic import AElem, MonogenicAlgebra, validate_f
+from .monogenic import AElem, MonogenicAlgebra, TensorElem, validate_f
 from .cohomology import (
     Bimodule,
     CohomologyError,
@@ -573,21 +573,10 @@ def _formal_derivative_elem(alg: MonogenicAlgebra) -> AElem:
     return total
 
 
-def _left_mult_matrix_a(M: Bimodule, a: AElem) -> Mat:
-    alg = M.alg
-    out = Mat.zero(M.field, M.dim, M.dim)
-    for d in range(alg.n):
-        k = a.k_coeff(d)
-        if k.is_zero():
-            continue
-        out = out.add(M.L_elem(k.coords).matmul(M.Lx_pow(d)))
-    return out
-
-
 def _check_derivative_differentials(C: SmallComplex, up_to: int, mismatches: list) -> None:
     """Odd differentials vanish and even ones are left multiplication by the
     derivative of the defining polynomial, through degree up_to."""
-    L = _left_mult_matrix_a(C.M, _formal_derivative_elem(C.alg))
+    L = C.M.hom(TensorElem.from_aelem(_formal_derivative_elem(C.alg), 0, 0))
     for r in range(1, up_to + 1):
         if r % 2 == 1:
             if not C.dmats[r].is_zero():
@@ -643,7 +632,7 @@ def untwisted_annihilator_table(C: SmallComplex, up_to: int | None = None) -> di
     up_to = _top_degree(C, up_to)
     model = C.bases[0]
     fprime = _formal_derivative_elem(alg)
-    L = _left_mult_matrix_a(C.M, fprime)
+    L = C.M.hom(TensorElem.from_aelem(fprime, 0, 0))
     Lsub = _restrict_to_span(model, L)
     # the annihilator (kernel) and the quotient (cokernel) of one square map
     # have the same dimension, and the same representatives serve every degree

@@ -5,6 +5,7 @@ Degree bookkeeping: d^r is the differential INTO C^r, so H^r is
 ker d^{r+1} / im d^r and computing H^r requires the complex to be built
 through degree r + 1.  The twist exponent of C^r is mn for r = 2m and
 mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
+d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies.
 
 Each piece of the complex is built once per distinct input and shared by
 every degree with that input: the cochain basis per exact twist matrix
@@ -19,8 +20,8 @@ from __future__ import annotations
 import functools
 
 from .kalgebra import ValidationReport, mult_matrix, sparse_rows, twisted_kernel
-from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis
-from .monogenic import MonogenicAlgebra, twist_exponent
+from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, vscale
+from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
 class CohomologyError(ValueError):
@@ -90,27 +91,24 @@ class Bimodule:
         """The ``sparse_rows`` of R_k and of L_k, read once per bimodule."""
         return [sparse_rows(A) for A in self.R_k], [sparse_rows(A) for A in self.L_k]
 
-    @functools.cached_property
-    def d_odd(self) -> Mat:
-        """The odd-degree differential on ambient vectors: Lx - Rx."""
-        return self.Lx.add(self.Rx.scale(-self.field.one))
-
-    @functools.cached_property
-    def d_even(self) -> Mat:
-        """The even-degree differential on ambient vectors:
-        sum over 1 <= i <= n of L(c_i) sum over l < i of Lx^l Rx^{i-l-1},
-        with c_i the coefficient of x^i in f."""
-        alg = self.alg
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for i in range(1, alg.n + 1):
-            li = alg.f_terms[i]
-            if all(c.is_zero() for c in li):
-                continue
-            walk = Mat.zero(self.field, self.dim, self.dim)
-            for l in range(i):
-                walk = walk.add(self.Lx_pow(l).matmul(self.Rx_pow(i - l - 1)))
-            out = out.add(self.L_elem(li).matmul(walk))
-        return out
+    def hom(self, t: TensorElem) -> Mat:
+        """The matrix of m -> sum_c u_c m x^c for t = sum_c u_c (x) x^c; u_c =
+        sum_a k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if k_a = s 1."""
+        unit, one = self.alg.K.unit, self.field.one
+        i = next(j for j, c in enumerate(unit) if not c.is_zero())
+        out = None
+        for c in t.powers():
+            u = t.left_factor(c)
+            for a in u.x_degrees():
+                k = u.k_coeff(a).coords
+                s = k[i] / unit[i]
+                ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
+                if vscale(s, unit) != k:
+                    ops, s = [self.L_elem(k), *ops], one
+                term = functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])
+                term = term if s == one else term.scale(s)
+                out = term if out is None else out.add(term)
+        return Mat.zero(self.field, self.dim, self.dim) if out is None else out
 
     def validate(self) -> ValidationReport:
         failures = []
@@ -182,7 +180,8 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
 
 
 class SmallComplex:
-    """The small complex C^r = M^{alpha^{t(r)}} with compiled differentials.
+    """The small complex C^r = M^{alpha^{t(r)}} with compiled differentials
+    d^r = Hom(d'_r, M), the ``M.hom`` of ``Resolution.d_generator(r)``.
 
     C^r and d^r depend on r only through the twist alpha^{t(r)} and the
     parity of r, so equal inputs share one object:
@@ -205,6 +204,8 @@ class SmallComplex:
         self.field = M.field
         self._groups: dict[int, "CohomologyGroup"] = {}
         self._cores: dict[tuple, "_GroupCore"] = {}  # ids of (d^r, d^{r+1}, C^r) -> core
+        res = Resolution(alg, max_degree)
+        self._d_ops = [M.hom(res.d_generator(2)), M.hom(res.d_generator(1))]  # by r mod 2
         self.bases: list[Mat] = []
         self.solvers: list[LinSolver] = []
         by_basis: dict[int, LinSolver] = {}  # id of a cached basis -> its solver
@@ -239,7 +240,7 @@ class SmallComplex:
 
     def d_ambient(self, r: int, v: tuple) -> tuple:
         """The differential into degree r evaluated on an ambient M-vector."""
-        return (self.M.d_odd if r % 2 else self.M.d_even).matvec(v)
+        return self._d_ops[r % 2].matvec(v)
 
     def _compile_d(self, r: int) -> Mat:
         cols = []

@@ -470,7 +470,9 @@ class Resolution:
         return TensorElem(self.alg, self.twist(r), {flat: self.alg.field.one})
 
     def d_generator(self, r: int) -> TensorElem:
-        """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module."""
+        """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module:
+        x (x) 1 - 1 (x) x for odd r, the derivation of f for even r.  The one
+        definition of d': the small complex is its Hom into M."""
         if r in self._generators:
             return self._generators[r]
         alg = self.alg
@@ -479,15 +481,7 @@ class Resolution:
             onex = TensorElem.from_aelem(alg.one, 0, tw).rightmul_x()
             out = TensorElem.from_aelem(alg.x, 0, tw) - onex
         else:
-            # sum over i >= 1 of c_i x^l (x) x^{i-l-1}, l < i
-            out = TensorElem.zero(alg, tw)
-            for i in range(1, alg.n + 1):
-                coeff = alg.f_terms[i]
-                if all(c.is_zero() for c in coeff):
-                    continue
-                left = alg.k_embed(coeff)
-                for l in range(i):
-                    out = out + TensorElem.from_aelem(left * alg.xpow(l), i - l - 1, tw)
+            out = TensorElem(alg, tw, derivation(alg, alg.f_terms).coords)
         self._generators[r] = out
         return out
 
@@ -545,34 +539,31 @@ class Resolution:
     def contraction_check(self) -> ValidationReport:
         """Exact verification that sigma contracts the complex onto A:
         augmentation . sigma0 = id, d'_1 sigma_1 + sigma_0 . augmentation = id,
-        d'_{r+1} sigma_{r+1} + sigma_r d'_r = id, and d' . d' = 0."""
+        d'_{r+1} sigma_{r+1} + sigma_r d'_r = id, and d' . d' = 0.  d'_r and
+        sigma_r read r only through r mod 2 and alpha^{t(r-1)}, which fix
+        alpha^{t(r)} too, so each identity is checked in the first degree r
+        with each such pair."""
         alg = self.alg
-        failures = []
         for flat in range(alg.adim):
             a = alg.basis_vector(flat)
             if self.augmentation(self.sigma0(a)) != a:
-                failures.append(f"augmentation section fails at basis {flat}")
-                return ValidationReport(False, tuple(failures))
+                return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
         for flat in range(self.tdim):
             t = self.basis_tensor(0, flat)
             lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
             if lhs != t:
-                failures.append(f"degree-0 homotopy identity fails at basis {flat}")
-                return ValidationReport(False, tuple(failures))
+                return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
+        first: dict[tuple, int] = {}  # key -> its first degree, ascending
         for r in range(1, self.max_degree + 1):
+            first.setdefault((r % 2, alg.alpha.power_matrix(self.twist(r - 1)).data), r)
+        for r in first.values():
             for flat in range(self.tdim):
                 t = self.basis_tensor(r, flat)
-                lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(
-                    r, self.apply_d(r, t)
-                )
+                lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(r, self.apply_d(r, t))
                 if lhs != t:
-                    failures.append(
-                        f"homotopy identity fails in degree {r} at basis {flat}"
-                    )
-                    return ValidationReport(False, tuple(failures))
-        for r in range(2, self.max_degree + 2):
+                    return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))
+        for r in first.values():
             for flat in range(self.tdim):
-                if not self.apply_d(r - 1, self.d_column(r, flat)).is_zero():
-                    failures.append(f"d.d is nonzero in degree {r} at basis {flat}")
-                    return ValidationReport(False, tuple(failures))
+                if not self.apply_d(r, self.d_column(r + 1, flat)).is_zero():
+                    return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
         return ValidationReport(True, ())

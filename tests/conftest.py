@@ -43,6 +43,7 @@ from orecohom.kalgebra import (
     cyclic_group,
     endo_from_character,
     group_algebra,
+    identity_endo,
     quaternion_algebra,
 )
 from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, solve, vadd
@@ -104,11 +105,19 @@ def twisted_cyclic(F, order, root):
     return MonogenicAlgebra(K, alpha, [{}] * (order - 1) + [{"1": -1}])
 
 
+def linear_g_coefficient():
+    """QQ[C2] with the identity twist and f = x^2 + g x: an admissible f whose
+    x^1 coefficient is not a scalar, so d' and its operator read L(g)."""
+    K = group_algebra(cyclic_group(2), QQ)
+    return MonogenicAlgebra(K, identity_endo(K), [{"g": 1}, {}])
+
+
 _QI = instances.gaussian_rationals()
 _GF9 = extension_field(prime_field(3), [1, 0, 1], "t")
 
 # The canned instances, every demo spec (unchecked: sweedler_bad is not
-# admissible) and twisted cyclic group algebras over QQ, GF(7), QQ(i), GF(9).
+# admissible), twisted cyclic group algebras over QQ, GF(7), QQ(i), GF(9) and
+# an admissible f with a non-scalar middle coefficient.
 CASES = {
     **CANNED,
     **{f"spec:{p.stem}": (lambda p=p: load_instance(str(p)).algebra(check=False)) for p in SPECS},
@@ -116,6 +125,7 @@ CASES = {
     "cyclic:GF7": lambda: twisted_cyclic(prime_field(7), 3, 2),
     "cyclic:QQ(i)": lambda: twisted_cyclic(_QI, 4, _QI.gen),
     "cyclic:GF9": lambda: twisted_cyclic(_GF9, 4, _GF9.gen),
+    "linear-g": linear_g_coefficient,
 }
 
 
@@ -315,17 +325,18 @@ def dense_a_mul(self, a: AElem, b: AElem) -> AElem:
     return AElem(self, out)
 
 
-def dense_d_ambient(self, r: int, v: tuple) -> tuple:
-    """`SmallComplex.d_ambient` before the bimodule compiled its operators:
-    it walks the x-powers on each vector.  Its matrix-vector products and
-    sums are the dense ones above."""
-    M = self.M
+def dense_d_ambient(M: Bimodule, r: int, v: tuple) -> tuple:
+    """`SmallComplex.d_ambient` of a complex over M before the bimodule
+    compiled its operators: it walks the x-powers on each vector, with the
+    differential written out for each parity rather than read off
+    `Resolution.d_generator`.  Its matrix-vector products and sums are the
+    dense ones above."""
     if r % 2 == 1:
         return tuple(
             a - b for a, b in zip(dense_matvec(M.Lx, v), dense_matvec(M.Rx, v))
         )
-    alg = self.alg
-    out = (self.field.zero,) * M.dim
+    alg = M.alg
+    out = (M.field.zero,) * M.dim
     for i in range(1, alg.n + 1):
         li = alg.f_terms[i]
         if all(c.is_zero() for c in li):
@@ -634,6 +645,41 @@ def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
     out = {k: v for k, v in out.items() if not v.is_zero()}
     memo[r] = out
     return out
+
+
+def unfolded_contraction_check(self: Resolution) -> ValidationReport:
+    """`Resolution.contraction_check` before it checked each identity once per
+    (r mod 2, alpha^{t(r-1)}): every degree through max_degree."""
+    alg = self.alg
+    failures = []
+    for flat in range(alg.adim):
+        a = alg.basis_vector(flat)
+        if self.augmentation(self.sigma0(a)) != a:
+            failures.append(f"augmentation section fails at basis {flat}")
+            return ValidationReport(False, tuple(failures))
+    for flat in range(self.tdim):
+        t = self.basis_tensor(0, flat)
+        lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
+        if lhs != t:
+            failures.append(f"degree-0 homotopy identity fails at basis {flat}")
+            return ValidationReport(False, tuple(failures))
+    for r in range(1, self.max_degree + 1):
+        for flat in range(self.tdim):
+            t = self.basis_tensor(r, flat)
+            lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(
+                r, self.apply_d(r, t)
+            )
+            if lhs != t:
+                failures.append(
+                    f"homotopy identity fails in degree {r} at basis {flat}"
+                )
+                return ValidationReport(False, tuple(failures))
+    for r in range(2, self.max_degree + 2):
+        for flat in range(self.tdim):
+            if not self.apply_d(r - 1, self.d_column(r, flat)).is_zero():
+                failures.append(f"d.d is nonzero in degree {r} at basis {flat}")
+                return ValidationReport(False, tuple(failures))
+    return ValidationReport(True, ())
 
 
 # -- the Ore extension B = K[x, alpha] ------------------------------------------
@@ -1075,7 +1121,8 @@ def unfolded_complex(alg: MonogenicAlgebra, max_degree: int) -> tuple[list, list
     ``Bimodule.regular(alg)`` with a fresh solver: no cache is hit and
     nothing is shared between degrees, as before ``SmallComplex`` compiled
     one differential per distinct twist.  The periods it shows are computed,
-    not assumed."""
+    not assumed.  The differential is `dense_d_ambient`'s formula, not the
+    engine's operator read off the resolution."""
     bases = [twisted_invariants(Bimodule.regular(alg), twist_exponent(r, alg.n))
              for r in range(max_degree + 1)]
     dmats = [None]
@@ -1083,9 +1130,8 @@ def unfolded_complex(alg: MonogenicAlgebra, max_degree: int) -> tuple[list, list
         M = Bimodule.regular(alg)
         src = twisted_invariants(M, twist_exponent(r - 1, alg.n))
         dst = twisted_invariants(M, twist_exponent(r, alg.n))
-        D = M.d_odd if r % 2 else M.d_even
         solver = LinSolver(dst)
-        cols = [solver.solve(D.matvec(v)) for v in src.columns_list()]
+        cols = [solver.solve(dense_d_ambient(M, r, v)) for v in src.columns_list()]
         assert None not in cols, f"d^{r} leaves the cochain space"
         dmats.append(Mat.from_columns(alg.field, cols, dst.cols))
     return bases, dmats

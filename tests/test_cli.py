@@ -260,6 +260,17 @@ def test_negative_oracle_bound_flag_exits_2(capsys):
     assert "--oracle-bound must be at least 0" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process, and no call's options reach the next."""
+    assert cli.build_parser() is cli.build_parser()
+    rc, payload = run_json(capsys, "cohomology", spec("sweedler.json"), "--max-degree", "2")
+    assert rc == 0 and payload["dims"] == [1, 1, 1]
+    rc, payload = run_json(capsys, "validate", spec("sweedler.json"))
+    assert rc == 0 and payload["ok"] is True
+    rc, payload = run_json(capsys, "cohomology", spec("sweedler.json"))
+    assert rc == 0 and payload["max_degree"] == load_instance(spec("sweedler.json")).default_degree()
+
+
 # -- cohomology ---------------------------------------------------------------
 
 

@@ -3,10 +3,10 @@ the iterative restriction for bimodules and the dense stacked kernel for the
 coefficient algebra.  Both oracles live in conftest.py."""
 
 import pytest
-from conftest import CANNED, SPECS
+from conftest import CANNED, CASES, SPECS, dense_d_ambient
 
 from orecohom import instances
-from orecohom.cohomology import Bimodule, twisted_invariants
+from orecohom.cohomology import Bimodule, build_small_complex, twisted_invariants
 from orecohom.kalgebra import AlgebraError, twisted_invariants_k
 from orecohom.linalg import Mat
 from orecohom.monogenic import MonogenicAlgebra
@@ -55,11 +55,11 @@ def block_sum(X: Mat, Y: Mat) -> Mat:
     return Mat(X.field, rows, X.cols + Y.cols)
 
 
-def test_scrambled_direct_sum_matches_oracle(iterative_oracle):
-    """A ⊕ A in the basis of the all-ones upper triangular matrix P, whose
-    inverse is I - (superdiagonal).  The change of basis fills the constraint
-    rows, so the elimination cannot lean on the sparsity of A's actions."""
-    alg = instances.taft(3, 7, 2)[0]
+def scrambled_direct_sum(alg: MonogenicAlgebra) -> tuple[Bimodule, Bimodule]:
+    """A and A ⊕ A in the basis of the all-ones upper triangular matrix P,
+    whose inverse is I - (superdiagonal).  The change of basis fills the
+    action matrices, so no computation on them can lean on the sparsity of
+    A's actions."""
     A = Bimodule.regular(alg)
     F, n = alg.field, 2 * A.dim
     P = Mat(F, [[F.one if j >= i else F.zero for j in range(n)] for i in range(n)])
@@ -69,11 +69,26 @@ def test_scrambled_direct_sum_matches_oracle(iterative_oracle):
     def scrambled(X: Mat) -> Mat:
         return P.matmul(block_sum(X, X)).matmul(P_inv)
 
-    M = Bimodule.from_actions(
+    return A, Bimodule.from_actions(
         alg, [scrambled(L) for L in A.L_k], scrambled(A.Lx), [scrambled(R) for R in A.R_k], scrambled(A.Rx)
     )
+
+
+def test_scrambled_direct_sum_matches_oracle(iterative_oracle):
+    A, M = scrambled_direct_sum(instances.taft(3, 7, 2)[0])
     assert_bimodule_matches(M, iterative_oracle)
     assert twisted_invariants(M, 1).cols == 2 * twisted_invariants(A, 1).cols
+
+
+@pytest.mark.parametrize("name", ["linear-g", "taft37"])
+def test_scrambled_direct_sum_differentials_match(name):
+    """The complex over a bimodule that is not A itself: its differentials,
+    read off the resolution, equal the formula written for each parity."""
+    _, M = scrambled_direct_sum(CASES[name]())
+    C = build_small_complex(M.alg, M, 3)
+    for r in (1, 2, 3):
+        for v in C.bases[r - 1].columns_list() + Mat.identity(M.field, M.dim).columns_list():
+            assert C.d_ambient(r, v) == dense_d_ambient(M, r, v), f"degree {r}"
 
 
 def test_equal_twists_share_one_solve():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import (
+    SPECS,
     OrePoly,
     admissible_coefficients,
     f_ore,
@@ -11,6 +12,7 @@ from conftest import (
     ore_mul,
     ore_normality_check,
     to_ore,
+    unfolded_contraction_check,
 )
 
 from orecohom import instances
@@ -37,6 +39,7 @@ from orecohom.monogenic import (
     twist_exponent,
     validate_f,
 )
+from orecohom.specio import load_instance
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +200,46 @@ def test_resolution_sweedler(sweedler):
     # sigma_even sends 1 (x) x^{n-1} to 1 (x) 1
     t = TensorElem.from_aelem(sweedler.one, sweedler.n - 1, R.twist(1))
     assert R.apply_s(2, t) == TensorElem.from_aelem(sweedler.one, 0, R.twist(2))
+
+
+@pytest.mark.parametrize("path", SPECS, ids=[p.stem for p in SPECS])
+def test_folded_contraction_check_matches_every_degree(path):
+    """Through D = 24, the check made once per (r mod 2, alpha^{t(r-1)})
+    gives the report of the check made in every degree; the f of
+    sweedler_bad is not admissible, so its failure string is compared."""
+    alg = load_instance(str(path)).algebra(check=False)
+    folded = Resolution(alg, 24).contraction_check()
+    assert folded == unfolded_contraction_check(Resolution(alg, 24))
+    assert folded.ok == (path.stem != "sweedler_bad")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_folded_contraction_check_on_a_twist_that_is_not_invertible(n):
+    """QQ[C2] with alpha(g) = 1, so alpha^t = alpha for every t >= 1, and
+    f = x^n: the fold must not assume that alpha has an inverse."""
+    K = group_algebra(cyclic_group(2), QQ)
+    alpha = Endo(K, Mat(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.zero]]))
+    assert not alpha.is_automorphism
+    alg = MonogenicAlgebra(K, alpha, [{}] * n)
+    folded = Resolution(alg, 24).contraction_check()
+    assert folded.ok and folded == unfolded_contraction_check(Resolution(alg, 24))
+
+
+def test_folded_contraction_check_reports_a_broken_column(gh4_u3, monkeypatch):
+    """One column of sigma_r doubled in the degrees r = 0 mod 4.  The twist of
+    gh4_u3 has order 4 and n = 2, so those degrees are whole key classes, and
+    both checks report the same failure."""
+    alg = gh4_u3[0]
+    s_column = Resolution.s_column
+
+    def broken(self, r, flat):
+        col = s_column(self, r, flat)
+        return col + col if r % 4 == 0 and flat == alg.adim else col
+
+    monkeypatch.setattr(Resolution, "s_column", broken)
+    folded = Resolution(alg, 24).contraction_check()
+    assert folded == unfolded_contraction_check(Resolution(alg, 24))
+    assert folded.failures == (f"homotopy identity fails in degree 3 at basis {alg.adim}",)
 
 
 def test_resolution_truncated_gf3():

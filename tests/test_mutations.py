@@ -5,7 +5,8 @@ report the check as failed, while the same run without the mutation passes.
 
 The closed-vs-oracle agreements run with the run's bar oracle in place, so
 these entries also show that sharing the oracle's work does not let one route
-stand in for the other."""
+stand in for the other.  The last test breaks the resolution itself, which
+both `validate` and the small complex read."""
 
 import json
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from orecohom import cli, products
+from orecohom.monogenic import Resolution, TensorElem
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -57,3 +59,33 @@ def test_mutation_turns_its_check_red(check, monkeypatch, capsys):
     rc, rows = run_rows(capsys, verb, spec, key)
     assert rc == 1
     assert any(row["agree"] is False for row in rows)
+
+
+def plus_odd_generator(monkeypatch):
+    """d'_r(1 (x) 1) = x (x) 1 + 1 (x) x in odd degrees, for x (x) 1 - 1 (x) x."""
+    d_generator = Resolution.d_generator
+
+    def mutated(self, r):
+        out = d_generator(self, r)
+        if r % 2:
+            onex = TensorElem.from_aelem(self.alg.one, 1, out.twist)
+            out = out.add_scaled(onex, self.alg.field.from_int(2))
+        return out
+
+    monkeypatch.setattr(Resolution, "d_generator", mutated)
+
+
+def test_odd_generator_mutation_reaches_validate_and_cohomology(monkeypatch, capsys):
+    """The complex is Hom of the resolution that `validate` certifies, so one
+    wrong generator turns the contraction row red and changes the cohomology."""
+    spec = str(SPECS / "sweedler.json")
+    assert cli.main(["validate", spec]) == 0
+    capsys.readouterr()
+    assert cli.main(["cohomology", spec]) == 0
+    before = capsys.readouterr().out
+    plus_odd_generator(monkeypatch)
+    assert cli.main(["validate", spec]) == 1
+    rows = {row["name"]: row["ok"] for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert rows["contraction"] is False
+    cli.main(["cohomology", spec])
+    assert capsys.readouterr().out != before

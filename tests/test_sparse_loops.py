@@ -254,7 +254,7 @@ def test_d_ambient_and_solves_match(case):
         vectors += C.bases[r - 1].columns_list() if built else []
         for v in vectors:
             w = C.d_ambient(r, v)
-            assert w == dense_d_ambient(C, r, v), f"degree {r}"
+            assert w == dense_d_ambient(C.M, r, v), f"degree {r}"
             if built:
                 assert C.solvers[r].solve(w) == dense_solve(C.solvers[r], w)
 

@@ -87,11 +87,12 @@ class Session:
     the degree bound D, the decoded witness candidates and, each built on
     first use, the check of f, the one compile of A, its regular bimodule,
     the small complex through degree D + 1, the result of the run's one
-    witness search and the run's bar oracle.  The oracle lifts each class
-    representative once, composes each ordered pair of lifts once and
-    brackets each pair once, keyed on (degree, value coordinates); the
-    products tables, both closed-vs-oracle agreements and the rank-one
-    bracket rows read it.  A session belongs to one run; nothing outlives it."""
+    witness search and the run's bar oracle.  The oracle evaluates only the
+    bar indices phi reads, each psi value at each index once, the slot
+    compositions of each ordered pair once and each bracket once, keyed on
+    (degree, value coordinates); the products tables, both closed-vs-oracle
+    agreements and the rank-one bracket rows read it.  A session belongs to
+    one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst

@@ -453,18 +453,33 @@ def twist_exponent(r: int, n: int) -> int:
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
     fixed top degree, with maps stored columnwise on the flat tensor basis.
-    The generator images and columns are cached on the instance."""
+    The generator images, and the columns per class of degrees, are cached."""
 
     def __init__(self, alg: MonogenicAlgebra, max_degree: int):
         self.alg = alg
         self.max_degree = max_degree
         self.tdim = alg.adim * alg.n
         self._generators: dict[int, TensorElem] = {}
-        self._d_cols: dict[tuple[int, int], TensorElem] = {}
+        self._folds: dict[int, int] = {}  # degree -> its fold class
+        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, alpha^{t(r-1)}) -> class
+        self._d_cols: dict[tuple[int, int], TensorElem] = {}  # (class, flat) -> column
         self._s_cols: dict[tuple[int, int], TensorElem] = {}
 
     def twist(self, r: int) -> int:
         return twist_exponent(r, self.alg.n)
+
+    def _fold(self, r: int) -> int:
+        """The class of degree r under (r mod 2, alpha^{t(r-1)}), which fixes
+        alpha^{t(r)} too: d'_r and sigma_r read r only through it, up to the
+        twist tag of their columns."""
+        cls = self._folds.get(r)
+        if cls is None:
+            key = r % 2, self.alg.alpha.power_matrix(self.twist(r - 1)).data
+            cls = self._folds[r] = self._fold_keys.setdefault(key, len(self._fold_keys))
+        return cls
+
+    def _tagged(self, col: TensorElem, twist: int) -> TensorElem:
+        return col if col.twist == twist else TensorElem(self.alg, twist, col.coords)
 
     def basis_tensor(self, r: int, flat: int) -> TensorElem:
         return TensorElem(self.alg, self.twist(r), {flat: self.alg.field.one})
@@ -488,12 +503,13 @@ class Resolution:
     def d_column(self, r: int, flat: int) -> TensorElem:
         """d'_r applied to the flat basis vector e_i (x) x^c, flat = c*adim + i,
         of the degree-r module: e_i . d'_r(1 (x) 1) . x^c."""
-        col = self._d_cols.get((r, flat))
+        key = self._fold(r), flat
+        col = self._d_cols.get(key)
         if col is None:
             c, i = divmod(flat, self.alg.adim)
             col = self.d_generator(r).leftmul(self.alg.basis_vector(i)).rightmul_xpow(c)
-            self._d_cols[(r, flat)] = col
-        return col
+            self._d_cols[key] = col
+        return self._tagged(col, self.twist(r - 1))
 
     def apply_d(self, r: int, t: TensorElem) -> TensorElem:
         out = TensorElem.zero(self.alg, self.twist(r - 1))
@@ -504,7 +520,8 @@ class Resolution:
     def s_column(self, r: int, flat: int) -> TensorElem:
         """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
         r-1 module."""
-        col = self._s_cols.get((r, flat))
+        key = self._fold(r), flat
+        col = self._s_cols.get(key)
         if col is None:
             alg = self.alg
             c, i = divmod(flat, alg.adim)
@@ -516,8 +533,8 @@ class Resolution:
                     col = col - TensorElem.from_aelem(left * alg.xpow(l), c - l - 1, tw)
             elif c == alg.n - 1:
                 col = TensorElem.from_aelem(left, 0, tw)
-            self._s_cols[(r, flat)] = col
-        return col
+            self._s_cols[key] = col
+        return self._tagged(col, self.twist(r))
 
     def apply_s(self, r: int, t: TensorElem) -> TensorElem:
         out = TensorElem.zero(self.alg, self.twist(r))
@@ -540,9 +557,8 @@ class Resolution:
         """Exact verification that sigma contracts the complex onto A:
         augmentation . sigma0 = id, d'_1 sigma_1 + sigma_0 . augmentation = id,
         d'_{r+1} sigma_{r+1} + sigma_r d'_r = id, and d' . d' = 0.  d'_r and
-        sigma_r read r only through r mod 2 and alpha^{t(r-1)}, which fix
-        alpha^{t(r)} too, so each identity is checked in the first degree r
-        with each such pair."""
+        sigma_r read r only through its ``_fold``, so each identity is checked
+        in the first degree r of each class."""
         alg = self.alg
         for flat in range(alg.adim):
             a = alg.basis_vector(flat)
@@ -553,9 +569,9 @@ class Resolution:
             lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
             if lhs != t:
                 return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
-        first: dict[tuple, int] = {}  # key -> its first degree, ascending
+        first: dict[int, int] = {}  # class -> its first degree, ascending
         for r in range(1, self.max_degree + 1):
-            first.setdefault((r % 2, alg.alpha.power_matrix(self.twist(r - 1)).data), r)
+            first.setdefault(self._fold(r), r)
         for r in first.values():
             for flat in range(self.tdim):
                 t = self.basis_tensor(r, flat)

@@ -8,12 +8,16 @@ elements of A; a composed or merged slot value with a K-component migrates
 that component left through the preceding slots (twisting by alpha along the
 way), and slots reduced to the unit are killed by normalization.
 
-A ``BarOracle`` holds the oracle's work for one algebra and one run: psi of
-each small cochain, keyed on (degree, value coordinates); ``compose_bar`` of
-each ordered pair of those lifts, keyed on the two cochain keys; and the
-oracle bracket of each pair of cochains, keyed the same way.  The degree bound
-of a bracket is checked before any lookup and is not part of the key.  The
-closed forms (``cup_small``, ``bracket_small_closed``) never read it, so an
+A ``BarOracle`` evaluates the oracle on demand, for one algebra and one run.
+phi in degree r reads a bar cochain only at the indices of its terms
+(``phi_closed``), so the oracle evaluates a cup or an alternating sum of slot
+compositions only at those indices, and psi of a cochain only at the indices
+they read.  It keeps psi of each cochain at each index it was read, phi's
+terms in each degree, phi of the slot compositions of each ordered pair of
+cochains and the bracket of each pair.  A cochain is keyed on (degree, value
+coordinates), turned into a small int once per call.  The degree bound of a
+bracket is checked before any lookup and is not part of the key.  The closed
+forms (``cup_small``, ``bracket_small_closed``) never read the oracle, so an
 agreement of the two routes still compares independent computations.
 """
 
@@ -152,37 +156,12 @@ class BarCochain:
                 if not _is_twisted(val, sum(idx)):
                     raise ProductsError(f"value at {idx} is not twisted-invariant")
 
-    @classmethod
-    def zero(cls, alg: MonogenicAlgebra, degree: int) -> "BarCochain":
-        return cls(alg, degree, {})
-
-    @classmethod
-    def constant(cls, alg: MonogenicAlgebra, value: AElem) -> "BarCochain":
-        return cls(alg, 0, {(): value})
-
     def at(self, idx) -> AElem:
         return self.table.get(tuple(idx), self.alg.zero_elem())
-
-    def __add__(self, other):
-        self._match(other)
-        table = dict(self.table)
-        for idx, val in other.table.items():
-            table[idx] = table.get(idx, self.alg.zero_elem()) + val
-        return BarCochain(self.alg, self.degree, table)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BarCochain(self.alg, self.degree, {i: -v for i, v in self.table.items()})
 
     def scale(self, s) -> "BarCochain":
         s = self.alg.field.scalar(s)
         return BarCochain(self.alg, self.degree, {i: v * s for i, v in self.table.items()})
-
-    def _match(self, other):
-        if self.alg is not other.alg or self.degree != other.degree:
-            raise ProductsError("bar cochain degree mismatch")
 
     def is_zero(self) -> bool:
         return not self.table
@@ -212,7 +191,7 @@ def _pair_bar(alg: MonogenicAlgebra, idx: tuple) -> AElem:
 def psi_terms(alg: MonogenicAlgebra, idx: tuple):
     """The closed small-to-bar comparison map at the bar index ``idx``, as
     terms (u, c): the generator of the small resolution in degree len(idx)
-    maps to the sum of u (x) x^c.  Shared by ``psi_eval`` and
+    maps to the sum of u (x) x^c.  Shared by ``psi_value`` and
     ``ComparisonMaps.psi_closed``; ``psi_recursive`` is the independent route."""
     r = len(idx)
     bar = _pair_bar(alg, idx if r % 2 == 0 else idx[:-1])
@@ -229,8 +208,8 @@ def psi_terms(alg: MonogenicAlgebra, idx: tuple):
 def phi_terms(alg: MonogenicAlgebra, r: int):
     """The closed bar-to-small comparison map in degree r, as terms
     (index, lead, e): the degree-r generator maps to the sum over the terms
-    of lead x^e at that bar index.  Shared by ``phi_eval`` and
-    ``ComparisonMaps.phi_closed``; ``phi_recursive`` is the independent route."""
+    of lead x^e at that bar index, read through ``phi_closed``;
+    ``ComparisonMaps.phi_recursive`` is the independent route."""
     if r <= 1:
         yield (1,) * r, alg.one, 0
         return
@@ -254,28 +233,40 @@ def phi_terms(alg: MonogenicAlgebra, r: int):
             yield tuple(key), lead, sum(i) - sum(ell) - m
 
 
+def psi_value(alg: MonogenicAlgebra, value: AElem, idx: tuple) -> AElem:
+    """psi of the small cochain with this value, at the bar index ``idx``:
+    the sum of u value x^c over the terms of ``psi_terms``."""
+    acc = alg.zero_elem()
+    for u, c in psi_terms(alg, idx):
+        term = u * value
+        if c:
+            term = term * alg.xpow(c)
+        acc = acc + term
+    return acc
+
+
+def phi_closed(alg: MonogenicAlgebra, r: int) -> dict:
+    """phi in degree r as {bar index: sum of lead x^e over the terms of
+    ``phi_terms`` at that index}, zero sums dropped: phi of a bar cochain g
+    is the sum of coefficient * g(index)."""
+    out: dict[tuple, AElem] = {}
+    for key, lead, e in phi_terms(alg, r):
+        term = lead * alg.xpow(e)
+        cur = out.get(key)
+        out[key] = term if cur is None else cur + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 def psi_eval(m: SmallCochain) -> BarCochain:
-    """The small-to-bar comparison map in m's degree."""
+    """The small-to-bar comparison map in m's degree, at every bar index."""
     alg = m.alg
-    table = {}
-    for idx in all_bar_indices(alg, m.degree):
-        for u, c in psi_terms(alg, idx):
-            term = u * m.value
-            if c:
-                term = term * alg.xpow(c)
-            table[idx] = table[idx] + term if idx in table else term
+    table = {idx: psi_value(alg, m.value, idx) for idx in all_bar_indices(alg, m.degree)}
     return BarCochain(alg, m.degree, table)
 
 
 def phi_eval(g: BarCochain) -> SmallCochain:
     """The bar-to-small comparison map in g's degree."""
-    alg = g.alg
-    acc = alg.zero_elem()
-    for key, lead, e in phi_terms(alg, g.degree):
-        gval = g.at(key)
-        if not gval.is_zero():
-            acc = acc + lead * alg.xpow(e) * gval
-    return SmallCochain(alg, g.degree, acc, check=False)
+    return SmallCochain(g.alg, g.degree, BarOracle(g.alg).phi(g.degree, g.at), check=False)
 
 
 def bar_differential(g: BarCochain) -> BarCochain:
@@ -310,72 +301,8 @@ def bar_differential(g: BarCochain) -> BarCochain:
     return BarCochain(alg, p + 1, table)
 
 
-def cup_bar(g: BarCochain, h: BarCochain) -> BarCochain:
-    """Index-splitting product on bar cochains."""
-    if g.alg is not h.alg:
-        raise ProductsError("mismatched algebras")
-    alg = g.alg
-    p = g.degree
-    table = {}
-    for idx in all_bar_indices(alg, p + h.degree):
-        left = g.at(idx[:p])
-        if left.is_zero():
-            continue
-        right = h.at(idx[p:])
-        if right.is_zero():
-            continue
-        table[idx] = left * right
-    return BarCochain(alg, p + h.degree, table)
-
-
-def circle_j(g: BarCochain, h: BarCochain, j: int) -> BarCochain:
-    """Composition of h into the j-th slot of g, normalized."""
-    if g.alg is not h.alg:
-        raise ProductsError("mismatched algebras")
-    r, rp = g.degree, h.degree
-    if not 1 <= j <= r:
-        raise ProductsError(f"slot {j} out of range for degree {r}")
-    alg = g.alg
-    table = {}
-    for idx in all_bar_indices(alg, r + rp - 1):
-        pre = idx[: j - 1]
-        inner = h.at(idx[j - 1 : j - 1 + rp])
-        if inner.is_zero():
-            continue
-        post = idx[j - 1 + rp :]
-        tw = sum(pre)
-        acc = alg.zero_elem()
-        for e in range(1, alg.n):
-            kappa = inner.k_coeff(e)
-            if kappa.is_zero():
-                continue
-            gval = g.at(pre + (e,) + post)
-            if gval.is_zero():
-                continue
-            moved = alg.alpha.apply_power(tw, kappa.coords)
-            acc = acc + alg.k_embed(moved) * gval
-        if not acc.is_zero():
-            table[idx] = acc
-    return BarCochain(alg, r + rp - 1, table)
-
-
 def _sign(alg: MonogenicAlgebra, parity: int):
     return alg.field.one if parity % 2 == 0 else -alg.field.one
-
-
-def compose_bar(g: BarCochain, h: BarCochain) -> BarCochain:
-    """The alternating sum of slot compositions of h into g."""
-    r, rp = g.degree, h.degree
-    out = BarCochain.zero(g.alg, max(r + rp - 1, 0))
-    for j in range(1, r + 1):
-        out = out + circle_j(g, h, j).scale(_sign(g.alg, (j + 1) * (rp + 1)))
-    return out
-
-
-def bracket_bar(g: BarCochain, h: BarCochain) -> BarCochain:
-    """Graded commutator of the composition product."""
-    r, rp = g.degree, h.degree
-    return compose_bar(g, h) - compose_bar(h, g).scale(_sign(g.alg, (r + 1) * (rp + 1)))
 
 
 def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
@@ -400,44 +327,93 @@ def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
 
 
 class BarOracle:
-    """The bar-complex route for the cochains of one algebra, each piece
-    computed once (see the module docstring for the keys).  Each call hands
-    back the stored object, which callers must not mutate.  One run owns one
-    oracle (``cli.Session.oracle``); a library call without one builds a
-    fresh oracle."""
+    """The bar-complex route for the cochains of one algebra, evaluated where
+    phi reads it, each piece once (see the module docstring).  Each call
+    hands back the stored object, which callers must not mutate.  One run
+    owns one oracle (``cli.Session.oracle``); a library call without one
+    builds a fresh oracle."""
 
     def __init__(self, alg: MonogenicAlgebra):
         self.alg = alg
-        self._lifts: dict[tuple, BarCochain] = {}
-        self._compositions: dict[tuple, BarCochain] = {}
-        self._brackets: dict[tuple, SmallCochain] = {}
+        self._ids: dict[tuple, int] = {}  # (degree, value coordinates) -> cochain id
+        self._cochains: list[SmallCochain] = []  # id -> the cochain
+        self._lifts: list[dict] = []  # id -> {bar index: psi value}
+        self._phi: dict[int, dict] = {}  # degree -> phi_closed
+        self._compositions: dict[tuple, AElem] = {}  # (id, id) -> phi of the slot sum
+        self._brackets: dict[tuple, SmallCochain] = {}  # (id, id) -> bracket
 
-    def _key(self, m: SmallCochain) -> tuple:
+    def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
             raise ProductsError("cochain of another algebra than the oracle's")
-        return m.degree, m.value.coords
+        key = m.degree, m.value.coords
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._cochains)
+            self._cochains.append(m)
+            self._lifts.append({})
+        return i
 
-    def lift(self, m: SmallCochain) -> BarCochain:
-        """``psi_eval(m)``."""
-        key = self._key(m)
-        g = self._lifts.get(key)
-        if g is None:
-            g = self._lifts[key] = psi_eval(m)
-        return g
+    def _lift(self, i: int, idx: tuple) -> AElem:
+        """psi of cochain i at the bar index ``idx``."""
+        lift = self._lifts[i]
+        val = lift.get(idx)
+        if val is None:
+            val = lift[idx] = psi_value(self.alg, self._cochains[i].value, idx)
+        return val
 
-    def compose(self, a: SmallCochain, b: SmallCochain) -> BarCochain:
-        """``compose_bar`` of the lifts of a and b."""
-        key = self._key(a), self._key(b)
-        out = self._compositions.get(key)
+    def phi(self, r: int, value_at) -> AElem:
+        """phi in degree r of the bar cochain whose value at a bar index is
+        ``value_at(index)``, read only at the indices of phi's terms."""
+        terms = self._phi.get(r)
+        if terms is None:
+            terms = self._phi[r] = phi_closed(self.alg, r)
+        acc = self.alg.zero_elem()
+        for key, coeff in terms.items():
+            val = value_at(key)
+            if not val.is_zero():
+                acc = acc + coeff * val
+        return acc
+
+    def _composition(self, ia: int, ib: int, key: tuple) -> AElem:
+        """The alternating sum over the slots j of psi(a) o_j psi(b) at ``key``
+        (a, b = cochains ia, ib): psi(b) at the slice slot j fills, and psi(a)
+        with that slice replaced by each x-degree e of psi(b)'s value there,
+        its K-coefficient migrating left through the preceding slots."""
+        alg = self.alg
+        r, rp = self._cochains[ia].degree, self._cochains[ib].degree
+        acc = alg.zero_elem()
+        for j in range(1, r + 1):
+            inner = self._lift(ib, key[j - 1 : j - 1 + rp])
+            if inner.is_zero():
+                continue
+            pre, post = key[: j - 1], key[j - 1 + rp :]
+            tw = sum(pre)
+            slot = alg.zero_elem()
+            for e in range(1, alg.n):
+                kappa = inner.k_coeff(e)
+                if kappa.is_zero():
+                    continue
+                gval = self._lift(ia, pre + (e,) + post)
+                if gval.is_zero():
+                    continue
+                slot = slot + alg.k_embed(alg.alpha.apply_power(tw, kappa.coords)) * gval
+            acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
+        return acc
+
+    def _compose(self, ia: int, ib: int) -> AElem:
+        """phi of the alternating sum of slot compositions of psi(b) into psi(a)."""
+        out = self._compositions.get((ia, ib))
         if out is None:
-            out = self._compositions[key] = compose_bar(self.lift(a), self.lift(b))
+            r = self._cochains[ia].degree + self._cochains[ib].degree - 1
+            out = self.phi(r, lambda key: self._composition(ia, ib, key))
+            self._compositions[(ia, ib)] = out
         return out
 
     def bracket(self, a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
         """``bracket_small_generic(a, b, bound)``; past the bound it raises
         even when the pair is already known."""
         _check_bracket_bound(a, b, bound)
-        key = self._key(a), self._key(b)
+        key = self._id(a), self._id(b)
         out = self._brackets.get(key)
         if out is None:
             out = self._brackets[key] = bracket_small_generic(a, b, bound, self)
@@ -447,10 +423,18 @@ class BarOracle:
 def cup_small_oracle(
     a: SmallCochain, b: SmallCochain, oracle: BarOracle | None = None
 ) -> SmallCochain:
-    """Cup product computed through the bar complex, on ``oracle``'s lifts."""
+    """Cup product computed through the bar complex: phi of the
+    index-splitting product of the lifts, on ``oracle``."""
     if oracle is None:
         oracle = BarOracle(a.alg)
-    return phi_eval(cup_bar(oracle.lift(a), oracle.lift(b)))
+    ia, ib = oracle._id(a), oracle._id(b)
+    p = a.degree
+
+    def at(key):
+        left = oracle._lift(ia, key[:p])
+        return left if left.is_zero() else left * oracle._lift(ib, key[p:])
+
+    return SmallCochain(a.alg, p + b.degree, oracle.phi(p + b.degree, at), check=False)
 
 
 def _check_bracket_bound(a: SmallCochain, b: SmallCochain, bound: int) -> None:
@@ -462,8 +446,8 @@ def _check_bracket_bound(a: SmallCochain, b: SmallCochain, bound: int) -> None:
 def bracket_small_generic(
     a: SmallCochain, b: SmallCochain, bound: int = 5, oracle: BarOracle | None = None
 ) -> SmallCochain:
-    """Gerstenhaber bracket through the bar-complex oracle: ``bracket_bar`` of
-    the lifts, with ``oracle``'s lifts and compositions."""
+    """Gerstenhaber bracket through the bar-complex oracle: phi of the graded
+    commutator of the slot compositions of the lifts, on ``oracle``."""
     _check_bracket_bound(a, b, bound)
     r, rp = a.degree, b.degree
     alg = a.alg
@@ -471,8 +455,9 @@ def bracket_small_generic(
         return SmallCochain(alg, 0, alg.zero_elem(), check=False)
     if oracle is None:
         oracle = BarOracle(alg)
-    bar = oracle.compose(a, b) - oracle.compose(b, a).scale(_sign(alg, (r + 1) * (rp + 1)))
-    return phi_eval(bar)
+    ia, ib = oracle._id(a), oracle._id(b)
+    value = oracle._compose(ia, ib) - oracle._compose(ib, ia) * _sign(alg, (r + 1) * (rp + 1))
+    return SmallCochain(alg, r + rp - 1, value, check=False)
 
 
 def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCochain:
@@ -566,14 +551,6 @@ class ComparisonMaps:
     # as a map from middle index tuples to the left outer factor (the right
     # outer factor is always the unit)
 
-    def phi_closed(self, r: int) -> dict:
-        out: dict[tuple, AElem] = {}
-        for key, lead, e in phi_terms(self.alg, r):
-            term = lead * self.alg.xpow(e)
-            cur = out.get(key)
-            out[key] = term if cur is None else cur + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def phi_recursive(self, r: int) -> dict:
         if r == 0:
             return {(): self.alg.one}
@@ -613,7 +590,7 @@ class ComparisonMaps:
                 if self.psi_closed(idx) != self.psi_recursive(idx):
                     failures.append(f"psi mismatch at degree {r}, index {idx}")
                     return ValidationReport(False, tuple(failures))
-            if self.phi_closed(r) != self.phi_recursive(r):
+            if phi_closed(self.alg, r) != self.phi_recursive(r):
                 failures.append(f"phi mismatch at degree {r}")
                 return ValidationReport(False, tuple(failures))
         return ValidationReport(True, ())
@@ -640,12 +617,13 @@ def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport
             if lhs != psi_eval(dm):
                 failures.append(f"bar differential disagrees with psi in degree {r}")
                 return ValidationReport(False, tuple(failures))
+    oracle = BarOracle(alg)  # phi's terms, once per degree
     for r in range(degree_bound + 1):
         for idx in all_bar_indices(alg, r):
             for w in twisted_invariants(C.M, sum(idx)).columns_list():
                 g = BarCochain(alg, r, {idx: AElem(alg, w)})
-                lhs = AElem(alg, C.d_ambient(r + 1, phi_eval(g).value.coords))
-                rhs = phi_eval(bar_differential(g)).value
+                lhs = AElem(alg, C.d_ambient(r + 1, oracle.phi(r, g.at).coords))
+                rhs = oracle.phi(r + 1, bar_differential(g).at)
                 if lhs != rhs:
                     failures.append(
                         f"small differential disagrees with phi in degree {r}"

@@ -56,7 +56,14 @@ from orecohom.monogenic import (
     derivation_tensor,
     twist_exponent,
 )
-from orecohom.products import BarCochain, SmallCochain, circle_j, phi_eval, psi_eval
+from orecohom.products import (
+    BarCochain,
+    ProductsError,
+    SmallCochain,
+    all_bar_indices,
+    phi_eval,
+    psi_eval,
+)
 from orecohom.specio import load_instance
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
@@ -1176,6 +1183,88 @@ def class_sums(K: AlgebraK) -> list[KElem]:
 def identity_one_cochain(alg: MonogenicAlgebra) -> BarCochain:
     """The 1-cochain sending each basis monomial to itself."""
     return BarCochain(alg, 1, {(i,): alg.xpow(i) for i in range(1, alg.n)})
+
+
+# -- the eager bar routes: every index of the target degree ------------------
+# The reference for `BarOracle`, which evaluates the same slot compositions
+# and cup only at the indices phi reads.
+
+
+def cup_bar(g: BarCochain, h: BarCochain) -> BarCochain:
+    """Index-splitting product on bar cochains."""
+    if g.alg is not h.alg:
+        raise ProductsError("mismatched algebras")
+    alg = g.alg
+    p = g.degree
+    table = {}
+    for idx in all_bar_indices(alg, p + h.degree):
+        left = g.at(idx[:p])
+        if left.is_zero():
+            continue
+        right = h.at(idx[p:])
+        if right.is_zero():
+            continue
+        table[idx] = left * right
+    return BarCochain(alg, p + h.degree, table)
+
+
+def circle_j(g: BarCochain, h: BarCochain, j: int) -> BarCochain:
+    """Composition of h into the j-th slot of g, normalized."""
+    if g.alg is not h.alg:
+        raise ProductsError("mismatched algebras")
+    r, rp = g.degree, h.degree
+    if not 1 <= j <= r:
+        raise ProductsError(f"slot {j} out of range for degree {r}")
+    alg = g.alg
+    table = {}
+    for idx in all_bar_indices(alg, r + rp - 1):
+        pre = idx[: j - 1]
+        inner = h.at(idx[j - 1 : j - 1 + rp])
+        if inner.is_zero():
+            continue
+        post = idx[j - 1 + rp :]
+        tw = sum(pre)
+        acc = alg.zero_elem()
+        for e in range(1, alg.n):
+            kappa = inner.k_coeff(e)
+            if kappa.is_zero():
+                continue
+            gval = g.at(pre + (e,) + post)
+            if gval.is_zero():
+                continue
+            moved = alg.alpha.apply_power(tw, kappa.coords)
+            acc = acc + alg.k_embed(moved) * gval
+        if not acc.is_zero():
+            table[idx] = acc
+    return BarCochain(alg, r + rp - 1, table)
+
+
+def _sign(alg: MonogenicAlgebra, parity: int):
+    return alg.field.one if parity % 2 == 0 else -alg.field.one
+
+
+def linear_combination(alg: MonogenicAlgebra, degree: int, terms) -> BarCochain:
+    """The sum of s g over the pairs (s, g) of ``terms``, bar cochains of ``degree``."""
+    table = {}
+    for s, g in terms:
+        for idx, v in g.table.items():
+            table[idx] = table[idx] + v * s if idx in table else v * s
+    return BarCochain(alg, degree, table)
+
+
+def compose_bar(g: BarCochain, h: BarCochain) -> BarCochain:
+    """The alternating sum of slot compositions of h into g."""
+    r, rp = g.degree, h.degree
+    terms = [(_sign(g.alg, (j + 1) * (rp + 1)), circle_j(g, h, j)) for j in range(1, r + 1)]
+    return linear_combination(g.alg, max(r + rp - 1, 0), terms)
+
+
+def bracket_bar(g: BarCochain, h: BarCochain) -> BarCochain:
+    """Graded commutator of the composition product."""
+    r, rp = g.degree, h.degree
+    terms = [(g.alg.field.one, compose_bar(g, h)),
+             (-_sign(g.alg, (r + 1) * (rp + 1)), compose_bar(h, g))]
+    return linear_combination(g.alg, max(r + rp - 1, 0), terms)
 
 
 def compose_place_small(a: SmallCochain, b: SmallCochain, j: int) -> SmallCochain:

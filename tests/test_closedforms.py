@@ -561,24 +561,26 @@ def test_rank_one_case2():
 
 def test_rank_one_lifts_each_representative_once(monkeypatch, capsys):
     """The odd-odd bracket rows of c4_sign's rank-one check share the run's
-    oracle, so psi lifts each distinct class representative once."""
+    oracle, so psi evaluates each distinct class representative once at
+    each bar index it reads."""
     from pathlib import Path
 
     from orecohom import products
     from orecohom.cli import main
 
-    lifted, psi_eval = [], products.psi_eval
+    lifted, psi_value = [], products.psi_value
 
-    def counting(m):
-        lifted.append((m.degree, m.value.coords))
-        return psi_eval(m)
+    def counting(alg, value, idx):
+        lifted.append((len(idx), value.coords, idx))
+        return psi_value(alg, value, idx)
 
-    monkeypatch.setattr(products, "psi_eval", counting)
+    monkeypatch.setattr(products, "psi_value", counting)
     spec = Path(__file__).resolve().parent.parent / "demos" / "specs" / "c4_sign.json"
     assert main(["theorems", str(spec), "--which", "rank-one-hopf", "--format", "json"]) == 0
     [entry] = json.loads(capsys.readouterr().out)["checks"]
     assert entry["status"] == "ok"
-    assert len(entry["result"]["bracket_rows"]) > len(set(lifted))
+    cochains = {(degree, coords) for degree, coords, _ in lifted}
+    assert lifted and len(entry["result"]["bracket_rows"]) > len(cochains)
     assert len(lifted) == len(set(lifted))
 
 

@@ -102,7 +102,7 @@ TRUE_ENTRIES = {
     "True * KElem": lambda A: True * A.K.one,
     "AElem * True": lambda A: A.one * True,
     "True * AElem": lambda A: True * A.one,
-    "BarCochain.scale": lambda A: BarCochain.constant(A, A.one).scale(True),
+    "BarCochain.scale": lambda A: BarCochain(A, 0, {(): A.one}).scale(True),
 }
 
 

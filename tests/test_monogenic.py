@@ -242,6 +242,32 @@ def test_folded_contraction_check_reports_a_broken_column(gh4_u3, monkeypatch):
     assert folded.failures == (f"homotopy identity fails in degree 3 at basis {alg.adim}",)
 
 
+def test_folded_check_builds_each_column_once_per_class(gh4_u3, monkeypatch):
+    """On gh4_u3 (n = 2, alpha of order 4) at D = 6 the check's classes start
+    in degrees 1-4, and degree 5, whose d' it reads last, is in degree 1's
+    class: its columns are degree 1's, re-tagged with its twist, not built
+    again.  Each built column calls `d_generator` once."""
+    alg = gh4_u3[0]
+    built = []
+    d_generator = Resolution.d_generator
+
+    def counting(self, r):
+        built.append(r)
+        return d_generator(self, r)
+
+    monkeypatch.setattr(Resolution, "d_generator", counting)
+    res = Resolution(alg, 6)
+    assert res.contraction_check().ok
+    assert sorted(set(built)) == [1, 2, 3, 4]
+    assert all(built.count(r) == res.tdim for r in set(built))
+    for flat in range(res.tdim):
+        five, one = res.d_column(5, flat), res.d_column(1, flat)
+        assert five.coords == one.coords
+        assert (five.twist, one.twist) == (res.twist(4), res.twist(0)) == (4, 0)
+        assert res.s_column(5, flat).twist == res.twist(5)
+    assert len(built) == 4 * res.tdim
+
+
 def test_resolution_truncated_gf3():
     F3 = prime_field(3)
     K = group_algebra(cyclic_group(1), F3)

@@ -1,10 +1,24 @@
+import json
 from pathlib import Path
 
 import pytest
-from conftest import compose_place_small, identity_one_cochain, phi_psi_class_identity
+from conftest import (
+    bracket_bar,
+    circle_j,
+    compose_place_small,
+    cup_bar,
+    identity_one_cochain,
+    phi_psi_class_identity,
+)
 
-from orecohom import cli, products
-from orecohom.cohomology import Bimodule, SmallComplex, classes_equal, cohomology_group
+from orecohom import cli, instances, products
+from orecohom.cohomology import (
+    Bimodule,
+    SmallComplex,
+    build_small_complex,
+    classes_equal,
+    cohomology_group,
+)
 from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
     character_from_values,
@@ -15,6 +29,7 @@ from orecohom.kalgebra import (
     scalar_algebra,
 )
 from orecohom.monogenic import AElem, MonogenicAlgebra
+from orecohom.specio import load_instance
 from orecohom.products import (
     BarCochain,
     BarOracle,
@@ -23,18 +38,16 @@ from orecohom.products import (
     SmallCochain,
     all_bar_indices,
     bar_differential,
-    bracket_bar,
     bracket_class_table,
     bracket_small_closed,
     bracket_small_generic,
     chain_map_report,
     class_pairs,
-    circle_j,
-    cup_bar,
     cup_class_table,
     cup_small,
     cup_small_oracle,
     delta_sum,
+    phi_closed,
     phi_eval,
     psi_eval,
 )
@@ -144,7 +157,7 @@ def test_phi_low_degrees(sweedler):
     A = sweedler
     g = A.k_embed(A.K.elem("g"))
     gx = A.monomial(A.K.elem("g"), 1)
-    assert phi_eval(BarCochain.constant(A, g)).value == g
+    assert phi_eval(BarCochain(A, 0, {(): g})).value == g
     assert phi_eval(BarCochain(A, 1, {(1,): gx})).value == gx
     assert phi_eval(BarCochain(A, 2, {(1, 1): g})).value == g
 
@@ -164,7 +177,7 @@ def test_phi_psi_fix_classes_line_cubic(line_cubic_complex):
 
 
 def test_bar_differential_of_constant_unit_vanishes(sweedler):
-    b = bar_differential(BarCochain.constant(sweedler, sweedler.one))
+    b = bar_differential(BarCochain(sweedler, 0, {(): sweedler.one}))
     assert b.is_zero()
 
 
@@ -224,13 +237,12 @@ def test_comparison_report_sees_a_dropped_closed_term(line_cubic, monkeypatch, n
 
 
 def test_phi_closed_low_degrees(line_cubic):
-    maps = ComparisonMaps(line_cubic, 3)
     A = line_cubic
-    assert maps.phi_closed(0) == {(): A.one}
-    assert maps.phi_closed(1) == {(1,): A.one}
+    assert phi_closed(A, 0) == {(): A.one}
+    assert phi_closed(A, 1) == {(1,): A.one}
     # entries from the two blocks with slot room: the x^1 coefficient of f
     # contributes 1 to key (1,1), the leading block adds x there and 1 at (1,2)
-    d2 = maps.phi_closed(2)
+    d2 = phi_closed(A, 2)
     assert set(d2) == {(1, 1), (1, 2)}
     assert d2[(1, 1)] == A.one + A.xpow(1)
     assert d2[(1, 2)] == A.one
@@ -356,7 +368,7 @@ def test_circle_slot_out_of_range(sweedler):
 def test_degree_zero_composition_consumes_no_slots(sweedler):
     A = sweedler
     g = psi_eval(SmallCochain.from_kx(A, 1, "g"))
-    h = BarCochain.constant(A, A.k_embed(A.K.elem("g")))
+    h = BarCochain(A, 0, {(): A.k_embed(A.K.elem("g"))})
     out = circle_j(g, h, 1)
     assert out.degree == 0
     # the substituted value lies in K, so normalization kills the slot
@@ -366,7 +378,7 @@ def test_degree_zero_composition_consumes_no_slots(sweedler):
 def test_degree_zero_composition_with_x_part(gf3_cubic):
     A = gf3_cubic
     g = BarCochain(A, 1, {(1,): A.one, (2,): A.xpow(2)})
-    h = BarCochain.constant(A, A.xpow(2) + A.k_embed(A.K.elem(1)))
+    h = BarCochain(A, 0, {(): A.xpow(2) + A.k_embed(A.K.elem(1))})
     out = circle_j(g, h, 1)
     assert out.degree == 0
     assert out.at(()) == A.xpow(2)
@@ -598,24 +610,24 @@ def cochain_key(m: SmallCochain) -> tuple:
 
 @pytest.fixture
 def oracle_work(monkeypatch):
-    """Records the oracle's work while a test runs: the cochain each
-    ``psi_eval`` lifts, the ordered pair of cochains behind each
-    ``compose_bar``, each pair ``bracket_small_generic`` evaluates, each pair
-    a ``BarOracle`` is asked to bracket, and each oracle built."""
+    """Records the oracle's work while a test runs: each psi evaluation as
+    (cochain key, bar index), each alternating sum of slot compositions as
+    (ordered pair of cochain keys, bar index), each pair
+    ``bracket_small_generic`` evaluates, each pair a ``BarOracle`` is asked
+    to bracket, and each oracle built."""
     work = {"lift": [], "compose": [], "bracket": [], "asked": [], "oracles": []}
-    lifted = {}  # id of a lift -> (lift kept alive, its cochain's key)
-    psi, compose, generic = products.psi_eval, products.compose_bar, products.bracket_small_generic
-    ask, init = BarOracle.bracket, BarOracle.__init__
+    psi, generic = products.psi_value, products.bracket_small_generic
+    composition, ask, init = BarOracle._composition, BarOracle.bracket, BarOracle.__init__
 
-    def psi_wrapper(m):
-        out = psi(m)
-        work["lift"].append(cochain_key(m))
-        lifted[id(out)] = (out, cochain_key(m))
-        return out
+    def psi_wrapper(alg, value, idx):
+        # the degree of a lift is the length of its index
+        work["lift"].append(((len(idx), value.coords), idx))
+        return psi(alg, value, idx)
 
-    def compose_wrapper(g, h):
-        work["compose"].append((lifted[id(g)][1], lifted[id(h)][1]))
-        return compose(g, h)
+    def composition_wrapper(self, ia, ib, key):
+        pair = cochain_key(self._cochains[ia]), cochain_key(self._cochains[ib])
+        work["compose"].append((pair, key))
+        return composition(self, ia, ib, key)
 
     def generic_wrapper(a, b, bound=5, oracle=None):
         work["bracket"].append((cochain_key(a), cochain_key(b)))
@@ -629,9 +641,9 @@ def oracle_work(monkeypatch):
         work["oracles"].append(self)
         init(self, alg)
 
-    monkeypatch.setattr(products, "psi_eval", psi_wrapper)
-    monkeypatch.setattr(products, "compose_bar", compose_wrapper)
+    monkeypatch.setattr(products, "psi_value", psi_wrapper)
     monkeypatch.setattr(products, "bracket_small_generic", generic_wrapper)
+    monkeypatch.setattr(BarOracle, "_composition", composition_wrapper)
     monkeypatch.setattr(BarOracle, "bracket", ask_wrapper)
     monkeypatch.setattr(BarOracle, "__init__", init_wrapper)
     return work
@@ -643,16 +655,20 @@ def test_products_run_does_each_oracle_piece_once(name, oracle_work, capsys):
     capsys.readouterr()
     lifts, compositions = oracle_work["lift"], oracle_work["compose"]
     brackets, asked = oracle_work["bracket"], oracle_work["asked"]
-    assert len(oracle_work["oracles"]) == 1
-    # one psi per distinct class representative
+    [oracle] = oracle_work["oracles"]
+    # one psi evaluation per (cochain, bar index)
     assert lifts and len(lifts) == len(set(lifts))
     # one oracle bracket per distinct pair, although the agreement asks again
     assert len(brackets) == len(set(brackets))
     assert set(brackets) == set(asked) and len(asked) > len(brackets)
-    # one composition per ordered pair of lifts: (a, b) and (b, a) share theirs
+    # one composition per (ordered pair, key): (a, b) and (b, a) share theirs,
+    # and each pair is evaluated at the keys of phi in its degree and no other
     assert len(compositions) == len(set(compositions))
     needed = {pair for a, b in brackets if a[0] + b[0] > 0 for pair in ((a, b), (b, a))}
-    assert set(compositions) == needed
+    assert {pair for pair, _ in compositions} == needed
+    for a, b in needed:
+        keys = {key for pair, key in compositions if pair == (a, b)}
+        assert keys == set(phi_closed(oracle.alg, a[0] + b[0] - 1))
 
 
 def test_each_run_builds_its_own_oracle(oracle_work, capsys):
@@ -671,22 +687,34 @@ def test_oracle_rejects_a_cochain_of_another_algebra(sweedler, c4_sign):
     own = SmallCochain.from_kx(sweedler, 1, "g")
     foreign = SmallCochain.from_kx(c4_sign, 1, "g")
     with pytest.raises(ProductsError, match="another algebra"):
-        oracle.lift(foreign)
+        oracle.bracket(foreign, own)
     with pytest.raises(ProductsError, match="another algebra"):
         oracle.bracket(own, foreign)
     with pytest.raises(ProductsError, match="another algebra"):
+        bracket_small_generic(own, foreign, 5, oracle)
+    with pytest.raises(ProductsError, match="another algebra"):
         cup_small_oracle(foreign, foreign, oracle)
+    with pytest.raises(ProductsError, match="another algebra"):
+        cup_small_oracle(own, foreign, oracle)
 
 
-def test_oracle_keys_lifts_on_degree(sweedler):
-    oracle = BarOracle(sweedler)
-    a = SmallCochain(sweedler, 0, sweedler.one)
-    b = SmallCochain.from_k(sweedler, 2, 1)
+def test_oracle_keys_lifts_on_degree(gf3_cubic):
+    """Cochains with one value in two degrees are two cochains, and each
+    lift at every bar index is ``psi_eval``'s value there, computed once."""
+    A = gf3_cubic
+    oracle = BarOracle(A)
+    a = SmallCochain(A, 0, A.one)
+    b = SmallCochain.from_k(A, 2, 1)
+    c = SmallCochain(A, 3, A.one + A.xpow(2), check=False)
     assert a.value.coords == b.value.coords
-    la, lb = oracle.lift(a), oracle.lift(b)
-    assert (la.degree, lb.degree) == (0, 2)
-    assert la == psi_eval(a) and lb == psi_eval(b)
-    assert oracle.lift(a) is la and oracle.lift(b) is lb
+    ids = [oracle._id(m) for m in (a, b, c)]
+    assert len(set(ids)) == 3 and [oracle._id(m) for m in (a, b, c)] == ids
+    for m, i in zip((a, b, c), ids):
+        full = psi_eval(m)
+        for idx in all_bar_indices(A, m.degree):
+            got = oracle._lift(i, idx)
+            assert got == full.at(idx), (m.degree, idx)
+            assert oracle._lift(i, idx) is got
 
 
 def test_oracle_bound_gates_a_known_pair(sweedler):
@@ -700,16 +728,82 @@ def test_oracle_bound_gates_a_known_pair(sweedler):
         oracle.bracket(a, b, 3)
 
 
+def assert_oracle_matches_the_eager_route(C, top: int):
+    """The oracle's cup and bracket of every pair of class representatives
+    whose product lands in degree at most ``top`` equal phi of the eager
+    ``cup_bar`` and ``bracket_bar`` of the full lifts."""
+    oracle = BarOracle(C.alg)
+    lifts = {}
+
+    def lift(m):
+        key = cochain_key(m)
+        if key not in lifts:
+            lifts[key] = psi_eval(m)
+        return lifts[key]
+
+    for p in range(top + 1):
+        for q in range(top + 2 - p):
+            for _, a, _, b in class_pairs(C, p, q):
+                if p + q <= top:
+                    want = phi_eval(cup_bar(lift(a), lift(b)))
+                    assert cup_small_oracle(a, b, oracle) == want, ("cup", p, q)
+                if p + q:
+                    want = phi_eval(bracket_bar(lift(a), lift(b)))
+                    assert oracle.bracket(a, b, top) == want, ("bracket", p, q)
+
+
 def test_oracle_matches_the_unshared_bar_route(sweedler_complex, c4_complex):
-    """The oracle's brackets and cups on class representatives equal psi,
-    compose or cup, and phi computed afresh for each pair."""
     for C in (sweedler_complex, c4_complex):
-        oracle = BarOracle(C.alg)
-        for p in range(3):
-            for q in range(3):
-                for _, a, _, b in class_pairs(C, p, q):
-                    fresh_cup = phi_eval(cup_bar(psi_eval(a), psi_eval(b)))
-                    assert cup_small_oracle(a, b, oracle) == fresh_cup
-                    if p + q:
-                        fresh = phi_eval(bracket_bar(psi_eval(a), psi_eval(b)))
-                        assert oracle.bracket(a, b) == fresh
+        assert_oracle_matches_the_eager_route(C, 4)
+
+
+WELL_FORMED = sorted(p for p in SPECS.glob("*.json") if p.stem != "sweedler_bad")
+
+
+@pytest.mark.parametrize("path", WELL_FORMED, ids=[p.stem for p in WELL_FORMED])
+def test_oracle_matches_the_eager_route_on_every_spec(path):
+    """Through degree 5, the default oracle bound."""
+    alg = load_instance(str(path)).algebra()
+    C = build_small_complex(alg, Bimodule.regular(alg), 7)
+    assert_oracle_matches_the_eager_route(C, 5)
+
+
+@pytest.mark.parametrize("n, p, zeta, top", [(4, 5, 2, 4), (6, 7, 3, 3)])
+def test_oracle_matches_the_eager_route_on_taft(n, p, zeta, top):
+    alg = instances.taft(n, p, zeta)[0]
+    C = build_small_complex(alg, Bimodule.regular(alg), top + 2)
+    assert_oracle_matches_the_eager_route(C, top)
+
+
+def test_taft6_run_lifts_only_where_phi_reads(oracle_work, capsys, tmp_path):
+    """`products --max-degree 6` on the Taft algebra with n = 6 (oracle bound
+    5) evaluates psi only at bar indices a key of phi reaches: a cup reads
+    key[:p] and key[p:], slot j of a composition reads the slice it fills and
+    the slice's complement around each x-degree e.  In degree 5 that is 19 of
+    the 3,125 indices."""
+    spec = tmp_path / "taft6.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "Fp", "p": 7},
+        "K": {"kind": "group", "group": {"kind": "cyclic", "order": 6}, "character": {"g": 3}},
+        "f": {"n": 6, "coeffs": [[0] * 6] * 6},
+    }))
+    assert cli.main(["products", str(spec), "--max-degree", "6"]) == 0
+    capsys.readouterr()
+    [oracle] = oracle_work["oracles"]
+    alg = oracle.alg
+    reached = set()
+    for d in range(6):
+        for key in phi_closed(alg, d):
+            reached.update(key[:p] for p in range(d + 1))
+            reached.update(key[p:] for p in range(d + 1))
+            for r in range(1, d + 2):
+                rp = d + 1 - r
+                for j in range(1, r + 1):
+                    pre, post = key[: j - 1], key[j - 1 + rp :]
+                    reached.add(key[j - 1 : j - 1 + rp])
+                    reached.update(pre + (e,) + post for e in range(1, alg.n))
+    lifts = oracle_work["lift"]
+    assert len(lifts) == len(set(lifts)) == 96
+    assert {idx for _, idx in lifts} <= reached
+    in_five = {idx for _, idx in lifts if len(idx) == 5}
+    assert len(in_five) == 19 and len(list(all_bar_indices(alg, 5))) == 3125

@@ -5,12 +5,11 @@ normalized payload:
 
 * rationals -- a ``fractions.Fraction`` in lowest terms,
 * ``GF(p)`` -- an ``int`` in ``[0, p)``,
-* a simple extension ``GF(p)[t]/<minpoly>`` -- a tuple of ``deg(minpoly)``
-  base payloads, listed constant-first,
-* a simple extension ``Q[t]/<minpoly>`` (a :class:`NumberField`) -- a pair
-  ``(nums, den)``: a constant-first tuple of ``deg(minpoly)`` ints and one
-  int ``den > 0`` with ``gcd(*nums, den) == 1``, standing for
-  ``sum(nums[i] t^i) / den``.
+* a simple extension ``base[t]/<minpoly>`` of either -- a pair ``(nums,
+  den)``: a constant-first tuple of ``deg(minpoly)`` ints and one int
+  ``den > 0`` with ``gcd(*nums, den) == 1``, standing for
+  ``sum(nums[i] t^i) / den``; over ``GF(p)`` every num lies in ``[0, p)``
+  and ``den == 1``.
 
 Field contexts are cached, so two requests for the same field return the
 identical object and scalars can be compared by payload.  Towers are rejected:
@@ -21,6 +20,7 @@ a coordinate comparison.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from fractions import Fraction
 from math import gcd, lcm
@@ -407,22 +407,6 @@ def poly_gcd(a: list, b: list, field: Field) -> list:
     return a
 
 
-def poly_xgcd(a: list, b: list, field: Field) -> tuple[list, list, list]:
-    """g, u, v with u*a + v*b = g and g monic (or empty when a = b = 0)."""
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
-    while r1:
-        q, r = poly_divmod(r0, r1, field)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1, field), -field.one), field)
-        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(q, t1, field), -field.one), field)
-    if r0:
-        c = r0[-1].inv()
-        r0, s0, t0 = poly_scale(r0, c), poly_scale(s0, c), poly_scale(t0, c)
-    return r0, s0, t0
-
-
 def poly_derivative(a: list, field: Field) -> list:
     return poly_trim([a[i] * i for i in range(1, len(a))])
 
@@ -593,17 +577,22 @@ def _rational_sqrt(s: Scalar):
 
 
 class ExtensionField(Field):
-    """Simple extension base[t]/<minpoly> of QQ or GF(p).
+    """Simple extension base[t]/<minpoly> of QQ or GF(p), with the standard
+    number-field payload (H. Cohen, *A Course in Computational Algebraic
+    Number Theory*, GTM 138, §4.2): ``(nums, den)``, a constant-first tuple of
+    ``deg`` ints and one int ``den > 0`` with ``gcd(*nums, den) == 1``,
+    standing for ``sum(nums[i] t^i) / den``.  Zero is ``((0, .., 0), 1)``, so
+    equal elements have equal payloads.
 
-    Over GF(p) a payload is the tuple of the base payloads of the coordinates
-    in the power basis 1, t, .., t^(deg-1).  Over QQ the constructor returns a
-    :class:`NumberField`, whose payload is integer coordinates over one
-    denominator.  Both kinds read and build coordinates through
-    ``_coords`` / ``_from_coords``, so their text and JSON forms agree."""
+    The reduction table holds t^deg .. t^(2 deg - 2) as integer vectors over
+    one common denominator ``_tden`` (1 when the minpoly is integral), so
+    every operation runs on ints.  Over GF(p) the constructor returns a
+    :class:`_PrimeExtensionField`, which runs the same arithmetic on the
+    integer lifts and only normalises differently."""
 
     def __new__(cls, base: Field, minpoly: tuple, symbol: str):
-        if cls is ExtensionField and isinstance(base, RationalField):
-            cls = NumberField
+        if cls is ExtensionField and isinstance(base, PrimeField):
+            cls = _PrimeExtensionField
         return super().__new__(cls)
 
     def __init__(self, base: Field, minpoly: tuple, symbol: str):
@@ -629,8 +618,15 @@ class ExtensionField(Field):
                 "irreducibility of %s over %s not certified (degree > 4); trusting caller",
                 self._poly_str(), base,
             )
-        # precompute reductions of t^deg .. t^{2 deg - 2}
-        self._tpow = self._reduction_table()
+        # reductions of t^deg .. t^{2 deg - 2}, as ints over one denominator
+        table = self._reduction_table()
+        den = lcm(*(c.denominator for row in table for c in row))
+        self._tden = den
+        self._tpow = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in table
+        )
+        self._pad = (0,) * (self.deg - 1)
+        self._zero_v = self._from_int(0)
 
     def _poly_str(self) -> str:
         return " + ".join(
@@ -651,14 +647,6 @@ class ExtensionField(Field):
             )
         return table
 
-    def _coords(self, a) -> tuple:
-        """The base payloads of a's coordinates, constant-first."""
-        return a
-
-    def _from_coords(self, coords) -> tuple:
-        """The payload with these base-payload coordinates (length deg)."""
-        return tuple(coords)
-
     @functools.cached_property
     def gen(self) -> Scalar:
         """The designated root t of the minimal polynomial."""
@@ -670,151 +658,13 @@ class ExtensionField(Field):
             coords[1] = b._from_int(1)
         return Scalar(self, self._from_coords(coords))
 
-    def _add(self, a, b):
-        bb = self.base
-        return tuple(bb._add(a[i], b[i]) for i in range(self.deg))
-
-    def _neg(self, a):
-        bb = self.base
-        return tuple(bb._neg(c) for c in a)
-
-    def _mul(self, a, b):
-        bb = self.base
-        d = self.deg
-        raw = [bb._from_int(0)] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                raw[i + j] = bb._add(raw[i + j], bb._mul(ai, bj))
-        out = list(raw[:d])
-        for k in range(d, 2 * d - 1):
-            c = raw[k]
-            if not c:
-                continue
-            red = self._tpow[k - d]
-            for i in range(d):
-                out[i] = bb._add(out[i], bb._mul(c, red[i]))
-        return tuple(out)
-
-    def _inv(self, a):
-        bb = self.base
-        apoly = [Scalar(bb, c) for c in a]
-        mpoly = [Scalar(bb, c) for c in self.minpoly]
-        g, u, _ = poly_xgcd(apoly, mpoly, bb)
-        if len(g) != 1:
-            raise FieldError(
-                f"non-invertible element; minpoly {self._poly_str()} is reducible"
-            )
-        u = poly_scale(u, g[0].inv())
-        coords = [c.v for c in u] + [bb._from_int(0)] * (self.deg - len(u))
-        return tuple(coords[: self.deg])
-
-    def _is_zero(self, a):
-        return not any(a)
-
-    def _from_int(self, n):
-        bb = self.base
-        return tuple([bb._from_int(n)] + [bb._from_int(0)] * (self.deg - 1))
-
-    def _coerce_payload(self, x):
-        bb = self.base
-        if isinstance(x, Fraction) and self.char == 0:
-            x = [x]
-        if isinstance(x, (list, tuple)):
-            if len(x) > self.deg:
-                raise FieldError(f"coordinate vector longer than degree {self.deg}")
-            coords = [bb.scalar(c).v for c in x]
-            coords += [bb._from_int(0)] * (self.deg - len(coords))
-            return self._from_coords(coords)
-        raise FieldError(f"cannot interpret {x!r} as an element of {self}")
-
-    def _repr(self, a):
-        terms = []
-        for i, c in enumerate(self._coords(a)):
-            if not c:
-                continue
-            cs = self.base._repr(c)
-            if i == 0:
-                terms.append(cs)
-            elif i == 1:
-                terms.append(f"{cs}*{self.symbol}" if cs != "1" else self.symbol)
-            else:
-                terms.append(
-                    f"{cs}*{self.symbol}^{i}" if cs != "1" else f"{self.symbol}^{i}"
-                )
-        return " + ".join(terms) if terms else "0"
-
-    def describe(self):
-        d = {
-            "kind": "ext",
-            "minpoly": [self.base.encode(Scalar(self.base, c)) for c in self.minpoly],
-            "symbol": self.symbol,
-        }
-        if isinstance(self.base, PrimeField):
-            d["p"] = self.base.p
-        return d
-
-    def encode(self, s):
-        v = self.scalar(s).v
-        return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
-
-    def decode(self, obj):
-        if isinstance(obj, bool):
-            raise FieldError("booleans are not field elements")
-        if isinstance(obj, int):
-            return self.from_int(obj)
-        if isinstance(obj, str) and self.char == 0:
-            return self.scalar([self.base.decode(obj)])
-        if isinstance(obj, list):
-            return self.scalar([self.base.decode(c) for c in obj])
-        raise FieldError(f"bad {self} encoding: {obj!r}")
-
-    def random_element(self, rng, bound: int = 9):
-        return self.scalar(
-            [self.base.random_element(rng, bound) for _ in range(self.deg)]
-        )
-
-    def elements(self):
-        if self.char == 0:
-            raise FieldError("infinite field")
-        import itertools
-
-        base_payloads = [e.v for e in self.base.elements()]
-        for combo in itertools.product(base_payloads, repeat=self.deg):
-            yield Scalar(self, tuple(combo))
-
-    def __repr__(self):
-        return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
-
-
-class NumberField(ExtensionField):
-    """A simple extension QQ[t]/<minpoly>, with the standard number-field
-    payload (H. Cohen, *A Course in Computational Algebraic Number Theory*,
-    GTM 138, §4.2): ``(nums, den)``, a constant-first tuple of ``deg`` ints
-    and one int ``den > 0`` with ``gcd(*nums, den) == 1``, standing for
-    ``sum(nums[i] t^i) / den``.  Zero is ``((0, .., 0), 1)``, so equal
-    elements have equal payloads.
-
-    The reduction table holds t^deg .. t^(2 deg - 2) as integer vectors over
-    one common denominator ``_tden`` (1 when the minpoly is integral), so
-    every operation runs on ints."""
-
-    def __init__(self, base: Field, minpoly: tuple, symbol: str):
-        super().__init__(base, minpoly, symbol)
-        den = lcm(*(c.denominator for row in self._tpow for c in row))
-        self._tden = den
-        self._tpow = tuple(
-            tuple(c.numerator * (den // c.denominator) for c in row) for row in self._tpow
-        )
-        self._pad = (0,) * (self.deg - 1)
-        self._zero_v = self._from_int(0)
-
     def _coords(self, a):
+        """The base payloads of a's coordinates, constant-first."""
         nums, den = a
         return tuple(Fraction(x, den) for x in nums)
 
     def _from_coords(self, coords):
+        """The payload with these base-payload coordinates (length deg)."""
         # over the lcm of reduced denominators the gcd is already 1
         den = lcm(*(c.denominator for c in coords))
         return tuple(c.numerator * (den // c.denominator) for c in coords), den
@@ -893,6 +743,101 @@ class NumberField(ExtensionField):
 
     def _from_int(self, n):
         return (n,) + self._pad, 1
+
+    def _coerce_payload(self, x):
+        bb = self.base
+        if isinstance(x, Fraction) and self.char == 0:
+            x = [x]
+        if isinstance(x, (list, tuple)):
+            if len(x) > self.deg:
+                raise FieldError(f"coordinate vector longer than degree {self.deg}")
+            coords = [bb.scalar(c).v for c in x]
+            coords += [bb._from_int(0)] * (self.deg - len(coords))
+            return self._from_coords(coords)
+        raise FieldError(f"cannot interpret {x!r} as an element of {self}")
+
+    def _repr(self, a):
+        terms = []
+        for i, c in enumerate(self._coords(a)):
+            if not c:
+                continue
+            cs = self.base._repr(c)
+            if i == 0:
+                terms.append(cs)
+            elif i == 1:
+                terms.append(f"{cs}*{self.symbol}" if cs != "1" else self.symbol)
+            else:
+                terms.append(
+                    f"{cs}*{self.symbol}^{i}" if cs != "1" else f"{self.symbol}^{i}"
+                )
+        return " + ".join(terms) if terms else "0"
+
+    def describe(self):
+        d = {
+            "kind": "ext",
+            "minpoly": [self.base.encode(Scalar(self.base, c)) for c in self.minpoly],
+            "symbol": self.symbol,
+        }
+        if isinstance(self.base, PrimeField):
+            d["p"] = self.base.p
+        return d
+
+    def encode(self, s):
+        v = self.scalar(s).v
+        return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
+
+    def decode(self, obj):
+        if isinstance(obj, bool):
+            raise FieldError("booleans are not field elements")
+        if isinstance(obj, int):
+            return self.from_int(obj)
+        if isinstance(obj, str) and self.char == 0:
+            return self.scalar([self.base.decode(obj)])
+        if isinstance(obj, list):
+            return self.scalar([self.base.decode(c) for c in obj])
+        raise FieldError(f"bad {self} encoding: {obj!r}")
+
+    def random_element(self, rng, bound: int = 9):
+        return self.scalar(
+            [self.base.random_element(rng, bound) for _ in range(self.deg)]
+        )
+
+    def __repr__(self):
+        return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
+
+
+class _PrimeExtensionField(ExtensionField):
+    """GF(p)[t]/<minpoly>: the payload ``(nums, 1)`` with every num in
+    ``[0, p)``.  The arithmetic above runs on these integer lifts and this
+    class only reduces the result mod p.  In ``_inv`` the Bareiss
+    determinant is the norm of the element, a unit mod p because the minpoly
+    is certified irreducible over GF(p); a multiple of p is reported as the
+    reducible minpoly it would betray."""
+
+    def _coords(self, a):
+        return a[0]
+
+    def _normal(self, nums, den):
+        p = self.char
+        if den != 1:
+            if not den % p:
+                raise FieldError(
+                    f"non-invertible element; minpoly {self._poly_str()} is reducible"
+                )
+            s = pow(den, -1, p)
+            return tuple(x * s % p for x in nums), 1
+        return tuple(x % p for x in nums), 1
+
+    def _neg(self, a):
+        p = self.char
+        return tuple(-x % p for x in a[0]), 1
+
+    def _from_int(self, n):
+        return (n % self.char,) + self._pad, 1
+
+    def elements(self):
+        for combo in itertools.product(range(self.char), repeat=self.deg):
+            yield Scalar(self, (combo, 1))
 
 
 @functools.cache

@@ -23,14 +23,16 @@ from orecohom.fields import (
     ExtensionField,
     Field,
     FieldError,
-    NumberField,
     PrimeField,
     RationalField,
     Scalar,
     _certify_irreducible,
     extension_field,
+    poly_add,
+    poly_divmod,
+    poly_mul,
     poly_scale,
-    poly_xgcd,
+    poly_trim,
     prime_field,
 )
 from orecohom.instances import gh4_instance
@@ -229,10 +231,13 @@ def dense_is_zero(field, a) -> bool:
 
 
 def legacy_payload(field, x):
-    """The payload x had before extensions of QQ moved to integers over one
-    denominator: a tuple of Fraction coordinates.  Other fields kept theirs."""
-    if isinstance(field, NumberField):
+    """The payload x had before every extension moved to integers over one
+    denominator: a tuple of base payloads, Fractions over QQ and residues
+    over GF(p).  Other fields kept theirs."""
+    if isinstance(field, ExtensionField):
         nums, den = x.v
+        if field.char:
+            return nums
         return tuple(Fraction(n, den) for n in nums)
     return x.v
 
@@ -941,11 +946,28 @@ class DenseLinSolver(LinSolver):
 logger = logging.getLogger("orecohom.fields")
 
 
+def poly_xgcd(a: list, b: list, field: Field) -> tuple[list, list, list]:
+    """g, u, v with u*a + v*b = g and g monic (or empty when a = b = 0)."""
+    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
+    s0, s1 = [field.one], []
+    t0, t1 = [], [field.one]
+    while r1:
+        q, r = poly_divmod(r0, r1, field)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1, field), -field.one), field)
+        t0, t1 = t1, poly_add(t0, poly_scale(poly_mul(q, t1, field), -field.one), field)
+    if r0:
+        c = r0[-1].inv()
+        r0, s0, t0 = poly_scale(r0, c), poly_scale(s0, c), poly_scale(t0, c)
+    return r0, s0, t0
+
+
 class LegacyExtensionField(Field):
-    """`ExtensionField` before extensions of QQ stored integer coordinates
-    over one denominator: every payload a tuple of base payloads (Fractions
-    over QQ).  Kept verbatim, apart from its name, as an oracle for
-    `NumberField`; build it directly, not through `extension_field`."""
+    """`ExtensionField` before its payload became integer coordinates over
+    one denominator: every payload a tuple of base payloads (Fractions over
+    QQ, residues over GF(p)), inverted through `poly_xgcd`.  Kept verbatim,
+    apart from its name, as an oracle for `ExtensionField` over both QQ and
+    GF(p); build it directly, not through `extension_field`."""
 
     def __init__(self, base: Field, minpoly: tuple, symbol: str):
         if isinstance(base, ExtensionField):

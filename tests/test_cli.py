@@ -586,6 +586,27 @@ def test_presentation_below_the_period_is_skipped(capsys, name):
     assert entry["reason"] == "table too short to reach the period degree"
 
 
+def test_presentation_skips_when_the_unit_is_a_coboundary(capsys, tmp_path):
+    """C2 with chi(g) = -1 and f = x^2 + 1 over Q: n lambda_n = 2 is a unit,
+    so the unit class is a coboundary at the period degree and the check
+    skips instead of reporting a mismatch on a valid algebra."""
+    path = tmp_path / "c2_unit_square.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "Q"},
+        "K": {"kind": "group", "group": {"kind": "cyclic", "order": 2},
+              "character": {"g": -1}},
+        "f": {"n": 2, "coeffs": [[0, 0], [1, 0]]},
+    }))
+    rc, payload = run_json(capsys, "theorems", str(path), "--which", "presentation")
+    assert rc == 0
+    (entry,) = payload["checks"]
+    assert entry["status"] == "skipped"
+    assert entry["reason"] == (
+        "n times the constant coefficient is invertible: the unit is a coboundary "
+        "at the period degree"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
 def test_every_verb_renders_every_spec(capsys, name, fmt):

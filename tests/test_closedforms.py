@@ -3,9 +3,19 @@
 import json
 
 import pytest
+from conftest import CASES
 
 from orecohom.fields import QQ
-from orecohom.kalgebra import Endo, endo_from_character, group_algebra, quaternion_algebra
+from orecohom.kalgebra import (
+    Endo,
+    char_power,
+    character_order,
+    cyclic_group,
+    endo_from_character,
+    group_algebra,
+    identity_endo,
+    quaternion_algebra,
+)
 from orecohom.linalg import Mat, span_equal
 from orecohom.monogenic import MonogenicAlgebra, MonogenicError, validate_f
 from orecohom.cohomology import (
@@ -515,6 +525,50 @@ def test_presentation_taft3_exterior(taft3):
     rep = presentation_report(C, chi, up_to=5)
     assert rep["match"], rep["mismatches"]
     assert rep["exterior_pattern"] is not None and rep["exterior_pattern"]["holds"]
+
+
+def c2_identity_unit_square():
+    """QQ[C2] with the identity twist and f = x^2 - 1, which has no collapse
+    witness."""
+    K = group_algebra(cyclic_group(2), QQ)
+    return MonogenicAlgebra(K, identity_endo(K), [{}, {"1": -1}])
+
+
+# Instances where n lambda_n is a unit of K; every cyclic case of CASES has
+# f = x^n - 1.
+UNIT_N_LAMBDA = {
+    "sweedler_invertible": lambda: instances.sweedler_invertible()[0],
+    "c2_identity": c2_identity_unit_square,
+    **{name: make for name, make in CASES.items() if name.startswith("cyclic:")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_N_LAMBDA))
+def test_presentation_skips_when_n_lambda_is_a_unit(name):
+    """The claim has no period generator to make: the check skips, and the
+    generic H^{2v} it would have read is 0."""
+    alg = UNIT_N_LAMBDA[name]()
+    C = complex_of(alg, 6)
+    with pytest.raises(ClosedFormError, match="n times the constant coefficient is invertible"):
+        presentation_report(C, up_to=5)
+    chi = closedforms.character_of(alg.K, alg.alpha)
+    v = character_order(alg.K.group, char_power(chi, alg.n))
+    assert cohomology_group(C, 2 * v).dim == 0
+    if name == "c2_identity":
+        assert find_witness(alg) is None
+
+
+def test_presentation_runs_when_n_lambda_is_a_unit_but_f_is_not_separable():
+    """f = (x - 1)^2 (x + 1) over QQ[C2], identity twist: n lambda_n = 3 is a
+    unit, yet H^2 = A/f'A is not zero and the unit class generates it, so the
+    check runs and cup by the unit class is the periodicity isomorphism."""
+    K = group_algebra(cyclic_group(2), QQ)
+    alg = MonogenicAlgebra(K, identity_endo(K), [{"1": -1}, {"1": -1}, {"1": 1}])
+    C = complex_of(alg, 6)
+    rep = presentation_report(C, up_to=5)
+    assert rep["period"] == 2 and cohomology_group(C, 2).dim == 2
+    assert rep["dims"] == [6, 2, 2, 2, 2, 2]
+    assert rep["match"] and rep["mismatches"] == []
 
 
 # -- rank-one extensions -----------------------------------------------------------

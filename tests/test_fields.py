@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import LegacyExtensionField, legacy_payload
+from conftest import LegacyExtensionField, legacy_payload, poly_xgcd
 
 from orecohom.fields import (
     QQ,
@@ -16,7 +16,6 @@ from orecohom.fields import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_xgcd,
     polynomial_roots,
     prime_field,
 )
@@ -224,26 +223,35 @@ def test_scalar_hash_and_repr():
     assert d[Qi.one + Qi.gen] == 1
 
 
-# -- extensions of QQ against the Fraction-tuple payload they replaced ---------
+# -- extensions against the base-payload tuples they replaced -----------------
 
 # The cubic's minpoly has non-integer coefficients, so its reduction table
-# has a common denominator other than 1.
+# has a common denominator other than 1.  The finite fields are compared on
+# every element and every pair of elements.
 NUMBER_FIELDS = {
-    "QQ(i)": ([1, 0, 1], "i"),
-    "QQ(sqrt2)": ([-2, 0, 1], "s"),
-    "cubic": ([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), 1], "w"),
+    "QQ(i)": (QQ, [1, 0, 1], "i"),
+    "QQ(sqrt2)": (QQ, [-2, 0, 1], "s"),
+    "cubic": (QQ, [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), 1], "w"),
+    "GF9": (prime_field(3), [1, 0, 1], "t"),
+    "GF27": (prime_field(3), [1, 2, 0, 1], "t"),
+    "GF25": (prime_field(5), [3, 0, 1], "t"),
+    "GF16": (prime_field(2), [1, 1, 0, 0, 1], "t"),
 }
 
 
 @pytest.fixture(params=sorted(NUMBER_FIELDS))
 def number_field(request):
     """The field and the old `ExtensionField` (kept in conftest.py) on the
-    same minpoly, with matching elements of both built from the same
-    coordinates: 0, 1, -1, the generator and 40 random ones, some of them
+    same minpoly, with matching elements of both: 0, 1, -1 and the
+    generator, then every element in `elements()` order over GF(p), and
+    over QQ 40 random ones built from the same coordinates, some of them
     with zero coordinates."""
-    minpoly, symbol = NUMBER_FIELDS[request.param]
-    F, L = extension_field(QQ, minpoly, symbol), LegacyExtensionField(QQ, minpoly, symbol)
+    base, minpoly, symbol = NUMBER_FIELDS[request.param]
+    F, L = extension_field(base, minpoly, symbol), LegacyExtensionField(base, minpoly, symbol)
     pairs = [(F.zero, L.zero), (F.one, L.one), (-F.one, -L.one), (F.gen, L.gen)]
+    if F.char:
+        pairs += zip(F.elements(), L.elements(), strict=True)
+        return F, L, pairs
     rng = random.Random(11)
     for _ in range(40):
         coords = [QQ.random_element(rng, 4) if rng.random() < 0.7 else QQ.zero for _ in range(F.deg)]
@@ -257,12 +265,16 @@ def assert_normalised(F, x):
     assert len(nums) == F.deg and all(type(n) is int for n in nums), x.v
     assert gcd(den, *nums) == 1, x.v
     assert any(nums) or x.v == ((0,) * F.deg, 1), x.v
+    if F.char:
+        assert den == 1 and all(0 <= n < F.char for n in nums), x.v
 
 
 def test_number_field_payloads_match_legacy(number_field):
     F, L, pairs = number_field
-    if F.deg == 3:
+    if F.char == 0 and F.deg == 3:
         assert F._tden > 1
+    if F.char:
+        assert len(pairs) == 4 + F.char ** F.deg
     for x, y in pairs:
         assert_normalised(F, x)
         assert legacy_payload(F, x) == y.v
@@ -308,3 +320,12 @@ def test_number_field_non_invertible_element():
         L.scalar(divisor).inv()
     unit = F.scalar([1, 1])
     assert legacy_payload(F, unit.inv()) == L.scalar([1, 1]).inv().v
+
+
+def test_prime_extension_non_invertible_determinant():
+    # over GF(p) a Bareiss determinant divisible by p is a non-unit norm,
+    # which a certified minpoly rules out; the normalisation still refuses it
+    F = extension_field(prime_field(3), [1, 0, 1], "t")
+    with pytest.raises(FieldError, match="non-invertible element"):
+        F._normal((1, 2), 6)
+    assert F._normal((4, -1), 2) == ((2, 1), 1)

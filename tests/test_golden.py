@@ -6,6 +6,7 @@ and say in CHANGES.md why the output moved.  e3b0c442... is the sha256 of an
 empty stdout (a verb that exits 1 before printing)."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,47 @@ def test_json_output_is_golden(capsys, spec, verb):
     code = cli.main([verb, str(SPECS / f"{spec}.json"), "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == GOLDEN[spec, verb]
+
+
+# Two specs over GF(9) = GF(3)[i]/(i^2 + 1), the only route through an
+# extension of GF(p) from a spec file; they are written at test time, not
+# kept among the demo specs.
+GF9 = {"kind": "ext", "p": 3, "minpoly": [1, 0, 1], "symbol": "i"}
+GF9_SPECS = {
+    # gh4_u3.json with the field changed
+    "gh4_u3_gf9": {
+        "field": GF9,
+        "K": {"kind": "group", "group": {"kind": "gh4", "u": 3},
+              "character": {"g": 1, "h": [0, 1]}},
+        "f": {"n": 2, "coeffs": [[0] * 12, [0] * 12]},
+    },
+    # the cyclic group of order 4 twisted by chi(g) = i, with f = x^4
+    "c4_i_gf9": {
+        "field": GF9,
+        "K": {"kind": "group", "group": {"kind": "cyclic", "order": 4},
+              "character": {"g": [0, 1]}},
+        "f": {"n": 4, "coeffs": [[0] * 4] * 4},
+    },
+}
+
+GF9_GOLDEN = {
+    ("c4_i_gf9", "validate"): (0, "1decbb70d0361311e3c31ddf3a5ee441ad2976ea0031612fca212dbb239846f0"),
+    ("c4_i_gf9", "cohomology"): (0, "b2f69e486e691c2deca566992b2277e99fc44f385f3e2f9438fb05024970ed34"),
+    ("c4_i_gf9", "products"): (0, "dc4dd4e7a6574646cfbd053721cfeb424b49053b0a5b49bf4c20950a66bcd970"),
+    ("c4_i_gf9", "theorems"): (0, "657d37cf50cea4e1bef19bb931c015b865619901e11f4e07e0ce7ff0e9be4d09"),
+    ("c4_i_gf9", "report"): (0, "6cbafa46487f71dfe1f0a8991c8311b1e2c259b2bbec38a0a4d8483717e39d8c"),
+    ("gh4_u3_gf9", "validate"): (0, "f43f9857a6f5f41810c50ad9d286649b51ee0141968390d6634898ad03bfaca0"),
+    ("gh4_u3_gf9", "cohomology"): (0, "9a32a44ec9a5844b2f4d94675a2e20a932a886650c48fe1658045c99f0011a53"),
+    ("gh4_u3_gf9", "products"): (0, "4f2cdfa1429be4a9f64d5d9b345e6f51fa4c82611d07e88773efc0ffdd532c40"),
+    ("gh4_u3_gf9", "theorems"): (0, "97f2d724d9962ce980062e5ba3d7c6cd4df48b8359152261e047398a599f9a32"),
+    ("gh4_u3_gf9", "report"): (0, "65c7e5387c75df6f8f44a703acb74722e4ee8f83021951803ebc1cbc1b2cd986"),
+}
+
+
+@pytest.mark.parametrize("spec, verb", sorted(GF9_GOLDEN))
+def test_gf9_json_output_is_golden(capsys, tmp_path, spec, verb):
+    path = tmp_path / f"{spec}.json"
+    path.write_text(json.dumps(GF9_SPECS[spec]))
+    code = cli.main([verb, str(path), "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == GF9_GOLDEN[spec, verb]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from orecohom import cli, products
+from orecohom import cli, closedforms, products
 from orecohom.monogenic import Resolution, TensorElem
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -36,29 +36,46 @@ def drop_odd_psi_tail(monkeypatch):
     monkeypatch.setattr(products, "psi_terms", mutated)
 
 
-# check -> (verb, spec, payload key of its rows, mutation)
+def zero_small_cup(monkeypatch):
+    """The closed cup product on the small complex, returning zero."""
+    monkeypatch.setattr(
+        closedforms, "cup_small",
+        lambda a, b: products.SmallCochain(a.alg, a.degree + b.degree, a.alg.zero_elem()),
+    )
+
+
+# check -> (verb, spec and further CLI arguments, payload key of its rows, mutation)
 MUTATIONS = {
     "bracket_closed_vs_oracle":
-        ("products", "sweedler.json", "bracket_closed_vs_oracle", negate_closed_bracket),
+        (["products", "sweedler.json"], "bracket_closed_vs_oracle", negate_closed_bracket),
     "cup_closed_vs_oracle":
-        ("products", "sweedler.json", "cup_closed_vs_oracle", drop_odd_psi_tail),
+        (["products", "sweedler.json"], "cup_closed_vs_oracle", drop_odd_psi_tail),
+    "presentation":
+        (["theorems", "taft37.json", "--which", "presentation"], "checks", zero_small_cup),
 }
 
 
-def run_rows(capsys, verb, spec, key):
-    rc = cli.main([verb, str(SPECS / spec)])
+def verdict(row):
+    """True or False for an agreement row or a theorem check, None for a skip."""
+    if "agree" in row:
+        return row["agree"]
+    return {"ok": True, "mismatch": False}.get(row["status"])
+
+
+def run_rows(capsys, verb, spec, *rest, key):
+    rc = cli.main([verb, str(SPECS / spec), *rest])
     return rc, json.loads(capsys.readouterr().out)[key]
 
 
 @pytest.mark.parametrize("check", sorted(MUTATIONS))
 def test_mutation_turns_its_check_red(check, monkeypatch, capsys):
-    verb, spec, key, mutate = MUTATIONS[check]
-    rc, rows = run_rows(capsys, verb, spec, key)
-    assert rc == 0 and rows and all(row["agree"] for row in rows)
+    argv, key, mutate = MUTATIONS[check]
+    rc, rows = run_rows(capsys, *argv, key=key)
+    assert rc == 0 and rows and all(verdict(row) is True for row in rows)
     mutate(monkeypatch)
-    rc, rows = run_rows(capsys, verb, spec, key)
+    rc, rows = run_rows(capsys, *argv, key=key)
     assert rc == 1
-    assert any(row["agree"] is False for row in rows)
+    assert any(verdict(row) is False for row in rows)
 
 
 def plus_odd_generator(monkeypatch):

@@ -828,15 +828,17 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     unit class at the period degree, whose cup action is checked to be a
     degreewise bijection.
 
-    The check skips when the unit class vanishes and n lambda_n is a unit of
-    K: there is then no period generator to claim.  Under a collapse the
-    boundaries of degree 2v are T(W_{v-1}), T the trace map of
-    `_trace_matrix`, and mu = (n lambda_n)^-1 is alpha-fixed, as lambda_n
-    is, and lies in W_{v-1}: lambda_n twists by alpha^n, so mu twists by
-    alpha^-n = alpha^((v-1)n).  So T(mu) = n mu lambda_n = 1, and the unit is
-    a coboundary.  Without a collapse an invertible n lambda_n says nothing
-    (f = (x-1)^2 (x+1) over QQ: n lambda_n = 3, yet the unit class is not
-    zero), so the vanishing is read from the cohomology, not assumed."""
+    The check skips when the unit class vanishes and either n lambda_n is a
+    unit of K or every H^r with 1 <= r <= up_to is zero (A separable over K,
+    as for f = x^2 + g x over QQ[C2]): there is then no period generator to
+    claim.  Under a collapse the boundaries of degree 2v are T(W_{v-1}), T
+    the trace map of `_trace_matrix`, and mu = (n lambda_n)^-1 is
+    alpha-fixed, as lambda_n is, and lies in W_{v-1}: lambda_n twists by
+    alpha^n, so mu twists by alpha^-n = alpha^((v-1)n).  So T(mu) =
+    n mu lambda_n = 1, and the unit is a coboundary.  Without a collapse an
+    invertible n lambda_n says nothing (f = (x-1)^2 (x+1) over QQ:
+    n lambda_n = 3, yet the unit class is not zero), so the vanishing is read
+    from the cohomology, not assumed."""
     alg = _regular_alg(C)
     chi = _character(alg, chi)
     up_to = _top_degree(C, up_to)
@@ -852,6 +854,11 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
             "coboundary at the period degree"
         )
     dims = cohomology_dims(C, up_to)
+    if unit_zero and not any(dims[1:]):
+        raise ClosedFormError(
+            "the unit class and every positive-degree group vanish: no period "
+            "generator to claim"
+        )
     nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
     gens = [{"degree": 0, "count": dims[0], "kind": "degree-zero ring"}]
     for first, kind in ((1, "odd module generators"), (2, "even module generators")):

@@ -163,18 +163,24 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     does not depend on how the constraints are solved: restricting to one
     basis constraint at a time keeps the identity on the surviving free
     coordinates and ends at the same columns as one reduction of all the
-    stacked rows (``twisted_kernel``).
+    stacked rows (``twisted_kernel``).  Only the constraints of the twist's
+    certified ``generators`` are stacked.  They cut out M^{alpha^r} when the
+    actions of K on M make it a K-bimodule: ``from_actions`` checks that, and
+    the actions of ``regular`` are products in K twisted by powers of alpha,
+    a K-bimodule once K and alpha are certified, whatever f.
 
     Cached on M, keyed by the exact entries of alpha^r
     (``alpha.power_matrix(r).data``): degrees whose twists are equal matrices
     share one solve and one basis object.  ``SmallComplex`` keys its
     differentials and group cores on the identity of these objects, so this
     cache is where the folding of the complex by period starts."""
-    twist = M.alg.alpha.power_matrix(r)
+    alpha = M.alg.alpha
+    twist = alpha.power_matrix(r)
     basis = M._invariants.get(twist.data)
     if basis is None:
+        generators = alpha.generators if alpha.alg is M.alg.K else None
         basis = M._invariants[twist.data] = twisted_kernel(
-            M.field, M.dim, *M.sparse_actions, twist
+            M.field, M.dim, *M.sparse_actions, twist, generators
         )
     return basis
 

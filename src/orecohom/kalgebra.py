@@ -5,7 +5,11 @@ field together with optional group metadata.  Twisting endomorphisms live in
 :class:`Endo`; the group-algebra case builds them from characters.  The checks
 are exact and read the nonzero structure constants: the unit law on every basis
 element, associativity as L(e_i e_j) = L(e_i) L(e_j) for the left
-multiplications L, and a twist's multiplicativity on every basis pair.
+multiplications L, and a twist's multiplicativity on every basis pair.  Each
+check first tries a certificate on the algebra generators of K
+(``AlgebraK.generators``, ``Endo.generators``), which proves the full
+condition when it passes; the basis scan runs only when it fails, to name
+the first failure.
 """
 
 from __future__ import annotations
@@ -300,6 +304,66 @@ class AlgebraK:
         return out
 
     @functools.cached_property
+    def generators(self) -> tuple[int, ...] | None:
+        """Basis indices of algebra generators of K, or None when K fails the
+        certificate below.
+
+        The walk takes the basis in order and keeps e_b when it is not in W,
+        the span of the unit and of the left-nested words (((g_1 g_2) g_3) ...)
+        in the generators kept so far; W is kept closed under right
+        multiplication by every kept generator.  Each e_b is in W once its turn
+        has passed, so at the end W = K, exactly.  On the group algebras of
+        gh4 the walk keeps h and g.
+
+        The indices are returned only when the unit law holds on every basis
+        element and (e_i e_j) g = e_i (e_j g) on every triple with g a kept
+        generator.  Then K is associative: for fixed a, b the w with
+        (ab)w = a(bw) form a subspace that holds 1 (the unit law), hence each
+        g = 1g, and with w also wg, since
+        (ab)(wg) = ((ab)w)g = (a(bw))g = a((bw)g) = a(b(wg)),
+        each step being a checked triple or the hypothesis on w.  That subspace
+        contains W = K.  So a certified K passes ``algebra_validate``."""
+        gens = self._spanning_generators()
+        return gens if self._certifies(gens) else None
+
+    def _spanning_generators(self) -> tuple[int, ...]:
+        """The walk of ``generators``: the basis indices it keeps."""
+        span = EchelonTracker(self.field, self.dim)
+        words: list[tuple] = []  # the vectors that joined the span: a basis of W
+        done: list[int] = []  # how many kept generators each word was multiplied by
+        gens: list[int] = []
+
+        def grow(v: tuple) -> None:
+            if span.add(v):
+                words.append(v)
+                done.append(0)
+
+        grow(self.unit)
+        for b in range(self.dim):
+            e = self.basis_elem(b).coords
+            if span.contains(e):
+                continue
+            gens.append(b)
+            grow(e)
+            i = 0
+            while i < len(words):
+                while done[i] < len(gens):
+                    grow(self.kmul(words[i], self.basis_elem(gens[done[i]]).coords))
+                    done[i] += 1
+                i += 1
+        return tuple(gens)
+
+    def _certifies(self, gens: tuple[int, ...]) -> bool:
+        """The certificate of ``generators``: the unit law on every basis
+        element and associativity on every triple (e_i, e_j, g), g in gens."""
+        prod = self.basis_products
+        return not _unit_law_failures(self) and all(
+            _associative_at(prod, i, j, g)
+            for i, j in itertools.product(range(self.dim), repeat=2)
+            for g in gens
+        )
+
+    @functools.cached_property
     def sparse_actions(self) -> tuple[list, list]:
         """The ``sparse_rows`` of R(e_b) and of L(e_b) for each basis element
         e_b, read off the nonzero structure constants: e_i e_j = sum c e_k
@@ -372,27 +436,44 @@ def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> M
     return Mat(field, data, dim)
 
 
+def _unit_law_failures(K: AlgebraK) -> list[str]:
+    """The basis elements e with 1 e != e or e 1 != e, as failure strings."""
+    failures = []
+    for i in range(K.dim):
+        e = K.basis_elem(i).coords
+        if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
+            failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
+    return failures
+
+
+def _associative_at(prod: dict, i: int, j: int, k: int) -> bool:
+    """(e_i e_j) e_k = e_i (e_j e_k), both sides summed from the nonzero basis
+    products ``prod`` (``AlgebraK.basis_products``)."""
+    none = {}
+    lhs = combine((c, prod.get((m, k), none)) for m, c in prod.get((i, j), none).items())
+    rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
+    return lhs == rhs
+
+
 def algebra_validate(K: AlgebraK) -> ValidationReport:
     """Check the unit law on every basis element, then associativity as the
     exact test L(e_i e_j) = L(e_i) L(e_j), with L(u) the matrix of v -> u v.
     Column k of the two sides is (e_i e_j) e_k and e_i (e_j e_k); both are
     summed from the nonzero structure constants and compared for each triple
     (i, j, k) in lexicographic order.  Reports every unit failure and the
-    first failing triple."""
-    failures = []
-    for i in range(K.dim):
-        e = K.basis_elem(i).coords
-        if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
-            failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
-    prod, none = K.basis_products, {}
-    for i, j in itertools.product(range(K.dim), repeat=2):
-        eij = prod.get((i, j), none).items()
-        for k in range(K.dim):
-            lhs = combine((c, prod.get((m, k), none)) for m, c in eij)
-            rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
-            if lhs != rhs:
-                failures.append(f"associativity fails at triple ({i},{j},{k})")
-                return ValidationReport(False, tuple(failures))
+    first failing triple.
+
+    When ``K.generators`` is certified, both checks are proved to pass and
+    the scan is skipped; otherwise it runs in full, so a failure is reported
+    the same either way."""
+    if K.generators is not None:
+        return ValidationReport(True)
+    failures = _unit_law_failures(K)
+    prod = K.basis_products
+    for i, j, k in itertools.product(range(K.dim), repeat=3):
+        if not _associative_at(prod, i, j, k):
+            failures.append(f"associativity fails at triple ({i},{j},{k})")
+            return ValidationReport(False, tuple(failures))
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -450,26 +531,67 @@ class Endo:
                 return r
         return None
 
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...] | None:
+        """K's ``generators`` when alpha passes the certificate below, else
+        None (also when K fails its own).
+
+        The certificate: alpha fixes the unit and alpha(e_i g) =
+        alpha(e_i) alpha(g) for every basis element e_i and generator g.  On a
+        certified K this makes alpha multiplicative: the w with
+        alpha(x w) = alpha(x) alpha(w) for every x form a subspace that holds
+        1, and with w also wg, since
+        alpha(x(wg)) = alpha((xw)g) = alpha(xw) alpha(g)
+        = alpha(x) alpha(w) alpha(g) = alpha(x) alpha(wg),
+        by associativity and the checked pairs; it contains every word in the
+        generators, so all of K.  Every power alpha^r is then a unital algebra
+        endomorphism too, which ``twisted_kernel`` relies on."""
+        gens = self.alg.generators
+        return gens if gens is not None and self._certifies(gens) else None
+
+    def _certifies(self, gens: tuple[int, ...]) -> bool:
+        """The certificate of ``generators``: alpha fixes the unit and is
+        multiplicative on every pair (e_i, g), g in gens."""
+        alg, image = self.alg, self._images()
+        return self.apply(alg.unit) == alg.unit and all(
+            self._multiplicative_at(image, i, g) for i in range(alg.dim) for g in gens
+        )
+
+    def _images(self) -> list[dict[int, Scalar]]:
+        """alpha(e_i) for each basis element, as the sparse column i."""
+        return [dict(support(self.matrix.column(i))) for i in range(self.alg.dim)]
+
+    def _multiplicative_at(self, image: list, i: int, j: int) -> bool:
+        """alpha(e_i e_j) = alpha(e_i) alpha(e_j), with the products read from
+        the nonzero structure constants."""
+        prod, none = self.alg.basis_products, {}
+        lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
+        rhs = combine(
+            (a * b, prod.get((p, q), none))
+            for p, a in image[i].items()
+            for q, b in image[j].items()
+        )
+        return lhs == rhs
+
     def validate(self) -> ValidationReport:
         """Check that alpha fixes the unit and that alpha(e_i e_j) =
         alpha(e_i) alpha(e_j) for each basis pair (i, j) in lexicographic
         order, with alpha(e_i) the sparse column i of the matrix and the
         products read from the nonzero structure constants.  Reports the
-        first failing pair."""
+        first failing pair.
+
+        When ``generators`` is certified, every pair is proved to pass and the
+        scan is skipped; otherwise it runs in full, so a failure is reported
+        the same either way."""
+        if self.generators is not None:
+            return ValidationReport(True)
         failures = []
         alg = self.alg
         if self.apply(alg.unit) != alg.unit:
             failures.append("endomorphism does not fix the unit")
-        prod, none = alg.basis_products, {}
-        image = [dict(support(self.matrix.column(i))) for i in range(alg.dim)]
+        image = self._images()
         for i, j in itertools.product(range(alg.dim), repeat=2):
-            lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
-            rhs = combine(
-                (a * b, prod.get((p, q), none))
-                for p, a in image[i].items()
-                for q, b in image[j].items()
-            )
-            if lhs != rhs:
+            if not self._multiplicative_at(image, i, j):
                 failures.append(f"multiplicativity fails at pair ({i},{j})")
                 return ValidationReport(False, tuple(failures))
         return ValidationReport(not failures, tuple(failures))
@@ -614,7 +736,8 @@ def sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:
     return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A.data]
 
 
-def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) -> Mat:
+def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
+                   generators: tuple[int, ...] | None) -> Mat:
     """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
 
     With R_b and L_c the right and left actions of K's basis elements on a
@@ -623,10 +746,24 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) 
     m e_b = alpha^r(e_b) m.  The rows of each constraint R_b - L(alpha^r(e_b))
     are assembled from the nonzero entries of the action matrices and of
     column b of ``twist`` only, and reduced one at a time into a single
-    echelon, stopping at full rank, whose free-variable kernel is the basis."""
+    echelon, stopping at full rank, whose free-variable kernel is the basis.
+
+    Only the constraints of the b in ``generators`` are stacked, or of every
+    b when it is None.  Pass the certified ``Endo.generators`` of the twist,
+    and only for a module that is a K-bimodule: L(lam mu) = L(lam) L(mu),
+    R(lam mu) = R(mu) R(lam), the two sides commute and the unit acts as the
+    identity, as for ``Bimodule.regular`` and K over itself once K and alpha
+    are certified.  Then for each m the lam with m lam = alpha^r(lam) m form a
+    subalgebra: it holds 1, as alpha^r(1) = 1, and with lam and mu also
+    lam mu, since m lam mu = alpha^r(lam) m mu = alpha^r(lam) alpha^r(mu) m =
+    alpha^r(lam mu) m.  It holds the generators, so it is K, and the
+    generators' constraints cut out the same space as all of them.  The
+    reduced free-variable basis of a space is unique, so the columns are the
+    same as from every constraint, not only their span."""
     zero = field.zero
     tracker = EchelonTracker(field, dim)
-    for b, R in enumerate(right):
+    for b in range(len(right)) if generators is None else generators:
+        R = right[b]
         terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
         for i in range(dim):
             row = dict(R[i])
@@ -646,11 +783,16 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) 
 
 def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
     """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns: the
-    twisted invariants of K as a bimodule over itself.  Cached on alpha, keyed
-    by the exact entries of alpha^r, so equal twist powers share one solve."""
+    twisted invariants of K as a bimodule over itself, solved from the
+    constraints of ``alpha.generators`` (see ``twisted_kernel``).  Cached on
+    alpha, keyed by the exact entries of alpha^r, so equal twist powers share
+    one solve."""
     if K is not alpha.alg:
         raise AlgebraError("the twist is an endomorphism of another algebra")
     twist = alpha.power_matrix(r)
-    if twist.data not in alpha._invariants:
-        alpha._invariants[twist.data] = twisted_kernel(K.field, K.dim, *K.sparse_actions, twist)
-    return alpha._invariants[twist.data]
+    basis = alpha._invariants.get(twist.data)
+    if basis is None:
+        basis = alpha._invariants[twist.data] = twisted_kernel(
+            K.field, K.dim, *K.sparse_actions, twist, alpha.generators
+        )
+    return basis

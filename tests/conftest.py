@@ -39,16 +39,29 @@ from orecohom.instances import gh4_instance
 from orecohom.kalgebra import (
     AlgebraError,
     AlgebraK,
+    Endo,
     KElem,
     ValidationReport,
+    algebra_validate,
     character_from_values,
     cyclic_group,
     endo_from_character,
     group_algebra,
     identity_endo,
     quaternion_algebra,
+    twisted_invariants_k,
 )
-from orecohom.linalg import LinalgError, LinSolver, Mat, kernel_basis, solve, vadd
+from orecohom.linalg import (
+    EchelonTracker,
+    LinalgError,
+    LinSolver,
+    Mat,
+    combine,
+    kernel_basis,
+    solve,
+    support,
+    vadd,
+)
 from orecohom.monogenic import (
     AElem,
     MonogenicAlgebra,
@@ -489,6 +502,191 @@ def dense_compile(self) -> None:
             if terms:
                 table[(self.idx(b, a), self.idx(b2, a2))] = terms
     self.mul_table = table
+
+
+# -- the coefficient-layer checks and kernels before the generator certificates
+
+
+def scan_algebra_validate(K) -> ValidationReport:
+    """`kalgebra.algebra_validate` before it tried the certificate of
+    `AlgebraK.generators`: the unit law on every basis element and the ordered
+    scan of every triple, always."""
+    failures = []
+    for i in range(K.dim):
+        e = K.basis_elem(i).coords
+        if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
+            failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
+    prod, none = K.basis_products, {}
+    for i, j in itertools.product(range(K.dim), repeat=2):
+        eij = prod.get((i, j), none).items()
+        for k in range(K.dim):
+            lhs = combine((c, prod.get((m, k), none)) for m, c in eij)
+            rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
+            if lhs != rhs:
+                failures.append(f"associativity fails at triple ({i},{j},{k})")
+                return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
+def scan_endo_validate(self) -> ValidationReport:
+    """`Endo.validate` before it tried the certificate of `Endo.generators`:
+    the unit and the ordered scan of every basis pair, always."""
+    failures = []
+    alg = self.alg
+    if self.apply(alg.unit) != alg.unit:
+        failures.append("endomorphism does not fix the unit")
+    prod, none = alg.basis_products, {}
+    image = [dict(support(self.matrix.column(i))) for i in range(alg.dim)]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
+        rhs = combine(
+            (a * b, prod.get((p, q), none))
+            for p, a in image[i].items()
+            for q, b in image[j].items()
+        )
+        if lhs != rhs:
+            failures.append(f"multiplicativity fails at pair ({i},{j})")
+            return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
+def all_rows_twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) -> Mat:
+    """`kalgebra.twisted_kernel` before it read the generators of K: the
+    constraint block of every basis element b, stacked in order."""
+    zero = field.zero
+    tracker = EchelonTracker(field, dim)
+    for b, R in enumerate(right):
+        terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
+        for i in range(dim):
+            row = dict(R[i])
+            for t, L in terms:
+                for j, a in L[i]:
+                    row[j] = row[j] - t * a if j in row else -(t * a)
+            if all(a.is_zero() for a in row.values()):
+                continue
+            dense = [zero] * dim
+            for j, a in row.items():
+                dense[j] = a
+            tracker.add(tuple(dense))
+            if tracker.dim == dim:
+                return tracker.kernel()
+    return tracker.kernel()
+
+
+def all_rows_invariants(M: Bimodule, r: int) -> Mat:
+    """M^{alpha^r} from every basis constraint, uncached."""
+    return all_rows_twisted_kernel(M.field, M.dim, *M.sparse_actions, M.alg.alpha.power_matrix(r))
+
+
+def all_rows_invariants_k(K: AlgebraK, alpha, r: int) -> Mat:
+    """K^{alpha^r} from every basis constraint, uncached."""
+    return all_rows_twisted_kernel(K.field, K.dim, *K.sparse_actions, alpha.power_matrix(r))
+
+
+def disagreements(alg: MonogenicAlgebra) -> list[str]:
+    """The routes on which the generator certificates and the generator
+    kernel differ from the scans and the all-rows kernel, on K, its twist and
+    the regular bimodule of A, for every distinct power of the twist."""
+    K, alpha = alg.K, alg.alpha
+    out = []
+    if algebra_validate(K) != scan_algebra_validate(K):
+        out.append("algebra_validate")
+    if alpha.validate() != scan_endo_validate(alpha):
+        out.append("Endo.validate")
+    M = Bimodule.regular(alg)
+    seen = set()
+    for t in range((alpha.order or 3) + 1):
+        key = alpha.power_matrix(t).data
+        if key in seen:
+            continue
+        seen.add(key)
+        if twisted_invariants_k(K, alpha, t) != all_rows_invariants_k(K, alpha, t):
+            out.append(f"twisted_invariants_k at t = {t}")
+        if twisted_invariants(M, t) != all_rows_invariants(M, t):
+            out.append(f"twisted_invariants at t = {t}")
+    return out
+
+
+def square_zero(K: AlgebraK, alpha) -> MonogenicAlgebra:
+    """A = K[x; alpha]/(x^2), unchecked: f = x^2 is admissible for every
+    twist, and an unchecked build compiles a table for broken K too."""
+    zero = (K.field.zero,) * K.dim
+    return MonogenicAlgebra(K, alpha, [zero, zero], check=False)
+
+
+# -- coefficient algebras with twists, and their structure constants rebased ---
+
+
+def nonzero(F, rng):
+    while True:
+        x = F.random_element(rng, 4)
+        if not x.is_zero():
+            return x
+
+
+def quads_of(K):
+    return [(i, j, k, s) for (i, j), terms in K.mul_table.items() for k, s in terms]
+
+
+def with_table(K, quads, unit=None):
+    return AlgebraK.from_structure_constants(
+        K.field, K.dim, K.basis_names, K.unit if unit is None else unit, quads
+    )
+
+
+def matrix_algebra(F):
+    """2 x 2 matrices on E11, E12, E21, E22 (E_ab E_bd = E_ad), twisted by
+    E -> g E g^-1 for g = [[1, 1], [0, 1]]: an automorphism that is not
+    diagonal."""
+    quads = [(2 * a + b, 2 * b + d, 2 * a + d, F.one) for a in range(2) for b in range(2) for d in range(2)]
+    K = AlgebraK.from_structure_constants(
+        F, 4, ["E11", "E12", "E21", "E22"], (F.one, F.zero, F.zero, F.one), quads
+    )
+    o, z = F.one, F.zero
+    g, ginv = ((o, o), (z, o)), ((o, -o), (z, o))
+    cols = []
+    for a in range(2):
+        for b in range(2):
+            img = [[g[r][a] * ginv[b][c] for c in range(2)] for r in range(2)]
+            cols.append((img[0][0], img[0][1], img[1][0], img[1][1]))
+    return K, Endo(K, Mat.from_columns(F, cols, 4))
+
+
+def quaternions(F):
+    """The quaternions with the half-turn about the k-axis."""
+    return quaternion_algebra(F, -F.one, F.zero, F.zero, F.one)
+
+
+def cyclic3(F):
+    """The group algebra of C3 with the automorphism g -> g^2."""
+    K = group_algebra(cyclic_group(3), F)
+    o, z = F.one, F.zero
+    return K, Endo(K, Mat(F, [[o, z, z], [z, z, o], [z, o, z]]))
+
+
+BASES = {"M2": matrix_algebra, "H": quaternions, "C3": cyclic3}
+
+
+def rebased(K, alpha, rng):
+    """K and alpha in the basis f_a = sum_r P[r][a] e_r for a random
+    invertible P: the same algebra, with dense structure constants."""
+    F, d = K.field, K.dim
+    while True:
+        P = Mat(F, [[F.random_element(rng, 3) for _ in range(d)] for _ in range(d)])
+        S = LinSolver(P)
+        if S.rank == d:
+            break
+    cols = P.columns_list()
+    quads = [
+        (a, b, k, s)
+        for a in range(d)
+        for b in range(d)
+        for k, s in enumerate(S.solve(K.kmul(cols[a], cols[b])))
+        if not s.is_zero()
+    ]
+    K2 = AlgebraK.from_structure_constants(F, d, K.basis_names, S.solve(K.unit), quads)
+    twist = [S.solve(alpha.apply(c)) for c in cols]
+    return K2, Endo(K2, Mat.from_columns(F, twist, d))
 
 
 # -- the tensor square one flat entry at a time ---------------------------------

@@ -558,6 +558,16 @@ def test_presentation_skips_when_n_lambda_is_a_unit(name):
         assert find_witness(alg) is None
 
 
+def test_presentation_skips_when_a_is_separable():
+    """linear-g: f = x^2 + g x over QQ[C2] has coprime factors x and x + g, so
+    A = K x K is separable over K.  n lambda_n = 0 is not a unit, yet the unit
+    class and every positive-degree group vanish: no period generator."""
+    C = complex_of(CASES["linear-g"](), 6)
+    assert cohomology_dims(C, 5) == [4, 0, 0, 0, 0, 0]
+    with pytest.raises(ClosedFormError, match="every positive-degree group vanish"):
+        presentation_report(C, up_to=5)
+
+
 def test_presentation_runs_when_n_lambda_is_a_unit_but_f_is_not_separable():
     """f = (x - 1)^2 (x + 1) over QQ[C2], identity twist: n lambda_n = 3 is a
     unit, yet H^2 = A/f'A is not zero and the unit class generates it, so the

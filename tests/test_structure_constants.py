@@ -12,93 +12,22 @@ first failing triple or pair."""
 import random
 
 import pytest
-from conftest import pair_loop_validate, triple_loop_validate
+from conftest import (
+    BASES,
+    nonzero,
+    pair_loop_validate,
+    quads_of,
+    rebased,
+    triple_loop_validate,
+    with_table,
+)
 
 from orecohom.fields import QQ, prime_field
 from orecohom.instances import gaussian_rationals
-from orecohom.kalgebra import (
-    AlgebraK,
-    Endo,
-    algebra_validate,
-    cyclic_group,
-    group_algebra,
-    quaternion_algebra,
-)
-from orecohom.linalg import LinSolver, Mat
+from orecohom.kalgebra import Endo, algebra_validate
+from orecohom.linalg import Mat
 
 FIELDS = {"QQ": QQ, "GF7": prime_field(7), "QQ(i)": gaussian_rationals()}
-
-
-def nonzero(F, rng):
-    while True:
-        x = F.random_element(rng, 4)
-        if not x.is_zero():
-            return x
-
-
-def quads_of(K):
-    return [(i, j, k, s) for (i, j), terms in K.mul_table.items() for k, s in terms]
-
-
-def with_table(K, quads, unit=None):
-    return AlgebraK.from_structure_constants(
-        K.field, K.dim, K.basis_names, K.unit if unit is None else unit, quads
-    )
-
-
-def matrix_algebra(F):
-    """2 x 2 matrices on E11, E12, E21, E22 (E_ab E_bd = E_ad), twisted by
-    E -> g E g^-1 for g = [[1, 1], [0, 1]]: an automorphism that is not
-    diagonal."""
-    quads = [(2 * a + b, 2 * b + d, 2 * a + d, F.one) for a in range(2) for b in range(2) for d in range(2)]
-    K = AlgebraK.from_structure_constants(
-        F, 4, ["E11", "E12", "E21", "E22"], (F.one, F.zero, F.zero, F.one), quads
-    )
-    o, z = F.one, F.zero
-    g, ginv = ((o, o), (z, o)), ((o, -o), (z, o))
-    cols = []
-    for a in range(2):
-        for b in range(2):
-            img = [[g[r][a] * ginv[b][c] for c in range(2)] for r in range(2)]
-            cols.append((img[0][0], img[0][1], img[1][0], img[1][1]))
-    return K, Endo(K, Mat.from_columns(F, cols, 4))
-
-
-def quaternions(F):
-    """The quaternions with the half-turn about the k-axis."""
-    return quaternion_algebra(F, -F.one, F.zero, F.zero, F.one)
-
-
-def cyclic3(F):
-    """The group algebra of C3 with the automorphism g -> g^2."""
-    K = group_algebra(cyclic_group(3), F)
-    o, z = F.one, F.zero
-    return K, Endo(K, Mat(F, [[o, z, z], [z, z, o], [z, o, z]]))
-
-
-BASES = {"M2": matrix_algebra, "H": quaternions, "C3": cyclic3}
-
-
-def rebased(K, alpha, rng):
-    """K and alpha in the basis f_a = sum_r P[r][a] e_r for a random
-    invertible P: the same algebra, with dense structure constants."""
-    F, d = K.field, K.dim
-    while True:
-        P = Mat(F, [[F.random_element(rng, 3) for _ in range(d)] for _ in range(d)])
-        S = LinSolver(P)
-        if S.rank == d:
-            break
-    cols = P.columns_list()
-    quads = [
-        (a, b, k, s)
-        for a in range(d)
-        for b in range(d)
-        for k, s in enumerate(S.solve(K.kmul(cols[a], cols[b])))
-        if not s.is_zero()
-    ]
-    K2 = AlgebraK.from_structure_constants(F, d, K.basis_names, S.solve(K.unit), quads)
-    twist = [S.solve(alpha.apply(c)) for c in cols]
-    return K2, Endo(K2, Mat.from_columns(F, twist, d))
 
 
 def instances(F, rng):

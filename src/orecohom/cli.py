@@ -113,8 +113,15 @@ class Session:
 
     @functools.cached_property
     def algebra(self) -> MonogenicAlgebra:
-        """The checked algebra: f is validated before the compile, and the
-        compiled table is checked after it, as ``MonogenicAlgebra`` does."""
+        """The checked algebra: K and its twist are validated first, then f
+        before the compile, and the compiled table is checked after it, as
+        ``MonogenicAlgebra`` does.  On a valid spec the first two read the
+        cached generator certificates that the twisted invariants read too."""
+        rep = algebra_validate(self.inst.K)
+        if rep.ok:
+            rep = self.inst.alpha.validate()
+        if not rep.ok:
+            raise AlgebraError(rep.failures[0])
         if not self.f_report.ok:
             raise MonogenicError("; ".join(self.f_report.failures))
         self.compiled.check_compiled()

@@ -3,7 +3,9 @@ r"""Exact field arithmetic over the rationals, prime fields, and simple extensio
 Every scalar is a :class:`Scalar` holding a reference to its field context and a
 normalized payload:
 
-* rationals -- a ``fractions.Fraction`` in lowest terms,
+* rationals -- an ``int`` when the value is integral, otherwise a
+  ``fractions.Fraction`` in lowest terms with denominator > 1, so the
+  integral bulk of the work runs on machine ints,
 * ``GF(p)`` -- an ``int`` in ``[0, p)``,
 * a simple extension ``base[t]/<minpoly>`` of either -- a pair ``(nums,
   den)``: a constant-first tuple of ``deg(minpoly)`` ints and one int
@@ -222,33 +224,46 @@ class Field:
         raise NotImplementedError
 
 
+def _qq(x):
+    """The QQ payload of the rational x (an int or a Fraction): x's
+    numerator when its denominator is 1, else x.  An int and the Fraction of
+    the same value are equal and hash alike, so payloads still compare and
+    hash by value."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
+    """The rationals, with the payload of :func:`_qq`: an int when the value
+    is integral, else a Fraction in lowest terms with denominator > 1.
+    Negation keeps that form, so ``_neg`` needs no normalising."""
+
     char = 0
     deg = 1
 
     def _add(self, a, b):
-        return a + b
+        return _qq(a + b)
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        return _qq(a * b)
 
     def _inv(self, a):
-        return 1 / a
+        # Fraction(1, a), not 1 / a, which is a float when a is an int
+        return _qq(Fraction(1, a))
 
     def _is_zero(self, a):
         return not a
 
     def _from_int(self, n):
-        return Fraction(n)
+        return _qq(n)
 
     def _coerce_payload(self, x):
         if isinstance(x, Fraction):
-            return x
+            return _qq(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _qq(Fraction(x))
         raise FieldError(f"cannot interpret {x!r} as a rational")
 
     def _repr(self, a):
@@ -268,7 +283,7 @@ class RationalField(Field):
             return self.from_int(obj)
         if isinstance(obj, str):
             try:
-                return Scalar(self, Fraction(obj))
+                return Scalar(self, _qq(Fraction(obj)))
             except (ValueError, ZeroDivisionError):
                 pass
         raise FieldError(f"bad rational encoding: {obj!r}")
@@ -276,7 +291,7 @@ class RationalField(Field):
     def random_element(self, rng, bound: int = 9):
         num = rng.randint(-bound, bound)
         den = rng.randint(1, bound)
-        return Scalar(self, Fraction(num, den))
+        return Scalar(self, _qq(Fraction(num, den)))
 
     def __repr__(self):
         return "QQ"
@@ -572,7 +587,7 @@ def _rational_sqrt(s: Scalar):
     n, d = f.numerator, f.denominator
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
-        return Scalar(s.field, Fraction(rn, rd))
+        return Scalar(s.field, _qq(Fraction(rn, rd)))
     return None
 
 
@@ -659,9 +674,12 @@ class ExtensionField(Field):
         return Scalar(self, self._from_coords(coords))
 
     def _coords(self, a):
-        """The base payloads of a's coordinates, constant-first."""
+        """The base payloads of a's coordinates, constant-first: the nums
+        themselves when den is 1."""
         nums, den = a
-        return tuple(Fraction(x, den) for x in nums)
+        if den == 1:
+            return nums
+        return tuple(_qq(Fraction(x, den)) for x in nums)
 
     def _from_coords(self, coords):
         """The payload with these base-payload coordinates (length deg)."""

@@ -8,8 +8,10 @@ from conftest import LegacyExtensionField, legacy_payload, poly_xgcd
 from orecohom.fields import (
     QQ,
     FieldError,
+    RationalField,
     Scalar,
     _certify_irreducible,
+    _rational_sqrt,
     cyclotomic_minpoly,
     extension_field,
     make_field,
@@ -260,6 +262,13 @@ def number_field(request):
 
 
 def assert_normalised(F, x):
+    """x's payload is in the one form its field allows for its value."""
+    if F is QQ:
+        v = x.v
+        assert type(v) in (int, Fraction), v
+        # an int exactly when the value is integral, else denominator > 1
+        assert (type(v) is int) == (Fraction(v).denominator == 1), v
+        return
     nums, den = x.v
     assert type(den) is int and den > 0, x.v
     assert len(nums) == F.deg and all(type(n) is int for n in nums), x.v
@@ -277,6 +286,9 @@ def test_number_field_payloads_match_legacy(number_field):
         assert len(pairs) == 4 + F.char ** F.deg
     for x, y in pairs:
         assert_normalised(F, x)
+        if F.char == 0:
+            for c in F._coords(x.v):
+                assert_normalised(QQ, Scalar(QQ, c))
         assert legacy_payload(F, x) == y.v
         assert x.is_zero() == y.is_zero() == (x == F.zero)
         assert repr(x) == repr(y)
@@ -329,3 +341,101 @@ def test_prime_extension_non_invertible_determinant():
     with pytest.raises(FieldError, match="non-invertible element"):
         F._normal((1, 2), 6)
     assert F._normal((4, -1), 2) == ((2, 1), 1)
+
+
+# -- QQ payloads: an int when integral, a Fraction only otherwise ---------------
+
+
+def qq_entry_points() -> list[Scalar]:
+    """Rationals made through every way into QQ, integral and not."""
+    rng = random.Random(4)
+    made = [QQ.zero, QQ.one, QQ.from_int(-3), QQ.from_int(12)]
+    made += [QQ.scalar(q) for q in (Fraction(6, 3), Fraction(-1, 2), Fraction(0, 7), Fraction(5, -10))]
+    made += [QQ.scalar(t) for t in ("4/2", "-3/6", "5", "0/9", "-7/7")]
+    made += [QQ.decode(obj) for obj in ("8/4", "1/3", "-2/1", "0/1", 3)]
+    made += [QQ.random_element(rng, 4) for _ in range(40)]
+    made += [_rational_sqrt(QQ.scalar(q)) for q in (Fraction(0), Fraction(4), Fraction(9, 4), Fraction(1, 9))]
+    return made
+
+
+def check_qq_payloads():
+    """Every entry point, then -, inv, +, -, *, / and int or Fraction
+    operands through `_coerce`, keeps the QQ payload normalised and its value
+    equal to the value of the same operation on Fractions."""
+    made = qq_entry_points()
+    out = list(made)
+    for x in made:
+        q = Fraction(x.v)
+        out += [-x, x + 2, 3 - x, x * Fraction(4, 2), Fraction(1, 2) * x, x - Fraction(3, 3)]
+        assert [v.v for v in out[-6:]] == [-q, q + 2, 3 - q, q * 2, q / 2, q - 1]
+        if x:
+            out += [x.inv(), 2 / x, x / Fraction(-1, 3)]
+            assert [v.v for v in out[-3:]] == [1 / q, 2 / q, -3 * q]
+        for y in made[::3]:
+            r = Fraction(y.v)
+            out += [x + y, x - y, x * y]
+            assert [v.v for v in out[-3:]] == [q + r, q - r, q * r]
+            if y:
+                out.append(x / y)
+                assert out[-1].v == q / r
+    for x in out:
+        assert_normalised(QQ, x)
+    return made, out
+
+
+def test_qq_payload_is_an_int_exactly_when_integral():
+    made, out = check_qq_payloads()
+    assert len(out) > 500
+    # both forms occur, from the random elements too
+    for group in (made, made[-44:-4], out):
+        assert {type(x.v) for x in group} == {int, Fraction}
+
+
+def test_seeded_unnormalised_product_is_caught(monkeypatch):
+    """`_mul` returning Fraction(n, 1) for an integral product must turn the
+    payload check red."""
+    monkeypatch.setattr(RationalField, "_mul", lambda self, a, b: Fraction(a) * b)
+    with pytest.raises(AssertionError):
+        check_qq_payloads()
+
+
+def test_qq_integral_values_are_one_key():
+    a, b = QQ.scalar(Fraction(6, 3)), QQ.from_int(2)
+    assert a == b and hash(a) == hash(b) and a.v == b.v == 2
+    assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+    # by the numeric tower an int and its Fraction compare and hash alike,
+    # so the payload form does not change equality or hashing
+    old = Scalar(QQ, Fraction(2))
+    assert old == b and hash(old) == hash(b) and {old: 1}[b] == 1
+    assert QQ.encode(b) == "2/1" and repr(b) == "2" and repr(QQ.scalar("-1/2")) == "-1/2"
+
+
+def test_qq_matches_fractions():
+    """QQ arithmetic, == and hash against fractions.Fraction on random
+    rationals, with 0 and ±1 drawn often."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+        st.fractions(max_denominator=30),
+        st.integers(-50, 50).map(Fraction),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(rationals, rationals)
+    def check(p, q):
+        a, b = QQ.scalar(p), QQ.scalar(q)
+        results = {p + q: a + b, p - q: a - b, p * q: a * b, -p: -a}
+        if q:
+            results[p / q] = a / b
+        if p:
+            results[1 / p] = a.inv()
+        for exact, x in results.items():
+            assert_normalised(QQ, x)
+            assert x.v == exact and x == QQ.scalar(exact) and hash(x.v) == hash(exact)
+        assert (a == b) == (p == q) and (a == p) and (a != b) == (p != q)
+        if p == q:
+            assert hash(a) == hash(b)
+        assert bool(a) == bool(p) and QQ.decode(QQ.encode(a)) == a
+
+    check()

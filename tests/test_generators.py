@@ -12,6 +12,8 @@ tests seed the two mistakes the route could make, a certificate that passes
 everything and a generator left out, and show that each one is caught.  The
 random instances are in `test_generator_properties.py`."""
 
+import collections
+import functools
 import json
 import random
 
@@ -32,11 +34,12 @@ from conftest import (
 )
 
 from orecohom import cli, cohomology, kalgebra
+from orecohom.cohomology import Bimodule, build_small_complex, complex_report
 from orecohom.fields import QQ, prime_field
 from orecohom.instances import gh4_instance
 from orecohom.kalgebra import AlgebraK, Endo, algebra_validate, scalar_algebra
 from orecohom.linalg import Mat
-from orecohom.monogenic import MonogenicAlgebra
+from orecohom.monogenic import MonogenicAlgebra, MonogenicError
 from orecohom.specio import load_instance
 
 # The generators the walk keeps on each demo spec, by basis label.
@@ -146,7 +149,7 @@ def test_perturbed_rebased_algebras_fall_back_alike(base):
         assert disagreements(square_zero(K, Endo(K, Mat(F, rows)))) == []
 
 
-# -- the command line: a broken K or twist runs every constraint -----------------
+# -- a broken K or twist: the library runs every constraint, the CLI refuses it --
 
 
 NON_ASSOCIATIVE = {
@@ -170,27 +173,35 @@ NON_MULTIPLICATIVE = {
 BROKEN_SPECS = {"non-associative": NON_ASSOCIATIVE, "non-multiplicative": NON_MULTIPLICATIVE}
 
 
-def cohomology_json(capsys, path) -> str:
-    assert cli.main(["cohomology", str(path), "--format", "json"]) == 0
-    return capsys.readouterr().out
+def write_spec(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(BROKEN_SPECS[name]))
+    return path
 
 
-def all_rows_cohomology_json(capsys, monkeypatch, path) -> str:
-    """The same run with `twisted_kernel` stacking every basis constraint."""
+def cohomology_rows(path) -> list[dict]:
+    """`complex_report` of the small complex of a fresh load of the spec,
+    built unchecked to one past its default degree."""
+    inst = load_instance(str(path))
+    alg = inst.algebra(check=False)
+    return complex_report(build_small_complex(alg, Bimodule.regular(alg), inst.default_degree() + 1))
+
+
+def all_rows_cohomology_rows(monkeypatch, path) -> list[dict]:
+    """The same build with `twisted_kernel` stacking every basis constraint."""
     with monkeypatch.context() as m:
         def kernel(field, dim, right, left, twist, generators):
             return all_rows_twisted_kernel(field, dim, right, left, twist)
 
         for module in (kalgebra, cohomology):
             m.setattr(module, "twisted_kernel", kernel)
-        return cohomology_json(capsys, path)
+        return cohomology_rows(path)
 
 
 def gate_holds(capsys, monkeypatch, tmp_path, name) -> bool:
-    """The `cohomology` JSON of a broken spec equals the all-rows route's."""
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(BROKEN_SPECS[name]))
-    return cohomology_json(capsys, path) == all_rows_cohomology_json(capsys, monkeypatch, path)
+    """The cohomology table of a broken spec equals the all-rows route's."""
+    path = write_spec(tmp_path, name)
+    return cohomology_rows(path) == all_rows_cohomology_rows(monkeypatch, path)
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_SPECS))
@@ -198,6 +209,77 @@ def test_broken_specs_run_every_constraint(name, capsys, monkeypatch, tmp_path):
     assert gate_holds(capsys, monkeypatch, tmp_path, name)
     inst = load_instance(str(tmp_path / f"{name}.json"))
     assert inst.alpha.generators is None
+
+
+def first_failure(path) -> str:
+    inst = load_instance(str(path))
+    rep = algebra_validate(inst.K)
+    return (rep if not rep.ok else inst.alpha.validate()).failures[0]
+
+
+@pytest.mark.parametrize("verb", ["validate", "cohomology", "products", "theorems", "report"])
+@pytest.mark.parametrize("name", sorted(BROKEN_SPECS))
+def test_broken_specs_exit_1_under_every_verb(name, verb, capsys, tmp_path):
+    """`validate` and `report` report the failed check; the other verbs
+    refuse the spec on an `error:` line naming the first failure."""
+    path = write_spec(tmp_path, name)
+    expected = {
+        "non-associative": "associativity fails at triple (1,1,1)",
+        "non-multiplicative": "multiplicativity fails at pair (1,1)",
+    }[name]
+    assert first_failure(path) == expected
+    assert cli.main([verb, str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    if verb in ("validate", "report"):
+        v = json.loads(out) if verb == "validate" else json.loads(out)["validate"]
+        assert not v["ok"] and any(expected in c["failures"] for c in v["checks"])
+    else:
+        assert out == "" and err == f"error: {expected}\n"
+
+
+VALID_SPECS = [p for p in SPECS if p.stem != "sweedler_bad"]
+
+
+def ungated_algebra(session):
+    """`cli.Session.algebra` without its check of K and the twist."""
+    if not session.f_report.ok:
+        raise MonogenicError("; ".join(session.f_report.failures))
+    session.compiled.check_compiled()
+    return session.compiled
+
+
+def certificate_work(monkeypatch, argv, gate: bool) -> collections.Counter:
+    """How often one CLI run walks for generators, checks a certificate and
+    tests a triple or pair, with the session's check of K and its twist in
+    place or left out."""
+    calls = collections.Counter()
+    with monkeypatch.context() as m:
+        for owner, name in [(AlgebraK, "_spanning_generators"), (AlgebraK, "_certifies"),
+                            (Endo, "_certifies"), (Endo, "_multiplicative_at"),
+                            (kalgebra, "_unit_law_failures"), (kalgebra, "_associative_at")]:
+            def counted(*args, inner=getattr(owner, name), key=f"{owner.__name__}.{name}"):
+                calls[key] += 1
+                return inner(*args)
+
+            m.setattr(owner, name, counted)
+        if not gate:
+            ungated = functools.cached_property(ungated_algebra)
+            ungated.__set_name__(cli.Session, "algebra")
+            m.setattr(cli.Session, "algebra", ungated)
+        assert cli.main(argv) == 0
+    return calls
+
+
+@pytest.mark.parametrize("verb", ["cohomology", "products", "theorems"])
+@pytest.mark.parametrize("path", VALID_SPECS, ids=[p.stem for p in VALID_SPECS])
+def test_valid_specs_do_no_extra_certificate_work(path, verb, monkeypatch, capsys):
+    """Refusing a broken K or twist costs a valid spec nothing: the session
+    reads the certificates the twisted invariants compute anyway."""
+    argv = [verb, str(path), "--format", "json"]
+    with_gate = certificate_work(monkeypatch, argv, gate=True)
+    assert with_gate == certificate_work(monkeypatch, argv, gate=False)
+    assert with_gate["AlgebraK._certifies"] >= 1 and with_gate["Endo._certifies"] >= 1
+    assert capsys.readouterr().err == ""
 
 
 # -- seeded mistakes ------------------------------------------------------------

@@ -44,7 +44,7 @@ from .closedforms import (
     untwisted_model_check,
 )
 from .fields import FieldError
-from .kalgebra import AlgebraError, algebra_validate
+from .kalgebra import AlgebraError, ValidationReport, algebra_validate
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
 from .products import (
     BarOracle,
@@ -90,9 +90,9 @@ class Session:
     witness search and the run's bar oracle.  The oracle evaluates only the
     bar indices phi reads, each psi value at each index once, the slot
     compositions of each ordered pair once and each bracket once, keyed on
-    (degree, value coordinates); the products tables, both closed-vs-oracle
-    agreements and the rank-one bracket rows read it.  A session belongs to
-    one run; nothing outlives it."""
+    (degree, payloads of the value coordinates); the products tables, both
+    closed-vs-oracle agreements and the rank-one bracket rows read it.  A
+    session belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -107,23 +107,33 @@ class Session:
         return validate_f(inst.K, inst.alpha, inst.f_coeffs)
 
     @functools.cached_property
+    def checks(self) -> list[tuple[str, ValidationReport]]:
+        """The checks of the instance, in order, by name: K, its twist
+        (multiplicative, fixing the unit and invertible) and f.  ``validate``
+        reports each; the checked algebra refuses the first that fails."""
+        inst = self.inst
+        k_rep, twist_rep = algebra_validate(inst.K), inst.alpha.validate()
+        if twist_rep.ok and not inst.alpha.is_automorphism:
+            twist_rep = ValidationReport(False, ("twist matrix is not invertible",))
+        return [("coefficient-algebra", k_rep), ("twist", twist_rep), ("defining-polynomial", self.f_report)]
+
+    @functools.cached_property
     def compiled(self) -> MonogenicAlgebra:
         """A compiled without checks; read it only once f has passed."""
         return self.inst.algebra(check=False)
 
     @functools.cached_property
     def algebra(self) -> MonogenicAlgebra:
-        """The checked algebra: K and its twist are validated first, then f
-        before the compile, and the compiled table is checked after it, as
-        ``MonogenicAlgebra`` does.  On a valid spec the first two read the
-        cached generator certificates that the twisted invariants read too."""
-        rep = algebra_validate(self.inst.K)
-        if rep.ok:
-            rep = self.inst.alpha.validate()
-        if not rep.ok:
-            raise AlgebraError(rep.failures[0])
-        if not self.f_report.ok:
-            raise MonogenicError("; ".join(self.f_report.failures))
+        """The checked algebra: the ``checks`` pass first, and the compiled
+        table is checked after the compile, as ``MonogenicAlgebra`` does.  A
+        failed check of K or the twist raises its first failure, a failed
+        check of f all of its failures.  On a valid spec the first two read
+        the cached generator certificates that the twisted invariants read."""
+        for name, rep in self.checks:
+            if not rep.ok and name == "defining-polynomial":
+                raise MonogenicError("; ".join(rep.failures))
+            if not rep.ok:
+                raise AlgebraError(rep.failures[0])
         self.compiled.check_compiled()
         return self.compiled
 
@@ -170,15 +180,7 @@ def run_validate(session: Session) -> tuple[dict, bool]:
         checks.append({"name": name, "ok": rep.ok, "failures": list(rep.failures)})
         return rep.ok
 
-    ok = record("coefficient-algebra", algebra_validate(inst.K))
-    twist_rep = inst.alpha.validate()
-    twist_ok = twist_rep.ok and inst.alpha.is_automorphism
-    failures = list(twist_rep.failures)
-    if twist_rep.ok and not inst.alpha.is_automorphism:
-        failures.append("twist matrix is not invertible")
-    checks.append({"name": "twist", "ok": twist_ok, "failures": failures})
-    ok = ok and twist_ok
-    ok = record("defining-polynomial", session.f_report) and ok
+    ok = all([record(name, rep) for name, rep in session.checks])  # a list: record every check
     if ok:
         alg = session.compiled
         ok = record("normality", normality_check(alg)) and ok

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 
-from .kalgebra import ValidationReport, mult_matrix, sparse_rows, twisted_kernel
-from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, vscale
+from .kalgebra import ValidationReport, mult_matrix, twisted_kernel
+from .linalg import (EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, sparse_rows,
+                     support, vscale)
 from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -41,7 +42,7 @@ class Bimodule:
         self.Rx = Rx
         self._Lx_pow: dict[int, Mat] = {0: Mat.identity(self.field, self.dim)}
         self._Rx_pow: dict[int, Mat] = {0: Mat.identity(self.field, self.dim)}
-        self._invariants: dict[tuple, Mat] = {}  # alpha^r entries -> twisted_invariants
+        self._invariants: dict[int, Mat] = {}  # id of alpha^r -> twisted_invariants
 
     @classmethod
     def regular(cls, alg: MonogenicAlgebra) -> "Bimodule":
@@ -169,17 +170,17 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     the actions of ``regular`` are products in K twisted by powers of alpha,
     a K-bimodule once K and alpha are certified, whatever f.
 
-    Cached on M, keyed by the exact entries of alpha^r
-    (``alpha.power_matrix(r).data``): degrees whose twists are equal matrices
-    share one solve and one basis object.  ``SmallComplex`` keys its
+    Cached on M, keyed by the power ``alpha.power_matrix(r)``, which is one
+    object for equal powers: degrees whose twists are equal matrices share
+    one solve and one basis object.  ``SmallComplex`` keys its
     differentials and group cores on the identity of these objects, so this
     cache is where the folding of the complex by period starts."""
     alpha = M.alg.alpha
     twist = alpha.power_matrix(r)
-    basis = M._invariants.get(twist.data)
+    basis = M._invariants.get(id(twist))
     if basis is None:
         generators = alpha.generators if alpha.alg is M.alg.K else None
-        basis = M._invariants[twist.data] = twisted_kernel(
+        basis = M._invariants[id(twist)] = twisted_kernel(
             M.field, M.dim, *M.sparse_actions, twist, generators
         )
     return basis
@@ -324,7 +325,7 @@ class CohomologyGroup:
         self.dim = core.reps_sub.cols
 
     def is_cocycle_sub(self, v_sub: tuple) -> bool:
-        return all(c.is_zero() for c in self.complex.dmats[self.degree + 1].matvec(v_sub))
+        return not support(self.complex.dmats[self.degree + 1].matvec(v_sub))
 
     def class_coords(self, v_ambient: tuple) -> tuple:
         """Coordinates of a cocycle's class over the representative basis."""
@@ -337,7 +338,7 @@ class CohomologyGroup:
         return sol[: self.dim]
 
     def is_coboundary(self, v_ambient: tuple) -> bool:
-        return all(c.is_zero() for c in self.class_coords(v_ambient))
+        return not support(self.class_coords(v_ambient))
 
 
 def cohomology_group(C: SmallComplex, r: int) -> CohomologyGroup:
@@ -350,7 +351,7 @@ def classes_equal(C: SmallComplex, r: int, a: tuple, b: tuple) -> bool:
     """Whether two ambient cocycles in degree r are cohomologous."""
     H = cohomology_group(C, r)
     diff = tuple(x - y for x, y in zip(a, b))
-    return all(c.is_zero() for c in H.class_coords(diff))
+    return not support(H.class_coords(diff))
 
 
 def cohomology_dims(C: SmallComplex, up_to: int) -> list[int]:

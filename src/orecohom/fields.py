@@ -642,6 +642,7 @@ class ExtensionField(Field):
         )
         self._pad = (0,) * (self.deg - 1)
         self._zero_v = self._from_int(0)
+        self._one_v = self._from_int(1)
 
     def _poly_str(self) -> str:
         return " + ".join(
@@ -717,6 +718,11 @@ class ExtensionField(Field):
         return tuple(map(neg, a[0])), a[1]
 
     def _mul(self, a, b):
+        # most factors in group-algebra work are the unit; its products are free
+        if a == self._one_v:
+            return b
+        if b == self._one_v:
+            return a
         an, ad = a
         bn, bd = b
         raw = [0] * (2 * self.deg - 1)

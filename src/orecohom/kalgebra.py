@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, combine, kernel_basis, rank, support, vadd, vscale
+from .linalg import (EchelonTracker, Mat, combine, kernel_basis, rank, sparse_rows, support,
+                     vadd, vscale)
 
 
 class AlgebraError(ValueError):
@@ -260,7 +261,10 @@ class AlgebraK:
         return cls(field, dim, list(basis_names), unit, table, group)
 
     def kmul(self, u: tuple, v: tuple) -> tuple:
-        return table_mul(self.field, self.dim, self.mul_table, u, v)
+        out = [self.field.zero] * self.dim
+        for k, s in table_mul(self.mul_table, support(u), support(v)).items():
+            out[k] = s
+        return tuple(out)
 
     def elem(self, x) -> KElem:
         if isinstance(x, KElem):
@@ -397,43 +401,36 @@ class AlgebraK:
                 row[j] = row[j] + s if j in row else s
                 row = rows.setdefault((j, k), {})
                 row[i] = row[i] - s if i in row else -s
-        zero = self.field.zero
-        dense = []
-        for key in sorted(rows):
-            entries = {j: a for j, a in rows[key].items() if not a.is_zero()}
-            if entries:
-                dense.append([entries.get(j, zero) for j in range(self.dim)])
-        return kernel_basis(Mat(self.field, dense, self.dim))
+        zv = self.field.zero.v
+        sparse = [{j: a for j, a in rows[key].items() if a.v != zv} for key in sorted(rows)]
+        return kernel_basis(Mat.from_sparse_rows(self.field, [r for r in sparse if r], self.dim))
 
 
-def table_mul(field: Field, dim: int, table, u: tuple, v: tuple) -> tuple:
+def table_mul(table, u, v) -> dict[int, Scalar]:
     """The product u v on an algebra with basis products ``table``:
-    {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k."""
-    out = [field.zero] * dim
-    right = support(v)
-    for i, a in support(u):
-        for j, b in right:
-            terms = table.get((i, j))
-            if terms:
-                ab = a * b
-                for k, s in terms:
-                    out[k] = out[k] + ab * s
-    return tuple(out)
+    {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k.  u and v are given
+    by the (index, entry) pairs of their nonzero coordinates, and so is the
+    product, as a sparse vector {index: entry}."""
+    right = list(v)
+    return combine((a * b, table[i, j]) for i, a in u for j, b in right if (i, j) in table)
 
 
 def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:
     """The matrix of v -> u v (or v -> v u when ``left`` is false) on an algebra
     with basis products ``table``: {(i, j): [(k, s), ...]} for
     e_i e_j = sum of s e_k.  Column j, u e_j (or e_j u), is read off the
-    nonzero entries of u and the table."""
-    data = [[field.zero] * dim for _ in range(dim)]
+    nonzero entries of u and the table, straight into sparse rows."""
+    rows: list[dict[int, Scalar]] = [{} for _ in range(dim)]
     for i, a in support(u):
         for j in range(dim):
             terms = table.get((i, j) if left else (j, i))
             if terms:
                 for k, s in terms:
-                    data[k][j] = data[k][j] + a * s
-    return Mat(field, data, dim)
+                    t = a * s
+                    row = rows[k]
+                    row[j] = row[j] + t if j in row else t
+    zv = field.zero.v
+    return Mat.from_sparse_rows(field, [{j: a for j, a in r.items() if a.v != zv} for r in rows], dim)
 
 
 def _unit_law_failures(K: AlgebraK) -> list[str]:
@@ -495,15 +492,23 @@ def scalar_algebra(field: Field) -> AlgebraK:
 
 
 class Endo:
-    """Algebra endomorphism of K given by its matrix on the basis."""
+    """Algebra endomorphism of K given by its matrix on the basis.
+
+    Its powers are computed once each, and equal powers are one object: each
+    new power is looked up by the payloads of its nonzero entries, so caches
+    keyed on a power (the twisted invariants, the folding of the resolution)
+    key it by identity and never hash its entries again."""
 
     def __init__(self, alg: AlgebraK, matrix: Mat):
         if matrix.rows != alg.dim or matrix.cols != alg.dim:
             raise AlgebraError("endomorphism matrix must be dim x dim")
         self.alg = alg
         self.matrix = matrix
-        self._powers: dict[int, Mat] = {0: Mat.identity(alg.field, alg.dim), 1: matrix}
-        self._invariants: dict[tuple, Mat] = {}  # alpha^r entries -> twisted_invariants_k
+        self._distinct: dict[tuple, Mat] = {}  # payloads of a power -> that power
+        self._powers: dict[int, Mat] = {}
+        for r, P in enumerate((Mat.identity(alg.field, alg.dim), matrix)):
+            self._powers[r] = self._distinct.setdefault(_payload_key(P), P)
+        self._invariants: dict[int, Mat] = {}  # id of alpha^r -> twisted_invariants_k
 
     def apply(self, u: tuple) -> tuple:
         return self.matrix.matvec(u)
@@ -512,7 +517,8 @@ class Endo:
         if r < 0:
             raise AlgebraError("negative twist exponent")
         if r not in self._powers:
-            self._powers[r] = self.power_matrix(r - 1).matmul(self.matrix)
+            P = self.power_matrix(r - 1).matmul(self.matrix)
+            self._powers[r] = self._distinct.setdefault(_payload_key(P), P)
         return self._powers[r]
 
     def apply_power(self, r: int, u: tuple) -> tuple:
@@ -595,6 +601,11 @@ class Endo:
                 failures.append(f"multiplicativity fails at pair ({i},{j})")
                 return ValidationReport(False, tuple(failures))
         return ValidationReport(not failures, tuple(failures))
+
+
+def _payload_key(A: Mat) -> tuple:
+    """A key equal for two matrices of one field exactly when they are equal."""
+    return tuple(tuple((j, a.v) for j, a in row) for row in sparse_rows(A))
 
 
 def identity_endo(alg: AlgebraK) -> Endo:
@@ -731,11 +742,6 @@ def rotation_endo(K: AlgebraK, cos: Scalar, sin: Scalar, cos_half: Scalar, sin_h
     return alpha
 
 
-def sparse_rows(A: Mat) -> list[list[tuple[int, Scalar]]]:
-    """The nonzero (column, entry) pairs of each row of A."""
-    return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A.data]
-
-
 def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
                    generators: tuple[int, ...] | None) -> Mat:
     """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
@@ -760,24 +766,21 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
     generators' constraints cut out the same space as all of them.  The
     reduced free-variable basis of a space is unique, so the columns are the
     same as from every constraint, not only their span."""
-    zero = field.zero
+    zv = field.zero.v
     tracker = EchelonTracker(field, dim)
     for b in range(len(right)) if generators is None else generators:
         R = right[b]
-        terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
+        terms = [(t, left[c]) for c, t in support(twist.column(b))]
         for i in range(dim):
             row = dict(R[i])
             for t, L in terms:
                 for j, a in L[i]:
                     row[j] = row[j] - t * a if j in row else -(t * a)
-            if all(a.is_zero() for a in row.values()):
-                continue
-            dense = [zero] * dim
-            for j, a in row.items():
-                dense[j] = a
-            tracker.add(tuple(dense))
-            if tracker.dim == dim:
-                return tracker.kernel()
+            row = {j: a for j, a in row.items() if a.v != zv}
+            if row:
+                tracker.add(row)
+                if tracker.dim == dim:
+                    return tracker.kernel()
     return tracker.kernel()
 
 
@@ -785,14 +788,14 @@ def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
     """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns: the
     twisted invariants of K as a bimodule over itself, solved from the
     constraints of ``alpha.generators`` (see ``twisted_kernel``).  Cached on
-    alpha, keyed by the exact entries of alpha^r, so equal twist powers share
-    one solve."""
+    alpha, keyed by the power alpha^r, which is one object for equal powers,
+    so equal twist powers share one solve."""
     if K is not alpha.alg:
         raise AlgebraError("the twist is an endomorphism of another algebra")
     twist = alpha.power_matrix(r)
-    basis = alpha._invariants.get(twist.data)
+    basis = alpha._invariants.get(id(twist))
     if basis is None:
-        basis = alpha._invariants[twist.data] = twisted_kernel(
+        basis = alpha._invariants[id(twist)] = twisted_kernel(
             K.field, K.dim, *K.sparse_actions, twist, alpha.generators
         )
     return basis

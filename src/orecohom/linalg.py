@@ -1,13 +1,19 @@
 """Deterministic exact linear algebra over the fields in :mod:`orecohom.fields`.
 
 Vectors are tuples of :class:`~orecohom.fields.Scalar`; matrices are immutable
-row grids.  Pivoting always selects the first nonzero entry, so every basis
+row grids that keep their sparse rows once read: for each row the (column,
+entry) pairs of its nonzero entries, in column order.  Sparse vectors, and
+the rows of the eliminations and of a solver, are dicts {index: nonzero
+entry}.  The inner loops touch only nonzero entries and test for zero on the
+payload (``x.v == field.zero.v``), which is exact because payloads are
+canonical.  Pivoting always selects the first nonzero entry, so every basis
 this module emits is reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 
 from .fields import Field, Scalar
 
@@ -17,58 +23,72 @@ class LinalgError(ValueError):
 
 
 def vadd(a: tuple, b: tuple) -> tuple:
+    zv = a[0].field.zero.v if a else None
     return tuple(
-        y if x.is_zero() else x if y.is_zero() else x + y
+        y if x.v == zv else x if y.v == zv else x + y
         for x, y in zip(a, b, strict=True)
     )
 
 
 def vscale(s: Scalar, a: tuple) -> tuple:
-    if s.is_zero():
+    zv = s.field.zero.v
+    if s.v == zv:
         return (s,) * len(a)
-    return tuple(x if x.is_zero() else s * x for x in a)
+    return tuple(x if x.v == zv else s * x for x in a)
 
 
 def support(v: tuple) -> list[tuple[int, Scalar]]:
     """The nonzero entries of v as (index, entry) pairs, in index order."""
-    return [(j, x) for j, x in enumerate(v) if not x.is_zero()]
+    zv = v[0].field.zero.v if v else None
+    return [(j, x) for j, x in enumerate(v) if x.v != zv]
 
 
 def combine(terms) -> dict[int, Scalar]:
     """The sum of c * v over the (c, v) in ``terms``, each v a sparse vector
-    {index: entry}, as a sparse vector with its zero entries dropped."""
+    {index: entry} or its (index, entry) pairs, as a sparse vector with its
+    zero entries dropped."""
     out: dict[int, Scalar] = {}
     for c, v in terms:
-        for k, s in v.items():
+        for k, s in v.items() if isinstance(v, dict) else v:
             t = c * s
             out[k] = out[k] + t if k in out else t
-    return {k: s for k, s in out.items() if not s.is_zero()}
+    if not out:
+        return out
+    zv = next(iter(out.values())).field.zero.v
+    return {k: s for k, s in out.items() if s.v != zv}
 
 
-def is_zero_vec(a: tuple) -> bool:
-    return all(x.is_zero() for x in a)
+def _accumulate(out: dict, c: Scalar, pairs, zv) -> None:
+    """out -= c * v in place, for the sparse vector v given by its (index,
+    entry) pairs; entries that cancel are dropped."""
+    c = -c
+    for j, x in pairs:
+        t = out[j] + c * x if j in out else c * x
+        if t.v == zv:
+            del out[j]
+        else:
+            out[j] = t
 
 
-def _dot_rows(field: Field, rows, nonzero: list[tuple[int, Scalar]]) -> tuple:
-    """Each row dotted with the vector whose nonzero entries are ``nonzero``."""
-    out = []
-    for row in rows:
-        s = field.zero
-        for j, x in nonzero:
-            a = row[j]
-            if not a.is_zero():
-                s = s + a * x
-        out.append(s)
-    return tuple(out)
+def sparse_rows(A: "Mat") -> list[list[tuple[int, Scalar]]]:
+    """The nonzero (column, entry) pairs of each row of A, in column order;
+    read once per matrix and kept on it."""
+    rows = A._sparse
+    if rows is None:
+        zv = A.field.zero.v
+        rows = A._sparse = [[(j, a) for j, a in enumerate(row) if a.v != zv] for row in A.data]
+    return rows
 
 
 class Mat:
     """Immutable rectangular matrix with entries in a single field.
 
     The entries are taken as given and must be Scalars of ``field``; coerce
-    raw values with :meth:`Field.scalar` before building a matrix."""
+    raw values with :meth:`Field.scalar` before building a matrix.  Its
+    ``sparse_rows`` are computed on first read and kept, since the entries
+    never change."""
 
-    __slots__ = ("field", "data", "rows", "cols")
+    __slots__ = ("field", "data", "rows", "cols", "_sparse")
 
     def __init__(self, field: Field, data, cols: int | None = None):
         rows = tuple(tuple(row) for row in data)
@@ -85,6 +105,7 @@ class Mat:
         self.data = rows
         self.rows = len(rows)
         self.cols = cols
+        self._sparse = None
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
@@ -108,6 +129,22 @@ class Mat:
             len(columns),
         )
 
+    @classmethod
+    def from_sparse_rows(cls, field: Field, rows, cols: int) -> "Mat":
+        """The matrix whose row i has the nonzero entries rows[i], a dict
+        {column: nonzero entry}; its sparse rows are kept."""
+        z = field.zero
+        sparse = [sorted(r.items()) for r in rows]
+        data = []
+        for r in sparse:
+            row = [z] * cols
+            for j, a in r:
+                row[j] = a
+            data.append(row)
+        M = cls(field, data, cols)
+        M._sparse = sparse
+        return M
+
     def column(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -121,17 +158,18 @@ class Mat:
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
             raise LinalgError("shape mismatch in matvec")
-        return _dot_rows(self.field, self.data, support(v))
+        zv, z = self.field.zero.v, self.field.zero
+        terms = [[a * v[j] for j, a in row if v[j].v != zv] for row in sparse_rows(self)]
+        return tuple(sum(t[1:], t[0]) if t else z for t in terms)
 
     def matmul(self, other: "Mat") -> "Mat":
+        """Row i of the product is the combination of the sparse rows of
+        ``other`` by the nonzero entries of row i."""
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
-        cols = other.transpose().data
-        return Mat(
-            self.field,
-            [_dot_rows(self.field, cols, support(row)) for row in self.data],
-            other.cols,
-        )
+        right = sparse_rows(other)
+        out = [combine((a, right[k]) for k, a in row) for row in sparse_rows(self)]
+        return Mat.from_sparse_rows(self.field, out, other.cols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -146,7 +184,7 @@ class Mat:
         return Mat(self.field, [vscale(s, r) for r in self.data], self.cols)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(sparse_rows(self))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -171,10 +209,10 @@ class Mat:
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot cols)."""
     t = EchelonTracker(M.field, M.cols)
-    for row in M.data:
-        t.add(row)
-    zero = (M.field.zero,) * M.cols
-    return Mat(M.field, t.rows + [zero] * (M.rows - t.dim), M.cols), list(t.lead)
+    for row in sparse_rows(M):
+        t.add(dict(row))
+    rows = t.rows + [{}] * (M.rows - t.dim)
+    return Mat.from_sparse_rows(M.field, rows, M.cols), list(t.lead)
 
 
 def rank(M: Mat) -> int:
@@ -184,24 +222,23 @@ def rank(M: Mat) -> int:
 def kernel_basis(M: Mat) -> Mat:
     """Columns form a basis of the null space of M (the standard free-variable basis)."""
     R, pivots = rref(M)
-    return _free_basis(M.field, M.cols, R.data, pivots)
+    return _free_basis(M.field, M.cols, sparse_rows(R), pivots)
 
 
 def _free_basis(field: Field, n: int, rows, lead: list[int]) -> Mat:
-    """The free-variable null space basis of reduced echelon rows with leading
-    columns ``lead``: for each free column fc, a one at fc and minus row i's
-    entry at fc in column lead[i]."""
+    """The free-variable null space basis of reduced echelon rows, given as
+    (column, entry) pairs, with leading columns ``lead``: for each free
+    column fc, a one at fc and minus row i's entry at fc in column lead[i].
+    A row is zero at the other rows' leading columns, so its entries off its
+    own lead are at free columns."""
     pivots = set(lead)
-    cols = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [field.zero] * n
-        v[fc] = field.one
-        for row, pc in zip(rows, lead):
-            v[pc] = -row[fc]
-        cols.append(tuple(v))
-    return Mat.from_columns(field, cols, n)
+    free = {fc: k for k, fc in enumerate(fc for fc in range(n) if fc not in pivots)}
+    out: list[dict] = [{} for _ in range(n)]
+    for fc, k in free.items():
+        out[fc] = {k: field.one}
+    for row, pc in zip(rows, lead):
+        out[pc] = {free[j]: -x for j, x in row if j != pc}
+    return Mat.from_sparse_rows(field, out, len(free))
 
 
 def solve(M: Mat, b: tuple) -> tuple | None:
@@ -214,35 +251,45 @@ class LinSolver:
 
     The rows of [M | I] go through one echelon with its pivots in M's
     columns.  A reduced row [R_i | E_i] keeps E_i M = R_i; a row whose M part
-    reduces to zero leaves its E_i, unnormalised, in the left null space of M."""
+    reduces to zero leaves its E_i, unnormalised, in the left null space of M.
+    ``E`` holds each E_i as a sparse row {column: nonzero entry}: first the
+    rows of the rref, in pivot order, then the null rows."""
 
     def __init__(self, M: Mat):
         self.M = M
-        field, n, m = M.field, M.cols, M.rows
-        t = EchelonTracker(field, n + m, pivot_cols=n)
+        field, n = M.field, M.cols
+        t = EchelonTracker(field, n + M.rows, pivot_cols=n)
         null = []
-        for i, row in enumerate(M.data):
-            unit = [field.zero] * m
-            unit[i] = field.one
-            v = t.reduce(row + tuple(unit))
-            if not t._insert(v):
-                null.append(v[n:])
+        for i, row in enumerate(sparse_rows(M)):
+            w = dict(row)
+            w[n + i] = field.one
+            t._reduce(w)
+            if not t._insert(w):
+                null.append(w)
         self.pivots = list(t.lead)
         self.rank = t.dim
-        self.E = [row[n:] for row in t.rows] + null  # E @ M is the rref
+        self.E = [{j - n: e for j, e in row.items() if j >= n} for row in t.rows + null]
 
     def solve(self, b: tuple) -> tuple | None:
         if len(b) != self.M.rows:
             raise LinalgError("shape mismatch in solve")
-        field = self.M.field
-        y = _dot_rows(field, self.E, support(b))
-        for i in range(self.rank, self.M.rows):
-            if not y[i].is_zero():
-                return None
-        x = [field.zero] * self.M.cols
-        for i, c in enumerate(self.pivots):
-            x[c] = y[i]
+        y = combine((x, self._columns[j]) for j, x in support(b))  # E b
+        if any(i >= self.rank for i in y):
+            return None
+        x = [self.M.field.zero] * self.M.cols
+        for i, s in y.items():
+            x[self.pivots[i]] = s
         return tuple(x)
+
+    @functools.cached_property
+    def _columns(self) -> list[dict[int, Scalar]]:
+        """E by columns, {row: entry} each, so a solve reads only the columns
+        at the nonzero entries of b."""
+        cols: list[dict[int, Scalar]] = [{} for _ in range(self.M.rows)]
+        for i, row in enumerate(self.E):
+            for j, e in row.items():
+                cols[j][i] = e
+        return cols
 
 
 class EchelonTracker:
@@ -252,16 +299,17 @@ class EchelonTracker:
     The rows lead at their first nonzero entry, which is a one, and are zero
     in every other row's leading column, so they depend only on the span
     added.  Leading columns lie among the first ``pivot_cols`` (default: all).
-    Each row keeps the indices of its nonzero entries, so eliminating with it
-    touches only those."""
+    Each row is sparse, a dict {column: nonzero entry}, so eliminating with
+    it touches only its nonzero entries, and reducing a vector touches only
+    the rows that lead at one of its nonzero entries."""
 
     def __init__(self, field: Field, n: int, pivot_cols: int | None = None):
         self.field = field
         self.n = n
         self.pivot_cols = n if pivot_cols is None else pivot_cols
-        self.rows: list[tuple] = []
+        self.rows: list[dict[int, Scalar]] = []
         self.lead: list[int] = []
-        self._support: list[list[int]] = []
+        self._by_lead: dict[int, dict[int, Scalar]] = {}
 
     @classmethod
     def of_columns(cls, M: Mat) -> "EchelonTracker":
@@ -271,53 +319,53 @@ class EchelonTracker:
             t.add(c)
         return t
 
-    def reduce(self, v: tuple) -> tuple:
-        v = list(v)
-        for row, c, support in zip(self.rows, self.lead, self._support):
-            f = v[c]
-            if not f.is_zero():
-                for j in support:
-                    v[j] = v[j] - f * row[j]
-        return tuple(v)
+    def _reduce(self, w: dict) -> None:
+        """Reduce the sparse vector w in place by every row.  A row adds
+        entries only off the other rows' leading columns, so the rows that
+        take part are those leading at an entry of w to begin with."""
+        by_lead, zv = self._by_lead, self.field.zero.v
+        for c in [c for c in w if c in by_lead]:
+            _accumulate(w, w[c], by_lead[c].items(), zv)
 
     def contains(self, v: tuple) -> bool:
-        return is_zero_vec(self.reduce(v))
+        w = dict(support(v))
+        self._reduce(w)
+        return not w
 
-    def add(self, v: tuple) -> bool:
-        """Insert v; True when it joined the echelon (for full pivot columns:
-        when the span grew)."""
-        if len(v) != self.n:
+    def add(self, v) -> bool:
+        """Insert v, a tuple of length n or a sparse vector {index: nonzero
+        entry}; True when it joined the echelon (for full pivot columns: when
+        the span grew)."""
+        if isinstance(v, dict):
+            w = dict(v)
+        elif len(v) != self.n:
             raise LinalgError("vector length mismatch")
-        return self._insert(self.reduce(v))
+        else:
+            w = dict(support(v))
+        self._reduce(w)
+        return self._insert(w)
 
-    def _insert(self, v: tuple) -> bool:
-        """Join a vector already reduced by every row, normalised at its
-        leading entry, and clear its leading column from the other rows."""
-        support = [j for j, x in enumerate(v) if not x.is_zero()]
-        if not support or support[0] >= self.pivot_cols:
+    def _insert(self, w: dict) -> bool:
+        """Join a sparse vector already reduced by every row, normalised at
+        its leading entry, and clear its leading column from the other rows."""
+        if not w:
             return False
-        c = support[0]
-        inv = v[c].inv()
-        v = list(v)
-        for j in support:
-            v[j] = inv * v[j]
-        v = tuple(v)
-        touched = set(support)
-        for i, row in enumerate(self.rows):
-            f = row[c]
-            if not f.is_zero():
-                new = list(row)
-                for j in support:
-                    new[j] = new[j] - f * v[j]
-                self.rows[i] = tuple(new)
-                # entries off v's support are unchanged
-                self._support[i] = [j for j in self._support[i] if j not in touched] + [
-                    j for j in support if not new[j].is_zero()
-                ]
+        c = min(w)
+        if c >= self.pivot_cols:
+            return False
+        field = self.field
+        if w[c].v != field.one.v:
+            inv = w[c].inv()
+            w = {j: inv * x for j, x in w.items()}
+        zv = field.zero.v
+        for row in self.rows:
+            f = row.get(c)
+            if f is not None:
+                _accumulate(row, f, w.items(), zv)
         pos = bisect.bisect(self.lead, c)
-        self.rows.insert(pos, v)
+        self.rows.insert(pos, w)
         self.lead.insert(pos, c)
-        self._support.insert(pos, support)
+        self._by_lead[c] = w
         return True
 
     def extend(self, M: Mat) -> Mat:
@@ -326,7 +374,7 @@ class EchelonTracker:
 
     def kernel(self) -> Mat:
         """The free-variable basis of the null space of the rows, as columns."""
-        return _free_basis(self.field, self.n, self.rows, self.lead)
+        return _free_basis(self.field, self.n, [r.items() for r in self.rows], self.lead)
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,7 @@ import itertools
 
 from .fields import Field, Scalar
 from .kalgebra import AlgebraK, Endo, KElem, ValidationReport, table_mul
-from .linalg import combine, support, vadd, vscale
+from .linalg import combine, support, vadd
 
 
 class MonogenicError(ValueError):
@@ -60,9 +60,14 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
 class AElem:
     """Element of A in normal form: coordinates over {lambda_b x^a}.
 
-    The coordinates are taken as given and must be Scalars of A's field."""
+    ``coords`` is the dense tuple of coordinates, taken as given: Scalars of
+    A's field.  The element also carries its nonzero coordinates, {flat
+    index: entry}: products, sums, scalings and the basis builders of the
+    algebra (``monomial``, ``k_embed``, ``basis_vector``) make them along
+    with ``coords``; an element built from ``coords`` alone computes them on
+    first read.  Products and sums read only those entries."""
 
-    __slots__ = ("alg", "coords")
+    __slots__ = ("alg", "coords", "_nz")
 
     def __init__(self, alg: "MonogenicAlgebra", coords):
         coords = tuple(coords)
@@ -70,26 +75,46 @@ class AElem:
             raise MonogenicError("coordinate length mismatch")
         self.alg = alg
         self.coords = coords
+        self._nz = None
+
+    @classmethod
+    def _of(cls, alg: "MonogenicAlgebra", nz: dict) -> "AElem":
+        """The element with the nonzero coordinates nz, {flat index: entry}."""
+        coords = [alg.field.zero] * alg.adim
+        for i, s in nz.items():
+            coords[i] = s
+        out = cls.__new__(cls)
+        out.alg, out.coords, out._nz = alg, tuple(coords), nz
+        return out
+
+    def _nonzero(self) -> dict:
+        nz = self._nz
+        if nz is None:
+            zv = self.alg.field.zero.v
+            nz = self._nz = {i: s for i, s in enumerate(self.coords) if s.v != zv}
+        return nz
 
     def __add__(self, other):
-        return AElem(self.alg, vadd(self.coords, other.coords))
+        one = self.alg.field.one
+        return AElem._of(self.alg, combine([(one, self._nonzero()), (one, other._nonzero())]))
 
     def __sub__(self, other):
-        return AElem(self.alg, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        one = self.alg.field.one
+        return AElem._of(self.alg, combine([(one, self._nonzero()), (-one, other._nonzero())]))
 
     def __neg__(self):
-        return AElem(self.alg, tuple(-a for a in self.coords))
+        return AElem._of(self.alg, {i: -s for i, s in self._nonzero().items()})
 
     def __mul__(self, other):
         if isinstance(other, AElem):
             return self.alg.a_mul(self, other)
-        return AElem(self.alg, vscale(self.alg.field.scalar(other), self.coords))
+        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self._nonzero())]))
 
     def __rmul__(self, other):
-        return AElem(self.alg, vscale(self.alg.field.scalar(other), self.coords))
+        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self._nonzero())]))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        return not self._nonzero()
 
     def k_coeff(self, a: int) -> KElem:
         """The K-coefficient of x^a."""
@@ -98,7 +123,7 @@ class AElem:
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
-        return [a for a in range(self.alg.n) if not self.k_coeff(a).is_zero()]
+        return sorted({i // self.alg.K.dim for i in self._nonzero()})
 
     def __eq__(self, other):
         return isinstance(other, AElem) and self.alg is other.alg and self.coords == other.coords
@@ -142,16 +167,16 @@ class MonogenicAlgebra:
 
     def basis_vector(self, i: int) -> AElem:
         """The flat basis element lambda_b x^a, i = a*dimK + b."""
-        coords = [self.field.zero] * self.adim
-        coords[i] = self.field.one
-        return AElem(self, coords)
+        if not 0 <= i < self.adim:
+            raise IndexError("basis index out of range")
+        return AElem._of(self, {i: self.field.one})
 
     @functools.cached_property
     def one(self) -> AElem:
         return self.k_embed(KElem(self.K, self.K.unit))
 
     def zero_elem(self) -> AElem:
-        return AElem(self, (self.field.zero,) * self.adim)
+        return AElem._of(self, {})
 
     def k_embed(self, u) -> AElem:
         return self.monomial(u, 0)
@@ -163,10 +188,10 @@ class MonogenicAlgebra:
             u = KElem(self.K, u)
         else:
             u = self.K.elem(u)
-        coords = [self.field.zero] * self.adim
-        for b, c in enumerate(u.coords):
-            coords[self.idx(b, a)] = c
-        return AElem(self, coords)
+        if not 0 <= a < self.n:
+            raise IndexError("x-degree out of range")
+        zv, base = self.field.zero.v, a * self.K.dim
+        return AElem._of(self, {base + b: c for b, c in enumerate(u.coords) if c.v != zv})
 
     @functools.cached_property
     def x(self) -> AElem:
@@ -247,16 +272,18 @@ class MonogenicAlgebra:
     # -- arithmetic ----------------------------------------------------------
 
     def a_mul(self, a: AElem, b: AElem) -> AElem:
-        return AElem(self, table_mul(self.field, self.adim, self.mul_table, a.coords, b.coords))
+        """The product on the compiled table, read on the nonzero
+        coordinates of both factors."""
+        return AElem._of(self, table_mul(self.mul_table, a._nonzero().items(), b._nonzero().items()))
 
     def xpow(self, m: int) -> AElem:
         """Normal form of x^m in A, any m >= 0."""
-        out = [self.field.zero] * self.adim
         if m <= 2 * self.n:
-            for j, cj in enumerate(self.xpow_nf[m]):
-                for b, c in enumerate(cj):
-                    out[self.idx(b, j)] = c
-            return AElem(self, out)
+            zv = self.field.zero.v
+            return AElem._of(self, {
+                self.idx(b, j): c
+                for j, cj in enumerate(self.xpow_nf[m]) for b, c in enumerate(cj) if c.v != zv
+            })
         half = self.xpow(m // 2)
         rest = self.xpow(m - m // 2)
         return self.a_mul(half, rest)
@@ -294,7 +321,8 @@ class TensorElem:
     def __init__(self, alg: MonogenicAlgebra, twist: int, coords: dict):
         self.alg = alg
         self.twist = twist
-        self.coords = {i: s for i, s in coords.items() if not s.is_zero()}
+        zv = alg.field.zero.v
+        self.coords = {i: s for i, s in coords.items() if s.v != zv}
 
     @classmethod
     def zero(cls, alg: MonogenicAlgebra, twist: int) -> "TensorElem":
@@ -304,7 +332,7 @@ class TensorElem:
     def from_blocks(cls, alg: MonogenicAlgebra, twist: int, blocks: dict) -> "TensorElem":
         """sum_c u_c (x) x^c for the entries c: u_c of ``blocks``."""
         adim = alg.adim
-        coords = {c * adim + i: s for c, u in blocks.items() for i, s in enumerate(u.coords)}
+        coords = {c * adim + i: s for c, u in blocks.items() for i, s in u._nonzero().items()}
         return cls(alg, twist, coords)
 
     @classmethod
@@ -316,12 +344,18 @@ class TensorElem:
         return sorted({flat // self.alg.adim for flat in self.coords})
 
     def left_factor(self, c: int) -> AElem:
-        base = c * self.alg.adim
-        out = [self.alg.field.zero] * self.alg.adim
-        for i, s in self.coords.items():
-            if base <= i < base + self.alg.adim:
-                out[i - base] = s
-        return AElem(self.alg, out)
+        adim = self.alg.adim
+        base = c * adim
+        part = {i - base: s for i, s in self.coords.items() if base <= i < base + adim}
+        return AElem._of(self.alg, part)
+
+    def _blocks(self) -> dict[int, AElem]:
+        """The nonzero left factors {c: u_c}, by ascending c."""
+        adim, parts = self.alg.adim, {}
+        for flat, s in self.coords.items():
+            c, i = divmod(flat, adim)
+            parts.setdefault(c, {})[i] = s
+        return {c: AElem._of(self.alg, parts[c]) for c in sorted(parts)}
 
     def add_scaled(self, other: "TensorElem", s: Scalar | None = None) -> "TensorElem":
         """self + s * other (s = None stands for 1)."""
@@ -360,7 +394,7 @@ class TensorElem:
 
     def leftmul(self, a: AElem) -> "TensorElem":
         """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
-        blocks = {c: a * self.left_factor(c) for c in self.powers()}
+        blocks = {c: a * u for c, u in self._blocks().items()}
         return TensorElem.from_blocks(self.alg, self.twist, blocks)
 
     def rightmul_k(self, mu) -> "TensorElem":
@@ -369,8 +403,8 @@ class TensorElem:
         alg = self.alg
         mu = alg.K.elem(mu).coords
         blocks = {
-            c: self.left_factor(c) * alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
-            for c in self.powers()
+            c: u * alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
+            for c, u in self._blocks().items()
         }
         return TensorElem.from_blocks(alg, self.twist, blocks)
 
@@ -378,10 +412,10 @@ class TensorElem:
         """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
         x^n = sum_j kappa_j x^j and becomes sum_j u_{n-1} alpha^t(kappa_j) (x) x^j."""
         alg, n = self.alg, self.alg.n
-        powers = self.powers()
-        blocks = {c + 1: self.left_factor(c) for c in powers if c + 1 < n}
-        if powers and powers[-1] == n - 1:
-            top = self.left_factor(n - 1)
+        factors = self._blocks()
+        blocks = {c + 1: u for c, u in factors.items() if c + 1 < n}
+        top = factors.get(n - 1)
+        if top is not None:
             for j, kappa in enumerate(alg.xpow_nf[n]):
                 if all(v.is_zero() for v in kappa):
                     continue
@@ -396,7 +430,7 @@ class TensorElem:
         return out
 
     def __repr__(self):
-        terms = [f"({self.left_factor(c)}) (x) x^{c}" for c in self.powers()]
+        terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
         return " + ".join(terms) if terms else "0"
 
 
@@ -461,7 +495,7 @@ class Resolution:
         self.tdim = alg.adim * alg.n
         self._generators: dict[int, TensorElem] = {}
         self._folds: dict[int, int] = {}  # degree -> its fold class
-        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, alpha^{t(r-1)}) -> class
+        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, id of alpha^{t(r-1)}) -> class
         self._d_cols: dict[tuple[int, int], TensorElem] = {}  # (class, flat) -> column
         self._s_cols: dict[tuple[int, int], TensorElem] = {}
 
@@ -474,7 +508,7 @@ class Resolution:
         twist tag of their columns."""
         cls = self._folds.get(r)
         if cls is None:
-            key = r % 2, self.alg.alpha.power_matrix(self.twist(r - 1)).data
+            key = r % 2, id(self.alg.alpha.power_matrix(self.twist(r - 1)))
             cls = self._folds[r] = self._fold_keys.setdefault(key, len(self._fold_keys))
         return cls
 
@@ -511,11 +545,14 @@ class Resolution:
             self._d_cols[key] = col
         return self._tagged(col, self.twist(r - 1))
 
+    def _apply(self, column, r: int, t: TensorElem, twist: int) -> TensorElem:
+        """sum of s * column(r, flat) over the entries flat: s of t, summed
+        into one dict."""
+        out = combine((s, column(r, flat).coords) for flat, s in t.coords.items())
+        return TensorElem(self.alg, twist, out)
+
     def apply_d(self, r: int, t: TensorElem) -> TensorElem:
-        out = TensorElem.zero(self.alg, self.twist(r - 1))
-        for flat, s in t.coords.items():
-            out = out.add_scaled(self.d_column(r, flat), s)
-        return out
+        return self._apply(self.d_column, r, t, self.twist(r - 1))
 
     def s_column(self, r: int, flat: int) -> TensorElem:
         """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
@@ -537,17 +574,14 @@ class Resolution:
         return self._tagged(col, self.twist(r))
 
     def apply_s(self, r: int, t: TensorElem) -> TensorElem:
-        out = TensorElem.zero(self.alg, self.twist(r))
-        for flat, s in t.coords.items():
-            out = out.add_scaled(self.s_column(r, flat), s)
-        return out
+        return self._apply(self.s_column, r, t, self.twist(r))
 
     def augmentation(self, t: TensorElem) -> AElem:
         """The multiplication map from degree 0 to A."""
         alg = self.alg
         out = alg.zero_elem()
-        for c in t.powers():
-            out = out + t.left_factor(c) * alg.xpow(c)
+        for c, u in t._blocks().items():
+            out = out + u * alg.xpow(c)
         return out
 
     def sigma0(self, a: AElem) -> TensorElem:

@@ -24,6 +24,7 @@ agreement of the two routes still compares independent computations.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .cohomology import SmallComplex, cohomology_group, twisted_invariants
 from .kalgebra import Endo, KElem, ValidationReport
@@ -335,7 +336,7 @@ class BarOracle:
 
     def __init__(self, alg: MonogenicAlgebra):
         self.alg = alg
-        self._ids: dict[tuple, int] = {}  # (degree, value coordinates) -> cochain id
+        self._ids: dict[tuple, int] = {}  # (degree, payloads of the value) -> cochain id
         self._cochains: list[SmallCochain] = []  # id -> the cochain
         self._lifts: list[dict] = []  # id -> {bar index: psi value}
         self._phi: dict[int, dict] = {}  # degree -> phi_closed
@@ -345,7 +346,7 @@ class BarOracle:
     def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
             raise ProductsError("cochain of another algebra than the oracle's")
-        key = m.degree, m.value.coords
+        key = m.degree, tuple(map(operator.attrgetter("v"), m.value.coords))  # payloads, hashed in C
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self._cochains)

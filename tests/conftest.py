@@ -304,7 +304,8 @@ def dense_solve(self, b: tuple) -> tuple | None:
         raise LinalgError("shape mismatch in solve")
     field = self.M.field
     y = []
-    for row in self.E:
+    for sparse in self.E:
+        row = [sparse.get(j, field.zero) for j in range(self.M.rows)]
         s = field.zero
         for e, x in zip(row, b):
             if not e.is_zero() and not x.is_zero():
@@ -1136,7 +1137,8 @@ class DenseLinSolver(LinSolver):
                 break
         self.pivots = pivots
         self.rank = len(pivots)
-        self.E = [row[M.cols:] for row in aug]  # E @ M is the rref
+        # E @ M is the rref; each E_i kept sparse, in the form `solve` reads
+        self.E = [{j: e for j, e in enumerate(row[M.cols:]) if not e.is_zero()} for row in aug]
 
 
 # -- the field payload the integer one replaced ---------------------------------

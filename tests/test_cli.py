@@ -242,6 +242,38 @@ def test_malformed_spec_exits_2_from_every_verb(tmp_path, capsys, verb, case):
     assert reason in capsys.readouterr().err
 
 
+# K = Q x Q on its idempotents e1, e2, with alpha(e1) = e1 + e2 and
+# alpha(e2) = 0: alpha fixes the unit and is multiplicative, but it is not
+# invertible.
+NON_INVERTIBLE_TWIST = {
+    "field": {"kind": "Q"},
+    "K": {"kind": "table", "dim": 2, "basis": ["e1", "e2"], "unit": [1, 1],
+          "mul": [[0, 0, 0, 1], [1, 1, 1, 1]]},
+    "alpha": {"kind": "matrix", "matrix": [[1, 0], [1, 0]]},
+    "f": {"n": 2, "coeffs": [[0, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_non_invertible_twist_is_refused_by_every_verb(tmp_path, capsys, verb):
+    """`validate` and `report` fail the twist check; the other verbs refuse
+    the spec on an `error:` line naming that failure, from the same list of
+    checks."""
+    p = tmp_path / "non_invertible.json"
+    p.write_text(json.dumps(NON_INVERTIBLE_TWIST))
+    inst = load_instance(str(p))
+    assert inst.alpha.validate().ok and not inst.alpha.is_automorphism
+    assert main([verb, str(p), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    if verb in ("validate", "report"):
+        v = json.loads(out) if verb == "validate" else json.loads(out)["validate"]
+        by_name = {c["name"]: c for c in v["checks"]}
+        assert not v["ok"] and by_name["twist"]["failures"] == ["twist matrix is not invertible"]
+        assert by_name["coefficient-algebra"]["ok"] and by_name["defining-polynomial"]["ok"]
+    else:
+        assert out == "" and err == "error: twist matrix is not invertible\n"
+
+
 @pytest.mark.parametrize("verb", ["products", "theorems", "report"])
 @pytest.mark.parametrize(
     "flag, reason",

@@ -5,8 +5,9 @@ report the check as failed, while the same run without the mutation passes.
 
 The closed-vs-oracle agreements run with the run's bar oracle in place, so
 these entries also show that sharing the oracle's work does not let one route
-stand in for the other.  The last test breaks the resolution itself, which
-both `validate` and the small complex read."""
+stand in for the other.  The last tests break the resolution itself: its
+generator, which both `validate` and the small complex read, and its
+contracting homotopy, which `validate` checks."""
 
 import json
 from pathlib import Path
@@ -106,3 +107,27 @@ def test_odd_generator_mutation_reaches_validate_and_cohomology(monkeypatch, cap
     assert rows["contraction"] is False
     cli.main(["cohomology", spec])
     assert capsys.readouterr().out != before
+
+
+def doubled_sigma_column(monkeypatch):
+    """Every column of sigma_r doubled."""
+    s_column = Resolution.s_column
+
+    def mutated(self, r, flat):
+        col = s_column(self, r, flat)
+        return col + col
+
+    monkeypatch.setattr(Resolution, "s_column", mutated)
+
+
+@pytest.mark.parametrize("spec", ["sweedler.json", "gh4_u3.json"])
+def test_wrong_sigma_column_turns_contraction_red(spec, monkeypatch, capsys):
+    """`contraction_check` sums the sigma and d columns of each basis tensor;
+    a wrong sigma turns its row red and leaves every other row as it was."""
+    path = str(SPECS / spec)
+    assert cli.main(["validate", path]) == 0
+    before = {row["name"]: row["ok"] for row in json.loads(capsys.readouterr().out)["checks"]}
+    doubled_sigma_column(monkeypatch)
+    assert cli.main(["validate", path]) == 1
+    rows = {row["name"]: row["ok"] for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert rows == {**before, "contraction": False}

@@ -7,15 +7,22 @@ layer built from the structure constants against its dense loops:
 `algebra_validate`, `Endo.validate`, the multiplication matrices of K,
 `Bimodule.regular` and the compiled table of A.  They run on random vectors
 whose zero patterns are random (all-zero and all-nonzero included) over QQ,
-GF(7), QQ(i) and GF(9), on every canned instance and on every demo spec."""
+GF(7), QQ(i) and GF(9), on every canned instance and on every demo spec.
+
+The nonzero coordinates an element of A carries are checked against its
+dense coordinates for every builder and operation, the tensor sums of the
+resolution against its entrywise columns, and the unit shortcut of
+extension-field products against the full product."""
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import (
     CASES,
     DenseLinSolver,
+    LegacyExtensionField,
     dense_a_mul,
     dense_center_basis,
     dense_compile,
@@ -32,17 +39,19 @@ from conftest import (
     dense_solve,
     dense_vadd,
     dense_vscale,
+    entrywise_d_column,
+    entrywise_s_column,
     legacy_payload,
     pair_loop_validate,
     triple_loop_validate,
 )
 
 from orecohom.cohomology import Bimodule, build_small_complex
-from orecohom.fields import QQ, extension_field, prime_field
+from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
 from orecohom.kalgebra import algebra_validate, sparse_rows
 from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, vadd, vscale
-from orecohom.monogenic import AElem
+from orecohom.monogenic import AElem, Resolution, TensorElem
 
 GF7 = prime_field(7)
 QI = gaussian_rationals()
@@ -270,3 +279,130 @@ def test_equal_bases_share_one_solver(gh4_u3):
         assert C.solvers[r].M is C.bases[r]
         for s in range(8):
             assert (C.solvers[r] is C.solvers[s]) == (C.bases[r] is C.bases[s])
+
+
+# -- the nonzero coordinates of elements of A and tensors ----------------------
+
+
+def carries_its_support(a: AElem) -> bool:
+    """The nonzero coordinates a carries are exactly those of its coords."""
+    return a._nonzero() == {i: c for i, c in enumerate(a.coords) if not c.is_zero()}
+
+
+def test_elements_carry_their_support(case):
+    """Every builder of A and every operation on its elements makes the
+    nonzero coordinates along with the dense ones; an element given by its
+    coords alone computes them when read.  The operations match the dense
+    loops."""
+    alg = case[0]
+    F, K = alg.field, alg.K
+    rng = random.Random(9)
+    built = [alg.basis_vector(i) for i in range(alg.adim)] + [alg.zero_elem(), alg.one, alg.x]
+    built += [alg.k_embed(K.basis_elem(b)) for b in range(K.dim)]
+    built += [alg.monomial(vector(F, K.dim, rng, d), a) for d in DENSITIES for a in range(alg.n)]
+    built += [alg.xpow(m) for m in range(2 * alg.n + 2)]
+    given = [AElem(alg, vector(F, alg.adim, rng, d)) for d in DENSITIES]
+    for a in built:
+        assert a._nz is not None and carries_its_support(a)
+    for bad in (lambda: alg.basis_vector(-1), lambda: alg.monomial(K.unit, alg.n)):
+        with pytest.raises(IndexError):
+            bad()
+    assert all(a._nz is None and carries_its_support(a) for a in given)
+    sample = given + rng.sample(built, 6)
+    scalars = (F.zero, F.one, -F.one, nonzero(F, rng))
+    for a in sample:
+        results = [-a, a - a] + [s * a for s in scalars] + [a * s for s in scalars]
+        assert (-a).coords == tuple(-x for x in a.coords) and (a - a).is_zero()
+        assert all((s * a).coords == (a * s).coords == dense_vscale(s, a.coords) for s in scalars)
+        for b in sample:
+            results += [a + b, a - b, a * b]
+            assert (a + b).coords == dense_vadd(a.coords, b.coords)
+            assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+            assert a * b == dense_a_mul(alg, a, b)
+        assert all(r._nz is not None and carries_its_support(r) for r in results)
+
+
+def test_tensor_sums_match_entrywise(case):
+    """`apply_d` and `apply_s` sum the columns of a tensor into one dict; they
+    equal the entrywise columns summed entry by entry, and the left factors
+    of the tensor carry their nonzero coordinates."""
+    alg = case[0]
+    F, res, rng = alg.field, Resolution(alg, 3), random.Random(10)
+    routes = ((res.apply_d, entrywise_d_column, res.twist, lambda r: res.twist(r - 1)),
+              (res.apply_s, entrywise_s_column, lambda r: res.twist(r - 1), res.twist))
+    for r in (1, 2, 3):
+        for density in (0.0, 0.1, 0.4):
+            for apply, column, source, target in routes:
+                t = TensorElem(alg, source(r), dict(enumerate(vector(F, res.tdim, rng, density))))
+                want: dict = {}
+                for flat, s in t.coords.items():
+                    for i, v in column(res, r, flat).coords.items():
+                        want[i] = want.get(i, F.zero) + s * v
+                assert apply(r, t) == TensorElem(alg, target(r), want)
+                blocks = t._blocks()
+                assert list(blocks) == t.powers()
+                for c, u in blocks.items():
+                    assert u == t.left_factor(c) and u._nz is not None and carries_its_support(u)
+
+
+# -- the unit shortcut of extension-field products -----------------------------
+
+# Q(cbrt 2) is generated by a root of t^3 - 1/2, so its reduction table has
+# the common denominator 2.
+EXTENSIONS = {
+    "QQ(i)": (QQ, [1, 0, 1], "i"),
+    "QQ(cbrt2)": (QQ, [Fraction(-1, 2), 0, 0, 1], "c"),
+    "GF9": (prime_field(3), [1, 0, 1], "t"),
+    "GF16": (prime_field(2), [1, 1, 0, 0, 1], "t"),
+}
+
+
+def full_product(F, a, b):
+    """The schoolbook product of two payloads of F, folded and normalised,
+    with no shortcut."""
+    (an, ad), (bn, bd) = a, b
+    raw = [0] * (2 * F.deg - 1)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            raw[i + j] += x * y
+    return F._normal(F._fold(raw), ad * bd * F._tden)
+
+
+def unit_shortcut_property():
+    """A derandomized hypothesis test: on each field, products of elements
+    drawn with 0, 1, -1 and other units often equal the full product and
+    the product of the legacy field on the same minpoly."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = {}
+    for name, (base, minpoly, symbol) in EXTENSIONS.items():
+        F = extension_field(base, minpoly, symbol)
+        special = [F.zero, F.one, -F.one, F.gen, -F.gen, F.gen.inv()]
+        coord = st.integers(0, F.char - 1) if F.char else st.fractions(max_denominator=6)
+        drawn = st.lists(coord, min_size=F.deg, max_size=F.deg).map(F.scalar)
+        fields[name] = F, LegacyExtensionField(base, minpoly, symbol), st.one_of(st.sampled_from(special), drawn)
+    assert fields["QQ(cbrt2)"][0]._tden > 1
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(fields)), st.data())
+    def check(name, data):
+        F, L, elements = fields[name]
+        a, b = data.draw(elements), data.draw(elements)
+        legacy = Scalar(L, legacy_payload(F, a)) * Scalar(L, legacy_payload(F, b))
+        got = a * b
+        assert (got.v, legacy_payload(F, got)) == (full_product(F, a.v, b.v), legacy.v)
+
+    return check
+
+
+def test_unit_shortcut_matches_full_product():
+    unit_shortcut_property()()
+
+
+def test_seeded_wrong_unit_shortcut_is_caught(monkeypatch):
+    """The shortcut handing back the unit factor instead of the other one
+    turns the property red."""
+    full = ExtensionField._mul
+    monkeypatch.setattr(ExtensionField, "_mul", lambda self, a, b: a if a == self._one_v else full(self, a, b))
+    with pytest.raises(AssertionError):
+        unit_shortcut_property()()

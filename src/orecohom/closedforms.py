@@ -15,6 +15,16 @@ Hard precondition failures raise ClosedFormError; computational disagreements
 are recorded in ``mismatches`` and flip ``match`` instead of raising, so a
 report can show exactly where a closed description stops being valid.
 
+The tables that run through every degree (the collapsed spaces,
+differentials and cohomology, the fixed-block tables of the diagonalizable
+and group-algebra checks, the annihilator table) fold their per-degree work
+as ``SmallComplex`` folds the complex: each piece is keyed on the parity and
+the identities of what it reads (the block spaces of ``_w_space``, one
+object per distinct twist power, and the bases, differentials and group
+cores of C), computed once per key in a memo local to the call (``_once``)
+and read by every degree with that key.  Each degree still gets its own row,
+matrix and mismatch string.
+
 Preconditions are tested in one order, so a skip names the first that
 fails: regular bimodule, the run is the model (the rank-one and rotation
 checks, whose data define a twist and f that C's must equal), character
@@ -286,25 +296,34 @@ def _quotient_dim(sub: Mat, amb: Mat) -> int:
     return EchelonTracker.of_columns(amb).dim - EchelonTracker.of_columns(sub).dim
 
 
-def _classes_of_closed_reps(
-    C: SmallComplex, r: int, reps: Mat, mismatches: list, tag: str
-) -> None:
-    """Check closed representatives inject onto a basis of H^r."""
+def _once(memo: dict, key: tuple, work):
+    """``work()`` the first time ``key`` is met in ``memo``, the same result
+    after.  A table keys its per-degree work on the parity and the
+    identities of the inputs that work reads (the block spaces of
+    ``_w_space``, the bases and differentials of C, the cores of its groups,
+    earlier results of this memo), as ``SmallComplex`` does: equal inputs
+    are one object, so each distinct input is computed once."""
+    if key not in memo:
+        memo[key] = work()
+    return memo[key]
+
+
+def _closed_reps_mismatch(C: SmallComplex, r: int, reps: Mat, tag: str) -> str | None:
+    """None when the closed representatives inject onto a basis of H^r, else
+    the mismatch with its degree left as the field ``{r}``.  It reads r only
+    through the solver of C^r and the core of H^r, so one result serves every
+    degree that shares them."""
     H = cohomology_group(C, r)
     coords = []
     for j in range(reps.cols):
-        v = reps.column(j)
         try:
-            coords.append(H.class_coords(v))
+            coords.append(H.class_coords(reps.column(j)))
         except CohomologyError:
-            mismatches.append(f"{tag}: representative {j} is not a cocycle in degree {r}")
-            return
+            return f"{tag}: representative {j} is not a cocycle in degree {{r}}"
     got = EchelonTracker.of_columns(Mat.from_columns(C.field, coords, H.dim)).dim if coords else 0
     if got != reps.cols or reps.cols != H.dim:
-        mismatches.append(
-            f"{tag}: degree {r} closed representatives give rank {got}, "
-            f"expected {H.dim}"
-        )
+        return f"{tag}: degree {{r}} closed representatives give rank {got}, expected {H.dim}"
+    return None
 
 
 # -- collapsed cochain spaces and differentials --------------------------------
@@ -320,12 +339,13 @@ def check_collapsed_cochain_spaces(
     if up_to is None:
         up_to = C.max_degree
     closed_dims, generic_dims, mismatches = [], [], []
+    embedded, equal = {}, {}
     for r in range(up_to + 1):
-        W = _w_space(alg, r // 2)
-        emb = _embed_k_columns(alg, W, 0 if r % 2 == 0 else 1)
+        W, basis = _w_space(alg, r // 2), C.bases[r]
+        emb = _once(embedded, (r % 2, id(W)), lambda: _embed_k_columns(alg, W, r % 2))
         closed_dims.append(W.cols)
-        generic_dims.append(C.bases[r].cols)
-        if not span_equal(emb, C.bases[r]):
+        generic_dims.append(basis.cols)
+        if not _once(equal, (id(emb), id(basis)), lambda: span_equal(emb, basis)):
             mismatches.append(f"cochain space mismatch in degree {r}")
     return _result(
         "collapsed-cochain-spaces",
@@ -345,28 +365,18 @@ def check_collapsed_differentials(
     w = _need_witness(alg, witness)
     if up_to is None:
         up_to = C.max_degree
-    A1 = _alpha_minus_id(alg)
-    T = _trace_matrix(alg)
+    ops = (_trace_matrix(alg), _alpha_minus_id(alg))  # by r mod 2
     mismatches = []
     closed_cols: dict[str, list] = {}
+    compiled: dict[tuple, tuple] = {}
     for r in range(1, up_to + 1):
-        src = C.bases[r - 1]
-        cols = []
-        xdeg = r % 2
-        for j in range(src.cols):
-            w_k = (A1 if xdeg else T).matvec(AElem(alg, src.column(j)).k_coeff(1 - xdeg).coords)
-            amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
-            try:
-                cols.append(C.to_sub(r, amb))
-            except CohomologyError:
-                mismatches.append(f"closed differential leaves the cochain space in degree {r}")
-                cols = None
-                break
+        key = (id(C.bases[r - 1]), id(C.bases[r]), id(C.dmats[r]), r % 2)
+        cols, equal = _once(compiled, key, lambda: _closed_differential(C, r, ops[r % 2]))
         if cols is None:
+            mismatches.append(f"closed differential leaves the cochain space in degree {r}")
             continue
-        closed = Mat.from_columns(C.field, cols, C.bases[r].cols)
-        closed_cols[str(r)] = [[alg.field.encode(x) for x in col] for col in cols]
-        if closed != C.dmats[r]:
+        closed_cols[str(r)] = cols
+        if not equal:
             mismatches.append(f"differential mismatch in degree {r}")
     return _result(
         "collapsed-differentials",
@@ -375,6 +385,22 @@ def check_collapsed_differentials(
         {"matrices": "compiled"},
         mismatches,
     )
+
+
+def _closed_differential(C: SmallComplex, r: int, op: Mat) -> tuple[list | None, bool]:
+    """The closed d^r on the basis of C^{r-1} through ``op`` (alpha - id for
+    odd r, the trace map for even r), its columns encoded, and whether it
+    equals ``C.dmats[r]``; (None, False) when it leaves C^r."""
+    alg, xdeg, cols = C.alg, r % 2, []
+    for v in C.bases[r - 1].columns_list():
+        w_k = op.matvec(AElem(alg, v).k_coeff(1 - xdeg).coords)
+        amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
+        try:
+            cols.append(C.to_sub(r, amb))
+        except CohomologyError:
+            return None, False
+    closed = Mat.from_columns(C.field, cols, C.bases[r].cols)
+    return [[alg.field.encode(x) for x in col] for col in cols], closed == C.dmats[r]
 
 
 def collapsed_cohomology_table(
@@ -388,33 +414,35 @@ def collapsed_cohomology_table(
     up_to = _top_degree(C, up_to)
     A1 = _alpha_minus_id(alg)
     T = _trace_matrix(alg)
-    fixed = kernel_basis(A1)
+    fixed = alg.alpha.fixed_space
+    trace_kernel = kernel_basis(T)
+    space = intersect_spans(fixed, alg.K.center_basis())
+    closed_dims = [space.cols]
     mismatches: list[str] = []
-    closed_dims: list[int] = []
-    for r in range(up_to + 1):
-        m = r // 2
+    gen_ker0 = C.bases[0].matmul(cohomology_group(C, 0).kernel)
+    if not span_equal(_embed_k_columns(alg, space, 0), gen_ker0):
+        mismatches.append("degree 0 space mismatch")
+    closed: dict[tuple, tuple] = {}  # r mod 2, ids of its blocks -> (cocycles, boundaries)
+    compared: dict[tuple, tuple] = {}  # ids of (closed, core of H^r) -> checks
+    for r in range(1, up_to + 1):
+        m, xdeg = r // 2, r % 2
         W = _w_space(alg, m)
-        if r == 0:
-            space = intersect_spans(fixed, alg.K.center_basis())
-            closed_dims.append(space.cols)
-            emb = _embed_k_columns(alg, space, 0)
-            gen_ker0 = C.bases[0].matmul(kernel_basis(C.dmats[1]))
-            if not span_equal(emb, gen_ker0):
-                mismatches.append("degree 0 space mismatch")
-            continue
-        xdeg = r % 2
         if xdeg:
-            cocycles = intersect_spans(W, kernel_basis(T))
-            boundaries = A1.matmul(W)
+            pair = _once(closed, (1, id(W)), lambda: (intersect_spans(W, trace_kernel), A1.matmul(W)))
         else:
-            cocycles = intersect_spans(fixed, W)
-            boundaries = T.matmul(_w_space(alg, m - 1))
-        closed_dims.append(_quotient_dim(boundaries, cocycles))
-        gen_ker = C.bases[r].matmul(kernel_basis(C.dmats[r + 1]))
-        if not span_equal(_embed_k_columns(alg, cocycles, xdeg), gen_ker):
+            below = _w_space(alg, m - 1)
+            pair = _once(closed, (0, id(W), id(below)),
+                         lambda: (intersect_spans(fixed, W), T.matmul(below)))
+        H = cohomology_group(C, r)
+        dim, cocycles_ok, boundaries_ok = _once(compared, (id(pair), id(H.core)), lambda: (
+            _quotient_dim(pair[1], pair[0]),
+            span_equal(_embed_k_columns(alg, pair[0], xdeg), C.bases[r].matmul(H.kernel)),
+            span_equal(_embed_k_columns(alg, pair[1], xdeg), C.bases[r].matmul(C.dmats[r])),
+        ))
+        closed_dims.append(dim)
+        if not cocycles_ok:
             mismatches.append(f"cocycle space mismatch in degree {r}")
-        gen_im = C.bases[r].matmul(C.dmats[r])
-        if not span_equal(_embed_k_columns(alg, boundaries, xdeg), gen_im):
+        if not boundaries_ok:
             mismatches.append(f"coboundary space mismatch in degree {r}")
     return _dims_result(
         "collapsed-cohomology", w.hypothesis_list(), C, up_to, closed_dims, mismatches
@@ -514,19 +542,28 @@ def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list)
     Rn = K.right_mult_matrix(_n_lambda(alg))
     ann = kernel_basis(Rn)
     closed_dims = [intersect_spans(fixed, K.center_basis()).cols]
+    parts: dict[tuple, Mat] = {}  # id of a block space -> its fixed part
+
+    def fixed_part(W: Mat) -> Mat:
+        return _once(parts, (id(W),), lambda: intersect_spans(fixed, W))
+
+    reps: dict[tuple, Mat] = {}  # r mod 2, ids of its blocks -> representatives in K
+    checked: dict[tuple, str | None] = {}  # r mod 2, ids of (reps, core of H^r) -> mismatch
     for r in range(1, up_to + 1):
-        m = r // 2
-        fixed_m = intersect_spans(fixed, _w_space(alg, m))
-        if r % 2 == 1:
-            reps_k = intersect_spans(fixed_m, ann)
+        m, xdeg = r // 2, r % 2
+        W = _w_space(alg, m)
+        if xdeg:
+            reps_k = _once(reps, (1, id(W)), lambda: intersect_spans(fixed_part(W), ann))
         else:
-            fixed_below = intersect_spans(fixed, _w_space(alg, m - 1))
-            reps_k = quotient_basis(Rn.matmul(fixed_below), fixed_m)
+            below = _w_space(alg, m - 1)
+            reps_k = _once(reps, (0, id(W), id(below)),
+                           lambda: quotient_basis(Rn.matmul(fixed_part(below)), fixed_part(W)))
         closed_dims.append(reps_k.cols)
-        _classes_of_closed_reps(
-            C, r, _embed_k_columns(alg, reps_k, r % 2), mismatches,
-            "odd table" if r % 2 else "even table",
-        )
+        key = (xdeg, id(reps_k), id(cohomology_group(C, r).core))
+        mismatch = _once(checked, key, lambda: _closed_reps_mismatch(
+            C, r, _embed_k_columns(alg, reps_k, xdeg), "odd table" if xdeg else "even table"))
+        if mismatch:
+            mismatches.append(mismatch.format(r=r))
     return closed_dims
 
 
@@ -549,7 +586,7 @@ def diagonalizable_cohomology_table(
     if not (diag and epi):
         raise ClosedFormError("closed table needs a certified diagonalizable bijective twist")
     mismatches: list[str] = []
-    closed_dims = _fixed_block_dims(C, kernel_basis(_alpha_minus_id(alg)), up_to, mismatches)
+    closed_dims = _fixed_block_dims(C, alg.alpha.fixed_space, up_to, mismatches)
     ch = getattr(alg.field, "char", 0)
     if ch != 2 or alg.n % 2 == 1 or alg.n % 4 == 0:
         odd_cup_rule = "zero"
@@ -640,11 +677,13 @@ def untwisted_annihilator_table(C: SmallComplex, up_to: int | None = None) -> di
     ann_reps = model.matmul(kernel_basis(Lsub))
     quot_reps = model.matmul(quotient_basis(Lsub, Mat.identity(C.field, model.cols)))
     mismatches: list[str] = []
+    checked: dict[tuple, str | None] = {}  # r mod 2, id of the core of H^r -> mismatch
     for r in range(1, up_to + 1):
-        if r % 2 == 1:
-            _classes_of_closed_reps(C, r, ann_reps, mismatches, "annihilator table")
-        else:
-            _classes_of_closed_reps(C, r, quot_reps, mismatches, "quotient table")
+        reps, tag = (ann_reps, "annihilator table") if r % 2 else (quot_reps, "quotient table")
+        key = (r % 2, id(cohomology_group(C, r).core))
+        mismatch = _once(checked, key, lambda: _closed_reps_mismatch(C, r, reps, tag))
+        if mismatch:
+            mismatches.append(mismatch.format(r=r))
     return _dims_result(
         "untwisted-annihilator-table", [_hyp("twist is the identity", True)],
         C, up_to, closed_dims, mismatches,
@@ -744,8 +783,7 @@ def group_algebra_cohomology_table(
     up_to = _top_degree(C, up_to)
     kN = _kernel_span(alg.K, chi)
     mismatches: list[str] = []
-    fixed = kernel_basis(_alpha_minus_id(alg))
-    if not span_equal(kN, fixed):
+    if not span_equal(kN, alg.alpha.fixed_space):
         mismatches.append("character kernel span differs from the fixed space")
     closed_dims = _fixed_block_dims(C, kN, up_to, mismatches)
     return _dims_result(
@@ -765,14 +803,13 @@ def class_membership_period(K: AlgebraK, chi: list[Scalar], n: int) -> dict:
     field = K.field
     v = character_order(G, char_power(chi, n))
     bound = 2 * v
+    powers = [char_power(chi, m * n) for m in range(bound + 1)]  # chi^{mn}, by block m
     rows = []
     ok_all = True
     for cls in G.conj_classes():
         g0 = cls[0]
-        member = []
-        for m in range(bound + 1):
-            chim = char_power(chi, m * n)
-            member.append(all(chim[h] == field.one for h in G.centralizer(g0)))
+        centralizer = G.centralizer(g0)
+        member = [all(chim[h] == field.one for h in centralizer) for chim in powers]
         m0 = next((m for m in range(1, bound + 1) if member[m]), None)
         law = member[0] and all(
             member[m] == (m0 is not None and m % m0 == 0) for m in range(1, bound + 1)

@@ -733,6 +733,15 @@ class ExtensionField(Field):
         return self._normal(self._fold(raw), ad * bd * self._tden)
 
     def _inv(self, a):
+        """The inverse of a nonzero payload: of a base-field value nums[0]/den
+        directly, else by ``_bareiss_inv``."""
+        nums, den = a
+        c = nums[0]
+        if c and not any(nums[1:]):
+            return self._normal((den if c > 0 else -den,) + self._pad, abs(c))
+        return self._bareiss_inv(a)
+
+    def _bareiss_inv(self, a):
         """Solve m u = e_0 for the matrix m of multiplication by sum(nums[i]
         t^i), scaled to ints, by fraction-free elimination (E. Bareiss, Math.
         Comp. 22, 1968); then a^-1 = den * u."""

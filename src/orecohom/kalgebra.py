@@ -496,7 +496,7 @@ class Endo:
 
     Its powers are computed once each, and equal powers are one object: each
     new power is looked up by the payloads of its nonzero entries, so caches
-    keyed on a power (the twisted invariants, the folding of the resolution)
+    keyed on a power (the twisted invariants of K and of a bimodule)
     key it by identity and never hash its entries again."""
 
     def __init__(self, alg: AlgebraK, matrix: Mat):
@@ -527,6 +527,14 @@ class Endo:
     @functools.cached_property
     def is_automorphism(self) -> bool:
         return rank(self.matrix) == self.alg.dim
+
+    @functools.cached_property
+    def fixed_space(self) -> Mat:
+        """Basis (columns) of the fixed space ker(alpha - id), the
+        ``kernel_basis`` of alpha - id: solved once per twist and read by
+        every closed cohomology table that needs it."""
+        F = self.alg.field
+        return kernel_basis(self.matrix.add(Mat.identity(F, self.alg.dim).scale(-F.one)))
 
     @functools.cached_property
     def order(self) -> int | None:

@@ -218,6 +218,8 @@ class MonogenicAlgebra:
                     row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
             nf.append(row)
         self.xpow_nf = nf
+        # x^n = sum_j kappa_j x^j: the nonzero kappa_j, read by every right x action
+        self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if support(kappa)]
         # sparse multiplication table on the flat basis:
         # (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2), where
         # alpha^a(e_b2) is column b2 of alpha^a and x^(a + a2) is in normal form
@@ -416,9 +418,7 @@ class TensorElem:
         blocks = {c + 1: u for c, u in factors.items() if c + 1 < n}
         top = factors.get(n - 1)
         if top is not None:
-            for j, kappa in enumerate(alg.xpow_nf[n]):
-                if all(v.is_zero() for v in kappa):
-                    continue
+            for j, kappa in alg.wrap_terms:
                 term = top * alg.k_embed(alg.alpha.apply_power(self.twist, kappa))
                 blocks[j] = blocks[j] + term if j in blocks else term
         return TensorElem.from_blocks(alg, self.twist, blocks)
@@ -487,7 +487,12 @@ def twist_exponent(r: int, n: int) -> int:
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
     fixed top degree, with maps stored columnwise on the flat tensor basis.
-    The generator images, and the columns per class of degrees, are cached."""
+    The generator images, and the columns per class of degrees, are cached.
+
+    A column of d'_r reads the twist only where the right action of x wraps
+    x^n to sum_j kappa_j x^j, through alpha^{t(r-1)}(kappa_j); sigma_r reads
+    no twist.  So the columns are keyed by ``_fold``: for an admissible f,
+    whose kappa_j are alpha-fixed, the classes are the two parities."""
 
     def __init__(self, alg: MonogenicAlgebra, max_degree: int):
         self.alg = alg
@@ -495,7 +500,7 @@ class Resolution:
         self.tdim = alg.adim * alg.n
         self._generators: dict[int, TensorElem] = {}
         self._folds: dict[int, int] = {}  # degree -> its fold class
-        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, id of alpha^{t(r-1)}) -> class
+        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, alpha^{t(r-1)}(kappa_j)) -> class
         self._d_cols: dict[tuple[int, int], TensorElem] = {}  # (class, flat) -> column
         self._s_cols: dict[tuple[int, int], TensorElem] = {}
 
@@ -503,13 +508,17 @@ class Resolution:
         return twist_exponent(r, self.alg.n)
 
     def _fold(self, r: int) -> int:
-        """The class of degree r under (r mod 2, alpha^{t(r-1)}), which fixes
-        alpha^{t(r)} too: d'_r and sigma_r read r only through it, up to the
-        twist tag of their columns."""
+        """The class of degree r under (r mod 2, the payloads of
+        alpha^{t(r-1)}(kappa_j) for the ``wrap_terms`` kappa_j of x^n): d'_r
+        and sigma_r read r only through it, up to the twist tag of their
+        columns.  It fixes alpha^{t(r)}(kappa_j) too, since t(r) - t(r-1)
+        depends only on the parity of r."""
         cls = self._folds.get(r)
         if cls is None:
-            key = r % 2, id(self.alg.alpha.power_matrix(self.twist(r - 1)))
-            cls = self._folds[r] = self._fold_keys.setdefault(key, len(self._fold_keys))
+            alg, t = self.alg, self.twist(r - 1)
+            wraps = tuple(tuple(s.v for s in alg.alpha.apply_power(t, kappa))
+                          for _, kappa in alg.wrap_terms)
+            cls = self._folds[r] = self._fold_keys.setdefault((r % 2, wraps), len(self._fold_keys))
         return cls
 
     def _tagged(self, col: TensorElem, twist: int) -> TensorElem:
@@ -591,8 +600,10 @@ class Resolution:
         """Exact verification that sigma contracts the complex onto A:
         augmentation . sigma0 = id, d'_1 sigma_1 + sigma_0 . augmentation = id,
         d'_{r+1} sigma_{r+1} + sigma_r d'_r = id, and d' . d' = 0.  d'_r and
-        sigma_r read r only through its ``_fold``, so each identity is checked
-        in the first degree r of each class."""
+        sigma_r read r only through its ``_fold`` (the parity and the twisted
+        wrap terms of x^n), which also fixes the class of r + 1, so each
+        identity is checked in the first degree r of each class: degrees 1
+        and 2 for an admissible f."""
         alg = self.alg
         for flat in range(alg.adim):
             a = alg.basis_vector(flat)

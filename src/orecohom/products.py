@@ -390,14 +390,12 @@ class BarOracle:
             pre, post = key[: j - 1], key[j - 1 + rp :]
             tw = sum(pre)
             slot = alg.zero_elem()
-            for e in range(1, alg.n):
-                kappa = inner.k_coeff(e)
-                if kappa.is_zero():
-                    continue
+            for e in filter(None, inner.x_degrees()):  # the x-degrees e >= 1 it has
                 gval = self._lift(ia, pre + (e,) + post)
                 if gval.is_zero():
                     continue
-                slot = slot + alg.k_embed(alg.alpha.apply_power(tw, kappa.coords)) * gval
+                kappa = inner.k_coeff(e).coords
+                slot = slot + alg.k_embed(alg.alpha.apply_power(tw, kappa)) * gval
             acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
         return acc
 

@@ -3,7 +3,17 @@
 import json
 
 import pytest
-from conftest import CASES
+from conftest import (
+    CASES,
+    SPECS,
+    unfolded_annihilator_table,
+    unfolded_collapsed_cohomology,
+    unfolded_collapsed_differentials,
+    unfolded_collapsed_spaces,
+    unfolded_diagonalizable,
+    unfolded_group_cohomology,
+    unfolded_membership_period,
+)
 
 from orecohom.fields import QQ
 from orecohom.kalgebra import (
@@ -30,6 +40,7 @@ from orecohom.cohomology import (
 from orecohom.products import SmallCochain, cup_small
 from orecohom.closedforms import (
     ClosedFormError,
+    character_of,
     certify_diagonalizable,
     character_class_basis,
     check_collapsed_cochain_spaces,
@@ -52,6 +63,7 @@ from orecohom.closedforms import (
     witness_check,
 )
 from orecohom import closedforms, instances
+from orecohom.specio import load_instance
 
 
 def complex_of(alg, d):
@@ -780,3 +792,78 @@ def test_dimension_tables_report_a_generic_mismatch(monkeypatch, request, table,
     rep = table(C, up_to=4)
     assert not rep["match"]
     assert rep["mismatches"][-1] == "dimension tables differ"
+
+
+# -- the folded tables against their per-degree references ---------------------
+
+
+def _outcome(table):
+    try:
+        return table()
+    except ClosedFormError as exc:
+        return "skipped", str(exc)
+
+
+def folded_and_unfolded_tables(alg, D: int) -> dict:
+    """Each table whose per-degree work is folded, as (folded, reference)
+    outcomes on the complex of alg through D + 1; a skip is its reason."""
+    C = complex_of(alg, D + 1)
+    w = find_witness(alg)
+    K, n = alg.K, alg.n
+
+    def membership(period):
+        return lambda: period(K, character_of(K, alg.alpha), n)
+
+    pairs = {
+        "collapsed-spaces": (lambda: check_collapsed_cochain_spaces(C, w, D),
+                             lambda: unfolded_collapsed_spaces(C, w, D)),
+        "collapsed-differentials": (lambda: check_collapsed_differentials(C, w, D),
+                                    lambda: unfolded_collapsed_differentials(C, w, D)),
+        "collapsed-cohomology": (lambda: collapsed_cohomology_table(C, w, D),
+                                 lambda: unfolded_collapsed_cohomology(C, w, D)),
+        "diagonalizable": (lambda: diagonalizable_cohomology_table(C, w, D),
+                           lambda: unfolded_diagonalizable(C, w, D)),
+        "group-cohomology": (lambda: group_algebra_cohomology_table(C, None, D, w),
+                             lambda: unfolded_group_cohomology(C, None, D, w)),
+        "untwisted-annihilator": (lambda: untwisted_annihilator_table(C, D),
+                                  lambda: unfolded_annihilator_table(C, D)),
+        "membership-period": (membership(class_membership_period),
+                              membership(unfolded_membership_period)),
+    }
+    return {name: (_outcome(folded), _outcome(ref)) for name, (folded, ref) in pairs.items()}
+
+
+FOLD_INSTANCES = {
+    **{p.stem: (lambda p=p: load_instance(str(p)).algebra()) for p in SPECS
+       if p.stem != "sweedler_bad"},
+    "gh4_u4": lambda: instances.gh4_instance(4)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_INSTANCES))
+def test_folded_tables_equal_their_per_degree_references(name):
+    """At D = 8 every folded table equals, row for row and mismatch for
+    mismatch, the table computed afresh in each degree.  sweedler_bad is left
+    out: its f is not admissible, so no complex is built for it."""
+    tables = folded_and_unfolded_tables(FOLD_INSTANCES[name](), 8)
+    for table, (folded, reference) in tables.items():
+        assert folded == reference, table
+    if name.startswith("gh4"):  # every table but the identity-twist one runs
+        assert [t for t, (folded, _) in tables.items() if isinstance(folded, tuple)] == [
+            "untwisted-annihilator"]
+
+
+def test_seeded_fold_key_without_the_block_space_is_caught(monkeypatch):
+    """A fold that keys the per-degree work without the identity of the
+    block space W of ``_w_space`` makes degrees of different blocks share
+    their closed data: the comparison with the references turns red."""
+    alg = instances.gh4_instance(4)[0]
+    blocks = {id(closedforms._w_space(alg, m)) for m in range(6)}
+    once = closedforms._once
+
+    def without_w(memo, key, work):
+        return once(memo, tuple(k for k in key if k not in blocks), work)
+
+    monkeypatch.setattr(closedforms, "_once", without_w)
+    tables = folded_and_unfolded_tables(alg, 8)
+    assert any(folded != reference for folded, reference in tables.values())

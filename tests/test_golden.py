@@ -1,5 +1,6 @@
-"""Golden outputs: the exit code and the sha256 of the ``--format json`` stdout
-of every demo spec under every verb, run in-process through ``cli.main``.
+"""Golden outputs: the exit code and the sha256 of the stdout of every demo
+spec under every verb, in each of the three formats (json, csv and text with
+its ``elapsed`` line masked), run in-process through ``cli.main``.
 
 A change to any of these outputs must be deliberate: update the table here
 and say in CHANGES.md why the output moved.  e3b0c442... is the sha256 of an
@@ -7,6 +8,7 @@ empty stdout (a verb that exits 1 before printing)."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,112 @@ def test_json_output_is_golden(capsys, spec, verb):
     code = cli.main([verb, str(SPECS / f"{spec}.json"), "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == GOLDEN[spec, verb]
+
+
+# The same runs in the other two formats.  The text format ends with the
+# wall time (``elapsed: ... ms``), which is masked before hashing.
+GOLDEN_CSV = {
+    ("c4_sign", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("c4_sign", "cohomology"): (0, "6e836f87c11630d3fb957e41af9a6ef922a543866035a9c5706381bd36788dc6"),
+    ("c4_sign", "products"): (0, "5b8a9991db39f31ec835b7d460fd73d34f3cf507878344eb30a97ecbabf9ebdb"),
+    ("c4_sign", "theorems"): (0, "0017f8538d84a11c7d566bd1403cc9e7e180e2e6e93b3f936c473034c817dac2"),
+    ("c4_sign", "report"): (0, "6e836f87c11630d3fb957e41af9a6ef922a543866035a9c5706381bd36788dc6"),
+    ("gh4_u3", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("gh4_u3", "cohomology"): (0, "c6c66e7968599592c4e3435386438ba81ea4638013f276a45cc6ce8ec5a6e547"),
+    ("gh4_u3", "products"): (0, "be85a83aaea90488cc739f8d2985f3c01722a5c7db3118dadaa28d7bb69bad12"),
+    ("gh4_u3", "theorems"): (0, "9ca87513cc1aea86e7e7e195f62eb44255bccad27410454afcb9a49e51d642f1"),
+    ("gh4_u3", "report"): (0, "c6c66e7968599592c4e3435386438ba81ea4638013f276a45cc6ce8ec5a6e547"),
+    ("quaternion_pi", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("quaternion_pi", "cohomology"): (0, "5839da6554987743b8f065a2aca502367c2c537721ce0ceddc35c6fe0aac44d6"),
+    ("quaternion_pi", "products"): (0, "ad7438770ffcc7f04900d7ac642a1f53ba59a62eb92c53ea261aa1aa28f82f9d"),
+    ("quaternion_pi", "theorems"): (0, "eb6de35428da4eb7a715f32d6cd76097a3563f910f97a5e56fcbf92ad70d1c23"),
+    ("quaternion_pi", "report"): (0, "5839da6554987743b8f065a2aca502367c2c537721ce0ceddc35c6fe0aac44d6"),
+    ("swap3", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("swap3", "cohomology"): (0, "9ff2652c3a69ceddcf142e96654005bc7fead91d9fd96197bed5e02c80d459df"),
+    ("swap3", "products"): (0, "7227b5659ff19b80ed7d05f170a20c71c74010924a6f69b72c1d27a36aff1bfc"),
+    ("swap3", "theorems"): (0, "00838544b93420d82c803913578c7787aa6c5229146a999c37b628c4f4f0da72"),
+    ("swap3", "report"): (0, "9ff2652c3a69ceddcf142e96654005bc7fead91d9fd96197bed5e02c80d459df"),
+    ("sweedler", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("sweedler", "cohomology"): (0, "7ddbe07c0e859dc0655919c8933538f9ff642152ac7b105976bb0d56178a82a5"),
+    ("sweedler", "products"): (0, "d2978470aeef91c7ae355bb3d94177beb743977979a3355db83150ca22b72cce"),
+    ("sweedler", "theorems"): (0, "9ca87513cc1aea86e7e7e195f62eb44255bccad27410454afcb9a49e51d642f1"),
+    ("sweedler", "report"): (0, "7ddbe07c0e859dc0655919c8933538f9ff642152ac7b105976bb0d56178a82a5"),
+    ("sweedler_bad", "validate"): (1, "b03bab4d4c8f97f94e336119243e85166d58c0598d018e0d80ae47c45a7bf306"),
+    ("sweedler_bad", "cohomology"): (1, EMPTY),
+    ("sweedler_bad", "products"): (1, EMPTY),
+    ("sweedler_bad", "theorems"): (1, EMPTY),
+    ("sweedler_bad", "report"): (1, "b03bab4d4c8f97f94e336119243e85166d58c0598d018e0d80ae47c45a7bf306"),
+    ("taft37", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("taft37", "cohomology"): (0, "7ddbe07c0e859dc0655919c8933538f9ff642152ac7b105976bb0d56178a82a5"),
+    ("taft37", "products"): (0, "ba286ef477d5f2292ad41765c4001ede4be63895cf6a491ca1d31c2a03dfbacc"),
+    ("taft37", "theorems"): (0, "9ca87513cc1aea86e7e7e195f62eb44255bccad27410454afcb9a49e51d642f1"),
+    ("taft37", "report"): (0, "7ddbe07c0e859dc0655919c8933538f9ff642152ac7b105976bb0d56178a82a5"),
+    ("truncated_square", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
+    ("truncated_square", "cohomology"): (0, "6e836f87c11630d3fb957e41af9a6ef922a543866035a9c5706381bd36788dc6"),
+    ("truncated_square", "products"): (0, "f38113e3c585217df75db4844771c17a2e3c5944ebe8e5f4df7ff61e5ab707e6"),
+    ("truncated_square", "theorems"): (0, "56320e10f7d3f8799aff666935da3322ea513d9c2256cf6d09175d2988d55c0d"),
+    ("truncated_square", "report"): (0, "6e836f87c11630d3fb957e41af9a6ef922a543866035a9c5706381bd36788dc6"),
+}
+
+GOLDEN_TEXT = {
+    ("c4_sign", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("c4_sign", "cohomology"): (0, "7ee5db8592cb0849e49d23dcb745148dd1a9b6c4fee16d5d2974bb7d82b31dea"),
+    ("c4_sign", "products"): (0, "3cfe3455b9629105c3a7b97f61fa97eef9d79772bcd13e33989cebe8c39f4ced"),
+    ("c4_sign", "theorems"): (0, "2dde5378d9b121a8ce4cc8caf62c7fd50888e2124b9f776a67ea334a5be95855"),
+    ("c4_sign", "report"): (0, "4de36731fb2ba7a8ba718097aaff36f8786adab566fbc22a9492c33e07e839a7"),
+    ("gh4_u3", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("gh4_u3", "cohomology"): (0, "8560e027a38927d1f47a75d836653bcabb480383404e85076cf33e6f22fa4fed"),
+    ("gh4_u3", "products"): (0, "7f5f74f593ede504525fb93c83226cdf2c4d90bd3a8c261001ce7d4171096588"),
+    ("gh4_u3", "theorems"): (0, "b498468a81dcc8883692241657aea7b0c9e0eeb3cd90930e10e96870e39a07f7"),
+    ("gh4_u3", "report"): (0, "277d3916ab853226e68788604752b567b0b70eca6f698e7ef71aa0b6e846e575"),
+    ("quaternion_pi", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("quaternion_pi", "cohomology"): (0, "c752ed053dc6a31c4783ad6a5c4c4614321404490db41f8dce17adab513c06b4"),
+    ("quaternion_pi", "products"): (0, "91d05bb671e1da95679b65c6e3612869498b8fc198f7d9cd1c1071d480c71179"),
+    ("quaternion_pi", "theorems"): (0, "5d7da39521d181ba9e48986be20ae4e3fd4e0df720c7a05e743039ab64ba8231"),
+    ("quaternion_pi", "report"): (0, "a20d09a5ec5e9118a89bcc78a4eb0795ba027c75d6af32503107042cb499ada4"),
+    ("swap3", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("swap3", "cohomology"): (0, "eb761e0da6d9ca9787a59a44c94df65613e3f127caeb99ba120b09ae4ed74bad"),
+    ("swap3", "products"): (0, "9f40e106af2bedab7c79759793b5ccb8b620be04f990f2ca38d239da0e0ef2c2"),
+    ("swap3", "theorems"): (0, "ef286cbf350bcfade3e98db5fc83cf324c79fc1e1c0dce03fdeccdcb128184cc"),
+    ("swap3", "report"): (0, "45be9777450872dcd0f566434a155e937bf695fce65938dcff503d716d339d9c"),
+    ("sweedler", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("sweedler", "cohomology"): (0, "e1fa80b0d483464a43a6f14a210f1034333155fa4a1b5e295117e42f7f44a698"),
+    ("sweedler", "products"): (0, "fbcb93b7e8ba9ade29219b3261dfdac86bde437b46a7405e7eeebf94ec79f118"),
+    ("sweedler", "theorems"): (0, "907533d3a7a96ad13a1277385a11853d3394cebde0f07c2063fb09dbde749053"),
+    ("sweedler", "report"): (0, "22f20d2b5ba0744769443eedd1dd5cf5d74286d08d614a89061f7a7461c8ac0b"),
+    ("sweedler_bad", "validate"): (1, "baaa3aef220c48fe7ab747f13c40f6d9d8d870af0a4a1d5bf41eef3ad1d93335"),
+    ("sweedler_bad", "cohomology"): (1, EMPTY),
+    ("sweedler_bad", "products"): (1, EMPTY),
+    ("sweedler_bad", "theorems"): (1, EMPTY),
+    ("sweedler_bad", "report"): (1, "3e5377923d3e291c86d8910341f2f96e9185e4d0a1acf74039fd24785fca25eb"),
+    ("taft37", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("taft37", "cohomology"): (0, "806d183e6bea8149713ae8310ef5e5b6d2df5d460653635a23924e4afe784237"),
+    ("taft37", "products"): (0, "f1e557f2d289a9fb3e12d468eef39e1e15e482fe25f81bd1b2d4698f0b5016f5"),
+    ("taft37", "theorems"): (0, "d80fd03731234141587b1018ac9a2b1ed44b004beb9be042d512c2fe93f5b2ba"),
+    ("taft37", "report"): (0, "072b41dd57bc6ed3f177f35f4a3b56fc45ffe2e8d1418b5eeacfc20c8ec6b0c2"),
+    ("truncated_square", "validate"): (0, "d8cb88d67d4b0323db299631a1f65c1538681fd21b236b13b36b3fa6b1db0914"),
+    ("truncated_square", "cohomology"): (0, "bf6dd4fc595d46ac5fb604b15a8a09ca86a5f3b6283acf431c715d1ec39dee63"),
+    ("truncated_square", "products"): (0, "37223dfd87268f4fa6fad4b95f928aa3ebd29c992c039c047c0e5bf874ac20a6"),
+    ("truncated_square", "theorems"): (0, "abefd075591f8d4253840c0be358f1758c2a3162421de5860309af6bc106dff3"),
+    ("truncated_square", "report"): (0, "de83b914f594f99ecb34663f289c08b620656dc1c37f7310706aaaf64f0b5b36"),
+}
+
+
+def _masked_digest(out: str) -> str:
+    out = re.sub(r"^elapsed: .* ms$", "elapsed: MASKED", out, flags=re.M)
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV), ("text", GOLDEN_TEXT)])
+def test_every_spec_and_verb_is_pinned_in_every_format(fmt, golden):
+    assert set(golden) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("spec, verb", sorted(GOLDEN))
+@pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV), ("text", GOLDEN_TEXT)])
+def test_other_formats_are_golden(capsys, fmt, golden, spec, verb):
+    code = cli.main([verb, str(SPECS / f"{spec}.json"), "--format", fmt])
+    assert (code, _masked_digest(capsys.readouterr().out)) == golden[spec, verb]
 
 
 # Two specs over GF(9) = GF(3)[i]/(i^2 + 1), the only route through an

@@ -213,40 +213,100 @@ def test_folded_contraction_check_matches_every_degree(path):
     assert folded.ok == (path.stem != "sweedler_bad")
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_folded_contraction_check_on_a_twist_that_is_not_invertible(n):
+def not_invertible_twist(n: int) -> MonogenicAlgebra:
     """QQ[C2] with alpha(g) = 1, so alpha^t = alpha for every t >= 1, and
-    f = x^n: the fold must not assume that alpha has an inverse."""
+    f = x^n."""
     K = group_algebra(cyclic_group(2), QQ)
     alpha = Endo(K, Mat(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.zero]]))
     assert not alpha.is_automorphism
-    alg = MonogenicAlgebra(K, alpha, [{}] * n)
+    return MonogenicAlgebra(K, alpha, [{}] * n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_folded_contraction_check_on_a_twist_that_is_not_invertible(n):
+    """The fold must not assume that alpha has an inverse."""
+    alg = not_invertible_twist(n)
     folded = Resolution(alg, 24).contraction_check()
     assert folded.ok and folded == unfolded_contraction_check(Resolution(alg, 24))
 
 
+def degree_d_column(res: Resolution, r: int, flat: int) -> TensorElem:
+    """d'_r on e_i (x) x^c, flat = c*adim + i, built in degree r itself."""
+    c, i = divmod(flat, res.alg.adim)
+    return res.d_generator(r).leftmul(res.alg.basis_vector(i)).rightmul_xpow(c)
+
+
+def degree_s_column(res: Resolution, r: int, flat: int) -> TensorElem:
+    """sigma_r on e_i (x) x^c by its formula, in degree r itself: minus e_i
+    times the divided difference of x^c for odd r; e_i (x) 1 at c = n - 1
+    and zero below it for even r."""
+    alg = res.alg
+    c, i = divmod(flat, alg.adim)
+    if r % 2:
+        col = -derivation_tensor(alg, c).leftmul(alg.basis_vector(i))
+    else:
+        col = TensorElem.from_aelem(alg.basis_vector(i), 0, 0) if c == alg.n - 1 else TensorElem.zero(alg, 0)
+    return TensorElem(alg, res.twist(r), col.coords)
+
+
+def sweedler_cubed_bad() -> MonogenicAlgebra:
+    """QQ[C2] with alpha(g) = -g and f = x^3 + g x^2, built unchecked: g is
+    not alpha-fixed, so x^3 = -g x^2 wraps through alpha^t(-g) = (-1)^t (-g),
+    and t(r - 1) takes both parities within each parity of r."""
+    sweedler = instances.sweedler()[0]
+    return MonogenicAlgebra(sweedler.K, sweedler.alpha, [[0, 1], [0, 0], [0, 0]], check=False)
+
+
+FOLD_CASES = {  # name -> (algebra, its fold classes of degrees 1 .. 25)
+    **{p.stem: (lambda p=p: load_instance(str(p)).algebra(check=False), [0, 1] * 12 + [0])
+       for p in SPECS},
+    "not_invertible_n2": (lambda: not_invertible_twist(2), [0, 1] * 12 + [0]),
+    "not_invertible_n3": (lambda: not_invertible_twist(3), [0, 1] * 12 + [0]),
+    "taft4": (lambda: instances.taft(4, 5, 2)[0], [0, 1] * 12 + [0]),
+    "sweedler_cubed_bad": (sweedler_cubed_bad, [0, 1, 2, 3] * 6 + [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CASES))
+def test_folded_columns_equal_the_columns_of_each_degree(name):
+    """The premise of the fold: through D = 24, every column of d'_r and
+    sigma_r that the check reads (r <= D + 1), served from the first degree
+    of its class, equals the column built in degree r itself.  An admissible
+    f has the two classes of the parities, and so has sweedler_bad, whose
+    alpha^{t(r-1)}(kappa_1) depends on r only through its parity; the
+    unadmissible cubic separates four classes."""
+    build, classes = FOLD_CASES[name]
+    res = Resolution(build(), 24)
+    for r in range(1, 26):
+        for flat in range(res.tdim):
+            assert res.d_column(r, flat) == degree_d_column(res, r, flat), (r, flat)
+            assert res.s_column(r, flat) == degree_s_column(res, r, flat), (r, flat)
+    assert [res._fold(r) for r in range(1, 26)] == classes
+
+
 def test_folded_contraction_check_reports_a_broken_column(gh4_u3, monkeypatch):
-    """One column of sigma_r doubled in the degrees r = 0 mod 4.  The twist of
-    gh4_u3 has order 4 and n = 2, so those degrees are whole key classes, and
-    both checks report the same failure."""
+    """One column of sigma_r doubled in the even degrees r, which form one
+    key class; degree 1's identity reads sigma_2, and both checks report the
+    same failure."""
     alg = gh4_u3[0]
     s_column = Resolution.s_column
 
     def broken(self, r, flat):
         col = s_column(self, r, flat)
-        return col + col if r % 4 == 0 and flat == alg.adim else col
+        return col + col if r % 2 == 0 and flat == alg.adim else col
 
     monkeypatch.setattr(Resolution, "s_column", broken)
     folded = Resolution(alg, 24).contraction_check()
     assert folded == unfolded_contraction_check(Resolution(alg, 24))
-    assert folded.failures == (f"homotopy identity fails in degree 3 at basis {alg.adim}",)
+    assert folded.failures == (f"homotopy identity fails in degree 1 at basis {alg.adim}",)
 
 
 def test_folded_check_builds_each_column_once_per_class(gh4_u3, monkeypatch):
-    """On gh4_u3 (n = 2, alpha of order 4) at D = 6 the check's classes start
-    in degrees 1-4, and degree 5, whose d' it reads last, is in degree 1's
-    class: its columns are degree 1's, re-tagged with its twist, not built
-    again.  Each built column calls `d_generator` once."""
+    """On gh4_u3 (n = 2, alpha of order 4, f = x^2) at D = 6 the check's
+    classes are the two parities, starting in degrees 1 and 2, and degree 5,
+    whose d' it reads last, is in degree 1's class: its columns are degree
+    1's, re-tagged with its twist, not built again.  Each built column calls
+    `d_generator` once."""
     alg = gh4_u3[0]
     built = []
     d_generator = Resolution.d_generator
@@ -258,14 +318,14 @@ def test_folded_check_builds_each_column_once_per_class(gh4_u3, monkeypatch):
     monkeypatch.setattr(Resolution, "d_generator", counting)
     res = Resolution(alg, 6)
     assert res.contraction_check().ok
-    assert sorted(set(built)) == [1, 2, 3, 4]
+    assert sorted(set(built)) == [1, 2]
     assert all(built.count(r) == res.tdim for r in set(built))
     for flat in range(res.tdim):
         five, one = res.d_column(5, flat), res.d_column(1, flat)
         assert five.coords == one.coords
         assert (five.twist, one.twist) == (res.twist(4), res.twist(0)) == (4, 0)
         assert res.s_column(5, flat).twist == res.twist(5)
-    assert len(built) == 4 * res.tdim
+    assert len(built) == 2 * res.tdim
 
 
 def test_resolution_truncated_gf3():

@@ -11,8 +11,9 @@ GF(7), QQ(i) and GF(9), on every canned instance and on every demo spec.
 
 The nonzero coordinates an element of A carries are checked against its
 dense coordinates for every builder and operation, the tensor sums of the
-resolution against its entrywise columns, and the unit shortcut of
-extension-field products against the full product."""
+resolution against its entrywise columns, the unit shortcut of
+extension-field products against the full product, and the base-field
+shortcut of extension-field inverses against fraction-free elimination."""
 
 import copy
 import random
@@ -406,3 +407,52 @@ def test_seeded_wrong_unit_shortcut_is_caught(monkeypatch):
     monkeypatch.setattr(ExtensionField, "_mul", lambda self, a, b: a if a == self._one_v else full(self, a, b))
     with pytest.raises(AssertionError):
         unit_shortcut_property()()
+
+
+# -- the base-field shortcut of extension-field inverses -----------------------
+
+
+def base_inverse_property():
+    """A derandomized hypothesis test: on each field, the inverse of a
+    nonzero element, base-field values (negative and non-integral ones over
+    QQ) drawn often, equals the inverse by fraction-free elimination."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = {}
+    for name, (base, minpoly, symbol) in EXTENSIONS.items():
+        F = extension_field(base, minpoly, symbol)
+        coord = st.integers(0, F.char - 1) if F.char else st.fractions(max_denominator=6)
+        in_base = coord.map(lambda c, F=F: F.scalar([c]))
+        drawn = st.lists(coord, min_size=F.deg, max_size=F.deg).map(F.scalar)
+        special = [F.one, -F.one, F.from_int(2), -F.from_int(2), F.gen, F.gen.inv()]
+        elements = st.one_of(st.sampled_from(special), in_base, drawn)
+        fields[name] = F, elements.filter(lambda a: not a.is_zero())
+    assert fields["QQ(cbrt2)"][0]._tden > 1
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(fields)), st.data())
+    def check(name, data):
+        F, elements = fields[name]
+        a = data.draw(elements)
+        assert a.inv().v == F._bareiss_inv(a.v)
+
+    return check
+
+
+def test_base_field_inverse_matches_elimination():
+    base_inverse_property()()
+
+
+def test_seeded_wrong_sign_in_base_inverse_is_caught(monkeypatch):
+    """The shortcut dropping the sign of a negative base-field value turns the
+    property red."""
+
+    def unsigned(self, a):
+        nums, den = a
+        if nums[0] and not any(nums[1:]):
+            return self._normal((den,) + self._pad, abs(nums[0]))
+        return self._bareiss_inv(a)
+
+    monkeypatch.setattr(ExtensionField, "_inv", unsigned)
+    with pytest.raises(AssertionError):
+        base_inverse_property()()

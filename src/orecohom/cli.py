@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import (
     Bimodule,
@@ -481,9 +482,44 @@ def render_csv(verb: str, payload: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _write_json(o, out: list, pad: str) -> None:
+    """Append to out the text of ``json.dumps(o, sort_keys=True, indent=2)``
+    in one pass (an indent turns the C encoder off); pad is a newline and the
+    indent of o's line.  Types other than str, int, bool, None, list and a
+    dict with str keys raise TypeError."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (dict, list)) and not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner, sep = pad + "  ", "{"
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out += (sep, inner, encode_basestring_ascii(k), ": ")
+            _write_json(o[k], out, inner)
+            sep = ","
+        out += (pad, "}")
+    elif isinstance(o, list):
+        inner, sep = pad + "  ", "["
+        for x in o:
+            out += (sep, inner)
+            _write_json(x, out, inner)
+            sep = ","
+        out += (pad, "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def render(verb: str, payload: dict, fmt: str, elapsed_ms: float) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(payload, out, "\n")
+        return "".join(out) + "\n"
     if fmt == "csv":
         return render_csv(verb, payload)
     return render_text(verb, payload, elapsed_ms)

@@ -350,7 +350,8 @@ def cohomology_group(C: SmallComplex, r: int) -> CohomologyGroup:
 def classes_equal(C: SmallComplex, r: int, a: tuple, b: tuple) -> bool:
     """Whether two ambient cocycles in degree r are cohomologous."""
     H = cohomology_group(C, r)
-    diff = tuple(x - y for x, y in zip(a, b))
+    zv = C.field.zero.v
+    diff = tuple(x if y.v == zv else x - y for x, y in zip(a, b))
     return not support(H.class_coords(diff))
 
 

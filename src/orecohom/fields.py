@@ -48,8 +48,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def mixed(a: "Field", b: "Field") -> FieldError:
+    """The error raised when scalars of two different fields meet."""
+    return FieldError(f"cannot mix scalars of {a} and {b}")
+
+
 class Scalar:
-    """An element of an exact field: a field context plus a normalized payload."""
+    """An element of an exact field: a field context plus a normalized payload.
+    Each operator boxes its result; the exact inner loops (``combine``,
+    ``matvec``, the eliminations, ``table_mul``) run on payloads and box only
+    the entries they store, raising :func:`mixed` as ``_coerce`` does."""
 
     __slots__ = ("field", "v")
 
@@ -60,9 +68,7 @@ class Scalar:
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
             if other.field is not self.field:
-                raise FieldError(
-                    f"cannot mix scalars of {self.field} and {other.field}"
-                )
+                raise mixed(self.field, other.field)
             return other
         if isinstance(other, bool):
             raise FieldError("booleans are not field elements")

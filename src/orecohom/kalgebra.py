@@ -19,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, Scalar
-from .linalg import (EchelonTracker, Mat, combine, kernel_basis, rank, sparse_rows, support,
-                     vadd, vscale)
+from .fields import Field, Scalar, mixed
+from .linalg import (EchelonTracker, Mat, boxed, combine, kernel_basis, rank, sparse_rows,
+                     support, vadd, vscale)
 
 
 class AlgebraError(ValueError):
@@ -297,15 +297,8 @@ class AlgebraK:
         """e_i e_j as a sparse vector {k: coefficient} for each pair (i, j)
         whose product is nonzero.  Repeated (i, j, k) entries of the table are
         summed, as `kmul` sums them."""
-        out = {}
-        for ij, terms in self.mul_table.items():
-            prod: dict[int, Scalar] = {}
-            for k, s in terms:
-                prod[k] = prod[k] + s if k in prod else s
-            prod = {k: s for k, s in prod.items() if not s.is_zero()}
-            if prod:
-                out[ij] = prod
-        return out
+        one = self.field.one
+        return {ij: prod for ij, terms in self.mul_table.items() if (prod := combine([(one, terms)]))}
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -410,9 +403,31 @@ def table_mul(table, u, v) -> dict[int, Scalar]:
     """The product u v on an algebra with basis products ``table``:
     {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k.  u and v are given
     by the (index, entry) pairs of their nonzero coordinates, and so is the
-    product, as a sparse vector {index: entry}."""
+    product, as a sparse vector {index: entry}.  The sum runs on payloads
+    in the field of u's first entry, as in ``combine``."""
     right = list(v)
-    return combine((a * b, table[i, j]) for i, a in u for j, b in right if (i, j) in table)
+    acc: dict = {}  # index -> payload
+    field = None
+    for i, a in u:
+        if field is None:
+            field = a.field
+            mul, add, one_v = field._mul, field._add, field.one.v
+        elif a.field is not field:
+            raise mixed(field, a.field)
+        av = a.v
+        for j, b in right:
+            terms = table.get((i, j))
+            if terms is None:
+                continue
+            if b.field is not field:
+                raise mixed(field, b.field)
+            ab = b.v if av == one_v else av if b.v == one_v else mul(av, b.v)
+            unit = ab == one_v
+            for k, s in terms:
+                t = s.v if unit else mul(ab, s.v)
+                p = acc.get(k)
+                acc[k] = t if p is None else add(p, t)
+    return boxed(field, acc)
 
 
 def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:
@@ -420,17 +435,18 @@ def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> M
     with basis products ``table``: {(i, j): [(k, s), ...]} for
     e_i e_j = sum of s e_k.  Column j, u e_j (or e_j u), is read off the
     nonzero entries of u and the table, straight into sparse rows."""
-    rows: list[dict[int, Scalar]] = [{} for _ in range(dim)]
+    rows: list[dict] = [{} for _ in range(dim)]  # row k: {column j: payload}
+    mul, add = field._mul, field._add
     for i, a in support(u):
+        if a.field is not field:
+            raise mixed(field, a.field)
         for j in range(dim):
             terms = table.get((i, j) if left else (j, i))
             if terms:
                 for k, s in terms:
-                    t = a * s
-                    row = rows[k]
-                    row[j] = row[j] + t if j in row else t
-    zv = field.zero.v
-    return Mat.from_sparse_rows(field, [{j: a for j, a in r.items() if a.v != zv} for r in rows], dim)
+                    t, row = mul(a.v, s.v), rows[k]
+                    row[j] = add(row[j], t) if j in row else t
+    return Mat.from_sparse_rows(field, [boxed(field, r) for r in rows], dim)
 
 
 def _unit_law_failures(K: AlgebraK) -> list[str]:
@@ -774,17 +790,13 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
     generators' constraints cut out the same space as all of them.  The
     reduced free-variable basis of a space is unique, so the columns are the
     same as from every constraint, not only their span."""
-    zv = field.zero.v
+    one = field.one
     tracker = EchelonTracker(field, dim)
     for b in range(len(right)) if generators is None else generators:
         R = right[b]
-        terms = [(t, left[c]) for c, t in support(twist.column(b))]
+        terms = [(-t, left[c]) for c, t in support(twist.column(b))]
         for i in range(dim):
-            row = dict(R[i])
-            for t, L in terms:
-                for j, a in L[i]:
-                    row[j] = row[j] - t * a if j in row else -(t * a)
-            row = {j: a for j, a in row.items() if a.v != zv}
+            row = combine([(one, R[i]), *((t, L[i]) for t, L in terms)])
             if row:
                 tracker.add(row)
                 if tracker.dim == dim:

@@ -4,10 +4,13 @@ Vectors are tuples of :class:`~orecohom.fields.Scalar`; matrices are immutable
 row grids that keep their sparse rows once read: for each row the (column,
 entry) pairs of its nonzero entries, in column order.  Sparse vectors, and
 the rows of the eliminations and of a solver, are dicts {index: nonzero
-entry}.  The inner loops touch only nonzero entries and test for zero on the
-payload (``x.v == field.zero.v``), which is exact because payloads are
-canonical.  Pivoting always selects the first nonzero entry, so every basis
-this module emits is reproducible across runs and platforms.
+entry}.  The inner loops touch only nonzero entries, test for zero on the
+payload (exact, as payloads are canonical), add and multiply payloads
+through the field's ``_add``/``_mul``, skip products by the unit, and box
+one Scalar per nonzero entry they store; an entry of another field raises
+:func:`~orecohom.fields.mixed`.  Pivoting always selects the first nonzero
+entry, so every basis this module emits is reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import bisect
 import functools
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, mixed
 
 
 class LinalgError(ValueError):
@@ -45,29 +48,49 @@ def support(v: tuple) -> list[tuple[int, Scalar]]:
 
 def combine(terms) -> dict[int, Scalar]:
     """The sum of c * v over the (c, v) in ``terms``, each v a sparse vector
-    {index: entry} or its (index, entry) pairs, as a sparse vector with its
-    zero entries dropped."""
-    out: dict[int, Scalar] = {}
+    {index: entry} or its (index, entry) pairs, summed on payloads in the
+    field of the first c, as a sparse vector with its zero entries dropped."""
+    acc: dict = {}  # index -> payload
+    field = None
     for c, v in terms:
+        if field is None:
+            field = c.field
+            mul, add, one_v = field._mul, field._add, field.one.v
+        elif c.field is not field:
+            raise mixed(field, c.field)
+        cv, unit = c.v, c.v == one_v
         for k, s in v.items() if isinstance(v, dict) else v:
-            t = c * s
-            out[k] = out[k] + t if k in out else t
-    if not out:
-        return out
-    zv = next(iter(out.values())).field.zero.v
-    return {k: s for k, s in out.items() if s.v != zv}
+            if s.field is not field:
+                raise mixed(field, s.field)
+            t = s.v if unit else mul(cv, s.v)
+            p = acc.get(k)
+            acc[k] = t if p is None else add(p, t)
+    return boxed(field, acc)
 
 
-def _accumulate(out: dict, c: Scalar, pairs, zv) -> None:
-    """out -= c * v in place, for the sparse vector v given by its (index,
-    entry) pairs; entries that cancel are dropped."""
-    c = -c
+def boxed(field: Field, acc: dict) -> dict[int, Scalar]:
+    """The nonzero payloads of acc, {index: payload}, as Scalars of field."""
+    if not acc:
+        return {}
+    zv = field.zero.v
+    return {k: Scalar(field, p) for k, p in acc.items() if p != zv}
+
+
+def _accumulate(out: dict, c: Scalar, pairs, field: Field) -> None:
+    """out -= c * v in place for the sparse vector v given by its (index,
+    entry) pairs, all of ``field`` (``_reduce`` checks); zero sums drop."""
+    mul, add, zv = field._mul, field._add, field.zero.v
+    nc = field._neg(c.v)
+    unit = nc == field.one.v
     for j, x in pairs:
-        t = out[j] + c * x if j in out else c * x
-        if t.v == zv:
-            del out[j]
-        else:
-            out[j] = t
+        t = x.v if unit else mul(nc, x.v)
+        p = out.get(j)
+        if p is not None:
+            t = add(p.v, t)
+            if t == zv:
+                del out[j]
+                continue
+        out[j] = Scalar(field, t)
 
 
 def sparse_rows(A: "Mat") -> list[list[tuple[int, Scalar]]]:
@@ -158,9 +181,23 @@ class Mat:
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
             raise LinalgError("shape mismatch in matvec")
-        zv, z = self.field.zero.v, self.field.zero
-        terms = [[a * v[j] for j, a in row if v[j].v != zv] for row in sparse_rows(self)]
-        return tuple(sum(t[1:], t[0]) if t else z for t in terms)
+        field = self.field
+        mul, add, zv, one_v = field._mul, field._add, field.zero.v, field.one.v
+        out = []
+        for row in sparse_rows(self):
+            acc = None
+            for j, a in row:
+                x = v[j]
+                xv = x.v
+                if xv == zv:
+                    continue
+                if x.field is not field or a.field is not field:
+                    raise mixed(field, a.field if x.field is field else x.field)
+                av = a.v
+                t = xv if av == one_v else av if xv == one_v else mul(av, xv)
+                acc = t if acc is None else add(acc, t)
+            out.append(field.zero if acc is None or acc == zv else Scalar(field, acc))
+        return tuple(out)
 
     def matmul(self, other: "Mat") -> "Mat":
         """Row i of the product is the combination of the sparse rows of
@@ -322,10 +359,14 @@ class EchelonTracker:
     def _reduce(self, w: dict) -> None:
         """Reduce the sparse vector w in place by every row.  A row adds
         entries only off the other rows' leading columns, so the rows that
-        take part are those leading at an entry of w to begin with."""
-        by_lead, zv = self._by_lead, self.field.zero.v
+        take part are those leading at an entry of w to begin with.  Every
+        entry the echelon stores passes here first, so its field is checked."""
+        by_lead, field = self._by_lead, self.field
+        for x in w.values():
+            if x.field is not field:
+                raise mixed(field, x.field)
         for c in [c for c in w if c in by_lead]:
-            _accumulate(w, w[c], by_lead[c].items(), zv)
+            _accumulate(w, w[c], by_lead[c].items(), field)
 
     def contains(self, v: tuple) -> bool:
         w = dict(support(v))
@@ -355,13 +396,12 @@ class EchelonTracker:
             return False
         field = self.field
         if w[c].v != field.one.v:
-            inv = w[c].inv()
-            w = {j: inv * x for j, x in w.items()}
-        zv = field.zero.v
+            mul, inv = field._mul, field._inv(w[c].v)
+            w = {j: Scalar(field, mul(inv, x.v)) for j, x in w.items()}
         for row in self.rows:
             f = row.get(c)
             if f is not None:
-                _accumulate(row, f, w.items(), zv)
+                _accumulate(row, f, w.items(), field)
         pos = bisect.bisect(self.lead, c)
         self.rows.insert(pos, w)
         self.lead.insert(pos, c)

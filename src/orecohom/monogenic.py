@@ -63,29 +63,34 @@ class AElem:
     ``coords`` is the dense tuple of coordinates, taken as given: Scalars of
     A's field.  The element also carries its nonzero coordinates, {flat
     index: entry}: products, sums, scalings and the basis builders of the
-    algebra (``monomial``, ``k_embed``, ``basis_vector``) make them along
-    with ``coords``; an element built from ``coords`` alone computes them on
-    first read.  Products and sums read only those entries."""
+    algebra (``monomial``, ``k_embed``, ``basis_vector``) make only those,
+    and ``coords`` is built from them on first read; an element built from
+    ``coords`` computes them on first read.  Products and sums read only the
+    nonzero entries; ``==`` and ``hash`` read ``coords``."""
 
-    __slots__ = ("alg", "coords", "_nz")
+    __slots__ = ("alg", "_coords", "_nz")
 
     def __init__(self, alg: "MonogenicAlgebra", coords):
         coords = tuple(coords)
         if len(coords) != alg.adim:
             raise MonogenicError("coordinate length mismatch")
         self.alg = alg
-        self.coords = coords
+        self._coords = coords
         self._nz = None
 
     @classmethod
     def _of(cls, alg: "MonogenicAlgebra", nz: dict) -> "AElem":
         """The element with the nonzero coordinates nz, {flat index: entry}."""
-        coords = [alg.field.zero] * alg.adim
-        for i, s in nz.items():
-            coords[i] = s
         out = cls.__new__(cls)
-        out.alg, out.coords, out._nz = alg, tuple(coords), nz
+        out.alg, out._coords, out._nz = alg, None, nz
         return out
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            zero, nz = self.alg.field.zero, self._nz
+            self._coords = tuple(nz.get(i, zero) for i in range(self.alg.adim))
+        return self._coords
 
     def _nonzero(self) -> dict:
         nz = self._nz
@@ -118,8 +123,8 @@ class AElem:
 
     def k_coeff(self, a: int) -> KElem:
         """The K-coefficient of x^a."""
-        d = self.alg.K.dim
-        return KElem(self.alg.K, self.coords[a * d : (a + 1) * d])
+        d, nz, zero = self.alg.K.dim, self._nonzero(), self.alg.field.zero
+        return KElem(self.alg.K, tuple(nz.get(i, zero) for i in range(a * d, (a + 1) * d)))
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
@@ -223,26 +228,22 @@ class MonogenicAlgebra:
         # sparse multiplication table on the flat basis:
         # (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2), where
         # alpha^a(e_b2) is column b2 of alpha^a and x^(a + a2) is in normal form
-        prod, none = K.basis_products, {}
         images = [
             [support(self.alpha.power_matrix(a).column(b2)) for b2 in range(K.dim)]
             for a in range(n)
         ]
         nf_sparse = [[dict(support(cj)) for cj in row] for row in nf]
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+        one = self.field.one
         for b, a in itertools.product(range(K.dim), range(n)):
             for b2, image in enumerate(images[a]):
-                u = combine((t, prod.get((b, m), none)) for m, t in image)
+                u = table_mul(K.mul_table, [(b, one)], image).items()
                 if not u:
                     continue
                 for a2 in range(n):
                     terms: list[tuple[int, Scalar]] = []
                     for j, cj in enumerate(nf_sparse[a + a2]):
-                        w = combine(
-                            (c * d, prod.get((m, p), none))
-                            for m, c in u.items()
-                            for p, d in cj.items()
-                        )
+                        w = table_mul(K.mul_table, u, cj.items())
                         terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
                     if terms:
                         table[(self.idx(b, a), self.idx(b2, a2))] = terms
@@ -363,12 +364,8 @@ class TensorElem:
         """self + s * other (s = None stands for 1)."""
         if self.twist != other.twist:
             raise MonogenicError("twist mismatch in tensor sum")
-        out = dict(self.coords)
-        for i, v in other.coords.items():
-            if s is not None:
-                v = s * v
-            cur = out.get(i)
-            out[i] = v if cur is None else cur + v
+        one = self.alg.field.one
+        out = combine([(one, self.coords), (one if s is None else s, other.coords)])
         return TensorElem(self.alg, self.twist, out)
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
@@ -603,28 +600,37 @@ class Resolution:
         sigma_r read r only through its ``_fold`` (the parity and the twisted
         wrap terms of x^n), which also fixes the class of r + 1, so each
         identity is checked in the first degree r of each class: degrees 1
-        and 2 for an admissible f."""
+        and 2 for an admissible f.  Past the first identity no tensor is
+        built: the columns of d' and sigma are read once per degree as dicts;
+        on each basis tensor e, (d'_1 sigma_1 + sigma_0 . augmentation) e and
+        (d'_{r+1} sigma_{r+1} + sigma_r d'_r) e are one ``combine`` each,
+        compared with e, and d'_r d'_{r+1} e is one that must be empty."""
         alg = self.alg
         for flat in range(alg.adim):
             a = alg.basis_vector(flat)
             if self.augmentation(self.sigma0(a)) != a:
                 return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
-        for flat in range(self.tdim):
-            t = self.basis_tensor(0, flat)
-            lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
-            if lhs != t:
-                return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
         first: dict[int, int] = {}  # class -> its first degree, ascending
         for r in range(1, self.max_degree + 1):
             first.setdefault(self._fold(r), r)
+        flats, one = range(self.tdim), alg.field.one
+        degrees = sorted({*first.values(), *(r + 1 for r in first.values())})  # 1 among them
+        s = {r: [self.s_column(r, flat).coords for flat in flats] for r in degrees}
+        d = {r: [self.d_column(r, flat).coords for flat in flats] for r in degrees}
+        for flat in flats:
+            c, i = divmod(flat, alg.adim)
+            section = (alg.basis_vector(i) * alg.xpow(c))._nonzero()  # sigma_0 . augmentation
+            lhs = combine([*((x, d[1][j]) for j, x in s[1][flat].items()), (one, section)])
+            if lhs != {flat: one}:
+                return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
         for r in first.values():
-            for flat in range(self.tdim):
-                t = self.basis_tensor(r, flat)
-                lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(r, self.apply_d(r, t))
-                if lhs != t:
+            for flat in flats:
+                lhs = combine([*((x, d[r + 1][j]) for j, x in s[r + 1][flat].items()),
+                               *((x, s[r][j]) for j, x in d[r][flat].items())])
+                if lhs != {flat: one}:
                     return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))
         for r in first.values():
-            for flat in range(self.tdim):
-                if not self.apply_d(r, self.d_column(r + 1, flat)).is_zero():
+            for flat in flats:
+                if combine((x, d[r][j]) for j, x in d[r + 1][flat].items()):
                     return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
         return ValidationReport(True, ())

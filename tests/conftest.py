@@ -67,6 +67,7 @@ from orecohom.linalg import (
     rank,
     solve,
     span_equal,
+    sparse_rows,
     support,
     vadd,
     vscale,
@@ -1740,3 +1741,88 @@ def unfolded_membership_period(K: AlgebraK, chi: list, n: int) -> dict:
         "rows": rows,
         "match": ok_all,
     }
+
+
+# -- the Scalar-level loops ------------------------------------------------------
+# `combine`, `_accumulate`, `Mat.matvec`, `table_mul` and the TensorElem route of
+# `Resolution.contraction_check` before the inner loops ran on field payloads:
+# one Scalar operator call per product and per sum.  `scalar_table_mul` calls
+# `scalar_combine` where `table_mul` called `combine`.
+
+
+def scalar_combine(terms) -> dict[int, Scalar]:
+    """The sum of c * v over the (c, v) in ``terms``, each v a sparse vector
+    {index: entry} or its (index, entry) pairs, as a sparse vector with its
+    zero entries dropped."""
+    out: dict[int, Scalar] = {}
+    for c, v in terms:
+        for k, s in v.items() if isinstance(v, dict) else v:
+            t = c * s
+            out[k] = out[k] + t if k in out else t
+    if not out:
+        return out
+    zv = next(iter(out.values())).field.zero.v
+    return {k: s for k, s in out.items() if s.v != zv}
+
+
+def scalar_accumulate(out: dict, c: Scalar, pairs, zv) -> None:
+    """out -= c * v in place, for the sparse vector v given by its (index,
+    entry) pairs; entries that cancel are dropped."""
+    c = -c
+    for j, x in pairs:
+        t = out[j] + c * x if j in out else c * x
+        if t.v == zv:
+            del out[j]
+        else:
+            out[j] = t
+
+
+def scalar_matvec(self, v: tuple) -> tuple:
+    if len(v) != self.cols:
+        raise LinalgError("shape mismatch in matvec")
+    zv, z = self.field.zero.v, self.field.zero
+    terms = [[a * v[j] for j, a in row if v[j].v != zv] for row in sparse_rows(self)]
+    return tuple(sum(t[1:], t[0]) if t else z for t in terms)
+
+
+def scalar_table_mul(table, u, v) -> dict[int, Scalar]:
+    """The product u v on an algebra with basis products ``table``:
+    {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k.  u and v are given
+    by the (index, entry) pairs of their nonzero coordinates, and so is the
+    product, as a sparse vector {index: entry}."""
+    right = list(v)
+    return scalar_combine((a * b, table[i, j]) for i, a in u for j, b in right if (i, j) in table)
+
+
+def tensor_contraction_check(self: Resolution) -> ValidationReport:
+    """Exact verification that sigma contracts the complex onto A:
+    augmentation . sigma0 = id, d'_1 sigma_1 + sigma_0 . augmentation = id,
+    d'_{r+1} sigma_{r+1} + sigma_r d'_r = id, and d' . d' = 0.  d'_r and
+    sigma_r read r only through its ``_fold`` (the parity and the twisted
+    wrap terms of x^n), which also fixes the class of r + 1, so each
+    identity is checked in the first degree r of each class: degrees 1
+    and 2 for an admissible f."""
+    alg = self.alg
+    for flat in range(alg.adim):
+        a = alg.basis_vector(flat)
+        if self.augmentation(self.sigma0(a)) != a:
+            return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
+    for flat in range(self.tdim):
+        t = self.basis_tensor(0, flat)
+        lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
+        if lhs != t:
+            return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
+    first: dict[int, int] = {}  # class -> its first degree, ascending
+    for r in range(1, self.max_degree + 1):
+        first.setdefault(self._fold(r), r)
+    for r in first.values():
+        for flat in range(self.tdim):
+            t = self.basis_tensor(r, flat)
+            lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(r, self.apply_d(r, t))
+            if lhs != t:
+                return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))
+    for r in first.values():
+        for flat in range(self.tdim):
+            if not self.apply_d(r, self.d_column(r + 1, flat)).is_zero():
+                return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
+    return ValidationReport(True, ())

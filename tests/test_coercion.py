@@ -1,7 +1,8 @@
 """Where raw values become Scalars: `Field.scalar`, `decode`, `AlgebraK.elem`,
 `AlgebraK.from_structure_constants` and the scalar multiplications coerce;
 `KElem`, `AElem`, `Mat` and `AlgebraK` hold the Scalars they are
-given, and a Scalar of another field fails at its first use."""
+given, and a Scalar of another field fails at its first use, in the
+operators and in every loop that runs on payloads."""
 
 import contextlib
 import io
@@ -14,7 +15,7 @@ from orecohom import fields
 from orecohom.cli import main
 from orecohom.fields import QQ, FieldError, extension_field, prime_field
 from orecohom.kalgebra import AlgebraK, KElem, character_from_values, cyclic_group, endo_from_character, group_algebra
-from orecohom.linalg import Mat
+from orecohom.linalg import EchelonTracker, LinSolver, Mat, combine
 from orecohom.monogenic import AElem, MonogenicAlgebra
 from orecohom.products import BarCochain
 
@@ -119,3 +120,28 @@ def test_scalar_operators_reject_true(field, op):
         op(field.one, True)
     with pytest.raises(FieldError, match="booleans are not field elements"):
         op(True, field.one)
+
+
+# each loop that runs on payloads, fed a QQ container with a GF(7) entry, on
+# the sweedler algebra A
+THREE = GF7.from_int(3)
+PAYLOAD_LOOPS = {
+    "combine coefficient": lambda A: combine([(QQ.one, {0: QQ.one}), (THREE, {0: QQ.one})]),
+    "combine entry": lambda A: combine([(QQ.one, {0: QQ.one, 1: THREE})]),
+    "Mat.matvec vector": lambda A: Mat(QQ, [[QQ.one, QQ.one]]).matvec((QQ.one, THREE)),
+    "Mat.matvec matrix": lambda A: Mat(QQ, [[THREE, QQ.one]]).matvec((QQ.one, QQ.one)),
+    "Mat.matmul": lambda A: Mat(QQ, [[THREE, QQ.one]]).matmul(Mat.identity(QQ, 2)),
+    "EchelonTracker.add": lambda A: EchelonTracker(QQ, 2).add((THREE, QQ.zero)),
+    "EchelonTracker.add reduced": lambda A: EchelonTracker.of_columns(Mat.identity(QQ, 2)).add((QQ.one, THREE)),
+    "LinSolver.solve": lambda A: LinSolver(Mat.identity(QQ, 2)).solve((QQ.one, THREE)),
+    "AlgebraK.kmul": lambda A: A.K.kmul((QQ.one, THREE), A.K.unit),
+    "AlgebraK.left_mult_matrix": lambda A: A.K.left_mult_matrix((QQ.one, THREE)),
+    "a_mul": lambda A: A.a_mul(A.one, AElem(A, (QQ.one, THREE, QQ.zero, QQ.zero))),
+    "AElem ==": lambda A: AElem(A, (THREE,) + (QQ.zero,) * 3) == A.x + A.one,
+}
+
+
+@pytest.mark.parametrize("loop", PAYLOAD_LOOPS.values(), ids=PAYLOAD_LOOPS.keys())
+def test_foreign_scalar_fails_in_every_payload_loop(sweedler, loop):
+    with pytest.raises(FieldError, match="cannot mix scalars"):
+        loop(sweedler)

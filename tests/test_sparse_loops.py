@@ -13,10 +13,18 @@ The nonzero coordinates an element of A carries are checked against its
 dense coordinates for every builder and operation, the tensor sums of the
 resolution against its entrywise columns, the unit shortcut of
 extension-field products against the full product, and the base-field
-shortcut of extension-field inverses against fraction-free elimination."""
+shortcut of extension-field inverses against fraction-free elimination.
+
+The loops that run on field payloads (`combine`, `_accumulate`,
+`Mat.matvec`, `table_mul`) are checked against the Scalar-level loops they
+replaced, and `Resolution.contraction_check` against its TensorElem route
+(both kept in conftest.py), on intact and on broken columns."""
 
 import copy
+import inspect
+import itertools
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -44,14 +52,21 @@ from conftest import (
     entrywise_s_column,
     legacy_payload,
     pair_loop_validate,
+    scalar_accumulate,
+    scalar_combine,
+    scalar_matvec,
+    scalar_table_mul,
+    tensor_contraction_check,
     triple_loop_validate,
 )
+
+from orecohom import kalgebra, linalg
 
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
 from orecohom.kalgebra import algebra_validate, sparse_rows
-from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, vadd, vscale
+from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
 
 GF7 = prime_field(7)
@@ -456,3 +471,119 @@ def test_seeded_wrong_sign_in_base_inverse_is_caught(monkeypatch):
     monkeypatch.setattr(ExtensionField, "_inv", unsigned)
     with pytest.raises(AssertionError):
         base_inverse_property()()
+
+
+# -- the payload loops against the Scalar-level loops --------------------------
+
+# the nonzero entries a vector or table is drawn with
+KINDS = ("1", "-1", "random")
+
+
+def entry(F, rng, kind):
+    return F.one if kind == "1" else -F.one if kind == "-1" else nonzero(F, rng)
+
+
+def drawn(F, n, rng, density, kind):
+    """A vector of length n whose nonzero entries, a share ``density`` of
+    them, are of the given kind."""
+    return tuple(entry(F, rng, kind) if rng.random() < density else F.zero for _ in range(n))
+
+
+def payload_loops_agree(F, seed):
+    """`combine`, `_accumulate`, `Mat.matvec` and `table_mul`, read through
+    their modules, equal the Scalar-level loops on random vectors of every
+    density whose coefficients and entries are 1, -1 or random; sums that
+    accumulate on one index and sums that cancel to zero are included, and
+    every entry returned is a nonzero Scalar of F."""
+    rng, n = random.Random(seed), 6
+    for density, (ka, kb) in itertools.product(DENSITIES, itertools.product(KINDS, repeat=2)):
+        a, b = drawn(F, n, rng, density, ka), drawn(F, n, rng, density, kb)
+        ca, cb = entry(F, rng, ka), entry(F, rng, kb)
+        terms = [(ca, dict(support(a))), (cb, support(b)), (cb, support(a)), (-cb, dict(support(b)))]
+        got = linalg.combine(terms)
+        assert got == scalar_combine(terms), (density, ka, kb)
+        assert all(x.field is F and not x.is_zero() for x in got.values())
+        out, ref = dict(support(a)), dict(support(a))
+        linalg._accumulate(out, cb, support(b), F)
+        scalar_accumulate(ref, cb, support(b), F.zero.v)
+        assert out == ref and all(not x.is_zero() for x in out.values())
+        linalg._accumulate(out, -cb, support(b), F)
+        assert out == dict(support(a))
+        A = Mat(F, [drawn(F, n, rng, density, kb) for _ in range(4)] + [b, a], n)
+        assert A.matvec(a) == scalar_matvec(A, a)
+        table = {(i, j): [(rng.randrange(n), entry(F, rng, kb)) for _ in range(rng.randint(1, 3))]
+                 for i in range(n) for j in range(n) if rng.random() < 0.5}
+        assert kalgebra.table_mul(table, support(a), support(b)) == scalar_table_mul(table, support(a), support(b))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_payload_loops_match_scalar_loops(name):
+    payload_loops_agree(FIELDS[name], 11)
+
+
+def mutant(fn, old: str, new: str):
+    """fn compiled from its source with ``old`` replaced by ``new``, in a copy
+    of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile("from __future__ import annotations\n" + source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+# Each loop with a unit shortcut that overwrites the running sum instead of
+# adding to it.
+OVERWRITING_UNIT = {
+    "combine": (linalg, "combine", "acc[k] = t if p is None else", "acc[k] = t if p is None or unit else"),
+    "_accumulate": (linalg, "_accumulate", "if p is not None:", "if p is not None and not unit:"),
+    "matvec": (Mat, "matvec", "acc = t if acc is None else", "acc = t if acc is None or av == one_v else"),
+    "table_mul": (kalgebra, "table_mul", "acc[k] = t if p is None else", "acc[k] = t if p is None or unit else"),
+}
+
+
+@pytest.mark.parametrize("loop", OVERWRITING_UNIT)
+def test_seeded_overwriting_unit_shortcut_is_caught(monkeypatch, loop):
+    owner, name, old, new = OVERWRITING_UNIT[loop]
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
+    with pytest.raises(AssertionError):
+        for F in FIELDS.values():
+            payload_loops_agree(F, 11)
+
+
+# -- the contraction check on stored columns -----------------------------------
+
+
+def test_contraction_check_matches_tensor_route(case):
+    """On every canned instance and demo spec (sweedler_bad fails in degree
+    2), through D = 6 and D = 9."""
+    alg = case[0]
+    for top in (6, 9):
+        assert Resolution(alg, top).contraction_check() == tensor_contraction_check(Resolution(alg, top))
+
+
+def with_d_d_break(res, r, flat, col):
+    """d'_3 at the first basis tensor of block 1 moved off the kernel of
+    d'_2 by adding e_0; on gh4_u3 (n = 2) no sigma column reads that flat, so
+    only d.d sees it."""
+    if r == 3 and flat == res.alg.adim:
+        return col + TensorElem(res.alg, col.twist, {0: res.alg.field.one})
+    return col
+
+
+BROKEN_COLUMNS = {  # name -> (column method, wrap, first failure on gh4_u3)
+    "sigma doubled": ("s_column", lambda res, r, flat, col: col + col if r % 2 == 0 and flat == res.alg.adim else col,
+                      "homotopy identity fails in degree 1 at basis {adim}"),
+    "d' negated": ("d_column", lambda res, r, flat, col: -col if r == 2 and flat == 1 else col,
+                   "homotopy identity fails in degree 1 at basis {after}"),
+    "d.d broken": ("d_column", with_d_d_break, "d.d is nonzero in degree 3 at basis {adim}"),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_COLUMNS)
+def test_contraction_check_reports_broken_columns_as_tensor_route(gh4_u3, monkeypatch, name):
+    attr, wrap, failure = BROKEN_COLUMNS[name]
+    alg, column = gh4_u3[0], getattr(Resolution, attr)
+    monkeypatch.setattr(Resolution, attr, lambda self, r, flat: wrap(self, r, flat, column(self, r, flat)))
+    got = Resolution(alg, 6).contraction_check()
+    assert got == tensor_contraction_check(Resolution(alg, 6))
+    assert got.failures == (failure.format(adim=alg.adim, after=alg.adim + 1),)

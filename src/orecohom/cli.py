@@ -5,7 +5,8 @@ table), products (cup and bracket class tables with oracle agreement),
 theorems (closed-form checks against the generic complex), report (all of
 the above).  Input is a JSON spec file; output is JSON (deterministic,
 sorted keys), plain text, or CSV.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 the spec file is unusable.
+mathematical check failed, 2 the spec file is unusable or the output file
+cannot be written.
 """
 
 from __future__ import annotations
@@ -599,8 +600,12 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     text = render(args.verb, payload, args.format, elapsed_ms)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output file {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

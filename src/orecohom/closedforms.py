@@ -509,12 +509,7 @@ def certify_diagonalizable(alpha: Endo) -> bool:
     """
     M = alpha.matrix
     field = M.field
-    if all(
-        M.data[i][j].is_zero()
-        for i in range(M.rows)
-        for j in range(M.cols)
-        if i != j
-    ):
+    if all(j == i for i, row in enumerate(M.sparse) for j in row):
         return True
     mp = minimal_polynomial(M)
     g = poly_gcd(mp, poly_derivative(mp, field), field)
@@ -697,13 +692,10 @@ def character_of(K: AlgebraK, alpha: Endo) -> list[Scalar]:
     """Recover the character from a diagonal twist of a group algebra."""
     if K.group is None:
         raise ClosedFormError("character data needs group metadata")
-    chi = []
-    M = alpha.matrix
-    for j in range(K.dim):
-        for i in range(K.dim):
-            if i != j and not M.data[i][j].is_zero():
-                raise ClosedFormError("twist is not diagonal on the group basis")
-        chi.append(M.data[j][j])
+    rows = alpha.matrix.sparse
+    if any(j != i for i, row in enumerate(rows) for j in row):
+        raise ClosedFormError("twist is not diagonal on the group basis")
+    chi = [row.get(j, K.field.zero) for j, row in enumerate(rows)]
     rep = validate_character(K.group, chi)
     if not rep.ok:
         raise ClosedFormError("diagonal twist entries are not a character")

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 
 from .kalgebra import ValidationReport, mult_matrix, twisted_kernel
-from .linalg import (EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, sparse_rows,
-                     support, vscale)
+from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, support, vscale
 from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -86,11 +85,6 @@ class Bimodule:
         if e not in self._Rx_pow:
             self._Rx_pow[e] = self.Rx.matmul(self.Rx_pow(e - 1))
         return self._Rx_pow[e]
-
-    @functools.cached_property
-    def sparse_actions(self) -> tuple[list, list]:
-        """The ``sparse_rows`` of R_k and of L_k, read once per bimodule."""
-        return [sparse_rows(A) for A in self.R_k], [sparse_rows(A) for A in self.L_k]
 
     def hom(self, t: TensorElem) -> Mat:
         """The matrix of m -> sum_c u_c m x^c for t = sum_c u_c (x) x^c; u_c =
@@ -181,7 +175,7 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     if basis is None:
         generators = alpha.generators if alpha.alg is M.alg.K else None
         basis = M._invariants[id(twist)] = twisted_kernel(
-            M.field, M.dim, *M.sparse_actions, twist, generators
+            M.field, M.dim, [A.sparse for A in M.R_k], [A.sparse for A in M.L_k], twist, generators
         )
     return basis
 

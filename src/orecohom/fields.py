@@ -177,7 +177,8 @@ class Field:
 
         This is where raw values enter: containers (``KElem``, ``AElem``,
         ``TensorElem``, ``Mat``, ``AlgebraK``) hold Scalars of their field as
-        given, and the entry points (``decode``, ``AlgebraK.elem``,
+        given (``AElem``, ``TensorElem`` and ``Mat`` keep only the nonzero
+        ones), and the entry points (``decode``, ``AlgebraK.elem``,
         ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
         through here.  Booleans are rejected."""
         if isinstance(x, Scalar):

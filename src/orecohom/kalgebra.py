@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar, mixed
-from .linalg import (EchelonTracker, Mat, boxed, combine, kernel_basis, rank, sparse_rows,
-                     support, vadd, vscale)
+from .linalg import EchelonTracker, Mat, boxed, combine, kernel_basis, rank, support, vadd, vscale
 
 
 class AlgebraError(ValueError):
@@ -362,15 +361,16 @@ class AlgebraK:
 
     @functools.cached_property
     def sparse_actions(self) -> tuple[list, list]:
-        """The ``sparse_rows`` of R(e_b) and of L(e_b) for each basis element
+        """The sparse rows of R(e_b) and of L(e_b) for each basis element
         e_b, read off the nonzero structure constants: e_i e_j = sum c e_k
-        puts (i, c) in row k of R(e_j) and (j, c) in row k of L(e_i)."""
-        right = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-        left = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
+        puts c at column i of row k of R(e_j) and at column j of row k of
+        L(e_i)."""
+        right = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        left = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j), prod in sorted(self.basis_products.items()):
             for k, c in prod.items():
-                right[j][k].append((i, c))
-                left[i][k].append((j, c))
+                right[j][k][i] = c
+                left[i][k][j] = c
         return right, left
 
     def left_mult_matrix(self, u: tuple) -> Mat:
@@ -511,9 +511,9 @@ class Endo:
     """Algebra endomorphism of K given by its matrix on the basis.
 
     Its powers are computed once each, and equal powers are one object: each
-    new power is looked up by the payloads of its nonzero entries, so caches
-    keyed on a power (the twisted invariants of K and of a bimodule)
-    key it by identity and never hash its entries again."""
+    new power is looked up by its ``Mat.key``, so caches keyed on a power
+    (the twisted invariants of K and of a bimodule) key it by identity and
+    never hash its entries again."""
 
     def __init__(self, alg: AlgebraK, matrix: Mat):
         if matrix.rows != alg.dim or matrix.cols != alg.dim:
@@ -523,7 +523,7 @@ class Endo:
         self._distinct: dict[tuple, Mat] = {}  # payloads of a power -> that power
         self._powers: dict[int, Mat] = {}
         for r, P in enumerate((Mat.identity(alg.field, alg.dim), matrix)):
-            self._powers[r] = self._distinct.setdefault(_payload_key(P), P)
+            self._powers[r] = self._distinct.setdefault(P.key(), P)
         self._invariants: dict[int, Mat] = {}  # id of alpha^r -> twisted_invariants_k
 
     def apply(self, u: tuple) -> tuple:
@@ -534,7 +534,7 @@ class Endo:
             raise AlgebraError("negative twist exponent")
         if r not in self._powers:
             P = self.power_matrix(r - 1).matmul(self.matrix)
-            self._powers[r] = self._distinct.setdefault(_payload_key(P), P)
+            self._powers[r] = self._distinct.setdefault(P.key(), P)
         return self._powers[r]
 
     def apply_power(self, r: int, u: tuple) -> tuple:
@@ -589,7 +589,7 @@ class Endo:
 
     def _images(self) -> list[dict[int, Scalar]]:
         """alpha(e_i) for each basis element, as the sparse column i."""
-        return [dict(support(self.matrix.column(i))) for i in range(self.alg.dim)]
+        return self.matrix.transpose().sparse
 
     def _multiplicative_at(self, image: list, i: int, j: int) -> bool:
         """alpha(e_i e_j) = alpha(e_i) alpha(e_j), with the products read from
@@ -625,11 +625,6 @@ class Endo:
                 failures.append(f"multiplicativity fails at pair ({i},{j})")
                 return ValidationReport(False, tuple(failures))
         return ValidationReport(not failures, tuple(failures))
-
-
-def _payload_key(A: Mat) -> tuple:
-    """A key equal for two matrices of one field exactly when they are equal."""
-    return tuple(tuple((j, a.v) for j, a in row) for row in sparse_rows(A))
 
 
 def identity_endo(alg: AlgebraK) -> Endo:
@@ -771,7 +766,7 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
     """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
 
     With R_b and L_c the right and left actions of K's basis elements on a
-    dim-dimensional module, given as their ``sparse_rows`` in ``right`` and
+    dim-dimensional module, given as their sparse rows in ``right`` and
     ``left``, and ``twist`` the matrix of alpha^r, these are the m with
     m e_b = alpha^r(e_b) m.  The rows of each constraint R_b - L(alpha^r(e_b))
     are assembled from the nonzero entries of the action matrices and of
@@ -792,9 +787,10 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
     same as from every constraint, not only their span."""
     one = field.one
     tracker = EchelonTracker(field, dim)
+    twist_cols = twist.transpose().sparse
     for b in range(len(right)) if generators is None else generators:
         R = right[b]
-        terms = [(-t, left[c]) for c, t in support(twist.column(b))]
+        terms = [(-t, left[c]) for c, t in twist_cols[b].items()]
         for i in range(dim):
             row = combine([(one, R[i]), *((t, L[i]) for t, L in terms)])
             if row:

@@ -1,13 +1,14 @@
 """Deterministic exact linear algebra over the fields in :mod:`orecohom.fields`.
 
-Vectors are tuples of :class:`~orecohom.fields.Scalar`; matrices are immutable
-row grids that keep their sparse rows once read: for each row the (column,
-entry) pairs of its nonzero entries, in column order.  Sparse vectors, and
-the rows of the eliminations and of a solver, are dicts {index: nonzero
-entry}.  The inner loops touch only nonzero entries, test for zero on the
-payload (exact, as payloads are canonical), add and multiply payloads
-through the field's ``_add``/``_mul``, skip products by the unit, and box
-one Scalar per nonzero entry they store; an entry of another field raises
+Vectors are tuples of :class:`~orecohom.fields.Scalar`; sparse vectors are
+dicts {index: nonzero entry}.  A matrix is immutable and stored as its sparse
+rows only, each in column order; its dense grid and columns are built when
+read, and a column is read sparse as a row of the transpose.  The rows of
+the eliminations and of a solver are sparse vectors too.  The inner loops
+touch only nonzero entries, test for zero on the payload (exact, as
+payloads are canonical), add and multiply payloads through the field's
+``_add``/``_mul``, skip products by the unit, and box one Scalar per
+nonzero entry they store; an entry of another field raises
 :func:`~orecohom.fields.mixed`.  Pivoting always selects the first nonzero
 entry, so every basis this module emits is reproducible across runs and
 platforms.
@@ -93,28 +94,20 @@ def _accumulate(out: dict, c: Scalar, pairs, field: Field) -> None:
         out[j] = Scalar(field, t)
 
 
-def sparse_rows(A: "Mat") -> list[list[tuple[int, Scalar]]]:
-    """The nonzero (column, entry) pairs of each row of A, in column order;
-    read once per matrix and kept on it."""
-    rows = A._sparse
-    if rows is None:
-        zv = A.field.zero.v
-        rows = A._sparse = [[(j, a) for j, a in enumerate(row) if a.v != zv] for row in A.data]
-    return rows
-
-
 class Mat:
-    """Immutable rectangular matrix with entries in a single field.
+    """Immutable rectangular matrix over one field, stored as its sparse rows:
+    ``sparse[i]`` is the dict {column: nonzero entry} of row i, in column
+    order.
 
     The entries are taken as given and must be Scalars of ``field``; coerce
-    raw values with :meth:`Field.scalar` before building a matrix.  Its
-    ``sparse_rows`` are computed on first read and kept, since the entries
-    never change."""
+    raw values with :meth:`Field.scalar` before building a matrix.  Every
+    constructor keeps only the nonzero entries, and ``data``, the dense grid
+    of rows, is built on each read."""
 
-    __slots__ = ("field", "data", "rows", "cols", "_sparse")
+    __slots__ = ("field", "rows", "cols", "sparse")
 
     def __init__(self, field: Field, data, cols: int | None = None):
-        rows = tuple(tuple(row) for row in data)
+        rows = [tuple(row) for row in data]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -124,59 +117,56 @@ class Mat:
             cols = width
         elif cols is None:
             cols = 0
+        zv = field.zero.v
         self.field = field
-        self.data = rows
         self.rows = len(rows)
         self.cols = cols
-        self._sparse = None
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def from_columns(cls, field: Field, columns, nrows: int) -> "Mat":
-        columns = list(columns)
-        for c in columns:
-            if len(c) != nrows:
-                raise LinalgError("column length mismatch")
-        return cls(
-            field,
-            [[columns[j][i] for j in range(len(columns))] for i in range(nrows)],
-            len(columns),
-        )
+        self.sparse = [{j: a for j, a in enumerate(r) if a.v != zv} for r in rows]
 
     @classmethod
     def from_sparse_rows(cls, field: Field, rows, cols: int) -> "Mat":
         """The matrix whose row i has the nonzero entries rows[i], a dict
-        {column: nonzero entry}; its sparse rows are kept."""
-        z = field.zero
-        sparse = [sorted(r.items()) for r in rows]
-        data = []
-        for r in sparse:
-            row = [z] * cols
-            for j, a in r:
-                row[j] = a
-            data.append(row)
-        M = cls(field, data, cols)
-        M._sparse = sparse
+        {column: nonzero entry}."""
+        M = cls.__new__(cls)
+        M.field, M.cols = field, cols
+        M.sparse = [{j: r[j] for j in sorted(r)} for r in rows]
+        M.rows = len(M.sparse)
         return M
 
+    @classmethod
+    def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
+        return cls.from_sparse_rows(field, [{} for _ in range(rows)], cols)
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "Mat":
+        return cls.from_sparse_rows(field, [{i: field.one} for i in range(n)], n)
+
+    @classmethod
+    def from_columns(cls, field: Field, columns, nrows: int) -> "Mat":
+        columns = list(columns)
+        if any(len(c) != nrows for c in columns):
+            raise LinalgError("column length mismatch")
+        return cls(field, columns, nrows).transpose()
+
+    @property
+    def data(self) -> tuple:
+        """The dense rows, built on each read."""
+        z = self.field.zero
+        return tuple(tuple(row.get(j, z) for j in range(self.cols)) for row in self.sparse)
+
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        z = self.field.zero
+        return tuple(row.get(j, z) for row in self.sparse)
 
     def columns_list(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        data = list(zip(*self.data)) if self.rows else [()] * self.cols
-        return Mat(self.field, data, self.rows)
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, a in row.items():
+                out[j][i] = a
+        return Mat.from_sparse_rows(self.field, out, self.rows)
 
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
@@ -184,9 +174,9 @@ class Mat:
         field = self.field
         mul, add, zv, one_v = field._mul, field._add, field.zero.v, field.one.v
         out = []
-        for row in sparse_rows(self):
+        for row in self.sparse:
             acc = None
-            for j, a in row:
+            for j, a in row.items():
                 x = v[j]
                 xv = x.v
                 if xv == zv:
@@ -204,50 +194,53 @@ class Mat:
         ``other`` by the nonzero entries of row i."""
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
-        right = sparse_rows(other)
-        out = [combine((a, right[k]) for k, a in row) for row in sparse_rows(self)]
+        right = other.sparse
+        out = [combine((a, right[k]) for k, a in row.items()) for row in self.sparse]
         return Mat.from_sparse_rows(self.field, out, other.cols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in add")
-        return Mat(
-            self.field,
-            [vadd(r1, r2) for r1, r2 in zip(self.data, other.data)],
-            self.cols,
-        )
+        one = self.field.one
+        out = [combine([(one, r1), (one, r2)]) for r1, r2 in zip(self.sparse, other.sparse)]
+        return Mat.from_sparse_rows(self.field, out, self.cols)
 
     def scale(self, s: Scalar) -> "Mat":
-        return Mat(self.field, [vscale(s, r) for r in self.data], self.cols)
+        return Mat.from_sparse_rows(self.field, [combine([(s, r)]) for r in self.sparse], self.cols)
 
     def is_zero(self) -> bool:
-        return not any(sparse_rows(self))
+        return not any(self.sparse)
+
+    def key(self) -> tuple:
+        """A key equal for two matrices of one field exactly when they are
+        equal: the number of columns and the payloads of the nonzero entries
+        of each row.  An entry of another field raises :func:`mixed`."""
+        field = self.field
+        for row in self.sparse:
+            for a in row.values():
+                if a.field is not field:
+                    raise mixed(field, a.field)
+        return self.cols, tuple(tuple((j, a.v) for j, a in row.items()) for row in self.sparse)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.field is other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
-            )
-        )
+        return self.field is other.field and self.key() == other.key()
 
     def __hash__(self):
         return hash((id(self.field), self.rows, self.cols))
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(x) for x in row) for row in self.data)
+        z = self.field.zero
+        body = "; ".join(" ".join(repr(row.get(j, z)) for j in range(self.cols)) for row in self.sparse)
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot cols)."""
     t = EchelonTracker(M.field, M.cols)
-    for row in sparse_rows(M):
-        t.add(dict(row))
+    for row in M.sparse:
+        t.add(row)
     rows = t.rows + [{}] * (M.rows - t.dim)
     return Mat.from_sparse_rows(M.field, rows, M.cols), list(t.lead)
 
@@ -259,12 +252,12 @@ def rank(M: Mat) -> int:
 def kernel_basis(M: Mat) -> Mat:
     """Columns form a basis of the null space of M (the standard free-variable basis)."""
     R, pivots = rref(M)
-    return _free_basis(M.field, M.cols, sparse_rows(R), pivots)
+    return _free_basis(M.field, M.cols, R.sparse, pivots)
 
 
 def _free_basis(field: Field, n: int, rows, lead: list[int]) -> Mat:
-    """The free-variable null space basis of reduced echelon rows, given as
-    (column, entry) pairs, with leading columns ``lead``: for each free
+    """The free-variable null space basis of reduced echelon rows, dicts
+    {column: nonzero entry}, with leading columns ``lead``: for each free
     column fc, a one at fc and minus row i's entry at fc in column lead[i].
     A row is zero at the other rows' leading columns, so its entries off its
     own lead are at free columns."""
@@ -274,7 +267,7 @@ def _free_basis(field: Field, n: int, rows, lead: list[int]) -> Mat:
     for fc, k in free.items():
         out[fc] = {k: field.one}
     for row, pc in zip(rows, lead):
-        out[pc] = {free[j]: -x for j, x in row if j != pc}
+        out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
     return Mat.from_sparse_rows(field, out, len(free))
 
 
@@ -297,7 +290,7 @@ class LinSolver:
         field, n = M.field, M.cols
         t = EchelonTracker(field, n + M.rows, pivot_cols=n)
         null = []
-        for i, row in enumerate(sparse_rows(M)):
+        for i, row in enumerate(M.sparse):
             w = dict(row)
             w[n + i] = field.one
             t._reduce(w)
@@ -352,7 +345,7 @@ class EchelonTracker:
     def of_columns(cls, M: Mat) -> "EchelonTracker":
         """The echelon of the span of M's columns."""
         t = cls(M.field, M.rows)
-        for c in M.columns_list():
+        for c in M.transpose().sparse:
             t.add(c)
         return t
 
@@ -368,8 +361,10 @@ class EchelonTracker:
         for c in [c for c in w if c in by_lead]:
             _accumulate(w, w[c], by_lead[c].items(), field)
 
-    def contains(self, v: tuple) -> bool:
-        w = dict(support(v))
+    def contains(self, v) -> bool:
+        """Whether v, a tuple or a sparse vector {index: nonzero entry}, is in
+        the span of the rows."""
+        w = dict(v) if isinstance(v, dict) else dict(support(v))
         self._reduce(w)
         return not w
 
@@ -410,11 +405,12 @@ class EchelonTracker:
 
     def extend(self, M: Mat) -> Mat:
         """Add M's columns in order; returns those that joined, as columns."""
-        return Mat.from_columns(M.field, [c for c in M.columns_list() if self.add(c)], M.rows)
+        joined = [c for c in M.transpose().sparse if self.add(c)]
+        return Mat.from_sparse_rows(M.field, joined, M.rows).transpose()
 
     def kernel(self) -> Mat:
         """The free-variable basis of the null space of the rows, as columns."""
-        return _free_basis(self.field, self.n, [r.items() for r in self.rows], self.lead)
+        return _free_basis(self.field, self.n, self.rows, self.lead)
 
     @property
     def dim(self) -> int:
@@ -425,7 +421,7 @@ def span_equal(A: Mat, B: Mat) -> bool:
     if A.rows != B.rows:
         return False
     t = EchelonTracker.of_columns(A)
-    if any(not t.contains(c) for c in B.columns_list()):
+    if any(not t.contains(c) for c in B.transpose().sparse):
         return False
     return EchelonTracker.of_columns(B).dim == t.dim
 
@@ -437,7 +433,7 @@ def quotient_basis(sub: Mat, amb: Mat) -> Mat:
     if sub.rows != amb.rows:
         raise LinalgError("ambient dimension mismatch")
     full = EchelonTracker.of_columns(amb)
-    for c in sub.columns_list():
+    for c in sub.transpose().sparse:
         if not full.contains(c):
             raise LinalgError("inconsistent subspace: sub not inside amb")
     return EchelonTracker.of_columns(sub).extend(amb)
@@ -450,19 +446,19 @@ def intersect_spans(A: Mat, B: Mat) -> Mat:
     field = A.field
     if A.cols == 0 or B.cols == 0:
         return Mat.from_columns(field, [], A.rows)
-    stacked = Mat(
-        field,
-        [list(ra) + [-x for x in rb] for ra, rb in zip(A.data, B.data)],
-        A.cols + B.cols,
-    )
-    ker = kernel_basis(stacked)
+    # the kernel of [A | -B] pairs the combinations of A's columns with
+    # those of B's that are equal; its A part, through A, spans the meet
+    n = A.cols
+    stacked = [{**ra, **{n + j: -x for j, x in rb.items()}} for ra, rb in zip(A.sparse, B.sparse)]
+    ker = kernel_basis(Mat.from_sparse_rows(field, stacked, n + B.cols))
+    a_cols = A.transpose().sparse
     t = EchelonTracker(field, A.rows)
     cols = []
-    for kc in ker.columns_list():
-        v = A.matvec(kc[: A.cols])
+    for kc in ker.transpose().sparse:
+        v = combine((x, a_cols[j]) for j, x in kc.items() if j < n)
         if t.add(v):
             cols.append(v)
-    return Mat.from_columns(field, cols, A.rows)
+    return Mat.from_sparse_rows(field, cols, A.rows).transpose()
 
 
 def minimal_polynomial(M: Mat) -> list[Scalar]:
@@ -475,7 +471,7 @@ def minimal_polynomial(M: Mat) -> list[Scalar]:
     powers = [Mat.identity(field, n)]
 
     def flat(A: Mat) -> tuple:
-        return tuple(x for row in A.data for x in row)
+        return tuple(x for c in A.columns_list() for x in c)
 
     while t.add(flat(powers[-1])):
         powers.append(powers[-1].matmul(M))

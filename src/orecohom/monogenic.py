@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, mixed
 from .kalgebra import AlgebraK, Endo, KElem, ValidationReport, table_mul
 from .linalg import combine, support, vadd
 
@@ -58,83 +58,80 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
 
 
 class AElem:
-    """Element of A in normal form: coordinates over {lambda_b x^a}.
+    """Element of A in normal form, stored as its nonzero coordinates over
+    {lambda_b x^a}: ``nz`` is {flat index: nonzero entry}, Scalars of A's
+    field taken as given.
 
-    ``coords`` is the dense tuple of coordinates, taken as given: Scalars of
-    A's field.  The element also carries its nonzero coordinates, {flat
-    index: entry}: products, sums, scalings and the basis builders of the
-    algebra (``monomial``, ``k_embed``, ``basis_vector``) make only those,
-    and ``coords`` is built from them on first read; an element built from
-    ``coords`` computes them on first read.  Products and sums read only the
-    nonzero entries; ``==`` and ``hash`` read ``coords``."""
+    ``AElem(alg, coords)`` takes the dense coordinates and keeps their
+    nonzero entries; products, sums, scalings and the basis builders of the
+    algebra (``monomial``, ``k_embed``, ``basis_vector``) make ``nz``
+    directly.  ``coords``, the dense tuple, is built on each read.  ``==``
+    raises :func:`mixed` on an entry of another field."""
 
-    __slots__ = ("alg", "_coords", "_nz")
+    __slots__ = ("alg", "nz")
 
     def __init__(self, alg: "MonogenicAlgebra", coords):
         coords = tuple(coords)
         if len(coords) != alg.adim:
             raise MonogenicError("coordinate length mismatch")
+        zv = alg.field.zero.v
         self.alg = alg
-        self._coords = coords
-        self._nz = None
+        self.nz = {i: s for i, s in enumerate(coords) if s.v != zv}
 
     @classmethod
     def _of(cls, alg: "MonogenicAlgebra", nz: dict) -> "AElem":
         """The element with the nonzero coordinates nz, {flat index: entry}."""
         out = cls.__new__(cls)
-        out.alg, out._coords, out._nz = alg, None, nz
+        out.alg, out.nz = alg, nz
         return out
 
     @property
     def coords(self) -> tuple:
-        if self._coords is None:
-            zero, nz = self.alg.field.zero, self._nz
-            self._coords = tuple(nz.get(i, zero) for i in range(self.alg.adim))
-        return self._coords
-
-    def _nonzero(self) -> dict:
-        nz = self._nz
-        if nz is None:
-            zv = self.alg.field.zero.v
-            nz = self._nz = {i: s for i, s in enumerate(self.coords) if s.v != zv}
-        return nz
+        zero, nz = self.alg.field.zero, self.nz
+        return tuple(nz.get(i, zero) for i in range(self.alg.adim))
 
     def __add__(self, other):
         one = self.alg.field.one
-        return AElem._of(self.alg, combine([(one, self._nonzero()), (one, other._nonzero())]))
+        return AElem._of(self.alg, combine([(one, self.nz), (one, other.nz)]))
 
     def __sub__(self, other):
         one = self.alg.field.one
-        return AElem._of(self.alg, combine([(one, self._nonzero()), (-one, other._nonzero())]))
+        return AElem._of(self.alg, combine([(one, self.nz), (-one, other.nz)]))
 
     def __neg__(self):
-        return AElem._of(self.alg, {i: -s for i, s in self._nonzero().items()})
+        return AElem._of(self.alg, {i: -s for i, s in self.nz.items()})
 
     def __mul__(self, other):
         if isinstance(other, AElem):
             return self.alg.a_mul(self, other)
-        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self._nonzero())]))
+        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self.nz)]))
 
     def __rmul__(self, other):
-        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self._nonzero())]))
+        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self.nz)]))
 
     def is_zero(self):
-        return not self._nonzero()
+        return not self.nz
 
     def k_coeff(self, a: int) -> KElem:
         """The K-coefficient of x^a."""
-        d, nz, zero = self.alg.K.dim, self._nonzero(), self.alg.field.zero
+        d, nz, zero = self.alg.K.dim, self.nz, self.alg.field.zero
         return KElem(self.alg.K, tuple(nz.get(i, zero) for i in range(a * d, (a + 1) * d)))
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
-        return sorted({i // self.alg.K.dim for i in self._nonzero()})
+        return sorted({i // self.alg.K.dim for i in self.nz})
 
     def __eq__(self, other):
-        return isinstance(other, AElem) and self.alg is other.alg and self.coords == other.coords
+        if not isinstance(other, AElem) or self.alg is not other.alg:
+            return False
+        field = self.alg.field
+        for s in (*self.nz.values(), *other.nz.values()):
+            if s.field is not field:
+                raise mixed(field, s.field)
+        return self.nz == other.nz
 
     def __hash__(self):
-        return hash((id(self.alg), self.coords))
+        return hash((id(self.alg), frozenset(self.nz)))
 
     def __repr__(self):
         terms = []
@@ -228,16 +225,13 @@ class MonogenicAlgebra:
         # sparse multiplication table on the flat basis:
         # (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2), where
         # alpha^a(e_b2) is column b2 of alpha^a and x^(a + a2) is in normal form
-        images = [
-            [support(self.alpha.power_matrix(a).column(b2)) for b2 in range(K.dim)]
-            for a in range(n)
-        ]
+        images = [self.alpha.power_matrix(a).transpose().sparse for a in range(n)]
         nf_sparse = [[dict(support(cj)) for cj in row] for row in nf]
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         one = self.field.one
         for b, a in itertools.product(range(K.dim), range(n)):
             for b2, image in enumerate(images[a]):
-                u = table_mul(K.mul_table, [(b, one)], image).items()
+                u = table_mul(K.mul_table, [(b, one)], image.items()).items()
                 if not u:
                     continue
                 for a2 in range(n):
@@ -277,7 +271,7 @@ class MonogenicAlgebra:
     def a_mul(self, a: AElem, b: AElem) -> AElem:
         """The product on the compiled table, read on the nonzero
         coordinates of both factors."""
-        return AElem._of(self, table_mul(self.mul_table, a._nonzero().items(), b._nonzero().items()))
+        return AElem._of(self, table_mul(self.mul_table, a.nz.items(), b.nz.items()))
 
     def xpow(self, m: int) -> AElem:
         """Normal form of x^m in A, any m >= 0."""
@@ -335,7 +329,7 @@ class TensorElem:
     def from_blocks(cls, alg: MonogenicAlgebra, twist: int, blocks: dict) -> "TensorElem":
         """sum_c u_c (x) x^c for the entries c: u_c of ``blocks``."""
         adim = alg.adim
-        coords = {c * adim + i: s for c, u in blocks.items() for i, s in u._nonzero().items()}
+        coords = {c * adim + i: s for c, u in blocks.items() for i, s in u.nz.items()}
         return cls(alg, twist, coords)
 
     @classmethod
@@ -619,7 +613,7 @@ class Resolution:
         d = {r: [self.d_column(r, flat).coords for flat in flats] for r in degrees}
         for flat in flats:
             c, i = divmod(flat, alg.adim)
-            section = (alg.basis_vector(i) * alg.xpow(c))._nonzero()  # sigma_0 . augmentation
+            section = (alg.basis_vector(i) * alg.xpow(c)).nz  # sigma_0 . augmentation
             lhs = combine([*((x, d[1][j]) for j, x in s[1][flat].items()), (one, section)])
             if lhs != {flat: one}:
                 return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))

@@ -345,7 +345,7 @@ class BarOracle:
     def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
             raise ProductsError("cochain of another algebra than the oracle's")
-        key = m.degree, tuple(sorted((i, s.v) for i, s in m.value._nonzero().items()))
+        key = m.degree, tuple(sorted((i, s.v) for i, s in m.value.nz.items()))
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self._cochains)

@@ -2,8 +2,10 @@
 the computations that faster code replaced, kept verbatim as oracles for it."""
 
 import functools
+import inspect
 import itertools
 import logging
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,7 +69,6 @@ from orecohom.linalg import (
     rank,
     solve,
     span_equal,
-    sparse_rows,
     support,
     vadd,
     vscale,
@@ -571,7 +572,7 @@ def all_rows_twisted_kernel(field: Field, dim: int, right: list, left: list, twi
         for i in range(dim):
             row = dict(R[i])
             for t, L in terms:
-                for j, a in L[i]:
+                for j, a in L[i].items():
                     row[j] = row[j] - t * a if j in row else -(t * a)
             if all(a.is_zero() for a in row.values()):
                 continue
@@ -586,7 +587,8 @@ def all_rows_twisted_kernel(field: Field, dim: int, right: list, left: list, twi
 
 def all_rows_invariants(M: Bimodule, r: int) -> Mat:
     """M^{alpha^r} from every basis constraint, uncached."""
-    return all_rows_twisted_kernel(M.field, M.dim, *M.sparse_actions, M.alg.alpha.power_matrix(r))
+    right, left = [A.sparse for A in M.R_k], [A.sparse for A in M.L_k]
+    return all_rows_twisted_kernel(M.field, M.dim, right, left, M.alg.alpha.power_matrix(r))
 
 
 def all_rows_invariants_k(K: AlgebraK, alpha, r: int) -> Mat:
@@ -1826,3 +1828,100 @@ def tensor_contraction_check(self: Resolution) -> ValidationReport:
             if not self.apply_d(r, self.d_column(r + 1, flat)).is_zero():
                 return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
     return ValidationReport(True, ())
+
+
+# -- the dense `Mat` that stored its grid --------------------------------------
+
+
+def sparse_rows(A) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero (column, entry) pairs of each row of A, in column order,
+    read off its dense rows: `linalg.sparse_rows` before `Mat` stored them."""
+    zv = A.field.zero.v
+    return [[(j, a) for j, a in enumerate(row) if a.v != zv] for row in A.data]
+
+
+class DenseMat:
+    """`Mat` when it stored the dense grid ``data`` and read its sparse rows
+    off it, with the operations it had then; only the cache of the sparse
+    rows is left out."""
+
+    __slots__ = ("field", "data", "rows", "cols")
+
+    def __init__(self, field: Field, data, cols: int | None = None):
+        rows = tuple(tuple(row) for row in data)
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
+                raise LinalgError("ragged rows")
+            if cols is not None and cols != width:
+                raise LinalgError("cols mismatch")
+            cols = width
+        elif cols is None:
+            cols = 0
+        self.field = field
+        self.data = rows
+        self.rows = len(rows)
+        self.cols = cols
+
+    @classmethod
+    def from_sparse_rows(cls, field: Field, rows, cols: int) -> "DenseMat":
+        z = field.zero
+        sparse = [sorted(r.items()) for r in rows]
+        data = []
+        for r in sparse:
+            row = [z] * cols
+            for j, a in r:
+                row[j] = a
+            data.append(row)
+        return cls(field, data, cols)
+
+    def column(self, j: int) -> tuple:
+        return tuple(self.data[i][j] for i in range(self.rows))
+
+    def transpose(self) -> "DenseMat":
+        data = list(zip(*self.data)) if self.rows else [()] * self.cols
+        return DenseMat(self.field, data, self.rows)
+
+    def matvec(self, v: tuple) -> tuple:
+        return scalar_matvec(self, v)
+
+    def matmul(self, other: "DenseMat") -> "DenseMat":
+        if self.cols != other.rows:
+            raise LinalgError("shape mismatch in matmul")
+        right = sparse_rows(other)
+        out = [combine((a, right[k]) for k, a in row) for row in sparse_rows(self)]
+        return DenseMat.from_sparse_rows(self.field, out, other.cols)
+
+    def add(self, other: "DenseMat") -> "DenseMat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LinalgError("shape mismatch in add")
+        return DenseMat(
+            self.field,
+            [vadd(r1, r2) for r1, r2 in zip(self.data, other.data)],
+            self.cols,
+        )
+
+    def scale(self, s: Scalar) -> "DenseMat":
+        return DenseMat(self.field, [vscale(s, r) for r in self.data], self.cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, DenseMat):
+            return NotImplemented
+        return (
+            self.field is other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and all(
+                a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
+            )
+        )
+
+
+def mutant(fn, old: str, new: str):
+    """fn compiled from its source with ``old`` replaced by ``new``, in a copy
+    of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile("from __future__ import annotations\n" + source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[fn.__name__]

@@ -679,6 +679,18 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["dims"] == [1, 1, 1, 1, 1]
 
 
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    """A path in a missing directory is a usage error with a one-line reason,
+    not a traceback and not exit 1 (a failed mathematical check)."""
+    target = tmp_path / "missing" / "x.json"
+    rc = main(["cohomology", spec("sweedler.json"), "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_instance_echo_reparses_to_same_dims(capsys):
     rc, payload = run_json(
         capsys, "cohomology", spec("sweedler.json"), "--max-degree", "4"

@@ -21,10 +21,8 @@ replaced, and `Resolution.contraction_check` against its TensorElem route
 (both kept in conftest.py), on intact and on broken columns."""
 
 import copy
-import inspect
 import itertools
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -51,11 +49,13 @@ from conftest import (
     entrywise_d_column,
     entrywise_s_column,
     legacy_payload,
+    mutant,
     pair_loop_validate,
     scalar_accumulate,
     scalar_combine,
     scalar_matvec,
     scalar_table_mul,
+    sparse_rows,
     tensor_contraction_check,
     triple_loop_validate,
 )
@@ -65,7 +65,7 @@ from orecohom import kalgebra, linalg
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
-from orecohom.kalgebra import algebra_validate, sparse_rows
+from orecohom.kalgebra import algebra_validate
 from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
 
@@ -241,10 +241,9 @@ def test_mult_matrices_match(case):
         assert K.left_mult_matrix(u) == dense_left_mult_matrix(K, u)
         assert K.right_mult_matrix(u) == dense_right_mult_matrix(K, u)
     basis = elems[: K.dim]
-    assert K.sparse_actions == (
-        [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis],
-        [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis],
-    )
+    right, left = K.sparse_actions
+    assert [[list(r.items()) for r in R] for R in right] == [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis]
+    assert [[list(r.items()) for r in L] for L in left] == [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis]
 
 
 def test_regular_bimodule_matches(case):
@@ -301,15 +300,14 @@ def test_equal_bases_share_one_solver(gh4_u3):
 
 
 def carries_its_support(a: AElem) -> bool:
-    """The nonzero coordinates a carries are exactly those of its coords."""
-    return a._nonzero() == {i: c for i, c in enumerate(a.coords) if not c.is_zero()}
+    """The nonzero coordinates a stores are exactly those of its coords."""
+    return a.nz == {i: c for i, c in enumerate(a.coords) if not c.is_zero()}
 
 
 def test_elements_carry_their_support(case):
-    """Every builder of A and every operation on its elements makes the
-    nonzero coordinates along with the dense ones; an element given by its
-    coords alone computes them when read.  The operations match the dense
-    loops."""
+    """Every builder of A and every operation on its elements stores the
+    nonzero coordinates of the dense ones; an element given by its coords
+    keeps their nonzero entries.  The operations match the dense loops."""
     alg = case[0]
     F, K = alg.field, alg.K
     rng = random.Random(9)
@@ -319,11 +317,11 @@ def test_elements_carry_their_support(case):
     built += [alg.xpow(m) for m in range(2 * alg.n + 2)]
     given = [AElem(alg, vector(F, alg.adim, rng, d)) for d in DENSITIES]
     for a in built:
-        assert a._nz is not None and carries_its_support(a)
+        assert carries_its_support(a)
     for bad in (lambda: alg.basis_vector(-1), lambda: alg.monomial(K.unit, alg.n)):
         with pytest.raises(IndexError):
             bad()
-    assert all(a._nz is None and carries_its_support(a) for a in given)
+    assert all(carries_its_support(a) for a in given)
     sample = given + rng.sample(built, 6)
     scalars = (F.zero, F.one, -F.one, nonzero(F, rng))
     for a in sample:
@@ -335,7 +333,7 @@ def test_elements_carry_their_support(case):
             assert (a + b).coords == dense_vadd(a.coords, b.coords)
             assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
             assert a * b == dense_a_mul(alg, a, b)
-        assert all(r._nz is not None and carries_its_support(r) for r in results)
+        assert all(carries_its_support(r) for r in results)
 
 
 def test_tensor_sums_match_entrywise(case):
@@ -358,7 +356,7 @@ def test_tensor_sums_match_entrywise(case):
                 blocks = t._blocks()
                 assert list(blocks) == t.powers()
                 for c, u in blocks.items():
-                    assert u == t.left_factor(c) and u._nz is not None and carries_its_support(u)
+                    assert u == t.left_factor(c) and carries_its_support(u)
 
 
 # -- the unit shortcut of extension-field products -----------------------------
@@ -519,16 +517,6 @@ def payload_loops_agree(F, seed):
 @pytest.mark.parametrize("name", FIELDS)
 def test_payload_loops_match_scalar_loops(name):
     payload_loops_agree(FIELDS[name], 11)
-
-
-def mutant(fn, old: str, new: str):
-    """fn compiled from its source with ``old`` replaced by ``new``, in a copy
-    of its module's namespace."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(compile("from __future__ import annotations\n" + source.replace(old, new), "<mutant>", "exec"), namespace)
-    return namespace[fn.__name__]
 
 
 # Each loop with a unit shortcut that overwrites the running sum instead of

@@ -13,6 +13,10 @@ normalized payload:
   ``sum(nums[i] t^i) / den``; over ``GF(p)`` every num lies in ``[0, p)``
   and ``den == 1``.
 
+``ExtensionField.__new__`` picks the class of an extension: over GF(p)
+``_PrimeExtensionField``, of degree 2 over QQ ``_QuadraticField``
+(straight-line arithmetic), else ``ExtensionField`` itself.
+
 Field contexts are cached, so two requests for the same field return the
 identical object and scalars can be compared by payload.  Towers are rejected:
 an extension base must be the rationals or a prime field, which keeps equality
@@ -610,11 +614,16 @@ class ExtensionField(Field):
     one common denominator ``_tden`` (1 when the minpoly is integral), so
     every operation runs on ints.  Over GF(p) the constructor returns a
     :class:`_PrimeExtensionField`, which runs the same arithmetic on the
-    integer lifts and only normalises differently."""
+    integer lifts and only normalises differently.  For degree 2 over QQ it
+    returns a :class:`_QuadraticField`; degree >= 3 over QQ runs the generic
+    fold below and inverts by Bareiss elimination."""
 
     def __new__(cls, base: Field, minpoly: tuple, symbol: str):
-        if cls is ExtensionField and isinstance(base, PrimeField):
-            cls = _PrimeExtensionField
+        if cls is ExtensionField:
+            if isinstance(base, PrimeField):
+                cls = _PrimeExtensionField
+            elif len(minpoly) == 3:
+                cls = _QuadraticField
         return super().__new__(cls)
 
     def __init__(self, base: Field, minpoly: tuple, symbol: str):
@@ -823,8 +832,13 @@ class ExtensionField(Field):
         return d
 
     def encode(self, s):
-        v = self.scalar(s).v
-        return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
+        # over QQ: each coordinate nums[i]/den in lowest terms, as QQ writes it
+        nums, den = self.scalar(s).v
+        out = []
+        for x in nums:
+            g = gcd(x, den)
+            out.append(f"{x // g}/{den // g}")
+        return out
 
     def decode(self, obj):
         if isinstance(obj, bool):
@@ -844,6 +858,56 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"{self.base}[{self.symbol}]/<{self._poly_str()}>"
+
+
+class _QuadraticField(ExtensionField):
+    """A degree-2 extension of QQ: the payload of :class:`ExtensionField`,
+    with straight-line ``_add``, ``_mul`` and ``_inv`` read off the stored
+    reduction t^2 = (r0 + r1 t)/D (``_tpow[0]``, ``_tden``).  The inverse
+    is by the conjugate: (a0 + a1 t)((D a0 + r1 a1) - D a1 t) = N with
+    N = D a0^2 + r1 a0 a1 - r0 a1^2, nonzero for a != 0 as the minpoly is
+    irreducible, so (a/den)^-1 = den ((D a0 + r1 a1) - D a1 t)/N."""
+
+    def _add(self, a, b):
+        (a0, a1), ad = a
+        (b0, b1), bd = b
+        if ad == bd:
+            c0, c1, den = a0 + b0, a1 + b1, ad
+        else:
+            c0, c1, den = a0 * bd + b0 * ad, a1 * bd + b1 * ad, ad * bd
+        if den != 1 and (g := gcd(den, c0, c1)) != 1:
+            return (c0 // g, c1 // g), den // g
+        return (c0, c1), den
+
+    def _mul(self, a, b):
+        if a == self._one_v:
+            return b
+        if b == self._one_v:
+            return a
+        (a0, a1), ad = a
+        (b0, b1), bd = b
+        (r0, r1), = self._tpow
+        D = self._tden
+        p = a1 * b1
+        c0 = D * a0 * b0 + r0 * p
+        c1 = D * (a0 * b1 + a1 * b0) + r1 * p
+        den = ad * bd * D
+        if den != 1 and (g := gcd(den, c0, c1)) != 1:
+            return (c0 // g, c1 // g), den // g
+        return (c0, c1), den
+
+    def _inv(self, a):
+        (a0, a1), ad = a
+        (r0, r1), = self._tpow
+        D = self._tden
+        N = D * a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
+        if not N:
+            raise FieldError(f"non-invertible element; minpoly {self._poly_str()} is reducible")
+        if N < 0:
+            N, ad = -N, -ad
+        c0, c1 = ad * (D * a0 + r1 * a1), -ad * D * a1
+        g = gcd(N, c0, c1)
+        return (c0 // g, c1 // g), N // g
 
 
 class _PrimeExtensionField(ExtensionField):
@@ -871,6 +935,10 @@ class _PrimeExtensionField(ExtensionField):
     def _neg(self, a):
         p = self.char
         return tuple(-x % p for x in a[0]), 1
+
+    def encode(self, s):
+        v = self.scalar(s).v
+        return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
 
     def _from_int(self, n):
         return (n % self.char,) + self._pad, 1

@@ -669,6 +669,8 @@ def character_from_values(G: GroupData, field: Field, gen_values: dict[str, Scal
 
     gen_values maps a label (e.g. "g", "h") to its character value; every group
     element must be reachable as a product of the given generators."""
+    if unknown := [name for name in gen_values if name not in G.labels]:
+        raise AlgebraError(f"unknown group label {unknown[0]!r}; the group's labels are {G.labels}")
     gens = {G.labels.index(name): field.scalar(v) for name, v in gen_values.items()}
     chi: list[Scalar | None] = [None] * G.order
     chi[G.identity] = field.one

@@ -202,6 +202,12 @@ class MonogenicAlgebra:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
+        """Set ``xpow_nf``, ``wrap_terms`` and the sparse ``mul_table``:
+        (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2).  For
+        a + a2 < n, x^(a + a2) is its own normal form and u is stored as it
+        is, which takes K's unit law on trust (the CLI checks it in
+        ``Session.checks`` before any compile); else u multiplies each
+        nonzero K-coefficient of the normal form."""
         K, n = self.K, self.n
         # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
         zero = tuple(self.field.zero for _ in range(K.dim))
@@ -222,23 +228,25 @@ class MonogenicAlgebra:
         self.xpow_nf = nf
         # x^n = sum_j kappa_j x^j: the nonzero kappa_j, read by every right x action
         self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if support(kappa)]
-        # sparse multiplication table on the flat basis:
-        # (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2), where
-        # alpha^a(e_b2) is column b2 of alpha^a and x^(a + a2) is in normal form
+        # alpha^a(e_b2) is column b2 of alpha^a; the reduced powers x^n .. x^(2n - 2)
+        # keep their nonzero K-coefficients as (j, sparse c_j)
         images = [self.alpha.power_matrix(a).transpose().sparse for a in range(n)]
-        nf_sparse = [[dict(support(cj)) for cj in row] for row in nf]
+        reduced = [[(j, cj) for j, c in enumerate(row) if (cj := support(c))] for row in nf[n:]]
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         one = self.field.one
         for b, a in itertools.product(range(K.dim), range(n)):
             for b2, image in enumerate(images[a]):
-                u = table_mul(K.mul_table, [(b, one)], image.items()).items()
+                u = sorted(table_mul(K.mul_table, [(b, one)], image.items()).items())
                 if not u:
                     continue
                 for a2 in range(n):
-                    terms: list[tuple[int, Scalar]] = []
-                    for j, cj in enumerate(nf_sparse[a + a2]):
-                        w = table_mul(K.mul_table, u, cj.items())
-                        terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
+                    if a + a2 < n:
+                        terms = [(self.idx(b3, a + a2), s) for b3, s in u]
+                    else:
+                        terms = []
+                        for j, cj in reduced[a + a2 - n]:
+                            w = table_mul(K.mul_table, u, cj)
+                            terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
                     if terms:
                         table[(self.idx(b, a), self.idx(b2, a2))] = terms
         self.mul_table = table

@@ -266,6 +266,24 @@ def legacy_payload(field, x):
     return x.v
 
 
+def full_product(F, a, b):
+    """The schoolbook product of two payloads of F, folded and normalised,
+    with no shortcut."""
+    (an, ad), (bn, bd) = a, b
+    raw = [0] * (2 * F.deg - 1)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            raw[i + j] += x * y
+    return F._normal(F._fold(raw), ad * bd * F._tden)
+
+
+def boxed_encode(self, s):
+    """`ExtensionField.encode` before it read the payload over QQ: every
+    coordinate boxed as a base-field Scalar and written by the base field."""
+    v = self.scalar(s).v
+    return [self.base.encode(Scalar(self.base, c)) for c in self._coords(v)]
+
+
 def dense_vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

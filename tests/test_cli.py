@@ -130,6 +130,28 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
     assert "spec error" in capsys.readouterr().err
 
 
+# the group of order 1, whose only label is "1"
+TRIVIAL_GROUP = {"field": {"kind": "Q"}, "K": {"kind": "group", "group": {"kind": "cyclic", "order": 1}},
+                 "f": {"n": 2, "coeffs": [[0], [0]]}}
+
+
+@pytest.mark.parametrize("raw, character", [
+    (json.loads(Path(spec("sweedler.json")).read_text()), {"h": -1}),
+    (TRIVIAL_GROUP, {"g": 1}),
+], ids=["C2-h", "trivial-group-g"])
+def test_character_naming_a_missing_label_exits_2(tmp_path, capsys, raw, character):
+    """A character value at a label the group lacks is a spec error naming
+    the label, not a traceback."""
+    p = tmp_path / "bad_label.json"
+    p.write_text(json.dumps({**raw, "K": {**raw["K"], "character": character}}))
+    rc = main(["validate", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("spec error:")
+    assert f"unknown group label {next(iter(character))!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_spec_file_exits_2(capsys):
     rc = main(["validate", "/no/such/file.json"])
     assert rc == 2

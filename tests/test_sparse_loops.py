@@ -48,6 +48,7 @@ from conftest import (
     dense_vscale,
     entrywise_d_column,
     entrywise_s_column,
+    full_product,
     legacy_payload,
     mutant,
     pair_loop_validate,
@@ -371,17 +372,6 @@ EXTENSIONS = {
 }
 
 
-def full_product(F, a, b):
-    """The schoolbook product of two payloads of F, folded and normalised,
-    with no shortcut."""
-    (an, ad), (bn, bd) = a, b
-    raw = [0] * (2 * F.deg - 1)
-    for i, x in enumerate(an):
-        for j, y in enumerate(bn):
-            raw[i + j] += x * y
-    return F._normal(F._fold(raw), ad * bd * F._tden)
-
-
 def unit_shortcut_property():
     """A derandomized hypothesis test: on each field, products of elements
     drawn with 0, 1, -1 and other units often equal the full product and
@@ -415,7 +405,8 @@ def test_unit_shortcut_matches_full_product():
 
 def test_seeded_wrong_unit_shortcut_is_caught(monkeypatch):
     """The shortcut handing back the unit factor instead of the other one
-    turns the property red."""
+    turns the property red.  Q(i) has its own `_mul` now; Q(cbrt 2), GF9
+    and GF16 still reach this one, and hypothesis reports GF16 (1 * 0)."""
     full = ExtensionField._mul
     monkeypatch.setattr(ExtensionField, "_mul", lambda self, a, b: a if a == self._one_v else full(self, a, b))
     with pytest.raises(AssertionError):
@@ -428,7 +419,8 @@ def test_seeded_wrong_unit_shortcut_is_caught(monkeypatch):
 def base_inverse_property():
     """A derandomized hypothesis test: on each field, the inverse of a
     nonzero element, base-field values (negative and non-integral ones over
-    QQ) drawn often, equals the inverse by fraction-free elimination."""
+    QQ) drawn often, equals the inverse by fraction-free elimination.  On
+    Q(i) this compares the conjugate formula of the degree-2 class."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     fields = {}
@@ -458,7 +450,8 @@ def test_base_field_inverse_matches_elimination():
 
 def test_seeded_wrong_sign_in_base_inverse_is_caught(monkeypatch):
     """The shortcut dropping the sign of a negative base-field value turns the
-    property red."""
+    property red.  Q(i) has its own `_inv` now, and over GF(p) no coordinate
+    is negative, so Q(cbrt 2) is the field that catches it."""
 
     def unsigned(self, a):
         nums, den = a

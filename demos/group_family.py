@@ -52,10 +52,10 @@ print("first block per class:",
 # The cohomology is generated by two degree-0 elements, the x line in
 # degree 1, a sign combination in degree 2, and a unit class in degree 4.
 w = find_witness(alg)
-print("witness coordinates:", w.value.coords)
-a = SmallCochain(alg, 0, alg.k_embed(K.elem({"g": 1, "g^2": 1}).coords), check=False)
+print("witness coordinates:", w.value)
+a = SmallCochain(alg, 0, alg.k_embed(K.elem({"g": 1, "g^2": 1})), check=False)
 x = SmallCochain(alg, 1, alg.monomial(K.unit, 1), check=False)
-b = SmallCochain(alg, 2, alg.k_embed(K.elem({"g": 1, "g^2": -1}).coords), check=False)
+b = SmallCochain(alg, 2, alg.k_embed(K.elem({"g": 1, "g^2": -1})), check=False)
 c = SmallCochain(alg, 4, alg.k_embed(K.unit), check=False)
 for name, cochain in (("a", a), ("x", x), ("b", b), ("c", c)):
     H = cohomology_group(C, cochain.degree)

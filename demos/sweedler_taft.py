@@ -27,7 +27,7 @@ C = build_small_complex(alg, Bimodule.regular(alg), 7)
 # The group generator is a collapse witness: it is central, fixed by the
 # square of the twist, and 1 - (-1) = 2 is invertible.
 w = find_witness(alg)
-print("witness coordinates:", w.value.coords)
+print("witness coordinates:", w.value)
 
 # With a witness the closed table needs no matrix ranks at all.
 table = collapsed_cohomology_table(C, w, 6)

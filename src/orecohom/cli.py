@@ -263,7 +263,7 @@ def run_products(session: Session) -> tuple[dict, bool]:
     witness = session.witness
     if witness:
         bracket_checked = _bracket_agreement(C, witness, min(bound, 3), oracle)
-        witness_enc = _encode_kelem(inst, witness.value.coords)
+        witness_enc = _encode_kelem(inst, witness.value)
     else:
         bracket_checked = []
         witness_enc = "none"
@@ -352,7 +352,7 @@ def run_theorems(session: Session) -> tuple[dict, bool]:
     payload = {
         "instance": inst.raw,
         "max_degree": D,
-        "witness": _encode_kelem(inst, witness.value.coords) if witness else "none",
+        "witness": _encode_kelem(inst, witness.value) if witness else "none",
         "generic_dims": cohomology_dims(C, D),
         "checks": entries,
     }

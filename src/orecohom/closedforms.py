@@ -70,7 +70,6 @@ from .kalgebra import (
     AlgebraK,
     Endo,
     GroupData,
-    KElem,
     char_power,
     character_kernel,
     character_order,
@@ -166,7 +165,7 @@ def _dims_result(
 class WitnessData:
     """A candidate collapse witness with its three verified properties."""
 
-    value: KElem
+    value: tuple
     central: bool
     power_fixed: bool
     differences_regular: bool
@@ -185,10 +184,9 @@ class WitnessData:
 def witness_check(alg: MonogenicAlgebra, candidate) -> WitnessData:
     """Evaluate the three collapse-witness conditions on one element."""
     K, alpha, n = alg.K, alg.alpha, alg.n
-    lam = K.elem(candidate)
-    u = lam.coords
+    u = K.elem(candidate)
     central = all(
-        K.kmul(u, K.basis_elem(b).coords) == K.kmul(K.basis_elem(b).coords, u)
+        K.kmul(u, K.basis_elem(b)) == K.kmul(K.basis_elem(b), u)
         for b in range(K.dim)
     )
     power_fixed = alpha.apply_power(n, u) == u
@@ -201,7 +199,7 @@ def witness_check(alg: MonogenicAlgebra, candidate) -> WitnessData:
         if rank(K.left_mult_matrix(diff)) < K.dim or rank(K.right_mult_matrix(diff)) < K.dim:
             regular = False
             break
-    return WitnessData(lam, central, power_fixed, regular)
+    return WitnessData(u, central, power_fixed, regular)
 
 
 def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
@@ -209,30 +207,25 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
 
     Order: caller-supplied candidates, then central group elements when the
     coefficient algebra is a group algebra, then a basis of the center (for a
-    group algebra these are the class sums).  Returns the first element that
-    passes all three conditions, or None.
+    group algebra these are the class sums).  Each distinct nonzero element
+    is tried once; returns the first that passes all three conditions, or
+    None.
     """
     K = alg.K
-    seen: set[tuple] = set()
-    pool: list = []
-    for c in candidates:
-        pool.append(K.elem(c))
+    pool = [K.elem(c) for c in candidates]
     if K.group is not None:
-        for g in K.group.center_indices():
-            pool.append(K.basis_elem(g))
+        pool += [K.basis_elem(g) for g in K.group.center_indices()]
     center = K.center_basis()
-    for j in range(center.cols):
-        pool.append(KElem(K, center.column(j)))
+    pool += center.columns_list()
     if center.cols > 1:
         weighted = [K.field.zero] * K.dim
         for j in range(center.cols):
             s = K.field.from_int(j + 1)
             weighted = [a + s * c for a, c in zip(weighted, center.column(j))]
-        pool.append(KElem(K, weighted))
-    for lam in pool:
-        if lam.coords in seen or lam.is_zero():
+        pool.append(tuple(weighted))
+    for lam in dict.fromkeys(pool):
+        if all(c.is_zero() for c in lam):
             continue
-        seen.add(lam.coords)
         w = witness_check(alg, lam)
         if w:
             return w
@@ -393,7 +386,7 @@ def _closed_differential(C: SmallComplex, r: int, op: Mat) -> tuple[list | None,
     equals ``C.dmats[r]``; (None, False) when it leaves C^r."""
     alg, xdeg, cols = C.alg, r % 2, []
     for v in C.bases[r - 1].columns_list():
-        w_k = op.matvec(AElem(alg, v).k_coeff(1 - xdeg).coords)
+        w_k = op.matvec(AElem(alg, v).k_coeff(1 - xdeg))
         amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
         try:
             cols.append(C.to_sub(r, amb))
@@ -758,7 +751,7 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
 
 def _kernel_span(K: AlgebraK, chi: list[Scalar]) -> Mat:
     """Span of the group elements in the character kernel, as K-columns."""
-    cols = [K.basis_elem(g).coords for g in character_kernel(K.group, chi)]
+    cols = [K.basis_elem(g) for g in character_kernel(K.group, chi)]
     return Mat.from_columns(K.field, cols, K.dim)
 
 
@@ -965,8 +958,12 @@ def rank_one_quotient_report(
     """Hypotheses and quotient model of k[G][x; alpha] / (x^n - xi (g1^n - 1)):
     g1 is central with chi(g1) a primitive n-th root of unity, and the table
     of x^n = 0 over k[G / <g1^n>] is verified through up_to.  When chi^n is
-    nontrivial that model carries every table and f must fail admissibility
-    over k[G]; otherwise ``rank_one_hopf_report`` compares A with it."""
+    nontrivial that model carries every table, and f must fail admissibility
+    over k[G] when also g1^n != 1: lambda_n = xi (1 - g1^n) is alpha-fixed
+    and central, so lambda_n g = alpha^n(g) lambda_n reads (1 - chi^n(g)) g
+    lambda_n = 0, which for lambda_n != 0, that is g1^n != 1, holds iff chi^n
+    is trivial.  When chi^n is trivial, ``rank_one_hopf_report`` compares A
+    with that model."""
     rep = validate_character(G, chi)
     if not rep.ok:
         raise ClosedFormError("; ".join(rep.failures))
@@ -988,7 +985,8 @@ def rank_one_quotient_report(
     if ch and G.order % ch == 0:
         raise ClosedFormError("group order must be invertible in the field")
     case_trivial = all(c == field.one for c in char_power(chi, n))
-    Q, proj = G.quotient_group(G.subgroup_generated([reduce(G.mul, [g1] * n)]))
+    g1n = reduce(G.mul, [g1] * n)
+    Q, proj = G.quotient_group(G.subgroup_generated([g1n]))
     # chi(g1)^n = 1, so chi is constant on the cosets of <g1^n>
     chit = [chi[proj.index(q)] for q in range(Q.order)]
     Kq = group_algebra(Q, field)
@@ -1011,6 +1009,9 @@ def rank_one_quotient_report(
         "mismatches": list(quotient_table["mismatches"]),
     }
     if not case_trivial:
+        report["hypotheses"].append(_hyp("n-th power of the distinguished element is not 1",
+                                         g1n != G.identity))
+    if not case_trivial and g1n != G.identity:
         K = group_algebra(G, field)
         direct = validate_f(K, endo_from_character(K, chi), rank_one_f(field, G, g1, n, xi))
         report["hypotheses"].append(
@@ -1083,7 +1084,7 @@ def rank_one_hopf_report(
                 )
             if ra == rb == 1:
                 comm = tuple(
-                    p - q for p, q in zip(K.kmul(mu.coords, lam.coords), K.kmul(lam.coords, mu.coords))
+                    p - q for p, q in zip(K.kmul(mu, lam), K.kmul(lam, mu))
                 )
                 same = classes_equal(C, deg, got.value.coords, alg.monomial(comm, 1).coords)
                 row["matches_commutator_class"] = same
@@ -1116,7 +1117,7 @@ def quaternion_companion(K: AlgebraK, cos_half, sin_half, f_coeffs: list) -> lis
         raise ClosedFormError("defining polynomial needs degree at least 2")
     sigma: list[Scalar] = []
     for u in range(1, n + 1):
-        lam = K.elem(f_coeffs[u - 1]).coords
+        lam = K.elem(f_coeffs[u - 1])
         w = K.kmul(lam, _quaternion_half_power(K, cos_half, sin_half, u))
         if any(not w[t].is_zero() for t in (1, 2, 3)):
             raise ClosedFormError(

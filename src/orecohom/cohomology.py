@@ -71,7 +71,7 @@ class Bimodule:
     def _action(self, basis_actions: list[Mat], u) -> Mat:
         """The action of u in K: the combination of the basis actions."""
         out = Mat.zero(self.field, self.dim, self.dim)
-        for b, c in enumerate(self.alg.K.elem(u).coords):
+        for b, c in enumerate(self.alg.K.elem(u)):
             if not c.is_zero():
                 out = out.add(basis_actions[b].scale(c))
         return out
@@ -95,7 +95,7 @@ class Bimodule:
         for c in t.powers():
             u = t.left_factor(c)
             for a in u.x_degrees():
-                k = u.k_coeff(a).coords
+                k = u.k_coeff(a)
                 s = k[i] / unit[i]
                 ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
                 if vscale(s, unit) != k:
@@ -116,7 +116,7 @@ class Bimodule:
             failures.append("right action of the unit is not the identity")
         for i in range(K.dim):
             for j in range(K.dim):
-                ei, ej = K.basis_elem(i).coords, K.basis_elem(j).coords
+                ei, ej = K.basis_elem(i), K.basis_elem(j)
                 if self.L_k[i].matmul(self.L_k[j]) != self.L_elem(K.kmul(ei, ej)):
                     failures.append(f"left action not multiplicative at ({i},{j})")
                 if self.R_k[j].matmul(self.R_k[i]) != self.R_elem(K.kmul(ei, ej)):
@@ -124,7 +124,7 @@ class Bimodule:
                 if failures:
                     return ValidationReport(False, tuple(failures))
         for b in range(K.dim):
-            lam = K.basis_elem(b).coords
+            lam = K.basis_elem(b)
             tw = alg.alpha.apply(lam)
             if self.Lx.matmul(self.L_k[b]) != self.L_elem(tw).matmul(self.Lx):
                 failures.append(f"left x-relation fails at basis {b}")

@@ -179,10 +179,10 @@ class Field:
         """Coerce an int, Fraction, Scalar, string such as "3/4" (QQ) or coordinate
         list (extensions, constant-first) into this field.
 
-        This is where raw values enter: containers (``KElem``, ``AElem``,
-        ``TensorElem``, ``Mat``, ``AlgebraK``) hold Scalars of their field as
-        given (``AElem``, ``TensorElem`` and ``Mat`` keep only the nonzero
-        ones), and the entry points (``decode``, ``AlgebraK.elem``,
+        This is where raw values enter: containers (K's coordinate tuples,
+        ``AElem``, ``TensorElem``, ``Mat``, ``AlgebraK``) hold Scalars of their
+        field as given (``AElem``, ``TensorElem`` and ``Mat`` keep only the
+        nonzero ones), and the entry points (``decode``, ``AlgebraK.elem``,
         ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
         through here.  Booleans are rejected."""
         if isinstance(x, Scalar):

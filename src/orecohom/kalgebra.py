@@ -1,7 +1,9 @@
 """Coefficient algebras: structure constants, group algebras, quaternions.
 
 An :class:`AlgebraK` stores sparse structure constants c_{ij}^k over one exact
-field together with optional group metadata.  Twisting endomorphisms live in
+field together with optional group metadata.  An element of K is the tuple
+of its coordinates over the basis, Scalars of that field taken as given;
+raw values enter through ``AlgebraK.elem``.  Twisting endomorphisms live in
 :class:`Endo`; the group-algebra case builds them from characters.  The checks
 are exact and read the nonzero structure constants: the unit law on every basis
 element, associativity as L(e_i e_j) = L(e_i) L(e_j) for the left
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar, mixed
-from .linalg import EchelonTracker, Mat, boxed, combine, kernel_basis, rank, support, vadd, vscale
+from .linalg import EchelonTracker, Mat, boxed, combine, kernel_basis, rank, support
 
 
 class AlgebraError(ValueError):
@@ -174,56 +176,6 @@ def group_from_table(labels: list[str], table: list[list[int]]) -> GroupData:
     return GroupData(labels, table)
 
 
-class KElem:
-    """Element of an AlgebraK, held as a coordinate vector over its basis.
-
-    The coordinates are taken as given and must be Scalars of the algebra's
-    field; raw values enter through :meth:`AlgebraK.elem`, which coerces."""
-
-    __slots__ = ("alg", "coords")
-
-    def __init__(self, alg: "AlgebraK", coords):
-        coords = tuple(coords)
-        if len(coords) != alg.dim:
-            raise AlgebraError("coordinate length mismatch")
-        self.alg = alg
-        self.coords = coords
-
-    def __add__(self, other):
-        return KElem(self.alg, vadd(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return KElem(self.alg, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return KElem(self.alg, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, KElem):
-            return KElem(self.alg, self.alg.kmul(self.coords, other.coords))
-        return KElem(self.alg, vscale(self.alg.field.scalar(other), self.coords))
-
-    def __rmul__(self, other):
-        return KElem(self.alg, vscale(self.alg.field.scalar(other), self.coords))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, KElem) and self.alg is other.alg and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.alg), self.coords))
-
-    def __repr__(self):
-        terms = [
-            f"({c})*{self.alg.basis_names[i]}"
-            for i, c in enumerate(self.coords)
-            if not c.is_zero()
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
 class AlgebraK:
     """Finite-dimensional associative unital algebra via sparse structure constants.
 
@@ -265,31 +217,28 @@ class AlgebraK:
             out[k] = s
         return tuple(out)
 
-    def elem(self, x) -> KElem:
-        if isinstance(x, KElem):
-            return x
+    def elem(self, x) -> tuple:
+        """The coordinates of x, coerced to the field: a scalar times the unit,
+        a basis label, a {label: scalar} dict or a sequence of dim scalars."""
         if isinstance(x, (int, Fraction, Scalar)):
             s = self.field.scalar(x)
-            return KElem(self, tuple(s * c for c in self.unit))
+            return tuple(s * c for c in self.unit)
         if isinstance(x, str):
-            coords = [self.field.zero] * self.dim
-            coords[self.basis_names.index(x)] = self.field.one
-            return KElem(self, coords)
+            return self.basis_elem(self.basis_names.index(x))
         if isinstance(x, dict):
             coords = [self.field.zero] * self.dim
             for name, c in x.items():
                 coords[self.basis_names.index(name)] = self.field.scalar(c)
-            return KElem(self, coords)
-        return KElem(self, tuple(self.field.scalar(c) for c in x))
+            return tuple(coords)
+        coords = tuple(self.field.scalar(c) for c in x)
+        if len(coords) != self.dim:
+            raise AlgebraError("coordinate length mismatch")
+        return coords
 
-    def basis_elem(self, i: int) -> KElem:
+    def basis_elem(self, i: int) -> tuple:
         coords = [self.field.zero] * self.dim
         coords[i] = self.field.one
-        return KElem(self, coords)
-
-    @functools.cached_property
-    def one(self) -> KElem:
-        return KElem(self, self.unit)
+        return tuple(coords)
 
     @functools.cached_property
     def basis_products(self) -> dict[tuple[int, int], dict[int, Scalar]]:
@@ -336,7 +285,7 @@ class AlgebraK:
 
         grow(self.unit)
         for b in range(self.dim):
-            e = self.basis_elem(b).coords
+            e = self.basis_elem(b)
             if span.contains(e):
                 continue
             gens.append(b)
@@ -344,7 +293,7 @@ class AlgebraK:
             i = 0
             while i < len(words):
                 while done[i] < len(gens):
-                    grow(self.kmul(words[i], self.basis_elem(gens[done[i]]).coords))
+                    grow(self.kmul(words[i], self.basis_elem(gens[done[i]])))
                     done[i] += 1
                 i += 1
         return tuple(gens)
@@ -453,7 +402,7 @@ def _unit_law_failures(K: AlgebraK) -> list[str]:
     """The basis elements e with 1 e != e or e 1 != e, as failure strings."""
     failures = []
     for i in range(K.dim):
-        e = K.basis_elem(i).coords
+        e = K.basis_elem(i)
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
     return failures

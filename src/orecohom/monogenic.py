@@ -24,7 +24,7 @@ import functools
 import itertools
 
 from .fields import Field, Scalar, mixed
-from .kalgebra import AlgebraK, Endo, KElem, ValidationReport, table_mul
+from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul
 from .linalg import combine, support, vadd
 
 
@@ -40,7 +40,7 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
     n = len(f_coeffs)
     if n < 2:
         return ValidationReport(False, ("degree must be at least 2",))
-    lam = [K.elem(c).coords for c in f_coeffs]
+    lam = [K.elem(c) for c in f_coeffs]
     for i, li in enumerate(lam, start=1):
         if alpha.apply(li) != li:
             failures.append(f"coefficient {i} is not alpha-fixed")
@@ -48,7 +48,7 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
         if all(c.is_zero() for c in li):
             continue
         for b in range(K.dim):
-            mu = K.basis_elem(b).coords
+            mu = K.basis_elem(b)
             if K.kmul(li, mu) != K.kmul(alpha.apply_power(i, mu), li):
                 failures.append(
                     f"coefficient {i} fails the commutation rule at basis {b}"
@@ -112,10 +112,10 @@ class AElem:
     def is_zero(self):
         return not self.nz
 
-    def k_coeff(self, a: int) -> KElem:
+    def k_coeff(self, a: int) -> tuple:
         """The K-coefficient of x^a."""
         d, nz, zero = self.alg.K.dim, self.nz, self.alg.field.zero
-        return KElem(self.alg.K, tuple(nz.get(i, zero) for i in range(a * d, (a + 1) * d)))
+        return tuple(nz.get(i, zero) for i in range(a * d, (a + 1) * d))
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
@@ -134,25 +134,30 @@ class AElem:
         return hash((id(self.alg), frozenset(self.nz)))
 
     def __repr__(self):
-        terms = []
+        names, terms = self.alg.K.basis_names, []
         for a in range(self.alg.n):
-            k = self.k_coeff(a)
-            if not k.is_zero():
+            k = " + ".join(f"({c})*{names[b]}" for b, c in enumerate(self.k_coeff(a)) if not c.is_zero())
+            if k:
                 terms.append(f"({k})*x^{a}" if a else f"({k})")
         return " + ".join(terms) if terms else "0"
 
 
 class MonogenicAlgebra:
-    """A = K[x, alpha]/<f> with compiled normal-form multiplication."""
+    """A = K[x, alpha]/<f> with compiled normal-form multiplication.  A checked
+    build runs ``algebra_validate(K)`` and ``validate_f`` before it compiles
+    and ``check_compiled`` after, and raises the first check that fails."""
 
     def __init__(self, K: AlgebraK, alpha: Endo, f_coeffs: list, check: bool = True):
         self.K = K
         self.alpha = alpha
         self.field: Field = K.field
-        lam = [K.elem(c).coords for c in f_coeffs]  # lambda_1 .. lambda_n
+        lam = [K.elem(c) for c in f_coeffs]  # lambda_1 .. lambda_n
         self.n = len(lam)
         self.f_terms = [*reversed(lam), K.unit]  # c_0 .. c_n, c_i at x^i
         if check:
+            rep = algebra_validate(K)
+            if not rep.ok:
+                raise AlgebraError(rep.failures[0])
             rep = validate_f(K, alpha, f_coeffs)
             if not rep.ok:
                 raise MonogenicError("; ".join(rep.failures))
@@ -175,7 +180,7 @@ class MonogenicAlgebra:
 
     @functools.cached_property
     def one(self) -> AElem:
-        return self.k_embed(KElem(self.K, self.K.unit))
+        return self.k_embed(self.K.unit)
 
     def zero_elem(self) -> AElem:
         return AElem._of(self, {})
@@ -184,16 +189,16 @@ class MonogenicAlgebra:
         return self.monomial(u, 0)
 
     def monomial(self, u, a: int) -> AElem:
-        """The element u x^a for u in K and 0 <= a < n.  A KElem or a tuple of
-        K's Scalars is taken as given; raw values go through ``K.elem``."""
-        if isinstance(u, tuple) and all(isinstance(c, Scalar) and c.field is self.field for c in u):
-            u = KElem(self.K, u)
-        else:
+        """The element u x^a for u in K and 0 <= a < n.  A tuple of dim K
+        Scalars of A's field is taken as given; raw values go through
+        ``K.elem``."""
+        if not (isinstance(u, tuple) and len(u) == self.K.dim
+                and all(isinstance(c, Scalar) and c.field is self.field for c in u)):
             u = self.K.elem(u)
         if not 0 <= a < self.n:
             raise IndexError("x-degree out of range")
         zv, base = self.field.zero.v, a * self.K.dim
-        return AElem._of(self, {base + b: c for b, c in enumerate(u.coords) if c.v != zv})
+        return AElem._of(self, {base + b: c for b, c in enumerate(u) if c.v != zv})
 
     @functools.cached_property
     def x(self) -> AElem:
@@ -205,9 +210,9 @@ class MonogenicAlgebra:
         """Set ``xpow_nf``, ``wrap_terms`` and the sparse ``mul_table``:
         (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2).  For
         a + a2 < n, x^(a + a2) is its own normal form and u is stored as it
-        is, which takes K's unit law on trust (the CLI checks it in
-        ``Session.checks`` before any compile); else u multiplies each
-        nonzero K-coefficient of the normal form."""
+        is, which takes K's unit law on trust: a checked build runs
+        ``algebra_validate`` first, and the CLI ``Session.checks``; else u
+        multiplies each nonzero K-coefficient of the normal form."""
         K, n = self.K, self.n
         # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
         zero = tuple(self.field.zero for _ in range(K.dim))
@@ -257,9 +262,9 @@ class MonogenicAlgebra:
         K, alpha = self.K, self.alpha
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
         for b in range(K.dim):
-            lam = self.k_embed(K.basis_elem(b))
-            lhs = self.a_mul(self.x, lam)
-            rhs = self.a_mul(self.k_embed(KElem(K, alpha.apply(K.basis_elem(b).coords))), self.x)
+            lam = K.basis_elem(b)
+            lhs = self.a_mul(self.x, self.k_embed(lam))
+            rhs = self.a_mul(self.k_embed(alpha.apply(lam)), self.x)
             if lhs != rhs:
                 raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
         # f is normal in B, read at each x^d: f x = x f is c_d alpha^d(1) = 1 alpha(c_d),
@@ -268,7 +273,7 @@ class MonogenicAlgebra:
                for d, c in enumerate(self.f_terms)):
             raise MonogenicError("f does not commute with x")
         for b in range(K.dim):
-            mu = K.basis_elem(b).coords
+            mu = K.basis_elem(b)
             tw = alpha.apply_power(self.n, mu)
             if any(K.kmul(c, alpha.apply_power(d, mu)) != K.kmul(tw, c)
                    for d, c in enumerate(self.f_terms)):
@@ -304,7 +309,7 @@ class MonogenicAlgebra:
             if e <= self.n:
                 bar = self.one if e == self.n else self.zero_elem()
             else:
-                c = self.xpow(e - 1).k_coeff(self.n - 1).coords
+                c = self.xpow(e - 1).k_coeff(self.n - 1)
                 bar = self.x * self.xpow_bar(e - 1) + self.k_embed(self.alpha.apply(c))
             self._xpow_bar[e] = bar
         return bar
@@ -402,7 +407,7 @@ class TensorElem:
         """Right action of mu in K: migrates through the twist,
         (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
         alg = self.alg
-        mu = alg.K.elem(mu).coords
+        mu = alg.K.elem(mu)
         blocks = {
             c: u * alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
             for c, u in self._blocks().items()
@@ -451,7 +456,7 @@ def derivation(alg: MonogenicAlgebra, coeffs: list) -> TensorElem:
     for d, vec in enumerate(coeffs):
         if all(c.is_zero() for c in vec):
             continue
-        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(KElem(alg.K, vec)))
+        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(vec))
     return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .cohomology import SmallComplex, cohomology_group, twisted_invariants
-from .kalgebra import Endo, KElem, ValidationReport
+from .kalgebra import Endo, ValidationReport
 from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -34,22 +34,22 @@ class ProductsError(ValueError):
     pass
 
 
-def delta_sum(alpha: Endo, mu: KElem, l: int) -> KElem:
-    """The partial orbit sum of mu under alpha, with l terms."""
-    K = mu.alg
+def delta_sum(alpha: Endo, mu: tuple, l: int) -> tuple:
+    """The partial orbit sum of mu in K under alpha, with l terms."""
+    K = alpha.alg
     acc = tuple(K.field.zero for _ in range(K.dim))
-    cur = mu.coords
+    cur = mu
     for _ in range(l):
         acc = tuple(a + b for a, b in zip(acc, cur))
         cur = alpha.apply(cur)
-    return KElem(K, acc)
+    return acc
 
 
 def _is_twisted(value: AElem, t: int) -> bool:
     """Whether value lambda = alpha^t(lambda) value for each basis element lambda of K."""
     alg = value.alg
     for b in range(alg.K.dim):
-        e = alg.K.basis_elem(b).coords
+        e = alg.K.basis_elem(b)
         if value * alg.k_embed(e) != alg.k_embed(alg.alpha.apply_power(t, e)) * value:
             return False
     return True
@@ -83,7 +83,7 @@ class SmallCochain:
             raise ProductsError("Kx-valued canonical cochains have odd degree")
         return cls(alg, degree, alg.monomial(alg.K.elem(lam), 1))
 
-    def canonical_k(self) -> KElem | None:
+    def canonical_k(self) -> tuple | None:
         """The K part when this is an even cochain supported in x-degree 0."""
         if self.degree % 2:
             return None
@@ -91,7 +91,7 @@ class SmallCochain:
             return None
         return self.value.k_coeff(0)
 
-    def canonical_kx(self) -> KElem | None:
+    def canonical_kx(self) -> tuple | None:
         """The K part when this is an odd cochain supported in x-degree 1."""
         if self.degree % 2 == 0:
             return None
@@ -393,7 +393,7 @@ class BarOracle:
                 gval = self._lift(ia, pre + (e,) + post)
                 if gval.is_zero():
                     continue
-                kappa = inner.k_coeff(e).coords
+                kappa = inner.k_coeff(e)
                 slot = slot + alg.k_embed(alg.alpha.apply_power(tw, kappa)) * gval
             acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
         return acc
@@ -479,16 +479,16 @@ def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCoch
         return SmallCochain(alg, deg, alg.zero_elem(), check=False)
     if a.degree % 2 == 0:
         m = a.degree // 2
-        out = alg.K.kmul(delta_sum(alpha, lb, m * n).coords, la.coords)
+        out = alg.K.kmul(delta_sum(alpha, lb, m * n), la)
         return SmallCochain(alg, deg, alg.k_embed(out), check=False)
     if b.degree % 2 == 0:
         m = b.degree // 2
-        out = alg.K.kmul(delta_sum(alpha, la, m * n).coords, lb.coords)
+        out = alg.K.kmul(delta_sum(alpha, la, m * n), lb)
         neg = tuple(-c for c in out)
         return SmallCochain(alg, deg, alg.k_embed(neg), check=False)
     m, mp = a.degree // 2, b.degree // 2
-    first = alg.K.kmul(delta_sum(alpha, lb, m * n + 1).coords, la.coords)
-    second = alg.K.kmul(delta_sum(alpha, la, mp * n + 1).coords, lb.coords)
+    first = alg.K.kmul(delta_sum(alpha, lb, m * n + 1), la)
+    second = alg.K.kmul(delta_sum(alpha, la, mp * n + 1), lb)
     out = tuple(x - y for x, y in zip(first, second))
     return SmallCochain(alg, deg, alg.monomial(out, 1), check=False)
 
@@ -569,9 +569,9 @@ class ComparisonMaps:
                 here = sum(key)
                 for e in range(1, alg.n):
                     kappa = right.k_coeff(e)
-                    if kappa.is_zero():
+                    if all(c.is_zero() for c in kappa):
                         continue
-                    moved = alg.alpha.apply_power(here, kappa.coords)
+                    moved = alg.alpha.apply_power(here, kappa)
                     term = (base * alg.k_embed(moved)) * sgn
                     newkey = key + (e,)
                     cur = out.get(newkey)

@@ -18,7 +18,6 @@ from .kalgebra import (
     AlgebraK,
     Endo,
     GroupData,
-    KElem,
     char_power,
     character_from_values,
     character_order,
@@ -61,14 +60,14 @@ def _decode_coords(field: Field, obj, dim: int, where: str) -> tuple:
     return tuple(_decode_scalar(field, c, where) for c in obj)
 
 
-def decode_witness(K: AlgebraK, raw) -> KElem:
+def decode_witness(K: AlgebraK, raw) -> tuple:
     """A witness candidate: a basis label of K or a list of K.dim scalars."""
     if isinstance(raw, str):
         if raw not in K.basis_names:
             raise SpecError(f"witness candidate {raw!r} names no basis element")
         return K.elem(raw)
     if isinstance(raw, list):
-        return KElem(K, _decode_coords(K.field, raw, K.dim, f"witness coordinates {raw!r}"))
+        return _decode_coords(K.field, raw, K.dim, f"witness coordinates {raw!r}")
     raise SpecError(f"a witness candidate is a basis label or a coordinate list, got {raw!r}")
 
 
@@ -125,9 +124,22 @@ def _build_group(gspec: dict) -> GroupData:
     if kind == "table":
         labels = _need(gspec, "labels", "the group table description")
         table = _need(gspec, "table", "the group table description")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise SpecError(f"group table labels must be a list of strings, got {labels!r}")
+        if len(set(labels)) != len(labels):
+            raise SpecError(f"group table labels must be distinct, got {labels!r}")
+        n = len(labels)
+        if not isinstance(table, list) or len(table) != n or any(
+                not isinstance(row, list) or len(row) != n for row in table):
+            raise SpecError(f"the group table must be a list of {n} rows of {n} entries, one per label")
+        bad = [(a, b, t) for a, row in enumerate(table) for b, t in enumerate(row)
+               if type(t) is not int or not 0 <= t < n]
+        if bad:
+            a, b, t = bad[0]
+            raise SpecError(f"group table entry {t!r} at ({a},{b}) is not a label index in [0, {n})")
         try:
             return group_from_table(labels, table)
-        except (AlgebraError, ValueError, TypeError, IndexError) as exc:
+        except AlgebraError as exc:
             raise SpecError(f"bad group table: {exc}") from exc
     raise SpecError(f"unknown group kind {kind!r}")
 

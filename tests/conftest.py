@@ -44,7 +44,6 @@ from orecohom.kalgebra import (
     AlgebraError,
     AlgebraK,
     Endo,
-    KElem,
     ValidationReport,
     algebra_validate,
     char_power,
@@ -169,12 +168,12 @@ def admissible_coefficients(K, alpha, i: int) -> Mat:
     one exact kernel."""
 
     def block_rows(condition):
-        cols = [condition(K.basis_elem(b).coords) for b in range(K.dim)]
+        cols = [condition(K.basis_elem(b)) for b in range(K.dim)]
         return [[cols[b][r] for b in range(K.dim)] for r in range(K.dim)]
 
     rows = block_rows(lambda v: tuple(a - b for a, b in zip(alpha.apply(v), v)))
     for j in range(K.dim):
-        mu = K.basis_elem(j).coords
+        mu = K.basis_elem(j)
         amu = alpha.apply_power(i, mu)
         rows += block_rows(
             lambda v, mu=mu, amu=amu: tuple(
@@ -209,7 +208,7 @@ def iterative_invariants(M, r: int) -> Mat:
     for b in range(alg.K.dim):
         if basis.cols == 0:
             break
-        lam = alg.K.basis_elem(b).coords
+        lam = alg.K.basis_elem(b)
         con = M.R_k[b].add(M.L_elem(alg.alpha.apply_power(r, lam)).scale(-field.one))
         restricted = con.matmul(basis)
         ker = kernel_basis(restricted)
@@ -224,7 +223,7 @@ def stacked_invariants_k(K, alpha, r: int) -> Mat:
     kept verbatim as an oracle for it."""
     rows = []
     for i in range(K.dim):
-        e = K.basis_elem(i).coords
+        e = K.basis_elem(i)
         R = K.right_mult_matrix(e)
         L = K.left_mult_matrix(alpha.apply_power(r, e))
         for r1, r2 in zip(R.data, L.data):
@@ -409,7 +408,7 @@ def dense_center_basis(self) -> Mat:
     nonzero structure constants: a dense dim^2 x dim kernel on every call."""
     rows = []
     for i in range(self.dim):
-        e = self.basis_elem(i).coords
+        e = self.basis_elem(i)
         L = self.left_mult_matrix(e)
         R = self.right_mult_matrix(e)
         for r1, r2 in zip(L.data, R.data):
@@ -425,11 +424,11 @@ def triple_loop_validate(K) -> ValidationReport:
     constants: four dense `kmul`s per basis triple."""
     failures = []
     for i in range(K.dim):
-        e = K.basis_elem(i).coords
+        e = K.basis_elem(i)
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
     for i, j, k in itertools.product(range(K.dim), repeat=3):
-        ei, ej, ek = (K.basis_elem(t).coords for t in (i, j, k))
+        ei, ej, ek = (K.basis_elem(t) for t in (i, j, k))
         lhs = K.kmul(K.kmul(ei, ej), ek)
         rhs = K.kmul(ei, K.kmul(ej, ek))
         if lhs != rhs:
@@ -446,7 +445,7 @@ def pair_loop_validate(self) -> ValidationReport:
     if self.apply(alg.unit) != alg.unit:
         failures.append("endomorphism does not fix the unit")
     for i, j in itertools.product(range(alg.dim), repeat=2):
-        ei, ej = alg.basis_elem(i).coords, alg.basis_elem(j).coords
+        ei, ej = alg.basis_elem(i), alg.basis_elem(j)
         lhs = self.apply(alg.kmul(ei, ej))
         rhs = alg.kmul(self.apply(ei), self.apply(ej))
         if lhs != rhs:
@@ -457,13 +456,13 @@ def pair_loop_validate(self) -> ValidationReport:
 
 def dense_left_mult_matrix(self, u: tuple) -> Mat:
     """`AlgebraK.left_mult_matrix` before the shared sparse builder."""
-    cols = [self.kmul(u, self.basis_elem(j).coords) for j in range(self.dim)]
+    cols = [self.kmul(u, self.basis_elem(j)) for j in range(self.dim)]
     return Mat.from_columns(self.field, cols, self.dim)
 
 
 def dense_right_mult_matrix(self, u: tuple) -> Mat:
     """`AlgebraK.right_mult_matrix` before the shared sparse builder."""
-    cols = [self.kmul(self.basis_elem(j).coords, u) for j in range(self.dim)]
+    cols = [self.kmul(self.basis_elem(j), u) for j in range(self.dim)]
     return Mat.from_columns(self.field, cols, self.dim)
 
 
@@ -518,9 +517,9 @@ def dense_compile(self) -> None:
     # sparse multiplication table on the flat basis
     table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for b, a in itertools.product(range(K.dim), range(n)):
-        eb = K.basis_elem(b).coords
+        eb = K.basis_elem(b)
         for b2, a2 in itertools.product(range(K.dim), range(n)):
-            u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2).coords))
+            u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2)))
             if all(c.is_zero() for c in u):
                 continue
             terms: list[tuple[int, Scalar]] = []
@@ -543,7 +542,7 @@ def scan_algebra_validate(K) -> ValidationReport:
     scan of every triple, always."""
     failures = []
     for i in range(K.dim):
-        e = K.basis_elem(i).coords
+        e = K.basis_elem(i)
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
     prod, none = K.basis_products, {}
@@ -760,9 +759,7 @@ def entrywise_rightmul_k(self: TensorElem, mu) -> TensorElem:
     out = TensorElem.zero(alg, self.twist)
     for flat, s in self.coords.items():
         b, a, c = split_flat(self, flat)
-        mig = alg.k_embed(
-            KElem(alg.K, alg.alpha.apply_power(self.twist + c, mu.coords))
-        )
+        mig = alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
         prod = alg.a_mul(alg.monomial(alg.K.basis_elem(b), a), mig)
         out = out.add_scaled(TensorElem.from_aelem(prod, c, self.twist), s)
     return out
@@ -782,9 +779,7 @@ def entrywise_rightmul_x(self: TensorElem) -> TensorElem:
             for j, cj in enumerate(alg.xpow_nf[n]):
                 if all(v.is_zero() for v in cj):
                     continue
-                mig = alg.k_embed(
-                    KElem(alg.K, alg.alpha.apply_power(self.twist, cj))
-                )
+                mig = alg.k_embed(alg.alpha.apply_power(self.twist, cj))
                 out = out.add_scaled(
                     TensorElem.from_aelem(alg.a_mul(left, mig), j, self.twist), s
                 )
@@ -807,8 +802,8 @@ def entrywise_d_generator(self: Resolution, r: int) -> TensorElem:
         return x1 - onex
     out = TensorElem.zero(alg, tw)
     for i in range(1, alg.n + 1):
-        coeff = KElem(alg.K, alg.f_terms[i])
-        if coeff.is_zero():
+        coeff = alg.f_terms[i]
+        if all(c.is_zero() for c in coeff):
             continue
         left = alg.k_embed(coeff)
         for l in range(i):
@@ -876,9 +871,9 @@ def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
             here = sum(key)
             for e in range(1, alg.n):
                 kappa = right.k_coeff(e)
-                if kappa.is_zero():
+                if all(c.is_zero() for c in kappa):
                     continue
-                moved = alg.alpha.apply_power(here, kappa.coords)
+                moved = alg.alpha.apply_power(here, kappa)
                 term = (base * alg.k_embed(moved)) * sgn
                 newkey = key + (e,)
                 cur = out.get(newkey)
@@ -950,7 +945,7 @@ class OrePoly:
     @classmethod
     def monomial(cls, K: AlgebraK, alpha, coeff, d: int) -> "OrePoly":
         zero = tuple(K.field.zero for _ in range(K.dim))
-        coeff = K.elem(coeff).coords if not isinstance(coeff, tuple) else coeff
+        coeff = K.elem(coeff) if not isinstance(coeff, tuple) else coeff
         return cls(K, alpha, [zero] * d + [coeff])
 
     def __add__(self, other: "OrePoly") -> "OrePoly":
@@ -1026,7 +1021,7 @@ def from_ore(alg: MonogenicAlgebra, P: OrePoly) -> AElem:
 
 
 def to_ore(alg: MonogenicAlgebra, a: AElem) -> OrePoly:
-    return OrePoly(alg.K, alg.alpha, [a.k_coeff(d).coords for d in range(alg.n)])
+    return OrePoly(alg.K, alg.alpha, [a.k_coeff(d) for d in range(alg.n)])
 
 
 def ore_check_compiled(alg: MonogenicAlgebra) -> None:
@@ -1034,7 +1029,7 @@ def ore_check_compiled(alg: MonogenicAlgebra) -> None:
     K, alpha = alg.K, alg.alpha
     for b in range(K.dim):
         lam = alg.k_embed(K.basis_elem(b))
-        rhs = alg.a_mul(alg.k_embed(KElem(K, alpha.apply(K.basis_elem(b).coords))), alg.x)
+        rhs = alg.a_mul(alg.k_embed(alpha.apply(K.basis_elem(b))), alg.x)
         if alg.a_mul(alg.x, lam) != rhs:
             raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
     f = f_ore(alg)
@@ -1042,8 +1037,8 @@ def ore_check_compiled(alg: MonogenicAlgebra) -> None:
     if ore_mul(f, xp) != ore_mul(xp, f):
         raise MonogenicError("f does not commute with x")
     for b in range(K.dim):
-        lam = OrePoly.monomial(K, alpha, K.basis_elem(b).coords, 0)
-        tw = OrePoly.monomial(K, alpha, alpha.apply_power(alg.n, K.basis_elem(b).coords), 0)
+        lam = OrePoly.monomial(K, alpha, K.basis_elem(b), 0)
+        tw = OrePoly.monomial(K, alpha, alpha.apply_power(alg.n, K.basis_elem(b)), 0)
         if ore_mul(f, lam) != ore_mul(tw, f):
             raise MonogenicError(f"f lambda = alpha^n(lambda) f fails at basis {b}")
 
@@ -1053,7 +1048,7 @@ def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
     for d, vec in enumerate(P.coeffs):
         if all(c.is_zero() for c in vec):
             continue
-        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(KElem(alg.K, vec)))
+        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(vec))
     return out
 
 
@@ -1420,7 +1415,7 @@ def in_span(basis: Mat, v: tuple) -> bool:
     return solve(basis, v) is not None
 
 
-def class_sums(K: AlgebraK) -> list[KElem]:
+def class_sums(K: AlgebraK) -> list[tuple]:
     if K.group is None:
         raise AlgebraError("class sums need group metadata")
     out = []
@@ -1428,7 +1423,7 @@ def class_sums(K: AlgebraK) -> list[KElem]:
         coords = [K.field.zero] * K.dim
         for g in cls:
             coords[g] = K.field.one
-        out.append(KElem(K, coords))
+        out.append(tuple(coords))
     return out
 
 
@@ -1479,12 +1474,12 @@ def circle_j(g: BarCochain, h: BarCochain, j: int) -> BarCochain:
         acc = alg.zero_elem()
         for e in range(1, alg.n):
             kappa = inner.k_coeff(e)
-            if kappa.is_zero():
+            if all(c.is_zero() for c in kappa):
                 continue
             gval = g.at(pre + (e,) + post)
             if gval.is_zero():
                 continue
-            moved = alg.alpha.apply_power(tw, kappa.coords)
+            moved = alg.alpha.apply_power(tw, kappa)
             acc = acc + alg.k_embed(moved) * gval
         if not acc.is_zero():
             table[idx] = acc
@@ -1570,7 +1565,7 @@ def unfolded_collapsed_differentials(C: SmallComplex, witness, up_to: int) -> di
         cols = []
         xdeg = r % 2
         for j in range(src.cols):
-            w_k = (A1 if xdeg else T).matvec(AElem(alg, src.column(j)).k_coeff(1 - xdeg).coords)
+            w_k = (A1 if xdeg else T).matvec(AElem(alg, src.column(j)).k_coeff(1 - xdeg))
             amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
             try:
                 cols.append(C.to_sub(r, amb))

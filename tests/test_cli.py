@@ -152,6 +152,46 @@ def test_character_naming_a_missing_label_exits_2(tmp_path, capsys, raw, charact
     assert captured.out == ""
 
 
+def with_group(group: dict) -> dict:
+    """sweedler.json with its cyclic group of order 2 replaced by ``group``."""
+    raw = json.loads(Path(spec("sweedler.json")).read_text())
+    return {**raw, "K": {**raw["K"], "group": group}}
+
+
+def test_table_group_gives_the_cyclic_groups_cohomology(tmp_path, capsys):
+    p = tmp_path / "c2_table.json"
+    p.write_text(json.dumps(with_group({"kind": "table", "labels": ["1", "g"], "table": [[0, 1], [1, 0]]})))
+    rc, table = run_json(capsys, "cohomology", str(p), "--format", "json")
+    rc_cyclic, cyclic = run_json(capsys, "cohomology", spec("sweedler.json"), "--format", "json")
+    assert rc == rc_cyclic == 0
+    assert table["dims"] == cyclic["dims"] == [1, 1, 1, 1, 1]
+    assert {**table, "instance": None} == {**cyclic, "instance": None}
+
+
+@pytest.mark.parametrize("labels, table, reason", [
+    (["1", "g"], [[0, 1], [1, -2]], "group table entry -2 at (1,1)"),
+    (["1", "g"], [[0, 1], [1, True]], "group table entry True at (1,1)"),
+    (["1", "g"], [[0, 1], [1, 0.0]], "group table entry 0.0 at (1,1)"),
+    (["1", "g"], [[0, 1], [1]], "must be a list of 2 rows of 2 entries"),
+    (["1", "g"], "0110", "must be a list of 2 rows of 2 entries"),
+    ("1g", [[0, 1], [1, 0]], "labels must be a list of strings, got '1g'"),
+    (["1", 2], [[0, 1], [1, 0]], "labels must be a list of strings"),
+    (["1", "1"], [[0, 1], [1, 0]], "labels must be distinct"),
+], ids=["negative-entry", "bool-entry", "float-entry", "ragged", "string-table",
+        "string-labels", "int-label", "repeated-label"])
+def test_malformed_group_table_exits_2(tmp_path, capsys, labels, table, reason):
+    """A group table is read only as distinct string labels and a square
+    list of label indices; any other form is a spec error naming it."""
+    p = tmp_path / "bad_table.json"
+    p.write_text(json.dumps(with_group({"kind": "table", "labels": labels, "table": table})))
+    rc = main(["validate", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("spec error:")
+    assert reason in captured.err
+    assert captured.out == ""
+
+
 def test_missing_spec_file_exits_2(capsys):
     rc = main(["validate", "/no/such/file.json"])
     assert rc == 2

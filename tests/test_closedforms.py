@@ -169,7 +169,7 @@ def test_witness_forces_middle_coefficients_to_zero(build, witnessed, admissible
         assert admissible_space(K, alpha, i).cols == 0
         for b in range(K.dim):
             coeffs = [{}] * n
-            coeffs[i - 1] = K.basis_elem(b).coords
+            coeffs[i - 1] = K.basis_elem(b)
             assert not validate_f(K, alpha, coeffs).ok
 
 
@@ -424,8 +424,8 @@ def test_gh4_symmetry_spaces(gh4_u3):
     alg, _, C = gh4_u3
     K = alg.K
     F = K.field
-    sym = [K.elem("1").coords, (K.elem("g") + K.elem("g^2")).coords]
-    anti = [(K.elem("g") - K.elem("g^2")).coords]
+    sym = [K.elem("1"), K.elem({"g": 1, "g^2": 1})]
+    anti = [K.elem({"g": 1, "g^2": -1})]
 
     def embed(cols, xdeg):
         out = []
@@ -620,6 +620,29 @@ def test_rank_one_case1():
         h for h in rep["hypotheses"] if "not admissible" in h["name"]
     ]
     assert admissibility and admissibility[0]["holds"]
+    assert {"name": "n-th power of the distinguished element is not 1", "holds": True} in rep["hypotheses"]
+
+
+def test_rank_one_with_trivial_distinguished_power_is_admissible(tmp_path, capsys):
+    """C4 over GF(13), chi(g) = 5, g1 = g^2 and n = 2: chi^2 is nontrivial
+    but g1^2 = 1, so f = x^2 is admissible over k[G].  The rank-one check
+    records g1^n = 1 and expects no inadmissibility; every check passes."""
+    from orecohom.cli import main
+
+    spec = tmp_path / "c4_gf13.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "Fp", "p": 13},
+        "K": {"kind": "group", "group": {"kind": "cyclic", "order": 4}, "character": {"g": 5}},
+        "f": {"n": 2, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0]]},
+        "options": {"g1": "g^2", "xi": 1},
+    }))
+    assert main(["theorems", str(spec), "--format", "json"]) == 0
+    checks = {c["which"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    rank_one = checks["rank-one-hopf"]
+    assert rank_one["status"] == "ok"
+    hypotheses = rank_one["result"]["hypotheses"]
+    assert {"name": "n-th power of the distinguished element is not 1", "holds": False} in hypotheses
+    assert not any("not admissible" in h["name"] for h in hypotheses)
 
 
 def test_rank_one_case2():

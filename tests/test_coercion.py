@@ -1,7 +1,7 @@
 """Where raw values become Scalars: `Field.scalar`, `decode`, `AlgebraK.elem`,
 `AlgebraK.from_structure_constants` and the scalar multiplications coerce;
-`KElem`, `AElem`, `Mat` and `AlgebraK` hold the Scalars they are
-given, and a Scalar of another field fails at its first use, in the
+K's coordinate tuples, `AElem`, `Mat` and `AlgebraK` hold the Scalars they
+are given, and a Scalar of another field fails at its first use, in the
 operators and in every loop that runs on payloads."""
 
 import contextlib
@@ -14,7 +14,7 @@ import pytest
 from orecohom import fields
 from orecohom.cli import main
 from orecohom.fields import QQ, FieldError, extension_field, prime_field
-from orecohom.kalgebra import AlgebraK, KElem, character_from_values, cyclic_group, endo_from_character, group_algebra
+from orecohom.kalgebra import AlgebraK, character_from_values, cyclic_group, endo_from_character, group_algebra
 from orecohom.linalg import EchelonTracker, LinSolver, Mat, combine
 from orecohom.monogenic import AElem, MonogenicAlgebra
 from orecohom.products import BarCochain
@@ -55,11 +55,12 @@ def test_report_coerces_few_scalars(monkeypatch):
 
 def foreign_and_other(sweedler, kind):
     """A QQ container with a GF(7) entry, and a QQ container of the same
-    shape whose entries are all nonzero."""
-    K, A = sweedler.K, sweedler
+    shape whose entries are all nonzero.  An element of K is its
+    coordinate tuple, so the "KElem" pair is two tuples."""
+    A = sweedler
     three, one = GF7.from_int(3), QQ.one
     if kind == "KElem":
-        return KElem(K, (three, QQ.zero)), KElem(K, (one, one))
+        return (three, QQ.zero), (one, one)
     if kind == "AElem":
         return AElem(A, (three,) + (QQ.zero,) * 3), AElem(A, (one,) * 4)
     return Mat(QQ, [[three, QQ.zero]]), Mat(QQ, [[one, one]])
@@ -68,10 +69,13 @@ def foreign_and_other(sweedler, kind):
 @pytest.mark.parametrize("kind", ["KElem", "AElem", "Mat"])
 @pytest.mark.parametrize("op", ["+", "=="])
 def test_foreign_scalar_fails_at_first_use(sweedler, kind, op):
+    """On K's coordinate tuples "+" stands for `K.kmul`, the product K
+    defines on them."""
     bad, other = foreign_and_other(sweedler, kind)
+    add = {"KElem": sweedler.K.kmul, "Mat": Mat.add}.get(kind, operator.add)
     with pytest.raises(FieldError, match="cannot mix scalars"):
         if op == "+":
-            bad.add(other) if kind == "Mat" else bad + other
+            add(bad, other)
         else:
             bad == other
 
@@ -84,7 +88,7 @@ def test_structure_constants_from_ints_build_the_same_algebra(field):
     assert K.unit == G.unit == (field.one, field.zero)
     assert all(c.field is field for c in K.unit)
     assert K.mul_table == G.mul_table
-    assert K.elem("g") * K.elem("g") == K.one
+    assert K.kmul(K.elem("g"), K.elem("g")) == K.unit
 
 
 # each entry point, fed True somewhere, on the sweedler algebra A
@@ -99,8 +103,6 @@ TRUE_ENTRIES = {
     "elem dict": lambda A: A.K.elem({"g": True}),
     "structure constant": lambda A: AlgebraK.from_structure_constants(QQ, 1, ["1"], [1], [(0, 0, 0, True)]),
     "unit": lambda A: AlgebraK.from_structure_constants(QQ, 1, ["1"], [True], [(0, 0, 0, 1)]),
-    "KElem * True": lambda A: A.K.one * True,
-    "True * KElem": lambda A: True * A.K.one,
     "AElem * True": lambda A: A.one * True,
     "True * AElem": lambda A: True * A.one,
     "BarCochain.scale": lambda A: BarCochain(A, 0, {(): A.one}).scale(True),

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,8 +19,10 @@ from conftest import (
 from orecohom import instances
 from orecohom.fields import QQ, prime_field
 from orecohom.kalgebra import (
+    AlgebraError,
     AlgebraK,
     Endo,
+    algebra_validate,
     character_from_values,
     cyclic_group,
     endo_from_character,
@@ -39,6 +42,7 @@ from orecohom.monogenic import (
     twist_exponent,
     validate_f,
 )
+from orecohom.cli import main
 from orecohom.specio import load_instance
 
 
@@ -69,7 +73,7 @@ def test_ore_commutation(sweedler_base):
     g = OrePoly.monomial(K, alpha, K.elem("g"), 0)
     xg = ore_mul(x, g)
     # x g = alpha(g) x = -g x
-    assert xg == OrePoly.monomial(K, alpha, (-K.elem("g")).coords, 1)
+    assert xg == OrePoly.monomial(K, alpha, K.elem({"g": -1}), 1)
     assert ore_mul(x, x) == OrePoly.monomial(K, alpha, K.unit, 2)
     one = OrePoly.monomial(K, alpha, K.unit, 0)
     P = xg + g
@@ -119,12 +123,42 @@ def test_validate_f(sweedler_base):
     assert not validate_f(K, alpha, [[0, 0]]).ok  # n = 1 rejected
 
 
+def test_checked_build_refuses_a_k_without_unit(tmp_path, capsys):
+    """Q x Q with the idempotent e1 declared as the unit: a checked build
+    raises the first failure of `algebra_validate`, the message the CLI gives
+    for the same K, before it compiles a table that trusts the unit law."""
+    K = AlgebraK.from_structure_constants(QQ, 2, ["e1", "e2"], [1, 0], [(0, 0, 0, 1), (1, 1, 1, 1)])
+    f = [[0, 0], [0, 0]]
+    with pytest.raises(AlgebraError) as exc:
+        MonogenicAlgebra(K, identity_endo(K), f)
+    assert str(exc.value) == algebra_validate(K).failures[0] == "unit law fails at basis 1 (e2)"
+    spec = tmp_path / "bad_unit.json"
+    spec.write_text(json.dumps({
+        "field": {"kind": "Q"},
+        "K": {"kind": "table", "dim": 2, "basis": ["e1", "e2"], "unit": [1, 0],
+              "mul": [[0, 0, 0, 1], [1, 1, 1, 1]]},
+        "alpha": {"kind": "identity"},
+        "f": {"coeffs": f},
+    }))
+    assert main(["cohomology", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_aelem_repr_names_each_k_coordinate(sweedler):
+    """The form of the untwisted-model `derivative` string: each nonzero
+    K-coefficient as a sum of (c)*basis terms, the one at x^0 bare."""
+    A = sweedler
+    u = A.k_embed(A.K.elem("g")) + A.monomial(A.K.elem({"1": 2, "g": -1}), 1)
+    assert repr(u) == "((1)*g) + ((2)*1 + (-1)*g)*x^1"
+    assert repr(A.zero_elem()) == "0"
+
+
 def test_a_mul_sweedler(sweedler):
     A = sweedler
     x, g = A.x, A.k_embed(A.K.elem("g"))
     assert A.a_mul(x, x).is_zero()
     assert A.a_mul(g, x) == A.monomial(A.K.elem("g"), 1)
-    assert A.a_mul(x, g) == A.monomial(-A.K.elem("g"), 1)
+    assert A.a_mul(x, g) == A.monomial(A.K.elem({"g": -1}), 1)
     assert A.a_mul(A.one, x) == x
 
 
@@ -426,7 +460,7 @@ def test_normality_failures_match_ore():
     K, alpha = twisted_group(QQ, 2, -1)
     got = [
         assert_normality_matches_ore(MonogenicAlgebra(K, alpha, f, check=False))
-        for f in ([K.elem("g").coords, (QQ.zero,) * 2], [K.unit, (QQ.zero,) * 2])
+        for f in ([K.elem("g"), (QQ.zero,) * 2], [K.unit, (QQ.zero,) * 2])
     ]
     assert got == ["f does not commute with x", "f lambda = alpha^n(lambda) f fails at basis 1"]
     # K = QQ x QQ with alpha(e1) = e1 and alpha(e2) = 0, so alpha(1) = e1

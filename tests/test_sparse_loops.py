@@ -214,7 +214,7 @@ def case(request):
 def test_kmul_matches(case):
     K = case[0].K
     rng = random.Random(5)
-    basis = [K.basis_elem(i).coords for i in range(K.dim)]
+    basis = [K.basis_elem(i) for i in range(K.dim)]
     pairs = [(u, v) for u in basis for v in basis]
     pairs += [(vector(K.field, K.dim, rng, du), vector(K.field, K.dim, rng, dv)) for du in DENSITIES for dv in DENSITIES]
     for u, v in pairs:
@@ -236,7 +236,7 @@ def test_coefficient_checks_match(case):
 def test_mult_matrices_match(case):
     K = case[0].K
     rng = random.Random(8)
-    elems = [K.basis_elem(i).coords for i in range(K.dim)]
+    elems = [K.basis_elem(i) for i in range(K.dim)]
     elems += [vector(K.field, K.dim, rng, d) for d in DENSITIES]
     for u in elems:
         assert K.left_mult_matrix(u) == dense_left_mult_matrix(K, u)

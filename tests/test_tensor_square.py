@@ -24,7 +24,6 @@ from conftest import (
 )
 
 from orecohom import cli, monogenic
-from orecohom.kalgebra import KElem
 from orecohom.monogenic import AElem, Resolution, TensorElem
 from orecohom.products import ComparisonMaps
 
@@ -64,7 +63,7 @@ def test_actions_match_entrywise(alg):
         for density in DENSITIES:
             T = random_tensor(alg, t, rng, density)
             a = AElem(alg, scalars(F, alg.adim, rng, rng.choice(DENSITIES)))
-            mu = KElem(alg.K, scalars(F, alg.K.dim, rng, rng.choice(DENSITIES)))
+            mu = tuple(scalars(F, alg.K.dim, rng, rng.choice(DENSITIES)))
             assert T.powers() == [c for c in range(alg.n) if not T.left_factor(c).is_zero()]
             assert T.leftmul(a) == entrywise_leftmul(T, a)
             assert T.rightmul_k(mu) == entrywise_rightmul_k(T, mu)

@@ -46,8 +46,8 @@ from .closedforms import (
     untwisted_model_check,
 )
 from .fields import FieldError
-from .kalgebra import AlgebraError, ValidationReport, algebra_validate
-from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, normality_check, validate_f
+from .kalgebra import AlgebraError, ValidationReport
+from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, instance_checks, normality_check
 from .products import (
     BarOracle,
     ProductsError,
@@ -87,8 +87,9 @@ def _encode_kelem(inst: Instance, coords) -> list:
 class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
     the degree bound D, the decoded witness candidates and, each built on
-    first use, the check of f, the one compile of A, its regular bimodule,
-    the small complex through degree D + 1, the result of the run's one
+    first use, the instance checks, the one checked build of A, which runs
+    them again and raises the first that fails, its regular bimodule, the
+    small complex through degree D + 1, the result of the run's one
     witness search and the run's bar oracle.  The oracle evaluates only the
     bar indices phi reads, each psi value at each index once, the slot
     compositions of each ordered pair once and each bracket once, keyed on
@@ -103,41 +104,14 @@ class Session:
         self.candidates = _witness_candidates(inst, getattr(args, "witness", None))
 
     @functools.cached_property
-    def f_report(self):
-        """``validate_f`` on the instance's f, shared by validate and the checked algebra."""
-        inst = self.inst
-        return validate_f(inst.K, inst.alpha, inst.f_coeffs)
-
-    @functools.cached_property
     def checks(self) -> list[tuple[str, ValidationReport]]:
-        """The checks of the instance, in order, by name: K, its twist
-        (multiplicative, fixing the unit and invertible) and f.  ``validate``
-        reports each; the checked algebra refuses the first that fails."""
-        inst = self.inst
-        k_rep, twist_rep = algebra_validate(inst.K), inst.alpha.validate()
-        if twist_rep.ok and not inst.alpha.is_automorphism:
-            twist_rep = ValidationReport(False, ("twist matrix is not invertible",))
-        return [("coefficient-algebra", k_rep), ("twist", twist_rep), ("defining-polynomial", self.f_report)]
-
-    @functools.cached_property
-    def compiled(self) -> MonogenicAlgebra:
-        """A compiled without checks; read it only once f has passed."""
-        return self.inst.algebra(check=False)
+        """``instance_checks`` of the instance; ``validate`` reports each."""
+        return instance_checks(self.inst.K, self.inst.alpha, self.inst.f_coeffs)
 
     @functools.cached_property
     def algebra(self) -> MonogenicAlgebra:
-        """The checked algebra: the ``checks`` pass first, and the compiled
-        table is checked after the compile, as ``MonogenicAlgebra`` does.  A
-        failed check of K or the twist raises its first failure, a failed
-        check of f all of its failures.  On a valid spec the first two read
-        the cached generator certificates that the twisted invariants read."""
-        for name, rep in self.checks:
-            if not rep.ok and name == "defining-polynomial":
-                raise MonogenicError("; ".join(rep.failures))
-            if not rep.ok:
-                raise AlgebraError(rep.failures[0])
-        self.compiled.check_compiled()
-        return self.compiled
+        """The checked build of A, which raises the first failed check."""
+        return self.inst.algebra()
 
     @functools.cached_property
     def bimodule(self) -> Bimodule:
@@ -184,7 +158,7 @@ def run_validate(session: Session) -> tuple[dict, bool]:
 
     ok = all([record(name, rep) for name, rep in session.checks])  # a list: record every check
     if ok:
-        alg = session.compiled
+        alg = session.algebra
         ok = record("normality", normality_check(alg)) and ok
         ok = record("contraction", Resolution(alg, D).contraction_check()) and ok
     payload = {"instance": inst.raw, "max_degree": D, "checks": checks, "ok": ok}
@@ -328,15 +302,11 @@ THEOREM_CHECKS = {
 def run_theorems(session: Session) -> tuple[dict, bool]:
     inst, D, C, witness = session.inst, session.D, session.complex, session.witness
     which = getattr(session.args, "which", None)
-    if which:
-        tokens = [t.strip() for t in which.split(",") if t.strip()]
-        unknown = [t for t in tokens if t not in THEOREM_CHECKS]
-        if unknown:
-            raise SpecError(
-                f"unknown checks {unknown}; available: {', '.join(sorted(THEOREM_CHECKS))}"
-            )
-    else:
-        tokens = list(THEOREM_CHECKS)
+    tokens = list(THEOREM_CHECKS) if which is None else [t.strip() for t in which.split(",") if t.strip()]
+    unknown = [t for t in tokens if t not in THEOREM_CHECKS]
+    if unknown or not tokens:
+        problem = f"unknown checks {unknown}" if unknown else f"--which {which!r} names no check"
+        raise SpecError(f"{problem}; available: {', '.join(sorted(THEOREM_CHECKS))}")
     entries = []
     ok = True
     for token in tokens:

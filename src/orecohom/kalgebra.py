@@ -224,10 +224,12 @@ class AlgebraK:
             s = self.field.scalar(x)
             return tuple(s * c for c in self.unit)
         if isinstance(x, str):
-            return self.basis_elem(self.basis_names.index(x))
+            x = {x: 1}
         if isinstance(x, dict):
             coords = [self.field.zero] * self.dim
             for name, c in x.items():
+                if name not in self.basis_names:
+                    raise AlgebraError(f"unknown basis label {name!r}; K's labels are {self.basis_names}")
                 coords[self.basis_names.index(name)] = self.field.scalar(c)
             return tuple(coords)
         coords = tuple(self.field.scalar(c) for c in x)

@@ -57,6 +57,20 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
+def instance_checks(K: AlgebraK, alpha: Endo, f_coeffs: list) -> list[tuple[str, ValidationReport]]:
+    """The checks that A = K[x, alpha]/<f> presumes of its data, in order, by
+    name: K is associative and unital, alpha fixes its unit, is
+    multiplicative and invertible, and f is admissible (``validate_f``).
+    ``validate`` reports each; a checked ``MonogenicAlgebra`` refuses the
+    first that fails.  On a valid K and twist the first two read the cached
+    generator certificates that the twisted invariants read."""
+    k_rep, twist_rep = algebra_validate(K), alpha.validate()
+    if twist_rep.ok and not alpha.is_automorphism:
+        twist_rep = ValidationReport(False, ("twist matrix is not invertible",))
+    return [("coefficient-algebra", k_rep), ("twist", twist_rep),
+            ("defining-polynomial", validate_f(K, alpha, f_coeffs))]
+
+
 class AElem:
     """Element of A in normal form, stored as its nonzero coordinates over
     {lambda_b x^a}: ``nz`` is {flat index: nonzero entry}, Scalars of A's
@@ -144,8 +158,11 @@ class AElem:
 
 class MonogenicAlgebra:
     """A = K[x, alpha]/<f> with compiled normal-form multiplication.  A checked
-    build runs ``algebra_validate(K)`` and ``validate_f`` before it compiles
-    and ``check_compiled`` after, and raises the first check that fails."""
+    build runs ``instance_checks`` before it compiles and ``check_compiled``
+    after.  A failed check of K or the twist raises AlgebraError with its
+    first failure, a failed check of f MonogenicError with all of its
+    failures; so a twist that is not an invertible endomorphism is refused.
+    ``check=False`` compiles whatever it is given."""
 
     def __init__(self, K: AlgebraK, alpha: Endo, f_coeffs: list, check: bool = True):
         self.K = K
@@ -155,12 +172,11 @@ class MonogenicAlgebra:
         self.n = len(lam)
         self.f_terms = [*reversed(lam), K.unit]  # c_0 .. c_n, c_i at x^i
         if check:
-            rep = algebra_validate(K)
-            if not rep.ok:
-                raise AlgebraError(rep.failures[0])
-            rep = validate_f(K, alpha, f_coeffs)
-            if not rep.ok:
-                raise MonogenicError("; ".join(rep.failures))
+            for name, rep in instance_checks(K, alpha, f_coeffs):
+                if not rep.ok and name == "defining-polynomial":
+                    raise MonogenicError("; ".join(rep.failures))
+                if not rep.ok:
+                    raise AlgebraError(rep.failures[0])
         self.adim = K.dim * self.n
         self._xpow_bar: dict[int, AElem] = {}
         self._compile()
@@ -211,8 +227,8 @@ class MonogenicAlgebra:
         (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2).  For
         a + a2 < n, x^(a + a2) is its own normal form and u is stored as it
         is, which takes K's unit law on trust: a checked build runs
-        ``algebra_validate`` first, and the CLI ``Session.checks``; else u
-        multiplies each nonzero K-coefficient of the normal form."""
+        ``instance_checks`` first; else u multiplies each nonzero
+        K-coefficient of the normal form."""
         K, n = self.K, self.n
         # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
         zero = tuple(self.field.zero for _ in range(K.dim))
@@ -258,7 +274,7 @@ class MonogenicAlgebra:
 
     def check_compiled(self) -> None:
         """Raise MonogenicError unless the compiled table obeys the commutation
-        rule and f is normal; run by a checked build, after ``validate_f``."""
+        rule and f is normal; run by a checked build, after ``instance_checks``."""
         K, alpha = self.K, self.alpha
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
         for b in range(K.dim):

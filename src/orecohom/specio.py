@@ -109,6 +109,14 @@ class Instance:
         return 6
 
 
+def _check_labels(labels, what: str) -> None:
+    """Raise SpecError unless labels is a list of distinct strings."""
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise SpecError(f"{what} must be a list of strings, got {labels!r}")
+    if len(set(labels)) != len(labels):
+        raise SpecError(f"{what} must be distinct, got {labels!r}")
+
+
 def _build_group(gspec: dict) -> GroupData:
     kind = _need(gspec, "kind", "the group description")
     if kind == "cyclic":
@@ -124,10 +132,7 @@ def _build_group(gspec: dict) -> GroupData:
     if kind == "table":
         labels = _need(gspec, "labels", "the group table description")
         table = _need(gspec, "table", "the group table description")
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise SpecError(f"group table labels must be a list of strings, got {labels!r}")
-        if len(set(labels)) != len(labels):
-            raise SpecError(f"group table labels must be distinct, got {labels!r}")
+        _check_labels(labels, "group table labels")
         n = len(labels)
         if not isinstance(table, list) or len(table) != n or any(
                 not isinstance(row, list) or len(row) != n for row in table):
@@ -169,6 +174,7 @@ def _build_K(field: Field, kspec: dict):
             raise SpecError("dim must be a positive integer")
         if not isinstance(basis, list) or len(basis) != dim:
             raise SpecError("basis must list one label per dimension")
+        _check_labels(basis, "basis labels")
         unit_coords = _decode_coords(field, unit, dim, "the unit coordinates")
         if not isinstance(mul, list):
             raise SpecError("mul must be a list of [i, j, k, scalar] quadruples")

@@ -192,6 +192,24 @@ def test_malformed_group_table_exits_2(tmp_path, capsys, labels, table, reason):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["validate", "theorems"])
+@pytest.mark.parametrize("basis, reason", [
+    ([1, 2], "basis labels must be a list of strings, got [1, 2]"),
+    (["a", "a"], "basis labels must be distinct, got ['a', 'a']"),
+], ids=["int-labels", "repeated-label"])
+def test_malformed_table_basis_exits_2(tmp_path, capsys, verb, basis, reason):
+    """A structure-constant K names its basis by distinct strings: with a
+    repeated label, `K.elem` and a witness candidate would silently read the
+    first basis element of that name."""
+    raw = json.loads(Path(spec("swap3.json")).read_text())
+    raw["K"]["basis"] = basis
+    p = tmp_path / "bad_basis.json"
+    p.write_text(json.dumps(raw))
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"spec error: {reason}\n"
+
+
 def test_missing_spec_file_exits_2(capsys):
     rc = main(["validate", "/no/such/file.json"])
     assert rc == 2
@@ -490,6 +508,15 @@ def test_unknown_which_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("which", [",", " ", ""])
+def test_which_naming_no_check_exits_2(capsys, which):
+    """A `--which` that names no check is a spec error, not a run of none."""
+    assert main(["theorems", spec("sweedler.json"), "--which", which]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"spec error: --which {which!r} names no check; available: ")
+
+
 def test_witness_flag_accepts_label_and_coords(capsys):
     rc, payload = run_json(
         capsys,
@@ -644,7 +671,7 @@ def test_model_checks_read_the_run_complex_at_every_degree(capsys, name, D):
 
 @pytest.mark.parametrize("verb", ["validate", "cohomology", "products", "theorems", "report"])
 def test_inadmissible_f_fails_before_any_compile(capsys, monkeypatch, verb):
-    calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "__init__")
+    calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "_compile")
     rc = main([verb, spec("sweedler_bad.json")])
     captured = capsys.readouterr()
     assert rc == 1

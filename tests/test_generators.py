@@ -39,7 +39,7 @@ from orecohom.fields import QQ, prime_field
 from orecohom.instances import gh4_instance
 from orecohom.kalgebra import AlgebraK, Endo, algebra_validate, scalar_algebra
 from orecohom.linalg import Mat
-from orecohom.monogenic import MonogenicAlgebra, MonogenicError
+from orecohom.monogenic import MonogenicAlgebra, MonogenicError, validate_f
 from orecohom.specio import load_instance
 
 # The generators the walk keeps on each demo spec, by basis label.
@@ -242,10 +242,13 @@ VALID_SPECS = [p for p in SPECS if p.stem != "sweedler_bad"]
 
 def ungated_algebra(session):
     """`cli.Session.algebra` without its check of K and the twist."""
-    if not session.f_report.ok:
-        raise MonogenicError("; ".join(session.f_report.failures))
-    session.compiled.check_compiled()
-    return session.compiled
+    inst = session.inst
+    f_report = validate_f(inst.K, inst.alpha, inst.f_coeffs)
+    if not f_report.ok:
+        raise MonogenicError("; ".join(f_report.failures))
+    alg = inst.algebra(check=False)
+    alg.check_compiled()
+    return alg
 
 
 def certificate_work(monkeypatch, argv, gate: bool) -> collections.Counter:

@@ -30,6 +30,14 @@ def test_dim_one_algebra():
     assert algebra_validate(K).ok
 
 
+@pytest.mark.parametrize("x", ["h", {"h": 1}, {"g": 1, "h": 2}], ids=["label", "dict", "dict-partly-known"])
+def test_elem_of_an_unknown_label_names_it(x):
+    K = group_algebra(cyclic_group(2), QQ)
+    with pytest.raises(AlgebraError, match=r"^unknown basis label 'h'; K's labels are \['1', 'g'\]$"):
+        K.elem(x)
+    assert K.elem("g") == K.elem({"g": 1}) == K.basis_elem(1)
+
+
 def test_group_algebra_c2():
     K = group_algebra(cyclic_group(2), QQ)
     assert K.dim == 2

@@ -86,7 +86,8 @@ def _encode_kelem(inst: Instance, coords) -> list:
 
 class Session:
     """What the verbs of one run share: the instance, the parsed arguments,
-    the degree bound D, the decoded witness candidates and, each built on
+    the degree bound D, the decoded witness candidates, the theorem checks
+    ``--which`` names (all when it is absent) and, each built on
     first use, the instance checks, the one checked build of A, which runs
     them again and raises the first that fails, its regular bimodule, the
     small complex through degree D + 1, the result of the run's one
@@ -102,6 +103,12 @@ class Session:
         self.args = args
         self.D = args.max_degree if args.max_degree is not None else inst.default_degree()
         self.candidates = _witness_candidates(inst, getattr(args, "witness", None))
+        which = getattr(args, "which", None)
+        self.which = list(THEOREM_CHECKS) if which is None else [t.strip() for t in which.split(",") if t.strip()]
+        unknown = [t for t in self.which if t not in THEOREM_CHECKS]
+        if unknown or not self.which:
+            problem = f"unknown checks {unknown}" if unknown else f"--which {which!r} names no check"
+            raise SpecError(f"{problem}; available: {', '.join(sorted(THEOREM_CHECKS))}")
 
     @functools.cached_property
     def checks(self) -> list[tuple[str, ValidationReport]]:
@@ -301,15 +308,9 @@ THEOREM_CHECKS = {
 
 def run_theorems(session: Session) -> tuple[dict, bool]:
     inst, D, C, witness = session.inst, session.D, session.complex, session.witness
-    which = getattr(session.args, "which", None)
-    tokens = list(THEOREM_CHECKS) if which is None else [t.strip() for t in which.split(",") if t.strip()]
-    unknown = [t for t in tokens if t not in THEOREM_CHECKS]
-    if unknown or not tokens:
-        problem = f"unknown checks {unknown}" if unknown else f"--which {which!r} names no check"
-        raise SpecError(f"{problem}; available: {', '.join(sorted(THEOREM_CHECKS))}")
     entries = []
     ok = True
-    for token in tokens:
+    for token in session.which:
         try:
             result = THEOREM_CHECKS[token](session)
         except ClosedFormError as exc:

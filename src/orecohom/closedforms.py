@@ -215,7 +215,7 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
     pool = [K.elem(c) for c in candidates]
     if K.group is not None:
         pool += [K.basis_elem(g) for g in K.group.center_indices()]
-    center = K.center_basis()
+    center = K.center_basis
     pool += center.columns_list()
     if center.cols > 1:
         weighted = [K.field.zero] * K.dim
@@ -255,12 +255,6 @@ def _embed_k_columns(alg: MonogenicAlgebra, cols: Mat, xdeg: int) -> Mat:
     )
 
 
-def _alpha_minus_id(alg: MonogenicAlgebra) -> Mat:
-    K = alg.K
-    ident = Mat.identity(K.field, K.dim)
-    return alg.alpha.matrix.add(ident.scale(-K.field.one))
-
-
 def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
     """The even-twist coefficient space for block m, in K-coordinates."""
     return twisted_invariants_k(alg.K, alg.alpha, m * alg.n)
@@ -271,18 +265,9 @@ def _n_lambda(alg: MonogenicAlgebra) -> tuple:
     return vscale(alg.field.from_int(alg.n), alg.f_terms[0])
 
 
-def _twist_norm(alg: MonogenicAlgebra) -> Mat:
-    """Matrix of lam -> sum_{l < n} alpha^l(lam) on K-coordinates."""
-    K = alg.K
-    out = Mat.zero(K.field, K.dim, K.dim)
-    for l in range(alg.n):
-        out = out.add(alg.alpha.power_matrix(l))
-    return out
-
-
 def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
-    """Matrix of lam -> sum_l alpha^l(lam) * lambda_n on K-coordinates."""
-    return alg.K.right_mult_matrix(alg.f_terms[0]).matmul(_twist_norm(alg))
+    """Matrix of lam -> sum_{l < n} alpha^l(lam) * lambda_n on K-coordinates."""
+    return alg.K.right_mult_matrix(alg.f_terms[0]).matmul(alg.alpha.norm(alg.n))
 
 
 def _quotient_dim(sub: Mat, amb: Mat) -> int:
@@ -358,7 +343,7 @@ def check_collapsed_differentials(
     w = _need_witness(alg, witness)
     if up_to is None:
         up_to = C.max_degree
-    ops = (_trace_matrix(alg), _alpha_minus_id(alg))  # by r mod 2
+    ops = (_trace_matrix(alg), alg.alpha.minus_identity)  # by r mod 2
     mismatches = []
     closed_cols: dict[str, list] = {}
     compiled: dict[tuple, tuple] = {}
@@ -405,11 +390,11 @@ def collapsed_cohomology_table(
     alg = _regular_alg(C)
     w = _need_witness(alg, witness)
     up_to = _top_degree(C, up_to)
-    A1 = _alpha_minus_id(alg)
+    A1 = alg.alpha.minus_identity
     T = _trace_matrix(alg)
     fixed = alg.alpha.fixed_space
     trace_kernel = kernel_basis(T)
-    space = intersect_spans(fixed, alg.K.center_basis())
+    space = intersect_spans(fixed, alg.K.center_basis)
     closed_dims = [space.cols]
     mismatches: list[str] = []
     gen_ker0 = C.bases[0].matmul(cohomology_group(C, 0).kernel)
@@ -478,9 +463,9 @@ def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = N
     if not (invertible and power_trivial):
         raise ClosedFormError("cyclic-group comparison needs an invertible constant "
                               "coefficient and a twist of order dividing n")
-    Z = K.center_basis()
-    a1 = _restrict_to_span(Z, _alpha_minus_id(alg))
-    nz = _restrict_to_span(Z, _twist_norm(alg))
+    Z = K.center_basis
+    a1 = _restrict_to_span(Z, alg.alpha.minus_identity)
+    nz = _restrict_to_span(Z, alg.alpha.norm(alg.n))
     z = Z.cols
     h0 = z - rank(a1)
     h_odd = (z - rank(nz)) - rank(a1)
@@ -529,7 +514,7 @@ def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list)
     K = alg.K
     Rn = K.right_mult_matrix(_n_lambda(alg))
     ann = kernel_basis(Rn)
-    closed_dims = [intersect_spans(fixed, K.center_basis()).cols]
+    closed_dims = [intersect_spans(fixed, K.center_basis).cols]
     parts: dict[tuple, Mat] = {}  # id of a block space -> its fixed part
 
     def fixed_part(W: Mat) -> Mat:
@@ -625,7 +610,7 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
         raise ClosedFormError("untwisted model needs the identity twist")
     if up_to is None:
         up_to = C.max_degree
-    Z = alg.K.center_basis()
+    Z = alg.K.center_basis
     model_cols = []
     for d in range(alg.n):
         emb = _embed_k_columns(alg, Z, d)

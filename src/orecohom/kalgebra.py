@@ -1,10 +1,13 @@
 """Coefficient algebras: structure constants, group algebras, quaternions.
 
-An :class:`AlgebraK` stores sparse structure constants c_{ij}^k over one exact
-field together with optional group metadata.  An element of K is the tuple
-of its coordinates over the basis, Scalars of that field taken as given;
-raw values enter through ``AlgebraK.elem``.  Twisting endomorphisms live in
-:class:`Endo`; the group-algebra case builds them from characters.  The checks
+An :class:`AlgebraK` stores one summed table of structure constants c_{ij}^k
+over one exact field together with optional group metadata: repeated
+(i, j, k) entries are added and zero sums dropped as the table enters, and
+every product, action matrix and check reads that one table.  An element of
+K is the tuple of its coordinates over the basis, Scalars of that field taken
+as given; raw values enter through ``AlgebraK.elem``.  Twisting endomorphisms
+live in :class:`Endo`, which keeps alpha - id and the partial norms of alpha;
+the group-algebra case builds them from characters.  The checks
 are exact and read the nonzero structure constants: the unit law on every basis
 element, associativity as L(e_i e_j) = L(e_i) L(e_j) for the left
 multiplications L, and a twist's multiplicativity on every basis pair.  Each
@@ -180,7 +183,11 @@ class AlgebraK:
     """Finite-dimensional associative unital algebra via sparse structure constants.
 
     The unit and the table hold Scalars of ``field``;
-    :meth:`from_structure_constants` coerces raw entries."""
+    :meth:`from_structure_constants` coerces raw entries.  The table is
+    summed where it enters: ``mul_table`` maps each (i, j) with e_i e_j != 0
+    to the ordered list of (k, nonzero c_{ij}^k) pairs, each k once, the
+    entries given for the same (i, j, k) added and pairs whose product is
+    zero left out.  A's compiled table has the same form."""
 
     def __init__(
         self,
@@ -195,9 +202,9 @@ class AlgebraK:
         self.dim = dim
         self.basis_names = list(basis_names)
         self.unit = tuple(unit)
+        one = field.one
         self.mul_table = {
-            ij: [(k, s) for k, s in terms if not s.is_zero()]
-            for ij, terms in mul_table.items()
+            ij: sorted(prod.items()) for ij, terms in mul_table.items() if (prod := combine([(one, terms)]))
         }
         self.group = group
 
@@ -241,14 +248,6 @@ class AlgebraK:
         coords = [self.field.zero] * self.dim
         coords[i] = self.field.one
         return tuple(coords)
-
-    @functools.cached_property
-    def basis_products(self) -> dict[tuple[int, int], dict[int, Scalar]]:
-        """e_i e_j as a sparse vector {k: coefficient} for each pair (i, j)
-        whose product is nonzero.  Repeated (i, j, k) entries of the table are
-        summed, as `kmul` sums them."""
-        one = self.field.one
-        return {ij: prod for ij, terms in self.mul_table.items() if (prod := combine([(one, terms)]))}
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -303,26 +302,11 @@ class AlgebraK:
     def _certifies(self, gens: tuple[int, ...]) -> bool:
         """The certificate of ``generators``: the unit law on every basis
         element and associativity on every triple (e_i, e_j, g), g in gens."""
-        prod = self.basis_products
         return not _unit_law_failures(self) and all(
-            _associative_at(prod, i, j, g)
+            _associative_at(self.mul_table, i, j, g)
             for i, j in itertools.product(range(self.dim), repeat=2)
             for g in gens
         )
-
-    @functools.cached_property
-    def sparse_actions(self) -> tuple[list, list]:
-        """The sparse rows of R(e_b) and of L(e_b) for each basis element
-        e_b, read off the nonzero structure constants: e_i e_j = sum c e_k
-        puts c at column i of row k of R(e_j) and at column j of row k of
-        L(e_i)."""
-        right = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        left = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j), prod in sorted(self.basis_products.items()):
-            for k, c in prod.items():
-                right[j][k][i] = c
-                left[i][k][j] = c
-        return right, left
 
     def left_mult_matrix(self, u: tuple) -> Mat:
         return mult_matrix(self.field, self.dim, self.mul_table, u)
@@ -330,24 +314,21 @@ class AlgebraK:
     def right_mult_matrix(self, u: tuple) -> Mat:
         return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
-    def center_basis(self) -> Mat:
-        """Basis (columns) of the center {z : e_i z = z e_i for every i}."""
-        return self._center
+    @functools.cached_property
+    def sparse_actions(self) -> tuple[list, list]:
+        """The sparse rows of R(e_b) and of L(e_b) for each basis element
+        e_b, read off ``right_mult_matrix`` and ``left_mult_matrix``."""
+        basis = [self.basis_elem(b) for b in range(self.dim)]
+        return ([self.right_mult_matrix(e).sparse for e in basis],
+                [self.left_mult_matrix(e).sparse for e in basis])
 
     @functools.cached_property
-    def _center(self) -> Mat:
-        # row (i, k), column j: the e_k coefficient of e_i e_j - e_j e_i, read
-        # off the nonzero structure constants; all-zero rows are left out
-        rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), terms in self.mul_table.items():
-            for k, s in terms:
-                row = rows.setdefault((i, k), {})
-                row[j] = row[j] + s if j in row else s
-                row = rows.setdefault((j, k), {})
-                row[i] = row[i] - s if i in row else -s
-        zv = self.field.zero.v
-        sparse = [{j: a for j, a in rows[key].items() if a.v != zv} for key in sorted(rows)]
-        return kernel_basis(Mat.from_sparse_rows(self.field, [r for r in sparse if r], self.dim))
+    def center_basis(self) -> Mat:
+        """Basis (columns) of the center {z : e_i z = z e_i for every i}: the
+        kernel of the stacked nonzero rows of L(e_i) - R(e_i)."""
+        one, right, left = self.field.one, *self.sparse_actions
+        rows = [combine([(one, L_row), (-one, R_row)]) for R, L in zip(right, left) for R_row, L_row in zip(R, L)]
+        return kernel_basis(Mat.from_sparse_rows(self.field, [r for r in rows if r], self.dim))
 
 
 def table_mul(table, u, v) -> dict[int, Scalar]:
@@ -410,12 +391,11 @@ def _unit_law_failures(K: AlgebraK) -> list[str]:
     return failures
 
 
-def _associative_at(prod: dict, i: int, j: int, k: int) -> bool:
-    """(e_i e_j) e_k = e_i (e_j e_k), both sides summed from the nonzero basis
-    products ``prod`` (``AlgebraK.basis_products``)."""
-    none = {}
-    lhs = combine((c, prod.get((m, k), none)) for m, c in prod.get((i, j), none).items())
-    rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
+def _associative_at(table: dict, i: int, j: int, k: int) -> bool:
+    """(e_i e_j) e_k = e_i (e_j e_k), both sides summed from the summed
+    structure constants ``table`` (``AlgebraK.mul_table``)."""
+    lhs = combine((c, table.get((m, k), ())) for m, c in table.get((i, j), ()))
+    rhs = combine((c, table.get((i, m), ())) for m, c in table.get((j, k), ()))
     return lhs == rhs
 
 
@@ -433,9 +413,8 @@ def algebra_validate(K: AlgebraK) -> ValidationReport:
     if K.generators is not None:
         return ValidationReport(True)
     failures = _unit_law_failures(K)
-    prod = K.basis_products
     for i, j, k in itertools.product(range(K.dim), repeat=3):
-        if not _associative_at(prod, i, j, k):
+        if not _associative_at(K.mul_table, i, j, k):
             failures.append(f"associativity fails at triple ({i},{j},{k})")
             return ValidationReport(False, tuple(failures))
     return ValidationReport(not failures, tuple(failures))
@@ -476,6 +455,7 @@ class Endo:
         for r, P in enumerate((Mat.identity(alg.field, alg.dim), matrix)):
             self._powers[r] = self._distinct.setdefault(P.key(), P)
         self._invariants: dict[int, Mat] = {}  # id of alpha^r -> twisted_invariants_k
+        self._norms: list[Mat] = [Mat.zero(alg.field, alg.dim, alg.dim)]  # l -> norm(l)
 
     def apply(self, u: tuple) -> tuple:
         return self.matrix.matvec(u)
@@ -496,12 +476,30 @@ class Endo:
         return rank(self.matrix) == self.alg.dim
 
     @functools.cached_property
+    def minus_identity(self) -> Mat:
+        """The matrix of alpha - id, built once per twist: the odd closed
+        differential and the closed tables read it."""
+        F = self.alg.field
+        return self.matrix.add(Mat.identity(F, self.alg.dim).scale(-F.one))
+
+    @functools.cached_property
     def fixed_space(self) -> Mat:
         """Basis (columns) of the fixed space ker(alpha - id), the
-        ``kernel_basis`` of alpha - id: solved once per twist and read by
-        every closed cohomology table that needs it."""
-        F = self.alg.field
-        return kernel_basis(self.matrix.add(Mat.identity(F, self.alg.dim).scale(-F.one)))
+        ``kernel_basis`` of ``minus_identity``: solved once per twist and read
+        by every closed cohomology table that needs it."""
+        return kernel_basis(self.minus_identity)
+
+    def norm(self, l: int) -> Mat:
+        """The partial norm sum_{i < l} alpha^i, the zero matrix for l = 0:
+        the orbit sums of the closed bracket and, at l = n, the trace map of
+        the closed tables.  Built iteratively, norm(l + 1) = norm(l) +
+        alpha^l, and each kept, so a run pays one matrix sum per l."""
+        if l < 0:
+            raise AlgebraError("negative norm length")
+        norms = self._norms
+        while len(norms) <= l:
+            norms.append(norms[-1].add(self.power_matrix(len(norms) - 1)))
+        return norms[l]
 
     @functools.cached_property
     def order(self) -> int | None:
@@ -545,10 +543,10 @@ class Endo:
     def _multiplicative_at(self, image: list, i: int, j: int) -> bool:
         """alpha(e_i e_j) = alpha(e_i) alpha(e_j), with the products read from
         the nonzero structure constants."""
-        prod, none = self.alg.basis_products, {}
-        lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
+        table = self.alg.mul_table
+        lhs = combine((c, image[m]) for m, c in table.get((i, j), ()))
         rhs = combine(
-            (a * b, prod.get((p, q), none))
+            (a * b, table.get((p, q), ()))
             for p, a in image[i].items()
             for q, b in image[j].items()
         )

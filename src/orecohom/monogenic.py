@@ -223,12 +223,12 @@ class MonogenicAlgebra:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
-        """Set ``xpow_nf``, ``wrap_terms`` and the sparse ``mul_table``:
-        (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with u = e_b alpha^a(e_b2).  For
-        a + a2 < n, x^(a + a2) is its own normal form and u is stored as it
-        is, which takes K's unit law on trust: a checked build runs
-        ``instance_checks`` first; else u multiplies each nonzero
-        K-coefficient of the normal form."""
+        """Set the stored powers of ``xpow``, ``wrap_terms`` and the sparse
+        ``mul_table``: (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with
+        u = e_b alpha^a(e_b2).  For a + a2 < n, x^(a + a2) is its own normal
+        form and u is stored as it is, which takes K's unit law on trust: a
+        checked build runs ``instance_checks`` first; else u multiplies each
+        nonzero K-coefficient of the normal form."""
         K, n = self.K, self.n
         # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
         zero = tuple(self.field.zero for _ in range(K.dim))
@@ -246,7 +246,7 @@ class MonogenicAlgebra:
                 for j, prev in enumerate(nf[m - n + i]):
                     row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
             nf.append(row)
-        self.xpow_nf = nf
+        self._xpows = [AElem(self, [c for cj in row for c in cj]) for row in nf]  # flat index j*dimK + b
         # x^n = sum_j kappa_j x^j: the nonzero kappa_j, read by every right x action
         self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if support(kappa)]
         # alpha^a(e_b2) is column b2 of alpha^a; the reduced powers x^n .. x^(2n - 2)
@@ -303,16 +303,12 @@ class MonogenicAlgebra:
         return AElem._of(self, table_mul(self.mul_table, a.nz.items(), b.nz.items()))
 
     def xpow(self, m: int) -> AElem:
-        """Normal form of x^m in A, any m >= 0."""
+        """Normal form of x^m in A, any m >= 0.  For m <= 2n it is the element
+        the compile stored, one object per m, which callers must not mutate;
+        above, the product of two lower powers."""
         if m <= 2 * self.n:
-            zv = self.field.zero.v
-            return AElem._of(self, {
-                self.idx(b, j): c
-                for j, cj in enumerate(self.xpow_nf[m]) for b, c in enumerate(cj) if c.v != zv
-            })
-        half = self.xpow(m // 2)
-        rest = self.xpow(m - m // 2)
-        return self.a_mul(half, rest)
+            return self._xpows[m]
+        return self.a_mul(self.xpow(m // 2), self.xpow(m - m // 2))
 
     def xpow_bar(self, e: int) -> AElem:
         """Image in A of the quotient q_e of x^e = q_e f + r_e, deg r_e < n.

@@ -545,7 +545,7 @@ def scan_algebra_validate(K) -> ValidationReport:
         e = K.basis_elem(i)
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
-    prod, none = K.basis_products, {}
+    prod, none = basis_products(K.field, K.mul_table), {}
     for i, j in itertools.product(range(K.dim), repeat=2):
         eij = prod.get((i, j), none).items()
         for k in range(K.dim):
@@ -564,7 +564,7 @@ def scan_endo_validate(self) -> ValidationReport:
     alg = self.alg
     if self.apply(alg.unit) != alg.unit:
         failures.append("endomorphism does not fix the unit")
-    prod, none = alg.basis_products, {}
+    prod, none = basis_products(alg.field, alg.mul_table), {}
     image = [dict(support(self.matrix.column(i))) for i in range(alg.dim)]
     for i, j in itertools.product(range(alg.dim), repeat=2):
         lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
@@ -776,7 +776,8 @@ def entrywise_rightmul_x(self: TensorElem) -> TensorElem:
             shifted[flat + alg.adim] = s
         else:
             left = alg.monomial(alg.K.basis_elem(b), a)
-            for j, cj in enumerate(alg.xpow_nf[n]):
+            for j in range(n):
+                cj = alg.xpow(n).k_coeff(j)
                 if all(v.is_zero() for v in cj):
                     continue
                 mig = alg.k_embed(alg.alpha.apply_power(self.twist, cj))
@@ -1556,7 +1557,7 @@ def unfolded_collapsed_spaces(C: SmallComplex, witness, up_to: int) -> dict:
 def unfolded_collapsed_differentials(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
     w = cf._need_witness(alg, witness)
-    A1 = cf._alpha_minus_id(alg)
+    A1 = alpha_minus_id(alg)
     T = cf._trace_matrix(alg)
     mismatches = []
     closed_cols: dict[str, list] = {}
@@ -1587,7 +1588,7 @@ def unfolded_collapsed_cohomology(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
     w = cf._need_witness(alg, witness)
     up_to = cf._top_degree(C, up_to)
-    A1 = cf._alpha_minus_id(alg)
+    A1 = alpha_minus_id(alg)
     T = cf._trace_matrix(alg)
     fixed = kernel_basis(A1)
     mismatches: list[str] = []
@@ -1596,7 +1597,7 @@ def unfolded_collapsed_cohomology(C: SmallComplex, witness, up_to: int) -> dict:
         m = r // 2
         W = cf._w_space(alg, m)
         if r == 0:
-            space = intersect_spans(fixed, alg.K.center_basis())
+            space = intersect_spans(fixed, alg.K.center_basis)
             closed_dims.append(space.cols)
             emb = cf._embed_k_columns(alg, space, 0)
             gen_ker0 = C.bases[0].matmul(kernel_basis(C.dmats[1]))
@@ -1645,7 +1646,7 @@ def unfolded_fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatche
     K = alg.K
     Rn = K.right_mult_matrix(cf._n_lambda(alg))
     ann = kernel_basis(Rn)
-    closed_dims = [intersect_spans(fixed, K.center_basis()).cols]
+    closed_dims = [intersect_spans(fixed, K.center_basis).cols]
     for r in range(1, up_to + 1):
         m = r // 2
         fixed_m = intersect_spans(fixed, cf._w_space(alg, m))
@@ -1675,7 +1676,7 @@ def unfolded_diagonalizable(C: SmallComplex, witness, up_to: int) -> dict:
     if not (diag and epi):
         raise cf.ClosedFormError("closed table needs a certified diagonalizable bijective twist")
     mismatches: list[str] = []
-    closed_dims = unfolded_fixed_block_dims(C, kernel_basis(cf._alpha_minus_id(alg)), up_to,
+    closed_dims = unfolded_fixed_block_dims(C, kernel_basis(alpha_minus_id(alg)), up_to,
                                             mismatches)
     ch = getattr(alg.field, "char", 0)
     if ch != 2 or alg.n % 2 == 1 or alg.n % 4 == 0:
@@ -1693,7 +1694,7 @@ def unfolded_group_cohomology(C: SmallComplex, chi, up_to: int, witness) -> dict
     up_to = cf._top_degree(C, up_to)
     kN = cf._kernel_span(alg.K, chi)
     mismatches: list[str] = []
-    fixed = kernel_basis(cf._alpha_minus_id(alg))
+    fixed = kernel_basis(alpha_minus_id(alg))
     if not span_equal(kN, fixed):
         mismatches.append("character kernel span differs from the fixed space")
     closed_dims = unfolded_fixed_block_dims(C, kN, up_to, mismatches)
@@ -1928,6 +1929,102 @@ class DenseMat:
                 a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
             )
         )
+
+
+# -- the derived quantities before each got one definition on its owner --------
+
+
+def delta_sum(alpha: Endo, mu: tuple, l: int) -> tuple:
+    """`products.delta_sum`, the partial orbit sum of mu in K under alpha,
+    with l terms, before the closed bracket read `Endo.norm`."""
+    K = alpha.alg
+    acc = tuple(K.field.zero for _ in range(K.dim))
+    cur = mu
+    for _ in range(l):
+        acc = tuple(a + b for a, b in zip(acc, cur))
+        cur = alpha.apply(cur)
+    return acc
+
+
+def twist_norm(alpha: Endo, l: int) -> Mat:
+    """`closedforms._twist_norm`, the matrix of lam -> sum_{i < l} alpha^i(lam)
+    on K-coordinates (it took l = n), before `Endo.norm`."""
+    K = alpha.alg
+    out = Mat.zero(K.field, K.dim, K.dim)
+    for i in range(l):
+        out = out.add(alpha.power_matrix(i))
+    return out
+
+
+def alpha_minus_id(alg: MonogenicAlgebra) -> Mat:
+    """`closedforms._alpha_minus_id`, before `Endo.minus_identity`."""
+    K = alg.K
+    ident = Mat.identity(K.field, K.dim)
+    return alg.alpha.matrix.add(ident.scale(-K.field.one))
+
+
+def all_basis_is_twisted(value: AElem, t: int) -> bool:
+    """`products._is_twisted` before it read the generators of the twist:
+    value lambda = alpha^t(lambda) value for each basis element lambda of K."""
+    alg = value.alg
+    for b in range(alg.K.dim):
+        e = alg.K.basis_elem(b)
+        if value * alg.k_embed(e) != alg.k_embed(alg.alpha.apply_power(t, e)) * value:
+            return False
+    return True
+
+
+def unsummed_table(field: Field, quads) -> dict:
+    """The table `AlgebraK` kept before it summed at entry: the entries of each
+    (i, j) as given, repeats included, only zero entries dropped."""
+    table: dict = {}
+    for i, j, k, s in quads:
+        table.setdefault((i, j), []).append((k, field.scalar(s)))
+    return {ij: [(k, s) for k, s in terms if not s.is_zero()] for ij, terms in table.items()}
+
+
+def basis_products(field: Field, table: dict) -> dict:
+    """`AlgebraK.basis_products` of an unsummed table: e_i e_j as a sparse
+    vector {k: coefficient} for each pair (i, j) whose product is nonzero."""
+    one = field.one
+    return {ij: prod for ij, terms in table.items() if (prod := combine([(one, terms)]))}
+
+
+def hand_summed_center(field: Field, dim: int, table: dict) -> Mat:
+    """`AlgebraK._center` of an unsummed table: row (i, k), column j, the e_k
+    coefficient of e_i e_j - e_j e_i, summed by hand from the entries."""
+    rows: dict = {}
+    for (i, j), terms in table.items():
+        for k, s in terms:
+            row = rows.setdefault((i, k), {})
+            row[j] = row[j] + s if j in row else s
+            row = rows.setdefault((j, k), {})
+            row[i] = row[i] - s if i in row else -s
+    zv = field.zero.v
+    sparse = [{j: a for j, a in rows[key].items() if a.v != zv} for key in sorted(rows)]
+    return kernel_basis(Mat.from_sparse_rows(field, [r for r in sparse if r], dim))
+
+
+def xpow_nf_rows(alg: MonogenicAlgebra) -> list[list[tuple]]:
+    """`MonogenicAlgebra.xpow_nf`: for 0 <= m <= 2n, the K-coordinates of the
+    normal form of x^m at each x^j, j < n."""
+    K, n = alg.K, alg.n
+    zero = tuple(alg.field.zero for _ in range(K.dim))
+    nf: list[list[tuple]] = []
+    for m in range(n):
+        row = [zero] * n
+        row[m] = K.unit
+        nf.append(row)
+    for m in range(n, 2 * n + 1):
+        row = [zero] * n
+        for i, ci in enumerate(alg.f_terms[:n]):
+            if all(c.is_zero() for c in ci):
+                continue
+            c = alg.alpha.apply_power(m - n, ci)
+            for j, prev in enumerate(nf[m - n + i]):
+                row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+        nf.append(row)
+    return nf
 
 
 def mutant(fn, old: str, new: str):

@@ -517,6 +517,44 @@ def test_which_naming_no_check_exits_2(capsys, which):
     assert captured.err.startswith(f"spec error: --which {which!r} names no check; available: ")
 
 
+@pytest.mark.parametrize("verb, which, problem", [("report", ",", "--which ',' names no check"),
+                                                   ("theorems", "nope", "unknown checks ['nope']")])
+def test_bad_which_exits_2_before_any_compile(capsys, monkeypatch, verb, which, problem):
+    """`--which` is resolved when the run's session is made, as `--witness`
+    is, so a selection that names no known check exits 2 before A is
+    compiled."""
+    calls = count_calls(monkeypatch, monogenic.MonogenicAlgebra, "_compile")
+    assert main([verb, spec("gh4_u3.json"), "--which", which]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"spec error: {problem}; available: ")
+
+
+def without_instance(payload):
+    """The payload with every echo of the spec ("instance") left out."""
+    if isinstance(payload, dict):
+        return {k: without_instance(v) for k, v in payload.items() if k != "instance"}
+    if isinstance(payload, list):
+        return [without_instance(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize("verb", ["validate", "cohomology", "products", "theorems", "report"])
+def test_table_is_summed_where_it_enters(capsys, tmp_path, verb):
+    """A "table" K shaped like swap3, with e1 e1 given as two halves and a
+    pair of e1 e2 entries that cancel, runs as swap3's summed table does:
+    the same CSV and the same JSON, up to the echo of the spec."""
+    raw = json.loads((SPECS / "swap3.json").read_text())
+    raw["K"]["mul"] = [[0, 0, 0, "1/2"], [0, 0, 0, "1/2"], [1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 0, -1]]
+    path = tmp_path / "swap3_unsummed.json"
+    path.write_text(json.dumps(raw))
+    for fmt in ("csv", "json"):
+        summed = run(capsys, verb, spec("swap3.json"), "--format", fmt)
+        given = run(capsys, verb, str(path), "--format", fmt)
+        if fmt == "json":
+            summed, given = [(rc, without_instance(json.loads(out))) for rc, out in (summed, given)]
+        assert given == summed
+
+
 def test_witness_flag_accepts_label_and_coords(capsys):
     rc, payload = run_json(
         capsys,

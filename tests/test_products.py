@@ -46,7 +46,6 @@ from orecohom.products import (
     cup_class_table,
     cup_small,
     cup_small_oracle,
-    delta_sum,
     phi_closed,
     phi_eval,
     psi_eval,
@@ -436,12 +435,13 @@ def test_bracket_odd_self_vanishes(sweedler):
 
 
 def test_delta_sum(sweedler):
+    """The orbit sums of the closed bracket, read off `Endo.norm`."""
     K = sweedler.K
     alpha = sweedler.alpha
-    assert delta_sum(alpha, K.elem("g"), 0) == K.elem(0)
-    assert delta_sum(alpha, K.elem("g"), 2) == K.elem(0)
-    assert delta_sum(alpha, K.elem("g"), 3) == K.elem("g")
-    assert delta_sum(alpha, K.elem(1), 3) == K.elem(3)
+    assert alpha.norm(0).matvec(K.elem("g")) == K.elem(0)
+    assert alpha.norm(2).matvec(K.elem("g")) == K.elem(0)
+    assert alpha.norm(3).matvec(K.elem("g")) == K.elem("g")
+    assert alpha.norm(3).matvec(K.elem(1)) == K.elem(3)
 
 
 def test_closed_bracket_formulas(sweedler):

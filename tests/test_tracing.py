@@ -88,3 +88,19 @@ def test_tracer_counts_each_oracle_bracket_once(monkeypatch, capsys):
     assert counts["products.cup_oracle"] > 0
     assert counts["products.bracket_generic"] > 0
     assert counts["products.bracket_generic"] == len(set(asked)) < len(asked)
+
+
+def test_traced_report_reads_every_counted_name(capsys):
+    """A traced `report` of c4_sign reaches every name a counter of
+    `spans.COUNTS` wraps, so a refactor that routes around one of them fails
+    here instead of zeroing its per-layer metric."""
+    spans = load_spans()
+    tracer = spans.Tracer(WallClock())
+    tracer.install()
+    try:
+        rc = cli.main(["report", str(ROOT / "demos" / "specs" / "c4_sign.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    assert [metric for metric, key in spans.COUNTS.items() if not tracer.counts[key] > 0] == []

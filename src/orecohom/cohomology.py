@@ -8,19 +8,22 @@ mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
 d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies.
 
 Each piece of the complex is built once per distinct input and shared by
-every degree with that input: the cochain basis per exact twist matrix
-alpha^{t(r)}, the differential per (pair of bases, parity), the d.d check per
-pair of differentials, and the core of H^r per (d^r, d^{r+1}, C^r).  When
-alpha^{kn} = id the degrees past the first period are therefore aliases of
-earlier ones; the sharing reads only these inputs, never the order of alpha.
+every degree with that input: each action of K's basis on the regular
+bimodule, on its first read; the cochain basis per exact twist matrix
+alpha^{t(r)}; the differential per (pair of bases, parity); the d.d check per
+pair of differentials; and the core of H^r, one echelon, per (d^r, d^{r+1},
+C^r).  When alpha^{kn} = id the degrees past the first period are therefore
+aliases of earlier ones; the sharing reads only these inputs, never the order
+of alpha.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 from .kalgebra import ValidationReport, mult_matrix, twisted_kernel
-from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, quotient_basis, support, vscale
+from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, support, vscale
 from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -29,9 +32,15 @@ class CohomologyError(ValueError):
 
 
 class Bimodule:
-    """A-bimodule given by left/right action matrices for K-basis elements and x."""
+    """A-bimodule given by the matrices of the left and right actions of K's
+    basis elements, ``L_k`` and ``R_k``, and of x, ``Lx`` and ``Rx``.
 
-    def __init__(self, alg: MonogenicAlgebra, L_k: list[Mat], Lx: Mat, R_k: list[Mat], Rx: Mat):
+    ``L_k`` and ``R_k`` are indexable sequences of dim K matrices.  For the
+    regular bimodule each of their matrices is built on its first read, so a
+    complex builds only the actions that its twisted invariants and
+    differentials read (``_RegularActions``)."""
+
+    def __init__(self, alg: MonogenicAlgebra, L_k: Sequence[Mat], Lx: Mat, R_k: Sequence[Mat], Rx: Mat):
         self.alg = alg
         self.field = alg.field
         self.dim = Lx.rows
@@ -45,18 +54,32 @@ class Bimodule:
 
     @classmethod
     def regular(cls, alg: MonogenicAlgebra) -> "Bimodule":
-        """M = A with multiplication actions."""
+        """M = A with multiplication actions: those of x built at once, those
+        of K's basis elements each on its first read."""
         F, dim, table = alg.field, alg.adim, alg.mul_table
-        basis = [alg.k_embed(alg.K.basis_elem(b)).coords for b in range(alg.K.dim)]
-        L_k = [mult_matrix(F, dim, table, u) for u in basis]
-        R_k = [mult_matrix(F, dim, table, u, left=False) for u in basis]
         Lx = mult_matrix(F, dim, table, alg.x.coords)
         Rx = mult_matrix(F, dim, table, alg.x.coords, left=False)
-        return cls(alg, L_k, Lx, R_k, Rx)
+        return cls(alg, _RegularActions(alg, left=True), Lx, _RegularActions(alg, left=False), Rx)
 
     @classmethod
     def from_actions(cls, alg: MonogenicAlgebra, L_k, Lx, R_k, Rx) -> "Bimodule":
-        M = cls(alg, list(L_k), Lx, list(R_k), Rx)
+        """The bimodule of the given actions, once checked: dim K actions of
+        K's basis on each side, every action a dim x dim matrix with
+        dim = ``Lx.rows``, and the bimodule laws of ``validate``.  Raises
+        CohomologyError naming the first mismatch."""
+        L_k, R_k = list(L_k), list(R_k)
+        for side, actions in (("left", L_k), ("right", R_k)):
+            if len(actions) != alg.K.dim:
+                raise CohomologyError(
+                    f"{len(actions)} {side} actions of K's basis, expected dim K = {alg.K.dim}"
+                )
+        dim = Lx.rows
+        named = [("Lx", Lx), ("Rx", Rx), *((f"L_k[{b}]", A) for b, A in enumerate(L_k)),
+                 *((f"R_k[{b}]", A) for b, A in enumerate(R_k))]
+        for name, A in named:
+            if (A.rows, A.cols) != (dim, dim):
+                raise CohomologyError(f"{name} is {A.rows}x{A.cols}, expected {dim}x{dim}")
+        M = cls(alg, L_k, Lx, R_k, Rx)
         rep = M.validate()
         if not rep.ok:
             raise CohomologyError("; ".join(rep.failures))
@@ -68,7 +91,7 @@ class Bimodule:
     def R_elem(self, u) -> Mat:
         return self._action(self.R_k, u)
 
-    def _action(self, basis_actions: list[Mat], u) -> Mat:
+    def _action(self, basis_actions: Sequence[Mat], u) -> Mat:
         """The action of u in K: the combination of the basis actions."""
         out = Mat.zero(self.field, self.dim, self.dim)
         for b, c in enumerate(self.alg.K.elem(u)):
@@ -132,8 +155,8 @@ class Bimodule:
                 failures.append(f"right x-relation fails at basis {b}")
             if failures:
                 return ValidationReport(False, tuple(failures))
-        for Lg in self.L_k + [self.Lx]:
-            for Rh in self.R_k + [self.Rx]:
+        for Lg in [*self.L_k, self.Lx]:
+            for Rh in [*self.R_k, self.Rx]:
                 if Lg.matmul(Rh) != Rh.matmul(Lg):
                     failures.append("left and right actions do not commute")
                     return ValidationReport(False, tuple(failures))
@@ -149,6 +172,29 @@ class Bimodule:
         return ValidationReport(not failures, tuple(failures))
 
 
+class _RegularActions(Sequence):
+    """The actions of K's basis elements on one side of the regular bimodule
+    of A, as a sequence of dim K matrices: matrix b, of u -> e_b u (or
+    u -> u e_b), is built by ``mult_matrix`` on its first read and kept."""
+
+    def __init__(self, alg: MonogenicAlgebra, left: bool):
+        self.alg = alg
+        self.left = left
+        self._mats: list[Mat | None] = [None] * alg.K.dim
+
+    def __len__(self) -> int:
+        return len(self._mats)
+
+    def __getitem__(self, b: int) -> Mat:
+        b = range(len(self._mats))[b]  # an index in range, or IndexError
+        A = self._mats[b]
+        if A is None:
+            alg = self.alg
+            u = alg.k_embed(alg.K.basis_elem(b)).coords
+            A = self._mats[b] = mult_matrix(alg.field, alg.adim, alg.mul_table, u, left=self.left)
+        return A
+
+
 def twisted_invariants(M: Bimodule, r: int) -> Mat:
     """Basis (columns) of M^{alpha^r} = {m : m lambda = alpha^r(lambda) m}.
 
@@ -162,7 +208,9 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     certified ``generators`` are stacked.  They cut out M^{alpha^r} when the
     actions of K on M make it a K-bimodule: ``from_actions`` checks that, and
     the actions of ``regular`` are products in K twisted by powers of alpha,
-    a K-bimodule once K and alpha are certified, whatever f.
+    a K-bimodule once K and alpha are certified, whatever f.  So of the
+    actions of K on the regular bimodule only those ``twisted_kernel`` reads
+    are built: R of each generator, and L of the support of its twist.
 
     Cached on M, keyed by the power ``alpha.power_matrix(r)``, which is one
     object for equal powers: degrees whose twists are equal matrices share
@@ -174,9 +222,7 @@ def twisted_invariants(M: Bimodule, r: int) -> Mat:
     basis = M._invariants.get(id(twist))
     if basis is None:
         generators = alpha.generators if alpha.alg is M.alg.K else None
-        basis = M._invariants[id(twist)] = twisted_kernel(
-            M.field, M.dim, [A.sparse for A in M.R_k], [A.sparse for A in M.L_k], twist, generators
-        )
+        basis = M._invariants[id(twist)] = twisted_kernel(M.field, M.dim, M.R_k, M.L_k, twist, generators)
     return basis
 
 
@@ -274,17 +320,28 @@ class _GroupCore:
     """What H^r reads from its inputs d^r, d^{r+1} and C^r alone: the kernel
     of d^{r+1}, the image of d^r (empty for r = 0), the representatives (a
     complement of the image in the kernel, over C^r and in M) and the solver
-    for class coordinates."""
+    for class coordinates.
+
+    One echelon gives both the image and the representatives: the columns of
+    d^r that join it, then the kernel columns that join it after them.  Its
+    rows depend only on the span added, so the representatives are those of
+    ``quotient_basis(image, kernel)``.  The free-variable kernel columns are
+    independent, so the image lies in ker d^{r+1} exactly when the echelon
+    ends with as many rows as the kernel has columns; otherwise this raises
+    CohomologyError naming r."""
 
     def __init__(self, complex_: SmallComplex, r: int):
         field = complex_.field
         dim = complex_.dim_cochain(r)
         self.kernel = kernel_basis(complex_.dmats[r + 1])
+        echelon = EchelonTracker(field, dim)
         if r == 0:
             self.image = Mat.from_columns(field, [], dim)
         else:
-            self.image = EchelonTracker(field, dim).extend(complex_.dmats[r])
-        self.reps_sub = quotient_basis(self.image, self.kernel)
+            self.image = echelon.extend(complex_.dmats[r])
+        self.reps_sub = echelon.extend(self.kernel)
+        if echelon.dim != self.kernel.cols:
+            raise CohomologyError(f"the image of d^{r} leaves the kernel of d^{r + 1} in degree {r}")
         self.reps_ambient = [complex_.to_ambient(r, c) for c in self.reps_sub.columns_list()]
         mixed = Mat.from_columns(
             field, self.reps_sub.columns_list() + self.image.columns_list(), dim

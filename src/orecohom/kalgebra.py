@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,19 +316,18 @@ class AlgebraK:
         return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
     @functools.cached_property
-    def sparse_actions(self) -> tuple[list, list]:
-        """The sparse rows of R(e_b) and of L(e_b) for each basis element
-        e_b, read off ``right_mult_matrix`` and ``left_mult_matrix``."""
+    def actions(self) -> tuple[list[Mat], list[Mat]]:
+        """The matrices R(e_b) and L(e_b) of each basis element e_b."""
         basis = [self.basis_elem(b) for b in range(self.dim)]
-        return ([self.right_mult_matrix(e).sparse for e in basis],
-                [self.left_mult_matrix(e).sparse for e in basis])
+        return [self.right_mult_matrix(e) for e in basis], [self.left_mult_matrix(e) for e in basis]
 
     @functools.cached_property
     def center_basis(self) -> Mat:
         """Basis (columns) of the center {z : e_i z = z e_i for every i}: the
         kernel of the stacked nonzero rows of L(e_i) - R(e_i)."""
-        one, right, left = self.field.one, *self.sparse_actions
-        rows = [combine([(one, L_row), (-one, R_row)]) for R, L in zip(right, left) for R_row, L_row in zip(R, L)]
+        one, right, left = self.field.one, *self.actions
+        rows = [combine([(one, L_row), (-one, R_row)])
+                for R, L in zip(right, left) for R_row, L_row in zip(R.sparse, L.sparse)]
         return kernel_basis(Mat.from_sparse_rows(self.field, [r for r in rows if r], self.dim))
 
 
@@ -712,17 +712,20 @@ def rotation_endo(K: AlgebraK, cos: Scalar, sin: Scalar, cos_half: Scalar, sin_h
     return alpha
 
 
-def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
+def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[Mat], twist: Mat,
                    generators: tuple[int, ...] | None) -> Mat:
     """Basis (columns) of {m : R_b m = sum_c twist[c][b] L_c m for every b}.
 
     With R_b and L_c the right and left actions of K's basis elements on a
-    dim-dimensional module, given as their sparse rows in ``right`` and
-    ``left``, and ``twist`` the matrix of alpha^r, these are the m with
+    dim-dimensional module, the matrices ``right[b]`` and ``left[c]``, and
+    ``twist`` the matrix of alpha^r, these are the m with
     m e_b = alpha^r(e_b) m.  The rows of each constraint R_b - L(alpha^r(e_b))
     are assembled from the nonzero entries of the action matrices and of
     column b of ``twist`` only, and reduced one at a time into a single
     echelon, stopping at full rank, whose free-variable kernel is the basis.
+    Only the actions of the stacked b and of the support of their twist
+    columns are read, so a sequence that builds its matrices on first read
+    (the regular bimodule's) builds no others.
 
     Only the constraints of the b in ``generators`` are stacked, or of every
     b when it is None.  Pass the certified ``Endo.generators`` of the twist,
@@ -740,8 +743,8 @@ def twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat,
     tracker = EchelonTracker(field, dim)
     twist_cols = twist.transpose().sparse
     for b in range(len(right)) if generators is None else generators:
-        R = right[b]
-        terms = [(-t, left[c]) for c, t in twist_cols[b].items()]
+        R = right[b].sparse
+        terms = [(-t, left[c].sparse) for c, t in twist_cols[b].items()]
         for i in range(dim):
             row = combine([(one, R[i]), *((t, L[i]) for t, L in terms)])
             if row:
@@ -763,6 +766,6 @@ def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
     basis = alpha._invariants.get(id(twist))
     if basis is None:
         basis = alpha._invariants[id(twist)] = twisted_kernel(
-            K.field, K.dim, *K.sparse_actions, twist, alpha.generators
+            K.field, K.dim, *K.actions, twist, alpha.generators
         )
     return basis

@@ -579,17 +579,18 @@ def scan_endo_validate(self) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-def all_rows_twisted_kernel(field: Field, dim: int, right: list, left: list, twist: Mat) -> Mat:
+def all_rows_twisted_kernel(field: Field, dim: int, right, left, twist: Mat) -> Mat:
     """`kalgebra.twisted_kernel` before it read the generators of K: the
-    constraint block of every basis element b, stacked in order."""
+    constraint block of every basis element b, stacked in order, from the
+    action matrices ``right[b]`` and ``left[c]``."""
     zero = field.zero
     tracker = EchelonTracker(field, dim)
     for b, R in enumerate(right):
         terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
         for i in range(dim):
-            row = dict(R[i])
+            row = dict(R.sparse[i])
             for t, L in terms:
-                for j, a in L[i].items():
+                for j, a in L.sparse[i].items():
                     row[j] = row[j] - t * a if j in row else -(t * a)
             if all(a.is_zero() for a in row.values()):
                 continue
@@ -604,13 +605,12 @@ def all_rows_twisted_kernel(field: Field, dim: int, right: list, left: list, twi
 
 def all_rows_invariants(M: Bimodule, r: int) -> Mat:
     """M^{alpha^r} from every basis constraint, uncached."""
-    right, left = [A.sparse for A in M.R_k], [A.sparse for A in M.L_k]
-    return all_rows_twisted_kernel(M.field, M.dim, right, left, M.alg.alpha.power_matrix(r))
+    return all_rows_twisted_kernel(M.field, M.dim, M.R_k, M.L_k, M.alg.alpha.power_matrix(r))
 
 
 def all_rows_invariants_k(K: AlgebraK, alpha, r: int) -> Mat:
     """K^{alpha^r} from every basis constraint, uncached."""
-    return all_rows_twisted_kernel(K.field, K.dim, *K.sparse_actions, alpha.power_matrix(r))
+    return all_rows_twisted_kernel(K.field, K.dim, *K.actions, alpha.power_matrix(r))
 
 
 def disagreements(alg: MonogenicAlgebra) -> list[str]:
@@ -2035,3 +2035,23 @@ def mutant(fn, old: str, new: str):
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(compile("from __future__ import annotations\n" + source.replace(old, new), "<mutant>", "exec"), namespace)
     return namespace[fn.__name__]
+
+
+# -- the group core before it ran one echelon -----------------------------------
+
+
+def quotient_route_core(C: SmallComplex, r: int) -> tuple[Mat, Mat, list, LinSolver]:
+    """`cohomology._GroupCore` before it ran one echelon: the image of d^r
+    from its own echelon, then `quotient_basis`, which tests containment in
+    an echelon of the kernel and eliminates the image again.  Returns the
+    image, the representatives over C^r and in M, and the class solver."""
+    field, dim = C.field, C.dim_cochain(r)
+    kernel = kernel_basis(C.dmats[r + 1])
+    if r == 0:
+        image = Mat.from_columns(field, [], dim)
+    else:
+        image = EchelonTracker(field, dim).extend(C.dmats[r])
+    reps_sub = quotient_basis(image, kernel)
+    reps_ambient = [C.to_ambient(r, c) for c in reps_sub.columns_list()]
+    mixed = Mat.from_columns(field, reps_sub.columns_list() + image.columns_list(), dim)
+    return image, reps_sub, reps_ambient, LinSolver(mixed)

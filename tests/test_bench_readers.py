@@ -8,6 +8,8 @@ unseen."""
 import importlib.util
 from pathlib import Path
 
+from conftest import dense_regular
+
 from orecohom.cohomology import Bimodule, build_small_complex, cohomology_dims
 from orecohom.instances import gh4_instance
 
@@ -41,3 +43,4 @@ def test_bench_span_keys_read_matrices(monkeypatch):
         dense = tuple(tuple(row.get(j, z).v for j in range(A.cols)) for row in A.sparse)
         assert spans._payloads(A) == dense
     assert spans._bimodule_key(M) == spans._bimodule_key(Bimodule.regular(alg))
+    assert spans._bimodule_key(Bimodule.regular(alg)) == spans._bimodule_key(dense_regular(Bimodule, alg))

@@ -12,7 +12,7 @@ from orecohom.cohomology import (
     twisted_invariants,
 )
 from orecohom.fields import QQ, prime_field
-from orecohom.instances import gh4_instance
+from orecohom.instances import gh4_instance, taft
 from orecohom.kalgebra import (
     AlgebraK,
     Endo,
@@ -62,6 +62,34 @@ def test_corrupted_actions_rejected(sweedler):
     M = Bimodule.regular(sweedler)
     with pytest.raises(CohomologyError, match="x-relation|commute|zero"):
         Bimodule.from_actions(sweedler, M.L_k, M.Rx, M.R_k, M.Lx)
+
+
+def taft37_actions():
+    """The actions of the regular bimodule of Taft n = 3 over GF(7): dim K = 3,
+    dim A = 9."""
+    alg = taft(3, 7, 2)[0]
+    M = Bimodule.regular(alg)
+    return alg, {"L_k": list(M.L_k), "Lx": M.Lx, "R_k": list(M.R_k), "Rx": M.Rx}
+
+
+def test_from_actions_accepts_the_regular_actions():
+    alg, actions = taft37_actions()
+    M = Bimodule.from_actions(alg, **actions)
+    assert (len(M.L_k), len(M.R_k), M.dim) == (3, 3, 9)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: {"L_k": a["L_k"][:-1]}, "2 left actions of K's basis, expected dim K = 3"),
+    (lambda a: {"R_k": a["R_k"] + a["R_k"][:1]}, "4 right actions of K's basis, expected dim K = 3"),
+    (lambda a: {"L_k": [a["L_k"][0], Mat.identity(a["Lx"].field, 2), a["L_k"][2]]},
+     "L_k[1] is 2x2, expected 9x9"),
+    (lambda a: {"Rx": Mat.zero(a["Lx"].field, 9, 3)}, "Rx is 9x3, expected 9x9"),
+], ids=["left-short", "right-extra", "small-action", "rx-shape"])
+def test_from_actions_checks_count_and_shapes(change, message):
+    alg, actions = taft37_actions()
+    with pytest.raises(CohomologyError) as info:
+        Bimodule.from_actions(alg, **{**actions, **change(actions)})
+    assert str(info.value) == message
 
 
 def test_sweedler_cochain_spaces(sweedler, sweedler_complex):

@@ -1,0 +1,161 @@
+"""The small complex builds what it reads.  The regular bimodule builds each
+action of K's basis on its first read, so a complex builds the actions of x
+and those its twisted invariants and differentials read.  Each cohomology
+group core runs one echelon for the image and the representatives; they must
+equal the route it replaced (`quotient_route_core` in conftest.py), and the
+core must refuse an image that leaves the kernel.  Two seeded mistakes must
+each be caught: an action built from the wrong basis index, and a core
+without its dimension test."""
+
+import pytest
+from conftest import SPECS, dense_regular, mutant, quotient_route_core
+
+from orecohom import cli, cohomology
+from orecohom.cohomology import (
+    Bimodule,
+    CohomologyError,
+    build_small_complex,
+    cohomology_dims,
+    cohomology_group,
+)
+from orecohom.instances import gh4_instance
+from orecohom.linalg import Mat
+from orecohom.specio import load_instance
+
+GH4_U3 = next(p for p in SPECS if p.stem == "gh4_u3")
+
+
+def counted_actions(monkeypatch) -> list:
+    """Count the action matrices the cohomology module builds."""
+    calls = []
+    build = cohomology.mult_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "mult_matrix", counting)
+    return calls
+
+
+def test_gh4_complex_builds_the_actions_it_reads(monkeypatch):
+    """gh4(2) has dim K = 8, so the eager build made 18 matrices.  Its
+    complex to degree 8 reads Lx, Rx, R of K's two certified generators and L
+    of the one basis element in each generator's twist.  Reading every action
+    builds the rest once."""
+    alg = gh4_instance(2)[0]
+    calls = counted_actions(monkeypatch)
+    M = Bimodule.regular(alg)
+    cohomology_dims(build_small_complex(alg, M, 8), 7)
+    assert len(calls) == 6
+    for _ in range(2):
+        actions = [*M.L_k, *M.R_k]
+        assert len(calls) == 2 * alg.K.dim + 2
+    assert all(A is B for A, B in zip(actions, [*M.L_k, *M.R_k]))
+
+
+def test_gh4_u3_cohomology_builds_six_actions(monkeypatch, capsys):
+    """dim K = 12 on gh4_u3: 26 matrices eagerly."""
+    calls = counted_actions(monkeypatch)
+    assert cli.main(["cohomology", str(GH4_U3)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
+
+
+def test_actions_index_like_a_sequence():
+    alg = gh4_instance(2)[0]
+    M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
+    assert len(M.L_k) == len(M.R_k) == alg.K.dim
+    assert M.L_k[-1] == D.L_k[-1] and M.R_k[-1] is M.R_k[alg.K.dim - 1]
+    with pytest.raises(IndexError):
+        M.L_k[alg.K.dim]
+
+
+def test_action_from_the_wrong_basis_index_is_caught(monkeypatch):
+    """An on-demand build that reads basis element b + 1 for b differs from
+    the dense actions, which `test_sparse_loops.py::test_regular_bimodule_matches`
+    compares, and from_actions refuses it."""
+    alg = gh4_instance(2)[0]
+    getitem = cohomology._RegularActions.__getitem__
+    wrong = mutant(getitem, "basis_elem(b)", "basis_elem((b + 1) % len(self))")
+    monkeypatch.setattr(cohomology._RegularActions, "__getitem__", wrong)
+    M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
+    assert list(M.L_k) != D.L_k and list(M.R_k) != D.R_k
+    with pytest.raises(CohomologyError):
+        Bimodule.from_actions(alg, M.L_k, M.Lx, M.R_k, M.Rx)
+
+
+# -- one echelon per group core --------------------------------------------------
+
+
+def spec_complex(path):
+    inst = load_instance(str(path))
+    alg = inst.algebra()
+    return build_small_complex(alg, Bimodule.regular(alg), inst.default_degree() + 1)
+
+
+def gh4_complex():
+    alg = gh4_instance(2)[0]
+    return build_small_complex(alg, Bimodule.regular(alg), 8)
+
+
+COMPLEXES = {
+    **{p.stem: (lambda p=p: spec_complex(p)) for p in SPECS if p.stem != "sweedler_bad"},
+    "gh4:2": gh4_complex,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COMPLEXES))
+def complex_(request):
+    return COMPLEXES[request.param]()
+
+
+def test_one_echelon_core_equals_the_quotient_route(complex_):
+    C = complex_
+    for r in range(C.max_degree):
+        H = cohomology_group(C, r)
+        image, reps_sub, reps_ambient, solver = quotient_route_core(C, r)
+        assert (H.image, H.reps_sub) == (image, reps_sub), r
+        assert (H.image.rows, H.reps_sub.rows) == (image.rows, reps_sub.rows)
+        assert H.reps_ambient == reps_ambient
+        cocycles = H.kernel.columns_list() + reps_sub.columns_list()
+        cocycles += [tuple(a + b for a, b in zip(u, v)) for u in reps_sub.columns_list() for v in image.columns_list()]
+        for v in cocycles:
+            assert H.core.class_solver.solve(v) == solver.solve(v)
+            assert H.class_coords(C.to_ambient(r, v)) == solver.solve(v)[: H.dim]
+
+
+def broken_complex():
+    """Sweedler's complex with d^r replaced, after the build and so past its
+    d.d check, by a map onto a basis vector of C^r that d^{r+1} does not kill,
+    at the first degree r >= 1 where one exists."""
+    C = spec_complex(next(p for p in SPECS if p.stem == "sweedler"))
+    zv = C.field.zero.v
+    for r in range(1, C.max_degree):
+        d_next = C.dmats[r + 1]
+        moved = [j for j in range(d_next.cols) if any(x.v != zv for x in d_next.column(j))]
+        if moved and C.dim_cochain(r - 1):
+            e_j = tuple(C.field.one if i == moved[0] else C.field.zero for i in range(C.dim_cochain(r)))
+            C.dmats[r] = Mat.from_columns(C.field, [e_j] * C.dim_cochain(r - 1), C.dim_cochain(r))
+            return C, r
+    raise AssertionError("no degree to break")
+
+
+def refuses_an_image_outside_the_kernel() -> bool:
+    C, r = broken_complex()
+    try:
+        cohomology_group(C, r)
+    except CohomologyError as exc:
+        return f"degree {r}" in str(exc)
+    return False
+
+
+def test_core_refuses_an_image_outside_the_kernel():
+    assert refuses_an_image_outside_the_kernel()
+
+
+def test_core_without_its_dimension_test_is_caught(monkeypatch):
+    init = cohomology._GroupCore.__init__
+    monkeypatch.setattr(cohomology._GroupCore, "__init__",
+                        mutant(init, "if echelon.dim != self.kernel.cols:", "if False:"))
+    assert not refuses_an_image_outside_the_kernel()

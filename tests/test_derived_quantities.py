@@ -66,7 +66,6 @@ def is_twisted_disagreements(is_twisted, alg) -> list[str]:
     regular bimodule and the invariants of each generator's constraints
     alone, which need not be invariant under the others."""
     M = Bimodule.regular(alg)
-    right, left = [R.sparse for R in M.R_k], [L.sparse for L in M.L_k]
     gens = alg.alpha.generators or ()
     out = []
     for t in range(2 * alg.n + 2):
@@ -74,7 +73,7 @@ def is_twisted_disagreements(is_twisted, alg) -> list[str]:
         values = [alg.basis_vector(i) for i in range(alg.adim)]
         for subset in (None, *((g,) for g in gens)):
             values += [AElem(alg, c) for c in
-                       twisted_kernel(alg.field, alg.adim, right, left, twist, subset).columns_list()]
+                       twisted_kernel(alg.field, alg.adim, M.R_k, M.L_k, twist, subset).columns_list()]
         out += [f"t = {t}: {v}" for v in values if is_twisted(v, t) != all_basis_is_twisted(v, t)]
     return out
 

@@ -242,15 +242,15 @@ def test_mult_matrices_match(case):
         assert K.left_mult_matrix(u) == dense_left_mult_matrix(K, u)
         assert K.right_mult_matrix(u) == dense_right_mult_matrix(K, u)
     basis = elems[: K.dim]
-    right, left = K.sparse_actions
-    assert [[list(r.items()) for r in R] for R in right] == [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis]
-    assert [[list(r.items()) for r in L] for L in left] == [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis]
+    right, left = K.actions
+    assert [[list(r.items()) for r in R.sparse] for R in right] == [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis]
+    assert [[list(r.items()) for r in L.sparse] for L in left] == [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis]
 
 
 def test_regular_bimodule_matches(case):
     alg = case[0]
     M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
-    assert (M.L_k, M.R_k, M.Lx, M.Rx) == (D.L_k, D.R_k, D.Lx, D.Rx)
+    assert (list(M.L_k), list(M.R_k), M.Lx, M.Rx) == (D.L_k, D.R_k, D.Lx, D.Rx)
 
 
 def test_compiled_table_matches(case):

@@ -215,7 +215,7 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
     pool = [K.elem(c) for c in candidates]
     if K.group is not None:
         pool += [K.basis_elem(g) for g in K.group.center_indices()]
-    center = K.center_basis
+    center = _w_space(alg, 0)
     pool += center.columns_list()
     if center.cols > 1:
         weighted = [K.field.zero] * K.dim
@@ -256,7 +256,7 @@ def _embed_k_columns(alg: MonogenicAlgebra, cols: Mat, xdeg: int) -> Mat:
 
 
 def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
-    """The even-twist coefficient space for block m, in K-coordinates."""
+    """The coefficient space K^{alpha^{mn}} of block m; at m = 0, the center."""
     return twisted_invariants_k(alg.K, alg.alpha, m * alg.n)
 
 
@@ -394,7 +394,7 @@ def collapsed_cohomology_table(
     T = _trace_matrix(alg)
     fixed = alg.alpha.fixed_space
     trace_kernel = kernel_basis(T)
-    space = intersect_spans(fixed, alg.K.center_basis)
+    space = intersect_spans(fixed, _w_space(alg, 0))
     closed_dims = [space.cols]
     mismatches: list[str] = []
     gen_ker0 = C.bases[0].matmul(cohomology_group(C, 0).kernel)
@@ -431,14 +431,15 @@ def collapsed_cohomology_table(
 
 
 def _restrict_to_span(space: Mat, M: Mat) -> Mat:
-    """Matrix of M acting on span(space), in the coordinates of its columns."""
+    """Matrix of M acting on span(space), in the coordinates of its columns.
+    Every caller's M preserves its span, so an image outside it is a fault."""
     solver = LinSolver(space)
     cols = []
     for j in range(space.cols):
         img = M.matvec(space.column(j))
         sol = solver.solve(img)
         if sol is None:
-            raise ClosedFormError("operator does not preserve the subspace")
+            raise CohomologyError("operator does not preserve the subspace")
         cols.append(sol)
     return Mat.from_columns(space.field, cols, space.cols)
 
@@ -463,7 +464,7 @@ def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = N
     if not (invertible and power_trivial):
         raise ClosedFormError("cyclic-group comparison needs an invertible constant "
                               "coefficient and a twist of order dividing n")
-    Z = K.center_basis
+    Z = _w_space(alg, 0)
     a1 = _restrict_to_span(Z, alg.alpha.minus_identity)
     nz = _restrict_to_span(Z, alg.alpha.norm(alg.n))
     z = Z.cols
@@ -511,10 +512,9 @@ def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list)
     that multiple of its block-(m-1) elements.  The closed representatives of
     each positive degree are checked against H^r."""
     alg = C.alg
-    K = alg.K
-    Rn = K.right_mult_matrix(_n_lambda(alg))
+    Rn = alg.K.right_mult_matrix(_n_lambda(alg))
     ann = kernel_basis(Rn)
-    closed_dims = [intersect_spans(fixed, K.center_basis).cols]
+    closed_dims = [intersect_spans(fixed, _w_space(alg, 0)).cols]
     parts: dict[tuple, Mat] = {}  # id of a block space -> its fixed part
 
     def fixed_part(W: Mat) -> Mat:
@@ -610,7 +610,7 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
         raise ClosedFormError("untwisted model needs the identity twist")
     if up_to is None:
         up_to = C.max_degree
-    Z = alg.K.center_basis
+    Z = _w_space(alg, 0)
     model_cols = []
     for d in range(alg.n):
         emb = _embed_k_columns(alg, Z, d)

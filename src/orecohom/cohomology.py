@@ -9,7 +9,8 @@ d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies.
 
 Each piece of the complex is built once per distinct input and shared by
 every degree with that input: each action of K's basis on the regular
-bimodule, on its first read; the cochain basis per exact twist matrix
+bimodule, on its first read (``kalgebra.BasisActions``, which builds K's
+actions on itself the same way); the cochain basis per exact twist matrix
 alpha^{t(r)}; the differential per (pair of bases, parity); the d.d check per
 pair of differentials; and the core of H^r, one echelon, per (d^r, d^{r+1},
 C^r).  When alpha^{kn} = id the degrees past the first period are therefore
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .kalgebra import ValidationReport, mult_matrix, twisted_kernel
+from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
 from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, support, vscale
 from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
@@ -36,9 +37,9 @@ class Bimodule:
     basis elements, ``L_k`` and ``R_k``, and of x, ``Lx`` and ``Rx``.
 
     ``L_k`` and ``R_k`` are indexable sequences of dim K matrices.  For the
-    regular bimodule each of their matrices is built on its first read, so a
-    complex builds only the actions that its twisted invariants and
-    differentials read (``_RegularActions``)."""
+    regular bimodule they are ``kalgebra.BasisActions``, as K's actions on
+    itself are: each matrix is built on its first read, so a complex builds
+    only the actions that its twisted invariants and differentials read."""
 
     def __init__(self, alg: MonogenicAlgebra, L_k: Sequence[Mat], Lx: Mat, R_k: Sequence[Mat], Rx: Mat):
         self.alg = alg
@@ -55,11 +56,13 @@ class Bimodule:
     @classmethod
     def regular(cls, alg: MonogenicAlgebra) -> "Bimodule":
         """M = A with multiplication actions: those of x built at once, those
-        of K's basis elements each on its first read."""
+        of K's basis elements, A's first dim K basis vectors e_b x^0, each on
+        its first read."""
         F, dim, table = alg.field, alg.adim, alg.mul_table
         Lx = mult_matrix(F, dim, table, alg.x.coords)
         Rx = mult_matrix(F, dim, table, alg.x.coords, left=False)
-        return cls(alg, _RegularActions(alg, left=True), Lx, _RegularActions(alg, left=False), Rx)
+        R_k, L_k = (BasisActions(F, dim, table, alg.K.dim, left) for left in (False, True))
+        return cls(alg, L_k, Lx, R_k, Rx)
 
     @classmethod
     def from_actions(cls, alg: MonogenicAlgebra, L_k, Lx, R_k, Rx) -> "Bimodule":
@@ -170,29 +173,6 @@ class Bimodule:
         if not Rf.is_zero():
             failures.append("f does not act as zero on the right")
         return ValidationReport(not failures, tuple(failures))
-
-
-class _RegularActions(Sequence):
-    """The actions of K's basis elements on one side of the regular bimodule
-    of A, as a sequence of dim K matrices: matrix b, of u -> e_b u (or
-    u -> u e_b), is built by ``mult_matrix`` on its first read and kept."""
-
-    def __init__(self, alg: MonogenicAlgebra, left: bool):
-        self.alg = alg
-        self.left = left
-        self._mats: list[Mat | None] = [None] * alg.K.dim
-
-    def __len__(self) -> int:
-        return len(self._mats)
-
-    def __getitem__(self, b: int) -> Mat:
-        b = range(len(self._mats))[b]  # an index in range, or IndexError
-        A = self._mats[b]
-        if A is None:
-            alg = self.alg
-            u = alg.k_embed(alg.K.basis_elem(b)).coords
-            A = self._mats[b] = mult_matrix(alg.field, alg.adim, alg.mul_table, u, left=self.left)
-        return A
 
 
 def twisted_invariants(M: Bimodule, r: int) -> Mat:

@@ -5,7 +5,9 @@ over one exact field together with optional group metadata: repeated
 (i, j, k) entries are added and zero sums dropped as the table enters, and
 every product, action matrix and check reads that one table.  An element of
 K is the tuple of its coordinates over the basis, Scalars of that field taken
-as given; raw values enter through ``AlgebraK.elem``.  Twisting endomorphisms
+as given; raw values enter through ``AlgebraK.elem``.  Basis actions, on K
+and on A, are :class:`BasisActions`, each matrix built on its first read; the
+center of K is ``twisted_invariants_k(K, alpha, 0)``.  Twisting endomorphisms
 live in :class:`Endo`, which keeps alpha - id and the partial norms of alpha;
 the group-algebra case builds them from characters.  The checks
 are exact and read the nonzero structure constants: the unit law on every basis
@@ -316,19 +318,10 @@ class AlgebraK:
         return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
     @functools.cached_property
-    def actions(self) -> tuple[list[Mat], list[Mat]]:
+    def actions(self) -> tuple[BasisActions, BasisActions]:
         """The matrices R(e_b) and L(e_b) of each basis element e_b."""
-        basis = [self.basis_elem(b) for b in range(self.dim)]
-        return [self.right_mult_matrix(e) for e in basis], [self.left_mult_matrix(e) for e in basis]
-
-    @functools.cached_property
-    def center_basis(self) -> Mat:
-        """Basis (columns) of the center {z : e_i z = z e_i for every i}: the
-        kernel of the stacked nonzero rows of L(e_i) - R(e_i)."""
-        one, right, left = self.field.one, *self.actions
-        rows = [combine([(one, L_row), (-one, R_row)])
-                for R, L in zip(right, left) for R_row, L_row in zip(R.sparse, L.sparse)]
-        return kernel_basis(Mat.from_sparse_rows(self.field, [r for r in rows if r], self.dim))
+        F, dim, table = self.field, self.dim, self.mul_table
+        return tuple(BasisActions(F, dim, table, dim, left) for left in (False, True))
 
 
 def table_mul(table, u, v) -> dict[int, Scalar]:
@@ -379,6 +372,31 @@ def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> M
                     t, row = mul(a.v, s.v), rows[k]
                     row[j] = add(row[j], t) if j in row else t
     return Mat.from_sparse_rows(field, [boxed(field, r) for r in rows], dim)
+
+
+class BasisActions(Sequence):
+    """The actions of the first ``count`` basis vectors e_b on one side of a
+    dim-dimensional algebra with basis products ``table``, as a sequence of
+    ``count`` matrices: matrix b, of v -> e_b v (or v -> v e_b when ``left``
+    is false), is built by ``mult_matrix`` on its first read and kept, so a
+    solve builds only the actions it reads: K's on itself (``AlgebraK.actions``)
+    and on the regular bimodule of A (``Bimodule.regular``)."""
+
+    def __init__(self, field: Field, dim: int, table, count: int, left: bool = True):
+        self.field, self.dim, self.table, self.left = field, dim, table, left
+        self._mats: list[Mat | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._mats)
+
+    def __getitem__(self, b: int) -> Mat:
+        b = range(len(self._mats))[b]  # an index in range, or IndexError
+        A = self._mats[b]
+        if A is None:
+            F = self.field
+            e = tuple(F.one if i == b else F.zero for i in range(self.dim))
+            A = self._mats[b] = mult_matrix(F, self.dim, self.table, e, left=self.left)
+        return A
 
 
 def _unit_law_failures(K: AlgebraK) -> list[str]:
@@ -724,8 +742,8 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     column b of ``twist`` only, and reduced one at a time into a single
     echelon, stopping at full rank, whose free-variable kernel is the basis.
     Only the actions of the stacked b and of the support of their twist
-    columns are read, so a sequence that builds its matrices on first read
-    (the regular bimodule's) builds no others.
+    columns are read, so a ``BasisActions`` sequence (K's own and the regular
+    bimodule's) builds no others.
 
     Only the constraints of the b in ``generators`` are stacked, or of every
     b when it is None.  Pass the certified ``Endo.generators`` of the twist,
@@ -757,9 +775,9 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
 def twisted_invariants_k(K: AlgebraK, alpha: Endo, r: int) -> Mat:
     """Basis of {u in K : u b = alpha^r(b) u for all b}, as columns: the
     twisted invariants of K as a bimodule over itself, solved from the
-    constraints of ``alpha.generators`` (see ``twisted_kernel``).  Cached on
-    alpha, keyed by the power alpha^r, which is one object for equal powers,
-    so equal twist powers share one solve."""
+    constraints of ``alpha.generators`` (see ``twisted_kernel``); at r = 0,
+    the center of K.  Cached on alpha, keyed by the power alpha^r, which is
+    one object for equal powers, so equal twist powers share one solve."""
     if K is not alpha.alg:
         raise AlgebraError("the twist is an endomorphism of another algebra")
     twist = alpha.power_matrix(r)

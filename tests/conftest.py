@@ -404,8 +404,9 @@ def dense_d_ambient(M: Bimodule, r: int, v: tuple) -> tuple:
 
 
 def dense_center_basis(self) -> Mat:
-    """`AlgebraK.center_basis` before it was built once per algebra from the
-    nonzero structure constants: a dense dim^2 x dim kernel on every call."""
+    """The center of K before it was solved as `twisted_invariants_k(K,
+    alpha, 0)` or built from the nonzero structure constants: a dense
+    dim^2 x dim kernel on every call."""
     rows = []
     for i in range(self.dim):
         e = self.basis_elem(i)
@@ -1597,7 +1598,7 @@ def unfolded_collapsed_cohomology(C: SmallComplex, witness, up_to: int) -> dict:
         m = r // 2
         W = cf._w_space(alg, m)
         if r == 0:
-            space = intersect_spans(fixed, alg.K.center_basis)
+            space = intersect_spans(fixed, dense_center_basis(alg.K))
             closed_dims.append(space.cols)
             emb = cf._embed_k_columns(alg, space, 0)
             gen_ker0 = C.bases[0].matmul(kernel_basis(C.dmats[1]))
@@ -1646,7 +1647,7 @@ def unfolded_fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatche
     K = alg.K
     Rn = K.right_mult_matrix(cf._n_lambda(alg))
     ann = kernel_basis(Rn)
-    closed_dims = [intersect_spans(fixed, K.center_basis).cols]
+    closed_dims = [intersect_spans(fixed, dense_center_basis(K)).cols]
     for r in range(1, up_to + 1):
         m = r // 2
         fixed_m = intersect_spans(fixed, cf._w_space(alg, m))
@@ -1991,7 +1992,7 @@ def basis_products(field: Field, table: dict) -> dict:
 
 
 def hand_summed_center(field: Field, dim: int, table: dict) -> Mat:
-    """`AlgebraK._center` of an unsummed table: row (i, k), column j, the e_k
+    """The center of K from an unsummed table: row (i, k), column j, the e_k
     coefficient of e_i e_j - e_j e_i, summed by hand from the entries."""
     rows: dict = {}
     for (i, j), terms in table.items():

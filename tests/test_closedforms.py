@@ -62,7 +62,7 @@ from orecohom.closedforms import (
     untwisted_model_check,
     witness_check,
 )
-from orecohom import closedforms, instances
+from orecohom import cli, closedforms, instances
 from orecohom.specio import load_instance
 
 
@@ -252,6 +252,43 @@ def test_cyclic_comparison_needs_invertible_constant(sweedler):
     _, _, C = sweedler
     with pytest.raises(ClosedFormError):
         cyclic_group_cohomology(C, up_to=4)
+
+
+def center_left_by_the_twist(monkeypatch):
+    """`_w_space` with span(1 + g) at m = 0 in place of the center of Q[C2]:
+    alpha - id sends 1 + g to -2g, which leaves it."""
+    w_space = closedforms._w_space
+
+    def seeded(alg, m):
+        if m:
+            return w_space(alg, m)
+        return Mat.from_columns(alg.field, [alg.K.elem({"1": 1, "g": 1})], alg.K.dim)
+
+    monkeypatch.setattr(closedforms, "_w_space", seeded)
+
+
+def test_cyclic_comparison_on_a_center_the_twist_leaves_is_an_error(monkeypatch, sweedler_inv):
+    """alpha - id and the norm preserve the center once alpha^n = id, so an
+    image outside it is a fault, not an unmet hypothesis."""
+    _, _, C = sweedler_inv
+    center_left_by_the_twist(monkeypatch)
+    with pytest.raises(CohomologyError, match="operator does not preserve the subspace"):
+        cyclic_group_cohomology(C, up_to=5)
+
+
+def test_cyclic_comparison_fault_exits_1(monkeypatch, tmp_path, capsys):
+    """The same seeded center through the CLI, on the spec of
+    `instances.sweedler_invertible` (f = x^2 - 1): an error, not a skip."""
+    path = tmp_path / "sweedler_invertible.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "Q"},
+        "K": {"kind": "group", "group": {"kind": "cyclic", "order": 2}, "character": {"g": -1}},
+        "f": {"n": 2, "coeffs": [[0, 0], [-1, 0]]},
+    }))
+    assert cli.main(["theorems", str(path), "--which", "cyclic-comparison"]) == 0
+    center_left_by_the_twist(monkeypatch)
+    assert cli.main(["theorems", str(path), "--which", "cyclic-comparison"]) == 1
+    assert capsys.readouterr().err == "error: operator does not preserve the subspace\n"
 
 
 # -- diagonalizable twists -----------------------------------------------------

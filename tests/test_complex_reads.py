@@ -1,6 +1,9 @@
 """The small complex builds what it reads.  The regular bimodule builds each
 action of K's basis on its first read, so a complex builds the actions of x
-and those its twisted invariants and differentials read.  Each cohomology
+and those its twisted invariants and differentials read.  K's actions on
+itself are built the same way (`kalgebra.BasisActions`), and the center of K
+is the twisted invariants at alpha^0, so a report builds only the actions of
+K's certified generators and solves no center of its own.  Each cohomology
 group core runs one echelon for the image and the representatives; they must
 equal the route it replaced (`quotient_route_core` in conftest.py), and the
 core must refuse an image that leaves the kernel.  Two seeded mistakes must
@@ -10,7 +13,7 @@ without its dimension test."""
 import pytest
 from conftest import SPECS, dense_regular, mutant, quotient_route_core
 
-from orecohom import cli, cohomology
+from orecohom import cli, cohomology, kalgebra
 from orecohom.cohomology import (
     Bimodule,
     CohomologyError,
@@ -25,17 +28,41 @@ from orecohom.specio import load_instance
 GH4_U3 = next(p for p in SPECS if p.stem == "gh4_u3")
 
 
-def counted_actions(monkeypatch) -> list:
-    """Count the action matrices the cohomology module builds."""
-    calls = []
-    build = cohomology.mult_matrix
+def counted_calls(monkeypatch, attr: str, modules=(kalgebra,)) -> list:
+    """The arguments of each call of kalgebra's ``attr``, made through its
+    binding in any of ``modules``."""
+    calls, original = [], getattr(kalgebra, attr)
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cohomology, "mult_matrix", counting)
+    for module in modules:
+        monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def counted_actions(monkeypatch) -> list:
+    """Count the multiplication matrices built: those of x by the cohomology
+    module, and those of K and of A's basis by the kalgebra module."""
+    return counted_calls(monkeypatch, "mult_matrix", (cohomology, kalgebra))
+
+
+def counted_builds(monkeypatch) -> list:
+    """The (sequence, basis index) of each matrix a `BasisActions` builds:
+    the reads that call `mult_matrix`."""
+    calls, builds = counted_actions(monkeypatch), []
+    getitem = kalgebra.BasisActions.__getitem__
+
+    def reading(self, b):
+        before = len(calls)
+        A = getitem(self, b)
+        if len(calls) > before:
+            builds.append((self, range(len(self))[b]))
+        return A
+
+    monkeypatch.setattr(kalgebra.BasisActions, "__getitem__", reading)
+    return builds
 
 
 def test_gh4_complex_builds_the_actions_it_reads(monkeypatch):
@@ -64,11 +91,43 @@ def test_gh4_u3_cohomology_builds_six_actions(monkeypatch, capsys):
 
 def test_actions_index_like_a_sequence():
     alg = gh4_instance(2)[0]
+    K = alg.K
     M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
-    assert len(M.L_k) == len(M.R_k) == alg.K.dim
-    assert M.L_k[-1] == D.L_k[-1] and M.R_k[-1] is M.R_k[alg.K.dim - 1]
+    assert len(M.L_k) == len(M.R_k) == K.dim
+    assert M.L_k[-1] == D.L_k[-1] and M.R_k[-1] is M.R_k[K.dim - 1]
     with pytest.raises(IndexError):
-        M.L_k[alg.K.dim]
+        M.L_k[K.dim]
+    right, left = K.actions
+    assert len(right) == len(left) == K.dim
+    e = K.basis_elem(K.dim - 1)
+    assert left[-1] == K.left_mult_matrix(e) and right[-1] == K.right_mult_matrix(e)
+    assert left[-1] is left[K.dim - 1] and right[-1] is right[K.dim - 1]
+    for side in (right, left):
+        with pytest.raises(IndexError):
+            side[K.dim]
+        with pytest.raises(IndexError):
+            side[-K.dim - 1]
+
+
+def test_gh4_u3_report_builds_four_of_ks_actions(monkeypatch, capsys):
+    """dim K = 12 on gh4_u3, so K has 24 action matrices on itself.  A report
+    builds R and L of the certified generators h and g: its two solves of K's
+    twisted invariants, at alpha^0 (the center) and at alpha^2 = alpha^n,
+    read no others.  kalgebra runs no other elimination than the fixed space
+    of alpha, so the center has no solve of its own."""
+    alg = load_instance(str(GH4_U3)).algebra()
+    K, alpha = alg.K, alg.alpha
+    assert [K.basis_names[g] for g in alpha.generators] == ["h", "g"]
+    builds = counted_builds(monkeypatch)
+    solves = counted_calls(monkeypatch, "twisted_kernel")
+    eliminations = counted_calls(monkeypatch, "kernel_basis")
+    assert cli.main(["report", str(GH4_U3)]) == 0
+    capsys.readouterr()
+    k_builds = sorted((seq.left, b) for seq, b in builds if seq.dim == K.dim)
+    assert k_builds == sorted((left, g) for left in (False, True) for g in alpha.generators)
+    k_solves = [args[4] for args in solves if args[1] == K.dim]
+    assert k_solves == [alpha.power_matrix(0), alpha.power_matrix(2)]
+    assert [args[0] for args in eliminations] == [alpha.minus_identity]
 
 
 def test_action_from_the_wrong_basis_index_is_caught(monkeypatch):
@@ -76,9 +135,9 @@ def test_action_from_the_wrong_basis_index_is_caught(monkeypatch):
     the dense actions, which `test_sparse_loops.py::test_regular_bimodule_matches`
     compares, and from_actions refuses it."""
     alg = gh4_instance(2)[0]
-    getitem = cohomology._RegularActions.__getitem__
-    wrong = mutant(getitem, "basis_elem(b)", "basis_elem((b + 1) % len(self))")
-    monkeypatch.setattr(cohomology._RegularActions, "__getitem__", wrong)
+    getitem = kalgebra.BasisActions.__getitem__
+    wrong = mutant(getitem, "if i == b else", "if i == (b + 1) % len(self) else")
+    monkeypatch.setattr(kalgebra.BasisActions, "__getitem__", wrong)
     M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
     assert list(M.L_k) != D.L_k and list(M.R_k) != D.R_k
     with pytest.raises(CohomologyError):

@@ -1,7 +1,9 @@
 """Each quantity derived from the twist or from K has one definition, on its
 owner: `Endo.minus_identity` and `Endo.norm`, the generator test of
-`products._is_twisted`, the summed table of `AlgebraK` with its
-`center_basis`, and the stored powers of `MonogenicAlgebra.xpow`.  Each is
+`products._is_twisted`, the summed table of `AlgebraK` with its center, which
+is the twisted invariants `twisted_invariants_k(K, alpha, 0)`, and the
+stored powers of `MonogenicAlgebra.xpow`.  K's actions, like A's, are
+`BasisActions` built on first read.  Each is
 compared with the definition it replaced (kept in conftest.py) on every demo
 spec's algebra and on gh4 u = 2, and three seeded mistakes must each be
 caught: a norm without its last term, a twisted-invariance test that reads
@@ -27,7 +29,7 @@ from conftest import (
 from orecohom import products
 from orecohom.cohomology import Bimodule
 from orecohom.instances import gh4_instance
-from orecohom.kalgebra import AlgebraK, Endo, twisted_kernel
+from orecohom.kalgebra import AlgebraK, Endo, identity_endo, twisted_invariants_k, twisted_kernel
 from orecohom.linalg import kernel_basis
 from orecohom.monogenic import AElem
 from orecohom.specio import load_instance
@@ -103,7 +105,8 @@ def table_disagreements(K) -> list[str]:
     if any([k for k, _ in terms] != sorted({k for k, _ in terms}) or any(s.is_zero() for _, s in terms)
            for terms in K2.mul_table.values()):
         out.append("a (k, entry) list repeats a k, is out of order or holds a zero")
-    if not K2.center_basis == K.center_basis == hand_summed_center(F, K.dim, raw):
+    centers = [twisted_invariants_k(k, identity_endo(k), 0) for k in (K2, K)]
+    if not centers[0] == centers[1] == hand_summed_center(F, K.dim, raw):
         out.append("the center differs from the hand-summed center")
     return out
 
@@ -124,7 +127,7 @@ def test_is_twisted_matches_all_basis_test(alg):
 
 def test_table_is_summed_at_entry(alg):
     assert table_disagreements(alg.K) == []
-    assert alg.K.center_basis == hand_summed_center(alg.field, alg.K.dim, alg.K.mul_table)
+    assert twisted_invariants_k(alg.K, alg.alpha, 0) == hand_summed_center(alg.field, alg.K.dim, alg.K.mul_table)
 
 
 def test_xpow_returns_the_stored_rows(alg):

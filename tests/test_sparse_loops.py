@@ -1,8 +1,9 @@
 """The sparse inner loops against the dense ones they replaced (kept in
 conftest.py): the payload zero tests, vector sums and scalings, matrix
 products, `LinSolver.solve`, the eliminations behind `rref`, `kernel_basis`,
-`rank` and `LinSolver`, `AlgebraK.kmul`, `AlgebraK.center_basis`,
-`MonogenicAlgebra.a_mul` and `SmallComplex.d_ambient`; and the coefficient
+`rank` and `LinSolver`, `AlgebraK.kmul`, the center of K
+(`twisted_invariants_k(K, alpha, 0)`), `MonogenicAlgebra.a_mul` and
+`SmallComplex.d_ambient`; and the coefficient
 layer built from the structure constants against its dense loops:
 `algebra_validate`, `Endo.validate`, the multiplication matrices of K,
 `Bimodule.regular` and the compiled table of A.  They run on random vectors
@@ -66,7 +67,7 @@ from orecohom import kalgebra, linalg
 from orecohom.cohomology import Bimodule, build_small_complex
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
-from orecohom.kalgebra import algebra_validate
+from orecohom.kalgebra import algebra_validate, twisted_invariants_k
 from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
 
@@ -222,9 +223,10 @@ def test_kmul_matches(case):
 
 
 def test_center_basis_matches(case):
-    K = case[0].K
-    assert K.center_basis == dense_center_basis(K)
-    assert K.center_basis is K.center_basis
+    alg = case[0]
+    center = twisted_invariants_k(alg.K, alg.alpha, 0)
+    assert center == dense_center_basis(alg.K)
+    assert center is twisted_invariants_k(alg.K, alg.alpha, 0)
 
 
 def test_coefficient_checks_match(case):

@@ -56,7 +56,7 @@ from .fields import (
 )
 from .linalg import (
     EchelonTracker,
-    LinSolver,
+    FreeRows,
     Mat,
     intersect_spans,
     kernel_basis,
@@ -289,7 +289,7 @@ def _once(memo: dict, key: tuple, work):
 def _closed_reps_mismatch(C: SmallComplex, r: int, reps: Mat, tag: str) -> str | None:
     """None when the closed representatives inject onto a basis of H^r, else
     the mismatch with its degree left as the field ``{r}``.  It reads r only
-    through the solver of C^r and the core of H^r, so one result serves every
+    through the basis of C^r and the core of H^r, so one result serves every
     degree that shares them."""
     H = cohomology_group(C, r)
     coords = []
@@ -431,17 +431,14 @@ def collapsed_cohomology_table(
 
 
 def _restrict_to_span(space: Mat, M: Mat) -> Mat:
-    """Matrix of M acting on span(space), in the coordinates of its columns.
+    """Matrix of M acting on span(space), in the coordinates of its columns,
+    read off their free rows (``FreeRows``): every caller's space is a
+    reduced free-variable basis, ``_w_space(alg, 0)`` or ``C.bases[0]``.
     Every caller's M preserves its span, so an image outside it is a fault."""
-    solver = LinSolver(space)
-    cols = []
-    for j in range(space.cols):
-        img = M.matvec(space.column(j))
-        sol = solver.solve(img)
-        if sol is None:
-            raise CohomologyError("operator does not preserve the subspace")
-        cols.append(sol)
-    return Mat.from_columns(space.field, cols, space.cols)
+    restricted = FreeRows(space).matrix(M.matvec(v) for v in space.columns_list())
+    if restricted is None:
+        raise CohomologyError("operator does not preserve the subspace")
+    return restricted
 
 
 def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = None) -> dict:

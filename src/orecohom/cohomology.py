@@ -10,12 +10,15 @@ d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies.
 Each piece of the complex is built once per distinct input and shared by
 every degree with that input: each action of K's basis on the regular
 bimodule, on its first read (``kalgebra.BasisActions``, which builds K's
-actions on itself the same way); the cochain basis per exact twist matrix
-alpha^{t(r)}; the differential per (pair of bases, parity); the d.d check per
-pair of differentials; and the core of H^r, one echelon, per (d^r, d^{r+1},
-C^r).  When alpha^{kn} = id the degrees past the first period are therefore
-aliases of earlier ones; the sharing reads only these inputs, never the order
-of alpha.
+actions on itself the same way); the cochain basis and the read of its free
+rows per exact twist matrix alpha^{t(r)}; the differential per (pair of
+bases, parity); the d.d check per pair of differentials; and the core of
+H^r, one echelon, per (d^r, d^{r+1}, C^r), whose class solver is built on
+its first class read.  Coordinates in a cochain space are read off the free
+rows of its reduced basis (``linalg.FreeRows``), so a complex build runs no
+solver.  When alpha^{kn} = id the degrees past the first period are
+therefore aliases of earlier ones; the sharing reads only these inputs,
+never the order of alpha.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import functools
 from collections.abc import Sequence
 
 from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
-from .linalg import EchelonTracker, LinSolver, Mat, kernel_basis, support, vscale
+from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, kernel_basis, support, vscale
 from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -213,8 +216,10 @@ class SmallComplex:
     C^r and d^r depend on r only through the twist alpha^{t(r)} and the
     parity of r, so equal inputs share one object:
     - ``bases[r]`` is the ``twisted_invariants`` basis, cached on M by the
-      exact entries of alpha^{t(r)}, and ``solvers[r]`` is one solver per
-      distinct basis;
+      exact entries of alpha^{t(r)}, and ``free_rows[r]`` is one
+      ``FreeRows`` read per distinct basis: that basis is in reduced
+      free-variable form, so ``to_sub`` and the compiled differentials read
+      coordinates off its free rows, each read checked to lie in C^r;
     - ``dmats[r]`` is compiled once per (basis of degree r - 1, basis of
       degree r, r mod 2), by identity of the cached bases;
     - d^{r+1} d^r = 0 is checked once per distinct pair of differentials;
@@ -222,7 +227,9 @@ class SmallComplex:
       ``CohomologyGroup``).
     Once alpha^{kn} = id the complex repeats with period 2k and the later
     degrees are aliases.  Nothing reads the order of alpha: a twist whose
-    powers are never equal matrices compiles every degree."""
+    powers are never equal matrices compiles every degree.  A degree outside
+    0..max_degree raises CohomologyError; a negative one does not index from
+    the top."""
 
     def __init__(self, alg: MonogenicAlgebra, M: Bimodule, max_degree: int):
         self.alg = alg
@@ -233,15 +240,9 @@ class SmallComplex:
         self._cores: dict[tuple, "_GroupCore"] = {}  # ids of (d^r, d^{r+1}, C^r) -> core
         res = Resolution(alg, max_degree)
         self._d_ops = [M.hom(res.d_generator(2)), M.hom(res.d_generator(1))]  # by r mod 2
-        self.bases: list[Mat] = []
-        self.solvers: list[LinSolver] = []
-        by_basis: dict[int, LinSolver] = {}  # id of a cached basis -> its solver
-        for r in range(max_degree + 1):
-            B = twisted_invariants(M, twist_exponent(r, alg.n))
-            if id(B) not in by_basis:
-                by_basis[id(B)] = LinSolver(B)
-            self.bases.append(B)
-            self.solvers.append(by_basis[id(B)])
+        self.bases = [twisted_invariants(M, twist_exponent(r, alg.n)) for r in range(max_degree + 1)]
+        reads = {id(B): FreeRows(B) for B in {id(B): B for B in self.bases}.values()}  # one per basis object
+        self.free_rows = [reads[id(B)] for B in self.bases]
         self.dmats: list[Mat | None] = [None]
         compiled: dict[tuple, Mat] = {}  # ids of (C^{r-1}, C^r), r mod 2 -> d^r
         for r in range(1, max_degree + 1):
@@ -262,34 +263,37 @@ class SmallComplex:
     def twist(self, r: int) -> int:
         return twist_exponent(r, self.alg.n)
 
+    def _built(self, r: int) -> int:
+        """r, once checked to be a built degree."""
+        if not 0 <= r <= self.max_degree:
+            raise CohomologyError(f"degree {r} is outside the built degrees 0..{self.max_degree}")
+        return r
+
     def dim_cochain(self, r: int) -> int:
-        return self.bases[r].cols
+        return self.bases[self._built(r)].cols
 
     def d_ambient(self, r: int, v: tuple) -> tuple:
         """The differential into degree r evaluated on an ambient M-vector."""
         return self._d_ops[r % 2].matvec(v)
 
     def _compile_d(self, r: int) -> Mat:
-        cols = []
-        for j in range(self.bases[r - 1].cols):
-            v = self.bases[r - 1].column(j)
-            w = self.d_ambient(r, v)
-            sol = self.solvers[r].solve(w)
-            if sol is None:
-                raise CohomologyError(
-                    f"differential image leaves the twisted invariants in degree {r}"
-                )
-            cols.append(sol)
-        return Mat.from_columns(self.field, cols, self.bases[r].cols)
+        """d^r, each image of a column of C^{r-1} read off the free rows of C^r."""
+        D = self.free_rows[r].matrix(self.d_ambient(r, v) for v in self.bases[r - 1].columns_list())
+        if D is None:
+            raise CohomologyError(f"differential image leaves the twisted invariants in degree {r}")
+        return D
 
     def to_sub(self, r: int, v_ambient: tuple) -> tuple:
-        sol = self.solvers[r].solve(v_ambient)
+        """The coordinates in C^r of an ambient M-vector, read off the free
+        rows of the basis; CohomologyError when the vector is not in C^r, and
+        LinalgError when its length is not dim M."""
+        sol = self.free_rows[self._built(r)].read(v_ambient)
         if sol is None:
             raise CohomologyError(f"vector is not in the degree-{r} cochain space")
         return sol
 
     def to_ambient(self, r: int, v_sub: tuple) -> tuple:
-        return self.bases[r].matvec(v_sub)
+        return self.bases[self._built(r)].matvec(v_sub)
 
 
 def build_small_complex(alg: MonogenicAlgebra, M: Bimodule, max_degree: int) -> SmallComplex:
@@ -300,7 +304,8 @@ class _GroupCore:
     """What H^r reads from its inputs d^r, d^{r+1} and C^r alone: the kernel
     of d^{r+1}, the image of d^r (empty for r = 0), the representatives (a
     complement of the image in the kernel, over C^r and in M) and the solver
-    for class coordinates.
+    for class coordinates, which is built on the first ``class_coords``: a
+    complex build and ``complex_report`` read none.
 
     One echelon gives both the image and the representatives: the columns of
     d^r that join it, then the kernel columns that join it after them.  Its
@@ -323,10 +328,12 @@ class _GroupCore:
         if echelon.dim != self.kernel.cols:
             raise CohomologyError(f"the image of d^{r} leaves the kernel of d^{r + 1} in degree {r}")
         self.reps_ambient = [complex_.to_ambient(r, c) for c in self.reps_sub.columns_list()]
-        mixed = Mat.from_columns(
-            field, self.reps_sub.columns_list() + self.image.columns_list(), dim
-        )
-        self.class_solver = LinSolver(mixed)
+
+    @functools.cached_property
+    def class_solver(self) -> LinSolver:
+        """The solver over [representatives | image]."""
+        reps, image = self.reps_sub, self.image
+        return LinSolver(Mat.from_columns(reps.field, reps.columns_list() + image.columns_list(), reps.rows))
 
 
 class CohomologyGroup:
@@ -339,7 +346,7 @@ class CohomologyGroup:
     The group keeps its degree: its errors name the degree asked for."""
 
     def __init__(self, complex_: SmallComplex, r: int):
-        if r + 1 > complex_.max_degree:
+        if complex_._built(r) + 1 > complex_.max_degree:
             raise CohomologyError(
                 f"degree {r} needs the complex built through degree {r + 1}"
             )

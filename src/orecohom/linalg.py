@@ -322,6 +322,49 @@ class LinSolver:
         return cols
 
 
+class FreeRows:
+    """Coordinates in a reduced free-variable basis B (``kernel_basis``,
+    ``twisted_kernel``) read off its free rows, without elimination.  Column k
+    is one at its free row f_k, zero at the other free rows, and f_k is its
+    last nonzero row, as an echelon row's entries lie right of its lead; so
+    w in span(B) has the coordinates (w[f_0], ..., w[f_{k-1}]).  ``read``
+    checks B sol = w on the nonzero entries, so a w outside the span reads as
+    None, never as wrong coordinates, since B's columns are independent.  A
+    basis in another form raises LinalgError."""
+
+    def __init__(self, B: Mat):
+        last = [-1] * B.cols  # the last nonzero row of each column
+        for i, row in enumerate(B.sparse):
+            for k in row:
+                last[k] = i
+        one_v = B.field.one.v
+        if any(f < 0 or B.sparse[f].keys() != {k} or B.sparse[f][k].v != one_v for k, f in enumerate(last)):
+            raise LinalgError("the basis is not in reduced free-variable form")
+        self.B, self.free = B, last
+        self._negated = [{i: -x for i, x in col.items()} for col in B.transpose().sparse]
+
+    def read(self, w: tuple) -> tuple | None:
+        """The coordinates of w over B's columns, or None when w is not in their span."""
+        if len(w) != self.B.rows:
+            raise LinalgError("shape mismatch in read")
+        sol, nonzero = tuple([w[f] for f in self.free]), support(w)
+        if not nonzero:
+            return sol
+        zv = self.B.field.zero.v
+        terms = [(c, col) for c, col in zip(sol, self._negated) if c.v != zv]
+        return None if combine([(self.B.field.one, nonzero), *terms]) else sol
+
+    def matrix(self, vectors) -> Mat | None:
+        """The matrix whose columns are the coordinates of ``vectors``, or
+        None when one of them is not in span(B)."""
+        cols = []
+        for w in vectors:
+            cols.append(self.read(w))
+            if cols[-1] is None:
+                return None
+        return Mat.from_columns(self.B.field, cols, self.B.cols)
+
+
 class EchelonTracker:
     """Incrementally maintained reduced row echelon form: the package's one
     Gauss-Jordan elimination.

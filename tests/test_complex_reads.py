@@ -8,21 +8,27 @@ group core runs one echelon for the image and the representatives; they must
 equal the route it replaced (`quotient_route_core` in conftest.py), and the
 core must refuse an image that leaves the kernel.  Two seeded mistakes must
 each be caught: an action built from the wrong basis index, and a core
-without its dimension test."""
+without its dimension test.  Coordinates in a cochain space are read off the
+free rows of its basis, so a complex build and a `cohomology` run build no
+solver, and a core builds its class solver on its first class read; the
+reads refuse a degree outside the built range and a vector of the wrong
+length."""
 
 import pytest
 from conftest import SPECS, dense_regular, mutant, quotient_route_core
 
-from orecohom import cli, cohomology, kalgebra
+from orecohom import cli, cohomology, kalgebra, linalg
 from orecohom.cohomology import (
     Bimodule,
     CohomologyError,
+    CohomologyGroup,
     build_small_complex,
     cohomology_dims,
     cohomology_group,
+    complex_report,
 )
 from orecohom.instances import gh4_instance
-from orecohom.linalg import Mat
+from orecohom.linalg import LinalgError, Mat
 from orecohom.specio import load_instance
 
 GH4_U3 = next(p for p in SPECS if p.stem == "gh4_u3")
@@ -142,6 +148,78 @@ def test_action_from_the_wrong_basis_index_is_caught(monkeypatch):
     assert list(M.L_k) != D.L_k and list(M.R_k) != D.R_k
     with pytest.raises(CohomologyError):
         Bimodule.from_actions(alg, M.L_k, M.Lx, M.R_k, M.Rx)
+
+
+# -- coordinates read off the free rows --------------------------------------------
+
+
+def counted_solvers(monkeypatch) -> list:
+    """The matrix of each `LinSolver` built."""
+    built, init = [], linalg.LinSolver.__init__
+
+    def counting(self, M):
+        built.append(M)
+        init(self, M)
+
+    monkeypatch.setattr(linalg.LinSolver, "__init__", counting)
+    return built
+
+
+def test_complex_builds_and_cohomology_runs_build_no_solver(monkeypatch, capsys):
+    """The cochain bases are read through their free rows, and no class
+    solver is built before a class is read."""
+    built = counted_solvers(monkeypatch)
+    alg = gh4_instance(2)[0]
+    complex_report(build_small_complex(alg, Bimodule.regular(alg), 8))
+    assert cli.main(["cohomology", str(GH4_U3)]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_gh4_u3_report_builds_one_class_solver_per_core_read(monkeypatch, capsys):
+    """A report builds one class solver for each distinct group core whose
+    class coordinates it reads, and no other solver."""
+    built = counted_solvers(monkeypatch)
+    cores, class_coords = [], CohomologyGroup.class_coords
+
+    def reading(self, v):
+        cores.append(self.core)
+        return class_coords(self, v)
+
+    monkeypatch.setattr(CohomologyGroup, "class_coords", reading)
+    assert cli.main(["report", str(GH4_U3)]) == 0
+    capsys.readouterr()
+    distinct = list({id(core): core for core in cores}.values())
+    assert distinct and len(built) == len(distinct)
+    assert sorted(map(id, built)) == sorted(id(core.class_solver.M) for core in distinct)
+
+
+def test_degrees_outside_the_built_range_are_refused():
+    """A negative degree does not index from the top of the complex."""
+    alg = gh4_instance(2)[0]
+    C = build_small_complex(alg, Bimodule.regular(alg), 4)
+    v = alg.one.coords
+    for r in (-1, -5, 5):
+        for read in (lambda: C.to_sub(r, v), lambda: C.to_ambient(r, (C.field.zero,) * 8),
+                     lambda: C.dim_cochain(r), lambda: cohomology_group(C, r)):
+            with pytest.raises(CohomologyError, match=f"degree {r} is outside the built degrees 0..4"):
+                read()
+    with pytest.raises(CohomologyError, match="degree 4 needs the complex built through degree 5"):
+        cohomology_group(C, 4)
+
+
+def test_reads_refuse_short_and_long_vectors():
+    """The free-row read neither reads past the end of a vector nor ignores
+    extra entries: both lengths raise, through `to_sub` and `class_coords`."""
+    alg = gh4_instance(2)[0]
+    C = build_small_complex(alg, Bimodule.regular(alg), 4)
+    H = cohomology_group(C, 0)
+    v = H.reps_ambient[0]
+    assert H.class_coords(v) == tuple(C.field.one if i == 0 else C.field.zero for i in range(H.dim))
+    for w in (v[:-1], v + (C.field.zero,), v + (C.field.one,)):
+        for read in (lambda: C.to_sub(0, w), lambda: H.class_coords(w)):
+            with pytest.raises(LinalgError, match="shape mismatch"):
+                read()
 
 
 # -- one echelon per group core --------------------------------------------------

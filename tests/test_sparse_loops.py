@@ -19,7 +19,9 @@ shortcut of extension-field inverses against fraction-free elimination.
 The loops that run on field payloads (`combine`, `_accumulate`,
 `Mat.matvec`, `table_mul`) are checked against the Scalar-level loops they
 replaced, and `Resolution.contraction_check` against its TensorElem route
-(both kept in conftest.py), on intact and on broken columns."""
+(both kept in conftest.py), on intact and on broken columns.  The free-row
+reads of reduced free-variable bases (`FreeRows`, and through it
+`SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve."""
 
 import copy
 import itertools
@@ -64,11 +66,11 @@ from conftest import (
 
 from orecohom import kalgebra, linalg
 
-from orecohom.cohomology import Bimodule, build_small_complex
+from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
-from orecohom.linalg import LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
+from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
 
 GF7 = prime_field(7)
@@ -199,6 +201,38 @@ def test_eliminations_match_dense(name):
     assert deficient and inconsistent
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_free_row_reads_match_solves(name):
+    """On the free-variable basis B of a random null space, `FreeRows` finds
+    the free columns of the rref as B's free rows, `read` gives
+    `LinSolver(B).solve` on vectors inside and outside span(B), and a copy of
+    B with one column doubled is refused as not in that form."""
+    F = FIELDS[name]
+    rng = random.Random(8)
+    outside = doubled = 0
+    for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 4), (3, 6), (2, 7), (7, 2)):
+        for dm in DENSITIES:
+            for M in (matrix(F, rows, cols, rng, dm),
+                      matrix(F, rows, 2, rng, dm).matmul(matrix(F, 2, cols, rng, dm))):
+                B = kernel_basis(M)
+                free, S = FreeRows(B), LinSolver(B)
+                assert free.free == [c for c in range(M.cols) if c not in rref(M)[1]]
+                for dv in DENSITIES:
+                    x = vector(F, B.cols, rng, dv)
+                    for w in (vector(F, B.rows, rng, dv), B.matvec(x)):
+                        assert free.read(w) == S.solve(w)
+                        outside += S.solve(w) is None
+                    assert free.read(B.matvec(x)) == x
+                if B.cols:
+                    k = rng.randrange(B.cols)
+                    two = F.scalar(2)
+                    cols2 = [vscale(two, c) if j == k else c for j, c in enumerate(B.columns_list())]
+                    with pytest.raises(LinalgError, match="not in reduced free-variable form"):
+                        FreeRows(Mat.from_columns(F, cols2, B.rows))
+                    doubled += 1
+    assert outside and doubled
+
+
 # -- the algebras, bimodules and complexes of real instances -------------------
 
 
@@ -284,20 +318,26 @@ def test_d_ambient_and_solves_match(case):
             w = C.d_ambient(r, v)
             assert w == dense_d_ambient(C.M, r, v), f"degree {r}"
             if built:
-                assert C.solvers[r].solve(w) == dense_solve(C.solvers[r], w)
+                expected = dense_solve(LinSolver(C.bases[r]), w)
+                if expected is None:
+                    with pytest.raises(CohomologyError, match=f"degree-{r} cochain space"):
+                        C.to_sub(r, w)
+                else:
+                    assert C.to_sub(r, w) == expected
 
 
-# -- one solver per distinct basis ---------------------------------------------
+# -- one free-row read per distinct basis --------------------------------------
 
 
 def test_equal_bases_share_one_solver(gh4_u3):
+    """Degrees with one cached basis share one free-row read of it."""
     C = gh4_u3[2]
-    assert len(C.solvers) == 8
-    assert len({id(S) for S in C.solvers}) == 4
+    assert len(C.free_rows) == 8
+    assert len({id(F) for F in C.free_rows}) == 4
     for r in range(8):
-        assert C.solvers[r].M is C.bases[r]
+        assert C.free_rows[r].B is C.bases[r]
         for s in range(8):
-            assert (C.solvers[r] is C.solvers[s]) == (C.bases[r] is C.bases[s])
+            assert (C.free_rows[r] is C.free_rows[s]) == (C.bases[r] is C.bases[s])
 
 
 # -- the nonzero coordinates of elements of A and tensors ----------------------

@@ -60,8 +60,9 @@ def mixed(a: "Field", b: "Field") -> FieldError:
 class Scalar:
     """An element of an exact field: a field context plus a normalized payload.
     Each operator boxes its result; the exact inner loops (``combine``,
-    ``matvec``, the eliminations, ``table_mul``) run on payloads and box only
-    the entries they store, raising :func:`mixed` as ``_coerce`` does."""
+    ``matvec``, ``table_mul``, the echelon's payload rows and the constraint
+    rows of ``twisted_kernel``) run on payloads and box only the entries they
+    return, raising :func:`mixed` as ``_coerce`` does."""
 
     __slots__ = ("field", "v")
 

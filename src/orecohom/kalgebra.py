@@ -737,13 +737,14 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     With R_b and L_c the right and left actions of K's basis elements on a
     dim-dimensional module, the matrices ``right[b]`` and ``left[c]``, and
     ``twist`` the matrix of alpha^r, these are the m with
-    m e_b = alpha^r(e_b) m.  The rows of each constraint R_b - L(alpha^r(e_b))
-    are assembled from the nonzero entries of the action matrices and of
-    column b of ``twist`` only, and reduced one at a time into a single
-    echelon, stopping at full rank, whose free-variable kernel is the basis.
-    Only the actions of the stacked b and of the support of their twist
-    columns are read, so a ``BasisActions`` sequence (K's own and the regular
-    bimodule's) builds no others.
+    m e_b = alpha^r(e_b) m.  Each row of a constraint R_b - L(alpha^r(e_b))
+    is summed on payloads from the nonzero entries of the action matrices and
+    of column b of ``twist``, straight into the payload row the echelon
+    keeps; an entry of another field raises :func:`mixed`.  The rows go into
+    one echelon until full rank, and only the entries of its free-variable
+    kernel, the basis, are boxed.  Only the actions of the stacked b and of
+    the support of their twist columns are read, so a ``BasisActions``
+    sequence (K's own and the regular bimodule's) builds no others.
 
     Only the constraints of the b in ``generators`` are stacked, or of every
     b when it is None.  Pass the certified ``Endo.generators`` of the twist,
@@ -757,16 +758,29 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     generators' constraints cut out the same space as all of them.  The
     reduced free-variable basis of a space is unique, so the columns are the
     same as from every constraint, not only their span."""
-    one = field.one
+    mul, add, zv, one_v = field._mul, field._add, field.zero.v, field.one.v
     tracker = EchelonTracker(field, dim)
     twist_cols = twist.transpose().sparse
     for b in range(len(right)) if generators is None else generators:
-        R = right[b].sparse
-        terms = [(-t, left[c].sparse) for c, t in twist_cols[b].items()]
+        terms = [(one_v, right[b].sparse)]  # (payload coefficient, action rows)
+        for c, t in twist_cols[b].items():
+            if t.field is not field:
+                raise mixed(field, t.field)
+            terms.append((field._neg(t.v), left[c].sparse))
         for i in range(dim):
-            row = combine([(one, R[i]), *((t, L[i]) for t, L in terms)])
+            row: dict = {}  # R_b[i] - sum_c t_cb L_c[i], on payloads
+            for cv, rows in terms:
+                unit = cv == one_v
+                for j, x in rows[i].items():
+                    if x.field is not field:
+                        raise mixed(field, x.field)
+                    s = x.v if unit else mul(cv, x.v)
+                    p = row.get(j)
+                    row[j] = s if p is None else add(p, s)
+            for j in [j for j, p in row.items() if p == zv]:
+                del row[j]
             if row:
-                tracker.add(row)
+                tracker.add_payloads(row)
                 if tracker.dim == dim:
                     return tracker.kernel()
     return tracker.kernel()

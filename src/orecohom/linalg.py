@@ -4,11 +4,13 @@ Vectors are tuples of :class:`~orecohom.fields.Scalar`; sparse vectors are
 dicts {index: nonzero entry}.  A matrix is immutable and stored as its sparse
 rows only, each in column order; its dense grid and columns are built when
 read, and a column is read sparse as a row of the transpose.  The rows of
-the eliminations and of a solver are sparse vectors too.  The inner loops
-touch only nonzero entries, test for zero on the payload (exact, as
-payloads are canonical), add and multiply payloads through the field's
-``_add``/``_mul``, skip products by the unit, and box one Scalar per
-nonzero entry they store; an entry of another field raises
+the one elimination, ``EchelonTracker``, are payload rows {column: nonzero
+payload}: an entry is checked and unboxed once as it enters, eliminated on
+payloads, and boxed only when it leaves (``rows``, ``kernel``, a solver's
+``E``).  The inner loops touch only nonzero entries, test for zero on the
+payload (exact, as payloads are canonical), add and multiply payloads
+through the field's ``_add``/``_mul``, skip products by the unit, and box
+one Scalar per nonzero entry they return; an entry of another field raises
 :func:`~orecohom.fields.mixed`.  Pivoting always selects the first nonzero
 entry, so every basis this module emits is reproducible across runs and
 platforms.
@@ -77,21 +79,22 @@ def boxed(field: Field, acc: dict) -> dict[int, Scalar]:
     return {k: Scalar(field, p) for k, p in acc.items() if p != zv}
 
 
-def _accumulate(out: dict, c: Scalar, pairs, field: Field) -> None:
-    """out -= c * v in place for the sparse vector v given by its (index,
-    entry) pairs, all of ``field`` (``_reduce`` checks); zero sums drop."""
+def _accumulate(out: dict, c, pairs, field: Field) -> None:
+    """out -= c * v in place, all on payloads of ``field``: out is {index:
+    payload}, c a payload and v given by its (index, payload) pairs; zero
+    sums drop."""
     mul, add, zv = field._mul, field._add, field.zero.v
-    nc = field._neg(c.v)
+    nc = field._neg(c)
     unit = nc == field.one.v
     for j, x in pairs:
-        t = x.v if unit else mul(nc, x.v)
+        t = x if unit else mul(nc, x)
         p = out.get(j)
         if p is not None:
-            t = add(p.v, t)
+            t = add(p, t)
             if t == zv:
                 del out[j]
                 continue
-        out[j] = Scalar(field, t)
+        out[j] = t
 
 
 class Mat:
@@ -162,11 +165,14 @@ class Mat:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Mat":
-        out: list[dict] = [{} for _ in range(self.cols)]
+        """Row j is filled in increasing i, so it is in column order as built."""
+        T = Mat.__new__(Mat)
+        T.field, T.rows, T.cols = self.field, self.cols, self.rows
+        T.sparse = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.sparse):
             for j, a in row.items():
-                out[j][i] = a
-        return Mat.from_sparse_rows(self.field, out, self.rows)
+                T.sparse[j][i] = a
+        return T
 
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
@@ -238,9 +244,7 @@ class Mat:
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot cols)."""
-    t = EchelonTracker(M.field, M.cols)
-    for row in M.sparse:
-        t.add(row)
+    t = EchelonTracker.of_rows(M)
     rows = t.rows + [{}] * (M.rows - t.dim)
     return Mat.from_sparse_rows(M.field, rows, M.cols), list(t.lead)
 
@@ -250,25 +254,9 @@ def rank(M: Mat) -> int:
 
 
 def kernel_basis(M: Mat) -> Mat:
-    """Columns form a basis of the null space of M (the standard free-variable basis)."""
-    R, pivots = rref(M)
-    return _free_basis(M.field, M.cols, R.sparse, pivots)
-
-
-def _free_basis(field: Field, n: int, rows, lead: list[int]) -> Mat:
-    """The free-variable null space basis of reduced echelon rows, dicts
-    {column: nonzero entry}, with leading columns ``lead``: for each free
-    column fc, a one at fc and minus row i's entry at fc in column lead[i].
-    A row is zero at the other rows' leading columns, so its entries off its
-    own lead are at free columns."""
-    pivots = set(lead)
-    free = {fc: k for k, fc in enumerate(fc for fc in range(n) if fc not in pivots)}
-    out: list[dict] = [{} for _ in range(n)]
-    for fc, k in free.items():
-        out[fc] = {k: field.one}
-    for row, pc in zip(rows, lead):
-        out[pc] = {free[j]: -x for j, x in row.items() if j != pc}
-    return Mat.from_sparse_rows(field, out, len(free))
+    """Columns form a basis of the null space of M (the standard free-variable
+    basis), read off the rows of its rref."""
+    return EchelonTracker.of_rows(rref(M)[0]).kernel()
 
 
 def solve(M: Mat, b: tuple) -> tuple | None:
@@ -282,23 +270,23 @@ class LinSolver:
     The rows of [M | I] go through one echelon with its pivots in M's
     columns.  A reduced row [R_i | E_i] keeps E_i M = R_i; a row whose M part
     reduces to zero leaves its E_i, unnormalised, in the left null space of M.
-    ``E`` holds each E_i as a sparse row {column: nonzero entry}: first the
-    rows of the rref, in pivot order, then the null rows."""
+    The rows go in and are reduced as payloads, and ``E`` boxes each of its
+    entries once: it holds each E_i as a sparse row {column: nonzero entry},
+    first the rows of the rref, in pivot order, then the null rows."""
 
     def __init__(self, M: Mat):
         self.M = M
         field, n = M.field, M.cols
         t = EchelonTracker(field, n + M.rows, pivot_cols=n)
-        null = []
+        null, one_v = [], field.one.v
         for i, row in enumerate(M.sparse):
-            w = dict(row)
-            w[n + i] = field.one
-            t._reduce(w)
-            if not t._insert(w):
+            w = t._payloads(row)
+            w[n + i] = one_v
+            if not t.add_payloads(w):
                 null.append(w)
         self.pivots = list(t.lead)
         self.rank = t.dim
-        self.E = [{j - n: e for j, e in row.items() if j >= n} for row in t.rows + null]
+        self.E = [{j - n: Scalar(field, e) for j, e in row.items() if j >= n} for row in t._rows + null]
 
     def solve(self, b: tuple) -> tuple | None:
         if len(b) != self.M.rows:
@@ -372,76 +360,99 @@ class EchelonTracker:
     The rows lead at their first nonzero entry, which is a one, and are zero
     in every other row's leading column, so they depend only on the span
     added.  Leading columns lie among the first ``pivot_cols`` (default: all).
-    Each row is sparse, a dict {column: nonzero entry}, so eliminating with
-    it touches only its nonzero entries, and reducing a vector touches only
-    the rows that lead at one of its nonzero entries."""
+    Each row is a payload row, a dict {column: nonzero payload}, so
+    eliminating with it touches only its nonzero entries, reducing a vector
+    touches only the rows that lead at one of its nonzero entries, and
+    neither boxes a Scalar.  An entry's field and column are checked once, as
+    it enters (``add``, ``contains``); ``rows`` boxes the rows on each read,
+    and ``kernel`` boxes each entry it returns once."""
 
     def __init__(self, field: Field, n: int, pivot_cols: int | None = None):
         self.field = field
         self.n = n
         self.pivot_cols = n if pivot_cols is None else pivot_cols
-        self.rows: list[dict[int, Scalar]] = []
+        self._rows: list[dict] = []
         self.lead: list[int] = []
-        self._by_lead: dict[int, dict[int, Scalar]] = {}
+        self._by_lead: dict[int, dict] = {}
+
+    @classmethod
+    def of_rows(cls, M: Mat) -> "EchelonTracker":
+        """The echelon of the span of M's rows."""
+        t = cls(M.field, M.cols)
+        for row in M.sparse:
+            t.add(row)
+        return t
 
     @classmethod
     def of_columns(cls, M: Mat) -> "EchelonTracker":
         """The echelon of the span of M's columns."""
-        t = cls(M.field, M.rows)
-        for c in M.transpose().sparse:
-            t.add(c)
-        return t
+        return cls.of_rows(M.transpose())
 
-    def _reduce(self, w: dict) -> None:
-        """Reduce the sparse vector w in place by every row.  A row adds
-        entries only off the other rows' leading columns, so the rows that
-        take part are those leading at an entry of w to begin with.  Every
-        entry the echelon stores passes here first, so its field is checked."""
-        by_lead, field = self._by_lead, self.field
-        for x in w.values():
+    @property
+    def rows(self) -> list[dict[int, Scalar]]:
+        """The rows as sparse vectors {column: nonzero entry}, boxed on each read."""
+        field = self.field
+        return [{j: Scalar(field, p) for j, p in row.items()} for row in self._rows]
+
+    def _payloads(self, v) -> dict:
+        """v, a tuple of length n or a sparse vector {index: entry}, as a
+        payload dict {index: nonzero payload}.  An entry of another field
+        raises :func:`mixed`; a tuple of another length, or a sparse index
+        outside 0..n-1, raises LinalgError."""
+        field, n, zv, w = self.field, self.n, self.field.zero.v, {}
+        if not isinstance(v, dict) and len(v) != n:
+            raise LinalgError("vector length mismatch")
+        for j, x in v.items() if isinstance(v, dict) else enumerate(v):
             if x.field is not field:
                 raise mixed(field, x.field)
+            if x.v != zv:
+                if not 0 <= j < n:
+                    raise LinalgError(f"index {j} outside the columns 0..{n - 1}")
+                w[j] = x.v
+        return w
+
+    def _reduce(self, w: dict) -> None:
+        """Reduce the payload row w in place by every row.  A row adds
+        entries only off the other rows' leading columns, so the rows that
+        take part are those leading at an entry of w to begin with."""
+        by_lead, field = self._by_lead, self.field
         for c in [c for c in w if c in by_lead]:
             _accumulate(w, w[c], by_lead[c].items(), field)
 
     def contains(self, v) -> bool:
-        """Whether v, a tuple or a sparse vector {index: nonzero entry}, is in
-        the span of the rows."""
-        w = dict(v) if isinstance(v, dict) else dict(support(v))
+        """Whether v, a tuple of length n or a sparse vector {index: entry},
+        is in the span of the rows."""
+        w = self._payloads(v)
         self._reduce(w)
         return not w
 
     def add(self, v) -> bool:
-        """Insert v, a tuple of length n or a sparse vector {index: nonzero
-        entry}; True when it joined the echelon (for full pivot columns: when
-        the span grew)."""
-        if isinstance(v, dict):
-            w = dict(v)
-        elif len(v) != self.n:
-            raise LinalgError("vector length mismatch")
-        else:
-            w = dict(support(v))
-        self._reduce(w)
-        return self._insert(w)
+        """Insert v, a tuple of length n or a sparse vector {index: entry};
+        True when it joined the echelon (for full pivot columns: when the
+        span grew)."""
+        return self.add_payloads(self._payloads(v))
 
-    def _insert(self, w: dict) -> bool:
-        """Join a sparse vector already reduced by every row, normalised at
-        its leading entry, and clear its leading column from the other rows."""
+    def add_payloads(self, w: dict) -> bool:
+        """``add`` for a payload row w, {column in 0..n-1: nonzero payload of
+        the field}, which the caller has checked.  w is reduced in place and
+        may be kept as a row."""
+        self._reduce(w)
         if not w:
             return False
         c = min(w)
         if c >= self.pivot_cols:
             return False
         field = self.field
-        if w[c].v != field.one.v:
-            mul, inv = field._mul, field._inv(w[c].v)
-            w = {j: Scalar(field, mul(inv, x.v)) for j, x in w.items()}
-        for row in self.rows:
+        if w[c] != field.one.v:
+            mul, inv = field._mul, field._inv(w[c])
+            for j, x in w.items():
+                w[j] = mul(inv, x)
+        for row in self._rows:
             f = row.get(c)
             if f is not None:
                 _accumulate(row, f, w.items(), field)
         pos = bisect.bisect(self.lead, c)
-        self.rows.insert(pos, w)
+        self._rows.insert(pos, w)
         self.lead.insert(pos, c)
         self._by_lead[c] = w
         return True
@@ -452,12 +463,23 @@ class EchelonTracker:
         return Mat.from_sparse_rows(M.field, joined, M.rows).transpose()
 
     def kernel(self) -> Mat:
-        """The free-variable basis of the null space of the rows, as columns."""
-        return _free_basis(self.field, self.n, self.rows, self.lead)
+        """The free-variable basis of the null space of the rows, as columns:
+        for each free column fc, a one at fc and minus row i's entry at fc in
+        column lead[i].  A row is zero at the other rows' leading columns, so
+        its entries off its own lead are at free columns."""
+        field, neg = self.field, self.field._neg
+        pivots = set(self.lead)
+        free = {fc: k for k, fc in enumerate(fc for fc in range(self.n) if fc not in pivots)}
+        out: list[dict] = [{} for _ in range(self.n)]
+        for fc, k in free.items():
+            out[fc] = {k: field.one}
+        for row, pc in zip(self._rows, self.lead):
+            out[pc] = {free[j]: Scalar(field, neg(x)) for j, x in row.items() if j != pc}
+        return Mat.from_sparse_rows(field, out, len(free))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
 
 def span_equal(A: Mat, B: Mat) -> bool:

@@ -108,6 +108,22 @@ def test_echelon_tracker():
     assert not t.contains((QQ.zero, QQ.zero, QQ.one))
 
 
+def test_echelon_refuses_sparse_indices_outside_its_columns():
+    """A sparse index outside 0..n-1 raises, as a tuple of the wrong length
+    does, instead of reading as dependent, leading at a negative column or
+    lying outside the span; nothing joins the echelon."""
+    t = EchelonTracker(QQ, 2)
+    for bad in ({5: QQ.one}, {-1: QQ.one}, {0: QQ.one, 2: QQ.one}):
+        with pytest.raises(LinalgError, match="outside the columns 0..1"):
+            t.add(bad)
+    assert t.dim == 0 and t.add({1: QQ.one})
+    with pytest.raises(LinalgError, match="outside the columns 0..1"):
+        t.contains({7: QQ.one})
+    with pytest.raises(LinalgError, match="vector length mismatch"):
+        t.contains((QQ.one,) * 3)
+    assert t.rows == [{1: QQ.one}] and t.lead == [1]
+
+
 def test_rref_deterministic_first_pivot():
     M = qmat([[0, 2], [3, 0]])
     R, pivots = rref(M)

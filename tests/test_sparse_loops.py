@@ -16,10 +16,13 @@ resolution against its entrywise columns, the unit shortcut of
 extension-field products against the full product, and the base-field
 shortcut of extension-field inverses against fraction-free elimination.
 
-The loops that run on field payloads (`combine`, `_accumulate`,
-`Mat.matvec`, `table_mul`) are checked against the Scalar-level loops they
-replaced, and `Resolution.contraction_check` against its TensorElem route
-(both kept in conftest.py), on intact and on broken columns.  The free-row
+The loops that run on field payloads (`combine`, `_accumulate` and through
+it the echelon, `Mat.matvec`, `table_mul`, the constraint rows of
+`twisted_kernel`) are checked against the Scalar-level loops and dense
+routes they replaced, with a seeded overwrite-the-sum fault in each, and
+`Resolution.contraction_check` against its TensorElem route (both kept in
+conftest.py), on intact and on broken columns.  A `twisted_kernel` call
+boxes no more Scalars than the nonzero entries of the basis it returns.  The free-row
 reads of reduced free-variable bases (`FreeRows`, and through it
 `SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve."""
 
@@ -32,6 +35,7 @@ import pytest
 from conftest import (
     CASES,
     DenseLinSolver,
+    all_rows_twisted_kernel,
     LegacyExtensionField,
     dense_a_mul,
     dense_center_basis,
@@ -68,7 +72,7 @@ from orecohom import kalgebra, linalg
 
 from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
-from orecohom.instances import gaussian_rationals
+from orecohom.instances import gaussian_rationals, gh4_instance
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
 from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
@@ -523,13 +527,30 @@ def drawn(F, n, rng, density, kind):
     return tuple(entry(F, rng, kind) if rng.random() < density else F.zero for _ in range(n))
 
 
+def payloads(v: tuple) -> dict:
+    """The nonzero entries of v as {index: payload}."""
+    return {j: x.v for j, x in support(v)}
+
+
+def constraint_actions(F, n, rng, density, kind):
+    """Two right and two left actions whose rows past the third are zero, so
+    their twisted kernel is at least n - 6 dimensional, and a twist whose
+    nonzero entries are of the given kind."""
+    def action():
+        return Mat(F, [drawn(F, n, rng, density, kind) if i < 3 else (F.zero,) * n for i in range(n)], n)
+    return [action(), action()], [action(), action()], Mat(F, [drawn(F, 2, rng, density, kind) for _ in range(2)], 2)
+
+
 def payload_loops_agree(F, seed):
-    """`combine`, `_accumulate`, `Mat.matvec` and `table_mul`, read through
-    their modules, equal the Scalar-level loops on random vectors of every
-    density whose coefficients and entries are 1, -1 or random; sums that
-    accumulate on one index and sums that cancel to zero are included, and
-    every entry returned is a nonzero Scalar of F."""
-    rng, n = random.Random(seed), 6
+    """`combine`, `_accumulate`, `Mat.matvec`, `table_mul`, the echelon
+    behind `rref` and `kernel_basis` (whose `_reduce` and `add_payloads` run
+    on `_accumulate`) and the constraint rows of `twisted_kernel`, read
+    through their modules, equal the Scalar-level loops on random vectors of
+    every density whose coefficients and entries are 1, -1 or random; sums
+    that accumulate on one index and sums that cancel to zero are included,
+    and every entry returned is a nonzero Scalar of F, or a nonzero payload
+    for `_accumulate`."""
+    rng, n, zv = random.Random(seed), 6, F.zero.v
     for density, (ka, kb) in itertools.product(DENSITIES, itertools.product(KINDS, repeat=2)):
         a, b = drawn(F, n, rng, density, ka), drawn(F, n, rng, density, kb)
         ca, cb = entry(F, rng, ka), entry(F, rng, kb)
@@ -537,14 +558,18 @@ def payload_loops_agree(F, seed):
         got = linalg.combine(terms)
         assert got == scalar_combine(terms), (density, ka, kb)
         assert all(x.field is F and not x.is_zero() for x in got.values())
-        out, ref = dict(support(a)), dict(support(a))
-        linalg._accumulate(out, cb, support(b), F)
-        scalar_accumulate(ref, cb, support(b), F.zero.v)
-        assert out == ref and all(not x.is_zero() for x in out.values())
-        linalg._accumulate(out, -cb, support(b), F)
-        assert out == dict(support(a))
+        out, ref = payloads(a), dict(support(a))
+        linalg._accumulate(out, cb.v, payloads(b).items(), F)
+        scalar_accumulate(ref, cb, support(b), zv)
+        assert linalg.boxed(F, out) == ref and zv not in out.values()
+        linalg._accumulate(out, (-cb).v, payloads(b).items(), F)
+        assert out == payloads(a)
         A = Mat(F, [drawn(F, n, rng, density, kb) for _ in range(4)] + [b, a], n)
         assert A.matvec(a) == scalar_matvec(A, a)
+        assert linalg.rref(A) == dense_rref(A) and linalg.kernel_basis(A) == dense_kernel_basis(A)
+        right, left, twist = constraint_actions(F, n, rng, density, kb)
+        for L, T in ((left, twist), (right, Mat.identity(F, 2))):
+            assert kalgebra.twisted_kernel(F, n, right, L, T, None) == all_rows_twisted_kernel(F, n, right, L, T)
         table = {(i, j): [(rng.randrange(n), entry(F, rng, kb)) for _ in range(rng.randint(1, 3))]
                  for i in range(n) for j in range(n) if rng.random() < 0.5}
         assert kalgebra.table_mul(table, support(a), support(b)) == scalar_table_mul(table, support(a), support(b))
@@ -562,6 +587,8 @@ OVERWRITING_UNIT = {
     "_accumulate": (linalg, "_accumulate", "if p is not None:", "if p is not None and not unit:"),
     "matvec": (Mat, "matvec", "acc = t if acc is None else", "acc = t if acc is None or av == one_v else"),
     "table_mul": (kalgebra, "table_mul", "acc[k] = t if p is None else", "acc[k] = t if p is None or unit else"),
+    "twisted_kernel": (kalgebra, "twisted_kernel", "row[j] = s if p is None else",
+                       "row[j] = s if p is None or unit else"),
 }
 
 
@@ -572,6 +599,29 @@ def test_seeded_overwriting_unit_shortcut_is_caught(monkeypatch, loop):
     with pytest.raises(AssertionError):
         for F in FIELDS.values():
             payload_loops_agree(F, 11)
+
+
+def test_twisted_kernel_boxes_only_its_output(monkeypatch):
+    """On the regular bimodule of gh4(3), its actions built first, one
+    `twisted_kernel` call constructs no more Scalars than the nonzero entries
+    of the basis it returns, and the basis is that of every constraint."""
+    alg = gh4_instance(3)[0]
+    M = Bimodule.regular(alg)
+    R_k, L_k = list(M.R_k), list(M.L_k)
+    boxes, init = [], Scalar.__init__
+
+    def counting(self, field, v):
+        boxes.append(v)
+        init(self, field, v)
+
+    for r in range(4):
+        twist = alg.alpha.power_matrix(r)
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "__init__", counting)
+            basis = kalgebra.twisted_kernel(M.field, M.dim, R_k, L_k, twist, alg.alpha.generators)
+        assert 0 < len(boxes) <= sum(len(row) for row in basis.sparse), r
+        assert basis == all_rows_twisted_kernel(M.field, M.dim, R_k, L_k, twist)
+        boxes.clear()
 
 
 # -- the contraction check on stored columns -----------------------------------

@@ -8,7 +8,9 @@ that stored its dense grid (`DenseMat` in conftest.py), over QQ, GF(7),
 QQ(i) and GF(9), at densities 0, .3, .7 and 1, on shapes with no rows or
 no columns included.  `Mat.key` is equal exactly when `==` holds.  A `Mat`
 compiled to keep its zero entries, or to keep the order its rows came in,
-turns the property red."""
+or a `transpose` that fills its rows in decreasing row index, turns the
+property red.  `transpose` sorts nothing, so its rows are checked to come
+out in column order from rows that are not."""
 
 import random
 
@@ -116,16 +118,39 @@ def test_mat_stores_sparse_rows_and_matches_dense(name):
 SEEDED = {  # name -> (function, old source, new source)
     "zero entry kept": (Mat.__init__, "for j, a in enumerate(r) if a.v != zv}", "for j, a in enumerate(r)}"),
     "rows left unsorted": (Mat.from_sparse_rows.__func__, "for j in sorted(r)}", "for j in r}"),
+    "transpose filled in reverse": (Mat.transpose, "in enumerate(self.sparse):", "in reversed(list(enumerate(self.sparse))):"),
 }
+
+
+def seeded(monkeypatch, name):
+    fn, old, new = SEEDED[name]
+    monkeypatch.setattr(Mat, fn.__name__, mutant(fn, old, new))
 
 
 @pytest.mark.parametrize("name", SEEDED)
 def test_seeded_stored_form_fault_is_caught(monkeypatch, name):
-    fn, old, new = SEEDED[name]
-    monkeypatch.setattr(Mat, fn.__name__, mutant(fn, old, new))
+    seeded(monkeypatch, name)
     with pytest.raises(AssertionError):
         for F in FIELDS.values():
             stored_form_agrees(F, 12)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_transpose_rows_are_in_column_order(monkeypatch, name):
+    """`transpose` sorts nothing: it fills each row in increasing row index,
+    so its rows are in column order, also when the rows it reads are not
+    (``from_sparse_rows`` compiled to keep the order its rows came in)."""
+    F, rng = FIELDS[name], random.Random(14)
+    for (rows, cols), density in ((s, d) for s in SHAPES for d in DENSITIES):
+        g = grid(F, rows, cols, rng, density)
+        for unsorted in (False, True):
+            with monkeypatch.context() as m:
+                if unsorted:
+                    seeded(m, "rows left unsorted")
+                M = Mat.from_sparse_rows(F, shuffled_rows(F, g, rng), cols)
+            T = M.transpose()
+            assert all(list(row) == sorted(row) for row in T.sparse)
+            assert stores_sparse_rows(T) and T.data == DenseMat(F, g, cols).transpose().data
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -18,14 +18,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from .cohomology import (
-    Bimodule,
-    CohomologyError,
-    build_small_complex,
-    classes_equal,
-    cohomology_dims,
-    complex_report,
-)
+from .cohomology import Bimodule, CohomologyError, build_small_complex, cohomology_dims, complex_report
 from .closedforms import (
     NO_WITNESS,
     ClosedFormError,
@@ -48,16 +41,7 @@ from .closedforms import (
 from .fields import FieldError
 from .kalgebra import AlgebraError, ValidationReport
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, instance_checks, normality_check
-from .products import (
-    BarOracle,
-    ProductsError,
-    bracket_class_table,
-    bracket_small_closed,
-    class_pairs,
-    cup_class_table,
-    cup_small,
-    cup_small_oracle,
-)
+from .products import ProductsError, ProductStore, bracket_class_table, cup_class_table
 from .specio import Instance, SpecError, decode_witness, load_instance
 
 __all__ = ["main"]
@@ -91,12 +75,15 @@ class Session:
     first use, the instance checks, the one checked build of A, which runs
     them again and raises the first that fails, its regular bimodule, the
     small complex through degree D + 1, the result of the run's one
-    witness search and the run's bar oracle.  The oracle evaluates only the
-    bar indices phi reads, each psi value at each index once, the slot
-    compositions of each ordered pair once and each bracket once, keyed on
-    (degree, payloads of the value coordinates); the products tables, both
-    closed-vs-oracle agreements and the rank-one bracket rows read it.  A
-    session belongs to one run; nothing outlives it."""
+    witness search and the run's product store.  The store
+    (``products.ProductStore``) holds the class coordinates of each product
+    of class representatives that is read, computed once: the closed and
+    oracle cups, and the oracle and closed brackets.  It holds the run's bar
+    oracle, which evaluates only the bar indices phi reads, each psi value at
+    each index once, the slot compositions of each ordered pair once and each
+    bracket once.  The products tables, both closed-vs-oracle agreements, the
+    rank-one bracket rows and the presentation's period map read the store.
+    A session belongs to one run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -129,8 +116,8 @@ class Session:
         return build_small_complex(self.algebra, self.bimodule, self.D + 1)
 
     @functools.cached_property
-    def oracle(self) -> BarOracle:
-        return BarOracle(self.algebra)
+    def products(self) -> ProductStore:
+        return ProductStore(self.complex)
 
     @functools.cached_property
     def witness(self):
@@ -189,43 +176,38 @@ def run_cohomology(session: Session) -> tuple[dict, bool]:
 # -- verb: products -----------------------------------------------------------
 
 
-def _cup_agreement(C, cap: int, oracle: BarOracle) -> list[dict]:
+def _cup_agreement(store: ProductStore, cap: int) -> list[dict]:
     out = []
     for p in range(cap + 1):
         for q in range(cap + 1 - p):
-            if p + q + 1 > C.max_degree:
+            if p + q + 1 > store.C.max_degree:
                 continue
-            pairs = list(class_pairs(C, p, q))
+            pairs = list(store.pairs(p, q))
             if pairs:
-                agree = all(
-                    classes_equal(C, p + q, cup_small(a, b).value.coords,
-                                  cup_small_oracle(a, b, oracle).value.coords)
-                    for _, a, _, b in pairs
-                )
+                agree = all(store.cup(p, q, ia, ib) == store.cup_oracle(p, q, ia, ib) for ia, ib in pairs)
                 out.append({"deg_a": p, "deg_b": q, "pairs": len(pairs), "agree": agree})
     return out
 
 
-def _bracket_agreement(C, witness, cap: int, oracle: BarOracle) -> list[dict]:
+def _bracket_agreement(store: ProductStore, witness, cap: int) -> list[dict]:
     out = []
-    top = C.max_degree - 1
+    top = store.C.max_degree - 1
     for p in range(min(cap + 2, top + 1)):
         for q in range(min(cap + 2 - p, top + 1)):
             deg = max(p + q - 1, 0)
-            if deg > cap or deg + 1 > C.max_degree:
+            if deg > cap or deg + 1 > store.C.max_degree:
                 continue
             pairs = 0
             agree = True
             note = None
-            for _, a, _, b in class_pairs(C, p, q):
+            for ia, ib in store.pairs(p, q):
                 try:
-                    want = bracket_small_closed(a, b, witness).value.coords
+                    want = store.closed_bracket(p, q, ia, ib, witness)
                 except ProductsError as exc:
                     note = str(exc)
                     continue
                 pairs += 1
-                got = oracle.bracket(a, b, max(cap, 1)).value.coords
-                agree = agree and classes_equal(C, deg, got, want)
+                agree = store.bracket(p, q, ia, ib, max(cap, 1)) == want and agree
             if pairs or note:
                 row = {"deg_a": p, "deg_b": q, "pairs": pairs, "agree": agree if pairs else None}
                 if note:
@@ -236,14 +218,14 @@ def _bracket_agreement(C, witness, cap: int, oracle: BarOracle) -> list[dict]:
 
 def run_products(session: Session) -> tuple[dict, bool]:
     inst, D, C, args = session.inst, session.D, session.complex, session.args
-    oracle = session.oracle
+    store = session.products
     bound = args.oracle_bound if args.oracle_bound is not None else inst.options.get("oracle_bound", 5)
-    cup_rows = cup_class_table(C, D)
-    bracket_rows = bracket_class_table(C, D, bound, oracle)
-    cup_checked = _cup_agreement(C, min(D, 3), oracle)
+    cup_rows = cup_class_table(C, D, store)
+    bracket_rows = bracket_class_table(C, D, bound, store=store)
+    cup_checked = _cup_agreement(store, min(D, 3))
     witness = session.witness
     if witness:
-        bracket_checked = _bracket_agreement(C, witness, min(bound, 3), oracle)
+        bracket_checked = _bracket_agreement(store, witness, min(bound, 3))
         witness_enc = _encode_kelem(inst, witness.value)
     else:
         bracket_checked = []
@@ -275,7 +257,7 @@ def _run_rank_one(s: Session):
         raise ClosedFormError("rank-one analysis needs a character-twist group instance")
     if inst.rank_one is None:
         raise ClosedFormError("rank-one analysis needs options.g1 and options.xi")
-    return rank_one_hopf_report(s.complex, inst.chi, *inst.rank_one, min(s.D, 5), s.witness, s.oracle)
+    return rank_one_hopf_report(s.complex, inst.chi, *inst.rank_one, min(s.D, 5), s.witness, s.products)
 
 
 def _run_quaternion(s: Session):
@@ -300,7 +282,7 @@ THEOREM_CHECKS = {
         lambda s: group_algebra_cohomology_table(s.complex, s.chi, s.D, s.found_witness),
     "membership-period": lambda s: class_membership_period(s.algebra.K, s.chi, s.algebra.n),
     "periodicity": lambda s: cohomology_periodicity(s.complex, s.chi, s.D),
-    "presentation": lambda s: presentation_report(s.complex, s.chi, s.D),
+    "presentation": lambda s: presentation_report(s.complex, s.chi, s.D, s.products),
     "rank-one-hopf": _run_rank_one,
     "quaternion-rotation": _run_quaternion,
 }

@@ -58,12 +58,14 @@ from .linalg import (
     EchelonTracker,
     FreeRows,
     Mat,
+    combine,
     intersect_spans,
     kernel_basis,
     minimal_polynomial,
     quotient_basis,
     rank,
     span_equal,
+    support,
     vscale,
 )
 from .kalgebra import (
@@ -89,15 +91,8 @@ from .cohomology import (
     build_small_complex,
     cohomology_dims,
     cohomology_group,
-    classes_equal,
 )
-from .products import (
-    BarOracle,
-    SmallCochain,
-    bracket_small_closed,
-    class_pairs,
-    cup_small,
-)
+from .products import ProductStore
 
 
 class ClosedFormError(ValueError):
@@ -142,8 +137,16 @@ def _top_degree(C: SmallComplex, up_to: int | None) -> int:
 
 
 def _character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Scalar]:
-    """The given character, else the one read off the diagonal twist."""
-    return chi if chi is not None else character_of(alg.K, alg.alpha)
+    """The given character, else the one read off the diagonal twist.  A
+    given character must be that twist's diagonal, since a spec builds the
+    twist from its character; CohomologyError when it is not (a fault, such
+    as a character that is not multiplicative)."""
+    if chi is None:
+        return character_of(alg.K, alg.alpha)
+    diagonal = [{} if c.is_zero() else {g: c} for g, c in enumerate(chi)]
+    if diagonal != alg.alpha.matrix.sparse:
+        raise CohomologyError("the character is not the diagonal of the twist")
+    return chi
 
 
 def _dims_result(
@@ -683,7 +686,10 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
     A class contributes exactly when every element commuting with it has
     trivial r-th character power; the contributing vector propagates a unit
     coefficient along conjugation, scaled by that character power.  The span
-    is checked against the generic twisted-centrality computation.
+    is checked against the generic twisted-centrality computation.  For a
+    character and a group table the propagation is consistent, so an
+    inconsistent one is a fault (chi not multiplicative, or bad conjugation
+    data) and raises CohomologyError.
     """
     if K.group is None:
         raise ClosedFormError("class basis needs group metadata")
@@ -715,7 +721,7 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
                         consistent = False
             frontier = nxt
         if not consistent or set(coeff) != set(cls):
-            raise ClosedFormError("class coefficient propagation is inconsistent")
+            raise CohomologyError("class coefficient propagation is inconsistent")
         v = [field.zero] * K.dim
         for g, c in coeff.items():
             v[g] = c
@@ -826,11 +832,14 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
 
 
 def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
-                        up_to: int | None = None) -> dict:
+                        up_to: int | None = None, store: ProductStore | None = None) -> dict:
     """Algebra generators of the cohomology of a character-twist instance:
     the degree-0 ring, module generators in low odd and even degrees, and the
     unit class at the period degree, whose cup action is checked to be a
-    degreewise bijection.
+    degreewise bijection.  Cup by the unit class is read off the closed cups
+    of the class representatives in ``store`` (a fresh one when none is
+    given): the image of class i of H^r is the sum over the representatives
+    j of H^{2v} of the unit's coordinate j times the cup of i and j.
 
     The check skips when the unit class vanishes and either n lambda_n is a
     unit of K or every H^r with 1 <= r <= up_to is zero (A separable over K,
@@ -850,7 +859,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     if 2 * v > up_to:
         raise ClosedFormError("table too short to reach the period degree")
     K = alg.K
-    unit_cls = cohomology_group(C, 2 * v).class_coords(C.alg.one.coords)
+    unit_cls = cohomology_group(C, 2 * v).class_coords(alg.one.nz)
     unit_zero = all(c.is_zero() for c in unit_cls)
     if unit_zero and rank(K.left_mult_matrix(_n_lambda(alg))) == K.dim:
         raise ClosedFormError(
@@ -873,19 +882,16 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     mismatches: list[str] = []
     if unit_zero:
         mismatches.append("unit class vanishes at the period degree")
-    c_cochain = SmallCochain(alg, 2 * v, alg.one)
+    store, unit_terms = ProductStore.of(C, store), support(unit_cls)
     for r in range(1, up_to - 2 * v + 1):
         H_src = cohomology_group(C, r)
         H_tgt = cohomology_group(C, r + 2 * v)
         if H_src.dim != H_tgt.dim:
             mismatches.append(f"period map degree {r}: dimensions differ")
             continue
-        cols = []
-        for rep in H_src.reps_ambient:
-            a = SmallCochain(alg, r, AElem(alg, rep))
-            cols.append(H_tgt.class_coords(cup_small(a, c_cochain).value.coords))
-        M = Mat.from_columns(C.field, cols, H_tgt.dim)
-        if rank(M) != H_src.dim:
+        images = [combine((u, enumerate(store.cup(r, 2 * v, i, j))) for j, u in unit_terms)
+                  for i in range(H_src.dim)]
+        if rank(Mat.from_sparse_rows(C.field, images, H_tgt.dim)) != H_src.dim:
             mismatches.append(f"period map degree {r}: cup by the unit class "
                               f"is not bijective")
     exterior_pattern = None
@@ -1016,13 +1022,14 @@ def rank_one_hopf_report(
     xi,
     up_to: int | None = None,
     witness=None,
-    oracle: BarOracle | None = None,
+    store: ProductStore | None = None,
 ) -> dict:
     """The rank-one check on C, the complex of k[G][x; alpha] / (x^n - xi (g1^n - 1))
     for these chi, g1 and xi.  With chi^n trivial, C's group table is verified
     and matched with the quotient model's in positive degrees, and odd-odd
     bracket classes through up_to with the oracle and, in degree one, with the
-    commutator class (higher odd degrees keep trace terms)."""
+    commutator class (higher odd degrees keep trace terms).  The bracket
+    classes are read from ``store`` (a fresh one when none is given)."""
     alg = _regular_alg(C)
     K, field, G = alg.K, alg.field, alg.K.group
     if alg.alpha.matrix != endo_from_character(K, chi).matrix:
@@ -1046,19 +1053,18 @@ def rank_one_hopf_report(
     if report["dims"][1:] != report["quotient_dims"][1:]:
         mismatches.append("quotient model dimensions differ in positive degrees")
     bracket_rows = []
-    if oracle is None:
-        oracle = BarOracle(alg)
+    store = ProductStore.of(C, store)
     for ra, rb in ((1, 1), (1, 3), (3, 1), (3, 3)):
         deg = ra + rb - 1
         if deg > up_to:
             continue
-        for _, a, _, b in class_pairs(C, ra, rb):
-            lam, mu = a.canonical_kx(), b.canonical_kx()
+        for ia, ib in store.pairs(ra, rb):
+            lam, mu = store.reps(ra)[ia].canonical_kx(), store.reps(rb)[ib].canonical_kx()
             if lam is None or mu is None:
                 continue
-            got = oracle.bracket(a, b)
-            closed = bracket_small_closed(a, b, w_ext)
-            agree = classes_equal(C, deg, got.value.coords, closed.value.coords)
+            closed = store.closed_bracket(ra, rb, ia, ib, w_ext)
+            got = store.bracket(ra, rb, ia, ib)
+            agree = got == closed
             row = {"degrees": [ra, rb], "closed_matches_oracle": agree}
             if not agree:
                 mismatches.append(
@@ -1068,7 +1074,7 @@ def rank_one_hopf_report(
                 comm = tuple(
                     p - q for p, q in zip(K.kmul(mu, lam), K.kmul(lam, mu))
                 )
-                same = classes_equal(C, deg, got.value.coords, alg.monomial(comm, 1).coords)
+                same = got == store.class_of(deg, alg.monomial(comm, 1))
                 row["matches_commutator_class"] = same
                 if not same:
                     mismatches.append("degree-one bracket class is not the commutator class")

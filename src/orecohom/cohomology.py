@@ -283,10 +283,11 @@ class SmallComplex:
             raise CohomologyError(f"differential image leaves the twisted invariants in degree {r}")
         return D
 
-    def to_sub(self, r: int, v_ambient: tuple) -> tuple:
-        """The coordinates in C^r of an ambient M-vector, read off the free
-        rows of the basis; CohomologyError when the vector is not in C^r, and
-        LinalgError when its length is not dim M."""
+    def to_sub(self, r: int, v_ambient) -> tuple:
+        """The coordinates in C^r of an ambient M-vector, a tuple or a sparse
+        vector {index: entry} (``AElem.nz``), read off the free rows of the
+        basis; CohomologyError when the vector is not in C^r, and LinalgError
+        when a tuple's length is not dim M or a sparse index lies outside it."""
         sol = self.free_rows[self._built(r)].read(v_ambient)
         if sol is None:
             raise CohomologyError(f"vector is not in the degree-{r} cochain space")
@@ -365,8 +366,9 @@ class CohomologyGroup:
     def is_cocycle_sub(self, v_sub: tuple) -> bool:
         return not support(self.complex.dmats[self.degree + 1].matvec(v_sub))
 
-    def class_coords(self, v_ambient: tuple) -> tuple:
-        """Coordinates of a cocycle's class over the representative basis."""
+    def class_coords(self, v_ambient) -> tuple:
+        """Coordinates of a cocycle's class over the representative basis;
+        the cocycle is an ambient vector in either form ``to_sub`` reads."""
         v_sub = self.complex.to_sub(self.degree, v_ambient)
         if not self.is_cocycle_sub(v_sub):
             raise CohomologyError("vector is not a cocycle")

@@ -331,15 +331,24 @@ class FreeRows:
         self.B, self.free = B, last
         self._negated = [{i: -x for i, x in col.items()} for col in B.transpose().sparse]
 
-    def read(self, w: tuple) -> tuple | None:
-        """The coordinates of w over B's columns, or None when w is not in their span."""
-        if len(w) != self.B.rows:
+    def read(self, w) -> tuple | None:
+        """The coordinates of w, a tuple of length ``B.rows`` or a sparse
+        vector {index: entry}, over B's columns, or None when w is not in
+        their span.  A tuple of another length, or a sparse index outside
+        0..rows-1, raises LinalgError."""
+        rows, zero = self.B.rows, self.B.field.zero
+        if isinstance(w, dict):
+            for j in w:
+                if not 0 <= j < rows:
+                    raise LinalgError(f"index {j} outside the rows 0..{rows - 1}")
+            sol, nonzero = tuple([w.get(f, zero) for f in self.free]), w
+        elif len(w) != rows:
             raise LinalgError("shape mismatch in read")
-        sol, nonzero = tuple([w[f] for f in self.free]), support(w)
+        else:
+            sol, nonzero = tuple([w[f] for f in self.free]), support(w)
         if not nonzero:
             return sol
-        zv = self.B.field.zero.v
-        terms = [(c, col) for c, col in zip(sol, self._negated) if c.v != zv]
+        terms = [(c, col) for c, col in zip(sol, self._negated) if c.v != zero.v]
         return None if combine([(self.B.field.one, nonzero), *terms]) else sol
 
     def matrix(self, vectors) -> Mat | None:

@@ -19,6 +19,10 @@ coordinates), turned into a small int once per call.  The degree bound of a
 bracket is checked before any lookup and is not part of the key.  The closed
 forms (``cup_small``, ``bracket_small_closed``) never read the oracle, so an
 agreement of the two routes still compares independent computations.
+
+A ``ProductStore`` keeps the class coordinates of each product of class
+representatives a run reads, closed and oracle alike, each computed once;
+the class tables, the agreements and the closed-form checks read it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_ex
 
 class ProductsError(ValueError):
     pass
+
+
+NEEDS_WITNESS = "closed bracket needs an established witness hypothesis"
 
 
 def _is_twisted(value: AElem, t: int) -> bool:
@@ -326,8 +333,10 @@ class BarOracle:
     """The bar-complex route for the cochains of one algebra, evaluated where
     phi reads it, each piece once (see the module docstring).  Each call
     hands back the stored object, which callers must not mutate.  One run
-    owns one oracle (``cli.Session.oracle``); a library call without one
-    builds a fresh oracle."""
+    owns one oracle, held by its ``ProductStore``; a library call without one
+    builds a fresh oracle.  Besides the pieces above it keeps the twisted
+    factors of psi(b) at each slice a composition reads (``_twisted_factors``),
+    which do not depend on the cochain b is composed into."""
 
     def __init__(self, alg: MonogenicAlgebra):
         self.alg = alg
@@ -335,8 +344,10 @@ class BarOracle:
         self._cochains: list[SmallCochain] = []  # id -> the cochain
         self._lifts: list[dict] = []  # id -> {bar index: psi value}
         self._phi: dict[int, dict] = {}  # degree -> phi_closed
+        self._factors: dict[tuple, list] = {}  # (id, slice, twist) -> twisted factors
         self._compositions: dict[tuple, AElem] = {}  # (id, id) -> phi of the slot sum
         self._brackets: dict[tuple, SmallCochain] = {}  # (id, id) -> bracket
+        self._asked: tuple = (None, None, None)  # the pair ``bracket`` looked up last, with its ids
 
     def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
@@ -370,6 +381,21 @@ class BarOracle:
                 acc = acc + coeff * val
         return acc
 
+    def _twisted_factors(self, ib: int, piece: tuple, tw: int) -> list:
+        """The pairs (e, k_embed(alpha^tw(kappa_e))) over the x-degrees e >= 1
+        of psi(b) at the bar index ``piece`` (b = cochain ib), kappa_e its
+        K-coefficient of x^e.  They do not depend on the cochain b is
+        composed into, so each is built once per (b, piece, tw)."""
+        key = ib, piece, tw
+        out = self._factors.get(key)
+        if out is None:
+            alg, inner = self.alg, self._lift(ib, piece)
+            out = self._factors[key] = [
+                (e, alg.k_embed(alg.alpha.apply_power(tw, inner.k_coeff(e))))
+                for e in filter(None, inner.x_degrees())  # the x-degrees e >= 1 it has
+            ]
+        return out
+
     def _composition(self, ia: int, ib: int, key: tuple) -> AElem:
         """The alternating sum over the slots j of psi(a) o_j psi(b) at ``key``
         (a, b = cochains ia, ib): psi(b) at the slice slot j fills, and psi(a)
@@ -379,18 +405,15 @@ class BarOracle:
         r, rp = self._cochains[ia].degree, self._cochains[ib].degree
         acc = alg.zero_elem()
         for j in range(1, r + 1):
-            inner = self._lift(ib, key[j - 1 : j - 1 + rp])
-            if inner.is_zero():
-                continue
             pre, post = key[: j - 1], key[j - 1 + rp :]
-            tw = sum(pre)
+            factors = self._twisted_factors(ib, key[j - 1 : j - 1 + rp], sum(pre))
+            if not factors:
+                continue
             slot = alg.zero_elem()
-            for e in filter(None, inner.x_degrees()):  # the x-degrees e >= 1 it has
+            for e, factor in factors:
                 gval = self._lift(ia, pre + (e,) + post)
-                if gval.is_zero():
-                    continue
-                kappa = inner.k_coeff(e)
-                slot = slot + alg.k_embed(alg.alpha.apply_power(tw, kappa)) * gval
+                if not gval.is_zero():
+                    slot = slot + factor * gval
             acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
         return acc
 
@@ -406,12 +429,20 @@ class BarOracle:
     def bracket(self, a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
         """``bracket_small_generic(a, b, bound)``; past the bound it raises
         even when the pair is already known."""
-        _check_bracket_bound(a, b, bound)
+        _check_bracket_bound(a.degree, b.degree, bound)
         key = self._id(a), self._id(b)
         out = self._brackets.get(key)
         if out is None:
+            self._asked = a, b, key
             out = self._brackets[key] = bracket_small_generic(a, b, bound, self)
         return out
+
+    def _pair_ids(self, a: SmallCochain, b: SmallCochain) -> tuple[int, int]:
+        """The ids of a and b, as ``bracket`` found them when it asks
+        ``bracket_small_generic`` for this very pair: a bracket takes each
+        id once."""
+        last_a, last_b, ids = self._asked
+        return ids if a is last_a and b is last_b else (self._id(a), self._id(b))
 
 
 def cup_small_oracle(
@@ -431,8 +462,9 @@ def cup_small_oracle(
     return SmallCochain(a.alg, p + b.degree, oracle.phi(p + b.degree, at), check=False)
 
 
-def _check_bracket_bound(a: SmallCochain, b: SmallCochain, bound: int) -> None:
-    deg = a.degree + b.degree - 1
+def _check_bracket_bound(p: int, q: int, bound: int) -> None:
+    """Raise when the bracket of degrees p and q lands past the bound."""
+    deg = p + q - 1
     if max(deg, 0) > bound:
         raise ProductsError(f"bracket degree {deg} exceeds bound {bound}")
 
@@ -442,14 +474,14 @@ def bracket_small_generic(
 ) -> SmallCochain:
     """Gerstenhaber bracket through the bar-complex oracle: phi of the graded
     commutator of the slot compositions of the lifts, on ``oracle``."""
-    _check_bracket_bound(a, b, bound)
     r, rp = a.degree, b.degree
+    _check_bracket_bound(r, rp, bound)
     alg = a.alg
     if r == 0 and rp == 0:
         return SmallCochain(alg, 0, alg.zero_elem(), check=False)
     if oracle is None:
         oracle = BarOracle(alg)
-    ia, ib = oracle._id(a), oracle._id(b)
+    ia, ib = oracle._pair_ids(a, b)
     value = oracle._compose(ia, ib) - oracle._compose(ib, ia) * _sign(alg, (r + 1) * (rp + 1))
     return SmallCochain(alg, r + rp - 1, value, check=False)
 
@@ -458,7 +490,7 @@ def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCoch
     """Closed-form bracket for canonical cochains, valid under a central
     regular witness (which forces the canonical forms to be exhaustive)."""
     if not witness:
-        raise ProductsError("closed bracket needs an established witness hypothesis")
+        raise ProductsError(NEEDS_WITNESS)
     alg = a.alg
     n = alg.n
     alpha = alg.alpha
@@ -622,60 +654,130 @@ def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport
     return ValidationReport(True, ())
 
 
-def class_pairs(C: SmallComplex, p: int, q: int):
-    """Every pair of cohomology class representatives in degrees p and q, as
-    (index in H^p, cochain, index in H^q, cochain), first index outermost."""
-    alg = C.alg
-    reps_b = [SmallCochain(alg, q, AElem(alg, v), check=False)
-              for v in cohomology_group(C, q).reps_ambient]
-    for ia, v in enumerate(cohomology_group(C, p).reps_ambient):
-        a = SmallCochain(alg, p, AElem(alg, v), check=False)
-        for ib, b in enumerate(reps_b):
-            yield ia, a, ib, b
+class ProductStore:
+    """The class coordinates of the products of C's class representatives,
+    each computed on its first read and only once.  For a pair (p, q, ia,
+    ib), representative ia of H^p and ib of H^q, it holds the closed and the
+    oracle cup (``cup_small``, ``cup_small_oracle``) and the oracle and the
+    closed bracket (``BarOracle.bracket``, ``bracket_small_closed``).  A
+    value goes to class coordinates in its sparse form (``AElem.nz``), once
+    per distinct value.  Each route computes its own products, so equal
+    stored coordinates still compare two computations: a zero class of the
+    difference.  A bracket's oracle bound is checked on every read and is
+    not part of the key.  One run owns one store (``cli.Session.products``)
+    with the run's bar oracle; a library call without one builds one."""
+
+    def __init__(self, C: SmallComplex, oracle: BarOracle | None = None):
+        self.C = C
+        self.oracle = BarOracle(C.alg) if oracle is None else oracle
+        self._reps: dict[int, list[SmallCochain]] = {}  # degree -> representatives
+        self._coords: dict[tuple, tuple] = {}  # (product, p, q, ia, ib) -> class coordinates
+        self._classes: dict[tuple, tuple] = {}  # (degree, sorted (index, payload)) -> class coordinates
+
+    @classmethod
+    def of(cls, C: SmallComplex, store: "ProductStore | None" = None, oracle: BarOracle | None = None):
+        """``store``, checked to be C's (and ``oracle``'s); else a fresh one."""
+        if store is None:
+            return cls(C, oracle)
+        if store.C is not C or (oracle is not None and oracle is not store.oracle):
+            raise ProductsError("the product store belongs to another complex or oracle")
+        return store
+
+    def reps(self, p: int) -> list[SmallCochain]:
+        """The class representatives of H^p, as cochains."""
+        out = self._reps.get(p)
+        if out is None:
+            alg = self.C.alg
+            out = self._reps[p] = [SmallCochain(alg, p, AElem(alg, v), check=False)
+                                   for v in cohomology_group(self.C, p).reps_ambient]
+        return out
+
+    def pairs(self, p: int, q: int):
+        """Every pair (ia, ib) of representatives of H^p and H^q, ia outermost."""
+        return itertools.product(range(len(self.reps(p))), range(len(self.reps(q))))
+
+    def _read(self, product: str, deg: int, p: int, q: int, ia: int, ib: int, compute) -> tuple:
+        key = product, p, q, ia, ib
+        out = self._coords.get(key)
+        if out is None:
+            out = self._coords[key] = self.class_of(deg, compute(self.reps(p)[ia], self.reps(q)[ib]).value)
+        return out
+
+    def class_of(self, deg: int, value: AElem) -> tuple:
+        """The class coordinates in H^deg of a cocycle with this value, read
+        once per distinct value: many products are equal, most often zero."""
+        key = deg, tuple(sorted((i, s.v) for i, s in value.nz.items()))
+        out = self._classes.get(key)
+        if out is None:
+            out = self._classes[key] = cohomology_group(self.C, deg).class_coords(value.nz)
+        return out
+
+    def cup(self, p: int, q: int, ia: int, ib: int) -> tuple:
+        return self._read("cup", p + q, p, q, ia, ib, cup_small)
+
+    def cup_oracle(self, p: int, q: int, ia: int, ib: int) -> tuple:
+        return self._read("cup-oracle", p + q, p, q, ia, ib, lambda a, b: cup_small_oracle(a, b, self.oracle))
+
+    def bracket(self, p: int, q: int, ia: int, ib: int, bound: int = 5) -> tuple:
+        """The oracle bracket; past the bound it raises even when the pair is stored."""
+        _check_bracket_bound(p, q, bound)
+        return self._read("bracket", max(p + q - 1, 0), p, q, ia, ib,
+                          lambda a, b: self.oracle.bracket(a, b, bound))
+
+    def closed_bracket(self, p: int, q: int, ia: int, ib: int, witness) -> tuple:
+        """The closed bracket; ProductsError without a witness or when a
+        representative is not in canonical form."""
+        if not witness:
+            raise ProductsError(NEEDS_WITNESS)
+        return self._read("closed-bracket", max(p + q - 1, 0), p, q, ia, ib,
+                          lambda a, b: bracket_small_closed(a, b, witness))
 
 
-def _class_table(C: SmallComplex, degrees, product) -> list[dict]:
-    """``product`` of each pair of class representatives, in class coordinates
-    of the target degree, for each (p, q, target degree) of ``degrees``."""
-    out = []
-    for p, q, deg in degrees:
-        H = cohomology_group(C, deg)
-        for ia, a, ib, b in class_pairs(C, p, q):
-            cls = H.class_coords(product(a, b).value.coords)
-            out.append(
-                {
-                    "deg_a": p,
-                    "deg_b": q,
-                    "basis_index_a": ia,
-                    "basis_index_b": ib,
-                    "result_class_coords": [C.field.encode(c) for c in cls],
-                }
-            )
-    return out
+def _class_table(store: ProductStore, degrees, read) -> list[dict]:
+    """``read(p, q, ia, ib)``, the class coordinates of a product, for every
+    pair of class representatives in each degree pair (p, q) of ``degrees``."""
+    encode = store.C.field.encode
+    return [
+        {
+            "deg_a": p,
+            "deg_b": q,
+            "basis_index_a": ia,
+            "basis_index_b": ib,
+            "result_class_coords": [encode(c) for c in read(p, q, ia, ib)],
+        }
+        for p, q in degrees
+        for ia, ib in store.pairs(p, q)
+    ]
 
 
-def cup_class_table(C: SmallComplex, max_total: int) -> list[dict]:
-    """Cup products of cohomology class representatives, as class coordinates."""
+def cup_class_table(C: SmallComplex, max_total: int, store: ProductStore | None = None) -> list[dict]:
+    """Cup products of cohomology class representatives, as class coordinates,
+    read from ``store`` (a fresh one when none is given)."""
+    store = ProductStore.of(C, store)
     degrees = [
-        (p, q, p + q)
+        (p, q)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
         if p + q + 1 <= C.max_degree
     ]
-    return _class_table(C, degrees, cup_small)
+    return _class_table(store, degrees, store.cup)
 
 
 def bracket_class_table(
-    C: SmallComplex, max_total: int, bound: int = 5, oracle: BarOracle | None = None
+    C: SmallComplex,
+    max_total: int,
+    bound: int = 5,
+    oracle: BarOracle | None = None,
+    store: ProductStore | None = None,
 ) -> list[dict]:
     """Generic-oracle brackets of class representatives, as class coordinates,
-    on ``oracle`` (a fresh one when none is given)."""
-    if oracle is None:
-        oracle = BarOracle(C.alg)
+    read from ``store``, else from a fresh store on ``oracle`` (a fresh one
+    when none is given)."""
+    store = ProductStore.of(C, store, oracle)
     degrees = [
-        (p, q, p + q - 1)
+        (p, q)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
         if 0 <= p + q - 1 <= bound and p + q <= C.max_degree
     ]
-    return _class_table(C, degrees, lambda a, b: oracle.bracket(a, b, bound))
+    return _class_table(store, degrees, lambda p, q, ia, ib: store.bracket(p, q, ia, ib, bound))

@@ -681,6 +681,59 @@ def test_report_builds_one_bar_oracle(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_group_cohomology_refuses_a_non_multiplicative_character(capsys, monkeypatch):
+    """The run's character with chi(h) = 2 is not multiplicative, so it is not
+    the diagonal of the run's twist: the check reports an error and exits 1,
+    where it printed ok (it read chi only through its kernel)."""
+    chi = cli.Session.chi
+
+    def bad(session):
+        out = list(chi.fget(session))
+        out[session.inst.K.group.labels.index("h")] = session.inst.field.from_int(2)
+        return out
+
+    monkeypatch.setattr(cli.Session, "chi", property(bad))
+    rc = main(["theorems", spec("gh4_u3.json"), "--which", "group-cohomology"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: the character is not the diagonal of the twist\n"
+
+
+def test_report_computes_each_product_once(capsys, monkeypatch):
+    """A gh4_u3 `report` runs the closed cup once per pair of class
+    representatives, although the cup agreement and the period map read them
+    again, and the oracle bracket once per distinct ordered pair; its
+    products verb reads no dense `AElem.coords` and nothing calls
+    `classes_equal`: each product reaches class coordinates from its sparse
+    value, through the run's product store."""
+
+    def key(m):
+        return m.degree, tuple(sorted((i, s.v) for i, s in m.value.nz.items()))
+
+    cups = count_calls(monkeypatch, products, "cup_small")
+    brackets = count_calls(monkeypatch, products, "bracket_small_generic")
+    compared = count_calls(monkeypatch, cohomology, "classes_equal")
+    dense, coords, verb = [], monogenic.AElem.coords, cli.run_products
+    monkeypatch.setattr(monogenic.AElem, "coords", property(lambda self: dense.append(self) or coords.fget(self)))
+
+    def products_verb(session):
+        before = len(dense)
+        out = verb(session)
+        reads.append(len(dense) - before)
+        return out
+
+    reads = []
+    monkeypatch.setattr(cli, "run_products", products_verb)
+    rc, payload = run_json(capsys, "report", spec("gh4_u3.json"))
+    assert rc == 0 and reads == [0]
+    pairs = [(key(a), key(b)) for a, b in cups]
+    assert len(pairs) == len(set(pairs)) == len(payload["products"]["cup"]) > 0
+    asked = [(key(a), key(b)) for a, b, *_ in brackets]
+    assert len(asked) == len(set(asked)) > 0
+    assert compared == []
+    assert all("classes_equal" not in vars(m) for m in (cli, closedforms, products))
+
+
 @pytest.mark.parametrize("D", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("name", ["c4_sign.json", "quaternion_pi.json"])
 def test_model_checks_read_the_run_complex_at_every_degree(capsys, name, D):

@@ -440,6 +440,17 @@ def test_character_class_subspaces_match_all_r(gh4_u3):
         assert character_class_basis(alg.K, chi, r)["matches_generic"]
 
 
+def test_character_class_basis_refuses_a_non_multiplicative_character(gh4_u3):
+    """chi(h) = 2 with chi(h^3) = -i kept: h and h^3 both conjugate g to g^-1,
+    with squared weights 4 and -1, so the class of g, eligible at r = 2,
+    propagates inconsistently.  Only a fault gets there: an error, not a skip."""
+    alg, chi, _ = gh4_u3
+    bad = list(chi)
+    bad[alg.K.group.labels.index("h")] = alg.field.from_int(2)
+    with pytest.raises(CohomologyError, match="class coefficient propagation is inconsistent"):
+        character_class_basis(alg.K, bad, 2)
+
+
 # -- group-algebra tables --------------------------------------------------------
 
 

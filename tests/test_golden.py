@@ -224,3 +224,19 @@ def test_gf9_json_output_is_golden(capsys, tmp_path, spec, verb):
     code = cli.main([verb, str(path), "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == GF9_GOLDEN[spec, verb]
+
+
+# One rung past the demo sizes: gh4_u3.json with u = 4 and f = x^2 (dim K = 16,
+# dim A = 32), whose `products` JSON the product store must leave unchanged.
+GH4_U4_PRODUCTS = (0, "52df6a607eb4caa24652bb3cd67f2c5167f2dfc6e797f9cc41fdfc7055e6fae4")
+
+
+def test_gh4_u4_products_json_is_golden(capsys, tmp_path):
+    spec = json.loads((SPECS / "gh4_u3.json").read_text())
+    spec["K"]["group"]["u"] = 4
+    spec["f"]["coeffs"] = [[0] * 16, [0] * 16]
+    path = tmp_path / "gh4_u4.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["products", str(path), "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert (code, digest) == GH4_U4_PRODUCTS

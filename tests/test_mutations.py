@@ -3,9 +3,12 @@ guards is broken.  A table maps each check to a mutation (applied with
 ``monkeypatch``) and to the spec it runs on; the mutated run must exit 1 and
 report the check as failed, while the same run without the mutation passes.
 
-The closed-vs-oracle agreements run with the run's bar oracle in place, so
-these entries also show that sharing the oracle's work does not let one route
-stand in for the other.  The last tests break the resolution itself: its
+The closed-vs-oracle agreements, the rank-one bracket rows and the period map
+read the run's product store, which computes each product once: the
+mutations patch the names the store calls (``products.cup_small``,
+``products.bracket_small_closed``, ``products.psi_terms`` under the oracle),
+so these entries also show that sharing the work does not let one route stand
+in for the other.  The last tests break the resolution itself: its
 generator, which both `validate` and the small complex read, and its
 contracting homotopy, which `validate` checks."""
 
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from orecohom import cli, closedforms, products
+from orecohom import cli, products
 from orecohom.monogenic import Resolution, TensorElem
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -22,8 +25,8 @@ SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 def negate_closed_bracket(monkeypatch):
     """The closed bracket with its sign flipped."""
-    closed = cli.bracket_small_closed
-    monkeypatch.setattr(cli, "bracket_small_closed", lambda a, b, witness: -closed(a, b, witness))
+    closed = products.bracket_small_closed
+    monkeypatch.setattr(products, "bracket_small_closed", lambda a, b, witness: -closed(a, b, witness))
 
 
 def drop_odd_psi_tail(monkeypatch):
@@ -40,7 +43,7 @@ def drop_odd_psi_tail(monkeypatch):
 def zero_small_cup(monkeypatch):
     """The closed cup product on the small complex, returning zero."""
     monkeypatch.setattr(
-        closedforms, "cup_small",
+        products, "cup_small",
         lambda a, b: products.SmallCochain(a.alg, a.degree + b.degree, a.alg.zero_elem()),
     )
 
@@ -53,6 +56,8 @@ MUTATIONS = {
         (["products", "sweedler.json"], "cup_closed_vs_oracle", drop_odd_psi_tail),
     "presentation":
         (["theorems", "taft37.json", "--which", "presentation"], "checks", zero_small_cup),
+    "rank-one-hopf":
+        (["theorems", "c4_sign.json", "--which", "rank-one-hopf"], "checks", negate_closed_bracket),
 }
 
 

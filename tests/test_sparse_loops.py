@@ -24,7 +24,9 @@ routes they replaced, with a seeded overwrite-the-sum fault in each, and
 conftest.py), on intact and on broken columns.  A `twisted_kernel` call
 boxes no more Scalars than the nonzero entries of the basis it returns.  The free-row
 reads of reduced free-variable bases (`FreeRows`, and through it
-`SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve."""
+`SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve,
+and class coordinates read from a sparse vector against those of its dense
+tuple."""
 
 import copy
 import itertools
@@ -70,7 +72,7 @@ from conftest import (
 
 from orecohom import kalgebra, linalg
 
-from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex
+from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex, cohomology_group
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals, gh4_instance
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
@@ -328,6 +330,56 @@ def test_d_ambient_and_solves_match(case):
                         C.to_sub(r, w)
                 else:
                     assert C.to_sub(r, w) == expected
+
+
+def sparse(v: tuple) -> dict:
+    return {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
+def class_reads(H, v: tuple) -> list[tuple]:
+    """``class_coords`` of v as a tuple and as a sparse vector, each as
+    ("coords", result) or ("raised", error type, message)."""
+    out = []
+    for w in (v, sparse(v)):
+        try:
+            out.append(("coords", H.class_coords(w)))
+        except (CohomologyError, LinalgError) as exc:
+            out.append(("raised", type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_sparse_class_coords_match_the_dense_route(name):
+    """Class coordinates of a sparse vector equal those of its dense tuple on
+    random cocycles, shifted by random coboundaries too; a vector outside
+    C^r and a cochain off the cocycles raise the same CohomologyError either
+    way; a dense tuple of the wrong length and a sparse index outside dim M
+    raise LinalgError."""
+    alg = CASES[f"cyclic:{name}"]()
+    C = build_small_complex(alg, Bimodule.regular(alg), 5)
+    F, rng = alg.field, random.Random(12)
+    seen = set()
+    for r in range(4):
+        H = cohomology_group(C, r)
+        for d in DENSITIES:
+            z = H.kernel.matvec(vector(F, H.kernel.cols, rng, d))
+            if r:
+                z = vadd(z, C.dmats[r].matvec(vector(F, C.dim_cochain(r - 1), rng, d)))
+            dense, sparse_read = class_reads(H, C.to_ambient(r, z))
+            assert dense == sparse_read and dense[0] == "coords" and len(dense[1]) == H.dim
+            for v in (vector(F, C.M.dim, rng, d), C.to_ambient(r, vector(F, C.dim_cochain(r), rng, d))):
+                dense, sparse_read = class_reads(H, v)
+                assert dense == sparse_read
+                if dense[0] == "raised":
+                    assert dense[1] is CohomologyError
+                    seen.add(dense[2].split("degree-")[0])
+        for bad in (C.to_ambient(r, (F.zero,) * C.dim_cochain(r))[:-1], (F.one,) * (C.M.dim + 1)):
+            with pytest.raises(LinalgError):
+                H.class_coords(bad)
+        for index in (-1, C.M.dim):
+            with pytest.raises(LinalgError, match=f"index {index} outside"):
+                H.class_coords({index: F.one})
+    assert seen == {"vector is not a cocycle", "vector is not in the "}
 
 
 # -- one free-row read per distinct basis --------------------------------------

@@ -22,7 +22,6 @@ from .cohomology import Bimodule, CohomologyError, build_small_complex, cohomolo
 from .closedforms import (
     NO_WITNESS,
     ClosedFormError,
-    character_of,
     check_collapsed_cochain_spaces,
     check_collapsed_differentials,
     class_membership_period,
@@ -35,6 +34,7 @@ from .closedforms import (
     presentation_report,
     quaternion_rotation_report,
     rank_one_hopf_report,
+    twist_character,
     untwisted_annihilator_table,
     untwisted_model_check,
 )
@@ -133,10 +133,9 @@ class Session:
 
     @property
     def chi(self):
-        """The spec's character, else the one read off A's diagonal twist."""
-        if self.inst.chi is not None:
-            return self.inst.chi
-        return character_of(self.algebra.K, self.algebra.alpha)
+        """The spec's character, checked to be A's diagonal twist, else the
+        one read off that twist (``twist_character``)."""
+        return twist_character(self.algebra, self.inst.chi)
 
 
 # -- verb: validate -----------------------------------------------------------

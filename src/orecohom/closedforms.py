@@ -136,11 +136,12 @@ def _top_degree(C: SmallComplex, up_to: int | None) -> int:
     return up_to
 
 
-def _character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Scalar]:
+def twist_character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Scalar]:
     """The given character, else the one read off the diagonal twist.  A
     given character must be that twist's diagonal, since a spec builds the
     twist from its character; CohomologyError when it is not (a fault, such
-    as a character that is not multiplicative)."""
+    as a character that is not multiplicative).  Every check that reads the
+    run's character takes it from here."""
     if chi is None:
         return character_of(alg.K, alg.alpha)
     diagonal = [{} if c.is_zero() else {g: c} for g, c in enumerate(chi)]
@@ -751,7 +752,7 @@ def group_algebra_cohomology_table(
     annihilating n times the constant coefficient in odd degrees, and the
     corresponding quotient in even degrees."""
     alg = _regular_alg(C)
-    chi = _character(alg, chi)
+    chi = twist_character(alg, chi)
     w = _need_witness(alg, witness)
     up_to = _top_degree(C, up_to)
     kN = _kernel_span(alg.K, chi)
@@ -804,7 +805,7 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     odd dimension equals the preceding even one and the period-degree
     dimension returns to degree 0's."""
     alg = _regular_alg(C)
-    chi = _character(alg, chi)
+    chi = twist_character(alg, chi)
     up_to = _top_degree(C, up_to)
     v = character_order(alg.K.group, char_power(chi, alg.n))
     dims = cohomology_dims(C, up_to)
@@ -853,7 +854,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     n lambda_n = 3, yet the unit class is not zero), so the vanishing is read
     from the cohomology, not assumed."""
     alg = _regular_alg(C)
-    chi = _character(alg, chi)
+    chi = twist_character(alg, chi)
     up_to = _top_degree(C, up_to)
     v = character_order(alg.K.group, char_power(chi, alg.n))
     if 2 * v > up_to:

@@ -355,6 +355,28 @@ def table_mul(table, u, v) -> dict[int, Scalar]:
     return boxed(field, acc)
 
 
+def table_mul_into(acc: dict, table, field: Field, u, v, base: int = 0) -> dict:
+    """acc[base + k] += (u v)_k: ``table_mul`` on payloads of ``field``, for u
+    and v given by the (index, payload) pairs of their nonzero coordinates,
+    v re-iterable; a sum that cancels stays in acc as the zero payload.  It
+    reads ``s.v`` off the table's Scalars inline.  ``table_mul`` keeps its
+    own loop, which checks and unboxes each entry as it reads it: run as a
+    boxing wrapper over this one it took 25% longer per product."""
+    mul, add, one = field._mul, field._add, field.one.v
+    for i, a in u:
+        for j, b in v:
+            terms = table.get((i, j))
+            if terms is None:
+                continue
+            ab = b if a == one else a if b == one else mul(a, b)
+            unit = ab == one
+            for k, s in terms:
+                t, k = s.v if unit else mul(ab, s.v), k + base
+                p = acc.get(k)
+                acc[k] = t if p is None else add(p, t)
+    return acc
+
+
 def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:
     """The matrix of v -> u v (or v -> v u when ``left`` is false) on an algebra
     with basis products ``table``: {(i, j): [(k, s), ...]} for

@@ -16,6 +16,10 @@ Conventions, fixed once here and relied on everywhere downstream:
   middle K-coefficients pushed into the left factor through the twist:
   u (x) mu x^c = u . alpha^{r+c}(mu) (x) x^c.  Flat index (c*n + a)*dimK + b,
   that is c*dimA + i with i the flat index of lambda_b x^a in A.
+* The actions on the tensor square, the resolution's columns and the checks
+  of A and of the resolution run on payload rows {flat index: payload},
+  reading A's and K's tables through ``table_mul_into``; a Scalar is boxed
+  only in a tensor handed back to a caller.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import functools
 import itertools
 
 from .fields import Field, Scalar, mixed
-from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul
-from .linalg import combine, support, vadd
+from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul, table_mul_into
+from .linalg import boxed, combine, nonzero, payloads, row_sum, support, vadd
 
 
 class MonogenicError(ValueError):
@@ -250,49 +254,54 @@ class MonogenicAlgebra:
         # x^n = sum_j kappa_j x^j: the nonzero kappa_j, read by every right x action
         self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if support(kappa)]
         # alpha^a(e_b2) is column b2 of alpha^a; the reduced powers x^n .. x^(2n - 2)
-        # keep their nonzero K-coefficients as (j, sparse c_j)
-        images = [self.alpha.power_matrix(a).transpose().sparse for a in range(n)]
-        reduced = [[(j, cj) for j, c in enumerate(row) if (cj := support(c))] for row in nf[n:]]
+        # keep their nonzero K-coefficients as (j, c_j payloads)
+        F, ktab = self.field, K.mul_table
+        images = [self._alpha_columns(a) for a in range(n)]
+        reduced = [[(j, cj.items()) for j, c in enumerate(row) if (cj := payloads(F, enumerate(c)))] for row in nf[n:]]
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-        one = self.field.one
         for b, a in itertools.product(range(K.dim), range(n)):
             for b2, image in enumerate(images[a]):
-                u = sorted(table_mul(K.mul_table, [(b, one)], image.items()).items())
+                u = sorted(_product(ktab, F, {b: F.one.v}, image).items())
                 if not u:
                     continue
+                ub = [(b3, Scalar(F, p)) for b3, p in u]
                 for a2 in range(n):
                     if a + a2 < n:
-                        terms = [(self.idx(b3, a + a2), s) for b3, s in u]
+                        terms = [(self.idx(b3, a + a2), s) for b3, s in ub]
                     else:
                         terms = []
                         for j, cj in reduced[a + a2 - n]:
-                            w = table_mul(K.mul_table, u, cj)
+                            w = boxed(F, table_mul_into({}, ktab, F, u, cj))
                             terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
                     if terms:
                         table[(self.idx(b, a), self.idx(b2, a2))] = terms
         self.mul_table = table
 
+    def _alpha_columns(self, d: int) -> list[dict]:
+        """Column b of alpha^d, alpha^d(e_b), as a payload row, b < dim K."""
+        return [payloads(self.field, col.items()) for col in self.alpha.power_matrix(d).transpose().sparse]
+
     def check_compiled(self) -> None:
         """Raise MonogenicError unless the compiled table obeys the commutation
-        rule and f is normal; run by a checked build, after ``instance_checks``."""
-        K, alpha = self.K, self.alpha
+        rule and f is normal; run by a checked build, after ``instance_checks``.
+        It runs on payloads and reads alpha^d(mu) off the columns of alpha^d,
+        as ``_compile`` does.  A zero c_d is skipped: both sides are 0."""
+        F, ktab, atab = self.field, self.K.mul_table, self.mul_table
+        cols = [self._alpha_columns(d) for d in range(self.n + 1)]
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
-        for b in range(K.dim):
-            lam = K.basis_elem(b)
-            lhs = self.a_mul(self.x, self.k_embed(lam))
-            rhs = self.a_mul(self.k_embed(alpha.apply(lam)), self.x)
-            if lhs != rhs:
+        x = payloads(F, self.x.nz.items())
+        for b in range(self.K.dim):
+            if _product(atab, F, x, {b: F.one.v}) != _product(atab, F, cols[1][b], x):
                 raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
         # f is normal in B, read at each x^d: f x = x f is c_d alpha^d(1) = 1 alpha(c_d),
         # and f mu = alpha^n(mu) f is c_d alpha^d(mu) = alpha^n(mu) c_d
-        if any(K.kmul(c, alpha.apply_power(d, K.unit)) != K.kmul(K.unit, alpha.apply(c))
-               for d, c in enumerate(self.f_terms)):
+        unit = payloads(F, enumerate(self.K.unit))
+        fs = [(d, u) for d, c in enumerate(self.f_terms) if (u := payloads(F, enumerate(c)))]
+        if any(_product(ktab, F, c, _image(F, cols[d], unit)) != _product(ktab, F, unit, _image(F, cols[1], c))
+               for d, c in fs):
             raise MonogenicError("f does not commute with x")
-        for b in range(K.dim):
-            mu = K.basis_elem(b)
-            tw = alpha.apply_power(self.n, mu)
-            if any(K.kmul(c, alpha.apply_power(d, mu)) != K.kmul(tw, c)
-                   for d, c in enumerate(self.f_terms)):
+        for b in range(self.K.dim):
+            if any(_product(ktab, F, c, cols[d][b]) != _product(ktab, F, cols[self.n][b], c) for d, c in fs):
                 raise MonogenicError(f"f lambda = alpha^n(lambda) f fails at basis {b}")
 
     # -- arithmetic ----------------------------------------------------------
@@ -335,8 +344,9 @@ class MonogenicAlgebra:
 class TensorElem:
     """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
     held sparsely as flat index -> nonzero Scalar.  Read by power of x, it is
-    sum_c u_c (x) x^c with left factors u_c in A, and every action is one
-    product in A on each nonzero u_c."""
+    sum_c u_c (x) x^c with left factors u_c in A.  Its actions run on its
+    payload row, on A's compiled table, and box their result once; the left
+    action of A and the right action of x are ``_left`` and ``_right_x``."""
 
     __slots__ = ("alg", "twist", "coords")
 
@@ -351,15 +361,9 @@ class TensorElem:
         return cls(alg, twist, {})
 
     @classmethod
-    def from_blocks(cls, alg: MonogenicAlgebra, twist: int, blocks: dict) -> "TensorElem":
-        """sum_c u_c (x) x^c for the entries c: u_c of ``blocks``."""
-        adim = alg.adim
-        coords = {c * adim + i: s for c, u in blocks.items() for i, s in u.nz.items()}
-        return cls(alg, twist, coords)
-
-    @classmethod
     def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
-        return cls.from_blocks(left.alg, twist, {c: left})
+        """left (x) x^c."""
+        return cls(left.alg, twist, {c * left.alg.adim + i: s for i, s in left.nz.items()})
 
     def powers(self) -> list[int]:
         """The c with a nonzero left factor u_c, ascending."""
@@ -412,80 +416,113 @@ class TensorElem:
 
     def leftmul(self, a: AElem) -> "TensorElem":
         """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
-        blocks = {c: a * u for c, u in self._blocks().items()}
-        return TensorElem.from_blocks(self.alg, self.twist, blocks)
+        F = self.alg.field
+        row = _left(self.alg, payloads(F, a.nz.items()), payloads(F, self.coords.items()), {})
+        return TensorElem(self.alg, self.twist, boxed(F, row))
 
     def rightmul_k(self, mu) -> "TensorElem":
         """Right action of mu in K: migrates through the twist,
         (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
-        alg = self.alg
-        mu = alg.K.elem(mu)
-        blocks = {
-            c: u * alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
-            for c, u in self._blocks().items()
-        }
-        return TensorElem.from_blocks(alg, self.twist, blocks)
+        alg, F = self.alg, self.alg.field
+        mu, acc = alg.K.elem(mu), {}
+        for flat, s in payloads(F, self.coords.items()).items():
+            c, j = divmod(flat, alg.adim)
+            mig = payloads(F, enumerate(alg.alpha.apply_power(self.twist + c, mu)))
+            table_mul_into(acc, alg.mul_table, F, ((j, s),), mig.items(), c * alg.adim)
+        return TensorElem(alg, self.twist, boxed(F, acc))
 
     def rightmul_x(self) -> "TensorElem":
         """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
         x^n = sum_j kappa_j x^j and becomes sum_j u_{n-1} alpha^t(kappa_j) (x) x^j."""
-        alg, n = self.alg, self.alg.n
-        factors = self._blocks()
-        blocks = {c + 1: u for c, u in factors.items() if c + 1 < n}
-        top = factors.get(n - 1)
-        if top is not None:
-            for j, kappa in alg.wrap_terms:
-                term = top * alg.k_embed(alg.alpha.apply_power(self.twist, kappa))
-                blocks[j] = blocks[j] + term if j in blocks else term
-        return TensorElem.from_blocks(alg, self.twist, blocks)
+        return self.rightmul_xpow(1)
 
     def rightmul_xpow(self, d: int) -> "TensorElem":
-        out = self
+        alg, wraps = self.alg, _wraps(self.alg, self.twist)
+        row = payloads(alg.field, self.coords.items())
         for _ in range(d):
-            out = out.rightmul_x()
-        return out
+            row = _right_x(alg, row, wraps)
+        return TensorElem(alg, self.twist, boxed(alg.field, row))
 
     def __repr__(self):
         terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
         return " + ".join(terms) if terms else "0"
 
 
-def derivation_tensor(alg: MonogenicAlgebra, i: int) -> TensorElem:
-    """The divided-difference tensor of x^i: sum_l x^l (x) x^{i-l-1}, twist 1.
-
-    Defined for any i >= 0; exponents at or above n are reduced to normal form."""
-    out = TensorElem.zero(alg, 1)
-    for l in range(i):
-        term = TensorElem.from_aelem(alg.xpow(l), 0, 1).rightmul_xpow(i - l - 1)
-        out = out + term
-    return out
+# -- the actions on payload rows {flat index: payload}, read straight off the
+# basis tables through ``table_mul_into``: the one route of the left action
+# of A and the right action of x, for tensors, columns and checks alike
 
 
-def derivation(alg: MonogenicAlgebra, coeffs: list) -> TensorElem:
-    """Image of sum_d coeffs[d] x^d, with coeffs[d] K-coordinates, under the
-    K-derivation sending x to 1 (x) 1 (coefficients pass left)."""
-    out = TensorElem.zero(alg, 1)
-    for d, vec in enumerate(coeffs):
-        if all(c.is_zero() for c in vec):
-            continue
-        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(vec))
-    return out
+def _product(table, field: Field, u: dict, v: dict) -> dict:
+    return nonzero(field, table_mul_into({}, table, field, u.items(), v.items()))
+
+
+def _image(field: Field, cols: list[dict], u: dict) -> dict:
+    """M u for the matrix M with payload columns ``cols``."""
+    return row_sum(field, ((p, cols[b]) for b, p in u.items()))
+
+
+def _left(alg: MonogenicAlgebra, a: dict, row: dict, acc: dict) -> dict:
+    """acc += a . row on the tensor square: (a u_c) (x) x^c on each block."""
+    for flat, s in row.items():
+        c, j = divmod(flat, alg.adim)
+        table_mul_into(acc, alg.mul_table, alg.field, a.items(), ((j, s),), c * alg.adim)
+    return acc
+
+
+def _right_x(alg: MonogenicAlgebra, row: dict, wraps) -> dict:
+    """row . x: u_c (x) x^c goes to u_c (x) x^{c+1}, and the top block, which
+    meets x^n, to sum_j u_{n-1} alpha^t(kappa_j) (x) x^j, for ``wraps`` the
+    ``_wraps`` of the row's twist t."""
+    adim, add = alg.adim, alg.field._add
+    top = (alg.n - 1) * adim
+    acc: dict = {}
+    for flat, s in row.items():
+        if flat < top:
+            p = acc.get(flat + adim)
+            acc[flat + adim] = s if p is None else add(p, s)
+        else:
+            for j, kappa in wraps:
+                table_mul_into(acc, alg.mul_table, alg.field, ((flat - top, s),), kappa, j * adim)
+    return nonzero(alg.field, acc)
+
+
+def _wraps(alg: MonogenicAlgebra, t: int) -> tuple:
+    """(j, the (index, payload) pairs of alpha^t(kappa_j)) for the wrap terms
+    x^n = sum_j kappa_j x^j: what the right action of x reads at twist t."""
+    return tuple((j, tuple(payloads(alg.field, enumerate(alg.alpha.apply_power(t, kappa))).items()))
+                 for j, kappa in alg.wrap_terms)
+
+
+def _derivation(alg: MonogenicAlgebra, coeffs: list[dict]) -> dict:
+    """The payload row, on the twist-1 tensor square, of the image of
+    sum_d coeffs[d] x^d under the K-derivation sending x to 1 (x) 1
+    (coefficients pass left).  That of x^m, sum_{l<m} x^l (x) x^{m-l-1}, is
+    that of x^{m-1} times x plus x^{m-1} (x) 1, in normal form."""
+    F, wraps, one = alg.field, _wraps(alg, 1), alg.field.one.v
+    acc, dx = {}, {}
+    for d, u in enumerate(coeffs):
+        _left(alg, u, dx, acc)
+        dx = row_sum(F, [(one, _right_x(alg, dx, wraps)), (one, payloads(F, alg.xpow(d).nz.items()))])
+    return nonzero(F, acc)
 
 
 def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     """On the twist-1 tensor square: the derivation of f x^i equals both
     x^i . (derivation of f) and (derivation of f) . x^i, for 0 <= i < n.
-    The coefficient of f x^i at x^{d+i} is c_d alpha^d(1)."""
-    failures = []
-    K = alg.K
-    df = derivation(alg, alg.f_terms)
-    fx = [K.kmul(c, alg.alpha.apply_power(d, K.unit)) for d, c in enumerate(alg.f_terms)]
-    zero = (alg.field.zero,) * K.dim
+    The coefficient of f x^i at x^{d+i} is c_d alpha^d(1).  It runs on
+    payload rows, as ``check_compiled`` does."""
+    F = alg.field
+    unit = payloads(F, enumerate(alg.K.unit))
+    fs = [payloads(F, enumerate(c)) for c in alg.f_terms]
+    fx = [_product(alg.K.mul_table, F, c, _image(F, alg._alpha_columns(d), unit))
+          for d, c in enumerate(fs)]
+    wraps, failures = _wraps(alg, 1), []
+    df = rhs = _derivation(alg, fs)
     for i in range(alg.n):
-        lhs = derivation(alg, [zero] * i + fx)
-        mid = df.leftmul(alg.xpow(i))
-        rhs = df.rightmul_xpow(i)
-        if lhs != mid:
+        lhs = _derivation(alg, [{}] * i + fx)
+        rhs = _right_x(alg, rhs, wraps) if i else rhs
+        if lhs != nonzero(F, _left(alg, payloads(F, alg.xpow(i).nz.items()), df, {})):
             failures.append(f"derivation of f x^{i} differs from x^{i} action")
         if lhs != rhs:
             failures.append(f"derivation of f x^{i} differs from right x^{i} action")
@@ -502,13 +539,14 @@ def twist_exponent(r: int, n: int) -> int:
 
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
-    fixed top degree, with maps stored columnwise on the flat tensor basis.
-    The generator images, and the columns per class of degrees, are cached.
+    fixed top degree, with maps stored columnwise on the flat tensor basis
+    as payload rows {flat: payload}, boxed into tensors on read.
 
     A column of d'_r reads the twist only where the right action of x wraps
     x^n to sum_j kappa_j x^j, through alpha^{t(r-1)}(kappa_j); sigma_r reads
-    no twist.  So the columns are keyed by ``_fold``: for an admissible f,
-    whose kappa_j are alpha-fixed, the classes are the two parities."""
+    no twist.  So the columns of d'_r are built once per ``_fold`` class, and
+    those of sigma_r once per parity: for an admissible f, whose kappa_j are
+    alpha-fixed, the classes are the two parities."""
 
     def __init__(self, alg: MonogenicAlgebra, max_degree: int):
         self.alg = alg
@@ -516,9 +554,9 @@ class Resolution:
         self.tdim = alg.adim * alg.n
         self._generators: dict[int, TensorElem] = {}
         self._folds: dict[int, int] = {}  # degree -> its fold class
-        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, alpha^{t(r-1)}(kappa_j)) -> class
-        self._d_cols: dict[tuple[int, int], TensorElem] = {}  # (class, flat) -> column
-        self._s_cols: dict[tuple[int, int], TensorElem] = {}
+        self._fold_keys: dict[tuple, int] = {}  # (r mod 2, _wraps at t(r-1)) -> class, in class order
+        self._d_rows: dict[int, tuple] = {}  # class -> the columns of d'
+        self._s_rows: dict[int, tuple] = {}  # r mod 2 -> the columns of sigma
 
     def twist(self, r: int) -> int:
         return twist_exponent(r, self.alg.n)
@@ -531,17 +569,9 @@ class Resolution:
         depends only on the parity of r."""
         cls = self._folds.get(r)
         if cls is None:
-            alg, t = self.alg, self.twist(r - 1)
-            wraps = tuple(tuple(s.v for s in alg.alpha.apply_power(t, kappa))
-                          for _, kappa in alg.wrap_terms)
-            cls = self._folds[r] = self._fold_keys.setdefault((r % 2, wraps), len(self._fold_keys))
+            key = (r % 2, _wraps(self.alg, self.twist(r - 1)))
+            cls = self._folds[r] = self._fold_keys.setdefault(key, len(self._fold_keys))
         return cls
-
-    def _tagged(self, col: TensorElem, twist: int) -> TensorElem:
-        return col if col.twist == twist else TensorElem(self.alg, twist, col.coords)
-
-    def basis_tensor(self, r: int, flat: int) -> TensorElem:
-        return TensorElem(self.alg, self.twist(r), {flat: self.alg.field.one})
 
     def d_generator(self, r: int) -> TensorElem:
         """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module:
@@ -549,68 +579,80 @@ class Resolution:
         definition of d': the small complex is its Hom into M."""
         if r in self._generators:
             return self._generators[r]
-        alg = self.alg
+        alg, F = self.alg, self.alg.field
         tw = self.twist(r - 1)
         if r % 2 == 1:
-            onex = TensorElem.from_aelem(alg.one, 0, tw).rightmul_x()
-            out = TensorElem.from_aelem(alg.x, 0, tw) - onex
+            onex = _right_x(alg, payloads(F, alg.one.nz.items()), _wraps(alg, tw))
+            row = row_sum(F, [(F.one.v, payloads(F, alg.x.nz.items())), (F._neg(F.one.v), onex)])
         else:
-            out = TensorElem(alg, tw, derivation(alg, alg.f_terms).coords)
-        self._generators[r] = out
+            row = _derivation(alg, [payloads(F, enumerate(c)) for c in alg.f_terms])
+        out = self._generators[r] = TensorElem(alg, tw, boxed(F, row))
         return out
+
+    @functools.cached_property
+    def _left_xpows(self) -> list[list[dict]]:
+        """e_i x^l as payload rows, by l < n and flat index i of A."""
+        alg, F = self.alg, self.alg.field
+        return [[_product(alg.mul_table, F, {i: F.one.v}, payloads(F, alg.xpow(l).nz.items()))
+                 for i in range(alg.adim)] for l in range(alg.n)]
+
+    def d_rows(self, r: int) -> tuple[dict, ...]:
+        """The columns of d'_r, by flat index c*adim + i of the basis tensor
+        e_i (x) x^c of the degree-r module: e_i . d'_r(1 (x) 1) by table
+        lookups on ``d_generator(r)``, then column (c, i) as column
+        (c - 1, i) times x.  Built once per ``_fold`` class and shared by
+        its degrees: read it through ``d_column`` or ``apply_d``."""
+        cls = self._fold(r)
+        rows = self._d_rows.get(cls)
+        if rows is None:
+            alg, wraps = self.alg, list(self._fold_keys)[cls][1]
+            gen = payloads(alg.field, self.d_generator(r).coords.items())
+            rows = [{}] * self.tdim
+            for i in range(alg.adim):
+                rows[i] = col = nonzero(alg.field, _left(alg, {i: alg.field.one.v}, gen, {}))
+                for c in range(1, alg.n):
+                    rows[c * alg.adim + i] = col = _right_x(alg, col, wraps)
+            rows = self._d_rows[cls] = tuple(rows)
+        return rows
+
+    def s_rows(self, r: int) -> tuple[dict, ...]:
+        """The columns of sigma_r, by flat index of the basis tensor
+        e_i (x) x^c of the degree r-1 module: -sum_{l<c} e_i x^l (x) x^{c-l-1}
+        for odd r; e_i (x) 1 at c = n - 1, else zero, for even r.  Built once
+        per parity and shared: read it through ``s_column`` or ``apply_s``."""
+        rows = self._s_rows.get(r % 2)
+        if rows is None:
+            alg, adim, n = self.alg, self.alg.adim, self.alg.n
+            if r % 2:
+                neg, ex = alg.field._neg, self._left_xpows
+                rows = [{(c - l - 1) * adim + k: neg(p) for l in range(c) for k, p in ex[l][i].items()}
+                        for c in range(n) for i in range(adim)]
+            else:
+                rows = [{i: alg.field.one.v} if c == n - 1 else {} for c in range(n) for i in range(adim)]
+            rows = self._s_rows[r % 2] = tuple(rows)
+        return rows
 
     def d_column(self, r: int, flat: int) -> TensorElem:
         """d'_r applied to the flat basis vector e_i (x) x^c, flat = c*adim + i,
         of the degree-r module: e_i . d'_r(1 (x) 1) . x^c."""
-        key = self._fold(r), flat
-        col = self._d_cols.get(key)
-        if col is None:
-            c, i = divmod(flat, self.alg.adim)
-            col = self.d_generator(r).leftmul(self.alg.basis_vector(i)).rightmul_xpow(c)
-            self._d_cols[key] = col
-        return self._tagged(col, self.twist(r - 1))
-
-    def _apply(self, column, r: int, t: TensorElem, twist: int) -> TensorElem:
-        """sum of s * column(r, flat) over the entries flat: s of t, summed
-        into one dict."""
-        out = combine((s, column(r, flat).coords) for flat, s in t.coords.items())
-        return TensorElem(self.alg, twist, out)
-
-    def apply_d(self, r: int, t: TensorElem) -> TensorElem:
-        return self._apply(self.d_column, r, t, self.twist(r - 1))
+        return TensorElem(self.alg, self.twist(r - 1), boxed(self.alg.field, self.d_rows(r)[flat]))
 
     def s_column(self, r: int, flat: int) -> TensorElem:
         """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
         r-1 module."""
-        key = self._fold(r), flat
-        col = self._s_cols.get(key)
-        if col is None:
-            alg = self.alg
-            c, i = divmod(flat, alg.adim)
-            left = alg.basis_vector(i)
-            tw = self.twist(r)
-            col = TensorElem.zero(alg, tw)
-            if r % 2 == 1:
-                for l in range(c):
-                    col = col - TensorElem.from_aelem(left * alg.xpow(l), c - l - 1, tw)
-            elif c == alg.n - 1:
-                col = TensorElem.from_aelem(left, 0, tw)
-            self._s_cols[key] = col
-        return self._tagged(col, self.twist(r))
+        return TensorElem(self.alg, self.twist(r), boxed(self.alg.field, self.s_rows(r)[flat]))
+
+    def _apply(self, rows: tuple[dict, ...], t: TensorElem, twist: int) -> TensorElem:
+        """sum of s * rows[flat] over the entries flat: s of t, on payloads."""
+        field = self.alg.field
+        terms = ((p, rows[flat]) for flat, p in payloads(field, t.coords.items()).items())
+        return TensorElem(self.alg, twist, boxed(field, row_sum(field, terms)))
+
+    def apply_d(self, r: int, t: TensorElem) -> TensorElem:
+        return self._apply(self.d_rows(r), t, self.twist(r - 1))
 
     def apply_s(self, r: int, t: TensorElem) -> TensorElem:
-        return self._apply(self.s_column, r, t, self.twist(r))
-
-    def augmentation(self, t: TensorElem) -> AElem:
-        """The multiplication map from degree 0 to A."""
-        alg = self.alg
-        out = alg.zero_elem()
-        for c, u in t._blocks().items():
-            out = out + u * alg.xpow(c)
-        return out
-
-    def sigma0(self, a: AElem) -> TensorElem:
-        return TensorElem.from_aelem(a, 0, 0)
+        return self._apply(self.s_rows(r), t, self.twist(r))
 
     def contraction_check(self) -> ValidationReport:
         """Exact verification that sigma contracts the complex onto A:
@@ -619,37 +661,37 @@ class Resolution:
         sigma_r read r only through its ``_fold`` (the parity and the twisted
         wrap terms of x^n), which also fixes the class of r + 1, so each
         identity is checked in the first degree r of each class: degrees 1
-        and 2 for an admissible f.  Past the first identity no tensor is
-        built: the columns of d' and sigma are read once per degree as dicts;
-        on each basis tensor e, (d'_1 sigma_1 + sigma_0 . augmentation) e and
-        (d'_{r+1} sigma_{r+1} + sigma_r d'_r) e are one ``combine`` each,
-        compared with e, and d'_r d'_{r+1} e is one that must be empty."""
-        alg = self.alg
-        for flat in range(alg.adim):
-            a = alg.basis_vector(flat)
-            if self.augmentation(self.sigma0(a)) != a:
-                return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
+        and 2 for an admissible f.  It boxes nothing: on each basis tensor e,
+        the left side of an identity is one sum of payload rows, compared
+        with {e: 1}, or with {} for d'_r d'_{r+1} e.  MonogenicError when
+        max_degree is below 1, the least degree it reads."""
+        if self.max_degree < 1:
+            raise MonogenicError(f"the contraction check reads degrees 1 and up; max_degree {self.max_degree} is below 1")
+        alg, field = self.alg, self.alg.field
+        one, adim, ex = field.one.v, alg.adim, self._left_xpows
+        for i in range(adim):  # augmentation . sigma_0 sends e_i to e_i x^0
+            if ex[0][i] != {i: one}:
+                return ValidationReport(False, (f"augmentation section fails at basis {i}",))
         first: dict[int, int] = {}  # class -> its first degree, ascending
         for r in range(1, self.max_degree + 1):
             first.setdefault(self._fold(r), r)
-        flats, one = range(self.tdim), alg.field.one
+        flats = range(self.tdim)
         degrees = sorted({*first.values(), *(r + 1 for r in first.values())})  # 1 among them
-        s = {r: [self.s_column(r, flat).coords for flat in flats] for r in degrees}
-        d = {r: [self.d_column(r, flat).coords for flat in flats] for r in degrees}
+        s = {r: self.s_rows(r) for r in degrees}
+        d = {r: self.d_rows(r) for r in degrees}
         for flat in flats:
-            c, i = divmod(flat, alg.adim)
-            section = (alg.basis_vector(i) * alg.xpow(c)).nz  # sigma_0 . augmentation
-            lhs = combine([*((x, d[1][j]) for j, x in s[1][flat].items()), (one, section)])
+            c, i = divmod(flat, adim)  # sigma_0 . augmentation sends e_i (x) x^c to e_i x^c (x) 1
+            lhs = row_sum(field, [*((x, d[1][j]) for j, x in s[1][flat].items()), (one, ex[c][i])])
             if lhs != {flat: one}:
                 return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
         for r in first.values():
             for flat in flats:
-                lhs = combine([*((x, d[r + 1][j]) for j, x in s[r + 1][flat].items()),
-                               *((x, s[r][j]) for j, x in d[r][flat].items())])
+                lhs = row_sum(field, [*((x, d[r + 1][j]) for j, x in s[r + 1][flat].items()),
+                                       *((x, s[r][j]) for j, x in d[r][flat].items())])
                 if lhs != {flat: one}:
                     return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))
         for r in first.values():
             for flat in flats:
-                if combine((x, d[r][j]) for j, x in d[r + 1][flat].items()):
+                if row_sum(field, ((x, d[r][j]) for j, x in d[r + 1][flat].items())):
                     return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
         return ValidationReport(True, ())

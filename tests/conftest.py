@@ -78,7 +78,6 @@ from orecohom.monogenic import (
     MonogenicError,
     Resolution,
     TensorElem,
-    derivation_tensor,
     twist_exponent,
 )
 from orecohom.products import (
@@ -725,6 +724,33 @@ def rebased(K, alpha, rng):
 # action became one product in A per left factor u_c of u (x) x^c.
 
 
+def derivation_tensor(alg: MonogenicAlgebra, i: int) -> TensorElem:
+    """The divided-difference tensor of x^i: sum_l x^l (x) x^{i-l-1}, twist 1,
+    for any i >= 0; exponents at or above n are reduced to normal form.  The
+    TensorElem route of ``monogenic._derivation``."""
+    out = TensorElem.zero(alg, 1)
+    for l in range(i):
+        out = out + TensorElem.from_aelem(alg.xpow(l), 0, 1).rightmul_xpow(i - l - 1)
+    return out
+
+
+def augmentation(t: TensorElem) -> AElem:
+    """The multiplication map from degree 0 of the resolution to A."""
+    alg = t.alg
+    out = alg.zero_elem()
+    for c, u in t._blocks().items():
+        out = out + u * alg.xpow(c)
+    return out
+
+
+def sigma0(a: AElem) -> TensorElem:
+    return TensorElem.from_aelem(a, 0, 0)
+
+
+def basis_tensor(res: Resolution, r: int, flat: int) -> TensorElem:
+    return TensorElem(res.alg, res.twist(r), {flat: res.alg.field.one})
+
+
 def split_flat(t: TensorElem, flat: int) -> tuple[int, int, int]:
     """`TensorElem._split`: the (b, a, c) of the basis tensor lambda_b x^a (x) x^c."""
     dimk = t.alg.K.dim
@@ -892,18 +918,18 @@ def unfolded_contraction_check(self: Resolution) -> ValidationReport:
     failures = []
     for flat in range(alg.adim):
         a = alg.basis_vector(flat)
-        if self.augmentation(self.sigma0(a)) != a:
+        if augmentation(sigma0(a)) != a:
             failures.append(f"augmentation section fails at basis {flat}")
             return ValidationReport(False, tuple(failures))
     for flat in range(self.tdim):
-        t = self.basis_tensor(0, flat)
-        lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
+        t = basis_tensor(self, 0, flat)
+        lhs = self.apply_d(1, self.apply_s(1, t)) + sigma0(augmentation(t))
         if lhs != t:
             failures.append(f"degree-0 homotopy identity fails at basis {flat}")
             return ValidationReport(False, tuple(failures))
     for r in range(1, self.max_degree + 1):
         for flat in range(self.tdim):
-            t = self.basis_tensor(r, flat)
+            t = basis_tensor(self, r, flat)
             lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(
                 r, self.apply_d(r, t)
             )
@@ -918,6 +944,26 @@ def unfolded_contraction_check(self: Resolution) -> ValidationReport:
                 failures.append(f"d.d is nonzero in degree {r} at basis {flat}")
                 return ValidationReport(False, tuple(failures))
     return ValidationReport(True, ())
+
+
+def mutate_columns(monkeypatch, which: str, wrap) -> None:
+    """Patch `Resolution.d_rows` (which = "d") or `s_rows` ("s"), the payload
+    rows every reader of a column of d' or sigma reads, so that the column
+    at flat in degree r becomes wrap(res, r, flat, col), col that column
+    boxed as a TensorElem; the mutated rows are kept per (resolution, r)."""
+    rows_of, memo = getattr(Resolution, f"{which}_rows"), {}
+
+    def mutated(self, r):
+        if (self, r) not in memo:
+            twist = self.twist(r - 1) if which == "d" else self.twist(r)
+            field = self.alg.field
+            memo[self, r] = [
+                {k: s.v for k, s in wrap(self, r, flat, TensorElem(
+                    self.alg, twist, {k: Scalar(field, p) for k, p in row.items()})).coords.items()}
+                for flat, row in enumerate(rows_of(self, r))]
+        return memo[self, r]
+
+    monkeypatch.setattr(Resolution, f"{which}_rows", mutated)
 
 
 # -- the Ore extension B = K[x, alpha] ------------------------------------------
@@ -1690,7 +1736,7 @@ def unfolded_diagonalizable(C: SmallComplex, witness, up_to: int) -> dict:
 
 def unfolded_group_cohomology(C: SmallComplex, chi, up_to: int, witness) -> dict:
     alg = cf._regular_alg(C)
-    chi = cf._character(alg, chi)
+    chi = cf.twist_character(alg, chi)
     w = cf._need_witness(alg, witness)
     up_to = cf._top_degree(C, up_to)
     kN = cf._kernel_span(alg.K, chi)
@@ -1822,11 +1868,11 @@ def tensor_contraction_check(self: Resolution) -> ValidationReport:
     alg = self.alg
     for flat in range(alg.adim):
         a = alg.basis_vector(flat)
-        if self.augmentation(self.sigma0(a)) != a:
+        if augmentation(sigma0(a)) != a:
             return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
     for flat in range(self.tdim):
-        t = self.basis_tensor(0, flat)
-        lhs = self.apply_d(1, self.apply_s(1, t)) + self.sigma0(self.augmentation(t))
+        t = basis_tensor(self, 0, flat)
+        lhs = self.apply_d(1, self.apply_s(1, t)) + sigma0(augmentation(t))
         if lhs != t:
             return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
     first: dict[int, int] = {}  # class -> its first degree, ascending
@@ -1834,7 +1880,7 @@ def tensor_contraction_check(self: Resolution) -> ValidationReport:
         first.setdefault(self._fold(r), r)
     for r in first.values():
         for flat in range(self.tdim):
-            t = self.basis_tensor(r, flat)
+            t = basis_tensor(self, r, flat)
             lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(r, self.apply_d(r, t))
             if lhs != t:
                 return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))

@@ -681,19 +681,37 @@ def test_report_builds_one_bar_oracle(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def with_non_multiplicative_character(monkeypatch):
+    """Have each CLI session, once set up, hold its spec's character with
+    chi(h) = 2: not multiplicative, so not the diagonal of the twist the spec
+    builds from its own character."""
+    init = cli.Session.__init__
+
+    def bad(self, inst, args):
+        init(self, inst, args)
+        inst.chi = list(inst.chi)
+        inst.chi[inst.K.group.labels.index("h")] = inst.field.from_int(2)
+
+    monkeypatch.setattr(cli.Session, "__init__", bad)
+
+
 def test_group_cohomology_refuses_a_non_multiplicative_character(capsys, monkeypatch):
     """The run's character with chi(h) = 2 is not multiplicative, so it is not
     the diagonal of the run's twist: the check reports an error and exits 1,
     where it printed ok (it read chi only through its kernel)."""
-    chi = cli.Session.chi
-
-    def bad(session):
-        out = list(chi.fget(session))
-        out[session.inst.K.group.labels.index("h")] = session.inst.field.from_int(2)
-        return out
-
-    monkeypatch.setattr(cli.Session, "chi", property(bad))
+    with_non_multiplicative_character(monkeypatch)
     rc = main(["theorems", spec("gh4_u3.json"), "--which", "group-cohomology"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: the character is not the diagonal of the twist\n"
+
+
+def test_membership_period_refuses_a_non_multiplicative_character(capsys, monkeypatch):
+    """With chi(h) = 2 the membership-period check names the fault, that the
+    character is not the diagonal of the twist, where it reported the
+    symptom: a character order out of range."""
+    with_non_multiplicative_character(monkeypatch)
+    rc = main(["theorems", spec("gh4_u3.json"), "--which", "membership-period"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "error: the character is not the diagonal of the twist\n"

@@ -6,18 +6,23 @@ from conftest import (
     SPECS,
     OrePoly,
     admissible_coefficients,
+    derivation_tensor,
+    entrywise_d_column,
+    entrywise_s_column,
     f_ore,
     from_ore,
+    mutate_columns,
     ore_check_compiled,
     ore_divmod,
     ore_mul,
     ore_normality_check,
+    tensor_contraction_check,
     to_ore,
     unfolded_contraction_check,
 )
 
-from orecohom import instances
-from orecohom.fields import QQ, prime_field
+from orecohom import instances, monogenic
+from orecohom.fields import QQ, Scalar, extension_field, prime_field
 from orecohom.kalgebra import (
     AlgebraError,
     AlgebraK,
@@ -27,6 +32,7 @@ from orecohom.kalgebra import (
     cyclic_group,
     endo_from_character,
     group_algebra,
+    group_from_presentation_gh4,
     identity_endo,
     quaternion_algebra,
 )
@@ -37,7 +43,6 @@ from orecohom.monogenic import (
     MonogenicError,
     Resolution,
     TensorElem,
-    derivation_tensor,
     normality_check,
     twist_exponent,
     validate_f,
@@ -324,13 +329,7 @@ def test_folded_contraction_check_reports_a_broken_column(gh4_u3, monkeypatch):
     key class; degree 1's identity reads sigma_2, and both checks report the
     same failure."""
     alg = gh4_u3[0]
-    s_column = Resolution.s_column
-
-    def broken(self, r, flat):
-        col = s_column(self, r, flat)
-        return col + col if r % 2 == 0 and flat == alg.adim else col
-
-    monkeypatch.setattr(Resolution, "s_column", broken)
+    mutate_columns(monkeypatch, "s", lambda res, r, flat, col: col + col if r % 2 == 0 and flat == alg.adim else col)
     folded = Resolution(alg, 24).contraction_check()
     assert folded == unfolded_contraction_check(Resolution(alg, 24))
     assert folded.failures == (f"homotopy identity fails in degree 1 at basis {alg.adim}",)
@@ -340,8 +339,8 @@ def test_folded_check_builds_each_column_once_per_class(gh4_u3, monkeypatch):
     """On gh4_u3 (n = 2, alpha of order 4, f = x^2) at D = 6 the check's
     classes are the two parities, starting in degrees 1 and 2, and degree 5,
     whose d' it reads last, is in degree 1's class: its columns are degree
-    1's, re-tagged with its twist, not built again.  Each built column calls
-    `d_generator` once."""
+    1's, re-tagged with its twist, not built again.  Each class reads
+    `d_generator` once, for all of its columns."""
     alg = gh4_u3[0]
     built = []
     d_generator = Resolution.d_generator
@@ -353,14 +352,13 @@ def test_folded_check_builds_each_column_once_per_class(gh4_u3, monkeypatch):
     monkeypatch.setattr(Resolution, "d_generator", counting)
     res = Resolution(alg, 6)
     assert res.contraction_check().ok
-    assert sorted(set(built)) == [1, 2]
-    assert all(built.count(r) == res.tdim for r in set(built))
+    assert built == [1, 2]
     for flat in range(res.tdim):
         five, one = res.d_column(5, flat), res.d_column(1, flat)
         assert five.coords == one.coords
         assert (five.twist, one.twist) == (res.twist(4), res.twist(0)) == (4, 0)
         assert res.s_column(5, flat).twist == res.twist(5)
-    assert len(built) == 2 * res.tdim
+    assert built == [1, 2]
 
 
 def test_resolution_truncated_gf3():
@@ -474,3 +472,113 @@ def test_normality_failures_match_ore():
         for f in ([(QQ.zero,) * 2] * 2, [idem.unit, idem.unit])
     ]
     assert got == [None, "f does not commute with x"]
+
+
+# -- the payload route of the resolution and of the checks of A -----------------
+
+
+@pytest.mark.parametrize("top", [0, -1])
+def test_contraction_check_refuses_a_top_degree_below_one(sweedler, top):
+    """The check reads degrees 1 and 2 whatever the top degree; below 1 it
+    names that degree, where it raised a bare KeyError."""
+    with pytest.raises(MonogenicError, match="reads degrees 1 and up"):
+        Resolution(sweedler, top).contraction_check()
+
+
+def test_contraction_check_builds_no_tensor_and_boxes_no_scalar(gh4_u3, monkeypatch):
+    """Past the generator image of each class, which the small complex reads
+    too, a gh4_u3 check builds no TensorElem and no AElem; it sums once per
+    basis tensor of its first degrees (the degree-0 identity, then the
+    homotopy and d.d identities of degrees 1 and 2), and once its columns
+    are built, a second check boxes no Scalar."""
+    alg = gh4_u3[0]
+    res = Resolution(alg, 6)
+    for r in (1, 2):
+        res.d_generator(r)
+    made, sums = [], []
+
+    def counting(log, original):
+        def wrapped(*args, **kwargs):
+            log.append(args[0])
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(TensorElem, "__init__", counting(made, TensorElem.__init__))
+    monkeypatch.setattr(AElem, "__init__", counting(made, AElem.__init__))
+    monkeypatch.setattr(AElem, "_of", classmethod(counting(made, AElem._of.__func__)))
+    monkeypatch.setattr(monogenic, "row_sum", counting(sums, monogenic.row_sum))
+    assert res.contraction_check().ok
+    assert made == [] and len(sums) == 5 * res.tdim
+    monkeypatch.setattr(Scalar, "__init__", counting(made, Scalar.__init__))
+    assert res.contraction_check().ok
+    assert made == [] and len(sums) == 10 * res.tdim
+
+
+GF9 = extension_field(prime_field(3), [1, 0, 1], "t")
+QI = instances.gaussian_rationals()
+TWIST_ROOTS = {  # field -> (field, order and root of the Taft twist, image of h in gh4)
+    "QQ": (QQ, 2, -1, -1),
+    "GF7": (prime_field(7), 3, 2, -1),
+    "QQ(i)": (QI, 4, QI.gen, QI.gen),
+    "GF9": (GF9, 4, GF9.gen, GF9.gen),
+}
+
+
+def random_instance(field: str, family: str, n: int, admissible: bool, rng) -> MonogenicAlgebra:
+    """A Taft algebra (the cyclic group twisted by a root of unity) or a
+    gh4(2) algebra (g fixed, h sent to a root of unity) over ``field``,
+    with a random f of degree n, compiled unchecked."""
+    F, m, root, h = TWIST_ROOTS[field]
+    G = cyclic_group(m) if family == "taft" else group_from_presentation_gh4(2)
+    values = {"g": root} if family == "taft" else {"g": F.one, "h": h}
+    K = group_algebra(G, F)
+    alpha = endo_from_character(K, character_from_values(G, F, values))
+    return MonogenicAlgebra(K, alpha, random_f(K, alpha, n, rng, admissible), check=False)
+
+
+def break_table(alg: MonogenicAlgebra, rng) -> None:
+    """One product of two basis elements in A's compiled table doubled, or
+    moved by the first basis element."""
+    key = rng.choice(sorted(alg.mul_table))
+    terms = alg.mul_table[key]
+    if rng.random() < 0.5:
+        alg.mul_table[key] = [(k, s + s) for k, s in terms]
+    else:
+        alg.mul_table[key] = [*terms, (0, alg.field.one)]
+
+
+def test_payload_route_matches_the_boxed_routes():
+    """A derandomized hypothesis test on random Taft and gh4(2) instances
+    over QQ, GF(7), QQ(i) and GF(9), with admissible and unadmissible f of
+    degree 2 and 3, and at random one product of the compiled table broken:
+    the columns of d' and sigma in degrees 1 to 3 equal the entrywise ones,
+    ``contraction_check`` gives the report of its TensorElem route, and
+    ``check_compiled`` and ``normality_check`` the outcomes of their Ore
+    routes.  Passing and failing outcomes of each check are both drawn."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(TWIST_ROOTS)), st.sampled_from(["taft", "gh4"]),
+                      st.sampled_from([2, 3]), st.booleans(), st.booleans(), st.integers(0, 2**16))
+    def agrees(field, family, n, admissible, broken, seed):
+        rng = random.Random(seed)
+        alg = random_instance(field, family, n, admissible, rng)
+        if broken:
+            break_table(alg, rng)
+        compiled = compile_outcome(MonogenicAlgebra.check_compiled, alg)
+        assert compiled == compile_outcome(ore_check_compiled, alg)
+        normal = normality_check(alg)
+        assert normal == ore_normality_check(alg)
+        res = Resolution(alg, 4)
+        for r in (1, 2, 3):
+            for flat in range(res.tdim):
+                assert res.d_column(r, flat) == entrywise_d_column(res, r, flat), (r, flat)
+                assert res.s_column(r, flat) == entrywise_s_column(res, r, flat), (r, flat)
+        contraction = res.contraction_check()
+        assert contraction == tensor_contraction_check(Resolution(alg, 4))
+        seen.update({("compiled", compiled is None), ("normal", normal.ok), ("contraction", contraction.ok)})
+
+    agrees()
+    assert seen == {(check, ok) for check in ("compiled", "normal", "contraction") for ok in (True, False)}

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import mutate_columns
 
 from orecohom import cli, products
 from orecohom.monogenic import Resolution, TensorElem
@@ -116,13 +117,7 @@ def test_odd_generator_mutation_reaches_validate_and_cohomology(monkeypatch, cap
 
 def doubled_sigma_column(monkeypatch):
     """Every column of sigma_r doubled."""
-    s_column = Resolution.s_column
-
-    def mutated(self, r, flat):
-        col = s_column(self, r, flat)
-        return col + col
-
-    monkeypatch.setattr(Resolution, "s_column", mutated)
+    mutate_columns(monkeypatch, "s", lambda res, r, flat, col: col + col)
 
 
 @pytest.mark.parametrize("spec", ["sweedler.json", "gh4_u3.json"])

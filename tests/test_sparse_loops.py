@@ -60,6 +60,7 @@ from conftest import (
     full_product,
     legacy_payload,
     mutant,
+    mutate_columns,
     pair_loop_validate,
     scalar_accumulate,
     scalar_combine,
@@ -696,20 +697,20 @@ def with_d_d_break(res, r, flat, col):
     return col
 
 
-BROKEN_COLUMNS = {  # name -> (column method, wrap, first failure on gh4_u3)
-    "sigma doubled": ("s_column", lambda res, r, flat, col: col + col if r % 2 == 0 and flat == res.alg.adim else col,
+BROKEN_COLUMNS = {  # name -> (d' or sigma, wrap, first failure on gh4_u3)
+    "sigma doubled": ("s", lambda res, r, flat, col: col + col if r % 2 == 0 and flat == res.alg.adim else col,
                       "homotopy identity fails in degree 1 at basis {adim}"),
-    "d' negated": ("d_column", lambda res, r, flat, col: -col if r == 2 and flat == 1 else col,
+    "d' negated": ("d", lambda res, r, flat, col: -col if r == 2 and flat == 1 else col,
                    "homotopy identity fails in degree 1 at basis {after}"),
-    "d.d broken": ("d_column", with_d_d_break, "d.d is nonzero in degree 3 at basis {adim}"),
+    "d.d broken": ("d", with_d_d_break, "d.d is nonzero in degree 3 at basis {adim}"),
 }
 
 
 @pytest.mark.parametrize("name", BROKEN_COLUMNS)
 def test_contraction_check_reports_broken_columns_as_tensor_route(gh4_u3, monkeypatch, name):
-    attr, wrap, failure = BROKEN_COLUMNS[name]
-    alg, column = gh4_u3[0], getattr(Resolution, attr)
-    monkeypatch.setattr(Resolution, attr, lambda self, r, flat: wrap(self, r, flat, column(self, r, flat)))
+    which, wrap, failure = BROKEN_COLUMNS[name]
+    alg = gh4_u3[0]
+    mutate_columns(monkeypatch, which, wrap)
     got = Resolution(alg, 6).contraction_check()
     assert got == tensor_contraction_check(Resolution(alg, 6))
     assert got.failures == (failure.format(adim=alg.adim, after=alg.adim + 1),)

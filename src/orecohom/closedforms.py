@@ -58,12 +58,13 @@ from .linalg import (
     EchelonTracker,
     FreeRows,
     Mat,
-    combine,
     intersect_spans,
     kernel_basis,
     minimal_polynomial,
+    payloads,
     quotient_basis,
     rank,
+    row_sum,
     span_equal,
     support,
     vscale,
@@ -144,7 +145,7 @@ def twist_character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Sca
     run's character takes it from here."""
     if chi is None:
         return character_of(alg.K, alg.alpha)
-    diagonal = [{} if c.is_zero() else {g: c} for g, c in enumerate(chi)]
+    diagonal = [payloads(alg.field, [(g, c)]) for g, c in enumerate(chi)]
     if diagonal != alg.alpha.matrix.sparse:
         raise CohomologyError("the character is not the diagonal of the twist")
     return chi
@@ -439,7 +440,7 @@ def _restrict_to_span(space: Mat, M: Mat) -> Mat:
     read off their free rows (``FreeRows``): every caller's space is a
     reduced free-variable basis, ``_w_space(alg, 0)`` or ``C.bases[0]``.
     Every caller's M preserves its span, so an image outside it is a fault."""
-    restricted = FreeRows(space).matrix(M.matvec(v) for v in space.columns_list())
+    restricted = FreeRows(space).matrix(M.apply(v) for v in space.transpose().sparse)
     if restricted is None:
         raise CohomologyError("operator does not preserve the subspace")
     return restricted
@@ -671,10 +672,9 @@ def character_of(K: AlgebraK, alpha: Endo) -> list[Scalar]:
     """Recover the character from a diagonal twist of a group algebra."""
     if K.group is None:
         raise ClosedFormError("character data needs group metadata")
-    rows = alpha.matrix.sparse
-    if any(j != i for i, row in enumerate(rows) for j in row):
+    if any(j != i for i, row in enumerate(alpha.matrix.sparse) for j in row):
         raise ClosedFormError("twist is not diagonal on the group basis")
-    chi = [row.get(j, K.field.zero) for j, row in enumerate(rows)]
+    chi = [row[j] for j, row in enumerate(alpha.matrix.data)]
     rep = validate_character(K.group, chi)
     if not rep.ok:
         raise ClosedFormError("diagonal twist entries are not a character")
@@ -860,7 +860,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     if 2 * v > up_to:
         raise ClosedFormError("table too short to reach the period degree")
     K = alg.K
-    unit_cls = cohomology_group(C, 2 * v).class_coords(alg.one.nz)
+    unit_cls = cohomology_group(C, 2 * v).class_coords(alg.one)
     unit_zero = all(c.is_zero() for c in unit_cls)
     if unit_zero and rank(K.left_mult_matrix(_n_lambda(alg))) == K.dim:
         raise ClosedFormError(
@@ -883,16 +883,16 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     mismatches: list[str] = []
     if unit_zero:
         mismatches.append("unit class vanishes at the period degree")
-    store, unit_terms = ProductStore.of(C, store), support(unit_cls)
+    store, unit_terms, F = ProductStore.of(C, store), support(unit_cls), C.field
     for r in range(1, up_to - 2 * v + 1):
         H_src = cohomology_group(C, r)
         H_tgt = cohomology_group(C, r + 2 * v)
         if H_src.dim != H_tgt.dim:
             mismatches.append(f"period map degree {r}: dimensions differ")
             continue
-        images = [combine((u, enumerate(store.cup(r, 2 * v, i, j))) for j, u in unit_terms)
-                  for i in range(H_src.dim)]
-        if rank(Mat.from_sparse_rows(C.field, images, H_tgt.dim)) != H_src.dim:
+        images = [row_sum(F, ((u.v, payloads(F, enumerate(store.cup(r, 2 * v, i, j))))
+                              for j, u in unit_terms)) for i in range(H_src.dim)]
+        if rank(Mat.from_sparse_rows(F, images, H_tgt.dim)) != H_src.dim:
             mismatches.append(f"period map degree {r}: cup by the unit class "
                               f"is not bijective")
     exterior_pattern = None

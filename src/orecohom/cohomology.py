@@ -27,8 +27,8 @@ import functools
 from collections.abc import Sequence
 
 from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
-from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, kernel_basis, support, vscale
-from .monogenic import MonogenicAlgebra, Resolution, TensorElem, twist_exponent
+from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, support, vscale
+from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
 class CohomologyError(ValueError):
@@ -62,8 +62,8 @@ class Bimodule:
         of K's basis elements, A's first dim K basis vectors e_b x^0, each on
         its first read."""
         F, dim, table = alg.field, alg.adim, alg.mul_table
-        Lx = mult_matrix(F, dim, table, alg.x.coords)
-        Rx = mult_matrix(F, dim, table, alg.x.coords, left=False)
+        Lx = mult_matrix(F, dim, table, alg.x.nz)
+        Rx = mult_matrix(F, dim, table, alg.x.nz, left=False)
         R_k, L_k = (BasisActions(F, dim, table, alg.K.dim, left) for left in (False, True))
         return cls(alg, L_k, Lx, R_k, Rx)
 
@@ -277,18 +277,26 @@ class SmallComplex:
         return self._d_ops[r % 2].matvec(v)
 
     def _compile_d(self, r: int) -> Mat:
-        """d^r, each image of a column of C^{r-1} read off the free rows of C^r."""
-        D = self.free_rows[r].matrix(self.d_ambient(r, v) for v in self.bases[r - 1].columns_list())
+        """d^r, each image of a column of C^{r-1} read off the free rows of
+        C^r, all on payload rows."""
+        op = self._d_ops[r % 2]
+        D = self.free_rows[r].matrix(op.apply(v) for v in self.bases[r - 1].transpose().sparse)
         if D is None:
             raise CohomologyError(f"differential image leaves the twisted invariants in degree {r}")
         return D
 
     def to_sub(self, r: int, v_ambient) -> tuple:
-        """The coordinates in C^r of an ambient M-vector, a tuple or a sparse
-        vector {index: entry} (``AElem.nz``), read off the free rows of the
-        basis; CohomologyError when the vector is not in C^r, and LinalgError
-        when a tuple's length is not dim M or a sparse index lies outside it."""
-        sol = self.free_rows[self._built(r)].read(v_ambient)
+        """The coordinates in C^r of an ambient M-vector, a tuple, a sparse
+        vector {index: entry} or, for M = A, an ``AElem``, read off the free
+        rows of the basis (an AElem on its payloads); CohomologyError when
+        the vector is not in C^r, and LinalgError when a tuple's length is
+        not dim M or a sparse index lies outside it."""
+        read = self.free_rows[self._built(r)]
+        if isinstance(v_ambient, AElem):
+            sol = read.coords(v_ambient.nz)
+            sol = sol if sol is None else dense(self.field, sol, read.B.cols)
+        else:
+            sol = read.read(v_ambient)
         if sol is None:
             raise CohomologyError(f"vector is not in the degree-{r} cochain space")
         return sol
@@ -328,13 +336,15 @@ class _GroupCore:
         self.reps_sub = echelon.extend(self.kernel)
         if echelon.dim != self.kernel.cols:
             raise CohomologyError(f"the image of d^{r} leaves the kernel of d^{r + 1} in degree {r}")
-        self.reps_ambient = [complex_.to_ambient(r, c) for c in self.reps_sub.columns_list()]
+        B = complex_.bases[r]
+        self.reps_ambient = [dense(field, B.apply(c), B.rows) for c in self.reps_sub.transpose().sparse]
 
     @functools.cached_property
     def class_solver(self) -> LinSolver:
         """The solver over [representatives | image]."""
         reps, image = self.reps_sub, self.image
-        return LinSolver(Mat.from_columns(reps.field, reps.columns_list() + image.columns_list(), reps.rows))
+        cols = reps.transpose().sparse + image.transpose().sparse
+        return LinSolver(Mat.from_sparse_rows(reps.field, cols, reps.rows).transpose())
 
 
 class CohomologyGroup:

@@ -59,10 +59,12 @@ def mixed(a: "Field", b: "Field") -> FieldError:
 
 class Scalar:
     """An element of an exact field: a field context plus a normalized payload.
-    Each operator boxes its result; the exact inner loops (``combine``,
-    ``matvec``, ``table_mul``, the echelon's payload rows and the constraint
-    rows of ``twisted_kernel``) run on payloads and box only the entries they
-    return, raising :func:`mixed` as ``_coerce`` does."""
+    Each operator boxes its result.  The containers (``Mat``, ``AElem``,
+    ``TensorElem``, the structure constants) store payloads and their inner
+    loops (``linalg.row_sum``, ``kalgebra.table_mul_into``, the echelon) run
+    on them; a Scalar is unboxed where it enters a container, checked to be
+    of its field, and boxed where it leaves, raising :func:`mixed` as
+    ``_coerce`` does."""
 
     __slots__ = ("field", "v")
 
@@ -180,10 +182,10 @@ class Field:
         """Coerce an int, Fraction, Scalar, string such as "3/4" (QQ) or coordinate
         list (extensions, constant-first) into this field.
 
-        This is where raw values enter: containers (K's coordinate tuples,
-        ``AElem``, ``TensorElem``, ``Mat``, ``AlgebraK``) hold Scalars of their
-        field as given (``AElem``, ``TensorElem`` and ``Mat`` keep only the
-        nonzero ones), and the entry points (``decode``, ``AlgebraK.elem``,
+        This is where raw values enter: K's coordinate tuples hold Scalars of
+        their field as given, ``AElem``, ``Mat`` and ``AlgebraK``'s table
+        keep the nonzero payloads of the Scalars they are given, and the
+        entry points (``decode``, ``AlgebraK.elem``,
         ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
         through here.  Booleans are rejected."""
         if isinstance(x, Scalar):

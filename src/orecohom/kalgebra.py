@@ -3,11 +3,12 @@
 An :class:`AlgebraK` stores one summed table of structure constants c_{ij}^k
 over one exact field together with optional group metadata: repeated
 (i, j, k) entries are added and zero sums dropped as the table enters, and
-every product, action matrix and check reads that one table.  An element of
-K is the tuple of its coordinates over the basis, Scalars of that field taken
-as given; raw values enter through ``AlgebraK.elem``.  Basis actions, on K
-and on A, are :class:`BasisActions`, each matrix built on its first read; the
-center of K is ``twisted_invariants_k(K, alpha, 0)``.  Twisting endomorphisms
+every product, action matrix and check reads that one table, whose
+constants are field payloads.  An element of K is the tuple of its
+coordinates over the basis, Scalars of that field taken as given; raw values
+enter through ``AlgebraK.elem``.  Basis actions, on K and on A, are
+:class:`BasisActions`, each matrix built on its first read; the center of K
+is ``twisted_invariants_k(K, alpha, 0)``.  Twisting endomorphisms
 live in :class:`Endo`, which keeps alpha - id and the partial norms of alpha;
 the group-algebra case builds them from characters.  The checks
 are exact and read the nonzero structure constants: the unit law on every basis
@@ -27,8 +28,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, Scalar, mixed
-from .linalg import EchelonTracker, Mat, boxed, combine, kernel_basis, rank, support
+from .fields import Field, Scalar
+from .linalg import EchelonTracker, Mat, dense, kernel_basis, nonzero, payloads, rank, row_sum, same_field
 
 
 class AlgebraError(ValueError):
@@ -185,10 +186,11 @@ def group_from_table(labels: list[str], table: list[list[int]]) -> GroupData:
 class AlgebraK:
     """Finite-dimensional associative unital algebra via sparse structure constants.
 
-    The unit and the table hold Scalars of ``field``;
-    :meth:`from_structure_constants` coerces raw entries.  The table is
-    summed where it enters: ``mul_table`` maps each (i, j) with e_i e_j != 0
-    to the ordered list of (k, nonzero c_{ij}^k) pairs, each k once, the
+    The unit holds Scalars of ``field`` and the table is given as (k,
+    Scalar) pairs; :meth:`from_structure_constants` coerces raw entries, and
+    an entry of another field raises :func:`mixed`.  The table is summed
+    where it enters: ``mul_table`` maps each (i, j) with e_i e_j != 0 to the
+    ordered list of (k, payload of nonzero c_{ij}^k) pairs, each k once, the
     entries given for the same (i, j, k) added and pairs whose product is
     zero left out.  A's compiled table has the same form."""
 
@@ -205,9 +207,10 @@ class AlgebraK:
         self.dim = dim
         self.basis_names = list(basis_names)
         self.unit = tuple(unit)
-        one = field.one
+        one = field.one.v
         self.mul_table = {
-            ij: sorted(prod.items()) for ij, terms in mul_table.items() if (prod := combine([(one, terms)]))
+            ij: sorted(prod.items()) for ij, terms in mul_table.items()
+            if (prod := row_sum(field, ((one, payloads(field, [kc])) for kc in terms)))
         }
         self.group = group
 
@@ -222,10 +225,9 @@ class AlgebraK:
         return cls(field, dim, list(basis_names), unit, table, group)
 
     def kmul(self, u: tuple, v: tuple) -> tuple:
-        out = [self.field.zero] * self.dim
-        for k, s in table_mul(self.mul_table, support(u), support(v)).items():
-            out[k] = s
-        return tuple(out)
+        F = self.field
+        u, v = payloads(F, enumerate(u)).items(), payloads(F, enumerate(v)).items()
+        return dense(F, nonzero(F, table_mul_into({}, self.mul_table, F, u, v)), self.dim)
 
     def elem(self, x) -> tuple:
         """The coordinates of x, coerced to the field: a scalar times the unit,
@@ -306,15 +308,16 @@ class AlgebraK:
         """The certificate of ``generators``: the unit law on every basis
         element and associativity on every triple (e_i, e_j, g), g in gens."""
         return not _unit_law_failures(self) and all(
-            _associative_at(self.mul_table, i, j, g)
+            _associative_at(self, i, j, g)
             for i, j in itertools.product(range(self.dim), repeat=2)
             for g in gens
         )
 
     def left_mult_matrix(self, u: tuple) -> Mat:
-        return mult_matrix(self.field, self.dim, self.mul_table, u)
+        return mult_matrix(self.field, self.dim, self.mul_table, payloads(self.field, enumerate(u)))
 
     def right_mult_matrix(self, u: tuple) -> Mat:
+        u = payloads(self.field, enumerate(u))
         return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
     @functools.cached_property
@@ -324,44 +327,12 @@ class AlgebraK:
         return tuple(BasisActions(F, dim, table, dim, left) for left in (False, True))
 
 
-def table_mul(table, u, v) -> dict[int, Scalar]:
-    """The product u v on an algebra with basis products ``table``:
-    {(i, j): [(k, s), ...]} for e_i e_j = sum of s e_k.  u and v are given
-    by the (index, entry) pairs of their nonzero coordinates, and so is the
-    product, as a sparse vector {index: entry}.  The sum runs on payloads
-    in the field of u's first entry, as in ``combine``."""
-    right = list(v)
-    acc: dict = {}  # index -> payload
-    field = None
-    for i, a in u:
-        if field is None:
-            field = a.field
-            mul, add, one_v = field._mul, field._add, field.one.v
-        elif a.field is not field:
-            raise mixed(field, a.field)
-        av = a.v
-        for j, b in right:
-            terms = table.get((i, j))
-            if terms is None:
-                continue
-            if b.field is not field:
-                raise mixed(field, b.field)
-            ab = b.v if av == one_v else av if b.v == one_v else mul(av, b.v)
-            unit = ab == one_v
-            for k, s in terms:
-                t = s.v if unit else mul(ab, s.v)
-                p = acc.get(k)
-                acc[k] = t if p is None else add(p, t)
-    return boxed(field, acc)
-
-
 def table_mul_into(acc: dict, table, field: Field, u, v, base: int = 0) -> dict:
-    """acc[base + k] += (u v)_k: ``table_mul`` on payloads of ``field``, for u
-    and v given by the (index, payload) pairs of their nonzero coordinates,
-    v re-iterable; a sum that cancels stays in acc as the zero payload.  It
-    reads ``s.v`` off the table's Scalars inline.  ``table_mul`` keeps its
-    own loop, which checks and unboxes each entry as it reads it: run as a
-    boxing wrapper over this one it took 25% longer per product."""
+    """acc[base + k] += (u v)_k on an algebra with basis products ``table``:
+    {(i, j): [(k, payload), ...]} for e_i e_j = sum of c e_k.  u and v are
+    given by the (index, payload) pairs of their nonzero coordinates, v
+    re-iterable, and the sum runs on payloads of ``field``; a sum that
+    cancels stays in acc as the zero payload."""
     mul, add, one = field._mul, field._add, field.one.v
     for i, a in u:
         for j, b in v:
@@ -371,29 +342,27 @@ def table_mul_into(acc: dict, table, field: Field, u, v, base: int = 0) -> dict:
             ab = b if a == one else a if b == one else mul(a, b)
             unit = ab == one
             for k, s in terms:
-                t, k = s.v if unit else mul(ab, s.v), k + base
+                t, k = s if unit else mul(ab, s), k + base
                 p = acc.get(k)
                 acc[k] = t if p is None else add(p, t)
     return acc
 
 
-def mult_matrix(field: Field, dim: int, table, u: tuple, left: bool = True) -> Mat:
+def mult_matrix(field: Field, dim: int, table, u: dict, left: bool = True) -> Mat:
     """The matrix of v -> u v (or v -> v u when ``left`` is false) on an algebra
-    with basis products ``table``: {(i, j): [(k, s), ...]} for
-    e_i e_j = sum of s e_k.  Column j, u e_j (or e_j u), is read off the
-    nonzero entries of u and the table, straight into sparse rows."""
+    with basis products ``table`` (see ``table_mul_into``), for u a payload
+    row {index: nonzero payload}.  Column j, u e_j (or e_j u), is read off
+    the nonzero entries of u and the table, straight into payload rows."""
     rows: list[dict] = [{} for _ in range(dim)]  # row k: {column j: payload}
-    mul, add = field._mul, field._add
-    for i, a in support(u):
-        if a.field is not field:
-            raise mixed(field, a.field)
+    mul, add, one = field._mul, field._add, field.one.v
+    for i, a in u.items():
         for j in range(dim):
             terms = table.get((i, j) if left else (j, i))
             if terms:
                 for k, s in terms:
-                    t, row = mul(a.v, s.v), rows[k]
+                    t, row = s if a == one else mul(a, s), rows[k]
                     row[j] = add(row[j], t) if j in row else t
-    return Mat.from_sparse_rows(field, [boxed(field, r) for r in rows], dim)
+    return Mat.from_sparse_rows(field, [nonzero(field, r) for r in rows], dim)
 
 
 class BasisActions(Sequence):
@@ -416,8 +385,7 @@ class BasisActions(Sequence):
         A = self._mats[b]
         if A is None:
             F = self.field
-            e = tuple(F.one if i == b else F.zero for i in range(self.dim))
-            A = self._mats[b] = mult_matrix(F, self.dim, self.table, e, left=self.left)
+            A = self._mats[b] = mult_matrix(F, self.dim, self.table, {b: F.one.v}, left=self.left)
         return A
 
 
@@ -431,12 +399,13 @@ def _unit_law_failures(K: AlgebraK) -> list[str]:
     return failures
 
 
-def _associative_at(table: dict, i: int, j: int, k: int) -> bool:
+def _associative_at(K: AlgebraK, i: int, j: int, k: int) -> bool:
     """(e_i e_j) e_k = e_i (e_j e_k), both sides summed from the summed
-    structure constants ``table`` (``AlgebraK.mul_table``)."""
-    lhs = combine((c, table.get((m, k), ())) for m, c in table.get((i, j), ()))
-    rhs = combine((c, table.get((i, m), ())) for m, c in table.get((j, k), ()))
-    return lhs == rhs
+    structure constants of K."""
+    F, table, one = K.field, K.mul_table, K.field.one.v
+    lhs = table_mul_into({}, table, F, table.get((i, j), ()), ((k, one),))
+    rhs = table_mul_into({}, table, F, ((i, one),), table.get((j, k), ()))
+    return nonzero(F, lhs) == nonzero(F, rhs)
 
 
 def algebra_validate(K: AlgebraK) -> ValidationReport:
@@ -454,7 +423,7 @@ def algebra_validate(K: AlgebraK) -> ValidationReport:
         return ValidationReport(True)
     failures = _unit_law_failures(K)
     for i, j, k in itertools.product(range(K.dim), repeat=3):
-        if not _associative_at(K.mul_table, i, j, k):
+        if not _associative_at(K, i, j, k):
             failures.append(f"associativity fails at triple ({i},{j},{k})")
             return ValidationReport(False, tuple(failures))
     return ValidationReport(not failures, tuple(failures))
@@ -576,21 +545,16 @@ class Endo:
             self._multiplicative_at(image, i, g) for i in range(alg.dim) for g in gens
         )
 
-    def _images(self) -> list[dict[int, Scalar]]:
-        """alpha(e_i) for each basis element, as the sparse column i."""
+    def _images(self) -> list[dict]:
+        """alpha(e_i) for each basis element, as the payload column i."""
         return self.matrix.transpose().sparse
 
     def _multiplicative_at(self, image: list, i: int, j: int) -> bool:
         """alpha(e_i e_j) = alpha(e_i) alpha(e_j), with the products read from
         the nonzero structure constants."""
-        table = self.alg.mul_table
-        lhs = combine((c, image[m]) for m, c in table.get((i, j), ()))
-        rhs = combine(
-            (a * b, table.get((p, q), ()))
-            for p, a in image[i].items()
-            for q, b in image[j].items()
-        )
-        return lhs == rhs
+        F, table = self.alg.field, self.alg.mul_table
+        lhs = row_sum(F, ((c, image[m]) for m, c in table.get((i, j), ())))
+        return lhs == nonzero(F, table_mul_into({}, table, F, image[i].items(), image[j].items()))
 
     def validate(self) -> ValidationReport:
         """Check that alpha fixes the unit and that alpha(e_i e_j) =
@@ -760,13 +724,13 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     dim-dimensional module, the matrices ``right[b]`` and ``left[c]``, and
     ``twist`` the matrix of alpha^r, these are the m with
     m e_b = alpha^r(e_b) m.  Each row of a constraint R_b - L(alpha^r(e_b))
-    is summed on payloads from the nonzero entries of the action matrices and
-    of column b of ``twist``, straight into the payload row the echelon
-    keeps; an entry of another field raises :func:`mixed`.  The rows go into
-    one echelon until full rank, and only the entries of its free-variable
-    kernel, the basis, are boxed.  Only the actions of the stacked b and of
-    the support of their twist columns are read, so a ``BasisActions``
-    sequence (K's own and the regular bimodule's) builds no others.
+    is one ``row_sum`` of the rows of the action matrices by the entries of
+    column b of ``twist``, the payload row the echelon keeps; a matrix of
+    another field raises :func:`mixed`.  The rows go into one echelon until
+    full rank, whose free-variable kernel is the basis.  Only the actions of
+    the stacked b and of the support of their twist columns are read, so a
+    ``BasisActions`` sequence (K's own and the regular bimodule's) builds no
+    others.
 
     Only the constraints of the b in ``generators`` are stacked, or of every
     b when it is None.  Pass the certified ``Endo.generators`` of the twist,
@@ -780,27 +744,15 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     generators' constraints cut out the same space as all of them.  The
     reduced free-variable basis of a space is unique, so the columns are the
     same as from every constraint, not only their span."""
-    mul, add, zv, one_v = field._mul, field._add, field.zero.v, field.one.v
-    tracker = EchelonTracker(field, dim)
+    same_field(field, twist.field)
+    tracker, neg = EchelonTracker(field, dim), field._neg
     twist_cols = twist.transpose().sparse
     for b in range(len(right)) if generators is None else generators:
-        terms = [(one_v, right[b].sparse)]  # (payload coefficient, action rows)
-        for c, t in twist_cols[b].items():
-            if t.field is not field:
-                raise mixed(field, t.field)
-            terms.append((field._neg(t.v), left[c].sparse))
+        terms = [(field.one.v, right[b])] + [(neg(t), left[c]) for c, t in twist_cols[b].items()]
+        for _, A in terms:
+            same_field(field, A.field)
         for i in range(dim):
-            row: dict = {}  # R_b[i] - sum_c t_cb L_c[i], on payloads
-            for cv, rows in terms:
-                unit = cv == one_v
-                for j, x in rows[i].items():
-                    if x.field is not field:
-                        raise mixed(field, x.field)
-                    s = x.v if unit else mul(cv, x.v)
-                    p = row.get(j)
-                    row[j] = s if p is None else add(p, s)
-            for j in [j for j, p in row.items() if p == zv]:
-                del row[j]
+            row = row_sum(field, ((cv, A.sparse[i]) for cv, A in terms))  # R_b[i] - sum_c t_cb L_c[i]
             if row:
                 tracker.add_payloads(row)
                 if tracker.dim == dim:

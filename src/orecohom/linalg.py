@@ -1,19 +1,20 @@
 """Deterministic exact linear algebra over the fields in :mod:`orecohom.fields`.
 
-Vectors are tuples of :class:`~orecohom.fields.Scalar`; sparse vectors are
-dicts {index: nonzero entry}.  A matrix is immutable and stored as its sparse
-rows only, each in column order; its dense grid and columns are built when
-read, and a column is read sparse as a row of the transpose.  The rows of
-the one elimination, ``EchelonTracker``, are payload rows {column: nonzero
-payload}: an entry is checked and unboxed once as it enters, eliminated on
-payloads, and boxed only when it leaves (``rows``, ``kernel``, a solver's
-``E``).  The inner loops touch only nonzero entries, test for zero on the
-payload (exact, as payloads are canonical), add and multiply payloads
-through the field's ``_add``/``_mul``, skip products by the unit, and box
-one Scalar per nonzero entry they return; an entry of another field raises
-:func:`~orecohom.fields.mixed`.  Pivoting always selects the first nonzero
-entry, so every basis this module emits is reproducible across runs and
-platforms.
+Dense vectors are tuples of :class:`~orecohom.fields.Scalar`.  Every other
+container stores field payloads and holds its field: a payload row is a dict
+{index: nonzero payload}, a matrix is its payload rows, and the one
+elimination, ``EchelonTracker``, keeps payload rows too.  Scalars are
+unboxed as they enter (``Mat(field, dense)``, ``Mat.from_columns``,
+``Mat.matvec``, ``EchelonTracker.add`` and ``contains``, ``LinSolver.solve``,
+``FreeRows.read``), each checked to be of the container's field, and boxed
+only as they leave (``Mat.data``, ``column``, ``columns_list``, ``matvec``,
+``solve``, ``read``).  An operation on two
+containers checks their fields once; an entry or operand of another field
+raises :func:`~orecohom.fields.mixed`.  The inner loops touch only nonzero
+entries, test for zero on the payload (exact, as payloads are canonical),
+add and multiply through the field's ``_add``/``_mul`` and skip products by
+the unit.  Pivoting always selects the first nonzero entry, so every basis
+this module emits is reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from .fields import Field, Scalar, mixed
 
 class LinalgError(ValueError):
     pass
-
-
-def vadd(a: tuple, b: tuple) -> tuple:
-    zv = a[0].field.zero.v if a else None
-    return tuple(
-        y if x.v == zv else x if y.v == zv else x + y
-        for x, y in zip(a, b, strict=True)
-    )
 
 
 def vscale(s: Scalar, a: tuple) -> tuple:
@@ -49,34 +42,10 @@ def support(v: tuple) -> list[tuple[int, Scalar]]:
     return [(j, x) for j, x in enumerate(v) if x.v != zv]
 
 
-def combine(terms) -> dict[int, Scalar]:
-    """The sum of c * v over the (c, v) in ``terms``, each v a sparse vector
-    {index: entry} or its (index, entry) pairs, summed on payloads in the
-    field of the first c, as a sparse vector with its zero entries dropped."""
-    acc: dict = {}  # index -> payload
-    field = None
-    for c, v in terms:
-        if field is None:
-            field = c.field
-            mul, add, one_v = field._mul, field._add, field.one.v
-        elif c.field is not field:
-            raise mixed(field, c.field)
-        cv, unit = c.v, c.v == one_v
-        for k, s in v.items() if isinstance(v, dict) else v:
-            if s.field is not field:
-                raise mixed(field, s.field)
-            t = s.v if unit else mul(cv, s.v)
-            p = acc.get(k)
-            acc[k] = t if p is None else add(p, t)
-    return boxed(field, acc)
-
-
-def boxed(field: Field, acc: dict) -> dict[int, Scalar]:
-    """The nonzero payloads of acc, {index: payload}, as Scalars of field."""
-    if not acc:
-        return {}
-    zv = field.zero.v
-    return {k: Scalar(field, p) for k, p in acc.items() if p != zv}
+def same_field(field: Field, other: Field) -> None:
+    """The one field check of an operand: :func:`mixed` unless other is field."""
+    if other is not field:
+        raise mixed(field, other)
 
 
 def payloads(field: Field, entries) -> dict:
@@ -91,6 +60,12 @@ def payloads(field: Field, entries) -> dict:
     return out
 
 
+def dense(field: Field, row: dict, n: int, base: int = 0) -> tuple:
+    """Entries base .. base + n - 1 of the payload row as a tuple of Scalars."""
+    zero = field.zero
+    return tuple(zero if (p := row.get(i)) is None else Scalar(field, p) for i in range(base, base + n))
+
+
 def nonzero(field: Field, acc: dict) -> dict:
     """The entries of the payload row acc that are not the zero payload."""
     zv = field.zero.v
@@ -100,9 +75,7 @@ def nonzero(field: Field, acc: dict) -> dict:
 def row_sum(field: Field, terms) -> dict:
     """The sum of c * row over the (c, row) pairs of ``terms``, c a payload
     and row a payload row {index: payload}, as a payload row with its zero
-    entries dropped: ``combine`` on payloads.  ``combine`` keeps its own
-    loop, which checks and unboxes each entry as it reads it: run as a
-    boxing wrapper over this one it took a second pass and 70% longer."""
+    entries dropped."""
     mul, add, one = field._mul, field._add, field.one.v
     acc: dict = {}
     for c, row in terms:
@@ -133,14 +106,15 @@ def _accumulate(out: dict, c, pairs, field: Field) -> None:
 
 
 class Mat:
-    """Immutable rectangular matrix over one field, stored as its sparse rows:
-    ``sparse[i]`` is the dict {column: nonzero entry} of row i, in column
-    order.
+    """Immutable rectangular matrix over one field, stored as its payload
+    rows: ``sparse[i]`` is the dict {column: nonzero payload} of row i, in
+    the order it was built.
 
-    The entries are taken as given and must be Scalars of ``field``; coerce
-    raw values with :meth:`Field.scalar` before building a matrix.  Every
-    constructor keeps only the nonzero entries, and ``data``, the dense grid
-    of rows, is built on each read."""
+    ``Mat(field, dense)`` and ``from_columns`` take Scalars of ``field``
+    (coerce raw values with :meth:`Field.scalar` first) and raise
+    :func:`mixed` on an entry of another field; ``from_sparse_rows`` takes
+    payload rows as they are.  ``data``, the dense grid of rows, and the
+    columns are boxed on each read."""
 
     __slots__ = ("field", "rows", "cols", "sparse")
 
@@ -155,19 +129,18 @@ class Mat:
             cols = width
         elif cols is None:
             cols = 0
-        zv = field.zero.v
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.sparse = [{j: a for j, a in enumerate(r) if a.v != zv} for r in rows]
+        self.sparse = [payloads(field, enumerate(r)) for r in rows]
 
     @classmethod
     def from_sparse_rows(cls, field: Field, rows, cols: int) -> "Mat":
-        """The matrix whose row i has the nonzero entries rows[i], a dict
-        {column: nonzero entry}."""
+        """The matrix whose row i is rows[i], a payload row {column: nonzero
+        payload}, stored as given."""
         M = cls.__new__(cls)
         M.field, M.cols = field, cols
-        M.sparse = [{j: r[j] for j in sorted(r)} for r in rows]
+        M.sparse = list(rows)
         M.rows = len(M.sparse)
         return M
 
@@ -177,7 +150,8 @@ class Mat:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls.from_sparse_rows(field, [{i: field.one} for i in range(n)], n)
+        one = field.one.v
+        return cls.from_sparse_rows(field, [{i: one} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: Field, columns, nrows: int) -> "Mat":
@@ -188,16 +162,15 @@ class Mat:
 
     @property
     def data(self) -> tuple:
-        """The dense rows, built on each read."""
-        z = self.field.zero
-        return tuple(tuple(row.get(j, z) for j in range(self.cols)) for row in self.sparse)
+        """The dense rows, boxed on each read."""
+        return tuple(dense(self.field, row, self.cols) for row in self.sparse)
 
     def column(self, j: int) -> tuple:
-        z = self.field.zero
-        return tuple(row.get(j, z) for row in self.sparse)
+        field, zero = self.field, self.field.zero
+        return tuple(zero if (p := row.get(j)) is None else Scalar(field, p) for row in self.sparse)
 
     def columns_list(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return [dense(self.field, col, self.rows) for col in self.transpose().sparse]
 
     def transpose(self) -> "Mat":
         """Row j is filled in increasing i, so it is in column order as built."""
@@ -209,78 +182,80 @@ class Mat:
                 T.sparse[j][i] = a
         return T
 
+    def apply(self, w: dict) -> dict:
+        """M w for a payload row w {column: nonzero payload}, as a payload
+        row {row: nonzero payload}."""
+        field = self.field
+        mul, add, zv, one = field._mul, field._add, field.zero.v, field.one.v
+        out = {}
+        for i, row in enumerate(self.sparse):
+            acc = None
+            for j, a in row.items():
+                x = w.get(j)
+                if x is not None:
+                    t = x if a == one else a if x == one else mul(a, x)
+                    acc = t if acc is None else add(acc, t)
+            if acc is not None and acc != zv:
+                out[i] = acc
+        return out
+
     def matvec(self, v: tuple) -> tuple:
         if len(v) != self.cols:
             raise LinalgError("shape mismatch in matvec")
-        field = self.field
-        mul, add, zv, one_v = field._mul, field._add, field.zero.v, field.one.v
-        out = []
-        for row in self.sparse:
-            acc = None
-            for j, a in row.items():
-                x = v[j]
-                xv = x.v
-                if xv == zv:
-                    continue
-                if x.field is not field or a.field is not field:
-                    raise mixed(field, a.field if x.field is field else x.field)
-                av = a.v
-                t = xv if av == one_v else av if xv == one_v else mul(av, xv)
-                acc = t if acc is None else add(acc, t)
-            out.append(field.zero if acc is None or acc == zv else Scalar(field, acc))
-        return tuple(out)
+        return dense(self.field, self.apply(payloads(self.field, enumerate(v))), self.rows)
 
     def matmul(self, other: "Mat") -> "Mat":
-        """Row i of the product is the combination of the sparse rows of
-        ``other`` by the nonzero entries of row i."""
+        """Row i of the product is the combination of the rows of ``other``
+        by the nonzero entries of row i."""
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
-        right = other.sparse
-        out = [combine((a, right[k]) for k, a in row.items()) for row in self.sparse]
-        return Mat.from_sparse_rows(self.field, out, other.cols)
+        field, right = self.field, other.sparse
+        same_field(field, other.field)
+        out = [row_sum(field, ((a, right[k]) for k, a in row.items())) for row in self.sparse]
+        return Mat.from_sparse_rows(field, out, other.cols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in add")
-        one = self.field.one
-        out = [combine([(one, r1), (one, r2)]) for r1, r2 in zip(self.sparse, other.sparse)]
-        return Mat.from_sparse_rows(self.field, out, self.cols)
+        field = self.field
+        same_field(field, other.field)
+        one = field.one.v
+        out = [row_sum(field, [(one, r1), (one, r2)]) for r1, r2 in zip(self.sparse, other.sparse)]
+        return Mat.from_sparse_rows(field, out, self.cols)
 
     def scale(self, s: Scalar) -> "Mat":
-        return Mat.from_sparse_rows(self.field, [combine([(s, r)]) for r in self.sparse], self.cols)
+        field = self.field
+        same_field(field, s.field)
+        return Mat.from_sparse_rows(field, [row_sum(field, [(s.v, r)]) for r in self.sparse], self.cols)
 
     def is_zero(self) -> bool:
         return not any(self.sparse)
 
     def key(self) -> tuple:
         """A key equal for two matrices of one field exactly when they are
-        equal: the number of columns and the payloads of the nonzero entries
-        of each row.  An entry of another field raises :func:`mixed`."""
-        field = self.field
-        for row in self.sparse:
-            for a in row.values():
-                if a.field is not field:
-                    raise mixed(field, a.field)
-        return self.cols, tuple(tuple((j, a.v) for j, a in row.items()) for row in self.sparse)
+        equal: the number of columns and the nonzero (column, payload)
+        entries of each row, sorted, as the rows are stored in the order
+        they were built."""
+        return self.cols, tuple(tuple(sorted(row.items())) for row in self.sparse)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field is other.field and self.key() == other.key()
+        return self.field is other.field and self.cols == other.cols and self.sparse == other.sparse
 
     def __hash__(self):
         return hash((id(self.field), self.rows, self.cols))
 
     def __repr__(self):
-        z = self.field.zero
-        body = "; ".join(" ".join(repr(row.get(j, z)) for j in range(self.cols)) for row in self.sparse)
+        body = "; ".join(" ".join(map(repr, row)) for row in self.data)
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot cols)."""
+    """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot
+    cols).  R holds copies of the echelon's payload rows."""
     t = EchelonTracker.of_rows(M)
-    rows = t.rows + [{}] * (M.rows - t.dim)
+    rows = [dict(row) for row in t._rows] + [{} for _ in range(M.rows - t.dim)]
     return Mat.from_sparse_rows(M.field, rows, M.cols), list(t.lead)
 
 
@@ -305,9 +280,8 @@ class LinSolver:
     The rows of [M | I] go through one echelon with its pivots in M's
     columns.  A reduced row [R_i | E_i] keeps E_i M = R_i; a row whose M part
     reduces to zero leaves its E_i, unnormalised, in the left null space of M.
-    The rows go in and are reduced as payloads, and ``E`` boxes each of its
-    entries once: it holds each E_i as a sparse row {column: nonzero entry},
-    first the rows of the rref, in pivot order, then the null rows."""
+    ``E`` holds each E_i as a payload row {column: nonzero payload}, first
+    the rows of the rref, in pivot order, then the null rows."""
 
     def __init__(self, M: Mat):
         self.M = M
@@ -315,30 +289,28 @@ class LinSolver:
         t = EchelonTracker(field, n + M.rows, pivot_cols=n)
         null, one_v = [], field.one.v
         for i, row in enumerate(M.sparse):
-            w = t._payloads(row)
+            w = dict(row)
             w[n + i] = one_v
             if not t.add_payloads(w):
                 null.append(w)
         self.pivots = list(t.lead)
         self.rank = t.dim
-        self.E = [{j - n: Scalar(field, e) for j, e in row.items() if j >= n} for row in t._rows + null]
+        self.E = [{j - n: e for j, e in row.items() if j >= n} for row in t._rows + null]
 
     def solve(self, b: tuple) -> tuple | None:
         if len(b) != self.M.rows:
             raise LinalgError("shape mismatch in solve")
-        y = combine((x, self._columns[j]) for j, x in support(b))  # E b
+        field, cols = self.M.field, self._columns
+        y = row_sum(field, ((x, cols[j]) for j, x in payloads(field, enumerate(b)).items()))  # E b
         if any(i >= self.rank for i in y):
             return None
-        x = [self.M.field.zero] * self.M.cols
-        for i, s in y.items():
-            x[self.pivots[i]] = s
-        return tuple(x)
+        return dense(field, {self.pivots[i]: p for i, p in y.items()}, self.M.cols)
 
     @functools.cached_property
-    def _columns(self) -> list[dict[int, Scalar]]:
-        """E by columns, {row: entry} each, so a solve reads only the columns
-        at the nonzero entries of b."""
-        cols: list[dict[int, Scalar]] = [{} for _ in range(self.M.rows)]
+    def _columns(self) -> list[dict]:
+        """E by columns, {row: payload} each, so a solve reads only the
+        columns at the nonzero entries of b."""
+        cols: list[dict] = [{} for _ in range(self.M.rows)]
         for i, row in enumerate(self.E):
             for j, e in row.items():
                 cols[j][i] = e
@@ -350,7 +322,7 @@ class FreeRows:
     ``twisted_kernel``) read off its free rows, without elimination.  Column k
     is one at its free row f_k, zero at the other free rows, and f_k is its
     last nonzero row, as an echelon row's entries lie right of its lead; so
-    w in span(B) has the coordinates (w[f_0], ..., w[f_{k-1}]).  ``read``
+    w in span(B) has the coordinates (w[f_0], ..., w[f_{k-1}]).  ``coords``
     checks B sol = w on the nonzero entries, so a w outside the span reads as
     None, never as wrong coordinates, since B's columns are independent.  A
     basis in another form raises LinalgError."""
@@ -360,41 +332,49 @@ class FreeRows:
         for i, row in enumerate(B.sparse):
             for k in row:
                 last[k] = i
-        one_v = B.field.one.v
-        if any(f < 0 or B.sparse[f].keys() != {k} or B.sparse[f][k].v != one_v for k, f in enumerate(last)):
+        one_v, neg = B.field.one.v, B.field._neg
+        if any(f < 0 or B.sparse[f].keys() != {k} or B.sparse[f][k] != one_v for k, f in enumerate(last)):
             raise LinalgError("the basis is not in reduced free-variable form")
         self.B, self.free = B, last
-        self._negated = [{i: -x for i, x in col.items()} for col in B.transpose().sparse]
+        self._negated = [{i: neg(x) for i, x in col.items()} for col in B.transpose().sparse]
+
+    def coords(self, w: dict) -> dict | None:
+        """The coordinates of the payload row w over B's columns, as a
+        payload row, or None when w is not in their span."""
+        sol = {k: p for k, f in enumerate(self.free) if (p := w.get(f)) is not None}
+        if not w:
+            return sol
+        field, negated = self.B.field, self._negated
+        rest = row_sum(field, [(field.one.v, w), *((p, negated[k]) for k, p in sol.items())])
+        return None if rest else sol
 
     def read(self, w) -> tuple | None:
         """The coordinates of w, a tuple of length ``B.rows`` or a sparse
         vector {index: entry}, over B's columns, or None when w is not in
         their span.  A tuple of another length, or a sparse index outside
         0..rows-1, raises LinalgError."""
-        rows, zero = self.B.rows, self.B.field.zero
+        rows, field = self.B.rows, self.B.field
         if isinstance(w, dict):
             for j in w:
                 if not 0 <= j < rows:
                     raise LinalgError(f"index {j} outside the rows 0..{rows - 1}")
-            sol, nonzero = tuple([w.get(f, zero) for f in self.free]), w
+            w = w.items()
         elif len(w) != rows:
             raise LinalgError("shape mismatch in read")
         else:
-            sol, nonzero = tuple([w[f] for f in self.free]), support(w)
-        if not nonzero:
-            return sol
-        terms = [(c, col) for c, col in zip(sol, self._negated) if c.v != zero.v]
-        return None if combine([(self.B.field.one, nonzero), *terms]) else sol
+            w = enumerate(w)
+        sol = self.coords(payloads(field, w))
+        return None if sol is None else dense(field, sol, self.B.cols)
 
-    def matrix(self, vectors) -> Mat | None:
-        """The matrix whose columns are the coordinates of ``vectors``, or
-        None when one of them is not in span(B)."""
+    def matrix(self, rows) -> Mat | None:
+        """The matrix whose columns are the coordinates of the payload rows
+        ``rows``, or None when one of them is not in span(B)."""
         cols = []
-        for w in vectors:
-            cols.append(self.read(w))
+        for w in rows:
+            cols.append(self.coords(w))
             if cols[-1] is None:
                 return None
-        return Mat.from_columns(self.B.field, cols, self.B.cols)
+        return Mat.from_sparse_rows(self.B.field, cols, self.B.cols).transpose()
 
 
 class EchelonTracker:
@@ -405,11 +385,11 @@ class EchelonTracker:
     in every other row's leading column, so they depend only on the span
     added.  Leading columns lie among the first ``pivot_cols`` (default: all).
     Each row is a payload row, a dict {column: nonzero payload}, so
-    eliminating with it touches only its nonzero entries, reducing a vector
-    touches only the rows that lead at one of its nonzero entries, and
-    neither boxes a Scalar.  An entry's field and column are checked once, as
-    it enters (``add``, ``contains``); ``rows`` boxes the rows on each read,
-    and ``kernel`` boxes each entry it returns once."""
+    eliminating with it touches only its nonzero entries, and reducing a
+    vector touches only the rows that lead at one of its nonzero entries.
+    A Scalar entry's field and column are checked once, as it enters
+    (``add``, ``contains``); the rows of a matrix enter as copies, after one
+    check of its field, and ``kernel`` returns a matrix of payload rows."""
 
     def __init__(self, field: Field, n: int, pivot_cols: int | None = None):
         self.field = field
@@ -424,7 +404,7 @@ class EchelonTracker:
         """The echelon of the span of M's rows."""
         t = cls(M.field, M.cols)
         for row in M.sparse:
-            t.add(row)
+            t.add_payloads(dict(row))
         return t
 
     @classmethod
@@ -432,27 +412,18 @@ class EchelonTracker:
         """The echelon of the span of M's columns."""
         return cls.of_rows(M.transpose())
 
-    @property
-    def rows(self) -> list[dict[int, Scalar]]:
-        """The rows as sparse vectors {column: nonzero entry}, boxed on each read."""
-        field = self.field
-        return [{j: Scalar(field, p) for j, p in row.items()} for row in self._rows]
-
     def _payloads(self, v) -> dict:
         """v, a tuple of length n or a sparse vector {index: entry}, as a
         payload dict {index: nonzero payload}.  An entry of another field
         raises :func:`mixed`; a tuple of another length, or a sparse index
         outside 0..n-1, raises LinalgError."""
-        field, n, zv, w = self.field, self.n, self.field.zero.v, {}
+        n = self.n
         if not isinstance(v, dict) and len(v) != n:
             raise LinalgError("vector length mismatch")
-        for j, x in v.items() if isinstance(v, dict) else enumerate(v):
-            if x.field is not field:
-                raise mixed(field, x.field)
-            if x.v != zv:
-                if not 0 <= j < n:
-                    raise LinalgError(f"index {j} outside the columns 0..{n - 1}")
-                w[j] = x.v
+        w = payloads(self.field, v.items() if isinstance(v, dict) else enumerate(v))
+        for j in w:
+            if not 0 <= j < n:
+                raise LinalgError(f"index {j} outside the columns 0..{n - 1}")
         return w
 
     def _reduce(self, w: dict) -> None:
@@ -466,7 +437,11 @@ class EchelonTracker:
     def contains(self, v) -> bool:
         """Whether v, a tuple of length n or a sparse vector {index: entry},
         is in the span of the rows."""
-        w = self._payloads(v)
+        return self.contains_payloads(self._payloads(v))
+
+    def contains_payloads(self, w: dict) -> bool:
+        """``contains`` for a payload row w, {column in 0..n-1: nonzero
+        payload of the field}, which it reduces in place."""
         self._reduce(w)
         return not w
 
@@ -503,7 +478,8 @@ class EchelonTracker:
 
     def extend(self, M: Mat) -> Mat:
         """Add M's columns in order; returns those that joined, as columns."""
-        joined = [c for c in M.transpose().sparse if self.add(c)]
+        same_field(self.field, M.field)
+        joined = [c for c in M.transpose().sparse if self.add_payloads(dict(c))]
         return Mat.from_sparse_rows(M.field, joined, M.rows).transpose()
 
     def kernel(self) -> Mat:
@@ -516,9 +492,9 @@ class EchelonTracker:
         free = {fc: k for k, fc in enumerate(fc for fc in range(self.n) if fc not in pivots)}
         out: list[dict] = [{} for _ in range(self.n)]
         for fc, k in free.items():
-            out[fc] = {k: field.one}
+            out[fc] = {k: field.one.v}
         for row, pc in zip(self._rows, self.lead):
-            out[pc] = {free[j]: Scalar(field, neg(x)) for j, x in row.items() if j != pc}
+            out[pc] = {free[j]: neg(x) for j, x in row.items() if j != pc}
         return Mat.from_sparse_rows(field, out, len(free))
 
     @property
@@ -530,7 +506,8 @@ def span_equal(A: Mat, B: Mat) -> bool:
     if A.rows != B.rows:
         return False
     t = EchelonTracker.of_columns(A)
-    if any(not t.contains(c) for c in B.transpose().sparse):
+    same_field(t.field, B.field)
+    if any(not t.contains_payloads(c) for c in B.transpose().sparse):
         return False
     return EchelonTracker.of_columns(B).dim == t.dim
 
@@ -542,8 +519,9 @@ def quotient_basis(sub: Mat, amb: Mat) -> Mat:
     if sub.rows != amb.rows:
         raise LinalgError("ambient dimension mismatch")
     full = EchelonTracker.of_columns(amb)
+    same_field(full.field, sub.field)
     for c in sub.transpose().sparse:
-        if not full.contains(c):
+        if not full.contains_payloads(c):
             raise LinalgError("inconsistent subspace: sub not inside amb")
     return EchelonTracker.of_columns(sub).extend(amb)
 
@@ -553,19 +531,20 @@ def intersect_spans(A: Mat, B: Mat) -> Mat:
     if A.rows != B.rows:
         raise LinalgError("ambient dimension mismatch")
     field = A.field
+    same_field(field, B.field)
     if A.cols == 0 or B.cols == 0:
-        return Mat.from_columns(field, [], A.rows)
+        return Mat.zero(field, A.rows, 0)
     # the kernel of [A | -B] pairs the combinations of A's columns with
     # those of B's that are equal; its A part, through A, spans the meet
-    n = A.cols
-    stacked = [{**ra, **{n + j: -x for j, x in rb.items()}} for ra, rb in zip(A.sparse, B.sparse)]
+    n, neg = A.cols, field._neg
+    stacked = [{**ra, **{n + j: neg(x) for j, x in rb.items()}} for ra, rb in zip(A.sparse, B.sparse)]
     ker = kernel_basis(Mat.from_sparse_rows(field, stacked, n + B.cols))
     a_cols = A.transpose().sparse
     t = EchelonTracker(field, A.rows)
     cols = []
     for kc in ker.transpose().sparse:
-        v = combine((x, a_cols[j]) for j, x in kc.items() if j < n)
-        if t.add(v):
+        v = row_sum(field, ((x, a_cols[j]) for j, x in kc.items() if j < n))
+        if t.add_payloads(dict(v)):
             cols.append(v)
     return Mat.from_sparse_rows(field, cols, A.rows).transpose()
 

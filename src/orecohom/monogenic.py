@@ -16,10 +16,11 @@ Conventions, fixed once here and relied on everywhere downstream:
   middle K-coefficients pushed into the left factor through the twist:
   u (x) mu x^c = u . alpha^{r+c}(mu) (x) x^c.  Flat index (c*n + a)*dimK + b,
   that is c*dimA + i with i the flat index of lambda_b x^a in A.
-* The actions on the tensor square, the resolution's columns and the checks
-  of A and of the resolution run on payload rows {flat index: payload},
-  reading A's and K's tables through ``table_mul_into``; a Scalar is boxed
-  only in a tensor handed back to a caller.
+* Elements of A and of the tensor square, A's compiled table, the actions,
+  the resolution's columns and the checks all hold payload rows {flat index:
+  nonzero payload} of A's field and read A's and K's tables through
+  ``table_mul_into``.  Scalars enter at ``AElem(alg, coords)`` and
+  ``monomial`` and leave at ``coords`` and ``k_coeff``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .fields import Field, Scalar, mixed
-from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul, table_mul_into
-from .linalg import boxed, combine, nonzero, payloads, row_sum, support, vadd
+from .fields import Field, Scalar
+from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul_into
+from .linalg import dense, nonzero, payloads, row_sum, same_field
 
 
 class MonogenicError(ValueError):
@@ -77,14 +78,15 @@ def instance_checks(K: AlgebraK, alpha: Endo, f_coeffs: list) -> list[tuple[str,
 
 class AElem:
     """Element of A in normal form, stored as its nonzero coordinates over
-    {lambda_b x^a}: ``nz`` is {flat index: nonzero entry}, Scalars of A's
-    field taken as given.
+    {lambda_b x^a}: ``nz`` is the payload row {flat index: nonzero payload}
+    of A's field.
 
-    ``AElem(alg, coords)`` takes the dense coordinates and keeps their
-    nonzero entries; products, sums, scalings and the basis builders of the
-    algebra (``monomial``, ``k_embed``, ``basis_vector``) make ``nz``
-    directly.  ``coords``, the dense tuple, is built on each read.  ``==``
-    raises :func:`mixed` on an entry of another field."""
+    ``AElem(alg, coords)`` takes the dense coordinates, Scalars of A's field
+    (:func:`mixed` on another field's), and keeps their nonzero payloads;
+    products, sums, scalings and the basis builders of the algebra
+    (``monomial``, ``k_embed``, ``basis_vector``) make ``nz`` directly.
+    ``coords``, the dense tuple, and ``k_coeff`` are boxed on each read.  An
+    operand of another field raises :func:`mixed`."""
 
     __slots__ = ("alg", "nz")
 
@@ -92,48 +94,52 @@ class AElem:
         coords = tuple(coords)
         if len(coords) != alg.adim:
             raise MonogenicError("coordinate length mismatch")
-        zv = alg.field.zero.v
         self.alg = alg
-        self.nz = {i: s for i, s in enumerate(coords) if s.v != zv}
+        self.nz = payloads(alg.field, enumerate(coords))
 
     @classmethod
     def _of(cls, alg: "MonogenicAlgebra", nz: dict) -> "AElem":
-        """The element with the nonzero coordinates nz, {flat index: entry}."""
+        """The element with the nonzero coordinates nz, a payload row."""
         out = cls.__new__(cls)
         out.alg, out.nz = alg, nz
         return out
 
     @property
     def coords(self) -> tuple:
-        zero, nz = self.alg.field.zero, self.nz
-        return tuple(nz.get(i, zero) for i in range(self.alg.adim))
+        return dense(self.alg.field, self.nz, self.alg.adim)
+
+    def _sum(self, other: "AElem", sign) -> "AElem":
+        F = self.alg.field
+        same_field(F, other.alg.field)
+        return AElem._of(self.alg, row_sum(F, [(F.one.v, self.nz), (sign, other.nz)]))
 
     def __add__(self, other):
-        one = self.alg.field.one
-        return AElem._of(self.alg, combine([(one, self.nz), (one, other.nz)]))
+        return self._sum(other, self.alg.field.one.v)
 
     def __sub__(self, other):
-        one = self.alg.field.one
-        return AElem._of(self.alg, combine([(one, self.nz), (-one, other.nz)]))
+        F = self.alg.field
+        return self._sum(other, F._neg(F.one.v))
 
     def __neg__(self):
-        return AElem._of(self.alg, {i: -s for i, s in self.nz.items()})
+        neg = self.alg.field._neg
+        return AElem._of(self.alg, {i: neg(p) for i, p in self.nz.items()})
 
     def __mul__(self, other):
         if isinstance(other, AElem):
             return self.alg.a_mul(self, other)
-        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self.nz)]))
+        F = self.alg.field
+        return AElem._of(self.alg, row_sum(F, [(F.scalar(other).v, self.nz)]))
 
     def __rmul__(self, other):
-        return AElem._of(self.alg, combine([(self.alg.field.scalar(other), self.nz)]))
+        return self * other
 
     def is_zero(self):
         return not self.nz
 
     def k_coeff(self, a: int) -> tuple:
         """The K-coefficient of x^a."""
-        d, nz, zero = self.alg.K.dim, self.nz, self.alg.field.zero
-        return tuple(nz.get(i, zero) for i in range(a * d, (a + 1) * d))
+        d = self.alg.K.dim
+        return dense(self.alg.field, self.nz, d, a * d)
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
@@ -142,10 +148,6 @@ class AElem:
     def __eq__(self, other):
         if not isinstance(other, AElem) or self.alg is not other.alg:
             return False
-        field = self.alg.field
-        for s in (*self.nz.values(), *other.nz.values()):
-            if s.field is not field:
-                raise mixed(field, s.field)
         return self.nz == other.nz
 
     def __hash__(self):
@@ -196,7 +198,7 @@ class MonogenicAlgebra:
         """The flat basis element lambda_b x^a, i = a*dimK + b."""
         if not 0 <= i < self.adim:
             raise IndexError("basis index out of range")
-        return AElem._of(self, {i: self.field.one})
+        return AElem._of(self, {i: self.field.one.v})
 
     @functools.cached_property
     def one(self) -> AElem:
@@ -218,7 +220,7 @@ class MonogenicAlgebra:
         if not 0 <= a < self.n:
             raise IndexError("x-degree out of range")
         zv, base = self.field.zero.v, a * self.K.dim
-        return AElem._of(self, {base + b: c for b, c in enumerate(u) if c.v != zv})
+        return AElem._of(self, {base + b: c.v for b, c in enumerate(u) if c.v != zv})
 
     @functools.cached_property
     def x(self) -> AElem:
@@ -232,46 +234,45 @@ class MonogenicAlgebra:
         u = e_b alpha^a(e_b2).  For a + a2 < n, x^(a + a2) is its own normal
         form and u is stored as it is, which takes K's unit law on trust: a
         checked build runs ``instance_checks`` first; else u multiplies each
-        nonzero K-coefficient of the normal form."""
-        K, n = self.K, self.n
-        # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
-        zero = tuple(self.field.zero for _ in range(K.dim))
-        nf: list[list[tuple]] = []
-        for m in range(n):
-            row = [zero] * n
-            row[m] = K.unit
-            nf.append(row)
+        nonzero K-coefficient of the normal form.  All of it runs on payload
+        rows."""
+        K, n, F = self.K, self.n, self.field
+        ktab, neg = K.mul_table, F._neg
+        # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coefficient payload rows
+        unit = payloads(F, enumerate(K.unit))
+        fs = [payloads(F, enumerate(c)) for c in self.f_terms[:n]]
+        nf: list[list[dict]] = [[unit if j == m else {} for j in range(n)] for m in range(n)]
         for m in range(n, 2 * n + 1):
-            row = [zero] * n
-            for i, ci in enumerate(self.f_terms[:n]):
-                if all(c.is_zero() for c in ci):
-                    continue
-                c = self.alpha.apply_power(m - n, ci)
-                for j, prev in enumerate(nf[m - n + i]):
-                    row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+            twisted = [(i, self.alpha.power_matrix(m - n).apply(ci)) for i, ci in enumerate(fs) if ci]
+            row = []
+            for j in range(n):  # -sum_i alpha^(m-n)(c_i) (x^(m-n+i))_j
+                acc: dict = {}
+                for i, c in twisted:
+                    table_mul_into(acc, ktab, F, c.items(), nf[m - n + i][j].items())
+                row.append({b: neg(p) for b, p in nonzero(F, acc).items()})
             nf.append(row)
-        self._xpows = [AElem(self, [c for cj in row for c in cj]) for row in nf]  # flat index j*dimK + b
+        d = K.dim
+        self._xpows = [AElem._of(self, {j * d + b: p for j, cj in enumerate(row) for b, p in cj.items()})
+                       for row in nf]
         # x^n = sum_j kappa_j x^j: the nonzero kappa_j, read by every right x action
-        self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if support(kappa)]
+        self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if kappa]
         # alpha^a(e_b2) is column b2 of alpha^a; the reduced powers x^n .. x^(2n - 2)
-        # keep their nonzero K-coefficients as (j, c_j payloads)
-        F, ktab = self.field, K.mul_table
+        # keep their nonzero K-coefficients as (j, c_j pairs)
         images = [self._alpha_columns(a) for a in range(n)]
-        reduced = [[(j, cj.items()) for j, c in enumerate(row) if (cj := payloads(F, enumerate(c)))] for row in nf[n:]]
-        table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-        for b, a in itertools.product(range(K.dim), range(n)):
+        reduced = [[(j, cj.items()) for j, cj in enumerate(row) if cj] for row in nf[n:]]
+        table: dict[tuple[int, int], list[tuple]] = {}
+        for b, a in itertools.product(range(d), range(n)):
             for b2, image in enumerate(images[a]):
                 u = sorted(_product(ktab, F, {b: F.one.v}, image).items())
                 if not u:
                     continue
-                ub = [(b3, Scalar(F, p)) for b3, p in u]
                 for a2 in range(n):
                     if a + a2 < n:
-                        terms = [(self.idx(b3, a + a2), s) for b3, s in ub]
+                        terms = [(self.idx(b3, a + a2), p) for b3, p in u]
                     else:
                         terms = []
                         for j, cj in reduced[a + a2 - n]:
-                            w = boxed(F, table_mul_into({}, ktab, F, u, cj))
+                            w = nonzero(F, table_mul_into({}, ktab, F, u, cj))
                             terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
                     if terms:
                         table[(self.idx(b, a), self.idx(b2, a2))] = terms
@@ -279,7 +280,7 @@ class MonogenicAlgebra:
 
     def _alpha_columns(self, d: int) -> list[dict]:
         """Column b of alpha^d, alpha^d(e_b), as a payload row, b < dim K."""
-        return [payloads(self.field, col.items()) for col in self.alpha.power_matrix(d).transpose().sparse]
+        return self.alpha.power_matrix(d).transpose().sparse
 
     def check_compiled(self) -> None:
         """Raise MonogenicError unless the compiled table obeys the commutation
@@ -289,15 +290,15 @@ class MonogenicAlgebra:
         F, ktab, atab = self.field, self.K.mul_table, self.mul_table
         cols = [self._alpha_columns(d) for d in range(self.n + 1)]
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table
-        x = payloads(F, self.x.nz.items())
+        x = self.x.nz
         for b in range(self.K.dim):
             if _product(atab, F, x, {b: F.one.v}) != _product(atab, F, cols[1][b], x):
                 raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
         # f is normal in B, read at each x^d: f x = x f is c_d alpha^d(1) = 1 alpha(c_d),
         # and f mu = alpha^n(mu) f is c_d alpha^d(mu) = alpha^n(mu) c_d
-        unit = payloads(F, enumerate(self.K.unit))
+        unit, power = payloads(F, enumerate(self.K.unit)), self.alpha.power_matrix
         fs = [(d, u) for d, c in enumerate(self.f_terms) if (u := payloads(F, enumerate(c)))]
-        if any(_product(ktab, F, c, _image(F, cols[d], unit)) != _product(ktab, F, unit, _image(F, cols[1], c))
+        if any(_product(ktab, F, c, power(d).apply(unit)) != _product(ktab, F, unit, power(1).apply(c))
                for d, c in fs):
             raise MonogenicError("f does not commute with x")
         for b in range(self.K.dim):
@@ -309,7 +310,10 @@ class MonogenicAlgebra:
     def a_mul(self, a: AElem, b: AElem) -> AElem:
         """The product on the compiled table, read on the nonzero
         coordinates of both factors."""
-        return AElem._of(self, table_mul(self.mul_table, a.nz.items(), b.nz.items()))
+        F = self.field
+        same_field(F, a.alg.field)
+        same_field(F, b.alg.field)
+        return AElem._of(self, nonzero(F, table_mul_into({}, self.mul_table, F, a.nz.items(), b.nz.items())))
 
     def xpow(self, m: int) -> AElem:
         """Normal form of x^m in A, any m >= 0.  For m <= 2n it is the element
@@ -343,18 +347,18 @@ class MonogenicAlgebra:
 
 class TensorElem:
     """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
-    held sparsely as flat index -> nonzero Scalar.  Read by power of x, it is
-    sum_c u_c (x) x^c with left factors u_c in A.  Its actions run on its
-    payload row, on A's compiled table, and box their result once; the left
-    action of A and the right action of x are ``_left`` and ``_right_x``."""
+    held as the payload row ``coords`` {flat index: nonzero payload} of A's
+    field; the constructor drops the zero payloads of the row it is given.
+    Read by power of x, it is sum_c u_c (x) x^c with left factors u_c in A.
+    Its actions run on that row, on A's compiled table: the left action of A
+    and the right action of x are ``_left`` and ``_right_x``."""
 
     __slots__ = ("alg", "twist", "coords")
 
     def __init__(self, alg: MonogenicAlgebra, twist: int, coords: dict):
         self.alg = alg
         self.twist = twist
-        zv = alg.field.zero.v
-        self.coords = {i: s for i, s in coords.items() if s.v != zv}
+        self.coords = nonzero(alg.field, coords)
 
     @classmethod
     def zero(cls, alg: MonogenicAlgebra, twist: int) -> "TensorElem":
@@ -363,7 +367,7 @@ class TensorElem:
     @classmethod
     def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
         """left (x) x^c."""
-        return cls(left.alg, twist, {c * left.alg.adim + i: s for i, s in left.nz.items()})
+        return cls(left.alg, twist, {c * left.alg.adim + i: p for i, p in left.nz.items()})
 
     def powers(self) -> list[int]:
         """The c with a nonzero left factor u_c, ascending."""
@@ -387,8 +391,11 @@ class TensorElem:
         """self + s * other (s = None stands for 1)."""
         if self.twist != other.twist:
             raise MonogenicError("twist mismatch in tensor sum")
-        one = self.alg.field.one
-        out = combine([(one, self.coords), (one if s is None else s, other.coords)])
+        F = self.alg.field
+        same_field(F, other.alg.field)
+        if s is not None:
+            same_field(F, s.field)
+        out = row_sum(F, [(F.one.v, self.coords), (F.one.v if s is None else s.v, other.coords)])
         return TensorElem(self.alg, self.twist, out)
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
@@ -398,7 +405,8 @@ class TensorElem:
         return self.add_scaled(other, -self.alg.field.one)
 
     def __neg__(self) -> "TensorElem":
-        return TensorElem(self.alg, self.twist, {i: -s for i, s in self.coords.items()})
+        neg = self.alg.field._neg
+        return TensorElem(self.alg, self.twist, {i: neg(p) for i, p in self.coords.items()})
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -416,20 +424,19 @@ class TensorElem:
 
     def leftmul(self, a: AElem) -> "TensorElem":
         """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
-        F = self.alg.field
-        row = _left(self.alg, payloads(F, a.nz.items()), payloads(F, self.coords.items()), {})
-        return TensorElem(self.alg, self.twist, boxed(F, row))
+        same_field(self.alg.field, a.alg.field)
+        return TensorElem(self.alg, self.twist, _left(self.alg, a.nz, self.coords, {}))
 
     def rightmul_k(self, mu) -> "TensorElem":
         """Right action of mu in K: migrates through the twist,
         (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
         alg, F = self.alg, self.alg.field
-        mu, acc = alg.K.elem(mu), {}
-        for flat, s in payloads(F, self.coords.items()).items():
+        mu, acc = payloads(F, enumerate(alg.K.elem(mu))), {}
+        for flat, s in self.coords.items():
             c, j = divmod(flat, alg.adim)
-            mig = payloads(F, enumerate(alg.alpha.apply_power(self.twist + c, mu)))
+            mig = alg.alpha.power_matrix(self.twist + c).apply(mu)
             table_mul_into(acc, alg.mul_table, F, ((j, s),), mig.items(), c * alg.adim)
-        return TensorElem(alg, self.twist, boxed(F, acc))
+        return TensorElem(alg, self.twist, acc)
 
     def rightmul_x(self) -> "TensorElem":
         """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
@@ -437,11 +444,10 @@ class TensorElem:
         return self.rightmul_xpow(1)
 
     def rightmul_xpow(self, d: int) -> "TensorElem":
-        alg, wraps = self.alg, _wraps(self.alg, self.twist)
-        row = payloads(alg.field, self.coords.items())
+        alg, wraps, row = self.alg, _wraps(self.alg, self.twist), self.coords
         for _ in range(d):
             row = _right_x(alg, row, wraps)
-        return TensorElem(alg, self.twist, boxed(alg.field, row))
+        return TensorElem(alg, self.twist, row)
 
     def __repr__(self):
         terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
@@ -455,11 +461,6 @@ class TensorElem:
 
 def _product(table, field: Field, u: dict, v: dict) -> dict:
     return nonzero(field, table_mul_into({}, table, field, u.items(), v.items()))
-
-
-def _image(field: Field, cols: list[dict], u: dict) -> dict:
-    """M u for the matrix M with payload columns ``cols``."""
-    return row_sum(field, ((p, cols[b]) for b, p in u.items()))
 
 
 def _left(alg: MonogenicAlgebra, a: dict, row: dict, acc: dict) -> dict:
@@ -490,8 +491,8 @@ def _right_x(alg: MonogenicAlgebra, row: dict, wraps) -> dict:
 def _wraps(alg: MonogenicAlgebra, t: int) -> tuple:
     """(j, the (index, payload) pairs of alpha^t(kappa_j)) for the wrap terms
     x^n = sum_j kappa_j x^j: what the right action of x reads at twist t."""
-    return tuple((j, tuple(payloads(alg.field, enumerate(alg.alpha.apply_power(t, kappa))).items()))
-                 for j, kappa in alg.wrap_terms)
+    power = alg.alpha.power_matrix(t)
+    return tuple((j, tuple(power.apply(kappa).items())) for j, kappa in alg.wrap_terms)
 
 
 def _derivation(alg: MonogenicAlgebra, coeffs: list[dict]) -> dict:
@@ -503,7 +504,7 @@ def _derivation(alg: MonogenicAlgebra, coeffs: list[dict]) -> dict:
     acc, dx = {}, {}
     for d, u in enumerate(coeffs):
         _left(alg, u, dx, acc)
-        dx = row_sum(F, [(one, _right_x(alg, dx, wraps)), (one, payloads(F, alg.xpow(d).nz.items()))])
+        dx = row_sum(F, [(one, _right_x(alg, dx, wraps)), (one, alg.xpow(d).nz)])
     return nonzero(F, acc)
 
 
@@ -512,17 +513,16 @@ def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     x^i . (derivation of f) and (derivation of f) . x^i, for 0 <= i < n.
     The coefficient of f x^i at x^{d+i} is c_d alpha^d(1).  It runs on
     payload rows, as ``check_compiled`` does."""
-    F = alg.field
+    F, power = alg.field, alg.alpha.power_matrix
     unit = payloads(F, enumerate(alg.K.unit))
     fs = [payloads(F, enumerate(c)) for c in alg.f_terms]
-    fx = [_product(alg.K.mul_table, F, c, _image(F, alg._alpha_columns(d), unit))
-          for d, c in enumerate(fs)]
+    fx = [_product(alg.K.mul_table, F, c, power(d).apply(unit)) for d, c in enumerate(fs)]
     wraps, failures = _wraps(alg, 1), []
     df = rhs = _derivation(alg, fs)
     for i in range(alg.n):
         lhs = _derivation(alg, [{}] * i + fx)
         rhs = _right_x(alg, rhs, wraps) if i else rhs
-        if lhs != nonzero(F, _left(alg, payloads(F, alg.xpow(i).nz.items()), df, {})):
+        if lhs != nonzero(F, _left(alg, alg.xpow(i).nz, df, {})):
             failures.append(f"derivation of f x^{i} differs from x^{i} action")
         if lhs != rhs:
             failures.append(f"derivation of f x^{i} differs from right x^{i} action")
@@ -540,7 +540,7 @@ def twist_exponent(r: int, n: int) -> int:
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
     fixed top degree, with maps stored columnwise on the flat tensor basis
-    as payload rows {flat: payload}, boxed into tensors on read.
+    as payload rows {flat: payload}, read as tensors.
 
     A column of d'_r reads the twist only where the right action of x wraps
     x^n to sum_j kappa_j x^j, through alpha^{t(r-1)}(kappa_j); sigma_r reads
@@ -582,18 +582,18 @@ class Resolution:
         alg, F = self.alg, self.alg.field
         tw = self.twist(r - 1)
         if r % 2 == 1:
-            onex = _right_x(alg, payloads(F, alg.one.nz.items()), _wraps(alg, tw))
-            row = row_sum(F, [(F.one.v, payloads(F, alg.x.nz.items())), (F._neg(F.one.v), onex)])
+            onex = _right_x(alg, alg.one.nz, _wraps(alg, tw))
+            row = row_sum(F, [(F.one.v, alg.x.nz), (F._neg(F.one.v), onex)])
         else:
             row = _derivation(alg, [payloads(F, enumerate(c)) for c in alg.f_terms])
-        out = self._generators[r] = TensorElem(alg, tw, boxed(F, row))
+        out = self._generators[r] = TensorElem(alg, tw, row)
         return out
 
     @functools.cached_property
     def _left_xpows(self) -> list[list[dict]]:
         """e_i x^l as payload rows, by l < n and flat index i of A."""
         alg, F = self.alg, self.alg.field
-        return [[_product(alg.mul_table, F, {i: F.one.v}, payloads(F, alg.xpow(l).nz.items()))
+        return [[_product(alg.mul_table, F, {i: F.one.v}, alg.xpow(l).nz)
                  for i in range(alg.adim)] for l in range(alg.n)]
 
     def d_rows(self, r: int) -> tuple[dict, ...]:
@@ -606,7 +606,7 @@ class Resolution:
         rows = self._d_rows.get(cls)
         if rows is None:
             alg, wraps = self.alg, list(self._fold_keys)[cls][1]
-            gen = payloads(alg.field, self.d_generator(r).coords.items())
+            gen = self.d_generator(r).coords
             rows = [{}] * self.tdim
             for i in range(alg.adim):
                 rows[i] = col = nonzero(alg.field, _left(alg, {i: alg.field.one.v}, gen, {}))
@@ -635,18 +635,18 @@ class Resolution:
     def d_column(self, r: int, flat: int) -> TensorElem:
         """d'_r applied to the flat basis vector e_i (x) x^c, flat = c*adim + i,
         of the degree-r module: e_i . d'_r(1 (x) 1) . x^c."""
-        return TensorElem(self.alg, self.twist(r - 1), boxed(self.alg.field, self.d_rows(r)[flat]))
+        return TensorElem(self.alg, self.twist(r - 1), self.d_rows(r)[flat])
 
     def s_column(self, r: int, flat: int) -> TensorElem:
         """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
         r-1 module."""
-        return TensorElem(self.alg, self.twist(r), boxed(self.alg.field, self.s_rows(r)[flat]))
+        return TensorElem(self.alg, self.twist(r), self.s_rows(r)[flat])
 
     def _apply(self, rows: tuple[dict, ...], t: TensorElem, twist: int) -> TensorElem:
         """sum of s * rows[flat] over the entries flat: s of t, on payloads."""
         field = self.alg.field
-        terms = ((p, rows[flat]) for flat, p in payloads(field, t.coords.items()).items())
-        return TensorElem(self.alg, twist, boxed(field, row_sum(field, terms)))
+        same_field(field, t.alg.field)
+        return TensorElem(self.alg, twist, row_sum(field, ((p, rows[flat]) for flat, p in t.coords.items())))
 
     def apply_d(self, r: int, t: TensorElem) -> TensorElem:
         return self._apply(self.d_rows(r), t, self.twist(r - 1))

@@ -352,7 +352,7 @@ class BarOracle:
     def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
             raise ProductsError("cochain of another algebra than the oracle's")
-        key = m.degree, tuple(sorted((i, s.v) for i, s in m.value.nz.items()))
+        key = m.degree, tuple(sorted(m.value.nz.items()))
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self._cochains)
@@ -660,7 +660,7 @@ class ProductStore:
     ib), representative ia of H^p and ib of H^q, it holds the closed and the
     oracle cup (``cup_small``, ``cup_small_oracle``) and the oracle and the
     closed bracket (``BarOracle.bracket``, ``bracket_small_closed``).  A
-    value goes to class coordinates in its sparse form (``AElem.nz``), once
+    value goes to class coordinates from its payloads (``AElem.nz``), once
     per distinct value.  Each route computes its own products, so equal
     stored coordinates still compare two computations: a zero class of the
     difference.  A bracket's oracle bound is checked on every read and is
@@ -706,10 +706,10 @@ class ProductStore:
     def class_of(self, deg: int, value: AElem) -> tuple:
         """The class coordinates in H^deg of a cocycle with this value, read
         once per distinct value: many products are equal, most often zero."""
-        key = deg, tuple(sorted((i, s.v) for i, s in value.nz.items()))
+        key = deg, tuple(sorted(value.nz.items()))
         out = self._classes.get(key)
         if out is None:
-            out = self._classes[key] = cohomology_group(self.C, deg).class_coords(value.nz)
+            out = self._classes[key] = cohomology_group(self.C, deg).class_coords(value)
         return out
 
     def cup(self, p: int, q: int, ia: int, ib: int) -> tuple:

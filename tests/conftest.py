@@ -61,7 +61,6 @@ from orecohom.linalg import (
     LinalgError,
     LinSolver,
     Mat,
-    combine,
     intersect_spans,
     kernel_basis,
     quotient_basis,
@@ -69,7 +68,6 @@ from orecohom.linalg import (
     solve,
     span_equal,
     support,
-    vadd,
     vscale,
 )
 from orecohom.monogenic import (
@@ -286,6 +284,21 @@ def dense_vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
+def scalar_row(field, row: dict) -> dict:
+    """A payload row {index: payload} boxed as {index: Scalar of field}."""
+    return {k: Scalar(field, p) for k, p in row.items()}
+
+
+def payload_row(row: dict) -> dict:
+    """A sparse vector {index: Scalar} as the payload row of its nonzero entries."""
+    return {k: s.v for k, s in row.items() if not s.is_zero()}
+
+
+def scalar_table(field, table: dict) -> dict:
+    """Structure constants {(i, j): [(k, payload)]} with each payload boxed."""
+    return {ij: [(k, Scalar(field, p)) for k, p in terms] for ij, terms in table.items()}
+
+
 def dense_vscale(s, a: tuple) -> tuple:
     return tuple(s * x for x in a)
 
@@ -332,7 +345,7 @@ def dense_solve(self, b: tuple) -> tuple | None:
     field = self.M.field
     y = []
     for sparse in self.E:
-        row = [sparse.get(j, field.zero) for j in range(self.M.rows)]
+        row = [Scalar(field, sparse[j]) if j in sparse else field.zero for j in range(self.M.rows)]
         s = field.zero
         for e, x in zip(row, b):
             if not e.is_zero() and not x.is_zero():
@@ -359,7 +372,7 @@ def dense_kmul(self, u: tuple, v: tuple) -> tuple:
                 continue
             ab = a * b
             for k, s in self.mul_table.get((i, j), []):
-                out[k] = out[k] + ab * s
+                out[k] = out[k] + ab * Scalar(self.field, s)
     return tuple(out)
 
 
@@ -374,7 +387,7 @@ def dense_a_mul(self, a: AElem, b: AElem) -> AElem:
                 continue
             cab = ca * cb
             for k, s in self.mul_table.get((i, j), ()):
-                out[k] = out[k] + cab * s
+                out[k] = out[k] + cab * Scalar(self.field, s)
     return AElem(self, out)
 
 
@@ -511,23 +524,23 @@ def dense_compile(self) -> None:
                 continue
             c = self.alpha.apply_power(m - n, li)
             for j, prev in enumerate(nf[m - i]):
-                row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+                row[j] = dense_vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
         nf.append(row)
     self.xpow_nf = nf
     # sparse multiplication table on the flat basis
-    table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    table: dict[tuple[int, int], list[tuple]] = {}  # (i, j) -> [(k, payload)]
     for b, a in itertools.product(range(K.dim), range(n)):
         eb = K.basis_elem(b)
         for b2, a2 in itertools.product(range(K.dim), range(n)):
             u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2)))
             if all(c.is_zero() for c in u):
                 continue
-            terms: list[tuple[int, Scalar]] = []
+            terms: list[tuple] = []
             for j, cj in enumerate(self.xpow_nf[a + a2]):
                 w = K.kmul(u, cj)
                 for b3, s in enumerate(w):
                     if not s.is_zero():
-                        terms.append((self.idx(b3, j), s))
+                        terms.append((self.idx(b3, j), s.v))
             if terms:
                 table[(self.idx(b, a), self.idx(b2, a2))] = terms
     self.mul_table = table
@@ -545,12 +558,12 @@ def scan_algebra_validate(K) -> ValidationReport:
         e = K.basis_elem(i)
         if K.kmul(K.unit, e) != e or K.kmul(e, K.unit) != e:
             failures.append(f"unit law fails at basis {i} ({K.basis_names[i]})")
-    prod, none = basis_products(K.field, K.mul_table), {}
+    prod, none = basis_products(K.field, scalar_table(K.field, K.mul_table)), {}
     for i, j in itertools.product(range(K.dim), repeat=2):
         eij = prod.get((i, j), none).items()
         for k in range(K.dim):
-            lhs = combine((c, prod.get((m, k), none)) for m, c in eij)
-            rhs = combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
+            lhs = scalar_combine((c, prod.get((m, k), none)) for m, c in eij)
+            rhs = scalar_combine((c, prod.get((i, m), none)) for m, c in prod.get((j, k), none).items())
             if lhs != rhs:
                 failures.append(f"associativity fails at triple ({i},{j},{k})")
                 return ValidationReport(False, tuple(failures))
@@ -564,11 +577,11 @@ def scan_endo_validate(self) -> ValidationReport:
     alg = self.alg
     if self.apply(alg.unit) != alg.unit:
         failures.append("endomorphism does not fix the unit")
-    prod, none = basis_products(alg.field, alg.mul_table), {}
+    prod, none = basis_products(alg.field, scalar_table(alg.field, alg.mul_table)), {}
     image = [dict(support(self.matrix.column(i))) for i in range(alg.dim)]
     for i, j in itertools.product(range(alg.dim), repeat=2):
-        lhs = combine((c, image[m]) for m, c in prod.get((i, j), none).items())
-        rhs = combine(
+        lhs = scalar_combine((c, image[m]) for m, c in prod.get((i, j), none).items())
+        rhs = scalar_combine(
             (a * b, prod.get((p, q), none))
             for p, a in image[i].items()
             for q, b in image[j].items()
@@ -588,9 +601,9 @@ def all_rows_twisted_kernel(field: Field, dim: int, right, left, twist: Mat) -> 
     for b, R in enumerate(right):
         terms = [(t, left[c]) for c, t in enumerate(twist.column(b)) if not t.is_zero()]
         for i in range(dim):
-            row = dict(R.sparse[i])
+            row = scalar_row(field, R.sparse[i])
             for t, L in terms:
-                for j, a in L.sparse[i].items():
+                for j, a in scalar_row(field, L.sparse[i]).items():
                     row[j] = row[j] - t * a if j in row else -(t * a)
             if all(a.is_zero() for a in row.values()):
                 continue
@@ -655,7 +668,7 @@ def nonzero(F, rng):
 
 
 def quads_of(K):
-    return [(i, j, k, s) for (i, j), terms in K.mul_table.items() for k, s in terms]
+    return [(i, j, k, Scalar(K.field, s)) for (i, j), terms in K.mul_table.items() for k, s in terms]
 
 
 def with_table(K, quads, unit=None):
@@ -748,7 +761,7 @@ def sigma0(a: AElem) -> TensorElem:
 
 
 def basis_tensor(res: Resolution, r: int, flat: int) -> TensorElem:
-    return TensorElem(res.alg, res.twist(r), {flat: res.alg.field.one})
+    return TensorElem(res.alg, res.twist(r), {flat: res.alg.field.one.v})
 
 
 def split_flat(t: TensorElem, flat: int) -> tuple[int, int, int]:
@@ -761,7 +774,7 @@ def entrywise_leftmul(self: TensorElem, a: AElem) -> TensorElem:
     alg = self.alg
     out: dict[int, Scalar] = {}
     prods: dict[int, AElem] = {}
-    for flat, s in self.coords.items():
+    for flat, s in scalar_row(alg.field, self.coords).items():
         base = (flat // alg.adim) * alg.adim
         pos = flat - base
         prod = prods.get(pos)
@@ -777,14 +790,14 @@ def entrywise_leftmul(self: TensorElem, a: AElem) -> TensorElem:
             sv = s * v
             cur = out.get(key)
             out[key] = sv if cur is None else cur + sv
-    return TensorElem(alg, self.twist, out)
+    return TensorElem(alg, self.twist, payload_row(out))
 
 
 def entrywise_rightmul_k(self: TensorElem, mu) -> TensorElem:
     alg = self.alg
     mu = alg.K.elem(mu)
     out = TensorElem.zero(alg, self.twist)
-    for flat, s in self.coords.items():
+    for flat, s in scalar_row(alg.field, self.coords).items():
         b, a, c = split_flat(self, flat)
         mig = alg.k_embed(alg.alpha.apply_power(self.twist + c, mu))
         prod = alg.a_mul(alg.monomial(alg.K.basis_elem(b), a), mig)
@@ -796,11 +809,11 @@ def entrywise_rightmul_x(self: TensorElem) -> TensorElem:
     alg = self.alg
     n = alg.n
     out = TensorElem.zero(alg, self.twist)
-    shifted: dict[int, Scalar] = {}
-    for flat, s in self.coords.items():
+    shifted: dict = {}  # flat -> payload
+    for flat, s in scalar_row(alg.field, self.coords).items():
         b, a, c = split_flat(self, flat)
         if c + 1 < n:
-            shifted[flat + alg.adim] = s
+            shifted[flat + alg.adim] = s.v
         else:
             left = alg.monomial(alg.K.basis_elem(b), a)
             for j in range(n):
@@ -886,7 +899,7 @@ def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
     sgn = alg.field.one if r % 2 == 0 else -alg.field.one
     out: dict[tuple, AElem] = {}
     dimk = alg.K.dim
-    for flat, s in dgen.coords.items():
+    for flat, s in scalar_row(alg.field, dgen.coords).items():
         b = flat % dimk
         a = (flat // dimk) % alg.n
         c = flat // (dimk * alg.n)
@@ -950,17 +963,14 @@ def mutate_columns(monkeypatch, which: str, wrap) -> None:
     """Patch `Resolution.d_rows` (which = "d") or `s_rows` ("s"), the payload
     rows every reader of a column of d' or sigma reads, so that the column
     at flat in degree r becomes wrap(res, r, flat, col), col that column
-    boxed as a TensorElem; the mutated rows are kept per (resolution, r)."""
+    read as a TensorElem; the mutated rows are kept per (resolution, r)."""
     rows_of, memo = getattr(Resolution, f"{which}_rows"), {}
 
     def mutated(self, r):
         if (self, r) not in memo:
             twist = self.twist(r - 1) if which == "d" else self.twist(r)
-            field = self.alg.field
-            memo[self, r] = [
-                {k: s.v for k, s in wrap(self, r, flat, TensorElem(
-                    self.alg, twist, {k: Scalar(field, p) for k, p in row.items()})).coords.items()}
-                for flat, row in enumerate(rows_of(self, r))]
+            memo[self, r] = [wrap(self, r, flat, TensorElem(self.alg, twist, row)).coords
+                             for flat, row in enumerate(rows_of(self, r))]
         return memo[self, r]
 
     monkeypatch.setattr(Resolution, f"{which}_rows", mutated)
@@ -1000,7 +1010,7 @@ class OrePoly:
         zero = tuple(self.K.field.zero for _ in range(self.K.dim))
         n = max(len(self.coeffs), len(other.coeffs))
         out = [
-            vadd(
+            dense_vadd(
                 self.coeffs[i] if i < len(self.coeffs) else zero,
                 other.coeffs[i] if i < len(other.coeffs) else zero,
             )
@@ -1031,7 +1041,7 @@ def ore_mul(P: OrePoly, Q: OrePoly) -> OrePoly:
         for h, e in enumerate(Q.coeffs):
             if all(s.is_zero() for s in e):
                 continue
-            out[d + h] = vadd(out[d + h], K.kmul(c, alpha.apply_power(d, e)))
+            out[d + h] = dense_vadd(out[d + h], K.kmul(c, alpha.apply_power(d, e)))
     return OrePoly(K, alpha, out)
 
 
@@ -1211,7 +1221,7 @@ class DenseLinSolver(LinSolver):
         self.pivots = pivots
         self.rank = len(pivots)
         # E @ M is the rref; each E_i kept sparse, in the form `solve` reads
-        self.E = [{j: e for j, e in enumerate(row[M.cols:]) if not e.is_zero()} for row in aug]
+        self.E = [{j: e.v for j, e in enumerate(row[M.cols:]) if not e.is_zero()} for row in aug]
 
 
 # -- the field payload the integer one replaced ---------------------------------
@@ -1807,7 +1817,8 @@ def unfolded_membership_period(K: AlgebraK, chi: list, n: int) -> dict:
 
 
 # -- the Scalar-level loops ------------------------------------------------------
-# `combine`, `_accumulate`, `Mat.matvec`, `table_mul` and the TensorElem route of
+# `linalg.combine` (now `row_sum`), `_accumulate`, `Mat.matvec`,
+# `kalgebra.table_mul` (now `table_mul_into`) and the TensorElem route of
 # `Resolution.contraction_check` before the inner loops ran on field payloads:
 # one Scalar operator call per product and per sum.  `scalar_table_mul` calls
 # `scalar_combine` where `table_mul` called `combine`.
@@ -1950,7 +1961,7 @@ class DenseMat:
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
         right = sparse_rows(other)
-        out = [combine((a, right[k]) for k, a in row) for row in sparse_rows(self)]
+        out = [scalar_combine((a, right[k]) for k, a in row) for row in sparse_rows(self)]
         return DenseMat.from_sparse_rows(self.field, out, other.cols)
 
     def add(self, other: "DenseMat") -> "DenseMat":
@@ -1958,7 +1969,7 @@ class DenseMat:
             raise LinalgError("shape mismatch in add")
         return DenseMat(
             self.field,
-            [vadd(r1, r2) for r1, r2 in zip(self.data, other.data)],
+            [dense_vadd(r1, r2) for r1, r2 in zip(self.data, other.data)],
             self.cols,
         )
 
@@ -2034,7 +2045,7 @@ def basis_products(field: Field, table: dict) -> dict:
     """`AlgebraK.basis_products` of an unsummed table: e_i e_j as a sparse
     vector {k: coefficient} for each pair (i, j) whose product is nonzero."""
     one = field.one
-    return {ij: prod for ij, terms in table.items() if (prod := combine([(one, terms)]))}
+    return {ij: prod for ij, terms in table.items() if (prod := scalar_combine([(one, terms)]))}
 
 
 def hand_summed_center(field: Field, dim: int, table: dict) -> Mat:
@@ -2048,7 +2059,7 @@ def hand_summed_center(field: Field, dim: int, table: dict) -> Mat:
             row = rows.setdefault((j, k), {})
             row[i] = row[i] - s if i in row else -s
     zv = field.zero.v
-    sparse = [{j: a for j, a in rows[key].items() if a.v != zv} for key in sorted(rows)]
+    sparse = [{j: a.v for j, a in rows[key].items() if a.v != zv} for key in sorted(rows)]
     return kernel_basis(Mat.from_sparse_rows(field, [r for r in sparse if r], dim))
 
 
@@ -2069,7 +2080,7 @@ def xpow_nf_rows(alg: MonogenicAlgebra) -> list[list[tuple]]:
                 continue
             c = alg.alpha.apply_power(m - n, ci)
             for j, prev in enumerate(nf[m - n + i]):
-                row[j] = vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+                row[j] = dense_vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
         nf.append(row)
     return nf
 

@@ -39,8 +39,8 @@ def test_bench_span_keys_read_matrices(monkeypatch):
     alg = gh4_instance(2)[0]
     M = Bimodule.regular(alg)
     for A in [alg.alpha.matrix, *M.L_k, M.Rx]:
-        z = A.field.zero
-        dense = tuple(tuple(row.get(j, z).v for j in range(A.cols)) for row in A.sparse)
+        zv = A.field.zero.v
+        dense = tuple(tuple(row.get(j, zv) for j in range(A.cols)) for row in A.sparse)
         assert spans._payloads(A) == dense
     assert spans._bimodule_key(M) == spans._bimodule_key(Bimodule.regular(alg))
     assert spans._bimodule_key(Bimodule.regular(alg)) == spans._bimodule_key(dense_regular(Bimodule, alg))

@@ -142,7 +142,7 @@ def test_action_from_the_wrong_basis_index_is_caught(monkeypatch):
     compares, and from_actions refuses it."""
     alg = gh4_instance(2)[0]
     getitem = kalgebra.BasisActions.__getitem__
-    wrong = mutant(getitem, "if i == b else", "if i == (b + 1) % len(self) else")
+    wrong = mutant(getitem, "{b: F.one.v}", "{(b + 1) % len(self): F.one.v}")
     monkeypatch.setattr(kalgebra.BasisActions, "__getitem__", wrong)
     M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
     assert list(M.L_k) != D.L_k and list(M.R_k) != D.R_k

@@ -121,7 +121,7 @@ def test_echelon_refuses_sparse_indices_outside_its_columns():
         t.contains({7: QQ.one})
     with pytest.raises(LinalgError, match="vector length mismatch"):
         t.contains((QQ.one,) * 3)
-    assert t.rows == [{1: QQ.one}] and t.lead == [1]
+    assert t._rows == [{1: QQ.one.v}] and t.lead == [1]
 
 
 def test_rref_deterministic_first_pivot():

@@ -16,13 +16,13 @@ resolution against its entrywise columns, the unit shortcut of
 extension-field products against the full product, and the base-field
 shortcut of extension-field inverses against fraction-free elimination.
 
-The loops that run on field payloads (`combine`, `_accumulate` and through
-it the echelon, `Mat.matvec`, `table_mul`, the constraint rows of
-`twisted_kernel`) are checked against the Scalar-level loops and dense
-routes they replaced, with a seeded overwrite-the-sum fault in each, and
-`Resolution.contraction_check` against its TensorElem route (both kept in
-conftest.py), on intact and on broken columns.  A `twisted_kernel` call
-boxes no more Scalars than the nonzero entries of the basis it returns.  The free-row
+The loops that run on field payloads (`row_sum`, `_accumulate` and through
+it the echelon, `Mat.apply` behind `matvec`, `table_mul_into`, and
+`row_sum` as the constraint rows of `twisted_kernel`) are checked against
+the Scalar-level loops and dense routes they replaced, with a seeded
+overwrite-the-sum fault in each, and `Resolution.contraction_check` against
+its TensorElem route (both kept in conftest.py), on intact and on broken
+columns.  A `twisted_kernel` call boxes no Scalar.  The free-row
 reads of reduced free-variable bases (`FreeRows`, and through it
 `SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve,
 and class coordinates read from a sparse vector against those of its dense
@@ -62,11 +62,12 @@ from conftest import (
     mutant,
     mutate_columns,
     pair_loop_validate,
+    payload_row,
     scalar_accumulate,
     scalar_combine,
     scalar_matvec,
+    scalar_row,
     scalar_table_mul,
-    sparse_rows,
     tensor_contraction_check,
     triple_loop_validate,
 )
@@ -77,7 +78,7 @@ from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex, 
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals, gh4_instance
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
-from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, kernel_basis, rank, rref, support, vadd, vscale
+from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, dense, kernel_basis, rank, rref, row_sum, support, vscale
 from orecohom.monogenic import AElem, Resolution, TensorElem
 
 GF7 = prime_field(7)
@@ -127,7 +128,7 @@ def test_vector_sums_and_scalings_match(name):
     for da in DENSITIES:
         for db in DENSITIES:
             a, b = vector(F, 9, rng, da), vector(F, 9, rng, db)
-            assert vadd(a, b) == dense_vadd(a, b)
+            assert dense(F, row_sum(F, [(F.one.v, payloads(a)), (F.one.v, payloads(b))]), 9) == dense_vadd(a, b)
             for s in (F.zero, F.one, nonzero(F, rng)):
                 assert vscale(s, a) == dense_vscale(s, a)
                 assert all(x.field is F for x in vscale(s, a))
@@ -286,8 +287,8 @@ def test_mult_matrices_match(case):
         assert K.right_mult_matrix(u) == dense_right_mult_matrix(K, u)
     basis = elems[: K.dim]
     right, left = K.actions
-    assert [[list(r.items()) for r in R.sparse] for R in right] == [sparse_rows(dense_right_mult_matrix(K, e)) for e in basis]
-    assert [[list(r.items()) for r in L.sparse] for L in left] == [sparse_rows(dense_left_mult_matrix(K, e)) for e in basis]
+    assert [R.key() for R in right] == [dense_right_mult_matrix(K, e).key() for e in basis]
+    assert [L.key() for L in left] == [dense_left_mult_matrix(K, e).key() for e in basis]
 
 
 def test_regular_bimodule_matches(case):
@@ -365,7 +366,7 @@ def test_sparse_class_coords_match_the_dense_route(name):
         for d in DENSITIES:
             z = H.kernel.matvec(vector(F, H.kernel.cols, rng, d))
             if r:
-                z = vadd(z, C.dmats[r].matvec(vector(F, C.dim_cochain(r - 1), rng, d)))
+                z = dense_vadd(z, C.dmats[r].matvec(vector(F, C.dim_cochain(r - 1), rng, d)))
             dense, sparse_read = class_reads(H, C.to_ambient(r, z))
             assert dense == sparse_read and dense[0] == "coords" and len(dense[1]) == H.dim
             for v in (vector(F, C.M.dim, rng, d), C.to_ambient(r, vector(F, C.dim_cochain(r), rng, d))):
@@ -402,7 +403,7 @@ def test_equal_bases_share_one_solver(gh4_u3):
 
 def carries_its_support(a: AElem) -> bool:
     """The nonzero coordinates a stores are exactly those of its coords."""
-    return a.nz == {i: c for i, c in enumerate(a.coords) if not c.is_zero()}
+    return a.nz == payload_row(dict(enumerate(a.coords)))
 
 
 def test_elements_carry_their_support(case):
@@ -448,12 +449,12 @@ def test_tensor_sums_match_entrywise(case):
     for r in (1, 2, 3):
         for density in (0.0, 0.1, 0.4):
             for apply, column, source, target in routes:
-                t = TensorElem(alg, source(r), dict(enumerate(vector(F, res.tdim, rng, density))))
+                t = TensorElem(alg, source(r), payload_row(dict(enumerate(vector(F, res.tdim, rng, density)))))
                 want: dict = {}
-                for flat, s in t.coords.items():
-                    for i, v in column(res, r, flat).coords.items():
+                for flat, s in scalar_row(F, t.coords).items():
+                    for i, v in scalar_row(F, column(res, r, flat).coords).items():
                         want[i] = want.get(i, F.zero) + s * v
-                assert apply(r, t) == TensorElem(alg, target(r), want)
+                assert apply(r, t) == TensorElem(alg, target(r), payload_row(want))
                 blocks = t._blocks()
                 assert list(blocks) == t.powers()
                 for c, u in blocks.items():
@@ -595,26 +596,25 @@ def constraint_actions(F, n, rng, density, kind):
 
 
 def payload_loops_agree(F, seed):
-    """`combine`, `_accumulate`, `Mat.matvec`, `table_mul`, the echelon
+    """`row_sum`, `_accumulate`, `Mat.matvec`, `table_mul_into`, the echelon
     behind `rref` and `kernel_basis` (whose `_reduce` and `add_payloads` run
     on `_accumulate`) and the constraint rows of `twisted_kernel`, read
     through their modules, equal the Scalar-level loops on random vectors of
     every density whose coefficients and entries are 1, -1 or random; sums
     that accumulate on one index and sums that cancel to zero are included,
-    and every entry returned is a nonzero Scalar of F, or a nonzero payload
-    for `_accumulate`."""
+    and every payload row returned holds no zero payload."""
     rng, n, zv = random.Random(seed), 6, F.zero.v
     for density, (ka, kb) in itertools.product(DENSITIES, itertools.product(KINDS, repeat=2)):
         a, b = drawn(F, n, rng, density, ka), drawn(F, n, rng, density, kb)
         ca, cb = entry(F, rng, ka), entry(F, rng, kb)
         terms = [(ca, dict(support(a))), (cb, support(b)), (cb, support(a)), (-cb, dict(support(b)))]
-        got = linalg.combine(terms)
-        assert got == scalar_combine(terms), (density, ka, kb)
-        assert all(x.field is F and not x.is_zero() for x in got.values())
+        got = linalg.row_sum(F, [(c.v, payload_row(dict(v))) for c, v in terms])
+        assert scalar_row(F, got) == scalar_combine(terms), (density, ka, kb)
+        assert zv not in got.values()
         out, ref = payloads(a), dict(support(a))
         linalg._accumulate(out, cb.v, payloads(b).items(), F)
         scalar_accumulate(ref, cb, support(b), zv)
-        assert linalg.boxed(F, out) == ref and zv not in out.values()
+        assert scalar_row(F, out) == ref and zv not in out.values()
         linalg._accumulate(out, (-cb).v, payloads(b).items(), F)
         assert out == payloads(a)
         A = Mat(F, [drawn(F, n, rng, density, kb) for _ in range(4)] + [b, a], n)
@@ -625,7 +625,9 @@ def payload_loops_agree(F, seed):
             assert kalgebra.twisted_kernel(F, n, right, L, T, None) == all_rows_twisted_kernel(F, n, right, L, T)
         table = {(i, j): [(rng.randrange(n), entry(F, rng, kb)) for _ in range(rng.randint(1, 3))]
                  for i in range(n) for j in range(n) if rng.random() < 0.5}
-        assert kalgebra.table_mul(table, support(a), support(b)) == scalar_table_mul(table, support(a), support(b))
+        got = kalgebra.table_mul_into({}, {ij: [(k, x.v) for k, x in t] for ij, t in table.items()}, F,
+                                      payloads(a).items(), payloads(b).items())
+        assert scalar_row(F, linalg.nonzero(F, got)) == scalar_table_mul(table, support(a), support(b))
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -634,21 +636,24 @@ def test_payload_loops_match_scalar_loops(name):
 
 
 # Each loop with a unit shortcut that overwrites the running sum instead of
-# adding to it.
-OVERWRITING_UNIT = {
-    "combine": (linalg, "combine", "acc[k] = t if p is None else", "acc[k] = t if p is None or unit else"),
-    "_accumulate": (linalg, "_accumulate", "if p is not None:", "if p is not None and not unit:"),
-    "matvec": (Mat, "matvec", "acc = t if acc is None else", "acc = t if acc is None or av == one_v else"),
-    "table_mul": (kalgebra, "table_mul", "acc[k] = t if p is None else", "acc[k] = t if p is None or unit else"),
-    "twisted_kernel": (kalgebra, "twisted_kernel", "row[j] = s if p is None else",
-                       "row[j] = s if p is None or unit else"),
+# adding to it; the constraint rows of `twisted_kernel` are `row_sum` as
+# kalgebra reads it, and `matvec` runs on `Mat.apply`.
+OVERWRITING_UNIT = {  # name -> (owner, attribute, its function, old source, new source)
+    "row_sum": (linalg, "row_sum", linalg.row_sum, "acc[k] = t if p is None else",
+                "acc[k] = t if p is None or unit else"),
+    "_accumulate": (linalg, "_accumulate", linalg._accumulate, "if p is not None:", "if p is not None and not unit:"),
+    "matvec": (Mat, "apply", Mat.apply, "acc = t if acc is None else", "acc = t if acc is None or a == one else"),
+    "table_mul_into": (kalgebra, "table_mul_into", kalgebra.table_mul_into, "acc[k] = t if p is None else",
+                       "acc[k] = t if p is None or unit else"),
+    "twisted_kernel": (kalgebra, "row_sum", linalg.row_sum, "acc[k] = t if p is None else",
+                       "acc[k] = t if p is None or unit else"),
 }
 
 
 @pytest.mark.parametrize("loop", OVERWRITING_UNIT)
 def test_seeded_overwriting_unit_shortcut_is_caught(monkeypatch, loop):
-    owner, name, old, new = OVERWRITING_UNIT[loop]
-    monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
+    owner, name, fn, old, new = OVERWRITING_UNIT[loop]
+    monkeypatch.setattr(owner, name, mutant(fn, old, new))
     with pytest.raises(AssertionError):
         for F in FIELDS.values():
             payload_loops_agree(F, 11)
@@ -656,8 +661,8 @@ def test_seeded_overwriting_unit_shortcut_is_caught(monkeypatch, loop):
 
 def test_twisted_kernel_boxes_only_its_output(monkeypatch):
     """On the regular bimodule of gh4(3), its actions built first, one
-    `twisted_kernel` call constructs no more Scalars than the nonzero entries
-    of the basis it returns, and the basis is that of every constraint."""
+    `twisted_kernel` call constructs no Scalar: its basis is a matrix of
+    payload rows, and it is the basis of every constraint."""
     alg = gh4_instance(3)[0]
     M = Bimodule.regular(alg)
     R_k, L_k = list(M.R_k), list(M.L_k)
@@ -672,7 +677,7 @@ def test_twisted_kernel_boxes_only_its_output(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Scalar, "__init__", counting)
             basis = kalgebra.twisted_kernel(M.field, M.dim, R_k, L_k, twist, alg.alpha.generators)
-        assert 0 < len(boxes) <= sum(len(row) for row in basis.sparse), r
+        assert boxes == [] and basis.cols > 0, r
         assert basis == all_rows_twisted_kernel(M.field, M.dim, R_k, L_k, twist)
         boxes.clear()
 
@@ -693,7 +698,7 @@ def with_d_d_break(res, r, flat, col):
     d'_2 by adding e_0; on gh4_u3 (n = 2) no sigma column reads that flat, so
     only d.d sees it."""
     if r == 3 and flat == res.alg.adim:
-        return col + TensorElem(res.alg, col.twist, {0: res.alg.field.one})
+        return col + TensorElem(res.alg, col.twist, {0: res.alg.field.one.v})
     return col
 
 

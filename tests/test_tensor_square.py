@@ -20,6 +20,8 @@ from conftest import (
     entrywise_rightmul_k,
     entrywise_rightmul_x,
     entrywise_s_column,
+    payload_row,
+    scalar_row,
     uncached_xpow_bar,
 )
 
@@ -44,7 +46,7 @@ def scalars(F, n, rng, density):
 
 def random_tensor(alg, twist, rng, density):
     tdim = alg.adim * alg.n
-    return TensorElem(alg, twist, dict(enumerate(scalars(alg.field, tdim, rng, density))))
+    return TensorElem(alg, twist, payload_row(dict(enumerate(scalars(alg.field, tdim, rng, density)))))
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -76,8 +78,9 @@ def test_sums_match_the_merge(alg):
     for density in DENSITIES:
         T, U = (random_tensor(alg, 1, rng, density) for _ in range(2))
         s = nonzero(F, rng)
-        want = {i: T.coords.get(i, F.zero) + s * U.coords.get(i, F.zero) for i in {*T.coords, *U.coords}}
-        assert T.add_scaled(U, s) == TensorElem(alg, 1, want)
+        t, u = scalar_row(F, T.coords), scalar_row(F, U.coords)
+        want = {i: t.get(i, F.zero) + s * u.get(i, F.zero) for i in {*t, *u}}
+        assert T.add_scaled(U, s) == TensorElem(alg, 1, payload_row(want))
         assert T + U == T.add_scaled(U, F.one)
         assert T - U == T + (-U)
         assert (T - T).is_zero()

@@ -312,9 +312,10 @@ def build_small_complex(alg: MonogenicAlgebra, M: Bimodule, max_degree: int) -> 
 class _GroupCore:
     """What H^r reads from its inputs d^r, d^{r+1} and C^r alone: the kernel
     of d^{r+1}, the image of d^r (empty for r = 0), the representatives (a
-    complement of the image in the kernel, over C^r and in M) and the solver
-    for class coordinates, which is built on the first ``class_coords``: a
-    complex build and ``complex_report`` read none.
+    complement of the image in the kernel, over C^r and in M, the latter as
+    the payload rows ``reps_rows``, boxed as ``reps_ambient`` on its first
+    read) and the solver for class coordinates, which is built on the first
+    ``class_coords``: a complex build and ``complex_report`` read none.
 
     One echelon gives both the image and the representatives: the columns of
     d^r that join it, then the kernel columns that join it after them.  Its
@@ -336,8 +337,14 @@ class _GroupCore:
         self.reps_sub = echelon.extend(self.kernel)
         if echelon.dim != self.kernel.cols:
             raise CohomologyError(f"the image of d^{r} leaves the kernel of d^{r + 1} in degree {r}")
-        B = complex_.bases[r]
-        self.reps_ambient = [dense(field, B.apply(c), B.rows) for c in self.reps_sub.transpose().sparse]
+        self.basis = B = complex_.bases[r]
+        self.reps_rows = [B.apply(c) for c in self.reps_sub.transpose().sparse]
+
+    @functools.cached_property
+    def reps_ambient(self) -> list[tuple]:
+        """The representatives in M, as dense tuples of Scalars."""
+        B = self.basis
+        return [dense(B.field, row, B.rows) for row in self.reps_rows]
 
     @functools.cached_property
     def class_solver(self) -> LinSolver:
@@ -354,7 +361,8 @@ class CohomologyGroup:
     The degree-independent part is a ``_GroupCore`` kept on the complex and
     keyed by the identities of (d^r, d^{r+1}, C^r), so the degrees r >= 1 of
     one period share it.  ``dmats[0]`` is None, so H^0 has a key of its own.
-    The group keeps its degree: its errors name the degree asked for."""
+    The representatives in M are read as payload rows (``reps_rows``) or as
+    dense tuples of Scalars (``reps_ambient``).  The group keeps its degree: its errors name the degree asked for."""
 
     def __init__(self, complex_: SmallComplex, r: int):
         if complex_._built(r) + 1 > complex_.max_degree:
@@ -370,8 +378,13 @@ class CohomologyGroup:
         self.kernel = core.kernel
         self.image = core.image
         self.reps_sub = core.reps_sub
-        self.reps_ambient = core.reps_ambient
+        self.reps_rows = core.reps_rows
         self.dim = core.reps_sub.cols
+
+    @property
+    def reps_ambient(self) -> list[tuple]:
+        """The representatives in M, as dense tuples of Scalars."""
+        return self.core.reps_ambient
 
     def is_cocycle_sub(self, v_sub: tuple) -> bool:
         return not support(self.complex.dmats[self.degree + 1].matvec(v_sub))
@@ -410,13 +423,15 @@ def cohomology_dims(C: SmallComplex, up_to: int) -> list[int]:
 
 
 def complex_report(C: SmallComplex) -> list[dict]:
-    """Per-degree data for reports; covers 0 .. max_degree - 1."""
+    """Per-degree data for reports; covers 0 .. max_degree - 1.  Each
+    distinct payload of the representatives is encoded once per call."""
     out = []
+    code, zv, dim = C.field.encoder(), C.field.zero.v, C.M.dim
     encoded: dict[int, list] = {}  # id of a group core -> its encoded representatives
     for r in range(C.max_degree):
         H = cohomology_group(C, r)
         if id(H.core) not in encoded:
-            encoded[id(H.core)] = [[C.field.encode(c) for c in rep] for rep in H.reps_ambient]
+            encoded[id(H.core)] = [[code(row.get(i, zv)) for i in range(dim)] for row in H.reps_rows]
         rank_in = 0 if r == 0 else H.image.cols
         rank_out = C.dim_cochain(r) - H.kernel.cols
         entry = {

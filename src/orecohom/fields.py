@@ -129,13 +129,18 @@ class Scalar:
         return o * self.inv()
 
     def __pow__(self, e: int):
+        """Square-and-multiply on payloads: about 2 log2 |e| products."""
         if not isinstance(e, int):
             return NotImplemented
-        base = self.inv() if e < 0 else self
-        out = self.field.one
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        F = self.field
+        base, out, e = (self.inv() if e < 0 else self).v, F.one.v, abs(e)
+        while e:
+            if e & 1:
+                out = F._mul(out, base)
+            e >>= 1
+            if e:
+                base = F._mul(base, base)
+        return Scalar(F, out)
 
     def inv(self) -> "Scalar":
         if self.is_zero():
@@ -208,6 +213,21 @@ class Field:
     def decode(self, obj) -> Scalar:
         """Inverse of :meth:`encode`; also accepts plain ints, not booleans."""
         raise NotImplementedError
+
+    def encoder(self):
+        """:meth:`encode` as a function of the payload that encodes each
+        distinct payload once, for one output: its memo dies with it.  An
+        encoding that is a list is copied on each call, so no two places of
+        the output share one."""
+        codes: dict = {}
+
+        def code(p):
+            c = codes.get(p)
+            if c is None:
+                c = codes[p] = self.encode(Scalar(self, p))
+            return list(c) if type(c) is list else c
+
+        return code
 
     def random_element(self, rng, bound: int = 9) -> Scalar:
         raise NotImplementedError

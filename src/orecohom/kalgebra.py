@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, dense, kernel_basis, nonzero, payloads, rank, row_sum, same_field
+from .linalg import EchelonTracker, Mat, dense, kernel_basis, payloads, rank, row_sum, same_field
 
 
 class AlgebraError(ValueError):
@@ -227,7 +227,7 @@ class AlgebraK:
     def kmul(self, u: tuple, v: tuple) -> tuple:
         F = self.field
         u, v = payloads(F, enumerate(u)).items(), payloads(F, enumerate(v)).items()
-        return dense(F, nonzero(F, table_mul_into({}, self.mul_table, F, u, v)), self.dim)
+        return dense(F, table_mul_into({}, self.mul_table, F, u, v), self.dim)
 
     def elem(self, x) -> tuple:
         """The coordinates of x, coerced to the field: a scalar times the unit,
@@ -331,9 +331,10 @@ def table_mul_into(acc: dict, table, field: Field, u, v, base: int = 0) -> dict:
     """acc[base + k] += (u v)_k on an algebra with basis products ``table``:
     {(i, j): [(k, payload), ...]} for e_i e_j = sum of c e_k.  u and v are
     given by the (index, payload) pairs of their nonzero coordinates, v
-    re-iterable, and the sum runs on payloads of ``field``; a sum that
-    cancels stays in acc as the zero payload."""
-    mul, add, one = field._mul, field._add, field.one.v
+    re-iterable, and the sum runs on payloads of ``field`` in one pass: a
+    sum that cancels is removed from acc where it happens, so an acc given
+    with nonzero payloads only is left with nonzero payloads only."""
+    mul, add, one, zv = field._mul, field._add, field.one.v, field.zero.v
     for i, a in u:
         for j, b in v:
             terms = table.get((i, j))
@@ -344,7 +345,12 @@ def table_mul_into(acc: dict, table, field: Field, u, v, base: int = 0) -> dict:
             for k, s in terms:
                 t, k = s if unit else mul(ab, s), k + base
                 p = acc.get(k)
-                acc[k] = t if p is None else add(p, t)
+                if p is not None:
+                    t = add(p, t)
+                    if t == zv:
+                        del acc[k]
+                        continue
+                acc[k] = t
     return acc
 
 
@@ -352,17 +358,24 @@ def mult_matrix(field: Field, dim: int, table, u: dict, left: bool = True) -> Ma
     """The matrix of v -> u v (or v -> v u when ``left`` is false) on an algebra
     with basis products ``table`` (see ``table_mul_into``), for u a payload
     row {index: nonzero payload}.  Column j, u e_j (or e_j u), is read off
-    the nonzero entries of u and the table, straight into payload rows."""
+    the nonzero entries of u and the table, straight into payload rows; a
+    sum that cancels is removed where it happens."""
     rows: list[dict] = [{} for _ in range(dim)]  # row k: {column j: payload}
-    mul, add, one = field._mul, field._add, field.one.v
+    mul, add, one, zv = field._mul, field._add, field.one.v, field.zero.v
     for i, a in u.items():
         for j in range(dim):
             terms = table.get((i, j) if left else (j, i))
             if terms:
                 for k, s in terms:
                     t, row = s if a == one else mul(a, s), rows[k]
-                    row[j] = add(row[j], t) if j in row else t
-    return Mat.from_sparse_rows(field, [nonzero(field, r) for r in rows], dim)
+                    p = row.get(j)
+                    if p is not None:
+                        t = add(p, t)
+                        if t == zv:
+                            del row[j]
+                            continue
+                    row[j] = t
+    return Mat.from_sparse_rows(field, rows, dim)
 
 
 class BasisActions(Sequence):
@@ -405,7 +418,7 @@ def _associative_at(K: AlgebraK, i: int, j: int, k: int) -> bool:
     F, table, one = K.field, K.mul_table, K.field.one.v
     lhs = table_mul_into({}, table, F, table.get((i, j), ()), ((k, one),))
     rhs = table_mul_into({}, table, F, ((i, one),), table.get((j, k), ()))
-    return nonzero(F, lhs) == nonzero(F, rhs)
+    return lhs == rhs
 
 
 def algebra_validate(K: AlgebraK) -> ValidationReport:
@@ -554,7 +567,7 @@ class Endo:
         the nonzero structure constants."""
         F, table = self.alg.field, self.alg.mul_table
         lhs = row_sum(F, ((c, image[m]) for m, c in table.get((i, j), ())))
-        return lhs == nonzero(F, table_mul_into({}, table, F, image[i].items(), image[j].items()))
+        return lhs == table_mul_into({}, table, F, image[i].items(), image[j].items())
 
     def validate(self) -> ValidationReport:
         """Check that alpha fixes the unit and that alpha(e_i e_j) =

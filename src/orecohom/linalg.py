@@ -13,8 +13,11 @@ containers checks their fields once; an entry or operand of another field
 raises :func:`~orecohom.fields.mixed`.  The inner loops touch only nonzero
 entries, test for zero on the payload (exact, as payloads are canonical),
 add and multiply through the field's ``_add``/``_mul`` and skip products by
-the unit.  Pivoting always selects the first nonzero entry, so every basis
-this module emits is reproducible across runs and platforms.
+the unit.  Each sum is one pass: a sum that cancels is removed where it
+happens (``row_sum``, ``_accumulate``, ``kalgebra.table_mul_into``), so a
+payload row never holds the zero payload and needs no second pass.
+Pivoting always selects the first nonzero entry, so every basis this
+module emits is reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -66,25 +69,30 @@ def dense(field: Field, row: dict, n: int, base: int = 0) -> tuple:
     return tuple(zero if (p := row.get(i)) is None else Scalar(field, p) for i in range(base, base + n))
 
 
-def nonzero(field: Field, acc: dict) -> dict:
-    """The entries of the payload row acc that are not the zero payload."""
-    zv = field.zero.v
-    return {k: p for k, p in acc.items() if p != zv}
-
-
 def row_sum(field: Field, terms) -> dict:
     """The sum of c * row over the (c, row) pairs of ``terms``, c a payload
-    and row a payload row {index: payload}, as a payload row with its zero
-    entries dropped."""
-    mul, add, one = field._mul, field._add, field.one.v
-    acc: dict = {}
+    and row a payload row {index: nonzero payload}, as a new payload row, in
+    one pass: a zero c is skipped, the first row is copied (scaled unless c
+    is the unit) and a sum that cancels is removed where it happens."""
+    mul, add, one, zv = field._mul, field._add, field.one.v, field.zero.v
+    acc = None
     for c, row in terms:
+        if c == zv:
+            continue
         unit = c == one
+        if acc is None:
+            acc = dict(row) if unit else {k: mul(c, x) for k, x in row.items()}
+            continue
         for k, x in row.items():
             t = x if unit else mul(c, x)
             p = acc.get(k)
-            acc[k] = t if p is None else add(p, t)
-    return nonzero(field, acc)
+            if p is not None:
+                t = add(p, t)
+                if t == zv:
+                    del acc[k]
+                    continue
+            acc[k] = t
+    return {} if acc is None else acc
 
 
 def _accumulate(out: dict, c, pairs, field: Field) -> None:
@@ -253,10 +261,28 @@ class Mat:
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns (R, pivot
-    cols).  R holds copies of the echelon's payload rows."""
+    cols).  R holds the payload rows of an echelon local to the call."""
     t = EchelonTracker.of_rows(M)
-    rows = [dict(row) for row in t._rows] + [{} for _ in range(M.rows - t.dim)]
-    return Mat.from_sparse_rows(M.field, rows, M.cols), list(t.lead)
+    rows = t._rows + [{} for _ in range(M.rows - t.dim)]
+    return Mat.from_sparse_rows(M.field, rows, M.cols), t.lead
+
+
+def _free_kernel(field: Field, n: int, rows, lead) -> Mat:
+    """The free-variable basis of the null space of reduced echelon rows in n
+    columns, row i leading with a one at lead[i] (rows past the last lead
+    are ignored), as columns: for each free column fc, a one at fc and minus
+    row i's entry at fc in column lead[i].  A row is zero at the other
+    rows' leading columns, so its entries off its own lead are at free
+    columns."""
+    neg, one = field._neg, field.one.v
+    pivots = set(lead)
+    free = {fc: k for k, fc in enumerate(fc for fc in range(n) if fc not in pivots)}
+    out: list[dict] = [{} for _ in range(n)]
+    for fc, k in free.items():
+        out[fc] = {k: one}
+    for row, pc in zip(rows, lead):
+        out[pc] = {free[j]: neg(x) for j, x in row.items() if j != pc}
+    return Mat.from_sparse_rows(field, out, len(free))
 
 
 def rank(M: Mat) -> int:
@@ -265,8 +291,9 @@ def rank(M: Mat) -> int:
 
 def kernel_basis(M: Mat) -> Mat:
     """Columns form a basis of the null space of M (the standard free-variable
-    basis), read off the rows of its rref."""
-    return EchelonTracker.of_rows(rref(M)[0]).kernel()
+    basis), read off the rows and pivots of its rref."""
+    R, lead = rref(M)
+    return _free_kernel(M.field, M.cols, R.sparse, lead)
 
 
 def solve(M: Mat, b: tuple) -> tuple | None:
@@ -483,19 +510,9 @@ class EchelonTracker:
         return Mat.from_sparse_rows(M.field, joined, M.rows).transpose()
 
     def kernel(self) -> Mat:
-        """The free-variable basis of the null space of the rows, as columns:
-        for each free column fc, a one at fc and minus row i's entry at fc in
-        column lead[i].  A row is zero at the other rows' leading columns, so
-        its entries off its own lead are at free columns."""
-        field, neg = self.field, self.field._neg
-        pivots = set(self.lead)
-        free = {fc: k for k, fc in enumerate(fc for fc in range(self.n) if fc not in pivots)}
-        out: list[dict] = [{} for _ in range(self.n)]
-        for fc, k in free.items():
-            out[fc] = {k: field.one.v}
-        for row, pc in zip(self._rows, self.lead):
-            out[pc] = {free[j]: neg(x) for j, x in row.items() if j != pc}
-        return Mat.from_sparse_rows(field, out, len(free))
+        """The free-variable basis of the null space of the rows, as columns
+        (``_free_kernel``)."""
+        return _free_kernel(self.field, self.n, self._rows, self.lead)
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,7 @@ import itertools
 
 from .fields import Field, Scalar
 from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul_into
-from .linalg import dense, nonzero, payloads, row_sum, same_field
+from .linalg import dense, payloads, row_sum, same_field
 
 
 class MonogenicError(ValueError):
@@ -83,8 +83,10 @@ class AElem:
 
     ``AElem(alg, coords)`` takes the dense coordinates, Scalars of A's field
     (:func:`mixed` on another field's), and keeps their nonzero payloads;
-    products, sums, scalings and the basis builders of the algebra
-    (``monomial``, ``k_embed``, ``basis_vector``) make ``nz`` directly.
+    ``_of`` keeps a payload row as given (the group cores' representatives
+    enter so), and products, sums, scalings and the basis builders of the
+    algebra (``monomial``, ``k_embed``, ``basis_vector``) make ``nz``
+    directly.
     ``coords``, the dense tuple, and ``k_coeff`` are boxed on each read.  An
     operand of another field raises :func:`mixed`."""
 
@@ -249,7 +251,7 @@ class MonogenicAlgebra:
                 acc: dict = {}
                 for i, c in twisted:
                     table_mul_into(acc, ktab, F, c.items(), nf[m - n + i][j].items())
-                row.append({b: neg(p) for b, p in nonzero(F, acc).items()})
+                row.append({b: neg(p) for b, p in acc.items()})
             nf.append(row)
         d = K.dim
         self._xpows = [AElem._of(self, {j * d + b: p for j, cj in enumerate(row) for b, p in cj.items()})
@@ -272,7 +274,7 @@ class MonogenicAlgebra:
                     else:
                         terms = []
                         for j, cj in reduced[a + a2 - n]:
-                            w = nonzero(F, table_mul_into({}, ktab, F, u, cj))
+                            w = table_mul_into({}, ktab, F, u, cj)
                             terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
                     if terms:
                         table[(self.idx(b, a), self.idx(b2, a2))] = terms
@@ -313,7 +315,7 @@ class MonogenicAlgebra:
         F = self.field
         same_field(F, a.alg.field)
         same_field(F, b.alg.field)
-        return AElem._of(self, nonzero(F, table_mul_into({}, self.mul_table, F, a.nz.items(), b.nz.items())))
+        return AElem._of(self, table_mul_into({}, self.mul_table, F, a.nz.items(), b.nz.items()))
 
     def xpow(self, m: int) -> AElem:
         """Normal form of x^m in A, any m >= 0.  For m <= 2n it is the element
@@ -348,7 +350,9 @@ class MonogenicAlgebra:
 class TensorElem:
     """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
     held as the payload row ``coords`` {flat index: nonzero payload} of A's
-    field; the constructor drops the zero payloads of the row it is given.
+    field.  ``TensorElem(alg, twist, coords)`` keeps a new row of the nonzero
+    payloads of coords; ``_of`` keeps a row as given, for the sums and
+    actions, which each make a new row with no zero payload.
     Read by power of x, it is sum_c u_c (x) x^c with left factors u_c in A.
     Its actions run on that row, on A's compiled table: the left action of A
     and the right action of x are ``_left`` and ``_right_x``."""
@@ -356,18 +360,26 @@ class TensorElem:
     __slots__ = ("alg", "twist", "coords")
 
     def __init__(self, alg: MonogenicAlgebra, twist: int, coords: dict):
+        zv = alg.field.zero.v
         self.alg = alg
         self.twist = twist
-        self.coords = nonzero(alg.field, coords)
+        self.coords = {i: p for i, p in coords.items() if p != zv}
+
+    @classmethod
+    def _of(cls, alg: MonogenicAlgebra, twist: int, row: dict) -> "TensorElem":
+        """The tensor with the nonzero coordinates row, a payload row."""
+        out = cls.__new__(cls)
+        out.alg, out.twist, out.coords = alg, twist, row
+        return out
 
     @classmethod
     def zero(cls, alg: MonogenicAlgebra, twist: int) -> "TensorElem":
-        return cls(alg, twist, {})
+        return cls._of(alg, twist, {})
 
     @classmethod
     def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
         """left (x) x^c."""
-        return cls(left.alg, twist, {c * left.alg.adim + i: p for i, p in left.nz.items()})
+        return cls._of(left.alg, twist, {c * left.alg.adim + i: p for i, p in left.nz.items()})
 
     def powers(self) -> list[int]:
         """The c with a nonzero left factor u_c, ascending."""
@@ -396,7 +408,7 @@ class TensorElem:
         if s is not None:
             same_field(F, s.field)
         out = row_sum(F, [(F.one.v, self.coords), (F.one.v if s is None else s.v, other.coords)])
-        return TensorElem(self.alg, self.twist, out)
+        return TensorElem._of(self.alg, self.twist, out)
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         return self.add_scaled(other)
@@ -406,7 +418,7 @@ class TensorElem:
 
     def __neg__(self) -> "TensorElem":
         neg = self.alg.field._neg
-        return TensorElem(self.alg, self.twist, {i: neg(p) for i, p in self.coords.items()})
+        return TensorElem._of(self.alg, self.twist, {i: neg(p) for i, p in self.coords.items()})
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -425,7 +437,7 @@ class TensorElem:
     def leftmul(self, a: AElem) -> "TensorElem":
         """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
         same_field(self.alg.field, a.alg.field)
-        return TensorElem(self.alg, self.twist, _left(self.alg, a.nz, self.coords, {}))
+        return TensorElem._of(self.alg, self.twist, _left(self.alg, a.nz, self.coords, {}))
 
     def rightmul_k(self, mu) -> "TensorElem":
         """Right action of mu in K: migrates through the twist,
@@ -436,7 +448,7 @@ class TensorElem:
             c, j = divmod(flat, alg.adim)
             mig = alg.alpha.power_matrix(self.twist + c).apply(mu)
             table_mul_into(acc, alg.mul_table, F, ((j, s),), mig.items(), c * alg.adim)
-        return TensorElem(alg, self.twist, acc)
+        return TensorElem._of(alg, self.twist, acc)
 
     def rightmul_x(self) -> "TensorElem":
         """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
@@ -447,7 +459,7 @@ class TensorElem:
         alg, wraps, row = self.alg, _wraps(self.alg, self.twist), self.coords
         for _ in range(d):
             row = _right_x(alg, row, wraps)
-        return TensorElem(alg, self.twist, row)
+        return TensorElem._of(alg, self.twist, row)
 
     def __repr__(self):
         terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
@@ -460,7 +472,7 @@ class TensorElem:
 
 
 def _product(table, field: Field, u: dict, v: dict) -> dict:
-    return nonzero(field, table_mul_into({}, table, field, u.items(), v.items()))
+    return table_mul_into({}, table, field, u.items(), v.items())
 
 
 def _left(alg: MonogenicAlgebra, a: dict, row: dict, acc: dict) -> dict:
@@ -475,17 +487,14 @@ def _right_x(alg: MonogenicAlgebra, row: dict, wraps) -> dict:
     """row . x: u_c (x) x^c goes to u_c (x) x^{c+1}, and the top block, which
     meets x^n, to sum_j u_{n-1} alpha^t(kappa_j) (x) x^j, for ``wraps`` the
     ``_wraps`` of the row's twist t."""
-    adim, add = alg.adim, alg.field._add
+    adim = alg.adim
     top = (alg.n - 1) * adim
-    acc: dict = {}
+    acc = {flat + adim: s for flat, s in row.items() if flat < top}
     for flat, s in row.items():
-        if flat < top:
-            p = acc.get(flat + adim)
-            acc[flat + adim] = s if p is None else add(p, s)
-        else:
+        if flat >= top:
             for j, kappa in wraps:
                 table_mul_into(acc, alg.mul_table, alg.field, ((flat - top, s),), kappa, j * adim)
-    return nonzero(alg.field, acc)
+    return acc
 
 
 def _wraps(alg: MonogenicAlgebra, t: int) -> tuple:
@@ -505,7 +514,7 @@ def _derivation(alg: MonogenicAlgebra, coeffs: list[dict]) -> dict:
     for d, u in enumerate(coeffs):
         _left(alg, u, dx, acc)
         dx = row_sum(F, [(one, _right_x(alg, dx, wraps)), (one, alg.xpow(d).nz)])
-    return nonzero(F, acc)
+    return acc
 
 
 def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
@@ -522,7 +531,7 @@ def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     for i in range(alg.n):
         lhs = _derivation(alg, [{}] * i + fx)
         rhs = _right_x(alg, rhs, wraps) if i else rhs
-        if lhs != nonzero(F, _left(alg, alg.xpow(i).nz, df, {})):
+        if lhs != _left(alg, alg.xpow(i).nz, df, {}):
             failures.append(f"derivation of f x^{i} differs from x^{i} action")
         if lhs != rhs:
             failures.append(f"derivation of f x^{i} differs from right x^{i} action")
@@ -586,7 +595,7 @@ class Resolution:
             row = row_sum(F, [(F.one.v, alg.x.nz), (F._neg(F.one.v), onex)])
         else:
             row = _derivation(alg, [payloads(F, enumerate(c)) for c in alg.f_terms])
-        out = self._generators[r] = TensorElem(alg, tw, row)
+        out = self._generators[r] = TensorElem._of(alg, tw, row)
         return out
 
     @functools.cached_property
@@ -609,7 +618,7 @@ class Resolution:
             gen = self.d_generator(r).coords
             rows = [{}] * self.tdim
             for i in range(alg.adim):
-                rows[i] = col = nonzero(alg.field, _left(alg, {i: alg.field.one.v}, gen, {}))
+                rows[i] = col = _left(alg, {i: alg.field.one.v}, gen, {})
                 for c in range(1, alg.n):
                     rows[c * alg.adim + i] = col = _right_x(alg, col, wraps)
             rows = self._d_rows[cls] = tuple(rows)
@@ -646,7 +655,7 @@ class Resolution:
         """sum of s * rows[flat] over the entries flat: s of t, on payloads."""
         field = self.alg.field
         same_field(field, t.alg.field)
-        return TensorElem(self.alg, twist, row_sum(field, ((p, rows[flat]) for flat, p in t.coords.items())))
+        return TensorElem._of(self.alg, twist, row_sum(field, ((p, rows[flat]) for flat, p in t.coords.items())))
 
     def apply_d(self, r: int, t: TensorElem) -> TensorElem:
         return self._apply(self.d_rows(r), t, self.twist(r - 1))

@@ -688,8 +688,8 @@ class ProductStore:
         out = self._reps.get(p)
         if out is None:
             alg = self.C.alg
-            out = self._reps[p] = [SmallCochain(alg, p, AElem(alg, v), check=False)
-                                   for v in cohomology_group(self.C, p).reps_ambient]
+            out = self._reps[p] = [SmallCochain(alg, p, AElem._of(alg, row), check=False)
+                                   for row in cohomology_group(self.C, p).reps_rows]
         return out
 
     def pairs(self, p: int, q: int):
@@ -735,15 +735,16 @@ class ProductStore:
 
 def _class_table(store: ProductStore, degrees, read) -> list[dict]:
     """``read(p, q, ia, ib)``, the class coordinates of a product, for every
-    pair of class representatives in each degree pair (p, q) of ``degrees``."""
-    encode = store.C.field.encode
+    pair of class representatives in each degree pair (p, q) of ``degrees``;
+    each distinct payload is encoded once per call."""
+    code = store.C.field.encoder()
     return [
         {
             "deg_a": p,
             "deg_b": q,
             "basis_index_a": ia,
             "basis_index_b": ib,
-            "result_class_coords": [encode(c) for c in read(p, q, ia, ib)],
+            "result_class_coords": [code(c.v) for c in read(p, q, ia, ib)],
         }
         for p, q in degrees
         for ia, ib in store.pairs(p, q)

@@ -439,3 +439,40 @@ def test_qq_matches_fractions():
         assert bool(a) == bool(p) and QQ.decode(QQ.encode(a)) == a
 
     check()
+
+
+@pytest.mark.parametrize("name", DECODE_FIELDS)
+def test_power_matches_repeated_products(name):
+    """`Scalar.__pow__` squares and multiplies; it equals |e| repeated
+    products by x (by its inverse for e < 0) for e in -5..20 on random
+    nonzero x, 1 and -1; 0 ** e is 1 at e = 0 and 0 above, and 0 ** -1
+    raises ZeroDivisionError."""
+    F, rng = DECODE_FIELDS[name](), random.Random(17)
+    xs = [F.one, -F.one] + [x for x in (F.random_element(rng, 5) for _ in range(8)) if x]
+    for x, e in ((x, e) for x in xs for e in range(-5, 21)):
+        want, base = F.one, x.inv() if e < 0 else x
+        for _ in range(abs(e)):
+            want = want * base
+        got = x ** e
+        assert got == want and got.v == want.v and got.field is F, (x, e)
+    assert F.zero ** 0 == F.one and all(F.zero ** e == F.zero for e in range(1, 21))
+    with pytest.raises(ZeroDivisionError):
+        F.zero ** -1
+
+
+@pytest.mark.parametrize("name", DECODE_FIELDS)
+def test_encoder_matches_encode_and_shares_no_list(name):
+    """`Field.encoder()` encodes a payload as `encode` does, and each call
+    returns a list of its own over an extension field, so changing one
+    coordinate of an output leaves every other one as it was."""
+    F, rng = DECODE_FIELDS[name](), random.Random(5)
+    code = F.encoder()
+    xs = [F.zero, F.one, -F.one] + [F.random_element(rng, 5) for _ in range(6)]
+    for x in xs + xs:
+        assert code(x.v) == F.encode(x)
+    first, second = code(F.one.v), code(F.one.v)
+    assert first == second
+    if isinstance(first, list):
+        assert first is not second
+        first.append("changed")
+        assert code(F.one.v) == F.encode(F.one)

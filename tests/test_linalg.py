@@ -169,3 +169,42 @@ def test_minimal_polynomial():
     J = Mat(F, [[F.zero, -F.one], [F.one, F.zero]])
     mp = minimal_polynomial(J)
     assert [repr(c) for c in mp] == ["1", "0", "1"]
+
+
+SPAN_FIELDS = {
+    "QQ": QQ,
+    "GF7": prime_field(7),
+    "QQ(i)": extension_field(QQ, [1, 0, 1], "i"),
+    "GF9": extension_field(prime_field(3), [1, 0, 1], "t"),
+}
+
+
+@pytest.mark.parametrize("name", SPAN_FIELDS)
+def test_span_helpers_leave_their_inputs_unchanged(name):
+    """A transpose transposes back to an equal matrix.  `span_equal`,
+    `quotient_basis`, `intersect_spans` and `EchelonTracker.extend` reduce
+    columns of their inputs: each leaves every input's rows and columns as
+    they were, on random matrices of every density, with spans equal,
+    nested and apart."""
+    F, rng = SPAN_FIELDS[name], random.Random(23)
+
+    def column(n, density):
+        return tuple(F.random_element(rng, 4) if rng.random() < density else F.zero for _ in range(n))
+
+    for n, density in ((n, d) for n in (1, 3, 5) for d in (0.0, 0.4, 1.0)):
+        A = Mat.from_columns(F, [column(n, density) for _ in range(3)], n)
+        B = Mat.from_columns(F, [column(n, density) for _ in range(2)], n)
+        S = A.matmul(Mat.from_columns(F, [column(3, 0.7) for _ in range(2)], 3))  # inside span(A)
+        assert A.transpose().transpose() == A
+        kept = [(M, [dict(r) for r in M.sparse], M.transpose().sparse) for M in (A, B, S)]
+        span_equal(A, A)
+        span_equal(A, S)
+        span_equal(B, A)
+        quotient_basis(S, A)
+        quotient_basis(A, A)
+        intersect_spans(A, B)
+        intersect_spans(S, A)
+        EchelonTracker(F, n).extend(A)
+        EchelonTracker(F, n).extend(S)
+        for M, rows, cols in kept:
+            assert M.sparse == rows and M.transpose().sparse == cols, (n, density)

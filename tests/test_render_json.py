@@ -66,13 +66,20 @@ def test_every_payload_is_written_as_json_dumps(tmp_path, monkeypatch):
 def test_generated_payloads_are_written_as_json_dumps():
     """A derandomized hypothesis test over nested payloads: strings with
     quotes, backslashes, control and non-ASCII characters, integers past 64
-    bits of either sign, bools, None and empty or nested-empty containers."""
+    bits of either sign, bools, None and empty or nested-empty containers;
+    lists of str only and of int only (which the writer joins in one go),
+    lists that mix the two, lists of bools and empty lists."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé 😀'), st.characters()), max_size=8)
-    leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), text)
+    ints = st.one_of(st.integers(), st.integers(-2**200, 2**200))
+    leaves = st.one_of(st.none(), st.booleans(), ints, text)
+    leaf_lists = st.one_of(
+        st.lists(text, max_size=5), st.lists(ints, max_size=5), st.lists(st.one_of(text, ints), max_size=5),
+        st.lists(st.one_of(ints, st.booleans()), max_size=5), st.lists(st.booleans(), max_size=5),
+    )
     payloads = st.recursive(
-        leaves,
+        st.one_of(leaves, leaf_lists),
         lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(text, inner, max_size=4)),
         max_leaves=30,
     )
@@ -85,6 +92,9 @@ def test_generated_payloads_are_written_as_json_dumps():
     check()
     for empty in ({}, [], {"a": {}}, [[]], {"": [{}, []]}):
         assert written(empty) == dumps(empty)
+    for leaves_of_one_kind in (["a"], [0], [-2**70, 5], ["é", "\n", '"'], {"k": [[1, 2], ["a"], []]},
+                               ["x", 1], [1, "x"], [True, 1], [1, False], [True], [None, 1]):
+        assert written(leaves_of_one_kind) == dumps(leaves_of_one_kind)
 
 
 @pytest.mark.parametrize("bad", [1.5, (1, 2), {1, 2}, {"k": [0.0]}, [("t",)], {1: "int key"}])

@@ -20,7 +20,9 @@ The loops that run on field payloads (`row_sum`, `_accumulate` and through
 it the echelon, `Mat.apply` behind `matvec`, `table_mul_into`, and
 `row_sum` as the constraint rows of `twisted_kernel`) are checked against
 the Scalar-level loops and dense routes they replaced, with a seeded
-overwrite-the-sum fault in each, and `Resolution.contraction_check` against
+overwrite-the-sum fault in each; `row_sum` and `table_mul_into` remove a
+sum that cancels, checked on forced cancellations with a seeded
+keep-the-zero fault in each; and `Resolution.contraction_check` against
 its TensorElem route (both kept in conftest.py), on intact and on broken
 columns.  A `twisted_kernel` call boxes no Scalar.  The free-row
 reads of reduced free-variable bases (`FreeRows`, and through it
@@ -627,7 +629,8 @@ def payload_loops_agree(F, seed):
                  for i in range(n) for j in range(n) if rng.random() < 0.5}
         got = kalgebra.table_mul_into({}, {ij: [(k, x.v) for k, x in t] for ij, t in table.items()}, F,
                                       payloads(a).items(), payloads(b).items())
-        assert scalar_row(F, linalg.nonzero(F, got)) == scalar_table_mul(table, support(a), support(b))
+        assert scalar_row(F, got) == scalar_table_mul(table, support(a), support(b))
+        assert zv not in got.values()
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -639,14 +642,12 @@ def test_payload_loops_match_scalar_loops(name):
 # adding to it; the constraint rows of `twisted_kernel` are `row_sum` as
 # kalgebra reads it, and `matvec` runs on `Mat.apply`.
 OVERWRITING_UNIT = {  # name -> (owner, attribute, its function, old source, new source)
-    "row_sum": (linalg, "row_sum", linalg.row_sum, "acc[k] = t if p is None else",
-                "acc[k] = t if p is None or unit else"),
+    "row_sum": (linalg, "row_sum", linalg.row_sum, "if p is not None:", "if p is not None and not unit:"),
     "_accumulate": (linalg, "_accumulate", linalg._accumulate, "if p is not None:", "if p is not None and not unit:"),
     "matvec": (Mat, "apply", Mat.apply, "acc = t if acc is None else", "acc = t if acc is None or a == one else"),
-    "table_mul_into": (kalgebra, "table_mul_into", kalgebra.table_mul_into, "acc[k] = t if p is None else",
-                       "acc[k] = t if p is None or unit else"),
-    "twisted_kernel": (kalgebra, "row_sum", linalg.row_sum, "acc[k] = t if p is None else",
-                       "acc[k] = t if p is None or unit else"),
+    "table_mul_into": (kalgebra, "table_mul_into", kalgebra.table_mul_into, "if p is not None:",
+                       "if p is not None and not unit:"),
+    "twisted_kernel": (kalgebra, "row_sum", linalg.row_sum, "if p is not None:", "if p is not None and not unit:"),
 }
 
 
@@ -657,6 +658,67 @@ def test_seeded_overwriting_unit_shortcut_is_caught(monkeypatch, loop):
     with pytest.raises(AssertionError):
         for F in FIELDS.values():
             payload_loops_agree(F, 11)
+
+
+def cancelled_sums_property():
+    """A derandomized hypothesis test, on QQ, GF(7), QQ(i) and GF(9), with
+    cancellations forced: `row_sum` of c r, other terms and -c r, and of
+    c r and -c r; `table_mul_into` of u v where e_i2 and e_i have the same
+    products and u_i2 = -u_i, and of u v then (-u) v into the same row.
+    Each stores no zero payload and equals `scalar_combine` /
+    `scalar_table_mul`; the sums of a term and its negative are empty."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n = 5
+    index = st.integers(0, n - 1)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True,
+                         report_multiple_bugs=False)
+    @hypothesis.given(st.sampled_from(sorted(FIELDS)), st.data())
+    def check(name, data):
+        F = FIELDS[name]
+        zv = F.zero.v
+        random_elem = st.integers(0, 2**16).map(lambda seed: nonzero(F, random.Random(seed)))
+        elem = st.one_of(st.sampled_from([F.one, -F.one]), random_elem)
+        row = st.dictionaries(index, elem, max_size=n)
+        c, r = data.draw(elem), data.draw(row)
+        for terms in ([(c, r), *data.draw(st.lists(st.tuples(elem, row), max_size=3)), (-c, r)], [(c, r), (-c, r)]):
+            got = linalg.row_sum(F, [(x.v, payload_row(v)) for x, v in terms])
+            assert zv not in got.values() and scalar_row(F, got) == scalar_combine(terms)
+        assert linalg.row_sum(F, [(c.v, payload_row(r)), ((-c).v, payload_row(r))]) == {}
+        products = st.lists(st.tuples(index, elem), min_size=1, max_size=3)
+        table = data.draw(st.dictionaries(st.tuples(index, index), products))
+        u, v = data.draw(row), data.draw(row)
+        i, i2 = data.draw(st.permutations(range(n)))[:2]
+        for j in range(n):  # e_i2 e_j = e_i e_j
+            table.pop((i2, j), None)
+            if (i, j) in table:
+                table[i2, j] = table[i, j]
+        if i in u:
+            u[i2] = -u[i]
+        payload_table = {ij: [(k, x.v) for k, x in terms] for ij, terms in table.items()}
+        got = kalgebra.table_mul_into({}, payload_table, F, payload_row(u).items(), payload_row(v).items())
+        assert zv not in got.values()
+        assert scalar_row(F, got) == scalar_table_mul(table, u.items(), v.items())
+        kalgebra.table_mul_into(got, payload_table, F, [(k, F._neg(x)) for k, x in payload_row(u).items()],
+                                payload_row(v).items())
+        assert got == {}
+
+    return check
+
+
+def test_cancelled_sums_are_removed():
+    cancelled_sums_property()()
+
+
+@pytest.mark.parametrize("loop", ["row_sum", "table_mul_into"])
+def test_seeded_kept_zero_sum_is_caught(monkeypatch, loop):
+    """The `del acc[k]` branch dropped: a cancelled sum is kept as a zero
+    payload."""
+    owner = linalg if loop == "row_sum" else kalgebra
+    monkeypatch.setattr(owner, loop, mutant(getattr(owner, loop), "del acc[k]", "acc[k] = t"))
+    with pytest.raises(AssertionError):
+        cancelled_sums_property()()
 
 
 def test_twisted_kernel_boxes_only_its_output(monkeypatch):

@@ -88,6 +88,31 @@ def test_sums_match_the_merge(alg):
         TensorElem.zero(alg, 0) + TensorElem.zero(alg, 1)
 
 
+def test_constructor_drops_zero_payloads(alg):
+    """`TensorElem(alg, twist, coords)` keeps a new row of the nonzero
+    payloads of coords: a row with a zero payload gives the tensor of the
+    row without it, equal in `is_zero`, `==` and `hash`."""
+    F = alg.field
+    zero = TensorElem(alg, 1, {0: F.zero.v, 3: F.zero.v})
+    assert zero.is_zero() and zero == TensorElem.zero(alg, 1) and hash(zero) == hash(TensorElem.zero(alg, 1))
+    row = {0: F.one.v, 2: F.zero.v}
+    t = TensorElem(alg, 1, row)
+    assert t.coords == {0: F.one.v} and t.coords is not row
+    assert t == TensorElem(alg, 1, {0: F.one.v}) and hash(t) == hash(TensorElem(alg, 1, {0: F.one.v}))
+
+
+def test_resolution_columns_are_new_rows(alg):
+    """A column read through `d_column` or `s_column` is a row of its own:
+    changing it leaves the resolution's kept columns as they were."""
+    res = Resolution(alg, 3)
+    for r in (1, 2):
+        for column, rows in ((res.d_column, res.d_rows), (res.s_column, res.s_rows)):
+            kept = [dict(row) for row in rows(r)]
+            for flat in range(res.tdim):
+                column(r, flat).coords[res.tdim] = alg.field.one.v
+            assert list(rows(r)) == kept, r
+
+
 def test_resolution_columns_match_entrywise(alg):
     """Every d and sigma column in the degrees whose twist is at most
     2 ord(alpha) + 1."""

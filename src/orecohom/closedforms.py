@@ -66,7 +66,6 @@ from .linalg import (
     rank,
     row_sum,
     span_equal,
-    support,
     vscale,
 )
 from .kalgebra import (
@@ -254,10 +253,13 @@ def _need_witness(alg: MonogenicAlgebra, witness) -> WitnessData:
 
 
 def _embed_k_columns(alg: MonogenicAlgebra, cols: Mat, xdeg: int) -> Mat:
-    """Columns of K-coordinates, embedded at one x-degree of the regular module."""
-    return Mat.from_columns(
-        alg.field, [alg.monomial(c, xdeg).coords for c in cols.columns_list()], alg.adim
-    )
+    """Columns of K-coordinates, embedded at one x-degree of the regular
+    module: K's row b is row xdeg * dim K + b."""
+    if not 0 <= xdeg < alg.n:
+        raise IndexError("x-degree out of range")
+    rows = [{} for _ in range(alg.adim)]
+    rows[xdeg * alg.K.dim:(xdeg + 1) * alg.K.dim] = map(dict, cols.sparse)
+    return Mat.from_sparse_rows(alg.field, rows, cols.cols)
 
 
 def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
@@ -297,13 +299,13 @@ def _closed_reps_mismatch(C: SmallComplex, r: int, reps: Mat, tag: str) -> str |
     through the basis of C^r and the core of H^r, so one result serves every
     degree that shares them."""
     H = cohomology_group(C, r)
-    coords = []
-    for j in range(reps.cols):
+    rows = []
+    for j, col in enumerate(reps.transpose().sparse):
         try:
-            coords.append(H.class_coords(reps.column(j)))
+            rows.append(H.class_row(col))
         except CohomologyError:
             return f"{tag}: representative {j} is not a cocycle in degree {{r}}"
-    got = EchelonTracker.of_columns(Mat.from_columns(C.field, coords, H.dim)).dim if coords else 0
+    got = rank(Mat.from_sparse_rows(C.field, rows, H.dim))
     if got != reps.cols or reps.cols != H.dim:
         return f"{tag}: degree {{r}} closed representatives give rank {got}, expected {H.dim}"
     return None
@@ -860,8 +862,8 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     if 2 * v > up_to:
         raise ClosedFormError("table too short to reach the period degree")
     K = alg.K
-    unit_cls = cohomology_group(C, 2 * v).class_coords(alg.one)
-    unit_zero = all(c.is_zero() for c in unit_cls)
+    unit_cls = cohomology_group(C, 2 * v).class_row(alg.one.nz)
+    unit_zero = not unit_cls
     if unit_zero and rank(K.left_mult_matrix(_n_lambda(alg))) == K.dim:
         raise ClosedFormError(
             "n times the constant coefficient is invertible: the unit is a "
@@ -883,15 +885,15 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     mismatches: list[str] = []
     if unit_zero:
         mismatches.append("unit class vanishes at the period degree")
-    store, unit_terms, F = ProductStore.of(C, store), support(unit_cls), C.field
+    store, F = ProductStore.of(C, store), C.field
     for r in range(1, up_to - 2 * v + 1):
         H_src = cohomology_group(C, r)
         H_tgt = cohomology_group(C, r + 2 * v)
         if H_src.dim != H_tgt.dim:
             mismatches.append(f"period map degree {r}: dimensions differ")
             continue
-        images = [row_sum(F, ((u.v, payloads(F, enumerate(store.cup(r, 2 * v, i, j))))
-                              for j, u in unit_terms)) for i in range(H_src.dim)]
+        images = [row_sum(F, ((u, store.cup(r, 2 * v, i, j)) for j, u in unit_cls.items()))
+                  for i in range(H_src.dim)]
         if rank(Mat.from_sparse_rows(F, images, H_tgt.dim)) != H_src.dim:
             mismatches.append(f"period map degree {r}: cup by the unit class "
                               f"is not bijective")

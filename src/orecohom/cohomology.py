@@ -315,7 +315,7 @@ class _GroupCore:
     complement of the image in the kernel, over C^r and in M, the latter as
     the payload rows ``reps_rows``, boxed as ``reps_ambient`` on its first
     read) and the solver for class coordinates, which is built on the first
-    ``class_coords``: a complex build and ``complex_report`` read none.
+    ``class_row``: a complex build and ``complex_report`` read none.
 
     One echelon gives both the image and the representatives: the columns of
     d^r that join it, then the kernel columns that join it after them.  Its
@@ -386,19 +386,27 @@ class CohomologyGroup:
         """The representatives in M, as dense tuples of Scalars."""
         return self.core.reps_ambient
 
-    def is_cocycle_sub(self, v_sub: tuple) -> bool:
-        return not support(self.complex.dmats[self.degree + 1].matvec(v_sub))
-
     def class_coords(self, v_ambient) -> tuple:
-        """Coordinates of a cocycle's class over the representative basis;
-        the cocycle is an ambient vector in either form ``to_sub`` reads."""
-        v_sub = self.complex.to_sub(self.degree, v_ambient)
-        if not self.is_cocycle_sub(v_sub):
+        """``class_row`` of an ambient vector in any form ``to_sub`` reads,
+        as a tuple of Scalars."""
+        C = self.complex
+        nz = v_ambient.nz if isinstance(v_ambient, AElem) else C.free_rows[self.degree].unbox(v_ambient)
+        return dense(C.field, self.class_row(nz), self.dim)
+
+    def class_row(self, nz: dict) -> dict:
+        """The coordinates of a cocycle's class over the representatives, as
+        a payload row, for the cocycle's ambient payload row nz; read off the
+        free rows of C^r, tested with d^{r+1} and solved on payloads."""
+        C, r = self.complex, self.degree
+        v_sub = C.free_rows[r].coords(nz)
+        if v_sub is None:
+            raise CohomologyError(f"vector is not in the degree-{r} cochain space")
+        if C.dmats[r + 1].apply(v_sub):
             raise CohomologyError("vector is not a cocycle")
-        sol = self.core.class_solver.solve(v_sub)
+        sol = self.core.class_solver.solve_row(v_sub)
         if sol is None:
             raise CohomologyError("cocycle outside kernel span (inconsistent state)")
-        return sol[: self.dim]
+        return {k: p for k, p in sol.items() if k < self.dim}
 
     def is_coboundary(self, v_ambient: tuple) -> bool:
         return not support(self.class_coords(v_ambient))

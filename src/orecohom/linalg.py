@@ -6,9 +6,10 @@ container stores field payloads and holds its field: a payload row is a dict
 elimination, ``EchelonTracker``, keeps payload rows too.  Scalars are
 unboxed as they enter (``Mat(field, dense)``, ``Mat.from_columns``,
 ``Mat.matvec``, ``EchelonTracker.add`` and ``contains``, ``LinSolver.solve``,
-``FreeRows.read``), each checked to be of the container's field, and boxed
-only as they leave (``Mat.data``, ``column``, ``columns_list``, ``matvec``,
-``solve``, ``read``).  An operation on two
+``FreeRows.read`` and ``unbox``), each checked to be of the container's
+field, and boxed only as they leave (``Mat.data``, ``column``,
+``columns_list``, ``matvec``, ``solve``, ``read``); ``LinSolver.solve_row``
+and ``FreeRows.coords`` read and return payload rows.  An operation on two
 containers checks their fields once; an entry or operand of another field
 raises :func:`~orecohom.fields.mixed`.  The inner loops touch only nonzero
 entries, test for zero on the payload (exact, as payloads are canonical),
@@ -325,13 +326,21 @@ class LinSolver:
         self.E = [{j - n: e for j, e in row.items() if j >= n} for row in t._rows + null]
 
     def solve(self, b: tuple) -> tuple | None:
+        """``solve_row`` on a tuple of Scalars, boxed."""
         if len(b) != self.M.rows:
             raise LinalgError("shape mismatch in solve")
-        field, cols = self.M.field, self._columns
-        y = row_sum(field, ((x, cols[j]) for j, x in payloads(field, enumerate(b)).items()))  # E b
+        field = self.M.field
+        sol = self.solve_row(payloads(field, enumerate(b)))
+        return None if sol is None else dense(field, sol, self.M.cols)
+
+    def solve_row(self, b: dict) -> dict | None:
+        """One solution of M x = b for a payload row b {row: nonzero
+        payload}, as a payload row, or None when inconsistent."""
+        cols, pivots = self._columns, self.pivots
+        y = row_sum(self.M.field, ((x, cols[j]) for j, x in b.items()))  # E b
         if any(i >= self.rank for i in y):
             return None
-        return dense(field, {self.pivots[i]: p for i, p in y.items()}, self.M.cols)
+        return {pivots[i]: p for i, p in y.items()}
 
     @functools.cached_property
     def _columns(self) -> list[dict]:
@@ -376,11 +385,15 @@ class FreeRows:
         return None if rest else sol
 
     def read(self, w) -> tuple | None:
-        """The coordinates of w, a tuple of length ``B.rows`` or a sparse
-        vector {index: entry}, over B's columns, or None when w is not in
-        their span.  A tuple of another length, or a sparse index outside
-        0..rows-1, raises LinalgError."""
-        rows, field = self.B.rows, self.B.field
+        """``coords`` of w, in either form ``unbox`` takes, boxed."""
+        sol = self.coords(self.unbox(w))
+        return None if sol is None else dense(self.B.field, sol, self.B.cols)
+
+    def unbox(self, w) -> dict:
+        """w, a tuple of length ``B.rows`` or a sparse vector {index: entry},
+        as a payload row.  A tuple of another length, or a sparse index
+        outside 0..rows-1, raises LinalgError."""
+        rows = self.B.rows
         if isinstance(w, dict):
             for j in w:
                 if not 0 <= j < rows:
@@ -390,8 +403,7 @@ class FreeRows:
             raise LinalgError("shape mismatch in read")
         else:
             w = enumerate(w)
-        sol = self.coords(payloads(field, w))
-        return None if sol is None else dense(field, sol, self.B.cols)
+        return payloads(self.B.field, w)
 
     def matrix(self, rows) -> Mat | None:
         """The matrix whose columns are the coordinates of the payload rows

@@ -20,9 +20,14 @@ bracket is checked before any lookup and is not part of the key.  The closed
 forms (``cup_small``, ``bracket_small_closed``) never read the oracle, so an
 agreement of the two routes still compares independent computations.
 
+Both routes sum their products on payload rows (``AElem.nz``), into one
+row through ``kalgebra.table_mul_into``: no term builds an ``AElem``.
+
 A ``ProductStore`` keeps the class coordinates of each product of class
-representatives a run reads, closed and oracle alike, each computed once;
-the class tables, the agreements and the closed-form checks read it.
+representatives a run reads, closed and oracle alike, each computed once, as
+a payload row over the representatives (``CohomologyGroup.class_row``); the
+class tables encode them densely, and the agreements and the closed-form
+checks compare or combine the rows.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from __future__ import annotations
 import itertools
 
 from .cohomology import SmallComplex, cohomology_group, twisted_invariants
-from .kalgebra import ValidationReport
+from .kalgebra import ValidationReport, table_mul_into
+from .linalg import row_sum, same_field
 from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -242,14 +248,15 @@ def phi_terms(alg: MonogenicAlgebra, r: int):
 
 def psi_value(alg: MonogenicAlgebra, value: AElem, idx: tuple) -> AElem:
     """psi of the small cochain with this value, at the bar index ``idx``:
-    the sum of u value x^c over the terms of ``psi_terms``."""
-    acc = alg.zero_elem()
+    the sum of (u value) x^c over the terms of ``psi_terms``, into one row."""
+    F, table = alg.field, alg.mul_table
+    same_field(F, value.alg.field)
+    acc, v = {}, value.nz.items()
     for u, c in psi_terms(alg, idx):
-        term = u * value
+        uv = table_mul_into({} if c else acc, table, F, u.nz.items(), v)  # u value, into acc at c = 0
         if c:
-            term = term * alg.xpow(c)
-        acc = acc + term
-    return acc
+            table_mul_into(acc, table, F, uv.items(), alg.xpow(c).nz.items())
+    return AElem._of(alg, acc)
 
 
 def phi_closed(alg: MonogenicAlgebra, r: int) -> dict:
@@ -309,24 +316,26 @@ def _sign(alg: MonogenicAlgebra, parity: int):
 
 
 def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
-    """Closed-form cup product on the small complex."""
+    """Closed-form cup product on the small complex.  For odd a and b it is
+    the sum of lambda_i x^j1 a x^j2 b x^j3 over j1 + j2 + j3 = i - 2,
+    multiplied left to right, into one row."""
     alg = a.alg
     if a.degree % 2 == 0 or b.degree % 2 == 0:
-        value = a.value * b.value
-    else:
-        value = alg.zero_elem()
-        for i in range(2, alg.n + 1):
-            lam = alg.f_terms[i]
-            if all(c.is_zero() for c in lam):
-                continue
-            lam_a = alg.k_embed(lam)
-            for j1 in range(i - 1):
-                for j2 in range(i - 1 - j1):
-                    j3 = i - 2 - j1 - j2
-                    value = value + lam_a * alg.xpow(j1) * a.value * alg.xpow(
-                        j2
-                    ) * b.value * alg.xpow(j3)
-    return SmallCochain(alg, a.degree + b.degree, value, check=False)
+        return SmallCochain(alg, a.degree + b.degree, a.value * b.value, check=False)
+    F, table, xpow = alg.field, alg.mul_table, alg.xpow
+    same_field(F, a.value.alg.field)
+    same_field(F, b.value.alg.field)
+    acc, av, bv = {}, a.value.nz.items(), b.value.nz.items()
+    for i in range(2, alg.n + 1):
+        lam = alg.k_embed(alg.f_terms[i]).nz
+        for j1 in range(i - 1 if lam else 0):
+            left = table_mul_into({}, table, F, lam.items(), xpow(j1).nz.items())
+            left = table_mul_into({}, table, F, left.items(), av)
+            for j2 in range(i - 1 - j1):
+                mid = table_mul_into({}, table, F, left.items(), xpow(j2).nz.items())
+                mid = table_mul_into({}, table, F, mid.items(), bv)
+                table_mul_into(acc, table, F, mid.items(), xpow(i - 2 - j1 - j2).nz.items())
+    return SmallCochain(alg, a.degree + b.degree, AElem._of(alg, acc), check=False)
 
 
 class BarOracle:
@@ -374,48 +383,50 @@ class BarOracle:
         terms = self._phi.get(r)
         if terms is None:
             terms = self._phi[r] = phi_closed(self.alg, r)
-        acc = self.alg.zero_elem()
+        F, table, acc = self.alg.field, self.alg.mul_table, {}
         for key, coeff in terms.items():
             val = value_at(key)
-            if not val.is_zero():
-                acc = acc + coeff * val
-        return acc
+            if val.nz:
+                same_field(F, val.alg.field)
+                table_mul_into(acc, table, F, coeff.nz.items(), val.nz.items())
+        return AElem._of(self.alg, acc)
 
     def _twisted_factors(self, ib: int, piece: tuple, tw: int) -> list:
-        """The pairs (e, k_embed(alpha^tw(kappa_e))) over the x-degrees e >= 1
-        of psi(b) at the bar index ``piece`` (b = cochain ib), kappa_e its
-        K-coefficient of x^e.  They do not depend on the cochain b is
-        composed into, so each is built once per (b, piece, tw)."""
+        """The pairs (e, alpha^tw(kappa_e)) over the x-degrees e >= 1 of
+        psi(b) at the bar index ``piece`` (b = cochain ib), kappa_e its
+        K-coefficient of x^e as a payload row, sliced off the lift's ``nz``.
+        They do not depend on the cochain b is composed into, so each is
+        built once per (b, piece, tw)."""
         key = ib, piece, tw
         out = self._factors.get(key)
         if out is None:
-            alg, inner = self.alg, self._lift(ib, piece)
-            out = self._factors[key] = [
-                (e, alg.k_embed(alg.alpha.apply_power(tw, inner.k_coeff(e))))
-                for e in filter(None, inner.x_degrees())  # the x-degrees e >= 1 it has
-            ]
+            slices: dict[int, dict] = {}
+            for i, p in self._lift(ib, piece).nz.items():
+                e, k = divmod(i, self.alg.K.dim)
+                if e:
+                    slices.setdefault(e, {})[k] = p
+            twist = self.alg.alpha.power_matrix(tw)
+            out = self._factors[key] = [(e, twist.apply(kappa)) for e, kappa in slices.items()]
         return out
 
     def _composition(self, ia: int, ib: int, key: tuple) -> AElem:
         """The alternating sum over the slots j of psi(a) o_j psi(b) at ``key``
         (a, b = cochains ia, ib): psi(b) at the slice slot j fills, and psi(a)
         with that slice replaced by each x-degree e of psi(b)'s value there,
-        its K-coefficient migrating left through the preceding slots."""
-        alg = self.alg
+        its K-coefficient migrating left through the preceding slots.  The
+        slot's sign goes into the factor, and every term sums into one row."""
+        F, table = self.alg.field, self.alg.mul_table
         r, rp = self._cochains[ia].degree, self._cochains[ib].degree
-        acc = alg.zero_elem()
+        acc = {}
         for j in range(1, r + 1):
             pre, post = key[: j - 1], key[j - 1 + rp :]
-            factors = self._twisted_factors(ib, key[j - 1 : j - 1 + rp], sum(pre))
-            if not factors:
-                continue
-            slot = alg.zero_elem()
-            for e, factor in factors:
-                gval = self._lift(ia, pre + (e,) + post)
-                if not gval.is_zero():
-                    slot = slot + factor * gval
-            acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
-        return acc
+            odd = (j + 1) * (rp + 1) % 2
+            for e, factor in self._twisted_factors(ib, key[j - 1 : j - 1 + rp], sum(pre)):
+                gval = self._lift(ia, pre + (e,) + post).nz
+                if gval:
+                    u = [(k, F._neg(p)) for k, p in factor.items()] if odd else factor.items()
+                    table_mul_into(acc, table, F, u, gval.items())
+        return AElem._of(self.alg, acc)
 
     def _compose(self, ia: int, ib: int) -> AElem:
         """phi of the alternating sum of slot compositions of psi(b) into psi(a)."""
@@ -482,43 +493,43 @@ def bracket_small_generic(
     if oracle is None:
         oracle = BarOracle(alg)
     ia, ib = oracle._pair_ids(a, b)
-    value = oracle._compose(ia, ib) - oracle._compose(ib, ia) * _sign(alg, (r + 1) * (rp + 1))
-    return SmallCochain(alg, r + rp - 1, value, check=False)
+    F = alg.field
+    s = F.one.v if (r + 1) * (rp + 1) % 2 else F._neg(F.one.v)  # minus the sign of the commutator
+    value = row_sum(F, [(F.one.v, oracle._compose(ia, ib).nz), (s, oracle._compose(ib, ia).nz)])
+    return SmallCochain(alg, r + rp - 1, AElem._of(alg, value), check=False)
 
 
 def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCochain:
     """Closed-form bracket for canonical cochains, valid under a central
-    regular witness (which forces the canonical forms to be exhaustive)."""
+    regular witness (which forces the canonical forms to be exhaustive), on
+    their K-parts and K's table."""
     if not witness:
         raise ProductsError(NEEDS_WITNESS)
     alg = a.alg
-    n = alg.n
-    alpha = alg.alpha
+    F, n, norm, d = alg.field, alg.n, alg.alpha.norm, alg.K.dim
     deg = max(a.degree + b.degree - 1, 0)
 
-    def need(c: SmallCochain):
-        lam = c.canonical_k() if c.degree % 2 == 0 else c.canonical_kx()
-        if lam is None:
+    def need(c: SmallCochain) -> dict:
+        """The K-part of c: an even c lies at x^0, an odd one at x^1."""
+        same_field(F, c.value.alg.field)
+        e = c.degree % 2
+        if any(i // d != e for i in c.value.nz):
             raise ProductsError("input is not in canonical form")
-        return lam
+        return {i - e * d: p for i, p in c.value.nz.items()}
+
+    def negated(row: dict) -> list:
+        return [(k, F._neg(p)) for k, p in row.items()]
 
     la, lb = need(a), need(b)
-    if a.degree % 2 == 0 and b.degree % 2 == 0:
-        return SmallCochain(alg, deg, alg.zero_elem(), check=False)
-    if a.degree % 2 == 0:
-        m = a.degree // 2
-        out = alg.K.kmul(alpha.norm(m * n).matvec(lb), la)
-        return SmallCochain(alg, deg, alg.k_embed(out), check=False)
-    if b.degree % 2 == 0:
-        m = b.degree // 2
-        out = alg.K.kmul(alpha.norm(m * n).matvec(la), lb)
-        neg = tuple(-c for c in out)
-        return SmallCochain(alg, deg, alg.k_embed(neg), check=False)
-    m, mp = a.degree // 2, b.degree // 2
-    first = alg.K.kmul(alpha.norm(m * n + 1).matvec(lb), la)
-    second = alg.K.kmul(alpha.norm(mp * n + 1).matvec(la), lb)
-    out = tuple(x - y for x, y in zip(first, second))
-    return SmallCochain(alg, deg, alg.monomial(out, 1), check=False)
+    ktab, out = alg.K.mul_table, {}
+    if a.degree % 2 == 0 and b.degree % 2:
+        table_mul_into(out, ktab, F, norm(a.degree // 2 * n).apply(lb).items(), la.items())
+    elif a.degree % 2 and b.degree % 2 == 0:
+        table_mul_into(out, ktab, F, negated(norm(b.degree // 2 * n).apply(la)), lb.items())
+    elif a.degree % 2:  # both odd: the difference, at x^1
+        table_mul_into(out, ktab, F, norm(a.degree // 2 * n + 1).apply(lb).items(), la.items(), d)
+        table_mul_into(out, ktab, F, negated(norm(b.degree // 2 * n + 1).apply(la)), lb.items(), d)
+    return SmallCochain(alg, deg, AElem._of(alg, out), check=False)
 
 
 # -- resolution-level comparison maps ----------------------------------------
@@ -661,18 +672,21 @@ class ProductStore:
     oracle cup (``cup_small``, ``cup_small_oracle``) and the oracle and the
     closed bracket (``BarOracle.bracket``, ``bracket_small_closed``).  A
     value goes to class coordinates from its payloads (``AElem.nz``), once
-    per distinct value.  Each route computes its own products, so equal
-    stored coordinates still compare two computations: a zero class of the
-    difference.  A bracket's oracle bound is checked on every read and is
-    not part of the key.  One run owns one store (``cli.Session.products``)
-    with the run's bar oracle; a library call without one builds one."""
+    per distinct value, and is kept as the payload row of ``class_row``,
+    {representative: nonzero payload}, which the store's readers must not
+    mutate: equal classes are equal rows.  Each route computes its own
+    products, so equal stored rows still compare two computations: a zero
+    class of the difference.  A bracket's oracle bound is checked on every
+    read and is not part of the key.  One run owns one store
+    (``cli.Session.products``) with the run's bar oracle; a library call
+    without one builds one."""
 
     def __init__(self, C: SmallComplex, oracle: BarOracle | None = None):
         self.C = C
         self.oracle = BarOracle(C.alg) if oracle is None else oracle
         self._reps: dict[int, list[SmallCochain]] = {}  # degree -> representatives
-        self._coords: dict[tuple, tuple] = {}  # (product, p, q, ia, ib) -> class coordinates
-        self._classes: dict[tuple, tuple] = {}  # (degree, sorted (index, payload)) -> class coordinates
+        self._coords: dict[tuple, dict] = {}  # (product, p, q, ia, ib) -> class coordinates
+        self._classes: dict[tuple, dict] = {}  # (degree, sorted (index, payload)) -> class coordinates
 
     @classmethod
     def of(cls, C: SmallComplex, store: "ProductStore | None" = None, oracle: BarOracle | None = None):
@@ -696,35 +710,36 @@ class ProductStore:
         """Every pair (ia, ib) of representatives of H^p and H^q, ia outermost."""
         return itertools.product(range(len(self.reps(p))), range(len(self.reps(q))))
 
-    def _read(self, product: str, deg: int, p: int, q: int, ia: int, ib: int, compute) -> tuple:
+    def _read(self, product: str, deg: int, p: int, q: int, ia: int, ib: int, compute) -> dict:
         key = product, p, q, ia, ib
         out = self._coords.get(key)
         if out is None:
             out = self._coords[key] = self.class_of(deg, compute(self.reps(p)[ia], self.reps(q)[ib]).value)
         return out
 
-    def class_of(self, deg: int, value: AElem) -> tuple:
-        """The class coordinates in H^deg of a cocycle with this value, read
-        once per distinct value: many products are equal, most often zero."""
+    def class_of(self, deg: int, value: AElem) -> dict:
+        """The class coordinates in H^deg of a cocycle with this value, as a
+        payload row (``CohomologyGroup.class_row``), read once per distinct
+        value: many products are equal, most often zero."""
         key = deg, tuple(sorted(value.nz.items()))
         out = self._classes.get(key)
         if out is None:
-            out = self._classes[key] = cohomology_group(self.C, deg).class_coords(value)
+            out = self._classes[key] = cohomology_group(self.C, deg).class_row(value.nz)
         return out
 
-    def cup(self, p: int, q: int, ia: int, ib: int) -> tuple:
+    def cup(self, p: int, q: int, ia: int, ib: int) -> dict:
         return self._read("cup", p + q, p, q, ia, ib, cup_small)
 
-    def cup_oracle(self, p: int, q: int, ia: int, ib: int) -> tuple:
+    def cup_oracle(self, p: int, q: int, ia: int, ib: int) -> dict:
         return self._read("cup-oracle", p + q, p, q, ia, ib, lambda a, b: cup_small_oracle(a, b, self.oracle))
 
-    def bracket(self, p: int, q: int, ia: int, ib: int, bound: int = 5) -> tuple:
+    def bracket(self, p: int, q: int, ia: int, ib: int, bound: int = 5) -> dict:
         """The oracle bracket; past the bound it raises even when the pair is stored."""
         _check_bracket_bound(p, q, bound)
         return self._read("bracket", max(p + q - 1, 0), p, q, ia, ib,
                           lambda a, b: self.oracle.bracket(a, b, bound))
 
-    def closed_bracket(self, p: int, q: int, ia: int, ib: int, witness) -> tuple:
+    def closed_bracket(self, p: int, q: int, ia: int, ib: int, witness) -> dict:
         """The closed bracket; ProductsError without a witness or when a
         representative is not in canonical form."""
         if not witness:
@@ -734,20 +749,23 @@ class ProductStore:
 
 
 def _class_table(store: ProductStore, degrees, read) -> list[dict]:
-    """``read(p, q, ia, ib)``, the class coordinates of a product, for every
-    pair of class representatives in each degree pair (p, q) of ``degrees``;
-    each distinct payload is encoded once per call."""
-    code = store.C.field.encoder()
+    """``read(p, q, ia, ib)``, the class coordinates of a product in H^deg as
+    a payload row, written densely to dim H^deg, for every pair of class
+    representatives in each (p, q, deg) of ``degrees``; each distinct
+    payload is encoded once per call."""
+    C = store.C
+    code, zv = C.field.encoder(), C.field.zero.v
     return [
         {
             "deg_a": p,
             "deg_b": q,
             "basis_index_a": ia,
             "basis_index_b": ib,
-            "result_class_coords": [code(c.v) for c in read(p, q, ia, ib)],
+            "result_class_coords": [code(row.get(i, zv)) for i in range(cohomology_group(C, deg).dim)],
         }
-        for p, q in degrees
+        for p, q, deg in degrees
         for ia, ib in store.pairs(p, q)
+        for row in [read(p, q, ia, ib)]
     ]
 
 
@@ -756,7 +774,7 @@ def cup_class_table(C: SmallComplex, max_total: int, store: ProductStore | None 
     read from ``store`` (a fresh one when none is given)."""
     store = ProductStore.of(C, store)
     degrees = [
-        (p, q)
+        (p, q, p + q)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
         if p + q + 1 <= C.max_degree
@@ -776,7 +794,7 @@ def bracket_class_table(
     when none is given)."""
     store = ProductStore.of(C, store, oracle)
     degrees = [
-        (p, q)
+        (p, q, p + q - 1)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
         if 0 <= p + q - 1 <= bound and p + q <= C.max_degree

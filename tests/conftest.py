@@ -83,8 +83,10 @@ from orecohom.products import (
     ProductsError,
     SmallCochain,
     all_bar_indices,
+    phi_closed,
     phi_eval,
     psi_eval,
+    psi_terms,
 )
 from orecohom.specio import load_instance
 
@@ -1575,6 +1577,105 @@ def bracket_bar(g: BarCochain, h: BarCochain) -> BarCochain:
 def compose_place_small(a: SmallCochain, b: SmallCochain, j: int) -> SmallCochain:
     """Slot composition transported to the small complex."""
     return phi_eval(circle_j(psi_eval(a), psi_eval(b), j))
+
+
+# -- the oracle and the closed forms on AElems ---------------------------------
+# `products` before its oracle and closed routes summed into payload rows:
+# every term an AElem of its own, every sum a new AElem.  The references
+# for `psi_value`, `BarOracle.phi` and `_composition`, `cup_small` and
+# `bracket_small_closed`; the composition is evaluated straight from psi,
+# with none of the oracle's stores.
+
+
+def aelem_psi_value(alg: MonogenicAlgebra, value: AElem, idx: tuple) -> AElem:
+    acc = alg.zero_elem()
+    for u, c in psi_terms(alg, idx):
+        term = u * value
+        if c:
+            term = term * alg.xpow(c)
+        acc = acc + term
+    return acc
+
+
+def aelem_phi(alg: MonogenicAlgebra, r: int, value_at) -> AElem:
+    acc = alg.zero_elem()
+    for key, coeff in phi_closed(alg, r).items():
+        val = value_at(key)
+        if not val.is_zero():
+            acc = acc + coeff * val
+    return acc
+
+
+def aelem_composition(a: SmallCochain, b: SmallCochain, key: tuple) -> AElem:
+    """The alternating sum over the slots j of psi(a) o_j psi(b) at ``key``."""
+    alg = a.alg
+    r, rp = a.degree, b.degree
+    acc = alg.zero_elem()
+    for j in range(1, r + 1):
+        pre, post = key[: j - 1], key[j - 1 + rp :]
+        inner = aelem_psi_value(alg, b.value, key[j - 1 : j - 1 + rp])
+        slot = alg.zero_elem()
+        for e in filter(None, inner.x_degrees()):
+            factor = alg.k_embed(alg.alpha.apply_power(sum(pre), inner.k_coeff(e)))
+            gval = aelem_psi_value(alg, a.value, pre + (e,) + post)
+            if not gval.is_zero():
+                slot = slot + factor * gval
+        acc = acc + slot * _sign(alg, (j + 1) * (rp + 1))
+    return acc
+
+
+def aelem_cup_oracle(a: SmallCochain, b: SmallCochain) -> AElem:
+    p = a.degree
+    return aelem_phi(a.alg, p + b.degree, lambda key: aelem_psi_value(a.alg, a.value, key[:p])
+                     * aelem_psi_value(a.alg, b.value, key[p:]))
+
+
+def aelem_bracket_generic(a: SmallCochain, b: SmallCochain) -> AElem:
+    alg, r, rp = a.alg, a.degree, b.degree
+    deg = r + rp - 1
+    first = aelem_phi(alg, deg, lambda key: aelem_composition(a, b, key))
+    second = aelem_phi(alg, deg, lambda key: aelem_composition(b, a, key))
+    return first - second * _sign(alg, (r + 1) * (rp + 1))
+
+
+def aelem_cup_small(a: SmallCochain, b: SmallCochain) -> AElem:
+    alg = a.alg
+    if a.degree % 2 == 0 or b.degree % 2 == 0:
+        return a.value * b.value
+    value = alg.zero_elem()
+    for i in range(2, alg.n + 1):
+        lam = alg.f_terms[i]
+        if all(c.is_zero() for c in lam):
+            continue
+        lam_a = alg.k_embed(lam)
+        for j1 in range(i - 1):
+            for j2 in range(i - 1 - j1):
+                j3 = i - 2 - j1 - j2
+                value = value + lam_a * alg.xpow(j1) * a.value * alg.xpow(j2) * b.value * alg.xpow(j3)
+    return value
+
+
+def aelem_bracket_small_closed(a: SmallCochain, b: SmallCochain) -> AElem:
+    alg = a.alg
+    n, alpha = alg.n, alg.alpha
+
+    def need(c: SmallCochain):
+        lam = c.canonical_k() if c.degree % 2 == 0 else c.canonical_kx()
+        if lam is None:
+            raise ProductsError("input is not in canonical form")
+        return lam
+
+    la, lb = need(a), need(b)
+    if a.degree % 2 == 0 and b.degree % 2 == 0:
+        return alg.zero_elem()
+    if a.degree % 2 == 0:
+        return alg.k_embed(alg.K.kmul(alpha.norm(a.degree // 2 * n).matvec(lb), la))
+    if b.degree % 2 == 0:
+        out = alg.K.kmul(alpha.norm(b.degree // 2 * n).matvec(la), lb)
+        return alg.k_embed(tuple(-c for c in out))
+    first = alg.K.kmul(alpha.norm(a.degree // 2 * n + 1).matvec(lb), la)
+    second = alg.K.kmul(alpha.norm(b.degree // 2 * n + 1).matvec(la), lb)
+    return alg.monomial(tuple(x - y for x, y in zip(first, second)), 1)
 
 
 def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:

@@ -562,10 +562,10 @@ def test_only_cohomology_errors_become_mismatches(sweedler, monkeypatch):
     """A representative outside the cocycles is a mismatch; any other error in
     the engine is a bug and propagates."""
     _, _, C = sweedler
-    monkeypatch.setattr(CohomologyGroup, "class_coords", raising(CohomologyError("not a cocycle")))
+    monkeypatch.setattr(CohomologyGroup, "class_row", raising(CohomologyError("not a cocycle")))
     rep = diagonalizable_cohomology_table(C, up_to=3)
     assert not rep["match"] and "is not a cocycle" in rep["mismatches"][0]
-    monkeypatch.setattr(CohomologyGroup, "class_coords", raising(RuntimeError("bug")))
+    monkeypatch.setattr(CohomologyGroup, "class_row", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
         diagonalizable_cohomology_table(C, up_to=3)
 

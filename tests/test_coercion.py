@@ -60,10 +60,12 @@ def test_report_coerces_few_scalars(monkeypatch):
 
 
 def test_report_constructs_few_scalars(monkeypatch):
-    """Matrices, elements of A, tensors and both tables hold payloads, so a
-    gh4_u3 `report` boxes a Scalar only where one leaves a container or the
-    closed forms do scalar algebra: 1,835 constructions in a fresh process,
-    where 4,574 were made while those containers held Scalars."""
+    """Matrices, elements of A, tensors and both tables hold payloads, and
+    the products, their class coordinates and the closed-form checks read
+    payload rows, so a gh4_u3 `report` boxes a Scalar only where one leaves
+    a container or the closed forms do scalar algebra: 824 constructions in
+    a fresh process, where 1,609 were made while class coordinates were
+    tuples of Scalars and 4,574 while the containers held Scalars."""
     made = []
     init = fields.Scalar.__init__
 
@@ -74,7 +76,7 @@ def test_report_constructs_few_scalars(monkeypatch):
     monkeypatch.setattr(fields.Scalar, "__init__", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["report", str(SPECS / "gh4_u3.json")]) == 0
-    assert 0 < len(made) < 2000
+    assert 0 < len(made) < 900
 
 
 def foreign_and_other(sweedler, kind):
@@ -199,3 +201,47 @@ def test_foreign_entry_is_refused_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "cannot", "mix", "scalars", "of", "QQ", "and", "GF(7)"]
+
+
+# The products on an operand of another field: a QQ algebra and a GF(7) one
+# of the same shape, each read by the routes that sum on payload rows.
+FOREIGN_PRODUCTS = """
+from orecohom import instances
+from orecohom.products import BarCochain, SmallCochain, bracket_small_closed, cup_small, phi_eval
+A, B = instances.sweedler()[0], instances.taft(2, 7, 6)[0]
+odd = lambda alg: SmallCochain(alg, 1, alg.x, check=False)
+CALLS = {
+    "phi_eval": lambda: phi_eval(BarCochain(A, 1, {(1,): B.x})),
+    "cup_small": lambda: cup_small(odd(A), odd(B)),
+    "bracket_small_closed": lambda: bracket_small_closed(odd(A), odd(B), True),
+}
+"""
+
+
+@pytest.mark.parametrize("name", ["phi_eval", "cup_small", "bracket_small_closed"])
+def test_products_refuse_a_foreign_operand(name):
+    namespace: dict = {}
+    exec(FOREIGN_PRODUCTS, namespace)
+    with pytest.raises(FieldError, match="cannot mix scalars"):
+        namespace["CALLS"][name]()
+
+
+def test_products_refuse_a_foreign_operand_under_optimize():
+    """The field checks of `phi_eval`, `cup_small` and `bracket_small_closed`
+    are not asserts: under python -O each refuses the GF(7) operand."""
+    script = FOREIGN_PRODUCTS + """
+import sys
+from orecohom.fields import FieldError
+assert False, "assert statements must be stripped"
+for name, call in CALLS.items():
+    try:
+        call()
+    except FieldError as exc:
+        print(name, sys.flags.optimize, str(exc))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{name} 1 cannot mix scalars of QQ and GF(7)"
+                                        for name in ("phi_eval", "cup_small", "bracket_small_closed")]

@@ -180,13 +180,13 @@ def test_gh4_u3_report_builds_one_class_solver_per_core_read(monkeypatch, capsys
     """A report builds one class solver for each distinct group core whose
     class coordinates it reads, and no other solver."""
     built = counted_solvers(monkeypatch)
-    cores, class_coords = [], CohomologyGroup.class_coords
+    cores, class_row = [], CohomologyGroup.class_row
 
-    def reading(self, v):
+    def reading(self, nz):
         cores.append(self.core)
-        return class_coords(self, v)
+        return class_row(self, nz)
 
-    monkeypatch.setattr(CohomologyGroup, "class_coords", reading)
+    monkeypatch.setattr(CohomologyGroup, "class_row", reading)
     assert cli.main(["report", str(GH4_U3)]) == 0
     capsys.readouterr()
     distinct = list({id(core): core for core in cores}.values())

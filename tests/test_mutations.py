@@ -8,7 +8,9 @@ read the run's product store, which computes each product once: the
 mutations patch the names the store calls (``products.cup_small``,
 ``products.bracket_small_closed``, ``products.psi_terms`` under the oracle),
 so these entries also show that sharing the work does not let one route stand
-in for the other.  The last tests break the resolution itself: its
+in for the other.  One mutant of the payload oracle drops the slot sign of a
+composition; it shows on a spec without a witness (see its test).  The last
+tests break the resolution itself: its
 generator, which both `validate` and the small complex read, and its
 contracting homotopy, which `validate` checks."""
 
@@ -16,7 +18,7 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import mutate_columns
+from conftest import mutant, mutate_columns
 
 from orecohom import cli, products
 from orecohom.monogenic import Resolution, TensorElem
@@ -83,6 +85,29 @@ def test_mutation_turns_its_check_red(check, monkeypatch, capsys):
     rc, rows = run_rows(capsys, *argv, key=key)
     assert rc == 1
     assert any(verdict(row) is False for row in rows)
+
+
+def unsigned_slot(monkeypatch):
+    """`BarOracle._composition` with the odd-slot sign dropped: every slot added."""
+    composition = products.BarOracle._composition
+    monkeypatch.setattr(products.BarOracle, "_composition",
+                        mutant(composition, "odd = (j + 1) * (rp + 1) % 2", "odd = 0"))
+
+
+def test_unsigned_slot_turns_the_oracle_bracket_red(monkeypatch, capsys):
+    """Only a slot filled by an even cochain carries the sign, and psi of an
+    even cochain, at each index phi reads, is 0 or the cochain itself.
+    Under a collapse witness every even cochain lies at x^0, so those slots
+    are empty: the mutant cannot turn `bracket_closed_vs_oracle` red on a
+    spec with a witness.  On truncated_square (K = Q, the identity twist,
+    f = x^2, no witness) the even cochains reach x^1, and the mutated oracle
+    bracket of the bracket table is no cocycle: `products` exits 1."""
+    spec = str(SPECS / "truncated_square.json")
+    assert cli.main(["products", spec]) == 0
+    capsys.readouterr()
+    unsigned_slot(monkeypatch)
+    assert cli.main(["products", spec]) == 1
+    assert "vector is not a cocycle" in capsys.readouterr().err
 
 
 def plus_odd_generator(monkeypatch):

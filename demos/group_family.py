@@ -21,6 +21,7 @@ from orecohom import (
     group_algebra_cohomology_table,
 )
 from orecohom.instances import gh4_instance
+from orecohom.linalg import dense
 
 alg, chi = gh4_instance(3)
 K = alg.K
@@ -52,7 +53,7 @@ print("first block per class:",
 # The cohomology is generated by two degree-0 elements, the x line in
 # degree 1, a sign combination in degree 2, and a unit class in degree 4.
 w = find_witness(alg)
-print("witness coordinates:", w.value)
+print("witness coordinates:", dense(alg.field, w.value, K.dim))
 a = SmallCochain(alg, 0, alg.k_embed(K.elem({"g": 1, "g^2": 1})), check=False)
 x = SmallCochain(alg, 1, alg.monomial(K.unit, 1), check=False)
 b = SmallCochain(alg, 2, alg.k_embed(K.elem({"g": 1, "g^2": -1})), check=False)

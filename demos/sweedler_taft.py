@@ -19,6 +19,7 @@ from orecohom import (
     presentation_report,
 )
 from orecohom.instances import sweedler, taft
+from orecohom.linalg import dense
 
 # n = 2 over the rationals: the sign twist on k[C_2].
 alg, chi = sweedler()
@@ -27,7 +28,7 @@ C = build_small_complex(alg, Bimodule.regular(alg), 7)
 # The group generator is a collapse witness: it is central, fixed by the
 # square of the twist, and 1 - (-1) = 2 is invertible.
 w = find_witness(alg)
-print("witness coordinates:", w.value)
+print("witness coordinates:", dense(alg.field, w.value, alg.K.dim))
 
 # With a witness the closed table needs no matrix ranks at all.
 table = collapsed_cohomology_table(C, w, 6)

@@ -40,6 +40,7 @@ from .closedforms import (
 )
 from .fields import FieldError
 from .kalgebra import AlgebraError, ValidationReport
+from .linalg import dense
 from .monogenic import MonogenicAlgebra, MonogenicError, Resolution, instance_checks, normality_check
 from .products import ProductsError, ProductStore, bracket_class_table, cup_class_table
 from .specio import Instance, SpecError, decode_witness, load_instance
@@ -64,8 +65,8 @@ def _witness_candidates(inst: Instance, flag_value: str | None) -> list:
     return [decode_witness(inst.K, parsed), *inst.witness_candidates]
 
 
-def _encode_kelem(inst: Instance, coords) -> list:
-    return [inst.field.encode(c) for c in coords]
+def _encode_kelem(inst: Instance, u: dict) -> list:
+    return [inst.field.encode(c) for c in dense(inst.field, u, inst.K.dim)]
 
 
 class Session:

@@ -58,6 +58,7 @@ from .linalg import (
     EchelonTracker,
     FreeRows,
     Mat,
+    dense,
     intersect_spans,
     kernel_basis,
     minimal_polynomial,
@@ -66,7 +67,6 @@ from .linalg import (
     rank,
     row_sum,
     span_equal,
-    vscale,
 )
 from .kalgebra import (
     AlgebraK,
@@ -167,9 +167,10 @@ def _dims_result(
 
 @dataclass(frozen=True)
 class WitnessData:
-    """A candidate collapse witness with its three verified properties."""
+    """A candidate collapse witness, an element of K, with its three
+    verified properties."""
 
-    value: tuple
+    value: dict
     central: bool
     power_fixed: bool
     differences_regular: bool
@@ -187,7 +188,7 @@ class WitnessData:
 
 def witness_check(alg: MonogenicAlgebra, candidate) -> WitnessData:
     """Evaluate the three collapse-witness conditions on one element."""
-    K, alpha, n = alg.K, alg.alpha, alg.n
+    K, alpha, n, F = alg.K, alg.alpha, alg.n, alg.field
     u = K.elem(candidate)
     central = all(
         K.kmul(u, K.basis_elem(b)) == K.kmul(K.basis_elem(b), u)
@@ -196,8 +197,8 @@ def witness_check(alg: MonogenicAlgebra, candidate) -> WitnessData:
     power_fixed = alpha.apply_power(n, u) == u
     regular = True
     for i in range(1, n):
-        diff = tuple(a - b for a, b in zip(u, alpha.apply_power(i, u)))
-        if all(c.is_zero() for c in diff):
+        diff = row_sum(F, [(F.one.v, u), (F._neg(F.one.v), alpha.apply_power(i, u))])
+        if not diff:
             regular = False
             break
         if rank(K.left_mult_matrix(diff)) < K.dim or rank(K.right_mult_matrix(diff)) < K.dim:
@@ -211,24 +212,23 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
 
     Order: caller-supplied candidates, then central group elements when the
     coefficient algebra is a group algebra, then a basis of the center (for a
-    group algebra these are the class sums).  Each distinct nonzero element
-    is tried once; returns the first that passes all three conditions, or
-    None.
+    group algebra these are the class sums), then their sum weighted by
+    1, 2, ....  Each distinct nonzero element is tried once; returns the
+    first that passes all three conditions, or None.
     """
     K = alg.K
     pool = [K.elem(c) for c in candidates]
     if K.group is not None:
         pool += [K.basis_elem(g) for g in K.group.center_indices()]
-    center = _w_space(alg, 0)
-    pool += center.columns_list()
-    if center.cols > 1:
-        weighted = [K.field.zero] * K.dim
-        for j in range(center.cols):
-            s = K.field.from_int(j + 1)
-            weighted = [a + s * c for a, c in zip(weighted, center.column(j))]
-        pool.append(tuple(weighted))
-    for lam in dict.fromkeys(pool):
-        if all(c.is_zero() for c in lam):
+    center = _w_space(alg, 0).transpose().sparse
+    pool += center
+    if len(center) > 1:
+        pool.append(row_sum(K.field, ((K.field.from_int(j + 1).v, c) for j, c in enumerate(center))))
+    distinct: dict[tuple, dict] = {}
+    for lam in pool:
+        distinct.setdefault(tuple(sorted(lam.items())), lam)
+    for lam in distinct.values():
+        if not lam:
             continue
         w = witness_check(alg, lam)
         if w:
@@ -267,9 +267,9 @@ def _w_space(alg: MonogenicAlgebra, m: int) -> Mat:
     return twisted_invariants_k(alg.K, alg.alpha, m * alg.n)
 
 
-def _n_lambda(alg: MonogenicAlgebra) -> tuple:
-    """n times the constant coefficient of f, in K-coordinates."""
-    return vscale(alg.field.from_int(alg.n), alg.f_terms[0])
+def _n_lambda(alg: MonogenicAlgebra) -> dict:
+    """n times the constant coefficient of f, an element of K."""
+    return row_sum(alg.field, [(alg.field.from_int(alg.n).v, alg.f_terms[0])])
 
 
 def _trace_matrix(alg: MonogenicAlgebra) -> Mat:
@@ -375,17 +375,19 @@ def check_collapsed_differentials(
 def _closed_differential(C: SmallComplex, r: int, op: Mat) -> tuple[list | None, bool]:
     """The closed d^r on the basis of C^{r-1} through ``op`` (alpha - id for
     odd r, the trace map for even r), its columns encoded, and whether it
-    equals ``C.dmats[r]``; (None, False) when it leaves C^r."""
-    alg, xdeg, cols = C.alg, r % 2, []
-    for v in C.bases[r - 1].columns_list():
-        w_k = op.matvec(AElem(alg, v).k_coeff(1 - xdeg))
-        amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
-        try:
-            cols.append(C.to_sub(r, amb))
-        except CohomologyError:
-            return None, False
-    closed = Mat.from_columns(C.field, cols, C.bases[r].cols)
-    return [[alg.field.encode(x) for x in col] for col in cols], closed == C.dmats[r]
+    equals ``C.dmats[r]``; (None, False) when it leaves C^r.  The images are
+    read off the free rows of C^r, as ``SmallComplex._compile_d`` reads them."""
+    alg, xdeg, F = C.alg, r % 2, C.field
+    images = []
+    for v in C.bases[r - 1].transpose().sparse:
+        w_k = op.apply(AElem._of(alg, v).k_coeff(1 - xdeg))
+        images.append(alg.monomial(w_k if xdeg else {b: F._neg(p) for b, p in w_k.items()}, xdeg).nz)
+    closed = C.free_rows[r].matrix(images)
+    if closed is None:
+        return None, False
+    code, zv = F.encoder(), F.zero.v
+    cols = [[code(col.get(i, zv)) for i in range(closed.rows)] for col in closed.transpose().sparse]
+    return cols, closed == C.dmats[r]
 
 
 def collapsed_cohomology_table(
@@ -580,10 +582,9 @@ def diagonalizable_cohomology_table(
 
 def _formal_derivative_elem(alg: MonogenicAlgebra) -> AElem:
     """sum_i i * c_i x^{i-1}, the derivative of the defining polynomial."""
-    total = alg.zero_elem()
+    F, total = alg.field, alg.zero_elem()
     for i in range(1, alg.n + 1):
-        s = alg.field.from_int(i)
-        total = total + alg.monomial(vscale(s, alg.f_terms[i]), i - 1)
+        total = total + alg.monomial(row_sum(F, [(F.from_int(i).v, alg.f_terms[i])]), i - 1)
     return total
 
 
@@ -596,8 +597,10 @@ def _check_derivative_differentials(C: SmallComplex, up_to: int, mismatches: lis
             if not C.dmats[r].is_zero():
                 mismatches.append(f"odd differential is nonzero in degree {r}")
             continue
-        cols = [C.to_sub(r, L.matvec(v)) for v in C.bases[r - 1].columns_list()]
-        if Mat.from_columns(C.field, cols, C.bases[r].cols) != C.dmats[r]:
+        closed = C.free_rows[r].matrix(L.apply(v) for v in C.bases[r - 1].transpose().sparse)
+        if closed is None:
+            raise CohomologyError(f"vector is not in the degree-{r} cochain space")
+        if closed != C.dmats[r]:
             mismatches.append(f"even differential is not derivative multiplication "
                               f"in degree {r}")
 
@@ -700,7 +703,7 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
     field = K.field
     chir = char_power(chi, r)
     eligible: list[bool] = []
-    vectors: list[tuple] = []
+    vectors: list[dict] = []
     classes = G.conj_classes()
     for cls in classes:
         g0 = cls[0]
@@ -725,11 +728,8 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
             frontier = nxt
         if not consistent or set(coeff) != set(cls):
             raise CohomologyError("class coefficient propagation is inconsistent")
-        v = [field.zero] * K.dim
-        for g, c in coeff.items():
-            v[g] = c
-        vectors.append(tuple(v))
-    basis = Mat.from_columns(field, vectors, K.dim)
+        vectors.append({g: c.v for g, c in coeff.items()})
+    basis = Mat.from_sparse_rows(field, vectors, K.dim).transpose()
     alpha = endo_from_character(K, chi)
     generic = twisted_invariants_k(K, alpha, r)
     return {
@@ -743,7 +743,7 @@ def character_class_basis(K: AlgebraK, chi: list[Scalar], r: int) -> dict:
 def _kernel_span(K: AlgebraK, chi: list[Scalar]) -> Mat:
     """Span of the group elements in the character kernel, as K-columns."""
     cols = [K.basis_elem(g) for g in character_kernel(K.group, chi)]
-    return Mat.from_columns(K.field, cols, K.dim)
+    return Mat.from_sparse_rows(K.field, cols, K.dim).transpose()
 
 
 def group_algebra_cohomology_table(
@@ -815,7 +815,7 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     for r in range(1, up_to - 2 * v + 1):
         if dims[r] != dims[r + 2 * v]:
             mismatches.append(f"dimension differs between degrees {r} and {r + 2 * v}")
-    nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
+    nlam_zero = not _n_lambda(alg)
     if nlam_zero:
         for m in range(0, (up_to - 1) // 2 + 1):
             if dims[2 * m + 1] != dims[2 * m]:
@@ -875,7 +875,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
             "the unit class and every positive-degree group vanish: no period "
             "generator to claim"
         )
-    nlam_zero = all(c.is_zero() for c in _n_lambda(alg))
+    nlam_zero = not _n_lambda(alg)
     gens = [{"degree": 0, "count": dims[0], "kind": "degree-zero ring"}]
     for first, kind in ((1, "odd module generators"), (2, "even module generators")):
         for r in range(first, 2 * v, 2):
@@ -928,13 +928,13 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
 # -- rank-one extensions of group algebras --------------------------------------
 
 
-def rank_one_f(field: Field, G: GroupData, g1: int, n: int, xi: Scalar) -> list:
-    """lambda_1 .. lambda_n of f = x^n - xi (g1^n - 1) over the group algebra of G."""
+def rank_one_f(field: Field, G: GroupData, g1: int, n: int, xi: Scalar) -> list[dict]:
+    """lambda_1 .. lambda_n of f = x^n - xi (g1^n - 1) over the group algebra
+    of G, as elements of it."""
     g1n = reduce(G.mul, [g1] * n)
-    lam_n = [field.zero] * G.order
-    lam_n[G.identity] = xi
-    lam_n[g1n] = lam_n[g1n] - xi
-    return [tuple([field.zero] * G.order)] * (n - 1) + [tuple(lam_n)]
+    lam_n = {G.identity: xi}
+    lam_n[g1n] = lam_n.get(g1n, field.zero) - xi  # on Scalars: a sum that bench/spans.py counts
+    return [{} for _ in range(n - 1)] + [payloads(field, lam_n.items())]
 
 
 def rank_one_quotient_report(
@@ -1074,9 +1074,8 @@ def rank_one_hopf_report(
                     f"odd-odd bracket at degrees ({ra},{rb}) disagrees with the recursion oracle"
                 )
             if ra == rb == 1:
-                comm = tuple(
-                    p - q for p, q in zip(K.kmul(mu, lam), K.kmul(lam, mu))
-                )
+                one = field.one.v
+                comm = row_sum(field, [(one, K.kmul(mu, lam)), (field._neg(one), K.kmul(lam, mu))])
                 same = got == store.class_of(deg, alg.monomial(comm, 1))
                 row["matches_commutator_class"] = same
                 if not same:
@@ -1090,9 +1089,9 @@ def rank_one_hopf_report(
 # -- quaternions under a rotation twist ----------------------------------------
 
 
-def _quaternion_half_power(K: AlgebraK, cos_half: Scalar, sin_half: Scalar, e: int) -> tuple:
-    """Coordinates of the rotation's half-angle unit raised to the power e."""
-    base = tuple(K.field.scalar(c) for c in (cos_half, 0, 0, sin_half if e >= 0 else -sin_half))
+def _quaternion_half_power(K: AlgebraK, cos_half: Scalar, sin_half: Scalar, e: int) -> dict:
+    """The rotation's half-angle unit raised to the power e, an element of K."""
+    base = K.elem((cos_half, 0, 0, sin_half if e >= 0 else -sin_half))
     out = K.unit
     for _ in range(abs(e)):
         out = K.kmul(out, base)
@@ -1110,12 +1109,12 @@ def quaternion_companion(K: AlgebraK, cos_half, sin_half, f_coeffs: list) -> lis
     for u in range(1, n + 1):
         lam = K.elem(f_coeffs[u - 1])
         w = K.kmul(lam, _quaternion_half_power(K, cos_half, sin_half, u))
-        if any(not w[t].is_zero() for t in (1, 2, 3)):
+        if w.keys() - {0}:
             raise ClosedFormError(
                 f"coefficient {u} is not a scalar multiple of the inverse "
                 f"half-angle power"
             )
-        sigma.append(w[0])
+        sigma.append(dense(K.field, w, 1)[0])
     return sigma
 
 
@@ -1143,9 +1142,9 @@ def quaternion_rotation_report(
     theta: list[Mat] = []
     for r in range(up_to + 1):
         t = C.twist(r)
-        cols = [alg.monomial(_quaternion_half_power(K, cos_half, sin_half, u - t), u).coords
+        cols = [alg.monomial(_quaternion_half_power(K, cos_half, sin_half, u - t), u).nz
                 for u in range(n)]
-        theta.append(Mat.from_columns(field, cols, alg.adim))
+        theta.append(Mat.from_sparse_rows(field, cols, alg.adim).transpose())
         if not span_equal(theta[r], C.bases[r]):
             mismatches.append(f"twisted-invariant space mismatch in degree {r}")
     _check_derivative_differentials(C, up_to, mismatches)

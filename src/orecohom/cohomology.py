@@ -26,8 +26,9 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
+from .fields import Scalar
 from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
-from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, support, vscale
+from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, row_sum, same_field
 from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -98,12 +99,13 @@ class Bimodule:
         return self._action(self.R_k, u)
 
     def _action(self, basis_actions: Sequence[Mat], u) -> Mat:
-        """The action of u in K: the combination of the basis actions."""
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for b, c in enumerate(self.alg.K.elem(u)):
-            if not c.is_zero():
-                out = out.add(basis_actions[b].scale(c))
-        return out
+        """The action of u in K, in any form ``K.elem`` takes: the basis
+        actions at its nonzero coordinates, combined by one ``row_sum`` per row."""
+        F, acts = self.field, [(c, basis_actions[b]) for b, c in self.alg.K.elem(u).items()]
+        for _, A in acts:
+            same_field(F, A.field)
+        rows = [row_sum(F, ((c, A.sparse[i]) for c, A in acts)) for i in range(self.dim)]
+        return Mat.from_sparse_rows(F, rows, self.dim)
 
     def Lx_pow(self, e: int) -> Mat:
         if e not in self._Lx_pow:
@@ -117,20 +119,22 @@ class Bimodule:
 
     def hom(self, t: TensorElem) -> Mat:
         """The matrix of m -> sum_c u_c m x^c for t = sum_c u_c (x) x^c; u_c =
-        sum_a k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if k_a = s 1."""
-        unit, one = self.alg.K.unit, self.field.one
-        i = next(j for j, c in enumerate(unit) if not c.is_zero())
+        sum_a k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if k_a = s 1.
+        The test k_a = s 1 runs on payloads, so the L(k_a) it spares are never built."""
+        F, unit = self.field, self.alg.K.unit
+        i, one, mul = min(unit), F.one.v, F._mul
+        inv = Scalar(F, unit[i]).inv().v  # boxed: a report's one Scalar inverse, which bench/spans.py counts
         out = None
         for c in t.powers():
             u = t.left_factor(c)
             for a in u.x_degrees():
                 k = u.k_coeff(a)
-                s = k[i] / unit[i]
+                s = mul(k[i], inv) if i in k else None
                 ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
-                if vscale(s, unit) != k:
+                if s is None or k != {j: mul(s, p) for j, p in unit.items()}:
                     ops, s = [self.L_elem(k), *ops], one
                 term = functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])
-                term = term if s == one else term.scale(s)
+                term = term if s == one else term.scale(Scalar(F, s))
                 out = term if out is None else out.add(term)
         return Mat.zero(self.field, self.dim, self.dim) if out is None else out
 
@@ -292,14 +296,14 @@ class SmallComplex:
         the vector is not in C^r, and LinalgError when a tuple's length is
         not dim M or a sparse index lies outside it."""
         read = self.free_rows[self._built(r)]
-        if isinstance(v_ambient, AElem):
-            sol = read.coords(v_ambient.nz)
-            sol = sol if sol is None else dense(self.field, sol, read.B.cols)
-        else:
-            sol = read.read(v_ambient)
+        sol = read.coords(self._ambient_row(r, v_ambient))
         if sol is None:
             raise CohomologyError(f"vector is not in the degree-{r} cochain space")
-        return sol
+        return dense(self.field, sol, read.B.cols)
+
+    def _ambient_row(self, r: int, v_ambient) -> dict:
+        """An ambient vector in any form ``to_sub`` reads, as a payload row."""
+        return v_ambient.nz if isinstance(v_ambient, AElem) else self.free_rows[self._built(r)].unbox(v_ambient)
 
     def to_ambient(self, r: int, v_sub: tuple) -> tuple:
         return self.bases[self._built(r)].matvec(v_sub)
@@ -390,8 +394,7 @@ class CohomologyGroup:
         """``class_row`` of an ambient vector in any form ``to_sub`` reads,
         as a tuple of Scalars."""
         C = self.complex
-        nz = v_ambient.nz if isinstance(v_ambient, AElem) else C.free_rows[self.degree].unbox(v_ambient)
-        return dense(C.field, self.class_row(nz), self.dim)
+        return dense(C.field, self.class_row(C._ambient_row(self.degree, v_ambient)), self.dim)
 
     def class_row(self, nz: dict) -> dict:
         """The coordinates of a cocycle's class over the representatives, as
@@ -408,8 +411,8 @@ class CohomologyGroup:
             raise CohomologyError("cocycle outside kernel span (inconsistent state)")
         return {k: p for k, p in sol.items() if k < self.dim}
 
-    def is_coboundary(self, v_ambient: tuple) -> bool:
-        return not support(self.class_coords(v_ambient))
+    def is_coboundary(self, v_ambient) -> bool:
+        return not self.class_row(self.complex._ambient_row(self.degree, v_ambient))
 
 
 def cohomology_group(C: SmallComplex, r: int) -> CohomologyGroup:
@@ -418,12 +421,13 @@ def cohomology_group(C: SmallComplex, r: int) -> CohomologyGroup:
     return C._groups[r]
 
 
-def classes_equal(C: SmallComplex, r: int, a: tuple, b: tuple) -> bool:
-    """Whether two ambient cocycles in degree r are cohomologous."""
-    H = cohomology_group(C, r)
-    zv = C.field.zero.v
-    diff = tuple(x if y.v == zv else x - y for x, y in zip(a, b))
-    return not support(H.class_coords(diff))
+def classes_equal(C: SmallComplex, r: int, a, b) -> bool:
+    """Whether two ambient cocycles in degree r, each in any form ``to_sub``
+    reads, are cohomologous.  A tuple whose length is not dim M raises
+    LinalgError, on either side."""
+    H, F = cohomology_group(C, r), C.field
+    one = F.one.v
+    return not H.class_row(row_sum(F, [(one, C._ambient_row(r, a)), (F._neg(one), C._ambient_row(r, b))]))
 
 
 def cohomology_dims(C: SmallComplex, up_to: int) -> list[int]:

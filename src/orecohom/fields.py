@@ -187,15 +187,15 @@ class Field:
         """Coerce an int, Fraction, Scalar, string such as "3/4" (QQ) or coordinate
         list (extensions, constant-first) into this field.
 
-        This is where raw values enter: K's coordinate tuples hold Scalars of
-        their field as given, ``AElem``, ``Mat`` and ``AlgebraK``'s table
-        keep the nonzero payloads of the Scalars they are given, and the
-        entry points (``decode``, ``AlgebraK.elem``,
+        This is where raw values enter: ``AElem``, ``Mat``, ``AlgebraK``'s
+        table and K's elements keep the nonzero payloads of the Scalars they
+        are given, and the entry points (``decode``, ``AlgebraK.elem``,
         ``AlgebraK.from_structure_constants``, scalar multiplication) coerce
-        through here.  Booleans are rejected."""
+        through here.  A Scalar of another field raises :func:`mixed`, as it
+        does where it meets a container; booleans are rejected."""
         if isinstance(x, Scalar):
             if x.field is not self:
-                raise FieldError(f"cannot coerce scalar of {x.field} into {self}")
+                raise mixed(self, x.field)
             return x
         if isinstance(x, bool):
             raise FieldError("booleans are not field elements")

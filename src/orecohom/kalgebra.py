@@ -4,9 +4,9 @@ An :class:`AlgebraK` stores one summed table of structure constants c_{ij}^k
 over one exact field together with optional group metadata: repeated
 (i, j, k) entries are added and zero sums dropped as the table enters, and
 every product, action matrix and check reads that one table, whose
-constants are field payloads.  An element of K is the tuple of its
-coordinates over the basis, Scalars of that field taken as given; raw values
-enter through ``AlgebraK.elem``.  Basis actions, on K and on A, are
+constants are field payloads.  An element of K is the payload row {basis
+index: nonzero payload}, the form of an ``AElem.nz``; raw values enter
+through ``AlgebraK.elem``.  Basis actions, on K and on A, are
 :class:`BasisActions`, each matrix built on its first read; the center of K
 is ``twisted_invariants_k(K, alpha, 0)``.  Twisting endomorphisms
 live in :class:`Endo`, which keeps alpha - id and the partial norms of alpha;
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, dense, kernel_basis, payloads, rank, row_sum, same_field
+from .linalg import EchelonTracker, Mat, kernel_basis, payloads, rank, row_sum, same_field
 
 
 class AlgebraError(ValueError):
@@ -186,7 +186,7 @@ def group_from_table(labels: list[str], table: list[list[int]]) -> GroupData:
 class AlgebraK:
     """Finite-dimensional associative unital algebra via sparse structure constants.
 
-    The unit holds Scalars of ``field`` and the table is given as (k,
+    The unit is given in any form ``elem`` takes and the table as (k,
     Scalar) pairs; :meth:`from_structure_constants` coerces raw entries, and
     an entry of another field raises :func:`mixed`.  The table is summed
     where it enters: ``mul_table`` maps each (i, j) with e_i e_j != 0 to the
@@ -199,14 +199,14 @@ class AlgebraK:
         field: Field,
         dim: int,
         basis_names: list[str],
-        unit: tuple,
+        unit,
         mul_table: dict[tuple[int, int], list[tuple[int, Scalar]]],
         group: GroupData | None = None,
     ):
         self.field = field
         self.dim = dim
         self.basis_names = list(basis_names)
-        self.unit = tuple(unit)
+        self.unit = self.elem(unit)
         one = field.one.v
         self.mul_table = {
             ij: sorted(prod.items()) for ij, terms in mul_table.items()
@@ -221,38 +221,39 @@ class AlgebraK:
         table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         for i, j, k, s in quads:
             table.setdefault((i, j), []).append((k, field.scalar(s)))
-        unit = tuple(field.scalar(c) for c in unit)
         return cls(field, dim, list(basis_names), unit, table, group)
 
-    def kmul(self, u: tuple, v: tuple) -> tuple:
-        F = self.field
-        u, v = payloads(F, enumerate(u)).items(), payloads(F, enumerate(v)).items()
-        return dense(F, table_mul_into({}, self.mul_table, F, u, v), self.dim)
+    def kmul(self, u: dict, v: dict) -> dict:
+        """The product u v of two elements of K, a new element."""
+        return table_mul_into({}, self.mul_table, self.field, u.items(), v.items())
 
-    def elem(self, x) -> tuple:
-        """The coordinates of x, coerced to the field: a scalar times the unit,
-        a basis label, a {label: scalar} dict or a sequence of dim scalars."""
+    def elem(self, x) -> dict:
+        """x as an element of K: a scalar times the unit, a basis label, a
+        {label: scalar} dict or a sequence of dim scalars, coerced to the
+        field; an element of K, a dict keyed by basis index, is returned as
+        given.  A dict that mixes label and index keys raises AlgebraError."""
+        F = self.field
         if isinstance(x, (int, Fraction, Scalar)):
-            s = self.field.scalar(x)
-            return tuple(s * c for c in self.unit)
+            return row_sum(F, [(F.scalar(x).v, self.unit)])
         if isinstance(x, str):
             x = {x: 1}
         if isinstance(x, dict):
-            coords = [self.field.zero] * self.dim
-            for name, c in x.items():
+            labels = [name for name in x if isinstance(name, str)]
+            if len(labels) < len(x):
+                if labels:
+                    raise AlgebraError("an element of K is keyed by basis labels or by indices, not both")
+                return x
+            for name in labels:
                 if name not in self.basis_names:
                     raise AlgebraError(f"unknown basis label {name!r}; K's labels are {self.basis_names}")
-                coords[self.basis_names.index(name)] = self.field.scalar(c)
-            return tuple(coords)
-        coords = tuple(self.field.scalar(c) for c in x)
+            return payloads(F, ((self.basis_names.index(name), F.scalar(c)) for name, c in x.items()))
+        coords = [F.scalar(c) for c in x]
         if len(coords) != self.dim:
             raise AlgebraError("coordinate length mismatch")
-        return coords
+        return payloads(F, enumerate(coords))
 
-    def basis_elem(self, i: int) -> tuple:
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return tuple(coords)
+    def basis_elem(self, i: int) -> dict:
+        return {i: self.field.one.v}
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...] | None:
@@ -280,19 +281,19 @@ class AlgebraK:
     def _spanning_generators(self) -> tuple[int, ...]:
         """The walk of ``generators``: the basis indices it keeps."""
         span = EchelonTracker(self.field, self.dim)
-        words: list[tuple] = []  # the vectors that joined the span: a basis of W
+        words: list[dict] = []  # the elements that joined the span: a basis of W
         done: list[int] = []  # how many kept generators each word was multiplied by
         gens: list[int] = []
 
-        def grow(v: tuple) -> None:
-            if span.add(v):
+        def grow(v: dict) -> None:
+            if span.add_payloads(dict(v)):  # a copy: the echelon reduces its row and may keep it
                 words.append(v)
                 done.append(0)
 
         grow(self.unit)
         for b in range(self.dim):
             e = self.basis_elem(b)
-            if span.contains(e):
+            if span.contains_payloads(dict(e)):
                 continue
             gens.append(b)
             grow(e)
@@ -313,11 +314,10 @@ class AlgebraK:
             for g in gens
         )
 
-    def left_mult_matrix(self, u: tuple) -> Mat:
-        return mult_matrix(self.field, self.dim, self.mul_table, payloads(self.field, enumerate(u)))
+    def left_mult_matrix(self, u: dict) -> Mat:
+        return mult_matrix(self.field, self.dim, self.mul_table, u)
 
-    def right_mult_matrix(self, u: tuple) -> Mat:
-        u = payloads(self.field, enumerate(u))
+    def right_mult_matrix(self, u: dict) -> Mat:
         return mult_matrix(self.field, self.dim, self.mul_table, u, left=False)
 
     @functools.cached_property
@@ -479,8 +479,8 @@ class Endo:
         self._invariants: dict[int, Mat] = {}  # id of alpha^r -> twisted_invariants_k
         self._norms: list[Mat] = [Mat.zero(alg.field, alg.dim, alg.dim)]  # l -> norm(l)
 
-    def apply(self, u: tuple) -> tuple:
-        return self.matrix.matvec(u)
+    def apply(self, u: dict) -> dict:
+        return self.matrix.apply(u)
 
     def power_matrix(self, r: int) -> Mat:
         if r < 0:
@@ -490,8 +490,8 @@ class Endo:
             self._powers[r] = self._distinct.setdefault(P.key(), P)
         return self._powers[r]
 
-    def apply_power(self, r: int, u: tuple) -> tuple:
-        return self.power_matrix(r).matvec(u)
+    def apply_power(self, r: int, u: dict) -> dict:
+        return self.power_matrix(r).apply(u)
 
     @functools.cached_property
     def is_automorphism(self) -> bool:

@@ -1,9 +1,11 @@
 """Deterministic exact linear algebra over the fields in :mod:`orecohom.fields`.
 
-Dense vectors are tuples of :class:`~orecohom.fields.Scalar`.  Every other
-container stores field payloads and holds its field: a payload row is a dict
-{index: nonzero payload}, a matrix is its payload rows, and the one
-elimination, ``EchelonTracker``, keeps payload rows too.  Scalars are
+Every container stores field payloads and holds its field: a payload row is
+a dict {index: nonzero payload}, a matrix is its payload rows, an element of
+the coefficient algebra K is one payload row, and the one elimination,
+``EchelonTracker``, keeps payload rows too.  A dense vector, a tuple of
+:class:`~orecohom.fields.Scalar`, is only the boxed form read at the edge
+(``dense``).  Scalars are
 unboxed as they enter (``Mat(field, dense)``, ``Mat.from_columns``,
 ``Mat.matvec``, ``EchelonTracker.add`` and ``contains``, ``LinSolver.solve``,
 ``FreeRows.read`` and ``unbox``), each checked to be of the container's
@@ -33,19 +35,6 @@ class LinalgError(ValueError):
     pass
 
 
-def vscale(s: Scalar, a: tuple) -> tuple:
-    zv = s.field.zero.v
-    if s.v == zv:
-        return (s,) * len(a)
-    return tuple(x if x.v == zv else s * x for x in a)
-
-
-def support(v: tuple) -> list[tuple[int, Scalar]]:
-    """The nonzero entries of v as (index, entry) pairs, in index order."""
-    zv = v[0].field.zero.v if v else None
-    return [(j, x) for j, x in enumerate(v) if x.v != zv]
-
-
 def same_field(field: Field, other: Field) -> None:
     """The one field check of an operand: :func:`mixed` unless other is field."""
     if other is not field:
@@ -64,10 +53,10 @@ def payloads(field: Field, entries) -> dict:
     return out
 
 
-def dense(field: Field, row: dict, n: int, base: int = 0) -> tuple:
-    """Entries base .. base + n - 1 of the payload row as a tuple of Scalars."""
+def dense(field: Field, row: dict, n: int) -> tuple:
+    """Entries 0 .. n - 1 of the payload row as a tuple of Scalars."""
     zero = field.zero
-    return tuple(zero if (p := row.get(i)) is None else Scalar(field, p) for i in range(base, base + n))
+    return tuple(zero if (p := row.get(i)) is None else Scalar(field, p) for i in range(n))
 
 
 def row_sum(field: Field, terms) -> dict:

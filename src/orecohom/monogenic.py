@@ -11,6 +11,9 @@ Conventions, fixed once here and relied on everywhere downstream:
   coefficients must be alpha-fixed and satisfy lambda_i mu = alpha^i(mu) lambda_i;
   `validate_f` checks exactly that.  The algebra holds f in one form,
   ``f_terms`` = [c_0, ..., c_n] with c_i the coefficient of x^i and c_n = 1.
+* An element of K is a payload row {basis index: nonzero payload}, as
+  ``AlgebraK.elem`` returns it: ``K.unit``, ``f_terms``, ``wrap_terms`` and
+  ``k_coeff`` hold it; one that has been handed out is never mutated.
 * A has k-basis {lambda_b x^a : b < dim K, 0 <= a < n}, flat index a*dimK + b.
 * The twisted tensor square carries k-basis {lambda_b x^a (x) x^c} with all
   middle K-coefficients pushed into the left factor through the twist:
@@ -20,7 +23,7 @@ Conventions, fixed once here and relied on everywhere downstream:
   the resolution's columns and the checks all hold payload rows {flat index:
   nonzero payload} of A's field and read A's and K's tables through
   ``table_mul_into``.  Scalars enter at ``AElem(alg, coords)`` and
-  ``monomial`` and leave at ``coords`` and ``k_coeff``.
+  ``AlgebraK.elem`` and leave at ``coords`` and ``__repr__``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def validate_f(K: AlgebraK, alpha: Endo, f_coeffs: list) -> ValidationReport:
         if alpha.apply(li) != li:
             failures.append(f"coefficient {i} is not alpha-fixed")
     for i, li in enumerate(lam, start=1):
-        if all(c.is_zero() for c in li):
+        if not li:
             continue
         for b in range(K.dim):
             mu = K.basis_elem(b)
@@ -87,8 +90,8 @@ class AElem:
     enter so), and products, sums, scalings and the basis builders of the
     algebra (``monomial``, ``k_embed``, ``basis_vector``) make ``nz``
     directly.
-    ``coords``, the dense tuple, and ``k_coeff`` are boxed on each read.  An
-    operand of another field raises :func:`mixed`."""
+    ``coords``, the dense tuple, is boxed on each read; ``k_coeff`` is an
+    element of K.  An operand of another field raises :func:`mixed`."""
 
     __slots__ = ("alg", "nz")
 
@@ -138,10 +141,10 @@ class AElem:
     def is_zero(self):
         return not self.nz
 
-    def k_coeff(self, a: int) -> tuple:
-        """The K-coefficient of x^a."""
+    def k_coeff(self, a: int) -> dict:
+        """The K-coefficient of x^a, a new element of K."""
         d = self.alg.K.dim
-        return dense(self.alg.field, self.nz, d, a * d)
+        return {i - a * d: p for i, p in self.nz.items() if i // d == a}
 
     def x_degrees(self):
         """Indices a with nonzero x^a coefficient."""
@@ -156,9 +159,10 @@ class AElem:
         return hash((id(self.alg), frozenset(self.nz)))
 
     def __repr__(self):
-        names, terms = self.alg.K.basis_names, []
+        F, names, terms = self.alg.field, self.alg.K.basis_names, []
         for a in range(self.alg.n):
-            k = " + ".join(f"({c})*{names[b]}" for b, c in enumerate(self.k_coeff(a)) if not c.is_zero())
+            k = self.k_coeff(a)
+            k = " + ".join(f"({Scalar(F, k[b])})*{names[b]}" for b in sorted(k))
             if k:
                 terms.append(f"({k})*x^{a}" if a else f"({k})")
         return " + ".join(terms) if terms else "0"
@@ -212,17 +216,13 @@ class MonogenicAlgebra:
     def k_embed(self, u) -> AElem:
         return self.monomial(u, 0)
 
-    def monomial(self, u, a: int) -> AElem:
-        """The element u x^a for u in K and 0 <= a < n.  A tuple of dim K
-        Scalars of A's field is taken as given; raw values go through
-        ``K.elem``."""
-        if not (isinstance(u, tuple) and len(u) == self.K.dim
-                and all(isinstance(c, Scalar) and c.field is self.field for c in u)):
-            u = self.K.elem(u)
+    def monomial(self, u: dict, a: int) -> AElem:
+        """The element u x^a for u an element of K and 0 <= a < n; raw
+        values go through ``K.elem`` first."""
         if not 0 <= a < self.n:
             raise IndexError("x-degree out of range")
-        zv, base = self.field.zero.v, a * self.K.dim
-        return AElem._of(self, {base + b: c.v for b, c in enumerate(u) if c.v != zv})
+        base = a * self.K.dim
+        return AElem._of(self, {base + b: p for b, p in u.items()})
 
     @functools.cached_property
     def x(self) -> AElem:
@@ -240,9 +240,8 @@ class MonogenicAlgebra:
         rows."""
         K, n, F = self.K, self.n, self.field
         ktab, neg = K.mul_table, F._neg
-        # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coefficient payload rows
-        unit = payloads(F, enumerate(K.unit))
-        fs = [payloads(F, enumerate(c)) for c in self.f_terms[:n]]
+        # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coefficients
+        unit, fs = K.unit, self.f_terms[:n]
         nf: list[list[dict]] = [[unit if j == m else {} for j in range(n)] for m in range(n)]
         for m in range(n, 2 * n + 1):
             twisted = [(i, self.alpha.power_matrix(m - n).apply(ci)) for i, ci in enumerate(fs) if ci]
@@ -298,8 +297,8 @@ class MonogenicAlgebra:
                 raise MonogenicError(f"compiled table breaks the commutation rule at basis {b}")
         # f is normal in B, read at each x^d: f x = x f is c_d alpha^d(1) = 1 alpha(c_d),
         # and f mu = alpha^n(mu) f is c_d alpha^d(mu) = alpha^n(mu) c_d
-        unit, power = payloads(F, enumerate(self.K.unit)), self.alpha.power_matrix
-        fs = [(d, u) for d, c in enumerate(self.f_terms) if (u := payloads(F, enumerate(c)))]
+        unit, power = self.K.unit, self.alpha.power_matrix
+        fs = [(d, c) for d, c in enumerate(self.f_terms) if c]
         if any(_product(ktab, F, c, power(d).apply(unit)) != _product(ktab, F, unit, power(1).apply(c))
                for d, c in fs):
             raise MonogenicError("f does not commute with x")
@@ -443,7 +442,7 @@ class TensorElem:
         """Right action of mu in K: migrates through the twist,
         (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
         alg, F = self.alg, self.alg.field
-        mu, acc = payloads(F, enumerate(alg.K.elem(mu))), {}
+        mu, acc = alg.K.elem(mu), {}
         for flat, s in self.coords.items():
             c, j = divmod(flat, alg.adim)
             mig = alg.alpha.power_matrix(self.twist + c).apply(mu)
@@ -522,12 +521,10 @@ def normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     x^i . (derivation of f) and (derivation of f) . x^i, for 0 <= i < n.
     The coefficient of f x^i at x^{d+i} is c_d alpha^d(1).  It runs on
     payload rows, as ``check_compiled`` does."""
-    F, power = alg.field, alg.alpha.power_matrix
-    unit = payloads(F, enumerate(alg.K.unit))
-    fs = [payloads(F, enumerate(c)) for c in alg.f_terms]
-    fx = [_product(alg.K.mul_table, F, c, power(d).apply(unit)) for d, c in enumerate(fs)]
+    F, power, unit = alg.field, alg.alpha.power_matrix, alg.K.unit
+    fx = [_product(alg.K.mul_table, F, c, power(d).apply(unit)) for d, c in enumerate(alg.f_terms)]
     wraps, failures = _wraps(alg, 1), []
-    df = rhs = _derivation(alg, fs)
+    df = rhs = _derivation(alg, alg.f_terms)
     for i in range(alg.n):
         lhs = _derivation(alg, [{}] * i + fx)
         rhs = _right_x(alg, rhs, wraps) if i else rhs
@@ -594,7 +591,7 @@ class Resolution:
             onex = _right_x(alg, alg.one.nz, _wraps(alg, tw))
             row = row_sum(F, [(F.one.v, alg.x.nz), (F._neg(F.one.v), onex)])
         else:
-            row = _derivation(alg, [payloads(F, enumerate(c)) for c in alg.f_terms])
+            row = _derivation(alg, alg.f_terms)
         out = self._generators[r] = TensorElem._of(alg, tw, row)
         return out
 

@@ -96,7 +96,7 @@ class SmallCochain:
             raise ProductsError("Kx-valued canonical cochains have odd degree")
         return cls(alg, degree, alg.monomial(alg.K.elem(lam), 1))
 
-    def canonical_k(self) -> tuple | None:
+    def canonical_k(self) -> dict | None:
         """The K part when this is an even cochain supported in x-degree 0."""
         if self.degree % 2:
             return None
@@ -104,7 +104,7 @@ class SmallCochain:
             return None
         return self.value.k_coeff(0)
 
-    def canonical_kx(self) -> tuple | None:
+    def canonical_kx(self) -> dict | None:
         """The K part when this is an odd cochain supported in x-degree 1."""
         if self.degree % 2 == 0:
             return None
@@ -232,9 +232,9 @@ def phi_terms(alg: MonogenicAlgebra, r: int):
         lam = K.unit
         for ij in i:
             lam = K.kmul(lam, alg.f_terms[ij])
-            if all(c.is_zero() for c in lam):
+            if not lam:
                 break
-        if all(c.is_zero() for c in lam):
+        if not lam:
             continue
         lead = alg.k_embed(lam)
         for ell in itertools.product(*[range(1, ij) for ij in i]):
@@ -604,7 +604,7 @@ class ComparisonMaps:
                 here = sum(key)
                 for e in range(1, alg.n):
                     kappa = right.k_coeff(e)
-                    if all(c.is_zero() for c in kappa):
+                    if not kappa:
                         continue
                     moved = alg.alpha.apply_power(here, kappa)
                     term = (base * alg.k_embed(moved)) * sgn

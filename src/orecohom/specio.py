@@ -60,14 +60,15 @@ def _decode_coords(field: Field, obj, dim: int, where: str) -> tuple:
     return tuple(_decode_scalar(field, c, where) for c in obj)
 
 
-def decode_witness(K: AlgebraK, raw) -> tuple:
-    """A witness candidate: a basis label of K or a list of K.dim scalars."""
+def decode_witness(K: AlgebraK, raw) -> dict:
+    """A witness candidate, a basis label of K or a list of K.dim scalars, as
+    an element of K."""
     if isinstance(raw, str):
         if raw not in K.basis_names:
             raise SpecError(f"witness candidate {raw!r} names no basis element")
         return K.elem(raw)
     if isinstance(raw, list):
-        return _decode_coords(K.field, raw, K.dim, f"witness coordinates {raw!r}")
+        return K.elem(_decode_coords(K.field, raw, K.dim, f"witness coordinates {raw!r}"))
     raise SpecError(f"a witness candidate is a basis label or a coordinate list, got {raw!r}")
 
 

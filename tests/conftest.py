@@ -66,9 +66,9 @@ from orecohom.linalg import (
     quotient_basis,
     rank,
     solve,
+    dense,
+    row_sum,
     span_equal,
-    support,
-    vscale,
 )
 from orecohom.monogenic import (
     AElem,
@@ -167,17 +167,15 @@ def admissible_coefficients(K, alpha, i: int) -> Mat:
     one exact kernel."""
 
     def block_rows(condition):
-        cols = [condition(K.basis_elem(b)) for b in range(K.dim)]
+        cols = [dense(K.field, condition(K.basis_elem(b)), K.dim) for b in range(K.dim)]
         return [[cols[b][r] for b in range(K.dim)] for r in range(K.dim)]
 
-    rows = block_rows(lambda v: tuple(a - b for a, b in zip(alpha.apply(v), v)))
+    rows = block_rows(lambda v: k_add(K.field, alpha.apply(v), v, -1))
     for j in range(K.dim):
         mu = K.basis_elem(j)
         amu = alpha.apply_power(i, mu)
         rows += block_rows(
-            lambda v, mu=mu, amu=amu: tuple(
-                a - b for a, b in zip(K.kmul(v, mu), K.kmul(amu, v))
-            )
+            lambda v, mu=mu, amu=amu: k_add(K.field, K.kmul(v, mu), K.kmul(amu, v), -1)
         )
     return kernel_basis(Mat(K.field, rows))
 
@@ -286,6 +284,24 @@ def dense_vadd(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
+def k_add(field, u: dict, v: dict, sign: int = 1) -> dict:
+    """u + v, or u - v for sign -1, for elements of K (payload rows)."""
+    one = field.one.v
+    return row_sum(field, [(one, u), (one if sign > 0 else field._neg(one), v)])
+
+
+def k_neg(field, u: dict) -> dict:
+    return {b: field._neg(p) for b, p in u.items()}
+
+
+def support(v: tuple) -> list[tuple[int, Scalar]]:
+    """`linalg.support`, a read of the nonzero entries of a dense vector as
+    (index, entry) pairs, in index order, from before K's elements became
+    payload rows."""
+    zv = v[0].field.zero.v if v else None
+    return [(j, x) for j, x in enumerate(v) if x.v != zv]
+
+
 def scalar_row(field, row: dict) -> dict:
     """A payload row {index: payload} boxed as {index: Scalar of field}."""
     return {k: Scalar(field, p) for k, p in row.items()}
@@ -378,6 +394,93 @@ def dense_kmul(self, u: tuple, v: tuple) -> tuple:
     return tuple(out)
 
 
+# -- K's elements as tuples of Scalars ------------------------------------------
+# The routes that read K's elements before they became payload rows, kept as
+# they were but for the products and twists in K, which run on the tuples
+# through `dense_kmul` and `Mat.matvec`.
+
+
+def tuple_basis(K, b: int) -> tuple:
+    return dense(K.field, K.basis_elem(b), K.dim)
+
+
+def tuple_validate_f(K, alpha, f_coeffs: list) -> ValidationReport:
+    """`monogenic.validate_f` when K's elements were tuples: f_coeffs lists
+    lambda_1 .. lambda_n as tuples of Scalars."""
+    failures = []
+    n = len(f_coeffs)
+    if n < 2:
+        return ValidationReport(False, ("degree must be at least 2",))
+    lam = [tuple(c) for c in f_coeffs]
+    for i, li in enumerate(lam, start=1):
+        if alpha.matrix.matvec(li) != li:
+            failures.append(f"coefficient {i} is not alpha-fixed")
+    for i, li in enumerate(lam, start=1):
+        if all(c.is_zero() for c in li):
+            continue
+        for b in range(K.dim):
+            mu = tuple_basis(K, b)
+            if dense_kmul(K, li, mu) != dense_kmul(K, alpha.power_matrix(i).matvec(mu), li):
+                failures.append(
+                    f"coefficient {i} fails the commutation rule at basis {b}"
+                )
+                return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
+def tuple_witness_check(alg: MonogenicAlgebra, u: tuple) -> tuple:
+    """`closedforms.witness_check` when K's elements were tuples, on a tuple
+    u: the fields (value, central, power_fixed, differences_regular) of its
+    `WitnessData`."""
+    K, alpha, n = alg.K, alg.alpha, alg.n
+    central = all(
+        dense_kmul(K, u, tuple_basis(K, b)) == dense_kmul(K, tuple_basis(K, b), u)
+        for b in range(K.dim)
+    )
+    power_fixed = alpha.power_matrix(n).matvec(u) == u
+    regular = True
+    for i in range(1, n):
+        diff = tuple(a - b for a, b in zip(u, alpha.power_matrix(i).matvec(u)))
+        if all(c.is_zero() for c in diff):
+            regular = False
+            break
+        if rank(dense_left_mult_matrix(K, diff)) < K.dim or rank(dense_right_mult_matrix(K, diff)) < K.dim:
+            regular = False
+            break
+    return u, central, power_fixed, regular
+
+
+def tuple_action(M: Bimodule, basis_actions, u: tuple) -> Mat:
+    """`Bimodule._action` when K's elements were tuples: the basis actions
+    scaled and added one matrix at a time."""
+    out = Mat.zero(M.field, M.dim, M.dim)
+    for b, c in enumerate(u):
+        if not c.is_zero():
+            out = out.add(basis_actions[b].scale(c))
+    return out
+
+
+def tuple_hom(M: Bimodule, t: TensorElem) -> Mat:
+    """`Bimodule.hom` when K's elements were tuples: each K-coefficient k_a
+    boxed, and the test for k_a = s 1 run on Scalars."""
+    F, dim = M.field, M.alg.K.dim
+    unit, one = dense(F, M.alg.K.unit, dim), F.one
+    i = next(j for j, c in enumerate(unit) if not c.is_zero())
+    out = None
+    for c in t.powers():
+        u = t.left_factor(c)
+        for a in u.x_degrees():
+            k = dense(F, u.k_coeff(a), dim)
+            s = k[i] / unit[i]
+            ops = [M.Lx_pow(a)] * (a > 0) + [M.Rx_pow(c)] * (c > 0)
+            if dense_vscale(s, unit) != k:
+                ops, s = [tuple_action(M, M.L_k, k), *ops], one
+            term = functools.reduce(Mat.matmul, ops or [M.Lx_pow(0)])
+            term = term if s == one else term.scale(s)
+            out = term if out is None else out.add(term)
+    return Mat.zero(F, M.dim, M.dim) if out is None else out
+
+
 def dense_a_mul(self, a: AElem, b: AElem) -> AElem:
     """`MonogenicAlgebra.a_mul` before it read the support of b once."""
     out = [self.field.zero] * self.adim
@@ -407,7 +510,7 @@ def dense_d_ambient(M: Bimodule, r: int, v: tuple) -> tuple:
     out = (M.field.zero,) * M.dim
     for i in range(1, alg.n + 1):
         li = alg.f_terms[i]
-        if all(c.is_zero() for c in li):
+        if not li:
             continue
         Lc = M.L_elem(li)
         for l in range(i):
@@ -470,14 +573,16 @@ def pair_loop_validate(self) -> ValidationReport:
 
 
 def dense_left_mult_matrix(self, u: tuple) -> Mat:
-    """`AlgebraK.left_mult_matrix` before the shared sparse builder."""
-    cols = [self.kmul(u, self.basis_elem(j)) for j in range(self.dim)]
+    """`AlgebraK.left_mult_matrix` before the shared sparse builder, on a
+    dense u."""
+    cols = [dense_kmul(self, u, dense(self.field, self.basis_elem(j), self.dim)) for j in range(self.dim)]
     return Mat.from_columns(self.field, cols, self.dim)
 
 
 def dense_right_mult_matrix(self, u: tuple) -> Mat:
-    """`AlgebraK.right_mult_matrix` before the shared sparse builder."""
-    cols = [self.kmul(self.basis_elem(j), u) for j in range(self.dim)]
+    """`AlgebraK.right_mult_matrix` before the shared sparse builder, on a
+    dense u."""
+    cols = [dense_kmul(self, dense(self.field, self.basis_elem(j), self.dim), u) for j in range(self.dim)]
     return Mat.from_columns(self.field, cols, self.dim)
 
 
@@ -512,21 +617,20 @@ def dense_compile(self) -> None:
     structure constants: dense `kmul`s on basis vectors.  It sets
     ``xpow_nf`` and ``mul_table`` on self, so run it on a copy."""
     K, n = self.K, self.n
-    # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coordinate vectors
-    zero = tuple(self.field.zero for _ in range(K.dim))
-    nf: list[list[tuple]] = []
+    # normal form of x^m for 0 <= m <= 2n: list over j < n of elements of K
+    nf: list[list[dict]] = []
     for m in range(n):
-        row = [zero] * n
+        row = [{}] * n
         row[m] = K.unit
         nf.append(row)
     for m in range(n, 2 * n + 1):
-        row = [zero] * n
+        row = [{}] * n
         for i, li in enumerate(reversed(self.f_terms[:-1]), start=1):
-            if all(c.is_zero() for c in li):
+            if not li:
                 continue
             c = self.alpha.apply_power(m - n, li)
             for j, prev in enumerate(nf[m - i]):
-                row[j] = dense_vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+                row[j] = k_add(self.field, row[j], K.kmul(c, prev), -1)
         nf.append(row)
     self.xpow_nf = nf
     # sparse multiplication table on the flat basis
@@ -535,14 +639,12 @@ def dense_compile(self) -> None:
         eb = K.basis_elem(b)
         for b2, a2 in itertools.product(range(K.dim), range(n)):
             u = K.kmul(eb, self.alpha.apply_power(a, K.basis_elem(b2)))
-            if all(c.is_zero() for c in u):
+            if not u:
                 continue
             terms: list[tuple] = []
             for j, cj in enumerate(self.xpow_nf[a + a2]):
                 w = K.kmul(u, cj)
-                for b3, s in enumerate(w):
-                    if not s.is_zero():
-                        terms.append((self.idx(b3, j), s.v))
+                terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
             if terms:
                 table[(self.idx(b, a), self.idx(b2, a2))] = terms
     self.mul_table = table
@@ -721,17 +823,16 @@ def rebased(K, alpha, rng):
         S = LinSolver(P)
         if S.rank == d:
             break
-    cols = P.columns_list()
+    cols = P.transpose().sparse
     quads = [
-        (a, b, k, s)
+        (a, b, k, Scalar(F, s))
         for a in range(d)
         for b in range(d)
-        for k, s in enumerate(S.solve(K.kmul(cols[a], cols[b])))
-        if not s.is_zero()
+        for k, s in sorted(S.solve_row(K.kmul(cols[a], cols[b])).items())
     ]
-    K2 = AlgebraK.from_structure_constants(F, d, K.basis_names, S.solve(K.unit), quads)
-    twist = [S.solve(alpha.apply(c)) for c in cols]
-    return K2, Endo(K2, Mat.from_columns(F, twist, d))
+    K2 = AlgebraK.from_structure_constants(F, d, K.basis_names, S.solve_row(K.unit), quads)
+    twist = [S.solve_row(alpha.apply(c)) for c in cols]
+    return K2, Endo(K2, Mat.from_sparse_rows(F, twist, d).transpose())
 
 
 # -- the tensor square one flat entry at a time ---------------------------------
@@ -820,7 +921,7 @@ def entrywise_rightmul_x(self: TensorElem) -> TensorElem:
             left = alg.monomial(alg.K.basis_elem(b), a)
             for j in range(n):
                 cj = alg.xpow(n).k_coeff(j)
-                if all(v.is_zero() for v in cj):
+                if not cj:
                     continue
                 mig = alg.k_embed(alg.alpha.apply_power(self.twist, cj))
                 out = out.add_scaled(
@@ -846,7 +947,7 @@ def entrywise_d_generator(self: Resolution, r: int) -> TensorElem:
     out = TensorElem.zero(alg, tw)
     for i in range(1, alg.n + 1):
         coeff = alg.f_terms[i]
-        if all(c.is_zero() for c in coeff):
+        if not coeff:
             continue
         left = alg.k_embed(coeff)
         for l in range(i):
@@ -914,7 +1015,7 @@ def entrywise_phi_recursive(res: Resolution, r: int, memo: dict) -> dict:
             here = sum(key)
             for e in range(1, alg.n):
                 kappa = right.k_coeff(e)
-                if all(c.is_zero() for c in kappa):
+                if not kappa:
                     continue
                 moved = alg.alpha.apply_power(here, kappa)
                 term = (base * alg.k_embed(moved)) * sgn
@@ -984,12 +1085,12 @@ def mutate_columns(monkeypatch, which: str, wrap) -> None:
 
 
 class OrePoly:
-    """Skew polynomial with left K-coefficient vectors of Scalars of K's
-    field, constant term first."""
+    """Skew polynomial with left coefficients in K, each given in any form
+    `K.elem` takes and kept as an element of K, constant term first."""
 
     def __init__(self, K: AlgebraK, alpha, coeffs):
-        coeffs = [tuple(vec) for vec in coeffs]
-        while coeffs and all(c.is_zero() for c in coeffs[-1]):
+        coeffs = [K.elem(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.K = K
         self.alpha = alpha
@@ -1004,24 +1105,22 @@ class OrePoly:
 
     @classmethod
     def monomial(cls, K: AlgebraK, alpha, coeff, d: int) -> "OrePoly":
-        zero = tuple(K.field.zero for _ in range(K.dim))
-        coeff = K.elem(coeff) if not isinstance(coeff, tuple) else coeff
-        return cls(K, alpha, [zero] * d + [coeff])
+        return cls(K, alpha, [{}] * d + [coeff])
 
     def __add__(self, other: "OrePoly") -> "OrePoly":
-        zero = tuple(self.K.field.zero for _ in range(self.K.dim))
         n = max(len(self.coeffs), len(other.coeffs))
         out = [
-            dense_vadd(
-                self.coeffs[i] if i < len(self.coeffs) else zero,
-                other.coeffs[i] if i < len(other.coeffs) else zero,
+            k_add(
+                self.K.field,
+                self.coeffs[i] if i < len(self.coeffs) else {},
+                other.coeffs[i] if i < len(other.coeffs) else {},
             )
             for i in range(n)
         ]
         return OrePoly(self.K, self.alpha, out)
 
     def __neg__(self) -> "OrePoly":
-        return OrePoly(self.K, self.alpha, [tuple(-c for c in v) for v in self.coeffs])
+        return OrePoly(self.K, self.alpha, [k_neg(self.K.field, v) for v in self.coeffs])
 
     def __sub__(self, other: "OrePoly") -> "OrePoly":
         return self + (-other)
@@ -1035,15 +1134,14 @@ def ore_mul(P: OrePoly, Q: OrePoly) -> OrePoly:
     K, alpha = P.K, P.alpha
     if P.is_zero() or Q.is_zero():
         return OrePoly(K, alpha, [])
-    zero = tuple(K.field.zero for _ in range(K.dim))
-    out = [zero] * (P.degree + Q.degree + 1)
+    out = [{}] * (P.degree + Q.degree + 1)
     for d, c in enumerate(P.coeffs):
-        if all(s.is_zero() for s in c):
+        if not c:
             continue
         for h, e in enumerate(Q.coeffs):
-            if all(s.is_zero() for s in e):
+            if not e:
                 continue
-            out[d + h] = dense_vadd(out[d + h], K.kmul(c, alpha.apply_power(d, e)))
+            out[d + h] = k_add(K.field, out[d + h], K.kmul(c, alpha.apply_power(d, e)))
     return OrePoly(K, alpha, out)
 
 
@@ -1073,11 +1171,7 @@ def f_ore(alg: MonogenicAlgebra) -> OrePoly:
 def from_ore(alg: MonogenicAlgebra, P: OrePoly) -> AElem:
     """Image of an Ore polynomial in A (reduces by f first)."""
     _, rem = ore_divmod(P, f_ore(alg))
-    out = [alg.field.zero] * alg.adim
-    for d, vec in enumerate(rem.coeffs):
-        for b, c in enumerate(vec):
-            out[alg.idx(b, d)] = out[alg.idx(b, d)] + c
-    return AElem(alg, out)
+    return AElem._of(alg, {alg.idx(b, d): p for d, vec in enumerate(rem.coeffs) for b, p in vec.items()})
 
 
 def to_ore(alg: MonogenicAlgebra, a: AElem) -> OrePoly:
@@ -1106,7 +1200,7 @@ def ore_check_compiled(alg: MonogenicAlgebra) -> None:
 def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
     out = TensorElem.zero(alg, 1)
     for d, vec in enumerate(P.coeffs):
-        if all(c.is_zero() for c in vec):
+        if not vec:
             continue
         out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(vec))
     return out
@@ -1136,11 +1230,7 @@ def uncached_xpow_bar(self: MonogenicAlgebra, e: int) -> AElem:
     q, _ = ore_divmod(P, f_ore(self))
     if q.degree >= self.n:
         return from_ore(self, q)
-    out = [self.field.zero] * self.adim
-    for d, vec in enumerate(q.coeffs):
-        for b, c in enumerate(vec):
-            out[self.idx(b, d)] = c
-    return AElem(self, out)
+    return AElem._of(self, {self.idx(b, d): p for d, vec in enumerate(q.coeffs) for b, p in vec.items()})
 
 
 # -- the dense eliminations `EchelonTracker` replaced ---------------------------
@@ -1475,16 +1565,10 @@ def in_span(basis: Mat, v: tuple) -> bool:
     return solve(basis, v) is not None
 
 
-def class_sums(K: AlgebraK) -> list[tuple]:
+def class_sums(K: AlgebraK) -> list[dict]:
     if K.group is None:
         raise AlgebraError("class sums need group metadata")
-    out = []
-    for cls in K.group.conj_classes():
-        coords = [K.field.zero] * K.dim
-        for g in cls:
-            coords[g] = K.field.one
-        out.append(tuple(coords))
-    return out
+    return [{g: K.field.one.v for g in cls} for cls in K.group.conj_classes()]
 
 
 def identity_one_cochain(alg: MonogenicAlgebra) -> BarCochain:
@@ -1534,7 +1618,7 @@ def circle_j(g: BarCochain, h: BarCochain, j: int) -> BarCochain:
         acc = alg.zero_elem()
         for e in range(1, alg.n):
             kappa = inner.k_coeff(e)
-            if all(c.is_zero() for c in kappa):
+            if not kappa:
                 continue
             gval = g.at(pre + (e,) + post)
             if gval.is_zero():
@@ -1645,7 +1729,7 @@ def aelem_cup_small(a: SmallCochain, b: SmallCochain) -> AElem:
     value = alg.zero_elem()
     for i in range(2, alg.n + 1):
         lam = alg.f_terms[i]
-        if all(c.is_zero() for c in lam):
+        if not lam:
             continue
         lam_a = alg.k_embed(lam)
         for j1 in range(i - 1):
@@ -1669,13 +1753,13 @@ def aelem_bracket_small_closed(a: SmallCochain, b: SmallCochain) -> AElem:
     if a.degree % 2 == 0 and b.degree % 2 == 0:
         return alg.zero_elem()
     if a.degree % 2 == 0:
-        return alg.k_embed(alg.K.kmul(alpha.norm(a.degree // 2 * n).matvec(lb), la))
+        return alg.k_embed(alg.K.kmul(alpha.norm(a.degree // 2 * n).apply(lb), la))
     if b.degree % 2 == 0:
-        out = alg.K.kmul(alpha.norm(b.degree // 2 * n).matvec(la), lb)
-        return alg.k_embed(tuple(-c for c in out))
-    first = alg.K.kmul(alpha.norm(a.degree // 2 * n + 1).matvec(lb), la)
-    second = alg.K.kmul(alpha.norm(b.degree // 2 * n + 1).matvec(la), lb)
-    return alg.monomial(tuple(x - y for x, y in zip(first, second)), 1)
+        out = alg.K.kmul(alpha.norm(b.degree // 2 * n).apply(la), lb)
+        return alg.k_embed(k_neg(alg.field, out))
+    first = alg.K.kmul(alpha.norm(a.degree // 2 * n + 1).apply(lb), la)
+    second = alg.K.kmul(alpha.norm(b.degree // 2 * n + 1).apply(la), lb)
+    return alg.monomial(k_add(alg.field, first, second, -1), 1)
 
 
 def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:
@@ -1724,8 +1808,8 @@ def unfolded_collapsed_differentials(C: SmallComplex, witness, up_to: int) -> di
         cols = []
         xdeg = r % 2
         for j in range(src.cols):
-            w_k = (A1 if xdeg else T).matvec(AElem(alg, src.column(j)).k_coeff(1 - xdeg))
-            amb = alg.monomial(w_k if xdeg else vscale(-alg.field.one, w_k), xdeg).coords
+            w_k = (A1 if xdeg else T).apply(AElem(alg, src.column(j)).k_coeff(1 - xdeg))
+            amb = alg.monomial(w_k if xdeg else k_neg(alg.field, w_k), xdeg).coords
             try:
                 cols.append(C.to_sub(r, amb))
             except CohomologyError:
@@ -2075,7 +2159,7 @@ class DenseMat:
         )
 
     def scale(self, s: Scalar) -> "DenseMat":
-        return DenseMat(self.field, [vscale(s, r) for r in self.data], self.cols)
+        return DenseMat(self.field, [dense_vscale(s, r) for r in self.data], self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, DenseMat):
@@ -2093,14 +2177,12 @@ class DenseMat:
 # -- the derived quantities before each got one definition on its owner --------
 
 
-def delta_sum(alpha: Endo, mu: tuple, l: int) -> tuple:
+def delta_sum(alpha: Endo, mu: dict, l: int) -> dict:
     """`products.delta_sum`, the partial orbit sum of mu in K under alpha,
     with l terms, before the closed bracket read `Endo.norm`."""
-    K = alpha.alg
-    acc = tuple(K.field.zero for _ in range(K.dim))
-    cur = mu
+    acc, cur = {}, mu
     for _ in range(l):
-        acc = tuple(a + b for a, b in zip(acc, cur))
+        acc = k_add(alpha.alg.field, acc, cur)
         cur = alpha.apply(cur)
     return acc
 
@@ -2164,24 +2246,23 @@ def hand_summed_center(field: Field, dim: int, table: dict) -> Mat:
     return kernel_basis(Mat.from_sparse_rows(field, [r for r in sparse if r], dim))
 
 
-def xpow_nf_rows(alg: MonogenicAlgebra) -> list[list[tuple]]:
-    """`MonogenicAlgebra.xpow_nf`: for 0 <= m <= 2n, the K-coordinates of the
+def xpow_nf_rows(alg: MonogenicAlgebra) -> list[list[dict]]:
+    """`MonogenicAlgebra.xpow_nf`: for 0 <= m <= 2n, the K-coefficient of the
     normal form of x^m at each x^j, j < n."""
     K, n = alg.K, alg.n
-    zero = tuple(alg.field.zero for _ in range(K.dim))
-    nf: list[list[tuple]] = []
+    nf: list[list[dict]] = []
     for m in range(n):
-        row = [zero] * n
+        row = [{}] * n
         row[m] = K.unit
         nf.append(row)
     for m in range(n, 2 * n + 1):
-        row = [zero] * n
+        row = [{}] * n
         for i, ci in enumerate(alg.f_terms[:n]):
-            if all(c.is_zero() for c in ci):
+            if not ci:
                 continue
             c = alg.alpha.apply_power(m - n, ci)
             for j, prev in enumerate(nf[m - n + i]):
-                row[j] = dense_vadd(row[j], tuple(-s for s in K.kmul(c, prev)))
+                row[j] = k_add(alg.field, row[j], K.kmul(c, prev), -1)
         nf.append(row)
     return nf
 

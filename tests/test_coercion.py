@@ -1,9 +1,9 @@
 """Where raw values become Scalars: `Field.scalar`, `decode`, `AlgebraK.elem`,
-`AlgebraK.from_structure_constants` and the scalar multiplications coerce;
-K's coordinate tuples and `AlgebraK`'s unit hold the Scalars they are given.
-`Mat`, `AElem`, `TensorElem` and the tables hold payloads: the Scalars they
-are given are unboxed with a field check each, and the operators check the
-field of each operand once.  A Scalar or container of another field fails at
+`AlgebraK.from_structure_constants` and the scalar multiplications coerce.
+K's elements, `Mat`, `AElem`, `TensorElem` and the tables hold payloads: the
+Scalars they are given are unboxed with a field check each (for K's
+elements, in `AlgebraK.elem`), and the operators check the field of each
+operand once.  A Scalar or container of another field fails at
 its first use: where it enters a container, in the operators and in every
 loop that runs on payloads, also under ``python -O``."""
 
@@ -60,12 +60,13 @@ def test_report_coerces_few_scalars(monkeypatch):
 
 
 def test_report_constructs_few_scalars(monkeypatch):
-    """Matrices, elements of A, tensors and both tables hold payloads, and
-    the products, their class coordinates and the closed-form checks read
-    payload rows, so a gh4_u3 `report` boxes a Scalar only where one leaves
-    a container or the closed forms do scalar algebra: 824 constructions in
-    a fresh process, where 1,609 were made while class coordinates were
-    tuples of Scalars and 4,574 while the containers held Scalars."""
+    """Matrices, elements of A and of K, tensors and both tables hold
+    payloads, and the products, their class coordinates and the closed-form
+    checks read payload rows, so a gh4_u3 `report` boxes a Scalar only where
+    one leaves a container or the closed forms do scalar algebra: 423
+    constructions in a fresh process, where 824 were made while K's elements
+    were tuples of Scalars, 1,609 while class coordinates were and 4,574
+    while the containers held Scalars."""
     made = []
     init = fields.Scalar.__init__
 
@@ -76,18 +77,17 @@ def test_report_constructs_few_scalars(monkeypatch):
     monkeypatch.setattr(fields.Scalar, "__init__", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["report", str(SPECS / "gh4_u3.json")]) == 0
-    assert 0 < len(made) < 900
+    assert 0 < len(made) < 470
 
 
 def foreign_and_other(sweedler, kind):
     """A QQ container with a GF(7) entry, and a QQ container of the same
-    shape whose entries are all nonzero.  An element of K is its
-    coordinate tuple, so the "KElem" pair is two tuples; an `AElem` or a
-    `Mat` refuses the GF(7) entry as it is built."""
+    shape whose entries are all nonzero.  `K.elem`, an `AElem` and a `Mat`
+    each refuse the GF(7) entry as it is built."""
     A = sweedler
     three, one = GF7.from_int(3), QQ.one
     if kind == "KElem":
-        return (three, QQ.zero), (one, one)
+        return A.K.elem((three, QQ.zero)), A.K.elem((one, one))
     if kind == "AElem":
         return AElem(A, (three,) + (QQ.zero,) * 3), AElem(A, (one,) * 4)
     return Mat(QQ, [[three, QQ.zero]]), Mat(QQ, [[one, one]])
@@ -96,8 +96,8 @@ def foreign_and_other(sweedler, kind):
 @pytest.mark.parametrize("kind", ["KElem", "AElem", "Mat"])
 @pytest.mark.parametrize("op", ["+", "=="])
 def test_foreign_scalar_fails_at_first_use(sweedler, kind, op):
-    """On K's coordinate tuples "+" stands for `K.kmul`, the product K
-    defines on them."""
+    """On K's elements "+" stands for `K.kmul`, the product K defines on
+    them."""
     add = {"KElem": sweedler.K.kmul, "Mat": Mat.add}.get(kind, operator.add)
     with pytest.raises(FieldError, match="cannot mix scalars"):
         bad, other = foreign_and_other(sweedler, kind)
@@ -112,8 +112,7 @@ def test_structure_constants_from_ints_build_the_same_algebra(field):
     quads = [(a, b, (a + b) % 2, 1) for a in range(2) for b in range(2)]
     K = AlgebraK.from_structure_constants(field, 2, ["1", "g"], [1, 0], quads)
     G = group_algebra(cyclic_group(2), field)
-    assert K.unit == G.unit == (field.one, field.zero)
-    assert all(c.field is field for c in K.unit)
+    assert K.unit == G.unit == K.elem([1, 0]) == {0: field.one.v}
     assert K.mul_table == G.mul_table
     assert K.kmul(K.elem("g"), K.elem("g")) == K.unit
 
@@ -166,8 +165,8 @@ PAYLOAD_LOOPS = {
     "EchelonTracker.add": lambda A: EchelonTracker(QQ, 2).add((THREE, QQ.zero)),
     "EchelonTracker.add reduced": lambda A: EchelonTracker.of_columns(Mat.identity(QQ, 2)).add((QQ.one, THREE)),
     "LinSolver.solve": lambda A: LinSolver(Mat.identity(QQ, 2)).solve((QQ.one, THREE)),
-    "AlgebraK.kmul": lambda A: A.K.kmul((QQ.one, THREE), A.K.unit),
-    "AlgebraK.left_mult_matrix": lambda A: A.K.left_mult_matrix((QQ.one, THREE)),
+    "AlgebraK.kmul": lambda A: A.K.kmul(A.K.elem((QQ.one, THREE)), A.K.unit),
+    "AlgebraK.left_mult_matrix": lambda A: A.K.left_mult_matrix(A.K.elem((QQ.one, THREE))),
     "a_mul": lambda A: A.a_mul(A.one, AElem(A, (QQ.one, THREE, QQ.zero, QQ.zero))),
     "AElem ==": lambda A: AElem(A, (THREE,) + (QQ.zero,) * 3) == A.x + A.one,
 }
@@ -182,25 +181,28 @@ def test_foreign_scalar_fails_in_every_payload_loop(sweedler, loop):
 MIXED_UNDER_O = """
 import sys
 from orecohom.fields import QQ, FieldError, prime_field
+from orecohom.kalgebra import cyclic_group, group_algebra
 from orecohom.linalg import Mat
 assert False, "assert statements must be stripped"
-try:
-    Mat(QQ, [[prime_field(7).from_int(3), QQ.one]])
-except FieldError as exc:
-    print(sys.flags.optimize, str(exc))
+three, K = prime_field(7).from_int(3), group_algebra(cyclic_group(2), QQ)
+for build in (lambda: Mat(QQ, [[three, QQ.one]]), lambda: K.elem((three, QQ.zero))):
+    try:
+        build()
+    except FieldError as exc:
+        print(sys.flags.optimize, str(exc))
 """
 
 
 def test_foreign_entry_is_refused_under_optimize():
     """The field check of a container is not an assert: under python -O a
-    `Mat` still refuses a GF(7) entry where QQ is expected."""
+    `Mat` and `K.elem` still refuse a GF(7) entry where QQ is expected."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-O", "-c", MIXED_UNDER_O], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "cannot", "mix", "scalars", "of", "QQ", "and", "GF(7)"]
+    assert done.stdout.splitlines() == ["1 cannot mix scalars of QQ and GF(7)"] * 2
 
 
 # The products on an operand of another field: a QQ algebra and a GF(7) one

@@ -23,7 +23,7 @@ from orecohom.kalgebra import (
     identity_endo,
     scalar_algebra,
 )
-from orecohom.linalg import Mat
+from orecohom.linalg import LinalgError, Mat
 from orecohom.monogenic import MonogenicAlgebra
 
 
@@ -97,9 +97,9 @@ def test_sweedler_cochain_spaces(sweedler, sweedler_complex):
     assert [C.dim_cochain(r) for r in range(6)] == [2] * 6
     assert [C.twist(r) for r in range(5)] == [0, 1, 2, 3, 4]
     one = sweedler.one.coords
-    g = sweedler.k_embed("g").coords
+    g = sweedler.k_embed(sweedler.K.elem("g")).coords
     x = sweedler.x.coords
-    gx = sweedler.monomial("g", 1).coords
+    gx = sweedler.monomial(sweedler.K.elem("g"), 1).coords
     for v in (one, g):
         assert in_span(C.bases[0], v)
         assert not in_span(C.bases[1], v)
@@ -119,8 +119,8 @@ def test_twisted_invariants_depend_on_parity(sweedler):
 
 def test_sweedler_differentials(sweedler, sweedler_complex):
     C = sweedler_complex
-    g = sweedler.k_embed("g")
-    gx = sweedler.monomial("g", 1)
+    g = sweedler.k_embed(sweedler.K.elem("g"))
+    gx = sweedler.monomial(sweedler.K.elem("g"), 1)
     # odd target: m -> xm - mx
     image = C.d_ambient(1, g.coords)
     assert image == ((-2) * gx).coords
@@ -134,19 +134,30 @@ def test_sweedler_cohomology(sweedler, sweedler_complex):
     C = sweedler_complex
     assert cohomology_dims(C, 5) == [1, 1, 1, 1, 1, 1]
     H1 = cohomology_group(C, 1)
-    gx = sweedler.monomial("g", 1).coords
+    gx = sweedler.monomial(sweedler.K.elem("g"), 1).coords
     x = sweedler.x.coords
     assert H1.is_coboundary(gx)
     assert not H1.is_coboundary(x)
     assert not classes_equal(C, 1, x, gx)
-    shifted = sweedler.x + 3 * sweedler.monomial("g", 1)
+    shifted = sweedler.x + 3 * sweedler.monomial(sweedler.K.elem("g"), 1)
     assert classes_equal(C, 1, shifted.coords, x)
+
+
+@pytest.mark.parametrize("change", ["longer", "shorter"])
+def test_classes_equal_refuses_a_vector_of_another_length(sweedler, sweedler_complex, change):
+    """A vector whose length is not dim M raises LinalgError on either side;
+    a longer one was once cut to the length of the other and read as equal."""
+    a = cohomology_group(sweedler_complex, 1).reps_ambient[0]
+    other = a + (sweedler.field.one,) * 3 if change == "longer" else a[:-1]
+    for x, y in ((a, other), (other, a)):
+        with pytest.raises(LinalgError, match="shape mismatch"):
+            classes_equal(sweedler_complex, 1, x, y)
 
 
 def test_sweedler_noncocycle_rejected(sweedler, sweedler_complex):
     H0 = cohomology_group(sweedler_complex, 0)
     with pytest.raises(CohomologyError, match="cocycle"):
-        H0.class_coords(sweedler.k_embed("g").coords)
+        H0.class_coords(sweedler.k_embed(sweedler.K.elem("g")).coords)
 
 
 def test_truncated_square():
@@ -186,7 +197,7 @@ def test_gh4_cohomology_dims(gh4_complex):
 def test_gh4_degree_two_class(gh4_complex):
     C = gh4_complex
     A = C.alg
-    w = A.k_embed("g") - A.k_embed("g^2")
+    w = A.k_embed(A.K.elem({"g": 1, "g^2": -1}))
     H2 = cohomology_group(C, 2)
     coords = H2.class_coords(w.coords)
     assert any(not c.is_zero() for c in coords)

@@ -58,7 +58,7 @@ def norm_disagreements(alg) -> list[str]:
             out.append(f"norm({l}) differs from the summed powers")
         for b in range(K.dim):
             e = K.basis_elem(b)
-            if N.matvec(e) != delta_sum(alpha, e, l):
+            if N.apply(e) != delta_sum(alpha, e, l):
                 out.append(f"norm({l}) differs from the orbit sum at basis {b}")
     return out
 

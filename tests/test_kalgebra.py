@@ -3,7 +3,7 @@ import itertools
 import pytest
 from conftest import class_sums, in_span
 
-from orecohom.fields import QQ, cyclotomic_minpoly, extension_field, prime_field
+from orecohom.fields import QQ, FieldError, cyclotomic_minpoly, extension_field, prime_field
 from orecohom.kalgebra import (
     AlgebraError,
     AlgebraK,
@@ -22,7 +22,7 @@ from orecohom.kalgebra import (
     twisted_invariants_k,
     validate_character,
 )
-from orecohom.linalg import Mat
+from orecohom.linalg import Mat, dense
 
 
 def test_dim_one_algebra():
@@ -36,6 +36,27 @@ def test_elem_of_an_unknown_label_names_it(x):
     with pytest.raises(AlgebraError, match=r"^unknown basis label 'h'; K's labels are \['1', 'g'\]$"):
         K.elem(x)
     assert K.elem("g") == K.elem({"g": 1}) == K.basis_elem(1)
+
+
+def test_elem_takes_an_element_of_k_as_given():
+    """An element of K, a dict keyed by basis index, is returned as it is
+    given; a dict keyed by both labels and indices is refused."""
+    K = group_algebra(cyclic_group(2), QQ)
+    u = K.elem({"1": 2, "g": -1})
+    assert u == {0: QQ.from_int(2).v, 1: QQ.from_int(-1).v} == K.elem((2, -1))
+    assert K.elem(u) is u and K.elem(K.unit) is K.unit
+    assert K.elem(3) == K.elem({"1": 3}) and K.elem(0) == K.elem({}) == {}
+    with pytest.raises(AlgebraError, match="labels or by indices, not both"):
+        K.elem({"g": 1, 0: 1})
+
+
+@pytest.mark.parametrize("x", ["tuple", "dict", "scalar"])
+def test_elem_refuses_a_scalar_of_another_field(x):
+    """`K.elem` coerces through `Field.scalar`, which names the two fields as
+    every container does."""
+    K, three = group_algebra(cyclic_group(2), QQ), prime_field(7).from_int(3)
+    with pytest.raises(FieldError, match=r"^cannot mix scalars of QQ and GF\(7\)$"):
+        K.elem({"tuple": (three, QQ.zero), "dict": {"g": three}, "scalar": three}[x])
 
 
 def test_group_algebra_c2():
@@ -90,7 +111,7 @@ def test_gh4_algebra_center_dim_is_class_count():
     Z = twisted_invariants_k(K, identity_endo(K), 0)
     assert Z.cols == len(G.conj_classes())
     for s in class_sums(K):
-        assert in_span(Z, s)
+        assert in_span(Z, dense(K.field, s, K.dim))
 
 
 def test_class_sums_central():

@@ -7,6 +7,7 @@ from conftest import (
     OrePoly,
     admissible_coefficients,
     dense_vadd,
+    dense_vscale,
     derivation_tensor,
     entrywise_d_column,
     entrywise_s_column,
@@ -37,7 +38,7 @@ from orecohom.kalgebra import (
     identity_endo,
     quaternion_algebra,
 )
-from orecohom.linalg import Mat, kernel_basis, vscale
+from orecohom.linalg import Mat, kernel_basis
 from orecohom.monogenic import (
     AElem,
     MonogenicAlgebra,
@@ -403,7 +404,7 @@ def normality_bases():
 def random_combination(F, basis: Mat, rng) -> tuple:
     out = (F.zero,) * basis.rows
     for j in range(basis.cols):
-        out = dense_vadd(out, vscale(F.random_element(rng, 3), basis.column(j)))
+        out = dense_vadd(out, dense_vscale(F.random_element(rng, 3), basis.column(j)))
     return out
 
 

@@ -439,10 +439,10 @@ def test_delta_sum(sweedler):
     """The orbit sums of the closed bracket, read off `Endo.norm`."""
     K = sweedler.K
     alpha = sweedler.alpha
-    assert alpha.norm(0).matvec(K.elem("g")) == K.elem(0)
-    assert alpha.norm(2).matvec(K.elem("g")) == K.elem(0)
-    assert alpha.norm(3).matvec(K.elem("g")) == K.elem("g")
-    assert alpha.norm(3).matvec(K.elem(1)) == K.elem(3)
+    assert alpha.norm(0).apply(K.elem("g")) == K.elem(0)
+    assert alpha.norm(2).apply(K.elem("g")) == K.elem(0)
+    assert alpha.norm(3).apply(K.elem("g")) == K.elem("g")
+    assert alpha.norm(3).apply(K.elem(1)) == K.elem(3)
 
 
 def test_closed_bracket_formulas(sweedler):

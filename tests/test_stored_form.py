@@ -11,17 +11,31 @@ when `==` holds, also for equal matrices whose rows were built in different
 orders.  `payloads` compiled to keep zero entries, a `key` that skips its
 sort, or a `transpose` that fills its rows in decreasing row index turns the
 property red.  `transpose` sorts nothing, so its rows are checked to come
-out in column order from rows that are not."""
+out in column order from rows that are not.
 
+An element of K has one form at every level, the payload row {basis index:
+nonzero payload}: `K.unit`, `f_terms`, `k_coeff`, `kmul`, `basis_elem`,
+`Endo.apply` and a witness's value.  One that has been handed out is never
+mutated: a `report` leaves `K.unit`, `f_terms`, `wrap_terms` and the witness
+value equal to deep copies taken before it, and an echelon handed `K.unit`
+to reduce and keep, without a copy, turns that red."""
+
+import copy
 import random
+from pathlib import Path
 
 import pytest
 from conftest import CASES, DenseMat, mutant, payload_row
 
-from orecohom import linalg
+from orecohom import cli, linalg
+from orecohom.closedforms import find_witness
 from orecohom.fields import QQ, Scalar, extension_field, prime_field
+from orecohom.kalgebra import AlgebraK
 from orecohom.linalg import Mat
 from orecohom.monogenic import AElem
+from orecohom.specio import load_instance
+
+SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 FIELDS = {"QQ": QQ, "GF7": prime_field(7), "QQ(i)": extension_field(QQ, [1, 0, 1], "i"),
           "GF9": extension_field(prime_field(3), [1, 0, 1], "t")}
@@ -170,3 +184,67 @@ def test_aelem_stores_its_nonzero_coordinates(case):
         assert a == AElem(alg, a.coords) and hash(a) == hash(AElem(alg, a.coords))
     with pytest.raises(ValueError, match="coordinate length"):
         AElem(alg, (F.zero,) * (alg.adim + 1))
+
+
+# -- K's elements ---------------------------------------------------------------
+
+
+def is_k_element(K, u) -> bool:
+    """u is a payload row of K: a dict from basis indices to nonzero payloads."""
+    zv = K.field.zero.v
+    return type(u) is dict and all(0 <= b < K.dim and not isinstance(p, Scalar) and p != zv for b, p in u.items())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_k_elements_are_payload_rows(case):
+    alg = CASES[case]()
+    K, alpha, F = alg.K, alg.alpha, alg.field
+    rng = random.Random(15)
+    elems = [K.unit, *alg.f_terms, *(kappa for _, kappa in alg.wrap_terms)]
+    elems += [K.basis_elem(b) for b in range(K.dim)]
+    elems += [K.elem(tuple(entry(F, rng, d) for _ in range(K.dim))) for d in DENSITIES]
+    for u in list(elems):
+        elems += [alpha.apply(u), alpha.apply_power(2, u), *(K.kmul(u, v) for v in elems[: K.dim + 2])]
+    for m in range(2 * alg.n + 1):
+        elems += [alg.xpow(m).k_coeff(a) for a in range(alg.n)]
+    witness = find_witness(alg)
+    elems += [witness.value] if witness else []
+    assert all(is_k_element(K, u) for u in elems)
+    assert K.elem(K.unit) is K.unit
+
+
+def report_mutations(path) -> tuple[list[str], Exception | None]:
+    """Run `report` in process on one session, after deep copies of K's
+    unit (taken before the algebra is built), of each row of `f_terms` and
+    `wrap_terms` and of the witness value: the names of those that differ
+    from their copy afterwards, and the error that stopped the run, if any."""
+    args = cli.build_parser().parse_args(["report", str(path)])
+    session = cli.Session(load_instance(str(path)), args)
+    watched = {"K.unit": session.inst.K.unit}
+    snapshot = copy.deepcopy(watched)
+    error = None
+    try:
+        alg = session.algebra
+        handed = {f"f_terms[{i}]": c for i, c in enumerate(alg.f_terms)}
+        handed.update({f"wrap_terms[{j}]": kappa for j, kappa in alg.wrap_terms})
+        if session.witness:
+            handed["witness"] = session.witness.value
+        watched.update(handed)
+        snapshot.update(copy.deepcopy(handed))
+        cli.RUNNERS["report"](session)
+    except ValueError as exc:  # every error the CLI reports
+        error = exc
+    return [name for name, u in watched.items() if u != snapshot[name]], error
+
+
+@pytest.mark.parametrize("name", ["gh4_u3", "swap3", "quaternion_pi"])
+def test_report_leaves_handed_out_k_elements_unchanged(name):
+    assert report_mutations(SPECS / f"{name}.json") == ([], None)
+
+
+def test_seeded_uncopied_unit_is_caught(monkeypatch):
+    """The unit of swap3's K is e1 + e2, so an echelon that keeps `K.unit`
+    itself as a row reduces it in place once e1 joins."""
+    walk = mutant(AlgebraK._spanning_generators, "span.add_payloads(dict(v))", "span.add_payloads(v)")
+    monkeypatch.setattr(AlgebraK, "_spanning_generators", walk)
+    assert "K.unit" in report_mutations(SPECS / "swap3.json")[0]

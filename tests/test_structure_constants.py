@@ -25,7 +25,7 @@ from conftest import (
 from orecohom.fields import QQ, prime_field
 from orecohom.instances import gaussian_rationals
 from orecohom.kalgebra import Endo, algebra_validate
-from orecohom.linalg import Mat
+from orecohom.linalg import Mat, dense
 
 FIELDS = {"QQ": QQ, "GF7": prime_field(7), "QQ(i)": gaussian_rationals()}
 
@@ -95,7 +95,7 @@ def test_broken_unit_fails_alike(name):
     F = FIELDS[name]
     rng = random.Random(13)
     for K, _ in instances(F, rng):
-        unit = list(K.unit)
+        unit = list(dense(F, K.unit, K.dim))
         unit[rng.randrange(K.dim)] += nonzero(F, rng)
         rep = assert_same_reports(with_table(K, quads_of(K), tuple(unit)))
         assert rep.failures and "unit law fails" in rep.failures[0]

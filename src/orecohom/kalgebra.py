@@ -1,12 +1,13 @@
 """Coefficient algebras: structure constants, group algebras, quaternions.
 
 An :class:`AlgebraK` stores one summed table of structure constants c_{ij}^k
-over one exact field together with optional group metadata: repeated
-(i, j, k) entries are added and zero sums dropped as the table enters, and
-every product, action matrix and check reads that one table, whose
-constants are field payloads.  An element of K is the payload row {basis
-index: nonzero payload}, the form of an ``AElem.nz``; raw values enter
-through ``AlgebraK.elem``.  Basis actions, on K and on A, are
+over one exact field, and the group of a group algebra.
+``AlgebraK.from_structure_constants`` adds repeated (i, j, k) entries and
+drops zero sums as the table enters, ``group_algebra`` writes the table of
+k[G] from G's, and every product, action matrix and check reads that one
+table, whose constants are field payloads.  An element of K is the payload
+row {basis index: nonzero payload}, the form of an ``AElem.nz``; raw values
+enter through ``AlgebraK.elem``.  Basis actions, on K and on A, are
 :class:`BasisActions`, each matrix built on its first read; the center of K
 is ``twisted_invariants_k(K, alpha, 0)``.  Twisting endomorphisms
 live in :class:`Endo`, which keeps alpha - id and the partial norms of alpha;
@@ -17,7 +18,9 @@ multiplications L, and a twist's multiplicativity on every basis pair.  Each
 check first tries a certificate on the algebra generators of K
 (``AlgebraK.generators``, ``Endo.generators``), which proves the full
 condition when it passes; the basis scan runs only when it fails, to name
-the first failure.
+the first failure.  A group and a character are certified the same way on
+the generators of the group (``GroupData``, ``validate_character``), and a
+group algebra inherits its certificate from its group.
 """
 
 from __future__ import annotations
@@ -46,7 +49,28 @@ class ValidationReport:
 
 
 class GroupData:
-    """A finite group as a verified multiplication table on element indices."""
+    """A finite group as a verified multiplication table on element indices.
+
+    ``generators`` are the element indices that the walk of the constructor
+    keeps: it takes the elements in index order and keeps each one that the
+    identity has not reached yet by right multiplication by the generators
+    kept so far, then closes the reached set under right multiplication by
+    every kept generator.  Each element is reached once its turn has passed,
+    so every element is a word g_1 g_2 ... g_m in the generators, each letter
+    multiplied on the right.  This is the walk order of
+    ``AlgebraK._spanning_generators``; on gh4 it keeps h and g.
+
+    Associativity is certified by Light's test (A. H. Clifford and G. B.
+    Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): once the
+    identity law holds, (ab)g = a(bg) is checked for all a, b and each g in
+    ``generators``, |G|^2 |generators| lookups.  For fixed a and b the set
+    {w : (ab)w = a(bw)} holds the identity, and with w also wg for each
+    generator g, since
+    (ab)(wg) = ((ab)w)g = (a(bw))g = a((bw)g) = a(b(wg)),
+    each step a checked triple or the hypothesis on w.  So it holds every
+    word, that is all of G.  The scan of all |G|^3 triples runs only when
+    the test fails, to name the first failing triple in lexicographic
+    order."""
 
     def __init__(self, labels: list[str], table: list[list[int]]):
         n = len(labels)
@@ -59,9 +83,10 @@ class GroupData:
                 break
         if ident is None:
             raise AlgebraError("group table has no identity")
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise AlgebraError(f"group table not associative at ({a},{b},{c})")
+        gens = _right_walk_generators(table, ident)
+        if not _light_test(table, gens):
+            a, b, c = _group_table_scan(table)
+            raise AlgebraError(f"group table not associative at ({a},{b},{c})")
         inverses = []
         for a in range(n):
             inv = next((b for b in range(n) if table[a][b] == ident), None)
@@ -73,6 +98,7 @@ class GroupData:
         self.table = [list(r) for r in table]
         self.identity = ident
         self.inverses = inverses
+        self.generators = gens
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -143,6 +169,49 @@ class GroupData:
         return GroupData(labels, table), coset_of
 
 
+def _right_walk_generators(table: list[list[int]], ident: int) -> tuple[int, ...]:
+    """The walk of ``GroupData``: the element indices it keeps."""
+    reached = [False] * len(table)
+    reached[ident] = True
+    words, gens = [ident], []
+    for b in range(len(table)):
+        if reached[b]:
+            continue
+        gens.append(b)
+        reached[b] = True
+        words.append(b)
+        i = 0
+        while i < len(words):
+            row = table[words[i]]
+            for g in gens:
+                if not reached[w := row[g]]:
+                    reached[w] = True
+                    words.append(w)
+            i += 1
+    return tuple(gens)
+
+
+def _light_test(table: list[list[int]], gens: tuple[int, ...]) -> bool:
+    """(ab)g = a(bg) for all a, b and each g in gens: with col[x] = xg, row a
+    of the table maps b to ab, so the two sides are col[row[b]] and
+    row[col[b]]."""
+    for g in gens:
+        col = [row[g] for row in table]
+        for row in table:
+            if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
+                return False
+    return True
+
+
+def _group_table_scan(table: list[list[int]]) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c), in lexicographic order, with (ab)c !=
+    a(bc), or None: the scan of all |G|^3 triples."""
+    for a, b, c in itertools.product(range(len(table)), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
 def cyclic_group(n: int) -> GroupData:
     labels = ["1"] + [f"g^{j}" if j > 1 else "g" for j in range(1, n)]
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -186,42 +255,38 @@ def group_from_table(labels: list[str], table: list[list[int]]) -> GroupData:
 class AlgebraK:
     """Finite-dimensional associative unital algebra via sparse structure constants.
 
-    The unit is given in any form ``elem`` takes and the table as (k,
-    Scalar) pairs; :meth:`from_structure_constants` coerces raw entries, and
-    an entry of another field raises :func:`mixed`.  The table is summed
-    where it enters: ``mul_table`` maps each (i, j) with e_i e_j != 0 to the
-    ordered list of (k, payload of nonzero c_{ij}^k) pairs, each k once, the
-    entries given for the same (i, j, k) added and pairs whose product is
-    zero left out.  A's compiled table has the same form."""
+    The unit is given in any form ``elem`` takes and ``mul_table`` maps each
+    (i, j) with e_i e_j != 0 to the ordered list of (k, payload of nonzero
+    c_{ij}^k) pairs, each k once, stored as given; A's compiled table has the
+    same form.  :meth:`from_structure_constants` builds that table from
+    (i, j, k, c) entries: it coerces raw values, raises :func:`mixed` on an
+    entry of another field, adds the entries given for the same (i, j, k)
+    and leaves out the pairs whose product is zero.
 
-    def __init__(
-        self,
-        field: Field,
-        dim: int,
-        basis_names: list[str],
-        unit,
-        mul_table: dict[tuple[int, int], list[tuple[int, Scalar]]],
-        group: GroupData | None = None,
-    ):
+    ``group`` is the group G of a group algebra K = k[G]; only
+    :func:`group_algebra`, which writes K's table from G's, sets it, and it
+    is None on every other K."""
+
+    def __init__(self, field: Field, dim: int, basis_names: list[str], unit,
+                 mul_table: dict[tuple[int, int], list[tuple[int, object]]]):
         self.field = field
         self.dim = dim
         self.basis_names = list(basis_names)
         self.unit = self.elem(unit)
-        one = field.one.v
-        self.mul_table = {
-            ij: sorted(prod.items()) for ij, terms in mul_table.items()
-            if (prod := row_sum(field, ((one, payloads(field, [kc])) for kc in terms)))
-        }
-        self.group = group
+        self.mul_table = mul_table
+        self.group: GroupData | None = None
 
     @classmethod
-    def from_structure_constants(
-        cls, field: Field, dim: int, basis_names, unit, quads, group=None
-    ) -> "AlgebraK":
-        table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    def from_structure_constants(cls, field: Field, dim: int, basis_names, unit, quads) -> "AlgebraK":
+        entries: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         for i, j, k, s in quads:
-            table.setdefault((i, j), []).append((k, field.scalar(s)))
-        return cls(field, dim, list(basis_names), unit, table, group)
+            entries.setdefault((i, j), []).append((k, field.scalar(s)))
+        one = field.one.v
+        table = {
+            ij: sorted(prod.items()) for ij, terms in entries.items()
+            if (prod := row_sum(field, ((one, payloads(field, [kc])) for kc in terms)))
+        }
+        return cls(field, dim, list(basis_names), unit, table)
 
     def kmul(self, u: dict, v: dict) -> dict:
         """The product u v of two elements of K, a new element."""
@@ -274,45 +339,36 @@ class AlgebraK:
         g = 1g, and with w also wg, since
         (ab)(wg) = ((ab)w)g = (a(bw))g = a((bw)g) = a(b(wg)),
         each step being a checked triple or the hypothesis on w.  That subspace
-        contains W = K.  So a certified K passes ``algebra_validate``."""
+        contains W = K.  So a certified K passes ``algebra_validate``.  A group
+        algebra takes the walk and the certificate from its group (see
+        ``_spanning_generators`` and ``_certifies``)."""
         gens = self._spanning_generators()
         return gens if self._certifies(gens) else None
 
     def _spanning_generators(self) -> tuple[int, ...]:
-        """The walk of ``generators``: the basis indices it keeps."""
-        span = EchelonTracker(self.field, self.dim)
-        words: list[dict] = []  # the elements that joined the span: a basis of W
-        done: list[int] = []  # how many kept generators each word was multiplied by
-        gens: list[int] = []
-
-        def grow(v: dict) -> None:
-            if span.add_payloads(dict(v)):  # a copy: the echelon reduces its row and may keep it
-                words.append(v)
-                done.append(0)
-
-        grow(self.unit)
-        for b in range(self.dim):
-            e = self.basis_elem(b)
-            if span.contains_payloads(dict(e)):
-                continue
-            gens.append(b)
-            grow(e)
-            i = 0
-            while i < len(words):
-                while done[i] < len(gens):
-                    grow(self.kmul(words[i], self.basis_elem(gens[done[i]])))
-                    done[i] += 1
-                i += 1
-        return tuple(gens)
+        """The walk of ``generators``: the basis indices it keeps.  On a group
+        algebra they are ``G.generators``, which the walk of ``GroupData``
+        keeps: the basis of k[G] is G, so the span W of the unit and the
+        words is the span of the group elements the identity has reached by
+        right multiplication, and e_b lies in W exactly when b was reached."""
+        if self.group is not None:
+            return self.group.generators
+        return _basis_walk(self)
 
     def _certifies(self, gens: tuple[int, ...]) -> bool:
         """The certificate of ``generators``: the unit law on every basis
-        element and associativity on every triple (e_i, e_j, g), g in gens."""
-        return not _unit_law_failures(self) and all(
-            _associative_at(self, i, j, g)
-            for i, j in itertools.product(range(self.dim), repeat=2)
-            for g in gens
-        )
+        element and associativity on every triple (e_i, e_j, g), g in gens.
+
+        On a group algebra K = k[G] it is inherited from G for gens within
+        ``G.generators``.  ``group_algebra`` writes e_a e_b = e_{ab} from G's
+        table, so (e_i e_j) e_g = e_{(ij)g} and e_i (e_j e_g) = e_{i(jg)}:
+        each triple of K is a triple of G, and ``GroupData`` certified every
+        triple of G by Light's test on ``G.generators``.  The unit of K is
+        e_1, and e_1 e_a = e_a = e_a e_1 is G's identity law, which
+        ``GroupData`` checked."""
+        if self.group is not None:
+            return set(gens) <= set(self.group.generators)
+        return _triple_certificate(self, gens)
 
     def left_mult_matrix(self, u: dict) -> Mat:
         return mult_matrix(self.field, self.dim, self.mul_table, u)
@@ -402,6 +458,42 @@ class BasisActions(Sequence):
         return A
 
 
+def _basis_walk(K: AlgebraK) -> tuple[int, ...]:
+    """The walk of ``AlgebraK.generators`` over K's basis (see there)."""
+    span = EchelonTracker(K.field, K.dim)
+    words: list[dict] = []  # the elements that joined the span: a basis of W
+    done: list[int] = []  # how many kept generators each word was multiplied by
+    gens: list[int] = []
+
+    def grow(v: dict) -> None:
+        if span.add_payloads(dict(v)):  # a copy: the echelon reduces its row and may keep it
+            words.append(v)
+            done.append(0)
+
+    grow(K.unit)
+    for b in range(K.dim):
+        e = K.basis_elem(b)
+        if span.contains_payloads(dict(e)):
+            continue
+        gens.append(b)
+        grow(e)
+        i = 0
+        while i < len(words):
+            while done[i] < len(gens):
+                grow(K.kmul(words[i], K.basis_elem(gens[done[i]])))
+                done[i] += 1
+            i += 1
+    return tuple(gens)
+
+
+def _triple_certificate(K: AlgebraK, gens: tuple[int, ...]) -> bool:
+    """The unit law on every basis element and associativity on every
+    triple (e_i, e_j, g), g in gens."""
+    return not _unit_law_failures(K) and all(
+        _associative_at(K, i, j, g) for i, j in itertools.product(range(K.dim), repeat=2) for g in gens
+    )
+
+
 def _unit_law_failures(K: AlgebraK) -> list[str]:
     """The basis elements e with 1 e != e or e 1 != e, as failure strings."""
     failures = []
@@ -443,13 +535,15 @@ def algebra_validate(K: AlgebraK) -> ValidationReport:
 
 
 def group_algebra(G: GroupData, field: Field) -> AlgebraK:
-    quads = [
-        (a, b, G.mul(a, b), field.one) for a in range(G.order) for b in range(G.order)
-    ]
-    unit = [field.one if i == G.identity else field.zero for i in range(G.order)]
-    return AlgebraK.from_structure_constants(
-        field, G.order, G.labels, unit, quads, group=G
-    )
+    """k[G] on the basis G, its table written from G's: e_a e_b = e_{ab},
+    one payload row [(ab, 1)] per pair, with unit e_1.  The one place that
+    sets ``K.group``, which lets K inherit G's certificate (see
+    ``AlgebraK._certifies``)."""
+    one = field.one.v
+    table = {(a, b): [(ab, one)] for a, row in enumerate(G.table) for b, ab in enumerate(row)}
+    K = AlgebraK(field, G.order, G.labels, {G.identity: one}, table)
+    K.group = G
+    return K
 
 
 def scalar_algebra(field: Field) -> AlgebraK:
@@ -598,36 +692,55 @@ def identity_endo(alg: AlgebraK) -> Endo:
 
 
 def validate_character(G: GroupData, chi: list[Scalar]) -> ValidationReport:
+    """Check that chi has one value per element of G, sends the identity to
+    1, vanishes nowhere and is multiplicative, chi(ab) = chi(a) chi(b);
+    reports the first failing pair (a, b) in lexicographic order.
+
+    Multiplicativity is certified on ``G.generators``: once chi(1) = 1,
+    chi(ag) = chi(a) chi(g) is checked for every a and each generator g.
+    For fixed a the w with chi(aw) = chi(a) chi(w) then hold 1, and with w
+    also wg, since chi(a(wg)) = chi((aw)g) = chi(aw) chi(g) =
+    chi(a) chi(w) chi(g) = chi(a) chi(wg), each step a checked pair or the
+    hypothesis on w; every element is a word in the generators (see
+    ``GroupData``), so they are all of G.  The scan of every pair runs only
+    when chi(1) != 1 or the certificate fails, to name the first failure."""
+    if len(chi) != G.order:
+        return ValidationReport(False, (f"character has {len(chi)} values for a group of order {G.order}",))
     failures = []
-    field = chi[0].field
-    if chi[G.identity] != field.one:
+    unital = chi[G.identity] == chi[0].field.one
+    if not unital:
         failures.append("character does not send the identity to 1")
     for g in range(G.order):
         if chi[g].is_zero():
             failures.append(f"character vanishes at {G.labels[g]}")
-    for a, b in itertools.product(range(G.order), repeat=2):
-        if chi[G.mul(a, b)] != chi[a] * chi[b]:
-            failures.append(f"character not multiplicative at ({a},{b})")
-            return ValidationReport(False, tuple(failures))
+    certified = unital and all(
+        chi[row[g]] == c * chi[g] for row, c in zip(G.table, chi) for g in G.generators
+    )
+    if not certified and (pair := _character_pair_scan(G, chi)) is not None:
+        failures.append(f"character not multiplicative at ({pair[0]},{pair[1]})")
     return ValidationReport(not failures, tuple(failures))
 
 
+def _character_pair_scan(G: GroupData, chi: list[Scalar]) -> tuple[int, int] | None:
+    """The first pair (a, b), in lexicographic order, with chi(ab) !=
+    chi(a) chi(b), or None: the scan of all |G|^2 pairs."""
+    for a, b in itertools.product(range(G.order), repeat=2):
+        if chi[G.mul(a, b)] != chi[a] * chi[b]:
+            return a, b
+    return None
+
+
 def endo_from_character(K: AlgebraK, chi: list[Scalar]) -> Endo:
-    """Diagonal twist g -> chi(g) g on a group algebra."""
+    """Diagonal twist g -> chi(g) g on a group algebra: row g of its matrix
+    is the payload row {g: chi(g)}, each value checked to lie in K's field
+    (:func:`mixed` otherwise) and chi checked by ``validate_character``."""
     if K.group is None:
         raise AlgebraError("character twist needs group metadata")
+    rows = [payloads(K.field, ((g, c),)) for g, c in enumerate(chi)]
     rep = validate_character(K.group, chi)
     if not rep.ok:
         raise AlgebraError("; ".join(rep.failures))
-    field = K.field
-    M = Mat(
-        field,
-        [
-            [chi[j] if i == j else field.zero for j in range(K.dim)]
-            for i in range(K.dim)
-        ],
-    )
-    return Endo(K, M)
+    return Endo(K, Mat.from_sparse_rows(K.field, rows, K.dim))
 
 
 def character_from_values(G: GroupData, field: Field, gen_values: dict[str, Scalar]) -> list[Scalar]:

@@ -29,7 +29,6 @@ Conventions, fixed once here and relied on everywhere downstream:
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .fields import Field, Scalar
 from .kalgebra import AlgebraError, AlgebraK, Endo, ValidationReport, algebra_validate, table_mul_into
@@ -259,24 +258,28 @@ class MonogenicAlgebra:
         self.wrap_terms = [(j, kappa) for j, kappa in enumerate(nf[n]) if kappa]
         # alpha^a(e_b2) is column b2 of alpha^a; the reduced powers x^n .. x^(2n - 2)
         # keep their nonzero K-coefficients as (j, c_j pairs)
-        images = [self._alpha_columns(a) for a in range(n)]
-        reduced = [[(j, cj.items()) for j, cj in enumerate(row) if cj] for row in nf[n:]]
+        reduced = [[(j * d, cj.items()) for j, cj in enumerate(row) if cj] for row in nf[n:]]
         table: dict[tuple[int, int], list[tuple]] = {}
-        for b, a in itertools.product(range(d), range(n)):
-            for b2, image in enumerate(images[a]):
-                u = sorted(_product(ktab, F, {b: F.one.v}, image).items())
-                if not u:
-                    continue
-                for a2 in range(n):
-                    if a + a2 < n:
-                        terms = [(self.idx(b3, a + a2), p) for b3, p in u]
-                    else:
-                        terms = []
-                        for j, cj in reduced[a + a2 - n]:
-                            w = table_mul_into({}, ktab, F, u, cj)
-                            terms += [(self.idx(b3, j), w[b3]) for b3 in sorted(w)]
-                    if terms:
-                        table[(self.idx(b, a), self.idx(b2, a2))] = terms
+        one = F.one.v
+        for a in range(n):
+            images = [image.items() for image in self._alpha_columns(a)]
+            for b in range(d):
+                eb = ((b, one),)
+                for b2, image in enumerate(images):
+                    u = sorted(table_mul_into({}, ktab, F, eb, image).items())
+                    if not u:
+                        continue
+                    for a2 in range(n):  # the flat index of e_b x^a is a d + b
+                        if a + a2 < n:
+                            off = (a + a2) * d
+                            terms = [(off + b3, p) for b3, p in u]
+                        else:
+                            terms = []
+                            for off, cj in reduced[a + a2 - n]:
+                                w = table_mul_into({}, ktab, F, u, cj)
+                                terms += [(off + b3, w[b3]) for b3 in sorted(w)]
+                        if terms:
+                            table[(a * d + b, a2 * d + b2)] = terms
         self.mul_table = table
 
     def _alpha_columns(self, d: int) -> list[dict]:

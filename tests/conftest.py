@@ -650,6 +650,48 @@ def dense_compile(self) -> None:
     self.mul_table = table
 
 
+# -- the group checks before Light's test -------------------------------------
+
+
+def scan_group_data(labels, table):
+    """`GroupData(labels, table)` before it certified associativity on its
+    generators: the scan of every triple, always.  Returns (identity,
+    inverses), or the message of the AlgebraError it raised."""
+    n = len(labels)
+    if len(table) != n or any(len(row) != n for row in table):
+        return "group table must be square over the label list"
+    ident = next((e for e in range(n) if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+    if ident is None:
+        return "group table has no identity"
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return f"group table not associative at ({a},{b},{c})"
+    inverses = []
+    for a in range(n):
+        inv = next((b for b in range(n) if table[a][b] == ident), None)
+        if inv is None or table[inv][a] != ident:
+            return f"element {labels[a]} has no inverse"
+        inverses.append(inv)
+    return ident, inverses
+
+
+def scan_validate_character(G, chi) -> ValidationReport:
+    """`kalgebra.validate_character` before it certified multiplicativity on
+    the generators of G: the scan of every pair, always."""
+    failures = []
+    field = chi[0].field
+    if chi[G.identity] != field.one:
+        failures.append("character does not send the identity to 1")
+    for g in range(G.order):
+        if chi[g].is_zero():
+            failures.append(f"character vanishes at {G.labels[g]}")
+    for a, b in itertools.product(range(G.order), repeat=2):
+        if chi[G.mul(a, b)] != chi[a] * chi[b]:
+            failures.append(f"character not multiplicative at ({a},{b})")
+            return ValidationReport(False, tuple(failures))
+    return ValidationReport(not failures, tuple(failures))
+
+
 # -- the coefficient-layer checks and kernels before the generator certificates
 
 

@@ -192,6 +192,21 @@ def test_malformed_group_table_exits_2(tmp_path, capsys, labels, table, reason):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["validate", "cohomology"])
+def test_non_associative_group_table_exits_2(tmp_path, capsys, verb):
+    """The table of C4 with g g and g g^2 swapped: the identity law holds
+    and the table is not associative.  The error names the first failing
+    triple of the full scan, (g, g, g^2), whose last entry is not the
+    generator g."""
+    table = [[0, 1, 2, 3], [1, 3, 2, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+    p = tmp_path / "swapped.json"
+    p.write_text(json.dumps(with_group({"kind": "table", "labels": ["1", "g", "g^2", "g^3"], "table": table})))
+    assert main([verb, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spec error: bad group table: group table not associative at (1,1,2)\n"
+
+
 @pytest.mark.parametrize("verb", ["validate", "theorems"])
 @pytest.mark.parametrize("basis, reason", [
     ([1, 2], "basis labels must be a list of strings, got [1, 2]"),

@@ -230,13 +230,31 @@ def test_gf9_json_output_is_golden(capsys, tmp_path, spec, verb):
 # dim A = 32), whose `products` JSON the product store must leave unchanged.
 GH4_U4_PRODUCTS = (0, "52df6a607eb4caa24652bb3cd67f2c5167f2dfc6e797f9cc41fdfc7055e6fae4")
 
+# Two more rungs of the same family: the u = 8 `report` and the u = 16
+# `cohomology` JSON.  The u = 32 `report` and the u = 64 `cohomology` take
+# seconds each and are checked by hand.
+GH4_RUNGS = {
+    ("report", 8): (0, "c218d3944da2f6a99aff9c801692de5ac0eb6d1d24d27d82a8613e81302d9ebd"),
+    ("cohomology", 16): (0, "ba8496093711ce8e0fd91ed46ee2f70f63c3b6b1546be236a0ccd3376241777f"),
+}
+
+
+def gh4_json(capsys, tmp_path, verb: str, u: int) -> tuple[int, str]:
+    """The exit code and the sha256 of the JSON of ``verb`` on gh4_u3.json
+    with the group's u changed and f = x^2."""
+    spec = json.loads((SPECS / "gh4_u3.json").read_text())
+    spec["K"]["group"]["u"] = u
+    spec["f"]["coeffs"] = [[0] * (4 * u), [0] * (4 * u)]
+    path = tmp_path / f"gh4_u{u}.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main([verb, str(path), "--format", "json"])
+    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
 
 def test_gh4_u4_products_json_is_golden(capsys, tmp_path):
-    spec = json.loads((SPECS / "gh4_u3.json").read_text())
-    spec["K"]["group"]["u"] = 4
-    spec["f"]["coeffs"] = [[0] * 16, [0] * 16]
-    path = tmp_path / "gh4_u4.json"
-    path.write_text(json.dumps(spec))
-    code = cli.main(["products", str(path), "--format", "json"])
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert (code, digest) == GH4_U4_PRODUCTS
+    assert gh4_json(capsys, tmp_path, "products", 4) == GH4_U4_PRODUCTS
+
+
+@pytest.mark.parametrize("verb, u", sorted(GH4_RUNGS))
+def test_gh4_rung_json_is_golden(capsys, tmp_path, verb, u):
+    assert gh4_json(capsys, tmp_path, verb, u) == GH4_RUNGS[verb, u]

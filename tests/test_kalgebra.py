@@ -179,6 +179,30 @@ def test_bad_character_rejected():
         endo_from_character(K, bad)
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+def test_character_of_the_wrong_length_is_refused(extra):
+    """One value more or less than Q[C4] has elements: a report naming both
+    counts, where the longer list built a twist that dropped its last value
+    and the shorter one raised a bare IndexError."""
+    G = cyclic_group(4)
+    K = group_algebra(G, QQ)
+    chi = character_from_values(G, QQ, {"g": -1})
+    wrong = chi + [QQ.one] if extra > 0 else chi[:-1]
+    message = f"character has {4 + extra} values for a group of order 4"
+    assert validate_character(G, wrong).failures == (message,)
+    with pytest.raises(AlgebraError, match=f"^{message}$"):
+        endo_from_character(K, wrong)
+
+
+def test_character_value_of_another_field_is_refused():
+    G = cyclic_group(4)
+    K = group_algebra(G, QQ)
+    chi = character_from_values(G, QQ, {"g": -1})
+    chi[2] = prime_field(7).one
+    with pytest.raises(FieldError, match="cannot mix scalars"):
+        endo_from_character(K, chi)
+
+
 def test_quaternions():
     H, alpha = quaternion_algebra(QQ, -QQ.one, QQ.zero, QQ.zero, QQ.one)
     assert algebra_validate(H).ok

@@ -27,10 +27,9 @@ from pathlib import Path
 import pytest
 from conftest import CASES, DenseMat, mutant, payload_row
 
-from orecohom import cli, linalg
+from orecohom import cli, kalgebra, linalg
 from orecohom.closedforms import find_witness
 from orecohom.fields import QQ, Scalar, extension_field, prime_field
-from orecohom.kalgebra import AlgebraK
 from orecohom.linalg import Mat
 from orecohom.monogenic import AElem
 from orecohom.specio import load_instance
@@ -245,6 +244,6 @@ def test_report_leaves_handed_out_k_elements_unchanged(name):
 def test_seeded_uncopied_unit_is_caught(monkeypatch):
     """The unit of swap3's K is e1 + e2, so an echelon that keeps `K.unit`
     itself as a row reduces it in place once e1 joins."""
-    walk = mutant(AlgebraK._spanning_generators, "span.add_payloads(dict(v))", "span.add_payloads(v)")
-    monkeypatch.setattr(AlgebraK, "_spanning_generators", walk)
+    walk = mutant(kalgebra._basis_walk, "span.add_payloads(dict(v))", "span.add_payloads(v)")
+    monkeypatch.setattr(kalgebra, "_basis_walk", walk)
     assert "K.unit" in report_mutations(SPECS / "swap3.json")[0]

@@ -302,11 +302,12 @@ class SmallComplex:
         return dense(self.field, sol, read.B.cols)
 
     def _ambient_row(self, r: int, v_ambient) -> dict:
-        """An ambient vector in any form ``to_sub`` reads, as a payload row."""
-        return v_ambient.nz if isinstance(v_ambient, AElem) else self.free_rows[self._built(r)].unbox(v_ambient)
-
-    def to_ambient(self, r: int, v_sub: tuple) -> tuple:
-        return self.bases[self._built(r)].matvec(v_sub)
+        """An ambient vector in any form ``to_sub`` reads, as a payload row;
+        an ``AElem`` of another field raises :func:`~orecohom.fields.mixed`."""
+        if isinstance(v_ambient, AElem):
+            same_field(self.field, v_ambient.alg.field)
+            return v_ambient.nz
+        return self.free_rows[self._built(r)].unbox(v_ambient)
 
 
 def build_small_complex(alg: MonogenicAlgebra, M: Bimodule, max_degree: int) -> SmallComplex:
@@ -410,9 +411,6 @@ class CohomologyGroup:
         if sol is None:
             raise CohomologyError("cocycle outside kernel span (inconsistent state)")
         return {k: p for k, p in sol.items() if k < self.dim}
-
-    def is_coboundary(self, v_ambient) -> bool:
-        return not self.class_row(self.complex._ambient_row(self.degree, v_ambient))
 
 
 def cohomology_group(C: SmallComplex, r: int) -> CohomologyGroup:

@@ -7,11 +7,11 @@ the coefficient algebra K is one payload row, and the one elimination,
 :class:`~orecohom.fields.Scalar`, is only the boxed form read at the edge
 (``dense``).  Scalars are
 unboxed as they enter (``Mat(field, dense)``, ``Mat.from_columns``,
-``Mat.matvec``, ``EchelonTracker.add`` and ``contains``, ``LinSolver.solve``,
-``FreeRows.read`` and ``unbox``), each checked to be of the container's
-field, and boxed only as they leave (``Mat.data``, ``column``,
-``columns_list``, ``matvec``, ``solve``, ``read``); ``LinSolver.solve_row``
-and ``FreeRows.coords`` read and return payload rows.  An operation on two
+``Mat.matvec``, ``LinSolver.solve``, ``FreeRows.unbox`` and ``payloads``),
+each checked to be of the container's field, and boxed only as they leave
+(``Mat.data``, ``column``, ``columns_list``, ``matvec``, ``solve``);
+``EchelonTracker``, ``LinSolver.solve_row`` and ``FreeRows.coords`` read
+and return payload rows.  An operation on two
 containers checks their fields once; an entry or operand of another field
 raises :func:`~orecohom.fields.mixed`.  The inner loops touch only nonzero
 entries, test for zero on the payload (exact, as payloads are canonical),
@@ -350,7 +350,8 @@ class FreeRows:
     w in span(B) has the coordinates (w[f_0], ..., w[f_{k-1}]).  ``coords``
     checks B sol = w on the nonzero entries, so a w outside the span reads as
     None, never as wrong coordinates, since B's columns are independent.  A
-    basis in another form raises LinalgError."""
+    vector of Scalars enters as a payload row through ``unbox``.  A basis in
+    another form raises LinalgError."""
 
     def __init__(self, B: Mat):
         last = [-1] * B.cols  # the last nonzero row of each column
@@ -373,11 +374,6 @@ class FreeRows:
         rest = row_sum(field, [(field.one.v, w), *((p, negated[k]) for k, p in sol.items())])
         return None if rest else sol
 
-    def read(self, w) -> tuple | None:
-        """``coords`` of w, in either form ``unbox`` takes, boxed."""
-        sol = self.coords(self.unbox(w))
-        return None if sol is None else dense(self.B.field, sol, self.B.cols)
-
     def unbox(self, w) -> dict:
         """w, a tuple of length ``B.rows`` or a sparse vector {index: entry},
         as a payload row.  A tuple of another length, or a sparse index
@@ -389,7 +385,7 @@ class FreeRows:
                     raise LinalgError(f"index {j} outside the rows 0..{rows - 1}")
             w = w.items()
         elif len(w) != rows:
-            raise LinalgError("shape mismatch in read")
+            raise LinalgError(f"vector of length {len(w)}, expected length {rows}")
         else:
             w = enumerate(w)
         return payloads(self.B.field, w)
@@ -415,9 +411,9 @@ class EchelonTracker:
     Each row is a payload row, a dict {column: nonzero payload}, so
     eliminating with it touches only its nonzero entries, and reducing a
     vector touches only the rows that lead at one of its nonzero entries.
-    A Scalar entry's field and column are checked once, as it enters
-    (``add``, ``contains``); the rows of a matrix enter as copies, after one
-    check of its field, and ``kernel`` returns a matrix of payload rows."""
+    Rows enter as payload rows (``add_payloads``, ``contains_payloads``):
+    the rows of a matrix as copies, after one check of its field (``extend``,
+    ``of_rows``), and ``kernel`` returns a matrix of payload rows."""
 
     def __init__(self, field: Field, n: int, pivot_cols: int | None = None):
         self.field = field
@@ -440,20 +436,6 @@ class EchelonTracker:
         """The echelon of the span of M's columns."""
         return cls.of_rows(M.transpose())
 
-    def _payloads(self, v) -> dict:
-        """v, a tuple of length n or a sparse vector {index: entry}, as a
-        payload dict {index: nonzero payload}.  An entry of another field
-        raises :func:`mixed`; a tuple of another length, or a sparse index
-        outside 0..n-1, raises LinalgError."""
-        n = self.n
-        if not isinstance(v, dict) and len(v) != n:
-            raise LinalgError("vector length mismatch")
-        w = payloads(self.field, v.items() if isinstance(v, dict) else enumerate(v))
-        for j in w:
-            if not 0 <= j < n:
-                raise LinalgError(f"index {j} outside the columns 0..{n - 1}")
-        return w
-
     def _reduce(self, w: dict) -> None:
         """Reduce the payload row w in place by every row.  A row adds
         entries only off the other rows' leading columns, so the rows that
@@ -462,27 +444,18 @@ class EchelonTracker:
         for c in [c for c in w if c in by_lead]:
             _accumulate(w, w[c], by_lead[c].items(), field)
 
-    def contains(self, v) -> bool:
-        """Whether v, a tuple of length n or a sparse vector {index: entry},
-        is in the span of the rows."""
-        return self.contains_payloads(self._payloads(v))
-
     def contains_payloads(self, w: dict) -> bool:
-        """``contains`` for a payload row w, {column in 0..n-1: nonzero
-        payload of the field}, which it reduces in place."""
+        """Whether the payload row w, {column in 0..n-1: nonzero payload of
+        the field}, is in the span of the rows; w is reduced in place."""
         self._reduce(w)
         return not w
 
-    def add(self, v) -> bool:
-        """Insert v, a tuple of length n or a sparse vector {index: entry};
-        True when it joined the echelon (for full pivot columns: when the
-        span grew)."""
-        return self.add_payloads(self._payloads(v))
-
     def add_payloads(self, w: dict) -> bool:
-        """``add`` for a payload row w, {column in 0..n-1: nonzero payload of
-        the field}, which the caller has checked.  w is reduced in place and
-        may be kept as a row."""
+        """Insert the payload row w, {column in 0..n-1: nonzero payload of
+        the field}, which the caller has checked (``payloads`` checks the
+        field of Scalar entries); True when it joined the echelon (for full
+        pivot columns: when the span grew).  w is reduced in place and may
+        be kept as a row."""
         self._reduce(w)
         if not w:
             return False
@@ -568,7 +541,10 @@ def intersect_spans(A: Mat, B: Mat) -> Mat:
 
 
 def minimal_polynomial(M: Mat) -> list[Scalar]:
-    """Monic minimal polynomial of a square matrix, constant-first coefficients."""
+    """Monic minimal polynomial of a square matrix, constant-first
+    coefficients.  The powers of M are read as payload rows of length n^2
+    until one depends on the lower ones; the combination is solved on
+    payloads and only the coefficients are boxed."""
     if M.rows != M.cols:
         raise LinalgError("square matrix required")
     field = M.field
@@ -576,14 +552,14 @@ def minimal_polynomial(M: Mat) -> list[Scalar]:
     t = EchelonTracker(field, n * n)
     powers = [Mat.identity(field, n)]
 
-    def flat(A: Mat) -> tuple:
-        return tuple(x for c in A.columns_list() for x in c)
+    def flat(A: Mat) -> dict:
+        return {i * n + j: x for i, row in enumerate(A.sparse) for j, x in row.items()}
 
-    while t.add(flat(powers[-1])):
+    while t.add_payloads(flat(powers[-1])):
         powers.append(powers[-1].matmul(M))
     k = len(powers) - 1  # M^k depends on lower powers
-    cols = [flat(P) for P in powers[:k]]
-    sol = solve(Mat.from_columns(field, cols, n * n), flat(powers[k]))
+    cols = Mat.from_sparse_rows(field, [flat(P) for P in powers[:k]], n * n).transpose()
+    sol = LinSolver(cols).solve_row(flat(powers[k]))
     if sol is None:
         raise LinalgError(f"M^{k} is not a combination of its lower powers")
-    return [-c for c in sol] + [field.one]
+    return [-c for c in dense(field, sol, k)] + [field.one]

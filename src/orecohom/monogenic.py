@@ -436,33 +436,6 @@ class TensorElem:
     def __hash__(self):
         return hash((id(self.alg), self.twist, frozenset(self.coords)))
 
-    def leftmul(self, a: AElem) -> "TensorElem":
-        """a . (u_c (x) x^c) = (a u_c) (x) x^c."""
-        same_field(self.alg.field, a.alg.field)
-        return TensorElem._of(self.alg, self.twist, _left(self.alg, a.nz, self.coords, {}))
-
-    def rightmul_k(self, mu) -> "TensorElem":
-        """Right action of mu in K: migrates through the twist,
-        (u_c (x) x^c) mu = u_c alpha^{t+c}(mu) (x) x^c."""
-        alg, F = self.alg, self.alg.field
-        mu, acc = alg.K.elem(mu), {}
-        for flat, s in self.coords.items():
-            c, j = divmod(flat, alg.adim)
-            mig = alg.alpha.power_matrix(self.twist + c).apply(mu)
-            table_mul_into(acc, alg.mul_table, F, ((j, s),), mig.items(), c * alg.adim)
-        return TensorElem._of(alg, self.twist, acc)
-
-    def rightmul_x(self) -> "TensorElem":
-        """Shift u_c (x) x^c to u_c (x) x^{c+1}; the top block meets
-        x^n = sum_j kappa_j x^j and becomes sum_j u_{n-1} alpha^t(kappa_j) (x) x^j."""
-        return self.rightmul_xpow(1)
-
-    def rightmul_xpow(self, d: int) -> "TensorElem":
-        alg, wraps, row = self.alg, _wraps(self.alg, self.twist), self.coords
-        for _ in range(d):
-            row = _right_x(alg, row, wraps)
-        return TensorElem._of(alg, self.twist, row)
-
     def __repr__(self):
         terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
         return " + ".join(terms) if terms else "0"
@@ -549,7 +522,7 @@ def twist_exponent(r: int, n: int) -> int:
 class Resolution:
     """The two-periodic resolution of A by twisted tensor squares, through a
     fixed top degree, with maps stored columnwise on the flat tensor basis
-    as payload rows {flat: payload}, read as tensors.
+    as payload rows {flat: payload}.
 
     A column of d'_r reads the twist only where the right action of x wraps
     x^n to sum_j kappa_j x^j, through alpha^{t(r-1)}(kappa_j); sigma_r reads
@@ -610,7 +583,7 @@ class Resolution:
         e_i (x) x^c of the degree-r module: e_i . d'_r(1 (x) 1) by table
         lookups on ``d_generator(r)``, then column (c, i) as column
         (c - 1, i) times x.  Built once per ``_fold`` class and shared by
-        its degrees: read it through ``d_column`` or ``apply_d``."""
+        its degrees, whose twist tag t(r - 1) the rows do not carry."""
         cls = self._fold(r)
         rows = self._d_rows.get(cls)
         if rows is None:
@@ -628,7 +601,7 @@ class Resolution:
         """The columns of sigma_r, by flat index of the basis tensor
         e_i (x) x^c of the degree r-1 module: -sum_{l<c} e_i x^l (x) x^{c-l-1}
         for odd r; e_i (x) 1 at c = n - 1, else zero, for even r.  Built once
-        per parity and shared: read it through ``s_column`` or ``apply_s``."""
+        per parity and shared by the degrees of that parity."""
         rows = self._s_rows.get(r % 2)
         if rows is None:
             alg, adim, n = self.alg, self.alg.adim, self.alg.n
@@ -640,28 +613,6 @@ class Resolution:
                 rows = [{i: alg.field.one.v} if c == n - 1 else {} for c in range(n) for i in range(adim)]
             rows = self._s_rows[r % 2] = tuple(rows)
         return rows
-
-    def d_column(self, r: int, flat: int) -> TensorElem:
-        """d'_r applied to the flat basis vector e_i (x) x^c, flat = c*adim + i,
-        of the degree-r module: e_i . d'_r(1 (x) 1) . x^c."""
-        return TensorElem(self.alg, self.twist(r - 1), self.d_rows(r)[flat])
-
-    def s_column(self, r: int, flat: int) -> TensorElem:
-        """sigma_r applied to the flat basis vector e_i (x) x^c of the degree
-        r-1 module."""
-        return TensorElem(self.alg, self.twist(r), self.s_rows(r)[flat])
-
-    def _apply(self, rows: tuple[dict, ...], t: TensorElem, twist: int) -> TensorElem:
-        """sum of s * rows[flat] over the entries flat: s of t, on payloads."""
-        field = self.alg.field
-        same_field(field, t.alg.field)
-        return TensorElem._of(self.alg, twist, row_sum(field, ((p, rows[flat]) for flat, p in t.coords.items())))
-
-    def apply_d(self, r: int, t: TensorElem) -> TensorElem:
-        return self._apply(self.d_rows(r), t, self.twist(r - 1))
-
-    def apply_s(self, r: int, t: TensorElem) -> TensorElem:
-        return self._apply(self.s_rows(r), t, self.twist(r))
 
     def contraction_check(self) -> ValidationReport:
         """Exact verification that sigma contracts the complex onto A:

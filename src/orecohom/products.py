@@ -21,7 +21,10 @@ forms (``cup_small``, ``bracket_small_closed``) never read the oracle, so an
 agreement of the two routes still compares independent computations.
 
 Both routes sum their products on payload rows (``AElem.nz``), into one
-row through ``kalgebra.table_mul_into``: no term builds an ``AElem``.
+row through ``kalgebra.table_mul_into``: no term builds an ``AElem``.  The
+eager bar route, which evaluates the bar side at every index, and the
+homotopy recursion for psi and phi are test references
+(``tests/bar_reference.py``).
 
 A ``ProductStore`` keeps the class coordinates of each product of class
 representatives a run reads, closed and oracle alike, each computed once, as
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 import itertools
 
-from .cohomology import SmallComplex, cohomology_group, twisted_invariants
-from .kalgebra import ValidationReport, table_mul_into
+from .cohomology import SmallComplex, cohomology_group
+from .kalgebra import table_mul_into
 from .linalg import row_sum, same_field
-from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
+from .monogenic import AElem, MonogenicAlgebra, twist_exponent
 
 
 class ProductsError(ValueError):
@@ -84,26 +87,6 @@ class SmallCochain:
                 f"value is not invariant for the degree-{degree} twist"
             )
 
-    @classmethod
-    def from_k(cls, alg: MonogenicAlgebra, degree: int, lam) -> "SmallCochain":
-        if degree % 2:
-            raise ProductsError("K-valued canonical cochains have even degree")
-        return cls(alg, degree, alg.k_embed(alg.K.elem(lam)))
-
-    @classmethod
-    def from_kx(cls, alg: MonogenicAlgebra, degree: int, lam) -> "SmallCochain":
-        if degree % 2 == 0:
-            raise ProductsError("Kx-valued canonical cochains have odd degree")
-        return cls(alg, degree, alg.monomial(alg.K.elem(lam), 1))
-
-    def canonical_k(self) -> dict | None:
-        """The K part when this is an even cochain supported in x-degree 0."""
-        if self.degree % 2:
-            return None
-        if any(a != 0 for a in self.value.x_degrees()):
-            return None
-        return self.value.k_coeff(0)
-
     def canonical_kx(self) -> dict | None:
         """The K part when this is an odd cochain supported in x-degree 1."""
         if self.degree % 2 == 0:
@@ -142,55 +125,6 @@ class SmallCochain:
         return f"SmallCochain(deg={self.degree}, {self.value!r})"
 
 
-def all_bar_indices(alg: MonogenicAlgebra, p: int):
-    return itertools.product(range(1, alg.n), repeat=p)
-
-
-class BarCochain:
-    """Normalized relative cochain: a table over index tuples in {1..n-1}^p."""
-
-    __slots__ = ("alg", "degree", "table")
-
-    def __init__(self, alg: MonogenicAlgebra, degree: int, table: dict, check: bool = False):
-        if degree < 0:
-            raise ProductsError("negative cochain degree")
-        clean = {}
-        for idx, val in table.items():
-            idx = tuple(idx)
-            if len(idx) != degree or any(not 1 <= i < alg.n for i in idx):
-                raise ProductsError(f"bad index {idx} for degree {degree}")
-            if not val.is_zero():
-                clean[idx] = val
-        self.alg = alg
-        self.degree = degree
-        self.table = clean
-        if check:
-            for idx, val in clean.items():
-                if not _is_twisted(val, sum(idx)):
-                    raise ProductsError(f"value at {idx} is not twisted-invariant")
-
-    def at(self, idx) -> AElem:
-        return self.table.get(tuple(idx), self.alg.zero_elem())
-
-    def scale(self, s) -> "BarCochain":
-        s = self.alg.field.scalar(s)
-        return BarCochain(self.alg, self.degree, {i: v * s for i, v in self.table.items()})
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BarCochain)
-            and self.alg is other.alg
-            and self.degree == other.degree
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"BarCochain(deg={self.degree}, {len(self.table)} entries)"
-
-
 def _pair_bar(alg: MonogenicAlgebra, idx: tuple) -> AElem:
     """Product of division quotients over consecutive index pairs."""
     out = alg.one
@@ -204,8 +138,8 @@ def _pair_bar(alg: MonogenicAlgebra, idx: tuple) -> AElem:
 def psi_terms(alg: MonogenicAlgebra, idx: tuple):
     """The closed small-to-bar comparison map at the bar index ``idx``, as
     terms (u, c): the generator of the small resolution in degree len(idx)
-    maps to the sum of u (x) x^c.  Shared by ``psi_value`` and
-    ``ComparisonMaps.psi_closed``; ``psi_recursive`` is the independent route."""
+    maps to the sum of u (x) x^c, read by ``psi_value``.  The homotopy
+    recursion that checks it is a test reference (``tests/bar_reference.py``)."""
     r = len(idx)
     bar = _pair_bar(alg, idx if r % 2 == 0 else idx[:-1])
     if bar.is_zero():
@@ -221,8 +155,9 @@ def psi_terms(alg: MonogenicAlgebra, idx: tuple):
 def phi_terms(alg: MonogenicAlgebra, r: int):
     """The closed bar-to-small comparison map in degree r, as terms
     (index, lead, e): the degree-r generator maps to the sum over the terms
-    of lead x^e at that bar index, read through ``phi_closed``;
-    ``ComparisonMaps.phi_recursive`` is the independent route."""
+    of lead x^e at that bar index, read through ``phi_closed``.  The
+    homotopy recursion that checks it is a test reference
+    (``tests/bar_reference.py``)."""
     if r <= 1:
         yield (1,) * r, alg.one, 0
         return
@@ -269,50 +204,6 @@ def phi_closed(alg: MonogenicAlgebra, r: int) -> dict:
         cur = out.get(key)
         out[key] = term if cur is None else cur + term
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def psi_eval(m: SmallCochain) -> BarCochain:
-    """The small-to-bar comparison map in m's degree, at every bar index."""
-    alg = m.alg
-    table = {idx: psi_value(alg, m.value, idx) for idx in all_bar_indices(alg, m.degree)}
-    return BarCochain(alg, m.degree, table)
-
-
-def phi_eval(g: BarCochain) -> SmallCochain:
-    """The bar-to-small comparison map in g's degree."""
-    return SmallCochain(g.alg, g.degree, BarOracle(g.alg).phi(g.degree, g.at), check=False)
-
-
-def bar_differential(g: BarCochain) -> BarCochain:
-    """The normalized Hochschild coboundary on index tables.
-
-    Merged slot products are re-expanded in normal form; the K-component of a
-    merge drops (its slot normalizes to the unit) and each x^e component's
-    coefficient migrates out to the left, twisted by alpha across the indices
-    it passes."""
-    alg = g.alg
-    p = g.degree
-    sign = {0: alg.field.one, 1: -alg.field.one}
-    table = {}
-    for idx in all_bar_indices(alg, p + 1):
-        acc = alg.xpow(idx[0]) * g.at(idx[1:])
-        for j in range(1, p + 1):
-            merged = alg.xpow(idx[j - 1] + idx[j])
-            tw = sum(idx[: j - 1])
-            for e in filter(None, merged.x_degrees()):  # the x-degrees e >= 1 it has
-                sub = idx[: j - 1] + (e,) + idx[j + 1 :]
-                gval = g.at(sub)
-                if gval.is_zero():
-                    continue
-                moved = alg.alpha.apply_power(tw, merged.k_coeff(e))
-                acc = acc + (alg.k_embed(moved) * gval) * sign[j % 2]
-        acc = acc + (g.at(idx[:p]) * alg.xpow(idx[p])) * sign[(p + 1) % 2]
-        table[idx] = acc
-    return BarCochain(alg, p + 1, table)
-
-
-def _sign(alg: MonogenicAlgebra, parity: int):
-    return alg.field.one if parity % 2 == 0 else -alg.field.one
 
 
 def cup_small(a: SmallCochain, b: SmallCochain) -> SmallCochain:
@@ -532,139 +423,6 @@ def bracket_small_closed(a: SmallCochain, b: SmallCochain, witness) -> SmallCoch
     return SmallCochain(alg, deg, AElem._of(alg, out), check=False)
 
 
-# -- resolution-level comparison maps ----------------------------------------
-
-
-class ComparisonMaps:
-    """Chain maps between the twisted-square resolution and the normalized
-    relative bar resolution, with closed formulas cross-checked against the
-    homotopy recursion."""
-
-    def __init__(self, alg: MonogenicAlgebra, max_degree: int = 5):
-        self.alg = alg
-        self.max_degree = max_degree
-        self.res = Resolution(alg, max_degree)
-        self._psi_rec: dict[tuple, TensorElem] = {}
-        self._phi_rec: dict[int, dict] = {}
-
-    # psi: bar side to twisted squares, evaluated on monomial middle slots
-
-    def psi_closed(self, idx: tuple) -> TensorElem:
-        tw = twist_exponent(len(idx), self.alg.n)
-        out = TensorElem.zero(self.alg, tw)
-        for u, c in psi_terms(self.alg, idx):
-            out = out + TensorElem.from_aelem(u, c, tw)
-        return out
-
-    def psi_recursive(self, idx: tuple) -> TensorElem:
-        idx = tuple(idx)
-        if not idx:
-            return TensorElem.from_aelem(self.alg.one, 0, 0)
-        if idx in self._psi_rec:
-            return self._psi_rec[idx]
-        alg = self.alg
-        r = len(idx)
-        total = self.psi_recursive(idx[1:]).leftmul(alg.xpow(idx[0]))
-        for j in range(1, r):
-            merged = alg.xpow(idx[j - 1] + idx[j])
-            tw = sum(idx[: j - 1])
-            sgn = _sign(alg, j)
-            for e in filter(None, merged.x_degrees()):  # the x-degrees e >= 1 it has
-                sub = idx[: j - 1] + (e,) + idx[j + 1 :]
-                moved = alg.alpha.apply_power(tw, merged.k_coeff(e))
-                piece = self.psi_recursive(sub).leftmul(alg.k_embed(moved))
-                total = total.add_scaled(piece, sgn)
-        last = self.psi_recursive(idx[:-1]).rightmul_xpow(idx[-1])
-        total = total.add_scaled(last, _sign(alg, r))
-        out = self.res.apply_s(r, total)
-        self._psi_rec[idx] = out
-        return out
-
-    # phi: twisted squares to bar side; the image of the generator is stored
-    # as a map from middle index tuples to the left outer factor (the right
-    # outer factor is always the unit)
-
-    def phi_recursive(self, r: int) -> dict:
-        if r == 0:
-            return {(): self.alg.one}
-        if r in self._phi_rec:
-            return self._phi_rec[r]
-        alg = self.alg
-        prev = self.phi_recursive(r - 1)
-        dgen = self.res.d_generator(r)
-        sgn = _sign(alg, r)
-        out: dict[tuple, AElem] = {}
-        for c in dgen.powers():
-            lead = dgen.left_factor(c)
-            right = alg.xpow(c)
-            for key, left in prev.items():
-                base = lead * left
-                if base.is_zero():
-                    continue
-                here = sum(key)
-                for e in range(1, alg.n):
-                    kappa = right.k_coeff(e)
-                    if not kappa:
-                        continue
-                    moved = alg.alpha.apply_power(here, kappa)
-                    term = (base * alg.k_embed(moved)) * sgn
-                    newkey = key + (e,)
-                    cur = out.get(newkey)
-                    out[newkey] = term if cur is None else cur + term
-        out = {k: v for k, v in out.items() if not v.is_zero()}
-        self._phi_rec[r] = out
-        return out
-
-    def comparison_report(self, degree_bound: int = 4) -> ValidationReport:
-        """Closed formulas agree with the homotopy recursion through the bound."""
-        failures = []
-        for r in range(degree_bound + 1):
-            for idx in all_bar_indices(self.alg, r):
-                if self.psi_closed(idx) != self.psi_recursive(idx):
-                    failures.append(f"psi mismatch at degree {r}, index {idx}")
-                    return ValidationReport(False, tuple(failures))
-            if phi_closed(self.alg, r) != self.phi_recursive(r):
-                failures.append(f"phi mismatch at degree {r}")
-                return ValidationReport(False, tuple(failures))
-        return ValidationReport(True, ())
-
-
-# -- chain-map and class-level validation ------------------------------------
-
-
-def chain_map_report(C: SmallComplex, degree_bound: int = 3) -> ValidationReport:
-    """Exact commutation of both comparison maps with the differentials.
-
-    Requires a complex over the regular bimodule, built past the bound."""
-    alg = C.alg
-    if C.M.dim != alg.adim:
-        raise ProductsError("chain-map checks need the regular bimodule")
-    if degree_bound + 1 > C.max_degree:
-        raise ProductsError("complex not built far enough for the bound")
-    failures = []
-    for r in range(degree_bound + 1):
-        for v in C.bases[r].columns_list():
-            m = SmallCochain(alg, r, AElem(alg, v), check=False)
-            lhs = bar_differential(psi_eval(m))
-            dm = SmallCochain(alg, r + 1, AElem(alg, C.d_ambient(r + 1, v)), check=False)
-            if lhs != psi_eval(dm):
-                failures.append(f"bar differential disagrees with psi in degree {r}")
-                return ValidationReport(False, tuple(failures))
-    oracle = BarOracle(alg)  # phi's terms, once per degree
-    for r in range(degree_bound + 1):
-        for idx in all_bar_indices(alg, r):
-            for w in twisted_invariants(C.M, sum(idx)).columns_list():
-                g = BarCochain(alg, r, {idx: AElem(alg, w)})
-                lhs = AElem(alg, C.d_ambient(r + 1, oracle.phi(r, g.at).coords))
-                rhs = oracle.phi(r + 1, bar_differential(g).at)
-                if lhs != rhs:
-                    failures.append(
-                        f"small differential disagrees with phi in degree {r}"
-                    )
-                    return ValidationReport(False, tuple(failures))
-    return ValidationReport(True, ())
-
-
 class ProductStore:
     """The class coordinates of the products of C's class representatives,
     each computed on its first read and only once.  For a pair (p, q, ia,
@@ -689,12 +447,12 @@ class ProductStore:
         self._classes: dict[tuple, dict] = {}  # (degree, sorted (index, payload)) -> class coordinates
 
     @classmethod
-    def of(cls, C: SmallComplex, store: "ProductStore | None" = None, oracle: BarOracle | None = None):
-        """``store``, checked to be C's (and ``oracle``'s); else a fresh one."""
+    def of(cls, C: SmallComplex, store: "ProductStore | None" = None):
+        """``store``, checked to be C's; else a fresh one."""
         if store is None:
-            return cls(C, oracle)
-        if store.C is not C or (oracle is not None and oracle is not store.oracle):
-            raise ProductsError("the product store belongs to another complex or oracle")
+            return cls(C)
+        if store.C is not C:
+            raise ProductsError("the product store belongs to another complex")
         return store
 
     def reps(self, p: int) -> list[SmallCochain]:
@@ -783,16 +541,11 @@ def cup_class_table(C: SmallComplex, max_total: int, store: ProductStore | None 
 
 
 def bracket_class_table(
-    C: SmallComplex,
-    max_total: int,
-    bound: int = 5,
-    oracle: BarOracle | None = None,
-    store: ProductStore | None = None,
+    C: SmallComplex, max_total: int, bound: int = 5, store: ProductStore | None = None
 ) -> list[dict]:
     """Generic-oracle brackets of class representatives, as class coordinates,
-    read from ``store``, else from a fresh store on ``oracle`` (a fresh one
-    when none is given)."""
-    store = ProductStore.of(C, store, oracle)
+    read from ``store`` (a fresh one when none is given)."""
+    store = ProductStore.of(C, store)
     degrees = [
         (p, q, p + q - 1)
         for p in range(max_total + 1)

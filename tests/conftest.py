@@ -67,6 +67,7 @@ from orecohom.linalg import (
     rank,
     solve,
     dense,
+    payloads,
     row_sum,
     span_equal,
 )
@@ -79,16 +80,26 @@ from orecohom.monogenic import (
     twist_exponent,
 )
 from orecohom.products import (
-    BarCochain,
     ProductsError,
     SmallCochain,
-    all_bar_indices,
     phi_closed,
-    phi_eval,
-    psi_eval,
     psi_terms,
 )
 from orecohom.specio import load_instance
+
+from bar_reference import (
+    BarCochain,
+    _sign,
+    all_bar_indices,
+    apply_d,
+    apply_s,
+    canonical_k,
+    d_column,
+    leftmul,
+    phi_eval,
+    psi_eval,
+    rightmul_xpow,
+)
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.json"))
 
@@ -756,7 +767,7 @@ def all_rows_twisted_kernel(field: Field, dim: int, right, left, twist: Mat) -> 
             dense = [zero] * dim
             for j, a in row.items():
                 dense[j] = a
-            tracker.add(tuple(dense))
+            tracker.add_payloads(payloads(field, enumerate(dense)))
             if tracker.dim == dim:
                 return tracker.kernel()
     return tracker.kernel()
@@ -888,7 +899,7 @@ def derivation_tensor(alg: MonogenicAlgebra, i: int) -> TensorElem:
     TensorElem route of ``monogenic._derivation``."""
     out = TensorElem.zero(alg, 1)
     for l in range(i):
-        out = out + TensorElem.from_aelem(alg.xpow(l), 0, 1).rightmul_xpow(i - l - 1)
+        out = out + rightmul_xpow(TensorElem.from_aelem(alg.xpow(l), 0, 1), i - l - 1)
     return out
 
 
@@ -1081,15 +1092,15 @@ def unfolded_contraction_check(self: Resolution) -> ValidationReport:
             return ValidationReport(False, tuple(failures))
     for flat in range(self.tdim):
         t = basis_tensor(self, 0, flat)
-        lhs = self.apply_d(1, self.apply_s(1, t)) + sigma0(augmentation(t))
+        lhs = apply_d(self, 1, apply_s(self, 1, t)) + sigma0(augmentation(t))
         if lhs != t:
             failures.append(f"degree-0 homotopy identity fails at basis {flat}")
             return ValidationReport(False, tuple(failures))
     for r in range(1, self.max_degree + 1):
         for flat in range(self.tdim):
             t = basis_tensor(self, r, flat)
-            lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(
-                r, self.apply_d(r, t)
+            lhs = apply_d(self, r + 1, apply_s(self, r + 1, t)) + apply_s(
+                self, r, apply_d(self, r, t)
             )
             if lhs != t:
                 failures.append(
@@ -1098,7 +1109,7 @@ def unfolded_contraction_check(self: Resolution) -> ValidationReport:
                 return ValidationReport(False, tuple(failures))
     for r in range(2, self.max_degree + 2):
         for flat in range(self.tdim):
-            if not self.apply_d(r - 1, self.d_column(r, flat)).is_zero():
+            if not apply_d(self, r - 1, d_column(self, r, flat)).is_zero():
                 failures.append(f"d.d is nonzero in degree {r} at basis {flat}")
                 return ValidationReport(False, tuple(failures))
     return ValidationReport(True, ())
@@ -1244,7 +1255,7 @@ def derivation_of_ore(alg: MonogenicAlgebra, P: OrePoly) -> TensorElem:
     for d, vec in enumerate(P.coeffs):
         if not vec:
             continue
-        out = out + derivation_tensor(alg, d).leftmul(alg.k_embed(vec))
+        out = out + leftmul(derivation_tensor(alg, d), alg.k_embed(vec))
     return out
 
 
@@ -1256,9 +1267,9 @@ def ore_normality_check(alg: MonogenicAlgebra) -> ValidationReport:
     for i in range(alg.n):
         xi = OrePoly.monomial(alg.K, alg.alpha, alg.K.unit, i)
         lhs = derivation_of_ore(alg, ore_mul(f, xi))
-        if lhs != df.leftmul(alg.xpow(i)):
+        if lhs != leftmul(df, alg.xpow(i)):
             failures.append(f"derivation of f x^{i} differs from x^{i} action")
-        if lhs != df.rightmul_xpow(i):
+        if lhs != rightmul_xpow(df, i):
             failures.append(f"derivation of f x^{i} differs from right x^{i} action")
         if failures:
             break
@@ -1356,6 +1367,29 @@ class DenseLinSolver(LinSolver):
         self.rank = len(pivots)
         # E @ M is the rref; each E_i kept sparse, in the form `solve` reads
         self.E = [{j: e.v for j, e in enumerate(row[M.cols:]) if not e.is_zero()} for row in aug]
+
+
+def boxed_minimal_polynomial(M: Mat) -> list[Scalar]:
+    """`linalg.minimal_polynomial` when it read the powers of M as tuples of
+    Scalars, column by column, and solved for the combination with `solve`."""
+    if M.rows != M.cols:
+        raise LinalgError("square matrix required")
+    field = M.field
+    n = M.rows
+    t = EchelonTracker(field, n * n)
+    powers = [Mat.identity(field, n)]
+
+    def flat(A: Mat) -> tuple:
+        return tuple(x for c in A.columns_list() for x in c)
+
+    while t.add_payloads(payloads(field, enumerate(flat(powers[-1])))):
+        powers.append(powers[-1].matmul(M))
+    k = len(powers) - 1  # M^k depends on lower powers
+    cols = [flat(P) for P in powers[:k]]
+    sol = solve(Mat.from_columns(field, cols, n * n), flat(powers[k]))
+    if sol is None:
+        raise LinalgError(f"M^{k} is not a combination of its lower powers")
+    return [-c for c in sol] + [field.one]
 
 
 # -- the field payload the integer one replaced ---------------------------------
@@ -1672,10 +1706,6 @@ def circle_j(g: BarCochain, h: BarCochain, j: int) -> BarCochain:
     return BarCochain(alg, r + rp - 1, table)
 
 
-def _sign(alg: MonogenicAlgebra, parity: int):
-    return alg.field.one if parity % 2 == 0 else -alg.field.one
-
-
 def linear_combination(alg: MonogenicAlgebra, degree: int, terms) -> BarCochain:
     """The sum of s g over the pairs (s, g) of ``terms``, bar cochains of ``degree``."""
     table = {}
@@ -1786,7 +1816,7 @@ def aelem_bracket_small_closed(a: SmallCochain, b: SmallCochain) -> AElem:
     n, alpha = alg.n, alg.alpha
 
     def need(c: SmallCochain):
-        lam = c.canonical_k() if c.degree % 2 == 0 else c.canonical_kx()
+        lam = canonical_k(c) if c.degree % 2 == 0 else c.canonical_kx()
         if lam is None:
             raise ProductsError("input is not in canonical form")
         return lam
@@ -2110,7 +2140,7 @@ def tensor_contraction_check(self: Resolution) -> ValidationReport:
             return ValidationReport(False, (f"augmentation section fails at basis {flat}",))
     for flat in range(self.tdim):
         t = basis_tensor(self, 0, flat)
-        lhs = self.apply_d(1, self.apply_s(1, t)) + sigma0(augmentation(t))
+        lhs = apply_d(self, 1, apply_s(self, 1, t)) + sigma0(augmentation(t))
         if lhs != t:
             return ValidationReport(False, (f"degree-0 homotopy identity fails at basis {flat}",))
     first: dict[int, int] = {}  # class -> its first degree, ascending
@@ -2119,12 +2149,12 @@ def tensor_contraction_check(self: Resolution) -> ValidationReport:
     for r in first.values():
         for flat in range(self.tdim):
             t = basis_tensor(self, r, flat)
-            lhs = self.apply_d(r + 1, self.apply_s(r + 1, t)) + self.apply_s(r, self.apply_d(r, t))
+            lhs = apply_d(self, r + 1, apply_s(self, r + 1, t)) + apply_s(self, r, apply_d(self, r, t))
             if lhs != t:
                 return ValidationReport(False, (f"homotopy identity fails in degree {r} at basis {flat}",))
     for r in first.values():
         for flat in range(self.tdim):
-            if not self.apply_d(r, self.d_column(r + 1, flat)).is_zero():
+            if not apply_d(self, r, d_column(self, r + 1, flat)).is_zero():
                 return ValidationReport(False, (f"d.d is nonzero in degree {r + 1} at basis {flat}",))
     return ValidationReport(True, ())
 
@@ -2334,6 +2364,6 @@ def quotient_route_core(C: SmallComplex, r: int) -> tuple[Mat, Mat, list, LinSol
     else:
         image = EchelonTracker(field, dim).extend(C.dmats[r])
     reps_sub = quotient_basis(image, kernel)
-    reps_ambient = [C.to_ambient(r, c) for c in reps_sub.columns_list()]
+    reps_ambient = [C.bases[r].matvec(c) for c in reps_sub.columns_list()]
     mixed = Mat.from_columns(field, reps_sub.columns_list() + image.columns_list(), dim)
     return image, reps_sub, reps_ambient, LinSolver(mixed)

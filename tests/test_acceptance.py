@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bar_reference import ComparisonMaps, chain_map_report
 from conftest import k_add
 
 from orecohom import (
@@ -16,11 +17,9 @@ from orecohom import (
     MonogenicError,
     Resolution,
     SmallCochain,
-    ComparisonMaps,
     bracket_small_closed,
     bracket_small_generic,
     build_small_complex,
-    chain_map_report,
     character_from_values,
     classes_equal,
     cohomology_dims,

@@ -16,14 +16,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from bar_reference import BarCochain
 
-from orecohom import fields
+from orecohom import fields, instances
 from orecohom.cli import main
+from orecohom.cohomology import Bimodule, build_small_complex, classes_equal, cohomology_group
 from orecohom.fields import QQ, FieldError, extension_field, prime_field
 from orecohom.kalgebra import AlgebraK, character_from_values, cyclic_group, endo_from_character, group_algebra
-from orecohom.linalg import EchelonTracker, LinSolver, Mat
+from orecohom.linalg import LinSolver, Mat
 from orecohom.monogenic import AElem, MonogenicAlgebra
-from orecohom.products import BarCochain
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 GF7 = prime_field(7)
@@ -151,8 +152,20 @@ def test_scalar_operators_reject_true(field, op):
 
 
 # each container and each loop that runs on payloads, fed a GF(7) entry or
-# operand where QQ is expected, on the sweedler algebra A
+# operand where QQ is expected, on the sweedler algebra A; the reads of the
+# small complex of A are fed x of taft(2, 7, 6), an element of A's shape over
+# GF(7)
 THREE = GF7.from_int(3)
+
+
+def complex_of(A):
+    return build_small_complex(A, Bimodule.regular(A), 3)
+
+
+def gf7_x():
+    return instances.taft(2, 7, 6)[0].x
+
+
 PAYLOAD_LOOPS = {
     "Mat": lambda A: Mat(QQ, [[THREE, QQ.one]]),
     "Mat.from_columns": lambda A: Mat.from_columns(QQ, [(QQ.one, THREE)], 2),
@@ -162,13 +175,14 @@ PAYLOAD_LOOPS = {
     "Mat.matvec vector": lambda A: Mat(QQ, [[QQ.one, QQ.one]]).matvec((QQ.one, THREE)),
     "Mat.matvec matrix": lambda A: Mat.identity(GF7, 2).matvec((QQ.one, QQ.one)),
     "Mat.matmul": lambda A: Mat.identity(QQ, 2).matmul(Mat.identity(GF7, 2)),
-    "EchelonTracker.add": lambda A: EchelonTracker(QQ, 2).add((THREE, QQ.zero)),
-    "EchelonTracker.add reduced": lambda A: EchelonTracker.of_columns(Mat.identity(QQ, 2)).add((QQ.one, THREE)),
     "LinSolver.solve": lambda A: LinSolver(Mat.identity(QQ, 2)).solve((QQ.one, THREE)),
     "AlgebraK.kmul": lambda A: A.K.kmul(A.K.elem((QQ.one, THREE)), A.K.unit),
     "AlgebraK.left_mult_matrix": lambda A: A.K.left_mult_matrix(A.K.elem((QQ.one, THREE))),
     "a_mul": lambda A: A.a_mul(A.one, AElem(A, (QQ.one, THREE, QQ.zero, QQ.zero))),
     "AElem ==": lambda A: AElem(A, (THREE,) + (QQ.zero,) * 3) == A.x + A.one,
+    "SmallComplex.to_sub AElem": lambda A: complex_of(A).to_sub(1, gf7_x()),
+    "class_coords AElem": lambda A: cohomology_group(complex_of(A), 1).class_coords(gf7_x()),
+    "classes_equal AElem": lambda A: classes_equal(complex_of(A), 1, gf7_x(), gf7_x()),
 }
 
 
@@ -208,8 +222,9 @@ def test_foreign_entry_is_refused_under_optimize():
 # The products on an operand of another field: a QQ algebra and a GF(7) one
 # of the same shape, each read by the routes that sum on payload rows.
 FOREIGN_PRODUCTS = """
+from bar_reference import BarCochain, phi_eval
 from orecohom import instances
-from orecohom.products import BarCochain, SmallCochain, bracket_small_closed, cup_small, phi_eval
+from orecohom.products import SmallCochain, bracket_small_closed, cup_small
 A, B = instances.sweedler()[0], instances.taft(2, 7, 6)[0]
 odd = lambda alg: SmallCochain(alg, 1, alg.x, check=False)
 CALLS = {
@@ -241,8 +256,9 @@ for name, call in CALLS.items():
     except FieldError as exc:
         print(name, sys.flags.optimize, str(exc))
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [f"{name} 1 cannot mix scalars of QQ and GF(7)"

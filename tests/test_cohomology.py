@@ -136,8 +136,8 @@ def test_sweedler_cohomology(sweedler, sweedler_complex):
     H1 = cohomology_group(C, 1)
     gx = sweedler.monomial(sweedler.K.elem("g"), 1).coords
     x = sweedler.x.coords
-    assert H1.is_coboundary(gx)
-    assert not H1.is_coboundary(x)
+    assert not H1.class_row(sweedler.monomial(sweedler.K.elem("g"), 1).nz)
+    assert H1.class_row(sweedler.x.nz)
     assert not classes_equal(C, 1, x, gx)
     shifted = sweedler.x + 3 * sweedler.monomial(sweedler.K.elem("g"), 1)
     assert classes_equal(C, 1, shifted.coords, x)
@@ -150,7 +150,7 @@ def test_classes_equal_refuses_a_vector_of_another_length(sweedler, sweedler_com
     a = cohomology_group(sweedler_complex, 1).reps_ambient[0]
     other = a + (sweedler.field.one,) * 3 if change == "longer" else a[:-1]
     for x, y in ((a, other), (other, a)):
-        with pytest.raises(LinalgError, match="shape mismatch"):
+        with pytest.raises(LinalgError, match=f"vector of length {len(other)}, expected length {len(a)}"):
             classes_equal(sweedler_complex, 1, x, y)
 
 
@@ -293,7 +293,6 @@ def test_aliased_degrees_give_the_same_classes(gh4_u2_deep, r):
     assert (H.degree, H4.degree) == (r, r + 4)
     for v in aliased_test_vectors(C, r):
         assert H.class_coords(v) == H4.class_coords(v)
-        assert H.is_coboundary(v) == H4.is_coboundary(v)
         assert classes_equal(C, r, v, v) and classes_equal(C, r + 4, v, v)
 
 
@@ -346,7 +345,7 @@ def test_ambient_roundtrip(sweedler_complex):
         for j in range(C.dim_cochain(r)):
             v = C.bases[r].column(j)
             sub = C.to_sub(r, v)
-            assert C.to_ambient(r, sub) == v
+            assert C.bases[r].matvec(sub) == v
 
 
 def test_wrong_space_rejected(sweedler, sweedler_complex):

@@ -200,8 +200,7 @@ def test_degrees_outside_the_built_range_are_refused():
     C = build_small_complex(alg, Bimodule.regular(alg), 4)
     v = alg.one.coords
     for r in (-1, -5, 5):
-        for read in (lambda: C.to_sub(r, v), lambda: C.to_ambient(r, (C.field.zero,) * 8),
-                     lambda: C.dim_cochain(r), lambda: cohomology_group(C, r)):
+        for read in (lambda: C.to_sub(r, v), lambda: C.dim_cochain(r), lambda: cohomology_group(C, r)):
             with pytest.raises(CohomologyError, match=f"degree {r} is outside the built degrees 0..4"):
                 read()
     with pytest.raises(CohomologyError, match="degree 4 needs the complex built through degree 5"):
@@ -218,7 +217,7 @@ def test_reads_refuse_short_and_long_vectors():
     assert H.class_coords(v) == tuple(C.field.one if i == 0 else C.field.zero for i in range(H.dim))
     for w in (v[:-1], v + (C.field.zero,), v + (C.field.one,)):
         for read in (lambda: C.to_sub(0, w), lambda: H.class_coords(w)):
-            with pytest.raises(LinalgError, match="shape mismatch"):
+            with pytest.raises(LinalgError, match=f"vector of length {len(w)}, expected length {len(v)}"):
                 read()
 
 
@@ -259,7 +258,7 @@ def test_one_echelon_core_equals_the_quotient_route(complex_):
         cocycles += [tuple(a + b for a, b in zip(u, v)) for u in reps_sub.columns_list() for v in image.columns_list()]
         for v in cocycles:
             assert H.core.class_solver.solve(v) == solver.solve(v)
-            assert H.class_coords(C.to_ambient(r, v)) == solver.solve(v)[: H.dim]
+            assert H.class_coords(C.bases[r].matvec(v)) == solver.solve(v)[: H.dim]
 
 
 def broken_complex():

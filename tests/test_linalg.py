@@ -2,11 +2,14 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
-from conftest import in_span
+from conftest import boxed_minimal_polynomial, in_span
 
+from orecohom import closedforms
+from orecohom.closedforms import ClosedFormError
 from orecohom.fields import QQ, extension_field, prime_field
 from orecohom.linalg import (
     EchelonTracker,
@@ -16,12 +19,14 @@ from orecohom.linalg import (
     intersect_spans,
     kernel_basis,
     minimal_polynomial,
+    payloads,
     quotient_basis,
     rank,
     rref,
     solve,
     span_equal,
 )
+from orecohom.specio import load_instance
 
 
 def qmat(rows):
@@ -100,28 +105,16 @@ def test_span_helpers():
 
 def test_echelon_tracker():
     t = EchelonTracker(QQ, 3)
-    assert t.add((QQ.one, QQ.zero, QQ.one))
-    assert t.add((QQ.zero, QQ.one, QQ.one))
-    assert not t.add((QQ.one, QQ.one, QQ.from_int(2)))
+
+    def row(*entries):
+        return payloads(QQ, enumerate(QQ.from_int(x) for x in entries))
+
+    assert t.add_payloads(row(1, 0, 1))
+    assert t.add_payloads(row(0, 1, 1))
+    assert not t.add_payloads(row(1, 1, 2))
     assert t.dim == 2
-    assert t.contains((QQ.from_int(2), QQ.from_int(3), QQ.from_int(5)))
-    assert not t.contains((QQ.zero, QQ.zero, QQ.one))
-
-
-def test_echelon_refuses_sparse_indices_outside_its_columns():
-    """A sparse index outside 0..n-1 raises, as a tuple of the wrong length
-    does, instead of reading as dependent, leading at a negative column or
-    lying outside the span; nothing joins the echelon."""
-    t = EchelonTracker(QQ, 2)
-    for bad in ({5: QQ.one}, {-1: QQ.one}, {0: QQ.one, 2: QQ.one}):
-        with pytest.raises(LinalgError, match="outside the columns 0..1"):
-            t.add(bad)
-    assert t.dim == 0 and t.add({1: QQ.one})
-    with pytest.raises(LinalgError, match="outside the columns 0..1"):
-        t.contains({7: QQ.one})
-    with pytest.raises(LinalgError, match="vector length mismatch"):
-        t.contains((QQ.one,) * 3)
-    assert t._rows == [{1: QQ.one.v}] and t.lead == [1]
+    assert t.contains_payloads(row(2, 3, 5))
+    assert not t.contains_payloads(row(0, 0, 1))
 
 
 def test_rref_deterministic_first_pivot():
@@ -136,7 +129,7 @@ import sys
 import orecohom.linalg as L
 from orecohom.fields import QQ
 assert False, "assert statements must be stripped"
-L.solve = lambda M, b: None
+L.LinSolver.solve_row = lambda self, b: None
 try:
     L.minimal_polynomial(L.Mat.identity(QQ, 2))
 except L.LinalgError as exc:
@@ -169,6 +162,28 @@ def test_minimal_polynomial():
     J = Mat(F, [[F.zero, -F.one], [F.one, F.zero]])
     mp = minimal_polynomial(J)
     assert [repr(c) for c in mp] == ["1", "0", "1"]
+
+
+def special_matrices(F) -> list[Mat]:
+    """The identities of sizes 0 to 5, the nilpotent 3 x 3 Jordan block and
+    a diagonalizable matrix that is not diagonal, [[1, 1], [0, 2]]."""
+    one, zero = F.one, F.zero
+    jordan = Mat(F, [[zero, one, zero], [zero, zero, one], [zero, zero, zero]])
+    return [Mat.identity(F, n) for n in range(6)] + [jordan, Mat(F, [[one, one], [zero, F.from_int(2)]])]
+
+
+def random_square(F, n: int, rng, density: float) -> Mat:
+    return Mat(F, [[F.random_element(rng, 3) if rng.random() < density else F.zero for _ in range(n)]
+                   for _ in range(n)])
+
+
+def certified(M: Mat):
+    """`certify_diagonalizable` on a twist with matrix M: True, False or the
+    error it raises."""
+    try:
+        return closedforms.certify_diagonalizable(types.SimpleNamespace(matrix=M))
+    except ClosedFormError as exc:
+        return str(exc)
 
 
 SPAN_FIELDS = {
@@ -208,3 +223,25 @@ def test_span_helpers_leave_their_inputs_unchanged(name):
         EchelonTracker(F, n).extend(S)
         for M, rows, cols in kept:
             assert M.sparse == rows and M.transpose().sparse == cols, (n, density)
+
+
+@pytest.mark.parametrize("name", SPAN_FIELDS)
+def test_minimal_polynomial_matches_the_boxed_route(name, monkeypatch):
+    """The minimal polynomial on payload rows equals the boxed route's,
+    coefficient by coefficient, on random square matrices of sizes 0 to 5,
+    the identities, a nilpotent Jordan block, a diagonalizable matrix that is
+    not diagonal and swap3's twist; `certify_diagonalizable` gives the same
+    answer on each either way.  The monic minimal polynomial is unique, so
+    the two routes must agree exactly."""
+    F, rng = SPAN_FIELDS[name], random.Random(41)
+    mats = special_matrices(F)
+    mats += [random_square(F, n, rng, density) for n in range(6) for density in (0.2, 0.5, 1.0)]
+    mats += [random_square(F, n, rng, 0.5).matmul(random_square(F, n, rng, 0.3)) for n in range(1, 6)]
+    if name == "QQ":
+        swap3 = Path(__file__).resolve().parent.parent / "demos" / "specs" / "swap3.json"
+        mats.append(load_instance(str(swap3)).algebra().alpha.matrix)
+    for M in mats:
+        assert minimal_polynomial(M) == boxed_minimal_polynomial(M), M
+    payload_answers = [certified(M) for M in mats]
+    monkeypatch.setattr(closedforms, "minimal_polynomial", boxed_minimal_polynomial)
+    assert payload_answers == [certified(M) for M in mats]

@@ -27,6 +27,7 @@ from conftest import (
     cup_bar,
     mutant,
 )
+from bar_reference import all_bar_indices, phi_eval, psi_eval
 
 from orecohom import instances
 from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex, cohomology_group
@@ -36,13 +37,10 @@ from orecohom.products import (
     BarOracle,
     ProductsError,
     SmallCochain,
-    all_bar_indices,
     bracket_small_closed,
     bracket_small_generic,
     cup_small,
     cup_small_oracle,
-    phi_eval,
-    psi_eval,
     psi_value,
 )
 

@@ -36,7 +36,8 @@ for r in (0, 1, 2):
           info["matches_generic"])
 
 # Class-sum data alone reproduces the full dimension table.
-table = group_algebra_cohomology_table(C, chi, 6)
+w = find_witness(alg)
+table = group_algebra_cohomology_table(C, chi, 6, w)
 print("closed dims: ", table["closed_table"]["dims"])
 print("generic dims:", cohomology_dims(C, 6))
 
@@ -52,7 +53,6 @@ print("first block per class:",
 
 # The cohomology is generated by two degree-0 elements, the x line in
 # degree 1, a sign combination in degree 2, and a unit class in degree 4.
-w = find_witness(alg)
 print("witness coordinates:", dense(alg.field, w.value, K.dim))
 a = SmallCochain(alg, 0, alg.k_embed(K.elem({"g": 1, "g^2": 1})), check=False)
 x = SmallCochain(alg, 1, alg.monomial(K.unit, 1), check=False)

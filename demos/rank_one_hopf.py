@@ -10,6 +10,7 @@ Both ways the quotient model carries the positive-degree cohomology.
 
 from orecohom import (
     Bimodule,
+    ProductStore,
     SmallCochain,
     bracket_small_closed,
     bracket_small_generic,
@@ -40,10 +41,13 @@ print("quotient dims:", case1["quotient_table"]["generic_table"]["dims"])
 # Case 2: C_4 with the sign character, g1 = g, x^2 = g^2 - 1.  Now chi^2 is
 # trivial, the extension itself is monogenic, and its table sits one unit
 # above the quotient model in degree zero only.  The report reads the
-# extension's own complex.
+# extension's own complex, its collapse witness and a product store, whose
+# bar oracle the bracket below reads too.
 alg, chi2, g1 = c4_sign(1)
 C = build_small_complex(alg, Bimodule.regular(alg), 7)
-case2 = rank_one_hopf_report(C, chi2, g1, 1, up_to=5)
+w = find_witness(alg)
+store = ProductStore(C)
+case2 = rank_one_hopf_report(C, chi2, g1, 1, 5, w, store)
 print("\ncase:", case2["case"])
 print("extension dims:", case2["dims"])
 print("quotient dims: ", case2["quotient_dims"])
@@ -53,12 +57,11 @@ print("bracket rows:", case2["bracket_rows"])
 # class.  One degree pair higher that rule breaks: the closed recursion
 # keeps trace correction terms, and the oracle confirms they survive in
 # cohomology.
-w = find_witness(alg)
 h1 = cohomology_group(C, 1).reps_ambient[0]
 h3 = cohomology_group(C, 3).reps_ambient[0]
 a = SmallCochain(alg, 1, type(alg.one)(alg, h1), check=False)
 b = SmallCochain(alg, 3, type(alg.one)(alg, h3), check=False)
-mixed = bracket_small_generic(a, b, 5)
+mixed = bracket_small_generic(a, b, 5, store.oracle)
 closed = bracket_small_closed(a, b, w)
 cls = cohomology_group(C, 3).class_coords(mixed.value.coords)
 print("\n[degree-1, degree-3] bracket class:", cls)

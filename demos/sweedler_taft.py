@@ -9,6 +9,7 @@ Everything collapses, and the cohomology is one line of k in every degree.
 
 from orecohom import (
     Bimodule,
+    ProductStore,
     SmallCochain,
     build_small_complex,
     cohomology_dims,
@@ -53,7 +54,8 @@ C3 = build_small_complex(alg3, Bimodule.regular(alg3), 7)
 print("\nGF(7), order-3 group, x^3 = 0")
 print("generic dims:", cohomology_dims(C3, 6))
 
-# The presentation report recognizes the same exterior pattern.
-pres = presentation_report(C3, chi3, 6)
+# The presentation report recognizes the same exterior pattern; its period
+# map reads the cup products of a product store of C3.
+pres = presentation_report(C3, chi3, 6, ProductStore(C3))
 print("generators by degree:", [(g["degree"], g["kind"]) for g in pres["generators"]])
 print("exterior pattern holds:", pres["exterior_pattern"])

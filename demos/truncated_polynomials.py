@@ -47,9 +47,10 @@ print("closed dims:", untwisted_annihilator_table(C, 4)["closed_table"]["dims"])
 alg = qq_pair_swap(3)
 C = build_small_complex(alg, Bimodule.regular(alg), 7)
 print("\nQ x Q with the swap twist, x^3 = 0")
-print("witness:", find_witness(alg))
+w = find_witness(alg)
+print("witness:", w)
 try:
-    collapsed_cohomology_table(C, None, 6)
+    collapsed_cohomology_table(C, w, 6)
 except ClosedFormError as exc:
     print("closed table:", exc)
 print("generic dims:", cohomology_dims(C, 6))

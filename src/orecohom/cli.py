@@ -20,7 +20,6 @@ from json.encoder import encode_basestring_ascii
 
 from .cohomology import Bimodule, CohomologyError, build_small_complex, cohomology_dims, complex_report
 from .closedforms import (
-    NO_WITNESS,
     ClosedFormError,
     check_collapsed_cochain_spaces,
     check_collapsed_differentials,
@@ -76,15 +75,17 @@ class Session:
     first use, the instance checks, the one checked build of A, which runs
     them again and raises the first that fails, its regular bimodule, the
     small complex through degree D + 1, the result of the run's one
-    witness search and the run's product store.  The store
-    (``products.ProductStore``) holds the class coordinates of each product
-    of class representatives that is read, computed once: the closed and
-    oracle cups, and the oracle and closed brackets.  It holds the run's bar
-    oracle, which evaluates only the bar indices phi reads, each psi value at
-    each index once, the slot compositions of each ordered pair once and each
-    bracket once.  The products tables, both closed-vs-oracle agreements, the
-    rank-one bracket rows and the presentation's period map read the store.
-    A session belongs to one run; nothing outlives it."""
+    witness search (None when it found none), the run's character and the
+    run's product store.  The checks read these as given and build none of
+    them again.  The store (``products.ProductStore``) holds the class
+    coordinates of each product of class representatives that is read,
+    computed once: the closed and oracle cups, and the oracle and closed
+    brackets.  It holds the run's bar oracle, which evaluates only the bar
+    indices phi reads, each psi value at each index once and the slot
+    compositions of each ordered pair once.  The products tables, both
+    closed-vs-oracle agreements, the rank-one bracket rows and the
+    presentation's period map read the store.  A session belongs to one
+    run; nothing outlives it."""
 
     def __init__(self, inst: Instance, args):
         self.inst = inst
@@ -124,18 +125,10 @@ class Session:
     def witness(self):
         return find_witness(self.algebra, self.candidates)
 
-    @property
-    def found_witness(self):
-        """The run's witness; a check that needs one skips when the run's
-        search found none, without searching again."""
-        if self.witness is None:
-            raise ClosedFormError(NO_WITNESS)
-        return self.witness
-
-    @property
+    @functools.cached_property
     def chi(self):
         """The spec's character, checked to be A's diagonal twist, else the
-        one read off that twist (``twist_character``)."""
+        one read off that twist (``twist_character``), once per run."""
         return twist_character(self.algebra, self.inst.chi)
 
 
@@ -217,11 +210,11 @@ def _bracket_agreement(store: ProductStore, witness, cap: int) -> list[dict]:
 
 
 def run_products(session: Session) -> tuple[dict, bool]:
-    inst, D, C, args = session.inst, session.D, session.complex, session.args
+    inst, D, args = session.inst, session.D, session.args
     store = session.products
     bound = args.oracle_bound if args.oracle_bound is not None else inst.options.get("oracle_bound", 5)
-    cup_rows = cup_class_table(C, D, store)
-    bracket_rows = bracket_class_table(C, D, bound, store=store)
+    cup_rows = cup_class_table(store, D)
+    bracket_rows = bracket_class_table(store, D, bound)
     cup_checked = _cup_agreement(store, min(D, 3))
     witness = session.witness
     if witness:
@@ -266,20 +259,22 @@ def _run_quaternion(s: Session):
     return quaternion_rotation_report(s.complex, *s.inst.rotation, min(s.D, 4))
 
 
-# Each check takes the run's Session.  Its complex is regular and reaches
-# degree D + 1, so a check skips on the first of the character or the witness
-# it reads, in the order the check itself would test them.
+# Each check takes the run's Session and reads its state as given.  Its
+# complex is regular and reaches degree D + 1, so a check skips on the first
+# of the character or the witness it reads: a run without a character raises
+# in ``Session.chi``, and a check handed the None of a search that found no
+# witness raises ``NO_WITNESS``.
 THEOREM_CHECKS = {
-    "collapsed-spaces": lambda s: check_collapsed_cochain_spaces(s.complex, s.found_witness, s.D),
+    "collapsed-spaces": lambda s: check_collapsed_cochain_spaces(s.complex, s.witness, s.D),
     "collapsed-differentials":
-        lambda s: check_collapsed_differentials(s.complex, s.found_witness, s.D),
-    "collapsed-cohomology": lambda s: collapsed_cohomology_table(s.complex, s.found_witness, s.D),
-    "cyclic-comparison": lambda s: cyclic_group_cohomology(s.complex, s.found_witness, s.D),
-    "diagonalizable": lambda s: diagonalizable_cohomology_table(s.complex, s.found_witness, s.D),
+        lambda s: check_collapsed_differentials(s.complex, s.witness, s.D),
+    "collapsed-cohomology": lambda s: collapsed_cohomology_table(s.complex, s.witness, s.D),
+    "cyclic-comparison": lambda s: cyclic_group_cohomology(s.complex, s.witness, s.D),
+    "diagonalizable": lambda s: diagonalizable_cohomology_table(s.complex, s.witness, s.D),
     "untwisted-model": lambda s: untwisted_model_check(s.complex, s.D),
     "untwisted-annihilator": lambda s: untwisted_annihilator_table(s.complex, s.D),
     "group-cohomology":
-        lambda s: group_algebra_cohomology_table(s.complex, s.chi, s.D, s.found_witness),
+        lambda s: group_algebra_cohomology_table(s.complex, s.chi, s.D, s.witness),
     "membership-period": lambda s: class_membership_period(s.algebra.K, s.chi, s.algebra.n),
     "periodicity": lambda s: cohomology_periodicity(s.complex, s.chi, s.D),
     "presentation": lambda s: presentation_report(s.complex, s.chi, s.D, s.products),

@@ -26,12 +26,16 @@ and read by every degree with that key.  Each degree still gets its own row,
 matrix and mismatch string.
 
 Preconditions are tested in one order, so a skip names the first that
-fails: regular bimodule, the run is the model (the rank-one and rotation
-checks, whose data define a twist and f that C's must equal), character
-(given, else read off the twist), collapse witness, identity twist, top degree
-(by default the highest the complex reaches), then the check's own hypotheses;
-the rank-one check reads its witness after them.  A WitnessData passed in is
-never searched for again; only None starts a search.
+fails: the product store is C's, regular bimodule, the run is the model
+(the rank-one and rotation checks, whose data define a twist and f that C's
+must equal), the character is the twist's diagonal, collapse witness,
+identity twist, top degree, then the check's own hypotheses; the rank-one
+check reads its witness after them.  Each check reads the run's state as it
+is given: the character, the witness (None when the run's search found none,
+which skips with ``NO_WITNESS``), the top degree and the product store.  No
+check searches for a witness, reads a character off the twist or builds a
+store; only ``rank_one_quotient_report`` searches, on the quotient algebra
+it builds itself.
 
 The witness element lambda-check that drives the collapsed descriptions is a
 central, n-th-power-fixed element whose differences from its own twists are
@@ -92,7 +96,7 @@ from .cohomology import (
     cohomology_dims,
     cohomology_group,
 )
-from .products import ProductStore
+from .products import ProductsError, ProductStore
 
 
 class ClosedFormError(ValueError):
@@ -124,11 +128,9 @@ def _regular_alg(C: SmallComplex) -> MonogenicAlgebra:
     return C.alg
 
 
-def _top_degree(C: SmallComplex, up_to: int | None) -> int:
-    """The top degree of a cohomology table, by default the highest that C
-    reaches: H^r needs the cochains of degree r + 1."""
-    if up_to is None:
-        up_to = C.max_degree - 1
+def _top_degree(C: SmallComplex, up_to: int) -> int:
+    """The top degree of a cohomology table, checked to be within C's reach:
+    H^r needs the cochains of degree r + 1."""
     if up_to + 1 > C.max_degree:
         raise ClosedFormError(
             f"table through degree {up_to} needs the complex built through degree {up_to + 1}"
@@ -137,17 +139,28 @@ def _top_degree(C: SmallComplex, up_to: int | None) -> int:
 
 
 def twist_character(alg: MonogenicAlgebra, chi: list[Scalar] | None) -> list[Scalar]:
-    """The given character, else the one read off the diagonal twist.  A
-    given character must be that twist's diagonal, since a spec builds the
-    twist from its character; CohomologyError when it is not (a fault, such
-    as a character that is not multiplicative).  Every check that reads the
-    run's character takes it from here."""
+    """The given character, checked (``_check_character``), else the one
+    read off the diagonal twist.  A run reads its character here once
+    (``cli.Session.chi``); the checks take it as given."""
     if chi is None:
         return character_of(alg.K, alg.alpha)
+    _check_character(alg, chi)
+    return chi
+
+
+def _check_character(alg: MonogenicAlgebra, chi: list[Scalar]) -> None:
+    """A given character must be the twist's diagonal, since a spec builds
+    the twist from its character; CohomologyError when it is not (a fault,
+    such as a character that is not multiplicative)."""
     diagonal = [payloads(alg.field, [(g, c)]) for g, c in enumerate(chi)]
     if diagonal != alg.alpha.matrix.sparse:
         raise CohomologyError("the character is not the diagonal of the twist")
-    return chi
+
+
+def _check_store(C: SmallComplex, store: ProductStore) -> None:
+    """ProductsError for a product store of another complex than C."""
+    if store.C is not C:
+        raise ProductsError("the product store belongs to another complex")
 
 
 def _dims_result(
@@ -239,11 +252,8 @@ def find_witness(alg: MonogenicAlgebra, candidates=()) -> WitnessData | None:
 NO_WITNESS = "no collapse witness available for this instance"
 
 
-def _need_witness(alg: MonogenicAlgebra, witness) -> WitnessData:
-    if witness is None:
-        witness = find_witness(alg)
-    elif not isinstance(witness, WitnessData):
-        witness = witness_check(alg, witness)
+def _need_witness(witness: WitnessData | None) -> WitnessData:
+    """The run's witness; a check skips when the run found none."""
     if not witness:
         raise ClosedFormError(NO_WITNESS)
     return witness
@@ -314,15 +324,11 @@ def _closed_reps_mismatch(C: SmallComplex, r: int, reps: Mat, tag: str) -> str |
 # -- collapsed cochain spaces and differentials --------------------------------
 
 
-def check_collapsed_cochain_spaces(
-    C: SmallComplex, witness=None, up_to: int | None = None
-) -> dict:
+def check_collapsed_cochain_spaces(C: SmallComplex, witness: WitnessData | None, up_to: int) -> dict:
     """Under a witness, the degree-2m cochain space is the m-block coefficient
     space and the degree-(2m+1) space is its x-multiple."""
     alg = _regular_alg(C)
-    w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree
+    w = _need_witness(witness)
     closed_dims, generic_dims, mismatches = [], [], []
     embedded, equal = {}, {}
     for r in range(up_to + 1):
@@ -341,15 +347,11 @@ def check_collapsed_cochain_spaces(
     )
 
 
-def check_collapsed_differentials(
-    C: SmallComplex, witness=None, up_to: int | None = None
-) -> dict:
+def check_collapsed_differentials(C: SmallComplex, witness: WitnessData | None, up_to: int) -> dict:
     """Under a witness, the odd differential is lam -> (alpha(lam) - lam) x and
     the even differential is lam x -> -sum_l alpha^l(lam) lambda_n."""
     alg = _regular_alg(C)
-    w = _need_witness(alg, witness)
-    if up_to is None:
-        up_to = C.max_degree
+    w = _need_witness(witness)
     ops = (_trace_matrix(alg), alg.alpha.minus_identity)  # by r mod 2
     mismatches = []
     closed_cols: dict[str, list] = {}
@@ -390,14 +392,12 @@ def _closed_differential(C: SmallComplex, r: int, op: Mat) -> tuple[list | None,
     return cols, closed == C.dmats[r]
 
 
-def collapsed_cohomology_table(
-    C: SmallComplex, witness=None, up_to: int | None = None
-) -> dict:
+def collapsed_cohomology_table(C: SmallComplex, witness: WitnessData | None, up_to: int) -> dict:
     """Cohomology of a witnessed instance from coefficient-space data alone:
     fixed-central part in degree 0, trace-kernel over twist-image in odd
     degrees, fixed part of the next block over the trace image in even ones."""
     alg = _regular_alg(C)
-    w = _need_witness(alg, witness)
+    w = _need_witness(witness)
     up_to = _top_degree(C, up_to)
     A1 = alg.alpha.minus_identity
     T = _trace_matrix(alg)
@@ -450,14 +450,14 @@ def _restrict_to_span(space: Mat, M: Mat) -> Mat:
     return restricted
 
 
-def cyclic_group_cohomology(C: SmallComplex, witness=None, up_to: int | None = None) -> dict:
+def cyclic_group_cohomology(C: SmallComplex, witness: WitnessData | None, up_to: int) -> dict:
     """When the constant coefficient is invertible and the twist has order
     dividing n, the cohomology agrees with group cohomology of a cyclic group
     acting on the center through the twist: fixed points in degree 0, then
     norm kernel over twist image and twist kernel over norm image alternating."""
     alg = _regular_alg(C)
     K = alg.K
-    w = _need_witness(alg, witness)
+    w = _need_witness(witness)
     up_to = _top_degree(C, up_to)
     lam_n = alg.f_terms[0]
     invertible = rank(K.left_mult_matrix(lam_n)) == K.dim
@@ -546,15 +546,13 @@ def _fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatches: list)
     return closed_dims
 
 
-def diagonalizable_cohomology_table(
-    C: SmallComplex, witness=None, up_to: int | None = None
-) -> dict:
+def diagonalizable_cohomology_table(C: SmallComplex, witness: WitnessData | None, up_to: int) -> dict:
     """For a diagonalizable twist the cohomology embeds as explicit subspaces:
     odd classes are fixed block elements annihilating n times the constant
     coefficient; even classes are fixed next-block elements modulo that
     multiple of the fixed block."""
     alg = _regular_alg(C)
-    w = _need_witness(alg, witness)
+    w = _need_witness(witness)
     up_to = _top_degree(C, up_to)
     diag = certify_diagonalizable(alg.alpha)
     epi = alg.alpha.is_automorphism
@@ -605,7 +603,7 @@ def _check_derivative_differentials(C: SmallComplex, up_to: int, mismatches: lis
                               f"in degree {r}")
 
 
-def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
+def untwisted_model_check(C: SmallComplex, up_to: int) -> dict:
     """With the identity twist every cochain space is the center polynomial
     model (center of K times the x powers), odd differentials vanish, and even
     differentials multiply by the derivative of the defining polynomial."""
@@ -615,8 +613,6 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
     hyps = [_hyp("twist is the identity", is_id)]
     if not is_id:
         raise ClosedFormError("untwisted model needs the identity twist")
-    if up_to is None:
-        up_to = C.max_degree
     Z = _w_space(alg, 0)
     model_cols = []
     for d in range(alg.n):
@@ -638,7 +634,7 @@ def untwisted_model_check(C: SmallComplex, up_to: int | None = None) -> dict:
     )
 
 
-def untwisted_annihilator_table(C: SmallComplex, up_to: int | None = None) -> dict:
+def untwisted_annihilator_table(C: SmallComplex, up_to: int) -> dict:
     """Identity-twist cohomology: the full center model in degree 0, the
     annihilator of the derivative in odd degrees, the model modulo the
     derivative's multiples in even degrees."""
@@ -747,15 +743,15 @@ def _kernel_span(K: AlgebraK, chi: list[Scalar]) -> Mat:
 
 
 def group_algebra_cohomology_table(
-    C: SmallComplex, chi: list[Scalar] | None = None, up_to: int | None = None, witness=None
+    C: SmallComplex, chi: list[Scalar], up_to: int, witness: WitnessData | None
 ) -> dict:
     """Character-twist group-algebra cohomology from class data: invariant
     kernel sums in degree 0, kernel elements in the right twist block
     annihilating n times the constant coefficient in odd degrees, and the
     corresponding quotient in even degrees."""
     alg = _regular_alg(C)
-    chi = twist_character(alg, chi)
-    w = _need_witness(alg, witness)
+    _check_character(alg, chi)
+    w = _need_witness(witness)
     up_to = _top_degree(C, up_to)
     kN = _kernel_span(alg.K, chi)
     mismatches: list[str] = []
@@ -800,14 +796,13 @@ def class_membership_period(K: AlgebraK, chi: list[Scalar], n: int) -> dict:
     }
 
 
-def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
-                           up_to: int | None = None) -> dict:
+def cohomology_periodicity(C: SmallComplex, chi: list[Scalar], up_to: int) -> dict:
     """Dimensions repeat with period twice the order of the n-th character
     power (degree 0 excluded); with n times the constant coefficient zero the
     odd dimension equals the preceding even one and the period-degree
     dimension returns to degree 0's."""
     alg = _regular_alg(C)
-    chi = twist_character(alg, chi)
+    _check_character(alg, chi)
     up_to = _top_degree(C, up_to)
     v = character_order(alg.K.group, char_power(chi, alg.n))
     dims = cohomology_dims(C, up_to)
@@ -834,15 +829,14 @@ def cohomology_periodicity(C: SmallComplex, chi: list[Scalar] | None = None,
     }
 
 
-def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
-                        up_to: int | None = None, store: ProductStore | None = None) -> dict:
+def presentation_report(C: SmallComplex, chi: list[Scalar], up_to: int, store: ProductStore) -> dict:
     """Algebra generators of the cohomology of a character-twist instance:
     the degree-0 ring, module generators in low odd and even degrees, and the
     unit class at the period degree, whose cup action is checked to be a
     degreewise bijection.  Cup by the unit class is read off the closed cups
-    of the class representatives in ``store`` (a fresh one when none is
-    given): the image of class i of H^r is the sum over the representatives
-    j of H^{2v} of the unit's coordinate j times the cup of i and j.
+    of the class representatives in ``store``, C's: the image of class i of
+    H^r is the sum over the representatives j of H^{2v} of the unit's
+    coordinate j times the cup of i and j.
 
     The check skips when the unit class vanishes and either n lambda_n is a
     unit of K or every H^r with 1 <= r <= up_to is zero (A separable over K,
@@ -855,8 +849,9 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     invertible n lambda_n says nothing (f = (x-1)^2 (x+1) over QQ:
     n lambda_n = 3, yet the unit class is not zero), so the vanishing is read
     from the cohomology, not assumed."""
+    _check_store(C, store)
     alg = _regular_alg(C)
-    chi = twist_character(alg, chi)
+    _check_character(alg, chi)
     up_to = _top_degree(C, up_to)
     v = character_order(alg.K.group, char_power(chi, alg.n))
     if 2 * v > up_to:
@@ -885,7 +880,7 @@ def presentation_report(C: SmallComplex, chi: list[Scalar] | None = None,
     mismatches: list[str] = []
     if unit_zero:
         mismatches.append("unit class vanishes at the period degree")
-    store, F = ProductStore.of(C, store), C.field
+    F = C.field
     for r in range(1, up_to - 2 * v + 1):
         H_src = cohomology_group(C, r)
         H_tgt = cohomology_group(C, r + 2 * v)
@@ -944,7 +939,7 @@ def rank_one_quotient_report(
     g1_label: str,
     n: int,
     xi,
-    up_to: int = 5,
+    up_to: int,
 ) -> dict:
     """Hypotheses and quotient model of k[G][x; alpha] / (x^n - xi (g1^n - 1)):
     g1 is central with chi(g1) a primitive n-th root of unity, and the table
@@ -983,7 +978,7 @@ def rank_one_quotient_report(
     Kq = group_algebra(Q, field)
     alg_q = MonogenicAlgebra(Kq, endo_from_character(Kq, chit), [field.zero] * n)
     Cq = build_small_complex(alg_q, Bimodule.regular(alg_q), up_to + 1)
-    quotient_table = group_algebra_cohomology_table(Cq, chit, up_to)
+    quotient_table = group_algebra_cohomology_table(Cq, chit, up_to, find_witness(alg_q))
     report = {
         "theorem": "rank-one-extension",
         "hypotheses": [
@@ -1023,16 +1018,17 @@ def rank_one_hopf_report(
     chi: list[Scalar],
     g1_label: str,
     xi,
-    up_to: int | None = None,
-    witness=None,
-    store: ProductStore | None = None,
+    up_to: int,
+    witness: WitnessData | None,
+    store: ProductStore,
 ) -> dict:
     """The rank-one check on C, the complex of k[G][x; alpha] / (x^n - xi (g1^n - 1))
     for these chi, g1 and xi.  With chi^n trivial, C's group table is verified
     and matched with the quotient model's in positive degrees, and odd-odd
     bracket classes through up_to with the oracle and, in degree one, with the
     commutator class (higher odd degrees keep trace terms).  The bracket
-    classes are read from ``store`` (a fresh one when none is given)."""
+    classes are read from ``store``, C's."""
+    _check_store(C, store)
     alg = _regular_alg(C)
     K, field, G = alg.K, alg.field, alg.K.group
     if alg.alpha.matrix != endo_from_character(K, chi).matrix:
@@ -1046,7 +1042,7 @@ def rank_one_hopf_report(
     report = rank_one_quotient_report(field, G, chi, g1_label, alg.n, xi, up_to)
     if any(c != field.one for c in char_power(chi, alg.n)):
         return report  # the quotient model carries every table
-    w_ext = _need_witness(alg, witness)
+    w_ext = _need_witness(witness)
     table = group_algebra_cohomology_table(C, chi, up_to, w_ext)
     report["extension_table"] = table
     mismatches = report["mismatches"]
@@ -1056,7 +1052,6 @@ def rank_one_hopf_report(
     if report["dims"][1:] != report["quotient_dims"][1:]:
         mismatches.append("quotient model dimensions differ in positive degrees")
     bracket_rows = []
-    store = ProductStore.of(C, store)
     for ra, rb in ((1, 1), (1, 3), (3, 1), (3, 3)):
         deg = ra + rb - 1
         if deg > up_to:
@@ -1124,7 +1119,7 @@ def quaternion_rotation_report(
     sin: Scalar,
     cos_half: Scalar,
     sin_half: Scalar,
-    up_to: int | None = None,
+    up_to: int,
 ) -> dict:
     """Quaternion coefficients under the rotation twist with these angle values,
     which C's twist must be.  The twisted-invariant spaces, the vanishing odd

@@ -203,9 +203,6 @@ class Field:
             return self.from_int(x)
         return Scalar(self, self._coerce_payload(x))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
     def encode(self, s: Scalar):
         """JSON encoding of one scalar."""
         raise NotImplementedError
@@ -303,9 +300,6 @@ class RationalField(Field):
     def _repr(self, a):
         return str(a)
 
-    def describe(self):
-        return {"kind": "Q"}
-
     def encode(self, s):
         f = self.scalar(s).v
         return f"{f.numerator}/{f.denominator}"
@@ -366,9 +360,6 @@ class PrimeField(Field):
 
     def _repr(self, a):
         return str(a)
-
-    def describe(self):
-        return {"kind": "Fp", "p": self.p}
 
     def encode(self, s):
         return self.scalar(s).v
@@ -843,16 +834,6 @@ class ExtensionField(Field):
                     f"{cs}*{self.symbol}^{i}" if cs != "1" else f"{self.symbol}^{i}"
                 )
         return " + ".join(terms) if terms else "0"
-
-    def describe(self):
-        d = {
-            "kind": "ext",
-            "minpoly": [self.base.encode(Scalar(self.base, c)) for c in self.minpoly],
-            "symbol": self.symbol,
-        }
-        if isinstance(self.base, PrimeField):
-            d["p"] = self.base.p
-        return d
 
     def encode(self, s):
         # over QQ: each coordinate nums[i]/den in lowest terms, as QQ writes it

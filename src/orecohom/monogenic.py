@@ -215,13 +215,13 @@ class MonogenicAlgebra:
     def k_embed(self, u) -> AElem:
         return self.monomial(u, 0)
 
-    def monomial(self, u: dict, a: int) -> AElem:
+    def monomial(self, u, a: int) -> AElem:
         """The element u x^a for u an element of K and 0 <= a < n; raw
         values go through ``K.elem`` first."""
         if not 0 <= a < self.n:
             raise IndexError("x-degree out of range")
         base = a * self.K.dim
-        return AElem._of(self, {base + b: p for b, p in u.items()})
+        return AElem._of(self, {base + b: p for b, p in self.K.elem(u).items()})
 
     @functools.cached_property
     def x(self) -> AElem:

@@ -13,10 +13,11 @@ phi in degree r reads a bar cochain only at the indices of its terms
 (``phi_closed``), so the oracle evaluates a cup or an alternating sum of slot
 compositions only at those indices, and psi of a cochain only at the indices
 they read.  It keeps psi of each cochain at each index it was read, phi's
-terms in each degree, phi of the slot compositions of each ordered pair of
-cochains and the bracket of each pair.  A cochain is keyed on (degree, value
-coordinates), turned into a small int once per call.  The degree bound of a
-bracket is checked before any lookup and is not part of the key.  The closed
+terms in each degree and phi of the slot compositions of each ordered pair
+of cochains, which the brackets of (a, b) and (b, a) share.  A cochain is
+keyed on (degree, value coordinates), turned into a small int once per call.
+``cup_small_oracle`` and ``bracket_small_generic`` take the oracle they
+read; the product store keeps each product they return.  The closed
 forms (``cup_small``, ``bracket_small_closed``) never read the oracle, so an
 agreement of the two routes still compares independent computations.
 
@@ -27,10 +28,11 @@ homotopy recursion for psi and phi are test references
 (``tests/bar_reference.py``).
 
 A ``ProductStore`` keeps the class coordinates of each product of class
-representatives a run reads, closed and oracle alike, each computed once, as
-a payload row over the representatives (``CohomologyGroup.class_row``); the
-class tables encode them densely, and the agreements and the closed-form
-checks compare or combine the rows.
+representatives a run reads, closed and oracle alike, each computed once
+(the oracle ones on the store's own oracle), as a payload row over the
+representatives (``CohomologyGroup.class_row``); the class tables encode
+them densely, and the agreements and the closed-form checks compare or
+combine the rows.
 """
 
 from __future__ import annotations
@@ -233,10 +235,10 @@ class BarOracle:
     """The bar-complex route for the cochains of one algebra, evaluated where
     phi reads it, each piece once (see the module docstring).  Each call
     hands back the stored object, which callers must not mutate.  One run
-    owns one oracle, held by its ``ProductStore``; a library call without one
-    builds a fresh oracle.  Besides the pieces above it keeps the twisted
-    factors of psi(b) at each slice a composition reads (``_twisted_factors``),
-    which do not depend on the cochain b is composed into."""
+    owns one oracle, held by its ``ProductStore``.  Besides the pieces above
+    it keeps the twisted factors of psi(b) at each slice a composition reads
+    (``_twisted_factors``), which do not depend on the cochain b is composed
+    into."""
 
     def __init__(self, alg: MonogenicAlgebra):
         self.alg = alg
@@ -246,8 +248,6 @@ class BarOracle:
         self._phi: dict[int, dict] = {}  # degree -> phi_closed
         self._factors: dict[tuple, list] = {}  # (id, slice, twist) -> twisted factors
         self._compositions: dict[tuple, AElem] = {}  # (id, id) -> phi of the slot sum
-        self._brackets: dict[tuple, SmallCochain] = {}  # (id, id) -> bracket
-        self._asked: tuple = (None, None, None)  # the pair ``bracket`` looked up last, with its ids
 
     def _id(self, m: SmallCochain) -> int:
         if m.alg is not self.alg:
@@ -328,32 +328,10 @@ class BarOracle:
             self._compositions[(ia, ib)] = out
         return out
 
-    def bracket(self, a: SmallCochain, b: SmallCochain, bound: int = 5) -> SmallCochain:
-        """``bracket_small_generic(a, b, bound)``; past the bound it raises
-        even when the pair is already known."""
-        _check_bracket_bound(a.degree, b.degree, bound)
-        key = self._id(a), self._id(b)
-        out = self._brackets.get(key)
-        if out is None:
-            self._asked = a, b, key
-            out = self._brackets[key] = bracket_small_generic(a, b, bound, self)
-        return out
 
-    def _pair_ids(self, a: SmallCochain, b: SmallCochain) -> tuple[int, int]:
-        """The ids of a and b, as ``bracket`` found them when it asks
-        ``bracket_small_generic`` for this very pair: a bracket takes each
-        id once."""
-        last_a, last_b, ids = self._asked
-        return ids if a is last_a and b is last_b else (self._id(a), self._id(b))
-
-
-def cup_small_oracle(
-    a: SmallCochain, b: SmallCochain, oracle: BarOracle | None = None
-) -> SmallCochain:
+def cup_small_oracle(a: SmallCochain, b: SmallCochain, oracle: BarOracle) -> SmallCochain:
     """Cup product computed through the bar complex: phi of the
     index-splitting product of the lifts, on ``oracle``."""
-    if oracle is None:
-        oracle = BarOracle(a.alg)
     ia, ib = oracle._id(a), oracle._id(b)
     p = a.degree
 
@@ -372,7 +350,7 @@ def _check_bracket_bound(p: int, q: int, bound: int) -> None:
 
 
 def bracket_small_generic(
-    a: SmallCochain, b: SmallCochain, bound: int = 5, oracle: BarOracle | None = None
+    a: SmallCochain, b: SmallCochain, bound: int, oracle: BarOracle
 ) -> SmallCochain:
     """Gerstenhaber bracket through the bar-complex oracle: phi of the graded
     commutator of the slot compositions of the lifts, on ``oracle``."""
@@ -381,9 +359,7 @@ def bracket_small_generic(
     alg = a.alg
     if r == 0 and rp == 0:
         return SmallCochain(alg, 0, alg.zero_elem(), check=False)
-    if oracle is None:
-        oracle = BarOracle(alg)
-    ia, ib = oracle._pair_ids(a, b)
+    ia, ib = oracle._id(a), oracle._id(b)
     F = alg.field
     s = F.one.v if (r + 1) * (rp + 1) % 2 else F._neg(F.one.v)  # minus the sign of the commutator
     value = row_sum(F, [(F.one.v, oracle._compose(ia, ib).nz), (s, oracle._compose(ib, ia).nz)])
@@ -428,7 +404,7 @@ class ProductStore:
     each computed on its first read and only once.  For a pair (p, q, ia,
     ib), representative ia of H^p and ib of H^q, it holds the closed and the
     oracle cup (``cup_small``, ``cup_small_oracle``) and the oracle and the
-    closed bracket (``BarOracle.bracket``, ``bracket_small_closed``).  A
+    closed bracket (``bracket_small_generic``, ``bracket_small_closed``).  A
     value goes to class coordinates from its payloads (``AElem.nz``), once
     per distinct value, and is kept as the payload row of ``class_row``,
     {representative: nonzero payload}, which the store's readers must not
@@ -436,24 +412,14 @@ class ProductStore:
     products, so equal stored rows still compare two computations: a zero
     class of the difference.  A bracket's oracle bound is checked on every
     read and is not part of the key.  One run owns one store
-    (``cli.Session.products``) with the run's bar oracle; a library call
-    without one builds one."""
+    (``cli.Session.products``), which owns the run's bar oracle."""
 
-    def __init__(self, C: SmallComplex, oracle: BarOracle | None = None):
+    def __init__(self, C: SmallComplex):
         self.C = C
-        self.oracle = BarOracle(C.alg) if oracle is None else oracle
+        self.oracle = BarOracle(C.alg)
         self._reps: dict[int, list[SmallCochain]] = {}  # degree -> representatives
         self._coords: dict[tuple, dict] = {}  # (product, p, q, ia, ib) -> class coordinates
         self._classes: dict[tuple, dict] = {}  # (degree, sorted (index, payload)) -> class coordinates
-
-    @classmethod
-    def of(cls, C: SmallComplex, store: "ProductStore | None" = None):
-        """``store``, checked to be C's; else a fresh one."""
-        if store is None:
-            return cls(C)
-        if store.C is not C:
-            raise ProductsError("the product store belongs to another complex")
-        return store
 
     def reps(self, p: int) -> list[SmallCochain]:
         """The class representatives of H^p, as cochains."""
@@ -495,7 +461,7 @@ class ProductStore:
         """The oracle bracket; past the bound it raises even when the pair is stored."""
         _check_bracket_bound(p, q, bound)
         return self._read("bracket", max(p + q - 1, 0), p, q, ia, ib,
-                          lambda a, b: self.oracle.bracket(a, b, bound))
+                          lambda a, b: bracket_small_generic(a, b, bound, self.oracle))
 
     def closed_bracket(self, p: int, q: int, ia: int, ib: int, witness) -> dict:
         """The closed bracket; ProductsError without a witness or when a
@@ -527,29 +493,25 @@ def _class_table(store: ProductStore, degrees, read) -> list[dict]:
     ]
 
 
-def cup_class_table(C: SmallComplex, max_total: int, store: ProductStore | None = None) -> list[dict]:
-    """Cup products of cohomology class representatives, as class coordinates,
-    read from ``store`` (a fresh one when none is given)."""
-    store = ProductStore.of(C, store)
+def cup_class_table(store: ProductStore, max_total: int) -> list[dict]:
+    """Cup products of the class representatives of the store's complex, as
+    class coordinates, read from ``store``."""
     degrees = [
         (p, q, p + q)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
-        if p + q + 1 <= C.max_degree
+        if p + q + 1 <= store.C.max_degree
     ]
     return _class_table(store, degrees, store.cup)
 
 
-def bracket_class_table(
-    C: SmallComplex, max_total: int, bound: int = 5, store: ProductStore | None = None
-) -> list[dict]:
-    """Generic-oracle brackets of class representatives, as class coordinates,
-    read from ``store`` (a fresh one when none is given)."""
-    store = ProductStore.of(C, store)
+def bracket_class_table(store: ProductStore, max_total: int, bound: int) -> list[dict]:
+    """Generic-oracle brackets of the class representatives of the store's
+    complex, as class coordinates, read from ``store``."""
     degrees = [
         (p, q, p + q - 1)
         for p in range(max_total + 1)
         for q in range(max_total + 1 - p)
-        if 0 <= p + q - 1 <= bound and p + q <= C.max_degree
+        if 0 <= p + q - 1 <= bound and p + q <= store.C.max_degree
     ]
     return _class_table(store, degrees, lambda p, q, ia, ib: store.bracket(p, q, ia, ib, bound))

@@ -1551,16 +1551,6 @@ class LegacyExtensionField(Field):
                 )
         return " + ".join(terms) if terms else "0"
 
-    def describe(self):
-        d = {
-            "kind": "ext",
-            "minpoly": [self.base.encode(Scalar(self.base, c)) for c in self.minpoly],
-            "symbol": self.symbol,
-        }
-        if isinstance(self.base, PrimeField):
-            d["p"] = self.base.p
-        return d
-
     def encode(self, s):
         v = self.scalar(s).v
         return [self.base.encode(Scalar(self.base, c)) for c in v]
@@ -1855,7 +1845,7 @@ def phi_psi_class_identity(C: SmallComplex, r: int) -> bool:
 
 def unfolded_collapsed_spaces(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
-    w = cf._need_witness(alg, witness)
+    w = cf._need_witness(witness)
     closed_dims, generic_dims, mismatches = [], [], []
     for r in range(up_to + 1):
         W = cf._w_space(alg, r // 2)
@@ -1870,7 +1860,7 @@ def unfolded_collapsed_spaces(C: SmallComplex, witness, up_to: int) -> dict:
 
 def unfolded_collapsed_differentials(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
-    w = cf._need_witness(alg, witness)
+    w = cf._need_witness(witness)
     A1 = alpha_minus_id(alg)
     T = cf._trace_matrix(alg)
     mismatches = []
@@ -1900,7 +1890,7 @@ def unfolded_collapsed_differentials(C: SmallComplex, witness, up_to: int) -> di
 
 def unfolded_collapsed_cohomology(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
-    w = cf._need_witness(alg, witness)
+    w = cf._need_witness(witness)
     up_to = cf._top_degree(C, up_to)
     A1 = alpha_minus_id(alg)
     T = cf._trace_matrix(alg)
@@ -1979,7 +1969,7 @@ def unfolded_fixed_block_dims(C: SmallComplex, fixed: Mat, up_to: int, mismatche
 
 def unfolded_diagonalizable(C: SmallComplex, witness, up_to: int) -> dict:
     alg = cf._regular_alg(C)
-    w = cf._need_witness(alg, witness)
+    w = cf._need_witness(witness)
     up_to = cf._top_degree(C, up_to)
     diag = cf.certify_diagonalizable(alg.alpha)
     epi = alg.alpha.is_automorphism
@@ -2003,8 +1993,7 @@ def unfolded_diagonalizable(C: SmallComplex, witness, up_to: int) -> dict:
 
 def unfolded_group_cohomology(C: SmallComplex, chi, up_to: int, witness) -> dict:
     alg = cf._regular_alg(C)
-    chi = cf.twist_character(alg, chi)
-    w = cf._need_witness(alg, witness)
+    w = cf._need_witness(witness)
     up_to = cf._top_degree(C, up_to)
     kN = cf._kernel_span(alg.K, chi)
     mismatches: list[str] = []

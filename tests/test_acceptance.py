@@ -11,10 +11,12 @@ from bar_reference import ComparisonMaps, chain_map_report
 from conftest import k_add
 
 from orecohom import (
+    BarOracle,
     Bimodule,
     ClosedFormError,
     MonogenicAlgebra,
     MonogenicError,
+    ProductStore,
     Resolution,
     SmallCochain,
     bracket_small_closed,
@@ -251,13 +253,14 @@ def test_criterion_06_skew_group_extensions():
 
     alg2, chi2, g1 = c4_sign(1)
     C2 = build_small_complex(alg2, Bimodule.regular(alg2), 7)
-    case2 = rank_one_hopf_report(C2, chi2, g1, 1, up_to=5)
+    w2 = find_witness(alg2)
+    case2 = rank_one_hopf_report(C2, chi2, g1, 1, 5, w2, ProductStore(C2))
     ok = ok and case2["match"]
     ok = ok and case2["dims"] == [2, 1, 1, 1, 1, 1]
     ok = ok and case2["quotient_dims"] == [1, 1, 1, 1, 1, 1]
     ok = ok and case2["dims"][1:6] == case2["quotient_dims"][1:6]
 
-    ok = ok and group_algebra_cohomology_table(C2, chi2, 5)["match"]
+    ok = ok and group_algebra_cohomology_table(C2, chi2, 5, w2)["match"]
     odd_reps = {
         r: [
             SmallCochain(alg2, r, type(alg2.one)(alg2, v), check=False)
@@ -280,7 +283,7 @@ def test_criterion_06_skew_group_extensions():
             lb = b.canonical_kx()
             comm = k_add(K2.field, K2.kmul(lb, la), K2.kmul(la, lb), -1)
             want = alg2.monomial(comm, 1).coords
-            got = bracket_small_generic(a, b, 5).value.coords
+            got = bracket_small_generic(a, b, 5, BarOracle(alg2)).value.coords
             ok = ok and classes_equal(C2, 1, got, want)
     verdict(6, "both skew extension cases match quotient models, with vanishing odd cups and commutator brackets in degree one", ok)
 
@@ -300,7 +303,7 @@ def test_criterion_07_bracket_cross_validation():
                 deg = max(ra + rb - 1, 0)
                 for a in canonical_basis(alg, ra):
                     for b in canonical_basis(alg, rb):
-                        got = bracket_small_generic(a, b, 5).value.coords
+                        got = bracket_small_generic(a, b, 5, BarOracle(alg)).value.coords
                         want = bracket_small_closed(a, b, w).value.coords
                         ok = ok and classes_equal(C, deg, got, want)
                         if ra % 2 == 0 and rb % 2 == 0:
@@ -355,7 +358,7 @@ def test_criterion_09_middle_coefficient_independence(admissible_space):
     for lam_n, dims in (({}, [1, 1, 1, 1, 1, 1]), (-1, [1, 0, 0, 0, 0, 0])):
         f_alg = MonogenicAlgebra(K, alpha, [{}] * (n - 1) + [lam_n])
         C = build_small_complex(f_alg, Bimodule.regular(f_alg), 6)
-        table = collapsed_cohomology_table(C, None, 5)
+        table = collapsed_cohomology_table(C, find_witness(f_alg), 5)
         ok = ok and table["match"]
         ok = ok and table["closed_table"]["dims"] == dims == cohomology_dims(C, 5)
 

@@ -669,12 +669,26 @@ def test_report_builds_the_complex_once(capsys, monkeypatch, name, builds):
 def test_report_searches_for_the_witness_once(capsys, monkeypatch, name):
     """Every check reads the run's one witness search, and skips without a
     second search when it found nothing.  c4_sign's rank-one check searches
-    once more, on its quotient model only; sweedler_bad fails validation
-    before any search."""
+    once more, on its quotient model only: one search per distinct algebra.
+    sweedler_bad fails validation before any search."""
     calls = count_calls(monkeypatch, closedforms, "find_witness", (cli,))
     rc = run(capsys, "report", spec(name))[0]
     assert rc == (1 if name == "sweedler_bad.json" else 0)
     assert len(calls) == {"c4_sign.json": 2, "sweedler_bad.json": 0}.get(name, 1)
+    assert len({id(args[0]) for args in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("name", ["gh4_u3.json", "c4_sign.json"])
+def test_report_reads_the_character_once(capsys, monkeypatch, name):
+    """The run reads its character once (`Session.chi`), and the checks
+    that read it (group-cohomology, membership-period, periodicity,
+    presentation, the rank-one quotient model) take it as given: they check
+    it against the twist, and none reads a character off the twist."""
+    calls = count_calls(monkeypatch, closedforms, "twist_character", (cli,))
+    rebuilds = count_calls(monkeypatch, closedforms, "character_of")
+    assert run(capsys, "report", spec(name))[0] == 0
+    assert len(calls) == 1
+    assert rebuilds == []
 
 
 @pytest.mark.parametrize("name", ["sweedler.json", "taft37.json", "c4_sign.json", "quaternion_pi.json"])
@@ -783,7 +797,9 @@ def test_model_checks_read_the_run_complex_at_every_degree(capsys, name, D):
     if inst.rotation is None:
         which, up_to = "rank-one-hopf", min(D, 5)
         C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)
-        want = closedforms.rank_one_hopf_report(C, inst.chi, *inst.rank_one, up_to)
+        store = products.ProductStore(C)
+        want = closedforms.rank_one_hopf_report(
+            C, inst.chi, *inst.rank_one, up_to, closedforms.find_witness(alg), store)
     else:
         which, up_to = "quaternion-rotation", min(D, 4)
         C = build_small_complex(alg, Bimodule.regular(alg), up_to + 1)

@@ -1,6 +1,7 @@
 """Closed-form tables checked end to end against the generic pipeline."""
 
 import json
+import re
 
 import pytest
 from conftest import (
@@ -36,7 +37,7 @@ from orecohom.cohomology import (
     cohomology_dims,
     cohomology_group,
 )
-from orecohom.products import SmallCochain, cup_small
+from orecohom.products import BarOracle, ProductsError, ProductStore, SmallCochain, cup_small
 from orecohom.closedforms import (
     ClosedFormError,
     character_of,
@@ -127,6 +128,40 @@ def test_witness_triple_shift(shift3):
     assert w
 
 
+# Each check that reads a collapse witness, on c4_sign's complex through
+# degree 6, its character and its witness.
+WITNESS_READERS = {
+    "collapsed-spaces": lambda C, chi, w: check_collapsed_cochain_spaces(C, w, 5),
+    "collapsed-differentials": lambda C, chi, w: check_collapsed_differentials(C, w, 5),
+    "collapsed-cohomology": lambda C, chi, w: collapsed_cohomology_table(C, w, 5),
+    "cyclic-comparison": lambda C, chi, w: cyclic_group_cohomology(C, w, 5),
+    "diagonalizable": lambda C, chi, w: diagonalizable_cohomology_table(C, w, 5),
+    "group-cohomology": lambda C, chi, w: group_algebra_cohomology_table(C, chi, 5, w),
+    "rank-one-hopf": lambda C, chi, w: rank_one_hopf_report(C, chi, "g", 1, 5, w, ProductStore(C)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WITNESS_READERS))
+def test_a_check_given_no_witness_skips_without_a_search(monkeypatch, c4s, check):
+    """A check handed None, the run's search having found nothing, skips
+    with NO_WITNESS and never searches the run's algebra itself; only the
+    rank-one check searches, on the quotient algebra it builds."""
+    alg, chi, C = c4s
+    search = closedforms.find_witness
+
+    def no_search_on_the_run(searched, candidates=()):
+        assert searched is not alg, "a check searched for the run's witness"
+        return search(searched, candidates)
+
+    monkeypatch.setattr(closedforms, "find_witness", no_search_on_the_run)
+    try:  # with the witness the check runs, or skips on its own hypotheses
+        WITNESS_READERS[check](C, chi, search(alg))
+    except ClosedFormError as exc:
+        assert str(exc) != closedforms.NO_WITNESS
+    with pytest.raises(ClosedFormError, match=re.escape(closedforms.NO_WITNESS)):
+        WITNESS_READERS[check](C, chi, None)
+
+
 def test_nonzero_middle_rejected_under_witness(sweedler):
     alg, _, _ = sweedler
     with pytest.raises(MonogenicError):
@@ -177,41 +212,41 @@ def test_witness_forces_middle_coefficients_to_zero(build, witnessed, admissible
 
 def test_collapsed_spaces_sweedler(sweedler):
     alg, _, C = sweedler
-    rep = check_collapsed_cochain_spaces(C)
+    rep = check_collapsed_cochain_spaces(C, find_witness(alg), 6)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2] * 7
 
 
 def test_collapsed_spaces_gh4(gh4_u3):
     alg, _, C = gh4_u3
-    rep = check_collapsed_cochain_spaces(C, up_to=6)
+    rep = check_collapsed_cochain_spaces(C, find_witness(alg), 6)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [6, 6, 2, 2, 6, 6, 2]
 
 
 def test_collapsed_differentials(sweedler, c4s, shift3):
     for C in (sweedler[2], c4s[2], shift3[1]):
-        rep = check_collapsed_differentials(C)
+        rep = check_collapsed_differentials(C, find_witness(C.alg), 6)
         assert rep["match"], rep["mismatches"]
 
 
 def test_collapsed_cohomology_sweedler(sweedler):
     _, _, C = sweedler
-    rep = collapsed_cohomology_table(C, up_to=5)
+    rep = collapsed_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [1, 1, 1, 1, 1, 1]
 
 
 def test_collapsed_cohomology_c4_sign(c4s):
     _, _, C = c4s
-    rep = collapsed_cohomology_table(C, up_to=5)
+    rep = collapsed_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 1, 1, 1, 1, 1]
 
 
 def test_collapsed_cohomology_shift3(shift3):
     _, C = shift3
-    rep = collapsed_cohomology_table(C, up_to=5)
+    rep = collapsed_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [1, 0, 0, 0, 0, 0]
 
@@ -235,21 +270,21 @@ def test_block_elements_commute_with_constant(c4s, gh4_u3, sweedler_inv):
 
 def test_cyclic_comparison_sweedler_invertible(sweedler_inv):
     _, _, C = sweedler_inv
-    rep = cyclic_group_cohomology(C, up_to=5)
+    rep = cyclic_group_cohomology(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [1, 0, 0, 0, 0, 0]
 
 
 def test_cyclic_comparison_shift3(shift3):
     _, C = shift3
-    rep = cyclic_group_cohomology(C, up_to=5)
+    rep = cyclic_group_cohomology(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
 
 
 def test_cyclic_comparison_needs_invertible_constant(sweedler):
     _, _, C = sweedler
     with pytest.raises(ClosedFormError):
-        cyclic_group_cohomology(C, up_to=4)
+        cyclic_group_cohomology(C, find_witness(C.alg), 4)
 
 
 def center_left_by_the_twist(monkeypatch):
@@ -271,7 +306,7 @@ def test_cyclic_comparison_on_a_center_the_twist_leaves_is_an_error(monkeypatch,
     _, _, C = sweedler_inv
     center_left_by_the_twist(monkeypatch)
     with pytest.raises(CohomologyError, match="operator does not preserve the subspace"):
-        cyclic_group_cohomology(C, up_to=5)
+        cyclic_group_cohomology(C, find_witness(C.alg), 5)
 
 
 def test_cyclic_comparison_fault_exits_1(monkeypatch, tmp_path, capsys):
@@ -319,7 +354,7 @@ def test_certify_diagonal_cases(sweedler):
 
 def test_diagonalizable_table_sweedler(sweedler):
     _, _, C = sweedler
-    rep = diagonalizable_cohomology_table(C, up_to=5)
+    rep = diagonalizable_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [1, 1, 1, 1, 1, 1]
     assert rep["closed_table"]["odd_cup_rule"] == "zero"
@@ -327,14 +362,14 @@ def test_diagonalizable_table_sweedler(sweedler):
 
 def test_diagonalizable_table_c4_sign(c4s):
     _, _, C = c4s
-    rep = diagonalizable_cohomology_table(C, up_to=5)
+    rep = diagonalizable_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 1, 1, 1, 1, 1]
 
 
 def test_diagonalizable_table_gh4(gh4_u3):
     _, _, C = gh4_u3
-    rep = diagonalizable_cohomology_table(C, up_to=5)
+    rep = diagonalizable_cohomology_table(C, find_witness(C.alg), 5)
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 2, 1, 1, 2, 2]
 
@@ -360,21 +395,21 @@ def test_odd_cup_rule_on_classes(c4s):
 def test_untwisted_model_line_cubic():
     alg = instances.line_cubic()
     C = complex_of(alg, 5)
-    rep = untwisted_model_check(C)
+    rep = untwisted_model_check(C, 5)
     assert rep["match"], rep["mismatches"]
 
 
 def test_untwisted_model_gf3_cubic():
     alg = instances.gf3_cubic()
     C = complex_of(alg, 5)
-    rep = untwisted_model_check(C)
+    rep = untwisted_model_check(C, 5)
     assert rep["match"], rep["mismatches"]
 
 
 def test_untwisted_rejects_twisted(sweedler):
     _, _, C = sweedler
     with pytest.raises(ClosedFormError):
-        untwisted_model_check(C)
+        untwisted_model_check(C, 6)
 
 
 def test_untwisted_annihilator_line_cubic():
@@ -454,14 +489,14 @@ def test_character_class_basis_refuses_a_non_multiplicative_character(gh4_u3):
 
 def test_group_table_gh4(gh4_u3):
     _, chi, C = gh4_u3
-    rep = group_algebra_cohomology_table(C, chi, up_to=5)
+    rep = group_algebra_cohomology_table(C, chi, 5, find_witness(C.alg))
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [2, 2, 1, 1, 2, 2]
 
 
 def test_group_table_taft3(taft3):
     _, chi, C = taft3
-    rep = group_algebra_cohomology_table(C, chi, up_to=5)
+    rep = group_algebra_cohomology_table(C, chi, 5, find_witness(C.alg))
     assert rep["match"], rep["mismatches"]
     assert rep["closed_table"]["dims"] == [1, 1, 1, 1, 1, 1]
 
@@ -527,7 +562,7 @@ def test_periodicity_taft3(taft3):
 
 def test_presentation_gh4(gh4_u3):
     _, chi, C = gh4_u3
-    rep = presentation_report(C, chi, up_to=5)
+    rep = presentation_report(C, chi, 5, ProductStore(C))
     assert rep["match"], rep["mismatches"]
     kinds = {(g["degree"], g["kind"]): g["count"] for g in rep["generators"]}
     assert kinds[(0, "degree-zero ring")] == 2
@@ -540,7 +575,30 @@ def test_presentation_gh4(gh4_u3):
 def test_presentation_below_the_period_degree_is_a_skip(taft3):
     _, chi, C = taft3
     with pytest.raises(ClosedFormError, match="period degree"):
-        presentation_report(C, chi, up_to=1)
+        presentation_report(C, chi, 1, ProductStore(C))
+
+
+def off_the_twist(alg, chi):
+    """chi with chi(h) = 2: not multiplicative, so not the diagonal of alg's
+    twist, which the spec built from chi."""
+    bad = list(chi)
+    bad[alg.K.group.labels.index("h")] = alg.field.from_int(2)
+    return bad
+
+
+@pytest.mark.parametrize("which", ["group-cohomology", "periodicity", "presentation"])
+def test_a_check_refuses_a_character_off_the_twist(gh4_u3, which):
+    """The checks take the character as given, and check it against the
+    twist: a library caller's character with chi(h) = 2 is a fault."""
+    alg, chi, C = gh4_u3
+    bad = off_the_twist(alg, chi)
+    check = {
+        "group-cohomology": lambda: group_algebra_cohomology_table(C, bad, 5, find_witness(alg)),
+        "periodicity": lambda: cohomology_periodicity(C, bad, 5),
+        "presentation": lambda: presentation_report(C, bad, 5, ProductStore(C)),
+    }[which]
+    with pytest.raises(CohomologyError, match="not the diagonal of the twist"):
+        check()
 
 
 def raising(exc):
@@ -555,26 +613,32 @@ def test_only_cohomology_errors_become_mismatches(sweedler, monkeypatch):
     the engine is a bug and propagates."""
     _, _, C = sweedler
     monkeypatch.setattr(CohomologyGroup, "class_row", raising(CohomologyError("not a cocycle")))
-    rep = diagonalizable_cohomology_table(C, up_to=3)
+    rep = diagonalizable_cohomology_table(C, find_witness(C.alg), 3)
     assert not rep["match"] and "is not a cocycle" in rep["mismatches"][0]
     monkeypatch.setattr(CohomologyGroup, "class_row", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
-        diagonalizable_cohomology_table(C, up_to=3)
+        diagonalizable_cohomology_table(C, find_witness(C.alg), 3)
 
 
 def test_only_cohomology_errors_leave_the_cochain_space(sweedler, monkeypatch):
     _, _, C = sweedler
     monkeypatch.setattr(FreeRows, "matrix", lambda self, rows: None)  # a column outside the span
-    rep = check_collapsed_differentials(C)
+    rep = check_collapsed_differentials(C, find_witness(C.alg), 6)
     assert not rep["match"] and "leaves the cochain space" in rep["mismatches"][0]
     monkeypatch.setattr(FreeRows, "matrix", raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
-        check_collapsed_differentials(C)
+        check_collapsed_differentials(C, find_witness(C.alg), 6)
+
+
+def test_presentation_refuses_a_store_of_another_complex(gh4_u3, taft3):
+    _, chi, C = gh4_u3
+    with pytest.raises(ProductsError, match="another complex"):
+        presentation_report(C, chi, 5, ProductStore(taft3[2]))
 
 
 def test_presentation_taft3_exterior(taft3):
     _, chi, C = taft3
-    rep = presentation_report(C, chi, up_to=5)
+    rep = presentation_report(C, chi, 5, ProductStore(C))
     assert rep["match"], rep["mismatches"]
     assert rep["exterior_pattern"] is not None and rep["exterior_pattern"]["holds"]
 
@@ -601,9 +665,9 @@ def test_presentation_skips_when_n_lambda_is_a_unit(name):
     generic H^{2v} it would have read is 0."""
     alg = UNIT_N_LAMBDA[name]()
     C = complex_of(alg, 6)
-    with pytest.raises(ClosedFormError, match="n times the constant coefficient is invertible"):
-        presentation_report(C, up_to=5)
     chi = closedforms.character_of(alg.K, alg.alpha)
+    with pytest.raises(ClosedFormError, match="n times the constant coefficient is invertible"):
+        presentation_report(C, chi, 5, ProductStore(C))
     v = character_order(alg.K.group, char_power(chi, alg.n))
     assert cohomology_group(C, 2 * v).dim == 0
     if name == "c2_identity":
@@ -616,8 +680,9 @@ def test_presentation_skips_when_a_is_separable():
     class and every positive-degree group vanish: no period generator."""
     C = complex_of(CASES["linear-g"](), 6)
     assert cohomology_dims(C, 5) == [4, 0, 0, 0, 0, 0]
+    chi = character_of(C.alg.K, C.alg.alpha)
     with pytest.raises(ClosedFormError, match="every positive-degree group vanish"):
-        presentation_report(C, up_to=5)
+        presentation_report(C, chi, 5, ProductStore(C))
 
 
 def test_presentation_runs_when_n_lambda_is_a_unit_but_f_is_not_separable():
@@ -627,7 +692,7 @@ def test_presentation_runs_when_n_lambda_is_a_unit_but_f_is_not_separable():
     K = group_algebra(cyclic_group(2), QQ)
     alg = MonogenicAlgebra(K, identity_endo(K), [{"1": -1}, {"1": -1}, {"1": 1}])
     C = complex_of(alg, 6)
-    rep = presentation_report(C, up_to=5)
+    rep = presentation_report(C, character_of(K, alg.alpha), 5, ProductStore(C))
     assert rep["period"] == 2 and cohomology_group(C, 2).dim == 2
     assert rep["dims"] == [6, 2, 2, 2, 2, 2]
     assert rep["match"] and rep["mismatches"] == []
@@ -641,6 +706,11 @@ def rank_one_complex(F, G, chi, g1, n, xi, d):
     K = group_algebra(G, F)
     f = rank_one_f(F, G, G.labels.index(g1), n, F.scalar(xi))
     return complex_of(MonogenicAlgebra(K, endo_from_character(K, chi), f), d)
+
+
+def rank_one_on(C, chi, g1, xi, up_to):
+    """``rank_one_hopf_report`` on C with its witness and a store of its own."""
+    return rank_one_hopf_report(C, chi, g1, xi, up_to, find_witness(C.alg), ProductStore(C))
 
 
 def test_rank_one_broken_raises():
@@ -687,7 +757,7 @@ def test_rank_one_with_trivial_distinguished_power_is_admissible(tmp_path, capsy
 
 def test_rank_one_case2():
     F, G, chi, g1, n, xi = instances.rank_one_case2_data()
-    rep = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 6), chi, g1, xi, up_to=5)
+    rep = rank_one_on(rank_one_complex(F, G, chi, g1, n, xi, 6), chi, g1, xi, 5)
     assert rep["match"], rep["mismatches"]
     assert rep["case"] == "monogenic over the group algebra"
     assert rep["dims"] == [2, 1, 1, 1, 1, 1]
@@ -723,6 +793,23 @@ def test_rank_one_lifts_each_representative_once(monkeypatch, capsys):
     assert len(lifted) == len(set(lifted))
 
 
+@pytest.mark.parametrize("g1, chi_g", [("g", -1), ("g^2", 5)], ids=["trivial-power", "nontrivial-power"])
+def test_rank_one_refuses_a_store_of_another_complex(g1, chi_g):
+    """On every path, also where a nontrivial n-th character power leaves
+    the quotient model to carry every table and no bracket row reads the
+    store: C4 with chi(g) = -1, g1 = g over QQ; chi(g) = 5, g1 = g^2 over
+    GF(13)."""
+    from orecohom.fields import prime_field
+    from orecohom.kalgebra import character_from_values
+
+    F = QQ if chi_g == -1 else prime_field(13)
+    G = cyclic_group(4)
+    chi = character_from_values(G, F, {"g": chi_g})
+    C, other = (rank_one_complex(F, G, chi, g1, 2, 1, 4) for _ in range(2))
+    with pytest.raises(ProductsError, match="another complex"):
+        rank_one_hopf_report(C, chi, g1, 1, 3, find_witness(C.alg), ProductStore(other))
+
+
 def test_mixed_degree_bracket_keeps_trace_terms(c4s):
     from orecohom.monogenic import AElem
     from orecohom.products import bracket_small_generic
@@ -732,7 +819,7 @@ def test_mixed_degree_bracket_keeps_trace_terms(c4s):
     H3 = cohomology_group(C, 3)
     a = SmallCochain(alg, 1, AElem(alg, H1.reps_ambient[0]))
     b = SmallCochain(alg, 3, AElem(alg, H3.reps_ambient[0]))
-    got = bracket_small_generic(a, b)
+    got = bracket_small_generic(a, b, 5, BarOracle(alg))
     cls = H3.class_coords(got.value.coords)
     assert any(not c.is_zero() for c in cls)
 
@@ -742,7 +829,7 @@ def test_rank_one_degenerate_distinguished_square():
 
     G = cyclic_group(2)
     chi = character_from_values(G, QQ, {"g": -1})
-    rep = rank_one_hopf_report(rank_one_complex(QQ, G, chi, "g", 2, 1, 5), chi, "g", 1, up_to=4)
+    rep = rank_one_on(rank_one_complex(QQ, G, chi, "g", 2, 1, 5), chi, "g", 1, 4)
     assert rep["match"], rep["mismatches"]
     assert rep["case"] == "monogenic over the group algebra"
     assert rep["dims"] == rep["quotient_dims"]
@@ -751,8 +838,8 @@ def test_rank_one_degenerate_distinguished_square():
 def test_rank_one_reads_its_top_degree_not_the_complex_depth():
     """On a complex deeper than the table, the bracket rows stop at up_to."""
     F, G, chi, g1, n, xi = instances.rank_one_case2_data()
-    deep = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 8), chi, g1, xi, up_to=2)
-    exact = rank_one_hopf_report(rank_one_complex(F, G, chi, g1, n, xi, 3), chi, g1, xi, up_to=2)
+    deep = rank_one_on(rank_one_complex(F, G, chi, g1, n, xi, 8), chi, g1, xi, 2)
+    exact = rank_one_on(rank_one_complex(F, G, chi, g1, n, xi, 3), chi, g1, xi, 2)
     assert deep == exact
     assert deep["bracket_rows"] and all(row["degrees"] == [1, 1] for row in deep["bracket_rows"])
 
@@ -768,7 +855,7 @@ def test_rank_one_on_another_algebra_raises(xi, chi_g, reason):
     F, G, chi, g1, n, _ = instances.rank_one_case2_data()
     C = rank_one_complex(F, G, chi, g1, n, 1, 3)
     with pytest.raises(ClosedFormError, match=reason):
-        rank_one_hopf_report(C, character_from_values(G, F, {"g": chi_g}), g1, xi)
+        rank_one_on(C, character_from_values(G, F, {"g": chi_g}), g1, xi, 2)
 
 
 # -- quaternions under rotation ------------------------------------------------------
@@ -816,7 +903,7 @@ def test_quaternion_on_another_twist_raises():
     C, _ = quaternion_complex(1, 3)
     one, zero = QQ.one, QQ.zero
     with pytest.raises(ClosedFormError, match="the run's twist differs"):
-        quaternion_rotation_report(C, one, zero, one, zero)
+        quaternion_rotation_report(C, one, zero, one, zero, 2)
 
 
 # -- every dimension table compares with the generic dims -----------------------
@@ -843,7 +930,16 @@ def test_dimension_tables_report_a_generic_mismatch(monkeypatch, request, table,
     """A generic dimension table off by one in degree 1 turns each closed
     dimension table into a mismatch, recorded after every other one."""
     C = request.getfixturevalue(fixture)[-1]
-    assert table(C, up_to=4)["match"]
+    w = find_witness(C.alg)
+
+    def run():
+        if table is untwisted_annihilator_table:
+            return table(C, 4)
+        if table is group_algebra_cohomology_table:
+            return table(C, character_of(C.alg.K, C.alg.alpha), 4, w)
+        return table(C, w, 4)
+
+    assert run()["match"]
     original = closedforms.cohomology_dims
 
     def off_by_one(C, up_to):
@@ -852,7 +948,7 @@ def test_dimension_tables_report_a_generic_mismatch(monkeypatch, request, table,
         return dims
 
     monkeypatch.setattr(closedforms, "cohomology_dims", off_by_one)
-    rep = table(C, up_to=4)
+    rep = run()
     assert not rep["match"]
     assert rep["mismatches"][-1] == "dimension tables differ"
 
@@ -877,6 +973,9 @@ def folded_and_unfolded_tables(alg, D: int) -> dict:
     def membership(period):
         return lambda: period(K, character_of(K, alg.alpha), n)
 
+    def group_table(table):
+        return lambda: table(C, character_of(K, alg.alpha), D, w)
+
     pairs = {
         "collapsed-spaces": (lambda: check_collapsed_cochain_spaces(C, w, D),
                              lambda: unfolded_collapsed_spaces(C, w, D)),
@@ -886,8 +985,8 @@ def folded_and_unfolded_tables(alg, D: int) -> dict:
                                  lambda: unfolded_collapsed_cohomology(C, w, D)),
         "diagonalizable": (lambda: diagonalizable_cohomology_table(C, w, D),
                            lambda: unfolded_diagonalizable(C, w, D)),
-        "group-cohomology": (lambda: group_algebra_cohomology_table(C, None, D, w),
-                             lambda: unfolded_group_cohomology(C, None, D, w)),
+        "group-cohomology": (group_table(group_algebra_cohomology_table),
+                             group_table(unfolded_group_cohomology)),
         "untwisted-annihilator": (lambda: untwisted_annihilator_table(C, D),
                                   lambda: unfolded_annihilator_table(C, D)),
         "membership-period": (membership(class_membership_period),

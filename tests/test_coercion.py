@@ -118,6 +118,18 @@ def test_structure_constants_from_ints_build_the_same_algebra(field):
     assert K.kmul(K.elem("g"), K.elem("g")) == K.unit
 
 
+def test_monomial_takes_raw_values_through_elem(sweedler):
+    """`monomial` and `k_embed` read a coordinate tuple, a basis label and
+    the payload row alike: raw values go through `K.elem`, which returns an
+    element of K as given."""
+    A, row = sweedler, sweedler.K.elem("g")
+    for a in range(A.n):
+        want = A.monomial(row, a)
+        assert want.nz == {a * A.K.dim + 1: QQ.one.v}
+        assert A.monomial((0, 1), a) == A.monomial("g", a) == want
+    assert A.k_embed((1, 0)) == A.k_embed("1") == A.k_embed(A.K.unit) == A.one
+
+
 # each entry point, fed True somewhere, on the sweedler algebra A
 TRUE_ENTRIES = {
     "Field.scalar": lambda A: QQ.scalar(True),

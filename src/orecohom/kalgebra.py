@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import EchelonTracker, Mat, kernel_basis, payloads, rank, row_sum, same_field
+from .linalg import EchelonTracker, Mat, kernel_basis, matrix_sum, payloads, rank, row_sum, same_field
 
 
 class AlgebraError(ValueError):
@@ -849,11 +849,10 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     With R_b and L_c the right and left actions of K's basis elements on a
     dim-dimensional module, the matrices ``right[b]`` and ``left[c]``, and
     ``twist`` the matrix of alpha^r, these are the m with
-    m e_b = alpha^r(e_b) m.  Each row of a constraint R_b - L(alpha^r(e_b))
-    is one ``row_sum`` of the rows of the action matrices by the entries of
-    column b of ``twist``, the payload row the echelon keeps; a matrix of
-    another field raises :func:`mixed`.  The rows go into one echelon until
-    full rank, whose free-variable kernel is the basis.  Only the actions of
+    m e_b = alpha^r(e_b) m.  Each constraint R_b - L(alpha^r(e_b)) is one
+    ``matrix_sum`` of the action matrices by column b of ``twist`` (a matrix
+    of another field raises :func:`mixed`); its nonzero rows go, in order,
+    into one echelon until full rank, whose free-variable kernel is the basis.  Only the actions of
     the stacked b and of the support of their twist columns are read, so a
     ``BasisActions`` sequence (K's own and the regular bimodule's) builds no
     others.
@@ -871,14 +870,10 @@ def twisted_kernel(field: Field, dim: int, right: Sequence[Mat], left: Sequence[
     reduced free-variable basis of a space is unique, so the columns are the
     same as from every constraint, not only their span."""
     same_field(field, twist.field)
-    tracker, neg = EchelonTracker(field, dim), field._neg
-    twist_cols = twist.transpose().sparse
+    tracker, neg, twist_cols = EchelonTracker(field, dim), field._neg, twist.transpose().sparse
     for b in range(len(right)) if generators is None else generators:
         terms = [(field.one.v, right[b])] + [(neg(t), left[c]) for c, t in twist_cols[b].items()]
-        for _, A in terms:
-            same_field(field, A.field)
-        for i in range(dim):
-            row = row_sum(field, ((cv, A.sparse[i]) for cv, A in terms))  # R_b[i] - sum_c t_cb L_c[i]
+        for row in matrix_sum(field, terms, dim):  # R_b - sum_c t_cb L_c
             if row:
                 tracker.add_payloads(row)
                 if tracker.dim == dim:

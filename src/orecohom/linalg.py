@@ -18,7 +18,9 @@ entries, test for zero on the payload (exact, as payloads are canonical),
 add and multiply through the field's ``_add``/``_mul`` and skip products by
 the unit.  Each sum is one pass: a sum that cancels is removed where it
 happens (``row_sum``, ``_accumulate``, ``kalgebra.table_mul_into``), so a
-payload row never holds the zero payload and needs no second pass.
+payload row never holds the zero payload and needs no second pass; a sum of
+matrices is one ``matrix_sum`` (``Mat.add``, ``Mat.scale``, the actions and
+``hom`` of ``cohomology.Bimodule`` and ``kalgebra.twisted_kernel``).
 Pivoting always selects the first nonzero entry, so every basis this
 module emits is reproducible across runs and platforms.
 """
@@ -83,6 +85,33 @@ def row_sum(field: Field, terms) -> dict:
                     continue
             acc[k] = t
     return {} if acc is None else acc
+
+
+def matrix_sum(field: Field, terms, rows: int) -> list[dict]:
+    """The new payload rows of the sum of c * M over the (c, M) pairs of
+    ``terms``, c a payload and M a ``rows``-row matrix of ``field``: one pass
+    per matrix, ``row_sum`` with its zero and unit tests of c made per matrix."""
+    mul, add, one, zv = field._mul, field._add, field.one.v, field.zero.v
+    out = None
+    for c, M in terms:
+        same_field(field, M.field)
+        if c == zv:
+            continue
+        unit = c == one
+        if out is None:
+            out = [dict(r) for r in M.sparse] if unit else [{k: mul(c, x) for k, x in r.items()} for r in M.sparse]
+            continue
+        for acc, row in zip(out, M.sparse):
+            for k, x in row.items():
+                t = x if unit else mul(c, x)
+                p = acc.get(k)
+                if p is not None:
+                    t = add(p, t)
+                    if t == zv:
+                        del acc[k]
+                        continue
+                acc[k] = t
+    return [{} for _ in range(rows)] if out is None else out
 
 
 def _accumulate(out: dict, c, pairs, field: Field) -> None:
@@ -215,16 +244,13 @@ class Mat:
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch in add")
-        field = self.field
-        same_field(field, other.field)
-        one = field.one.v
-        out = [row_sum(field, [(one, r1), (one, r2)]) for r1, r2 in zip(self.sparse, other.sparse)]
-        return Mat.from_sparse_rows(field, out, self.cols)
+        field, one = self.field, self.field.one.v
+        return Mat.from_sparse_rows(field, matrix_sum(field, [(one, self), (one, other)], self.rows), self.cols)
 
     def scale(self, s: Scalar) -> "Mat":
         field = self.field
         same_field(field, s.field)
-        return Mat.from_sparse_rows(field, [row_sum(field, [(s.v, r)]) for r in self.sparse], self.cols)
+        return Mat.from_sparse_rows(field, matrix_sum(field, [(s.v, self)], self.rows), self.cols)
 
     def is_zero(self) -> bool:
         return not any(self.sparse)

@@ -691,6 +691,30 @@ def test_report_reads_the_character_once(capsys, monkeypatch, name):
     assert rebuilds == []
 
 
+@pytest.mark.parametrize("name, reads", [("quaternion_pi.json", 1), ("swap3.json", 1), ("truncated_square.json", 1),
+                                         ("gh4_u3.json", 0), ("c4_sign.json", 0)])
+def test_report_reads_the_twist_for_a_character_once(capsys, monkeypatch, name, reads):
+    """A spec with no character has it read off the twist once per run: the
+    first read of `Session.chi` raises, and the four checks that read it
+    each get that same error again, not a fresh `character_of`.  A spec
+    with a character never reads one off the twist."""
+    calls = count_calls(monkeypatch, closedforms, "character_of")
+    assert run(capsys, "report", spec(name))[0] == 0
+    assert len(calls) == reads
+
+
+def test_session_chi_reraises_its_first_error(monkeypatch):
+    """Every read of a run's missing character raises the one ClosedFormError
+    its first read raised."""
+    session = cli.Session(load_instance(spec("swap3.json")), cli.build_parser().parse_args(["report", spec("swap3.json")]))
+    errors = []
+    for _ in range(3):
+        with pytest.raises(closedforms.ClosedFormError) as exc:
+            session.chi
+        errors.append(exc.value)
+    assert errors[0] is errors[1] is errors[2]
+
+
 @pytest.mark.parametrize("name", ["sweedler.json", "taft37.json", "c4_sign.json", "quaternion_pi.json"])
 def test_report_compiles_the_algebra_once(capsys, monkeypatch, name):
     """validate's normality and contraction checks read the session's one

@@ -16,15 +16,17 @@ resolution against its entrywise columns, the unit shortcut of
 extension-field products against the full product, and the base-field
 shortcut of extension-field inverses against fraction-free elimination.
 
-The loops that run on field payloads (`row_sum`, `_accumulate` and through
-it the echelon, `Mat.apply` behind `matvec`, `table_mul_into`, and
-`row_sum` as the constraint rows of `twisted_kernel`) are checked against
-the Scalar-level loops and dense routes they replaced, with a seeded
-overwrite-the-sum fault in each; `row_sum` and `table_mul_into` remove a
-sum that cancels, checked on forced cancellations with a seeded
-keep-the-zero fault in each; and `Resolution.contraction_check` against
+The loops that run on field payloads (`row_sum`, `matrix_sum`,
+`_accumulate` and through it the echelon, `Mat.apply` behind `matvec`,
+`table_mul_into`, and `matrix_sum` as the constraints of `twisted_kernel`)
+are checked against the Scalar-level loops and dense routes they replaced,
+with a seeded overwrite-the-sum fault in each; `row_sum`, `matrix_sum` and
+`table_mul_into` remove a sum that cancels, checked on forced cancellations
+with a seeded keep-the-zero fault in each; and `Resolution.contraction_check` against
 its TensorElem route (both kept in conftest.py), on intact and on broken
-columns.  A `twisted_kernel` call boxes no Scalar.  The free-row
+columns.  A `twisted_kernel` call boxes no Scalar.  `Bimodule.hom` and
+the actions `L_elem`/`R_elem`, all sums by `matrix_sum`, are checked
+against sums taken one `row_sum` per row.  The free-row
 reads of reduced free-variable bases (`FreeRows`, and through it
 `SmallComplex.to_sub`) are checked against `LinSolver` and the dense solve,
 and class coordinates read from a sparse vector against those of its dense
@@ -305,6 +307,52 @@ def test_regular_bimodule_matches(case):
     alg = case[0]
     M, D = Bimodule.regular(alg), dense_regular(Bimodule, alg)
     assert (list(M.L_k), list(M.R_k), M.Lx, M.Rx) == (D.L_k, D.R_k, D.Lx, D.Rx)
+
+
+def row_sum_action(M, basis_actions, u) -> Mat:
+    """The action of u in K, one `row_sum` per row of the basis actions."""
+    acts = [(c, basis_actions[b]) for b, c in M.alg.K.elem(u).items()]
+    return Mat.from_sparse_rows(M.field, [row_sum(M.field, ((c, A.sparse[i]) for c, A in acts))
+                                          for i in range(M.dim)], M.dim)
+
+
+def row_sum_hom(M, t) -> Mat:
+    """`Bimodule.hom` with no test for k_a = s 1: every L(k_a) Lx^a Rx^c
+    built, and the terms summed by one `row_sum` per row."""
+    F, terms = M.field, []
+    for c in t.powers():
+        u = t.left_factor(c)
+        terms += [row_sum_action(M, M.L_k, u.k_coeff(a)).matmul(M.Lx_pow(a)).matmul(M.Rx_pow(c)) for a in u.x_degrees()]
+    return Mat.from_sparse_rows(F, [row_sum(F, ((F.one.v, T.sparse[i]) for T in terms)) for i in range(M.dim)], M.dim)
+
+
+@pytest.mark.parametrize("name", [*(n for n in sorted(CASES) if n.startswith("spec:") and n != "spec:sweedler_bad"),
+                                  "gh4(3)"])
+def test_hom_and_actions_match_row_sums(monkeypatch, name):
+    """On the regular bimodule, `hom` of d'_1 and d'_2 and the actions of
+    K's basis and of a drawn element equal their sums taken one `row_sum`
+    per row, and `hom` boxes only K's unit coefficient and its inverse."""
+    alg = gh4_instance(3)[0] if name == "gh4(3)" else CASES[name]()
+    M, res, K = Bimodule.regular(alg), Resolution(alg, 4), alg.K
+    i = min(K.unit)
+    boxes, init = [], Scalar.__init__
+
+    def counting(self, field, v):
+        boxes.append(v)
+        init(self, field, v)
+
+    for r in (1, 2):
+        t = res.d_generator(r)
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "__init__", counting)
+            got = M.hom(t)
+        assert boxes == [K.unit[i], K.field._inv(K.unit[i])], r
+        assert got == row_sum_hom(M, t), r
+        boxes.clear()
+    rng = random.Random(9)
+    for u in [K.basis_elem(b) for b in range(K.dim)] + [payloads(vector(K.field, K.dim, rng, 0.7))]:
+        assert M.L_elem(u) == row_sum_action(M, M.L_k, u)
+        assert M.R_elem(u) == row_sum_action(M, M.R_k, u)
 
 
 def test_compiled_table_matches(case):
@@ -606,13 +654,14 @@ def constraint_actions(F, n, rng, density, kind):
 
 
 def payload_loops_agree(F, seed):
-    """`row_sum`, `_accumulate`, `Mat.matvec`, `table_mul_into`, the echelon
-    behind `rref` and `kernel_basis` (whose `_reduce` and `add_payloads` run
-    on `_accumulate`) and the constraint rows of `twisted_kernel`, read
-    through their modules, equal the Scalar-level loops on random vectors of
-    every density whose coefficients and entries are 1, -1 or random; sums
-    that accumulate on one index and sums that cancel to zero are included,
-    and every payload row returned holds no zero payload."""
+    """`row_sum`, `matrix_sum`, `_accumulate`, `Mat.matvec`, `table_mul_into`,
+    the echelon behind `rref` and `kernel_basis` (whose `_reduce` and
+    `add_payloads` run on `_accumulate`) and the constraints of
+    `twisted_kernel`, read through their modules, equal the Scalar-level
+    loops on random vectors of every density whose coefficients and entries
+    are 1, -1 or random; sums that accumulate on one index and sums that
+    cancel to zero are included (`matrix_sum` also with zero, unit and -1
+    coefficients), and every payload row returned holds no zero payload."""
     rng, n, zv = random.Random(seed), 6, F.zero.v
     for density, (ka, kb) in itertools.product(DENSITIES, itertools.product(KINDS, repeat=2)):
         a, b = drawn(F, n, rng, density, ka), drawn(F, n, rng, density, kb)
@@ -621,6 +670,13 @@ def payload_loops_agree(F, seed):
         got = linalg.row_sum(F, [(c.v, payload_row(dict(v))) for c, v in terms])
         assert scalar_row(F, got) == scalar_combine(terms), (density, ka, kb)
         assert zv not in got.values()
+        A, B = (Mat(F, [drawn(F, n, rng, density, k) for _ in range(3)], n) for k in (ka, kb))
+        mterms = [(ca, A), (F.zero, B), (cb, B), (F.one, A), (-F.one, B), (-cb, B)]  # -cb B cancels cb B
+        got = linalg.matrix_sum(F, [(c.v, M) for c, M in mterms], 3)
+        for i, row in enumerate(got):
+            assert scalar_row(F, row) == scalar_combine([(c, support(M.data[i])) for c, M in mterms]), (density, i)
+            assert zv not in row.values()
+        assert linalg.matrix_sum(F, [(zv, A)], 3) == linalg.matrix_sum(F, [], 3) == [{}, {}, {}]
         out, ref = payloads(a), dict(support(a))
         linalg._accumulate(out, cb.v, payloads(b).items(), F)
         scalar_accumulate(ref, cb, support(b), zv)
@@ -647,15 +703,17 @@ def test_payload_loops_match_scalar_loops(name):
 
 
 # Each loop with a unit shortcut that overwrites the running sum instead of
-# adding to it; the constraint rows of `twisted_kernel` are `row_sum` as
+# adding to it; the constraints of `twisted_kernel` are `matrix_sum` as
 # kalgebra reads it, and `matvec` runs on `Mat.apply`.
 OVERWRITING_UNIT = {  # name -> (owner, attribute, its function, old source, new source)
     "row_sum": (linalg, "row_sum", linalg.row_sum, "if p is not None:", "if p is not None and not unit:"),
+    "matrix_sum": (linalg, "matrix_sum", linalg.matrix_sum, "if p is not None:", "if p is not None and not unit:"),
     "_accumulate": (linalg, "_accumulate", linalg._accumulate, "if p is not None:", "if p is not None and not unit:"),
     "matvec": (Mat, "apply", Mat.apply, "acc = t if acc is None else", "acc = t if acc is None or a == one else"),
     "table_mul_into": (kalgebra, "table_mul_into", kalgebra.table_mul_into, "if p is not None:",
                        "if p is not None and not unit:"),
-    "twisted_kernel": (kalgebra, "row_sum", linalg.row_sum, "if p is not None:", "if p is not None and not unit:"),
+    "twisted_kernel": (kalgebra, "matrix_sum", linalg.matrix_sum, "if p is not None:",
+                       "if p is not None and not unit:"),
 }
 
 
@@ -672,9 +730,11 @@ def cancelled_sums_property():
     """A derandomized hypothesis test, on QQ, GF(7), QQ(i) and GF(9), with
     cancellations forced: `row_sum` of c r, other terms and -c r, and of
     c r and -c r; `table_mul_into` of u v where e_i2 and e_i have the same
-    products and u_i2 = -u_i, and of u v then (-u) v into the same row.
-    Each stores no zero payload and equals `scalar_combine` /
-    `scalar_table_mul`; the sums of a term and its negative are empty."""
+    products and u_i2 = -u_i, and of u v then (-u) v into the same row;
+    `matrix_sum` of c M, other terms and -c M, and of c M, other terms, -c M
+    and the other terms negated.  Each stores no zero payload and equals
+    `scalar_combine` / `scalar_table_mul`; the sums of terms and their
+    negatives are empty."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     n = 5
@@ -711,6 +771,16 @@ def cancelled_sums_property():
         kalgebra.table_mul_into(got, payload_table, F, [(k, F._neg(x)) for k, x in payload_row(u).items()],
                                 payload_row(v).items())
         assert got == {}
+        rows = data.draw(st.integers(1, 3))
+        mat = st.lists(row, min_size=rows, max_size=rows)
+        M, others = data.draw(mat), data.draw(st.lists(st.tuples(elem, mat), max_size=3))
+        terms = [(c, M), *others, (-c, M)]
+        got = linalg.matrix_sum(F, [(x.v, Mat.from_sparse_rows(F, map(payload_row, m), n)) for x, m in terms], rows)
+        for i, got_row in enumerate(got):
+            assert zv not in got_row.values() and scalar_row(F, got_row) == scalar_combine([(x, m[i]) for x, m in terms])
+        terms += [(-x, m) for x, m in others]
+        assert linalg.matrix_sum(F, [(x.v, Mat.from_sparse_rows(F, map(payload_row, m), n)) for x, m in terms],
+                                 rows) == [{}] * rows
 
     return check
 
@@ -719,11 +789,11 @@ def test_cancelled_sums_are_removed():
     cancelled_sums_property()()
 
 
-@pytest.mark.parametrize("loop", ["row_sum", "table_mul_into"])
+@pytest.mark.parametrize("loop", ["row_sum", "matrix_sum", "table_mul_into"])
 def test_seeded_kept_zero_sum_is_caught(monkeypatch, loop):
     """The `del acc[k]` branch dropped: a cancelled sum is kept as a zero
     payload."""
-    owner = linalg if loop == "row_sum" else kalgebra
+    owner = kalgebra if loop == "table_mul_into" else linalg
     monkeypatch.setattr(owner, loop, mutant(getattr(owner, loop), "del acc[k]", "acc[k] = t"))
     with pytest.raises(AssertionError):
         cancelled_sums_property()()

@@ -93,7 +93,8 @@ class Session:
         self.D = args.max_degree if args.max_degree is not None else inst.default_degree()
         self.candidates = _witness_candidates(inst, getattr(args, "witness", None))
         which = getattr(args, "which", None)
-        self.which = list(THEOREM_CHECKS) if which is None else [t.strip() for t in which.split(",") if t.strip()]
+        names = THEOREM_CHECKS if which is None else (t.strip() for t in which.split(",") if t.strip())
+        self.which = list(dict.fromkeys(names))  # each check once, in order of first mention
         unknown = [t for t in self.which if t not in THEOREM_CHECKS]
         if unknown or not self.which:
             problem = f"unknown checks {unknown}" if unknown else f"--which {which!r} names no check"

@@ -232,11 +232,13 @@ class MonogenicAlgebra:
     def _compile(self) -> None:
         """Set the stored powers of ``xpow``, ``wrap_terms`` and the sparse
         ``mul_table``: (e_b x^a)(e_b2 x^a2) = u x^(a + a2) with
-        u = e_b alpha^a(e_b2).  For a + a2 < n, x^(a + a2) is its own normal
-        form and u is stored as it is, which takes K's unit law on trust: a
-        checked build runs ``instance_checks`` first; else u multiplies each
-        nonzero K-coefficient of the normal form.  All of it runs on payload
-        rows."""
+        u = e_b alpha^a(e_b2), formed once per (a, b, b2) for every a2.  When
+        column b2 of alpha^a is one entry s e_c and K's table has e_b e_c = p e_k,
+        u = (s p) e_k is read off it; else u is one ``table_mul_into``.  For
+        a + a2 < n, x^(a + a2) is its own normal form and u is stored as it
+        is, which takes K's unit law on trust: a checked build runs
+        ``instance_checks`` first; else u multiplies each nonzero
+        K-coefficient of the normal form.  All of it runs on payload rows."""
         K, n, F = self.K, self.n, self.field
         ktab, neg = K.mul_table, F._neg
         # normal form of x^m for 0 <= m <= 2n: list over j < n of K-coefficients
@@ -260,26 +262,31 @@ class MonogenicAlgebra:
         # keep their nonzero K-coefficients as (j, c_j pairs)
         reduced = [[(j * d, cj.items()) for j, cj in enumerate(row) if cj] for row in nf[n:]]
         table: dict[tuple[int, int], list[tuple]] = {}
-        one = F.one.v
-        for a in range(n):
-            images = [image.items() for image in self._alpha_columns(a)]
+        one, mul = F.one.v, F._mul
+        for a in range(n):  # the flat index of e_b x^a is a d + b
+            low = [(a2 * d, (a + a2) * d) for a2 in range(n - a)]  # x^(a + a2) at its offset
+            high = [(a2 * d, reduced[a + a2 - n]) for a2 in range(n - a, n)]
+            images = [list(image.items()) for image in self._alpha_columns(a)]
             for b in range(d):
                 eb = ((b, one),)
                 for b2, image in enumerate(images):
-                    u = sorted(table_mul_into({}, ktab, F, eb, image).items())
-                    if not u:
-                        continue
-                    for a2 in range(n):  # the flat index of e_b x^a is a d + b
-                        if a + a2 < n:
-                            off = (a + a2) * d
-                            terms = [(off + b3, p) for b3, p in u]
-                        else:
-                            terms = []
-                            for off, cj in reduced[a + a2 - n]:
-                                w = table_mul_into({}, ktab, F, u, cj)
-                                terms += [(off + b3, w[b3]) for b3 in sorted(w)]
+                    t = ktab.get((b, image[0][0])) if len(image) == 1 else None
+                    if t is not None and len(t) == 1:  # alpha^a(e_b2) = s e_c, e_b e_c = p e_k
+                        (k, p), s = t[0], image[0][1]
+                        u = [(k, p if s == one else mul(s, p))]
+                    else:
+                        u = sorted(table_mul_into({}, ktab, F, eb, image).items())
+                        if not u:
+                            continue
+                    for col, off in low:
+                        table[(a * d + b, col + b2)] = [(off + b3, p) for b3, p in u]
+                    for col, powers in high:
+                        terms = []
+                        for off, cj in powers:
+                            w = table_mul_into({}, ktab, F, u, cj)
+                            terms += [(off + b3, w[b3]) for b3 in sorted(w)]
                         if terms:
-                            table[(a * d + b, a2 * d + b2)] = terms
+                            table[(a * d + b, col + b2)] = terms
         self.mul_table = table
 
     def _alpha_columns(self, d: int) -> list[dict]:
@@ -290,7 +297,10 @@ class MonogenicAlgebra:
         """Raise MonogenicError unless the compiled table obeys the commutation
         rule and f is normal; run by a checked build, after ``instance_checks``.
         It runs on payloads and reads alpha^d(mu) off the columns of alpha^d,
-        as ``_compile`` does.  A zero c_d is skipped: both sides are 0."""
+        as ``_compile`` does.  A zero c_d is skipped: both sides are 0.  The
+        commutation runs on every basis element of K, not only on
+        ``alpha.generators``: that the lambda it holds for form a subalgebra
+        needs the compiled table to be associative, which nothing certifies."""
         F, ktab, atab = self.field, self.K.mul_table, self.mul_table
         cols = [self._alpha_columns(d) for d in range(self.n + 1)]
         # x lambda = alpha(lambda) x for all basis lambda, on the compiled table

@@ -154,12 +154,34 @@ def linear_g_coefficient():
     return MonogenicAlgebra(K, identity_endo(K), [{"g": 1}, {}])
 
 
+def quaternion_rotated():
+    """The quaternions over QQ rotated by the angle with cos = -7/25 and
+    sin = 24/25 (half-angle 3/5, 4/5), with f = x^2: alpha(i) and alpha(j)
+    have two terms each."""
+    F = QQ
+    K, alpha = quaternion_algebra(F, Fraction(-7, 25), Fraction(24, 25), Fraction(3, 5), Fraction(4, 5))
+    return MonogenicAlgebra(K, alpha, [{}, {}])
+
+
+def sqrt5_galois():
+    """QQ(sqrt 5) = QQ<1, t> with t t = 1 + t, twisted by its Galois map
+    t -> 1 - t, with f = x^2 - 1: t t and alpha(t) have two terms each.  A is
+    the split cyclic algebra (QQ(sqrt 5)/QQ, alpha, 1), isomorphic to
+    M_2(QQ)."""
+    F = QQ
+    o, z = F.one, F.zero
+    quads = [(0, 0, 0, o), (0, 1, 1, o), (1, 0, 1, o), (1, 1, 0, o), (1, 1, 1, o)]
+    K = AlgebraK.from_structure_constants(F, 2, ["1", "t"], (o, z), quads)
+    return MonogenicAlgebra(K, Endo(K, Mat(F, [[o, o], [z, -o]])), [{}, {"1": -1}])
+
+
 _QI = instances.gaussian_rationals()
 _GF9 = extension_field(prime_field(3), [1, 0, 1], "t")
 
 # The canned instances, every demo spec (unchecked: sweedler_bad is not
-# admissible), twisted cyclic group algebras over QQ, GF(7), QQ(i), GF(9) and
-# an admissible f with a non-scalar middle coefficient.
+# admissible), twisted cyclic group algebras over QQ, GF(7), QQ(i), GF(9), an
+# admissible f with a non-scalar middle coefficient, and two instances whose
+# compiled table reads K-products of more than one term.
 CASES = {
     **CANNED,
     **{f"spec:{p.stem}": (lambda p=p: load_instance(str(p)).algebra(check=False)) for p in SPECS},
@@ -168,6 +190,8 @@ CASES = {
     "cyclic:QQ(i)": lambda: twisted_cyclic(_QI, 4, _QI.gen),
     "cyclic:GF9": lambda: twisted_cyclic(_GF9, 4, _GF9.gen),
     "linear-g": linear_g_coefficient,
+    "quaternion_rotated": quaternion_rotated,
+    "sqrt5_galois": sqrt5_galois,
 }
 
 

@@ -517,6 +517,17 @@ def test_which_selects_checks(capsys):
     ]
 
 
+def test_which_runs_each_named_check_once(capsys):
+    """A check named twice runs once, in the order of its first mention."""
+    rc, out = run(capsys, "theorems", spec("sweedler.json"), "--which", "periodicity,periodicity", "--format", "csv")
+    assert rc == 0
+    assert out.splitlines() == ["check,status", "periodicity,ok"]
+    rc, payload = run_json(capsys, "theorems", spec("sweedler.json"), "--which",
+                           "periodicity, collapsed-cohomology,periodicity")
+    assert rc == 0
+    assert [e["which"] for e in payload["checks"]] == ["periodicity", "collapsed-cohomology"]
+
+
 def test_unknown_which_exits_2(capsys):
     rc = main(["theorems", spec("sweedler.json"), "--which", "no-such-check"])
     assert rc == 2

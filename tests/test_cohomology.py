@@ -1,5 +1,5 @@
 import pytest
-from conftest import CANNED, in_span, twist_period, unfolded_complex, unfolded_dims
+from conftest import CANNED, CASES, in_span, twist_period, unfolded_complex, unfolded_dims
 
 from orecohom.cohomology import (
     Bimodule,
@@ -174,6 +174,15 @@ def test_unit_quadratic():
     A = line_algebra([0, -1])  # f = x^2 - 1, derivative invertible
     C = SmallComplex(A, Bimodule.regular(A), 5)
     assert cohomology_dims(C, 4) == [2, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name, dims", [("quaternion_rotated", [2, 1, 1, 1, 1]), ("sqrt5_galois", [1, 0, 0, 0, 0])])
+def test_multi_term_twist_dims(name, dims):
+    """The two cases whose compiled table reads K-products of more than one
+    term.  QQ(sqrt 5)[x; alpha]/(x^2 - 1) is the split cyclic algebra, M_2(QQ),
+    which is separable: its Hochschild cohomology is QQ in degree 0 only."""
+    A = CASES[name]()
+    assert cohomology_dims(SmallComplex(A, Bimodule.regular(A), 5), 4) == dims
 
 
 def test_gf3_truncated_cube():

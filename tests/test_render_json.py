@@ -67,8 +67,9 @@ def test_generated_payloads_are_written_as_json_dumps():
     """A derandomized hypothesis test over nested payloads: strings with
     quotes, backslashes, control and non-ASCII characters, integers past 64
     bits of either sign, bools, None and empty or nested-empty containers;
-    lists of str only and of int only (which the writer joins in one go),
-    lists that mix the two, lists of bools and empty lists."""
+    lists of str only and of int only, lists that mix the two, lists of
+    bools and empty lists.  The writer takes every list element by element,
+    whatever its leaves."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé 😀'), st.characters()), max_size=8)

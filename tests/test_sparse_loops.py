@@ -78,14 +78,14 @@ from conftest import (
 )
 from bar_reference import apply_d, apply_s
 
-from orecohom import kalgebra, linalg
+from orecohom import kalgebra, linalg, monogenic
 
 from orecohom.cohomology import Bimodule, CohomologyError, build_small_complex, cohomology_group
 from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_field
 from orecohom.instances import gaussian_rationals, gh4_instance
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
 from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, dense, kernel_basis, rank, rref, row_sum
-from orecohom.monogenic import AElem, Resolution, TensorElem
+from orecohom.monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem
 
 GF7 = prime_field(7)
 QI = gaussian_rationals()
@@ -355,13 +355,51 @@ def test_hom_and_actions_match_row_sums(monkeypatch, name):
         assert M.R_elem(u) == row_sum_action(M, M.R_k, u)
 
 
-def test_compiled_table_matches(case):
-    alg = case[0]
+def assert_compiled_table_matches(alg):
     old = copy.copy(alg)
     dense_compile(old)
     assert old.mul_table is not alg.mul_table
     assert alg.mul_table == old.mul_table
     assert [[alg.xpow(m).k_coeff(j) for j in range(alg.n)] for m in range(2 * alg.n + 1)] == old.xpow_nf
+
+
+def test_compiled_table_matches(case):
+    assert_compiled_table_matches(case[0])
+
+
+COMPILE_CASES = {"gh4(3)": lambda: gh4_instance(3)[0], "gh4(8)": lambda: gh4_instance(8)[0],
+                 **{name: CASES[name] for name in ("c4_sign", "quaternion_rotated", "sqrt5_galois")}}
+
+
+@pytest.mark.parametrize("name", ["gh4(3)", "gh4(8)", "quaternion_rotated", "sqrt5_galois"])
+def test_compile_reads_one_term_products_off_the_table(monkeypatch, name):
+    """`_compile` calls `table_mul_into` for a product e_b alpha^a(e_b2) of
+    more than one term and to reduce by f: never on gh4, a group algebra with
+    a character twist and f = x^2, where each column of alpha^a and each
+    product of K's basis is one term; at least once on the quaternions rotated
+    by a non-quarter angle and on QQ(sqrt 5), where neither is."""
+    alg = COMPILE_CASES[name]()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return kalgebra.table_mul_into(*args)
+
+    rebuilt = copy.copy(alg)
+    monkeypatch.setattr(monogenic, "table_mul_into", counting)
+    rebuilt._compile()
+    assert rebuilt.mul_table == alg.mul_table
+    assert (len(calls) > 0) == (name in ("quaternion_rotated", "sqrt5_galois"))
+
+
+@pytest.mark.parametrize("name", ["gh4(3)", "c4_sign"])
+def test_seeded_unscaled_one_term_product_is_caught(name):
+    """A `_compile` that stores K's table term e_b e_c = p e_k for
+    e_b alpha^a(e_b2) = s e_b e_c, dropping s, fails the dense reference."""
+    bad = copy.copy(COMPILE_CASES[name]())
+    mutant(MonogenicAlgebra._compile, "[(k, p if s == one else mul(s, p))]", "t")(bad)
+    with pytest.raises(AssertionError):
+        assert_compiled_table_matches(bad)
 
 
 def test_a_mul_matches(case):

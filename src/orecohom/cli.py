@@ -423,7 +423,9 @@ def render_csv(verb: str, payload: dict) -> str:
         rows = ["kind,deg_a,deg_b,basis_index_a,basis_index_b,result_class_coords"]
         for kind in ("cup", "bracket"):
             for r in payload[kind]:
-                coords = ";".join(str(c) for c in r["result_class_coords"])
+                # an extension field's coordinate is a list: its entries joined by a space
+                coords = ";".join(" ".join(map(str, c)) if isinstance(c, list) else str(c)
+                                  for c in r["result_class_coords"])
                 rows.append(
                     f"{kind},{r['deg_a']},{r['deg_b']},"
                     f"{r['basis_index_a']},{r['basis_index_b']},{coords}"

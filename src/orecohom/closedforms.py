@@ -87,7 +87,7 @@ from .kalgebra import (
     twisted_invariants_k,
     validate_character,
 )
-from .monogenic import AElem, MonogenicAlgebra, TensorElem, validate_f
+from .monogenic import AElem, MonogenicAlgebra, validate_f
 from .cohomology import (
     Bimodule,
     CohomologyError,
@@ -589,7 +589,7 @@ def _formal_derivative_elem(alg: MonogenicAlgebra) -> AElem:
 def _check_derivative_differentials(C: SmallComplex, up_to: int, mismatches: list) -> None:
     """Odd differentials vanish and even ones are left multiplication by the
     derivative of the defining polynomial, through degree up_to."""
-    L = C.M.hom(TensorElem.from_aelem(_formal_derivative_elem(C.alg), 0, 0))
+    L = C.M.hom(_formal_derivative_elem(C.alg).nz)  # at c = 0 the tensor's row is the element's
     for r in range(1, up_to + 1):
         if r % 2 == 1:
             if not C.dmats[r].is_zero():
@@ -645,7 +645,7 @@ def untwisted_annihilator_table(C: SmallComplex, up_to: int) -> dict:
     up_to = _top_degree(C, up_to)
     model = C.bases[0]
     fprime = _formal_derivative_elem(alg)
-    L = C.M.hom(TensorElem.from_aelem(fprime, 0, 0))
+    L = C.M.hom(fprime.nz)
     Lsub = _restrict_to_span(model, L)
     # the annihilator (kernel) and the quotient (cokernel) of one square map
     # have the same dimension, and the same representatives serve every degree

@@ -5,7 +5,9 @@ Degree bookkeeping: d^r is the differential INTO C^r, so H^r is
 ker d^{r+1} / im d^r and computing H^r requires the complex to be built
 through degree r + 1.  The twist exponent of C^r is mn for r = 2m and
 mn + 1 for r = 2m + 1; cochain spaces are the twisted invariants M^{alpha^t}.
-d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies.
+d^r is Hom(d'_r, M) for the resolution that ``validate`` certifies: the
+``Bimodule.hom`` of the payload row ``Resolution.d_generator(r)``, the one
+form of a tensor in the engine.
 
 Each piece of the complex is built once per distinct input and shared by
 every degree with that input: each action of K's basis on the regular
@@ -29,7 +31,7 @@ from collections.abc import Sequence
 from .fields import Scalar
 from .kalgebra import BasisActions, ValidationReport, mult_matrix, twisted_kernel
 from .linalg import EchelonTracker, FreeRows, LinSolver, Mat, dense, kernel_basis, matrix_sum, row_sum, same_field
-from .monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, twist_exponent
+from .monogenic import AElem, MonogenicAlgebra, Resolution, twist_exponent
 
 
 class CohomologyError(ValueError):
@@ -114,23 +116,28 @@ class Bimodule:
             self._Rx_pow[e] = self.Rx.matmul(self.Rx_pow(e - 1))
         return self._Rx_pow[e]
 
-    def hom(self, t: TensorElem) -> Mat:
-        """The matrix of m -> sum_c u_c m x^c for t = sum_c u_c (x) x^c; u_c =
-        sum_a k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if k_a = s 1.
-        The test k_a = s 1 runs on payloads, so the L(k_a) it spares are never
-        built; the (s, term) pairs are summed by one ``matrix_sum``."""
-        F, unit = self.field, self.alg.K.unit
+    def hom(self, row: dict) -> Mat:
+        """The matrix of m -> sum_c u_c m x^c for the tensor sum_c u_c (x) x^c
+        given as its payload row {c*adim + a*dimK + b: payload}.  One pass
+        groups the row into the K-coefficient k_a of x^a in u_c, by ascending
+        (c, a); k_a x^a acts as L(k_a) Lx^a, with no x^0 factor, or as s if
+        k_a = s 1.  The test k_a = s 1 runs on payloads, so the L(k_a) it
+        spares are never built; the (s, term) pairs are summed by one
+        ``matrix_sum``."""
+        F, unit, adim, kdim = self.field, self.alg.K.unit, self.alg.adim, self.alg.K.dim
         i, one, mul, terms = min(unit), F.one.v, F._mul, []
         inv = Scalar(F, unit[i]).inv().v  # boxed: a report's one Scalar inverse, which bench/spans.py counts
-        for c in t.powers():
-            u = t.left_factor(c)
-            for a in u.x_degrees():
-                k = u.k_coeff(a)
-                s = mul(k[i], inv) if i in k else None
-                ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
-                if s is None or k != {j: mul(s, p) for j, p in unit.items()}:
-                    ops, s = [self.L_elem(k), *ops], one
-                terms.append((s, functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])))
+        coeffs: dict[tuple, dict] = {}  # (c, a) -> k_a of u_c
+        for flat, p in row.items():
+            c, j = divmod(flat, adim)
+            coeffs.setdefault((c, j // kdim), {})[j % kdim] = p
+        for c, a in sorted(coeffs):
+            k = coeffs[c, a]
+            s = mul(k[i], inv) if i in k else None
+            ops = [self.Lx_pow(a)] * (a > 0) + [self.Rx_pow(c)] * (c > 0)
+            if s is None or k != {j: mul(s, p) for j, p in unit.items()}:
+                ops, s = [self.L_elem(k), *ops], one
+            terms.append((s, functools.reduce(Mat.matmul, ops or [self.Lx_pow(0)])))
         return Mat.from_sparse_rows(F, matrix_sum(F, terms, self.dim), self.dim)
 
     def validate(self) -> ValidationReport:

@@ -59,12 +59,12 @@ def mixed(a: "Field", b: "Field") -> FieldError:
 
 class Scalar:
     """An element of an exact field: a field context plus a normalized payload.
-    Each operator boxes its result.  The containers (``Mat``, ``AElem``,
-    ``TensorElem``, the structure constants) store payloads and their inner
-    loops (``linalg.row_sum``, ``kalgebra.table_mul_into``, the echelon) run
-    on them; a Scalar is unboxed where it enters a container, checked to be
-    of its field, and boxed where it leaves, raising :func:`mixed` as
-    ``_coerce`` does."""
+    Each operator boxes its result.  The containers (``Mat``, ``AElem``, the
+    structure constants) and the tensors, bare payload rows, store payloads
+    and their inner loops (``linalg.row_sum``, ``kalgebra.table_mul_into``,
+    the echelon) run on them; a Scalar is unboxed where it enters a
+    container, checked to be of its field, and boxed where it leaves,
+    raising :func:`mixed` as ``_coerce`` does."""
 
     __slots__ = ("field", "v")
 

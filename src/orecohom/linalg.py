@@ -312,11 +312,6 @@ def kernel_basis(M: Mat) -> Mat:
     return _free_kernel(M.field, M.cols, R.sparse, lead)
 
 
-def solve(M: Mat, b: tuple) -> tuple | None:
-    """One solution of M x = b, or None when inconsistent."""
-    return LinSolver(M).solve(b)
-
-
 class LinSolver:
     """Precomputed elimination for solving M x = b repeatedly against one M.
 

@@ -18,7 +18,9 @@ Conventions, fixed once here and relied on everywhere downstream:
 * The twisted tensor square carries k-basis {lambda_b x^a (x) x^c} with all
   middle K-coefficients pushed into the left factor through the twist:
   u (x) mu x^c = u . alpha^{r+c}(mu) (x) x^c.  Flat index (c*n + a)*dimK + b,
-  that is c*dimA + i with i the flat index of lambda_b x^a in A.
+  that is c*dimA + i with i the flat index of lambda_b x^a in A.  A tensor
+  is its payload row and nothing else: ``Resolution.d_generator`` returns one
+  and ``cohomology.Bimodule.hom`` reads one; there is no tensor type.
 * Elements of A and of the tensor square, A's compiled table, the actions,
   the resolution's columns and the checks all hold payload rows {flat index:
   nonzero payload} of A's field and read A's and K's tables through
@@ -359,98 +361,6 @@ class MonogenicAlgebra:
 # ---------------------------------------------------------------------------
 
 
-class TensorElem:
-    """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
-    held as the payload row ``coords`` {flat index: nonzero payload} of A's
-    field.  ``TensorElem(alg, twist, coords)`` keeps a new row of the nonzero
-    payloads of coords; ``_of`` keeps a row as given, for the sums and
-    actions, which each make a new row with no zero payload.
-    Read by power of x, it is sum_c u_c (x) x^c with left factors u_c in A.
-    Its actions run on that row, on A's compiled table: the left action of A
-    and the right action of x are ``_left`` and ``_right_x``."""
-
-    __slots__ = ("alg", "twist", "coords")
-
-    def __init__(self, alg: MonogenicAlgebra, twist: int, coords: dict):
-        zv = alg.field.zero.v
-        self.alg = alg
-        self.twist = twist
-        self.coords = {i: p for i, p in coords.items() if p != zv}
-
-    @classmethod
-    def _of(cls, alg: MonogenicAlgebra, twist: int, row: dict) -> "TensorElem":
-        """The tensor with the nonzero coordinates row, a payload row."""
-        out = cls.__new__(cls)
-        out.alg, out.twist, out.coords = alg, twist, row
-        return out
-
-    @classmethod
-    def zero(cls, alg: MonogenicAlgebra, twist: int) -> "TensorElem":
-        return cls._of(alg, twist, {})
-
-    @classmethod
-    def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
-        """left (x) x^c."""
-        return cls._of(left.alg, twist, {c * left.alg.adim + i: p for i, p in left.nz.items()})
-
-    def powers(self) -> list[int]:
-        """The c with a nonzero left factor u_c, ascending."""
-        return sorted({flat // self.alg.adim for flat in self.coords})
-
-    def left_factor(self, c: int) -> AElem:
-        adim = self.alg.adim
-        base = c * adim
-        part = {i - base: s for i, s in self.coords.items() if base <= i < base + adim}
-        return AElem._of(self.alg, part)
-
-    def _blocks(self) -> dict[int, AElem]:
-        """The nonzero left factors {c: u_c}, by ascending c."""
-        adim, parts = self.alg.adim, {}
-        for flat, s in self.coords.items():
-            c, i = divmod(flat, adim)
-            parts.setdefault(c, {})[i] = s
-        return {c: AElem._of(self.alg, parts[c]) for c in sorted(parts)}
-
-    def add_scaled(self, other: "TensorElem", s: Scalar | None = None) -> "TensorElem":
-        """self + s * other (s = None stands for 1)."""
-        if self.twist != other.twist:
-            raise MonogenicError("twist mismatch in tensor sum")
-        F = self.alg.field
-        same_field(F, other.alg.field)
-        if s is not None:
-            same_field(F, s.field)
-        out = row_sum(F, [(F.one.v, self.coords), (F.one.v if s is None else s.v, other.coords)])
-        return TensorElem._of(self.alg, self.twist, out)
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        return self.add_scaled(other)
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        return self.add_scaled(other, -self.alg.field.one)
-
-    def __neg__(self) -> "TensorElem":
-        neg = self.alg.field._neg
-        return TensorElem._of(self.alg, self.twist, {i: neg(p) for i, p in self.coords.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and self.alg is other.alg
-            and self.twist == other.twist
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.alg), self.twist, frozenset(self.coords)))
-
-    def __repr__(self):
-        terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
-        return " + ".join(terms) if terms else "0"
-
-
 # -- the actions on payload rows {flat index: payload}, read straight off the
 # basis tables through ``table_mul_into``: the one route of the left action
 # of A and the right action of x, for tensors, columns and checks alike
@@ -544,7 +454,7 @@ class Resolution:
         self.alg = alg
         self.max_degree = max_degree
         self.tdim = alg.adim * alg.n
-        self._generators: dict[int, TensorElem] = {}
+        self._generators: dict[int, dict] = {}
         self._folds: dict[int, int] = {}  # degree -> its fold class
         self._fold_keys: dict[tuple, int] = {}  # (r mod 2, _wraps at t(r-1)) -> class, in class order
         self._d_rows: dict[int, tuple] = {}  # class -> the columns of d'
@@ -565,21 +475,22 @@ class Resolution:
             cls = self._folds[r] = self._fold_keys.setdefault(key, len(self._fold_keys))
         return cls
 
-    def d_generator(self, r: int) -> TensorElem:
-        """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module:
-        x (x) 1 - 1 (x) x for odd r, the derivation of f for even r.  The one
-        definition of d': the small complex is its Hom into M."""
+    def d_generator(self, r: int) -> dict:
+        """Image of the generator 1 (x) 1 under d'_r, in the degree r-1 module,
+        as its payload row {c*adim + i: payload}: x (x) 1 - 1 (x) x for odd r,
+        the derivation of f for even r.  The one definition of d': the small
+        complex is its Hom into M.  The row is cached per r and must not be
+        mutated."""
         if r in self._generators:
             return self._generators[r]
         alg, F = self.alg, self.alg.field
-        tw = self.twist(r - 1)
         if r % 2 == 1:
-            onex = _right_x(alg, alg.one.nz, _wraps(alg, tw))
+            onex = _right_x(alg, alg.one.nz, _wraps(alg, self.twist(r - 1)))
             row = row_sum(F, [(F.one.v, alg.x.nz), (F._neg(F.one.v), onex)])
         else:
             row = _derivation(alg, alg.f_terms)
-        out = self._generators[r] = TensorElem._of(alg, tw, row)
-        return out
+        self._generators[r] = row
+        return row
 
     @functools.cached_property
     def _left_xpows(self) -> list[list[dict]]:
@@ -598,7 +509,7 @@ class Resolution:
         rows = self._d_rows.get(cls)
         if rows is None:
             alg, wraps = self.alg, list(self._fold_keys)[cls][1]
-            gen = self.d_generator(r).coords
+            gen = self.d_generator(r)
             rows = [{}] * self.tdim
             for i in range(alg.adim):
                 rows[i] = col = _left(alg, {i: alg.field.one.v}, gen, {})

@@ -18,9 +18,7 @@ from .kalgebra import (
     AlgebraK,
     Endo,
     GroupData,
-    char_power,
     character_from_values,
-    character_order,
     cyclic_group,
     endo_from_character,
     group_algebra,
@@ -98,16 +96,12 @@ class Instance:
 
     def default_degree(self) -> int:
         """Degree bound when the spec does not pin one: one period of the
-        n-th twist power plus two, capped at six."""
+        n-th twist power plus two, capped at six.  For v the order of
+        alpha^n, 2v + 2 is 4 when v = 1 and at least 6 otherwise, so it is 4
+        when alpha^n = id and 6 else: one comparison, with no order search."""
         if self.max_degree is not None:
             return self.max_degree
-        if self.chi is not None and self.K.group is not None:
-            v = character_order(self.K.group, char_power(self.chi, self.n))
-        else:
-            v = Endo(self.K, self.alpha.power_matrix(self.n)).order
-        if v is not None and 2 * v + 2 <= 6:
-            return 2 * v + 2
-        return 6
+        return 4 if self.alpha.power_matrix(self.n) == Mat.identity(self.K.field, self.K.dim) else 6
 
 
 def _check_labels(labels, what: str) -> None:

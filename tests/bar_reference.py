@@ -8,9 +8,10 @@ This module keeps the routes that evaluate the bar side at every index
 homotopy recursion for psi and phi that the closed maps are checked against
 (``ComparisonMaps``), the commutation of both maps with the differentials
 (``chain_map_report``), and the readers that only these routes and the tests
-use: the canonical cochains of K and Kx, the left action of A and the right
-action of x^d on a tensor, and the maps of the resolution applied to a
-tensor.  Each calls the engine's closed maps through the module
+use: the canonical cochains of K and Kx, the tensor type ``TensorElem``
+(the engine holds a tensor as its payload row alone), the left action of A
+and the right action of x^d on a tensor, and the maps of the resolution
+applied to a tensor.  Each calls the engine's closed maps through the module
 (``products.psi_terms``, ``products.phi_closed``, ``products.psi_value``),
 so a test that patches one of them reaches these routes too.
 """
@@ -21,9 +22,10 @@ import itertools
 
 from orecohom import products
 from orecohom.cohomology import SmallComplex, twisted_invariants
+from orecohom.fields import Scalar
 from orecohom.kalgebra import ValidationReport
 from orecohom.linalg import row_sum, same_field
-from orecohom.monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem, _left, _right_x, _wraps, twist_exponent
+from orecohom.monogenic import AElem, MonogenicAlgebra, MonogenicError, Resolution, _left, _right_x, _wraps, twist_exponent
 from orecohom.products import BarOracle, ProductsError, SmallCochain, _is_twisted
 
 # -- canonical cochains ---------------------------------------------------------
@@ -50,7 +52,99 @@ def canonical_k(self: SmallCochain) -> dict | None:
     return self.value.k_coeff(0)
 
 
-# -- the actions on a tensor and the maps of the resolution ---------------------
+# -- the tensor square, the actions on a tensor and the maps of the resolution --
+
+
+class TensorElem:
+    """Element of the twisted tensor square on basis {lambda_b x^a (x) x^c},
+    held as the payload row ``coords`` {flat index: nonzero payload} of A's
+    field.  ``TensorElem(alg, twist, coords)`` keeps a new row of the nonzero
+    payloads of coords; ``_of`` keeps a row as given, for the sums and
+    actions, which each make a new row with no zero payload.
+    Read by power of x, it is sum_c u_c (x) x^c with left factors u_c in A.
+    Its actions run on that row, on A's compiled table: the left action of A
+    and the right action of x are ``_left`` and ``_right_x``."""
+
+    __slots__ = ("alg", "twist", "coords")
+
+    def __init__(self, alg: MonogenicAlgebra, twist: int, coords: dict):
+        zv = alg.field.zero.v
+        self.alg = alg
+        self.twist = twist
+        self.coords = {i: p for i, p in coords.items() if p != zv}
+
+    @classmethod
+    def _of(cls, alg: MonogenicAlgebra, twist: int, row: dict) -> "TensorElem":
+        """The tensor with the nonzero coordinates row, a payload row."""
+        out = cls.__new__(cls)
+        out.alg, out.twist, out.coords = alg, twist, row
+        return out
+
+    @classmethod
+    def zero(cls, alg: MonogenicAlgebra, twist: int) -> "TensorElem":
+        return cls._of(alg, twist, {})
+
+    @classmethod
+    def from_aelem(cls, left: AElem, c: int, twist: int) -> "TensorElem":
+        """left (x) x^c."""
+        return cls._of(left.alg, twist, {c * left.alg.adim + i: p for i, p in left.nz.items()})
+
+    def powers(self) -> list[int]:
+        """The c with a nonzero left factor u_c, ascending."""
+        return sorted({flat // self.alg.adim for flat in self.coords})
+
+    def left_factor(self, c: int) -> AElem:
+        adim = self.alg.adim
+        base = c * adim
+        part = {i - base: s for i, s in self.coords.items() if base <= i < base + adim}
+        return AElem._of(self.alg, part)
+
+    def _blocks(self) -> dict[int, AElem]:
+        """The nonzero left factors {c: u_c}, by ascending c."""
+        adim, parts = self.alg.adim, {}
+        for flat, s in self.coords.items():
+            c, i = divmod(flat, adim)
+            parts.setdefault(c, {})[i] = s
+        return {c: AElem._of(self.alg, parts[c]) for c in sorted(parts)}
+
+    def add_scaled(self, other: "TensorElem", s: Scalar | None = None) -> "TensorElem":
+        """self + s * other (s = None stands for 1)."""
+        if self.twist != other.twist:
+            raise MonogenicError("twist mismatch in tensor sum")
+        F = self.alg.field
+        same_field(F, other.alg.field)
+        if s is not None:
+            same_field(F, s.field)
+        out = row_sum(F, [(F.one.v, self.coords), (F.one.v if s is None else s.v, other.coords)])
+        return TensorElem._of(self.alg, self.twist, out)
+
+    def __add__(self, other: "TensorElem") -> "TensorElem":
+        return self.add_scaled(other)
+
+    def __sub__(self, other: "TensorElem") -> "TensorElem":
+        return self.add_scaled(other, -self.alg.field.one)
+
+    def __neg__(self) -> "TensorElem":
+        neg = self.alg.field._neg
+        return TensorElem._of(self.alg, self.twist, {i: neg(p) for i, p in self.coords.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TensorElem)
+            and self.alg is other.alg
+            and self.twist == other.twist
+            and self.coords == other.coords
+        )
+
+    def __hash__(self):
+        return hash((id(self.alg), self.twist, frozenset(self.coords)))
+
+    def __repr__(self):
+        terms = [f"({u}) (x) x^{c}" for c, u in self._blocks().items()]
+        return " + ".join(terms) if terms else "0"
 
 
 def leftmul(self: TensorElem, a: AElem) -> TensorElem:
@@ -248,7 +342,7 @@ class ComparisonMaps:
             return self._phi_rec[r]
         alg = self.alg
         prev = self.phi_recursive(r - 1)
-        dgen = self.res.d_generator(r)
+        dgen = TensorElem._of(alg, self.res.twist(r - 1), self.res.d_generator(r))
         sgn = _sign(alg, r)
         out: dict[tuple, AElem] = {}
         for c in dgen.powers():

@@ -65,7 +65,6 @@ from orecohom.linalg import (
     kernel_basis,
     quotient_basis,
     rank,
-    solve,
     dense,
     payloads,
     row_sum,
@@ -76,7 +75,6 @@ from orecohom.monogenic import (
     MonogenicAlgebra,
     MonogenicError,
     Resolution,
-    TensorElem,
     twist_exponent,
 )
 from orecohom.products import (
@@ -89,6 +87,7 @@ from orecohom.specio import load_instance
 
 from bar_reference import (
     BarCochain,
+    TensorElem,
     _sign,
     all_bar_indices,
     apply_d,
@@ -1410,7 +1409,7 @@ def boxed_minimal_polynomial(M: Mat) -> list[Scalar]:
         powers.append(powers[-1].matmul(M))
     k = len(powers) - 1  # M^k depends on lower powers
     cols = [flat(P) for P in powers[:k]]
-    sol = solve(Mat.from_columns(field, cols, n * n), flat(powers[k]))
+    sol = LinSolver(Mat.from_columns(field, cols, n * n)).solve(flat(powers[k]))
     if sol is None:
         raise LinalgError(f"M^{k} is not a combination of its lower powers")
     return [-c for c in sol] + [field.one]
@@ -1652,7 +1651,7 @@ def twist_period(alg: MonogenicAlgebra, limit: int = 64) -> int:
 
 
 def in_span(basis: Mat, v: tuple) -> bool:
-    return solve(basis, v) is not None
+    return LinSolver(basis).solve(v) is not None
 
 
 def class_sums(K: AlgebraK) -> list[dict]:
@@ -2040,7 +2039,7 @@ def unfolded_annihilator_table(C: SmallComplex, up_to: int) -> dict:
     up_to = cf._top_degree(C, up_to)
     model = C.bases[0]
     fprime = cf._formal_derivative_elem(alg)
-    L = C.M.hom(TensorElem.from_aelem(fprime, 0, 0))
+    L = C.M.hom(fprime.nz)
     Lsub = cf._restrict_to_span(model, L)
     closed_dims = [model.cols] + [model.cols - rank(Lsub)] * up_to
     ann_reps = model.matmul(kernel_basis(Lsub))

@@ -1,9 +1,12 @@
 """Command-line behavior: spec parsing, verbs, formats, exit codes."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from conftest import CASES
 
 from orecohom import (
     Bimodule,
@@ -17,7 +20,7 @@ from orecohom import (
     products,
 )
 from orecohom.cli import main
-from orecohom.specio import SpecError, build_instance, load_instance
+from orecohom.specio import Instance, SpecError, build_instance, load_instance
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -46,6 +49,35 @@ def test_load_instance_sweedler():
     assert inst.n == 2
     assert inst.chi is not None
     assert inst.default_degree() == 4
+
+
+def old_default_degree(inst: Instance) -> int:
+    """`Instance.default_degree` before it compared alpha^n with the
+    identity: the order of chi^n for a character spec, otherwise the order
+    of a fresh `Endo` of alpha^n, then 2v + 2 capped at six."""
+    if inst.max_degree is not None:
+        return inst.max_degree
+    if inst.chi is not None and inst.K.group is not None:
+        v = kalgebra.character_order(inst.K.group, kalgebra.char_power(inst.chi, inst.n))
+    else:
+        v = kalgebra.Endo(inst.K, inst.alpha.power_matrix(inst.n)).order
+    return 2 * v + 2 if v is not None and 2 * v + 2 <= 6 else 6
+
+
+def test_default_degree_compares_the_twist_power_with_the_identity(monkeypatch):
+    """The default degree is the old formula's on every demo spec and every
+    `conftest.CASES` instance, and no longer searches the order of a twist."""
+    insts = [load_instance(str(p)) for p in SPECS.glob("*.json")]
+    for alg in (make() for make in CASES.values()):
+        insts.append(Instance({}, alg.field, alg.K, alg.alpha, None, [], alg.n))
+    want = [old_default_degree(inst) for inst in insts]
+
+    def refuse(self):
+        raise AssertionError("Endo.order was read")
+
+    monkeypatch.setattr(kalgebra.Endo, "order", property(refuse))
+    assert [inst.default_degree() for inst in insts] == want
+    assert {4, 6} <= set(want)
 
 
 def test_bad_json_is_a_spec_error(tmp_path):
@@ -432,6 +464,27 @@ def test_csv_dimension_table(capsys):
     assert lines[0] == "degree,dim"
     assert lines[1] == "0,2"
     assert lines[-1] == "4,1"
+
+
+def test_products_csv_over_an_extension_field_keeps_its_columns(capsys):
+    """A Q(i) coordinate is a list in the JSON; the CSV writes its entries
+    joined by a space, so every data row has the header's 6 fields under
+    `csv.reader` and each coordinate decodes back to the JSON's value."""
+    path = spec("gh4_u3.json")
+    rc, out = run(capsys, "products", path, "--format", "csv")
+    rc_json, payload = run_json(capsys, "products", path)
+    assert rc == rc_json == 0
+    header, *data = csv.reader(io.StringIO(out))
+    assert len(header) == 6
+    want = [r["result_class_coords"] for kind in ("cup", "bracket") for r in payload[kind]]
+    assert len(data) == len(want) > 0
+    F = load_instance(path).field
+    for row, coords in zip(data, want):
+        assert len(row) == 6
+        parts = row[5].split(";") if row[5] else []
+        assert len(parts) == len(coords)
+        for part, c in zip(parts, coords):
+            assert isinstance(c, list) and F.decode(part.split(" ")) == F.decode(c)
 
 
 # -- products -----------------------------------------------------------------

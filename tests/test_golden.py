@@ -86,7 +86,7 @@ GOLDEN_CSV = {
     ("c4_sign", "report"): (0, "6e836f87c11630d3fb957e41af9a6ef922a543866035a9c5706381bd36788dc6"),
     ("gh4_u3", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),
     ("gh4_u3", "cohomology"): (0, "c6c66e7968599592c4e3435386438ba81ea4638013f276a45cc6ce8ec5a6e547"),
-    ("gh4_u3", "products"): (0, "be85a83aaea90488cc739f8d2985f3c01722a5c7db3118dadaa28d7bb69bad12"),
+    ("gh4_u3", "products"): (0, "258afe96d259fc0a7342f90ed7c127bc84f90475466d51672154e6e873558158"),
     ("gh4_u3", "theorems"): (0, "9ca87513cc1aea86e7e7e195f62eb44255bccad27410454afcb9a49e51d642f1"),
     ("gh4_u3", "report"): (0, "c6c66e7968599592c4e3435386438ba81ea4638013f276a45cc6ce8ec5a6e547"),
     ("quaternion_pi", "validate"): (0, "3e0f2518dba49f6448383a2146009fb39b0198241db415ede0f4faf023c0733d"),

@@ -14,6 +14,7 @@ K-coefficients are zero, scalar multiples of the unit or arbitrary.  A
 import functools
 
 import pytest
+from bar_reference import TensorElem
 from conftest import admissible_coefficients, mutant, tuple_hom, tuple_validate_f, tuple_witness_check
 
 from orecohom import instances, monogenic
@@ -21,7 +22,6 @@ from orecohom.cohomology import Bimodule
 from orecohom.closedforms import witness_check
 from orecohom.kalgebra import twisted_invariants_k
 from orecohom.linalg import dense
-from orecohom.monogenic import TensorElem
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -93,7 +93,7 @@ def k_routes_property(names: list[str], centrals: list):
         assert (dense(F, w.value, K.dim), w.central, w.power_fixed, w.differences_regular) == tuple_witness_check(alg, u)
         centrals.append(w.central)
         t = tensor(data.draw, alg)
-        assert M.hom(t) == tuple_hom(M, t)
+        assert M.hom(t.coords) == tuple_hom(M, t)
 
     return check
 

@@ -23,7 +23,7 @@ from conftest import (
     to_ore,
     unfolded_contraction_check,
 )
-from bar_reference import apply_s, d_column, leftmul, rightmul_xpow, s_column
+from bar_reference import TensorElem, apply_s, d_column, leftmul, rightmul_xpow, s_column
 
 from orecohom import instances, monogenic
 from orecohom.fields import QQ, Scalar, extension_field, prime_field
@@ -46,7 +46,6 @@ from orecohom.monogenic import (
     MonogenicAlgebra,
     MonogenicError,
     Resolution,
-    TensorElem,
     normality_check,
     twist_exponent,
     validate_f,
@@ -277,7 +276,8 @@ def test_folded_contraction_check_on_a_twist_that_is_not_invertible(n):
 def degree_d_column(res: Resolution, r: int, flat: int) -> TensorElem:
     """d'_r on e_i (x) x^c, flat = c*adim + i, built in degree r itself."""
     c, i = divmod(flat, res.alg.adim)
-    return rightmul_xpow(leftmul(res.d_generator(r), res.alg.basis_vector(i)), c)
+    gen = TensorElem._of(res.alg, res.twist(r - 1), res.d_generator(r))
+    return rightmul_xpow(leftmul(gen, res.alg.basis_vector(i)), c)
 
 
 def degree_s_column(res: Resolution, r: int, flat: int) -> TensorElem:

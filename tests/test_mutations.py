@@ -21,7 +21,8 @@ import pytest
 from conftest import mutant, mutate_columns
 
 from orecohom import cli, products
-from orecohom.monogenic import Resolution, TensorElem
+from orecohom.linalg import row_sum
+from orecohom.monogenic import Resolution
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 
@@ -116,9 +117,10 @@ def plus_odd_generator(monkeypatch):
 
     def mutated(self, r):
         out = d_generator(self, r)
-        if r % 2:
-            onex = TensorElem.from_aelem(self.alg.one, 1, out.twist)
-            out = out.add_scaled(onex, self.alg.field.from_int(2))
+        if r % 2:  # the row of 1 (x) x: the unit's entries in the block c = 1
+            alg, F = self.alg, self.alg.field
+            onex = {alg.adim + i: p for i, p in alg.one.nz.items()}
+            out = row_sum(F, [(F.one.v, out), (F.from_int(2).v, onex)])
         return out
 
     monkeypatch.setattr(Resolution, "d_generator", mutated)

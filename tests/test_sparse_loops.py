@@ -75,8 +75,9 @@ from conftest import (
     support,
     tensor_contraction_check,
     triple_loop_validate,
+    tuple_hom,
 )
-from bar_reference import apply_d, apply_s
+from bar_reference import TensorElem, apply_d, apply_s
 
 from orecohom import kalgebra, linalg, monogenic
 
@@ -85,7 +86,7 @@ from orecohom.fields import QQ, ExtensionField, Scalar, extension_field, prime_f
 from orecohom.instances import gaussian_rationals, gh4_instance
 from orecohom.kalgebra import algebra_validate, twisted_invariants_k
 from orecohom.linalg import FreeRows, LinalgError, LinSolver, Mat, dense, kernel_basis, rank, rref, row_sum
-from orecohom.monogenic import AElem, MonogenicAlgebra, Resolution, TensorElem
+from orecohom.monogenic import AElem, MonogenicAlgebra, Resolution
 
 GF7 = prime_field(7)
 QI = gaussian_rationals()
@@ -331,7 +332,10 @@ def row_sum_hom(M, t) -> Mat:
 def test_hom_and_actions_match_row_sums(monkeypatch, name):
     """On the regular bimodule, `hom` of d'_1 and d'_2 and the actions of
     K's basis and of a drawn element equal their sums taken one `row_sum`
-    per row, and `hom` boxes only K's unit coefficient and its inverse."""
+    per row, and `hom` boxes only K's unit coefficient and its inverse.
+    `hom` of a drawn row, whose K-coefficients are not multiples of the
+    unit, equals both the row sums and `tuple_hom`: no demo run reaches
+    its L(k_a) branch."""
     alg = gh4_instance(3)[0] if name == "gh4(3)" else CASES[name]()
     M, res, K = Bimodule.regular(alg), Resolution(alg, 4), alg.K
     i = min(K.unit)
@@ -342,14 +346,16 @@ def test_hom_and_actions_match_row_sums(monkeypatch, name):
         init(self, field, v)
 
     for r in (1, 2):
-        t = res.d_generator(r)
+        t = TensorElem._of(alg, res.twist(r - 1), res.d_generator(r))
         with monkeypatch.context() as m:
             m.setattr(Scalar, "__init__", counting)
-            got = M.hom(t)
+            got = M.hom(t.coords)
         assert boxes == [K.unit[i], K.field._inv(K.unit[i])], r
         assert got == row_sum_hom(M, t), r
         boxes.clear()
     rng = random.Random(9)
+    t = TensorElem(alg, 0, payload_row(dict(enumerate(vector(K.field, res.tdim, rng, 0.7)))))
+    assert M.hom(t.coords) == row_sum_hom(M, t) == tuple_hom(M, t)
     for u in [K.basis_elem(b) for b in range(K.dim)] + [payloads(vector(K.field, K.dim, rng, 0.7))]:
         assert M.L_elem(u) == row_sum_action(M, M.L_k, u)
         assert M.R_elem(u) == row_sum_action(M, M.R_k, u)

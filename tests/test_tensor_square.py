@@ -26,10 +26,10 @@ from conftest import (
     uncached_xpow_bar,
 )
 
-from bar_reference import ComparisonMaps, d_column, leftmul, rightmul_xpow, s_column
+from bar_reference import ComparisonMaps, TensorElem, d_column, leftmul, rightmul_xpow, s_column
 
 from orecohom import cli, monogenic
-from orecohom.monogenic import AElem, Resolution, TensorElem
+from orecohom.monogenic import AElem, Resolution
 
 # shares of nonzero entries: empty, sparse, dense, full
 DENSITIES = (0.0, 0.2, 0.6, 1.0)
